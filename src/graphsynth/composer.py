@@ -10,6 +10,7 @@ keywords; functions appear only as knowledge-base entity IRIs.
 
 from __future__ import annotations
 
+import keyword
 from dataclasses import dataclass
 
 from graphsynth import vocab, views
@@ -146,7 +147,14 @@ class NamingContext:
 
 
 def derive_variable_name(patterns: dict[str, NamingPatternInfo], context: NamingContext) -> str:
-    """Apply the naming pattern matching `context`; no applicable rule is an error."""
+    """Apply the naming pattern matching `context`; no rule, or no usable identifier, is an error."""
+    name = _apply_naming_pattern(patterns, context)
+    if not name.isidentifier() or keyword.iskeyword(name):
+        raise UnnamedVariableError(f"pattern '{context.pattern_id}' derives {name!r}, which is not a variable name")
+    return name
+
+
+def _apply_naming_pattern(patterns: dict[str, NamingPatternInfo], context: NamingContext) -> str:
     pattern = patterns.get(context.pattern_id)
     if pattern is None:
         raise UnnamedVariableError(f"pattern '{context.pattern_id}' is not in the knowledge base")

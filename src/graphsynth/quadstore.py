@@ -1,14 +1,28 @@
 """In-memory quad store with named graphs and a basic-graph-pattern engine.
 
-The store keeps set semantics (inserting a quad twice is a no-op) and
-answers conjunctive pattern queries by a natural join over per-pattern
-matches. All results come back in a deterministic order derived from the
-total order on terms, so everything built on top of the store is
-reproducible run to run.
+The store keeps set semantics (inserting a quad twice is a no-op) and four
+hash indexes, all kept up to date by `insert` and `remove`: subject,
+predicate and object each map a term to the quads holding it there, and
+the per-graph sets map a graph name to its quads.
+
+A basic graph pattern is answered by an index nested-loop join. Before the
+loop a greedy planner orders the patterns: next comes the one with the most
+positions bound, either by a concrete term or by a variable an earlier
+pattern binds. For each partial binding, `_candidates` substitutes the
+bound variables into the pattern, looks up every bound position in its
+index and unifies only the quads of the smallest bucket. A pattern with no
+bound position scans the whole store.
+
+The join order decides only how much work is done, never what comes out:
+every result binds all variables of the query, so two distinct results
+differ in some variable's value, and the final sort on those values (in
+variable-name order, by the total order on terms) gives the same list
+whatever the plan, insertion order or hash order was.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -87,15 +101,43 @@ class QuadStore:
 
     def __init__(self):
         self._graphs: dict[str, set[Quad]] = {}
+        self._by_subject: dict[Term, set[Quad]] = {}
+        self._by_predicate: dict[Term, set[Quad]] = {}
+        self._by_object: dict[Term, set[Quad]] = {}
+        # Graph name -> its Iri term, built (and validated) once per graph.
+        self._graph_terms: dict[str, Iri] = {}
+
+    def _indexes(self, quad: Quad) -> tuple[tuple[dict, object], ...]:
+        return (
+            (self._graphs, quad.graph),
+            (self._by_subject, quad.subject),
+            (self._by_predicate, quad.predicate),
+            (self._by_object, quad.object),
+        )
 
     def insert(self, quad: Quad) -> bool:
         """Add a quad; returns True iff it was not already present."""
         if not isinstance(quad, Quad):
             raise MalformedQuadError(f"expected a Quad, got {type(quad).__name__}")
-        bucket = self._graphs.setdefault(quad.graph, set())
-        if quad in bucket:
+        if quad in self:
             return False
-        bucket.add(quad)
+        if quad.graph not in self._graph_terms:
+            self._graph_terms[quad.graph] = Iri(quad.graph)
+        for index, key in self._indexes(quad):
+            index.setdefault(key, set()).add(quad)
+        return True
+
+    def remove(self, quad: Quad) -> bool:
+        """Drop a quad; returns True iff it was present."""
+        if quad not in self:
+            return False
+        for index, key in self._indexes(quad):
+            bucket = index[key]
+            bucket.discard(quad)
+            if not bucket:
+                del index[key]
+        if quad.graph not in self._graphs:
+            del self._graph_terms[quad.graph]
         return True
 
     def __len__(self) -> int:
@@ -108,7 +150,7 @@ class QuadStore:
         return len(self._graphs.get(graph, ()))
 
     def graph_names(self) -> list[str]:
-        return sorted(name for name, bucket in self._graphs.items() if bucket)
+        return sorted(self._graphs)
 
     def quads(self, graph: str | None = None) -> Iterator[Quad]:
         if graph is not None:
@@ -122,39 +164,33 @@ class QuadStore:
 
     def clone(self) -> QuadStore:
         other = QuadStore()
-        other._graphs = {name: set(bucket) for name, bucket in self._graphs.items()}
+        other._graphs = _copy_index(self._graphs)
+        other._by_subject = _copy_index(self._by_subject)
+        other._by_predicate = _copy_index(self._by_predicate)
+        other._by_object = _copy_index(self._by_object)
+        other._graph_terms = dict(self._graph_terms)
         return other
 
     def match_pattern(self, pattern: Pattern) -> list[BindingSet]:
         """All bindings under which the pattern matches some quad, in deterministic order."""
-        results = []
-        if isinstance(pattern.graph, Var):
-            candidates: Iterable[Quad] = self.quads()
-        else:
-            candidates = self._graphs.get(pattern.graph, ())
-        for quad in candidates:
-            binding = _unify(pattern, quad, {})
-            if binding is not None:
-                results.append(binding)
-        variables = sorted(pattern.variables())
-        results.sort(key=_binding_order_key(variables))
-        return results
+        return self._join([pattern])
 
     def query_bgp(self, patterns: Iterable[Pattern]) -> list[BindingSet]:
         """Natural join of the per-pattern matches on shared variable names."""
         patterns = list(patterns)
         if not patterns:
             raise ValueError("query_bgp requires at least one pattern")
+        return self._join(patterns)
+
+    def _join(self, patterns: list[Pattern]) -> list[BindingSet]:
+        """Index nested-loop join in planned order, sorted on all variables."""
         partial: list[BindingSet] = [{}]
-        for pattern in patterns:
+        graph_terms = self._graph_terms
+        for pattern in _plan(patterns):
             extended: list[BindingSet] = []
-            if isinstance(pattern.graph, Var):
-                candidates: list[Quad] = list(self.quads())
-            else:
-                candidates = list(self._graphs.get(pattern.graph, ()))
             for binding in partial:
-                for quad in candidates:
-                    merged = _unify(pattern, quad, binding)
+                for quad in self._candidates(pattern, binding):
+                    merged = _unify(pattern, quad, graph_terms[quad.graph], binding)
                     if merged is not None:
                         extended.append(merged)
             partial = extended
@@ -164,11 +200,57 @@ class QuadStore:
         partial.sort(key=_binding_order_key(variables))
         return partial
 
+    def _candidates(self, pattern: Pattern, binding: BindingSet) -> Iterable[Quad]:
+        """The smallest index bucket over the pattern's bound positions."""
+        keys = [
+            binding.get(pos.name) if isinstance(pos, Var) else pos
+            for pos in (pattern.subject, pattern.predicate, pattern.object, pattern.graph)
+        ]
+        if isinstance(keys[3], Iri):
+            # A bound graph variable; a blank or literal there names no graph.
+            keys[3] = keys[3].value
+        best = None
+        for key, index in zip(keys, (self._by_subject, self._by_predicate, self._by_object, self._graphs)):
+            if key is None:
+                continue
+            bucket = index.get(key)
+            if bucket is None:
+                return ()
+            if best is None or len(bucket) < len(best):
+                best = bucket
+        if best is None:
+            return itertools.chain.from_iterable(self._graphs.values())
+        return best
 
-def _unify(pattern: Pattern, quad: Quad, binding: BindingSet) -> BindingSet | None:
+
+def _copy_index(index: dict) -> dict:
+    return {key: set(bucket) for key, bucket in index.items()}
+
+
+def _plan(patterns: list[Pattern]) -> list[Pattern]:
+    """Greedy join order: most bound positions next, ties in the given order."""
+    remaining = list(patterns)
+    bound: set[str] = set()
+    ordered = []
+    while remaining:
+        best = max(remaining, key=lambda p: _bound_positions(p, bound))
+        remaining.remove(best)
+        ordered.append(best)
+        bound |= best.variables()
+    return ordered
+
+
+def _bound_positions(pattern: Pattern, bound: set[str]) -> int:
+    return sum(
+        1
+        for pos in (pattern.subject, pattern.predicate, pattern.object, pattern.graph)
+        if not isinstance(pos, Var) or pos.name in bound
+    )
+
+
+def _unify(pattern: Pattern, quad: Quad, graph_term: Iri, binding: BindingSet) -> BindingSet | None:
     """Extend `binding` so the pattern matches the quad, or None if impossible."""
     out = binding
-    graph_term = Iri(quad.graph)
     for pos, value in (
         (pattern.subject, quad.subject),
         (pattern.predicate, quad.predicate),

@@ -105,6 +105,27 @@ def test_missing_naming_patterns_map_to_compose_exit_code(tmp_path, capsys):
     assert "stage compose" in err
 
 
+@pytest.mark.parametrize(
+    "filename, old, new",
+    [
+        ("code_function.ttl", 'gs:hasCallableName "mean"', 'gs:hasCallableName "class"'),
+        ("data_content.ttl", 'gs:hasTypeLabel "input_data"', 'gs:hasTypeLabel "input data"'),
+    ],
+    ids=["keyword-callable", "spaced-type-label"],
+)
+def test_kb_label_that_is_no_identifier_maps_to_compose_exit_code(tmp_path, capsys, filename, old, new):
+    from graphsynth.seed import kb_dir
+
+    text = (kb_dir() / filename).read_text(encoding="utf-8")
+    assert old in text
+    kb = _doctored_kb(tmp_path, filename, text.replace(old, new))
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "synthesize", STMT, "--kb", str(kb), "--out", str(out))
+    assert code == 6
+    assert "stage compose" in err
+    assert not (out / "hello_analytic.py").exists()
+
+
 def test_missing_statement_forms_map_to_render_exit_code(tmp_path, capsys):
     kb = _doctored_kb(
         tmp_path,

@@ -190,6 +190,16 @@ def test_missing_payload_raises_unnamed_variable(kb_store):
         derive_variable_name(patterns, NamingContext(vocab.PATTERN_FILENAME_ARG_TO_READER, content_label=None))
 
 
+@pytest.mark.parametrize("callable_name", ["class", "None", "my mean", "2nd"])
+def test_derived_name_that_is_no_identifier_raises_unnamed_variable(kb_store, callable_name):
+    from graphsynth.views import view_code_function_by_iri
+
+    patterns = view_naming_patterns(kb_store)
+    function = dataclasses.replace(view_code_function_by_iri(kb_store, vocab.NUMPY_MEAN), callable_name=callable_name)
+    with pytest.raises(UnnamedVariableError):
+        derive_variable_name(patterns, NamingContext(vocab.PATTERN_ASSIGN_FUNCTION_RETURN, function=function))
+
+
 def test_collision_policy_appends_numeric_suffixes():
     names = NameAllocator()
     assert [names.allocate("mean") for _ in range(3)] == ["mean", "mean_2", "mean_3"]

@@ -1,17 +1,18 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphsynth import vocab
+from graphsynth import quadstore, vocab
 from graphsynth.errors import MalformedQuadError, MalformedTermError
 from graphsynth.quadstore import Pattern, Quad, QuadStore, Var
 from graphsynth.terms import Blank, Iri, Literal, sort_key
 
-from oracles import canonical, expected_order, nested_loop_join, tractable_case
+from oracles import canonical, expected_order, nested_loop_join, oracle_cost, random_bgp, random_quad, tractable_case
 
 G = "http://t.example/g1"
 H = "http://t.example/g2"
@@ -28,6 +29,18 @@ def test_insert_returns_true_then_false():
     assert len(store) == 1
     assert store.insert(quad) is False
     assert len(store) == 1
+
+
+def test_remove_returns_true_then_false():
+    store = QuadStore()
+    quad = Quad(A, P, B, G)
+    store.insert(quad)
+    store.insert(Quad(A, Q, B, H))
+    assert store.remove(quad) is True
+    assert store.remove(quad) is False
+    assert quad not in store
+    assert store.graph_names() == [H]
+    assert store.match_pattern(Pattern(A, Var("p"), B, Var("g"))) == [{"p": Q, "g": Iri(H)}]
 
 
 def test_graph_is_part_of_identity():
@@ -188,3 +201,94 @@ def test_results_independent_of_insertion_order():
     for quad in reversed(quads):
         backward.insert(quad)
     assert forward.query_bgp(patterns) == backward.query_bgp(patterns)
+
+
+def _bounded_bgp(rng: random.Random, quads: list[Quad], budget: int = 50_000) -> list[Pattern]:
+    for _ in range(20):
+        patterns = random_bgp(rng)
+        if oracle_cost(quads, patterns) <= budget:
+            return patterns
+    return patterns[:1]
+
+
+_store_ops = st.lists(
+    st.tuples(st.sampled_from(["insert", "insert", "insert", "remove", "clone"]), st.integers(0, 2**32 - 1)),
+    max_size=80,
+)
+
+
+@given(_store_ops, st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_indexes_stay_consistent_under_insert_remove_clone(ops, seed):
+    store = QuadStore()
+    model: set[Quad] = set()
+    inserted: list[Quad] = []
+    for op, value in ops:
+        if op == "insert":
+            quad = random_quad(random.Random(value))
+            assert store.insert(quad) is (quad not in model)
+            model.add(quad)
+            inserted.append(quad)
+        elif op == "remove":
+            quad = inserted[value % len(inserted)] if inserted else random_quad(random.Random(value))
+            assert store.remove(quad) is (quad in model)
+            model.discard(quad)
+        else:
+            original, store = store, store.clone()
+            # Emptying the original must leave the copy's indexes whole.
+            for quad in list(original.quads()):
+                original.remove(quad)
+            assert len(original) == 0 and original.graph_names() == []
+    assert set(store.quads()) == model and len(store) == len(model)
+    quads = list(store.quads())
+    # Each index on its own: one bound position per pattern, for every term seen.
+    s, p, o, g = Var("s"), Var("p"), Var("o"), Var("g")
+    single_bound = {Pattern(q.subject, p, o, g) for q in inserted} | {Pattern(s, q.predicate, o, g) for q in inserted}
+    single_bound |= {Pattern(s, p, q.object, g) for q in inserted} | {Pattern(s, p, o, q.graph) for q in inserted}
+    for pattern in single_bound:
+        assert store.match_pattern(pattern) == expected_order([pattern], nested_loop_join(quads, [pattern]))
+    rng = random.Random(seed)
+    patterns = _bounded_bgp(rng, quads)
+    oracle = nested_loop_join(quads, patterns)
+    got = store.query_bgp(patterns)
+    assert sorted(map(canonical, got)) == sorted(map(canonical, oracle))
+    assert got == expected_order(patterns, oracle)
+    single = nested_loop_join(quads, patterns[:1])
+    assert store.match_pattern(patterns[0]) == expected_order(patterns[:1], single)
+
+
+def test_join_order_does_not_change_the_result():
+    rng = random.Random(11)
+    for _ in range(40):
+        quads, patterns = tractable_case(rng, max_quads=60)
+        store = QuadStore()
+        for quad in quads:
+            store.insert(quad)
+        reference = store.query_bgp(patterns)
+        assert reference == expected_order(patterns, nested_loop_join(list(store.quads()), patterns))
+        for permutation in itertools.permutations(patterns):
+            assert store.query_bgp(list(permutation)) == reference
+
+
+def test_lookup_work_does_not_grow_with_the_graph(monkeypatch):
+    store = QuadStore()
+    own = [Quad(A, P, Literal(str(i)), G) for i in range(3)] + [Quad(A, Q, B, G)]
+    for quad in own:
+        store.insert(quad)
+    for i in range(5000):
+        store.insert(Quad(Iri(f"http://t.example/inert{i}"), P, Literal(str(i)), G))
+    unified = 0
+    original = quadstore._unify
+
+    def counting(*args):
+        nonlocal unified
+        unified += 1
+        return original(*args)
+
+    monkeypatch.setattr(quadstore, "_unify", counting)
+    rows = store.match_pattern(Pattern(A, P, Var("o"), G))
+    assert rows == [{"o": Literal(str(i))} for i in range(3)]
+    assert unified <= len(own)
+    unified = 0
+    assert len(store.query_bgp([Pattern(Var("s"), P, Var("o"), G), Pattern(Var("s"), Q, B, G)])) == 3
+    assert unified <= 2 * len(own)

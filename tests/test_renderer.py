@@ -119,7 +119,7 @@ def test_missing_statement_form_is_unmappable(kb_store, statement_text):
     # Strip the aliased-import form from the KB so numpy cannot be rendered.
     for quad in list(kb_store.quads(vocab.CORE_GRAPH)):
         if quad.subject == Iri(vocab.kb("py_import_aliased")):
-            kb_store._graphs[vocab.CORE_GRAPH].discard(quad)
+            kb_store.remove(quad)
     with pytest.raises(UnmappableStatementError):
         render(pla, plan.language, kb_store)
 
