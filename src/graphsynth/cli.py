@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import shutil
-import subprocess
 import sys
 import time
 from dataclasses import dataclass
@@ -129,6 +128,9 @@ def _run_pipeline(config: RunConfig, statement_path: Path, store: QuadStore):
 
 
 def _exec_check(config: RunConfig, plan, path: Path) -> str:
+    # Imported here: it is the only user, and the import costs every cold run.
+    import subprocess
+
     fixture = config.kb_dir / plan.data_source.location
     target = path.parent / plan.data_source.location
     if not target.exists():

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import keyword
 from dataclasses import dataclass
+from typing import Collection
 
 from graphsynth import vocab, views
 from graphsynth.errors import ComposeError, UnnamedVariableError
@@ -146,12 +147,26 @@ class NamingContext:
     function: CodeFunctionInfo | None = None
 
 
-def derive_variable_name(patterns: dict[str, NamingPatternInfo], context: NamingContext) -> str:
-    """Apply the naming pattern matching `context`; no rule, or no usable identifier, is an error."""
+def derive_variable_name(
+    patterns: dict[str, NamingPatternInfo], context: NamingContext, reserved: Collection[str] = ()
+) -> str:
+    """Apply the naming pattern matching `context`; no rule, or no usable identifier, is an error.
+
+    `reserved` holds the names the program's imports bind; deriving one of
+    them would shadow a library.
+    """
     name = _apply_naming_pattern(patterns, context)
     if not name.isidentifier() or keyword.iskeyword(name):
         raise UnnamedVariableError(f"pattern '{context.pattern_id}' derives {name!r}, which is not a variable name")
+    if name in reserved:
+        raise UnnamedVariableError(f"pattern '{context.pattern_id}' derives {name!r}, which names an imported library")
     return name
+
+
+def library_names(plan: BuildPlan) -> frozenset[str]:
+    """Official names and aliases of every library the planned program references."""
+    functions = [plan.reader_function, plan.exit_function, *(calc.function for calc in plan.calculations)]
+    return frozenset(name for fn in functions for name in (fn.library.official_name, fn.library.alias) if name)
 
 
 def _apply_naming_pattern(patterns: dict[str, NamingPatternInfo], context: NamingContext) -> str:
@@ -191,6 +206,7 @@ class _Composition:
         self.store = store
         self.core_graph = graph
         self.patterns = views.view_naming_patterns(store, graph)
+        self.reserved = library_names(plan)
         self.names = NameAllocator()
         self.role_vars: dict[str, str] = {}
         self.libraries: dict[str, LibraryInfo] = {}
@@ -212,6 +228,9 @@ class _Composition:
         )
         self.counter += 1
 
+    def new_variable(self, context: NamingContext) -> str:
+        return self.names.allocate(derive_variable_name(self.patterns, context, self.reserved))
+
     def args_for(self, function: CodeFunctionInfo) -> tuple[CallArg, ...]:
         args = []
         for role in function.arg_spec:
@@ -225,21 +244,15 @@ class _Composition:
 
     def compose_input(self):
         ds = self.plan.data_source
-        filename_var = self.names.allocate(
-            derive_variable_name(
-                self.patterns,
-                NamingContext(vocab.PATTERN_LITERAL_IS_DATASOURCE_FILENAME, content_label=ds.content_type_label),
-            )
+        filename_var = self.new_variable(
+            NamingContext(vocab.PATTERN_LITERAL_IS_DATASOURCE_FILENAME, content_label=ds.content_type_label)
         )
         self.place(vocab.SECTION_INPUT, AssignLiteral(filename_var, ds.name, vocab.ROLE_DATASOURCE_FILENAME))
         self.role_vars[vocab.ROLE_DATASOURCE_FILENAME] = filename_var
 
         reader = self.plan.reader_function
-        data_var = self.names.allocate(
-            derive_variable_name(
-                self.patterns,
-                NamingContext(vocab.PATTERN_FILENAME_ARG_TO_READER, content_label=ds.content_type_label),
-            )
+        data_var = self.new_variable(
+            NamingContext(vocab.PATTERN_FILENAME_ARG_TO_READER, content_label=ds.content_type_label)
         )
         self.place(vocab.SECTION_INPUT, AssignCall(data_var, reader.iri, self.args_for(reader)))
         if reader.return_role:
@@ -249,12 +262,7 @@ class _Composition:
     def compose_calculate(self) -> list[str]:
         result_vars = []
         for calc in self.plan.calculations:
-            target = self.names.allocate(
-                derive_variable_name(
-                    self.patterns,
-                    NamingContext(vocab.PATTERN_ASSIGN_FUNCTION_RETURN, function=calc.function),
-                )
-            )
+            target = self.new_variable(NamingContext(vocab.PATTERN_ASSIGN_FUNCTION_RETURN, function=calc.function))
             self.place(vocab.SECTION_CALCULATE, AssignCall(target, calc.function.iri, self.args_for(calc.function)))
             if calc.function.return_role:
                 self.role_vars[calc.function.return_role] = target
@@ -377,17 +385,8 @@ def _write_statement(store: QuadStore, graph: str, node: str, statement: Abstrac
 # --- graph decoding -------------------------------------------------------
 
 
-def _values(store: QuadStore, graph: str, subject: str, predicate: str) -> list[Term]:
-    rows = store.match_pattern(Pattern(Iri(subject), Iri(predicate), Var("o"), graph))
-    return [row["o"] for row in rows]
-
-
 def _str_of(store: QuadStore, graph: str, subject: str, predicate: str) -> str:
-    values = _values(store, graph, subject, predicate)
-    if not values:
-        raise ComposeError(f"graph {graph} is missing {predicate} on {subject}")
-    value = values[0]
-    return value.lexical if isinstance(value, Literal) else value.value
+    return views.required_str(store, graph, subject, predicate, ComposeError)
 
 
 def _int_of(store: QuadStore, graph: str, subject: str, predicate: str) -> int:
@@ -395,7 +394,7 @@ def _int_of(store: QuadStore, graph: str, subject: str, predicate: str) -> int:
 
 
 def _read_statement(store: QuadStore, graph: str, node: str) -> AbstractStatement:
-    kinds = {t.value for t in _values(store, graph, node, RDF_TYPE) if isinstance(t, Iri)}
+    kinds = {t.value for t in store.objects(Iri(node), Iri(RDF_TYPE), graph) if isinstance(t, Iri)}
     if PLA_ASSIGN_LITERAL in kinds:
         return AssignLiteral(
             target=_str_of(store, graph, node, PLA_HAS_TARGET_VARIABLE),
@@ -404,10 +403,10 @@ def _read_statement(store: QuadStore, graph: str, node: str) -> AbstractStatemen
         )
     if PLA_ASSIGN_CALL in kinds:
         slots = []
-        for slot_term in _values(store, graph, node, PLA_HAS_ARGUMENT_SLOT):
+        for slot_term in store.objects(Iri(node), Iri(PLA_HAS_ARGUMENT_SLOT), graph):
             slot = slot_term.value
             index = _int_of(store, graph, slot, PLA_HAS_SLOT_INDEX)
-            variables = _values(store, graph, slot, PLA_HAS_VARIABLE_REF)
+            variables = store.objects(Iri(slot), Iri(PLA_HAS_VARIABLE_REF), graph)
             if variables:
                 slots.append((index, CallArg(variable=variables[0].lexical)))
             else:
@@ -437,10 +436,10 @@ def load_pla(store: QuadStore, graph_iri: str, core_graph: str = vocab.CORE_GRAP
     program_iri = programs[0]["p"].value
 
     sections = []
-    for section_term in _values(store, graph_iri, program_iri, PLA_HAS_SECTION):
+    for section_term in store.objects(Iri(program_iri), Iri(PLA_HAS_SECTION), graph_iri):
         node = section_term.value
         placed = []
-        for stmt_term in _values(store, graph_iri, node, PLA_HAS_STATEMENT):
+        for stmt_term in store.objects(Iri(node), Iri(PLA_HAS_STATEMENT), graph_iri):
             stmt_node = stmt_term.value
             placed.append(
                 PlacedStatement(
@@ -461,7 +460,7 @@ def load_pla(store: QuadStore, graph_iri: str, core_graph: str = vocab.CORE_GRAP
         )
 
     refs = []
-    for ref_term in _values(store, graph_iri, program_iri, PLA_HAS_LIBRARY_REFERENCE):
+    for ref_term in store.objects(Iri(program_iri), Iri(PLA_HAS_LIBRARY_REFERENCE), graph_iri):
         ref = ref_term.value
         refs.append((_int_of(store, graph_iri, ref, PLA_HAS_SLOT_INDEX), _str_of(store, graph_iri, ref, PLA_REFERS_TO_LIBRARY)))
     libraries = []

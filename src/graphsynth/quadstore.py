@@ -1,17 +1,21 @@
 """In-memory quad store with named graphs and a basic-graph-pattern engine.
 
 The store keeps set semantics (inserting a quad twice is a no-op) and four
-hash indexes, all kept up to date by `insert` and `remove`: subject,
-predicate and object each map a term to the quads holding it there, and
-the per-graph sets map a graph name to its quads.
+hash indexes, all kept up to date by `insert` and `remove`: the subject
+index maps a subject to its predicates and each of those to the quads
+holding that pair, the predicate and object indexes map a term to the quads
+holding it there, and the per-graph sets map a graph name to its quads.
+`objects(s, p, g)`, the read behind every property lookup of one entity,
+is two probes into the nested subject index plus a graph filter.
 
 A basic graph pattern is answered by an index nested-loop join. Before the
 loop a greedy planner orders the patterns: next comes the one with the most
 positions bound, either by a concrete term or by a variable an earlier
 pattern binds. For each partial binding, `_candidates` substitutes the
 bound variables into the pattern, looks up every bound position in its
-index and unifies only the quads of the smallest bucket. A pattern with no
-bound position scans the whole store.
+index and unifies only the quads of the smallest bucket; a bound subject
+and predicate together take their shared bucket of the subject index. A
+pattern with no bound position scans the whole store.
 
 The join order decides only how much work is done, never what comes out:
 every result binds all variables of the query, so two distinct results
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from graphsynth.errors import MalformedQuadError
-from graphsynth.terms import Blank, Iri, Literal, Term, sort_key
+from graphsynth.terms import _WHITESPACE, Blank, Iri, Literal, Term, sort_key
 
 _VAR_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -49,7 +53,7 @@ class Quad:
             raise MalformedQuadError(f"quad predicate must be an IRI: {self.predicate!r}")
         if not isinstance(self.object, (Iri, Blank, Literal)):
             raise MalformedQuadError(f"quad object must be a term: {self.object!r}")
-        if not self.graph or not isinstance(self.graph, str) or re.search(r"\s", self.graph):
+        if not self.graph or not isinstance(self.graph, str) or _WHITESPACE.search(self.graph):
             raise MalformedQuadError("quad graph must be a non-empty IRI string")
 
 
@@ -101,16 +105,17 @@ class QuadStore:
 
     def __init__(self):
         self._graphs: dict[str, set[Quad]] = {}
-        self._by_subject: dict[Term, set[Quad]] = {}
+        self._by_subject: dict[Term, dict[Term, set[Quad]]] = {}
         self._by_predicate: dict[Term, set[Quad]] = {}
         self._by_object: dict[Term, set[Quad]] = {}
         # Graph name -> its Iri term, built (and validated) once per graph.
         self._graph_terms: dict[str, Iri] = {}
 
     def _indexes(self, quad: Quad) -> tuple[tuple[dict, object], ...]:
+        """The flat indexes and the quad's key in each; the subject index is nested."""
         return (
             (self._graphs, quad.graph),
-            (self._by_subject, quad.subject),
+            (self._by_subject.setdefault(quad.subject, {}), quad.predicate),
             (self._by_predicate, quad.predicate),
             (self._by_object, quad.object),
         )
@@ -136,6 +141,8 @@ class QuadStore:
             bucket.discard(quad)
             if not bucket:
                 del index[key]
+        if not self._by_subject[quad.subject]:
+            del self._by_subject[quad.subject]
         if quad.graph not in self._graphs:
             del self._graph_terms[quad.graph]
         return True
@@ -165,11 +172,20 @@ class QuadStore:
     def clone(self) -> QuadStore:
         other = QuadStore()
         other._graphs = _copy_index(self._graphs)
-        other._by_subject = _copy_index(self._by_subject)
+        other._by_subject = {subject: _copy_index(inner) for subject, inner in self._by_subject.items()}
         other._by_predicate = _copy_index(self._by_predicate)
         other._by_object = _copy_index(self._by_object)
         other._graph_terms = dict(self._graph_terms)
         return other
+
+    def objects(self, subject: Term, predicate: Term, graph: str) -> list[Term]:
+        """Objects of the quads (subject, predicate, ?, graph), in term order.
+
+        The same terms, in the same order, as `match_pattern` binds to ?o for
+        the pattern (subject, predicate, ?o, graph).
+        """
+        bucket = self._by_subject.get(subject, {}).get(predicate, ())
+        return sorted((quad.object for quad in bucket if quad.graph == graph), key=sort_key)
 
     def match_pattern(self, pattern: Pattern) -> list[BindingSet]:
         """All bindings under which the pattern matches some quad, in deterministic order."""
@@ -202,22 +218,37 @@ class QuadStore:
 
     def _candidates(self, pattern: Pattern, binding: BindingSet) -> Iterable[Quad]:
         """The smallest index bucket over the pattern's bound positions."""
-        keys = [
+        subject, predicate, obj, graph = [
             binding.get(pos.name) if isinstance(pos, Var) else pos
             for pos in (pattern.subject, pattern.predicate, pattern.object, pattern.graph)
         ]
-        if isinstance(keys[3], Iri):
+        if isinstance(graph, Iri):
             # A bound graph variable; a blank or literal there names no graph.
-            keys[3] = keys[3].value
-        best = None
-        for key, index in zip(keys, (self._by_subject, self._by_predicate, self._by_object, self._graphs)):
+            graph = graph.value
+        best: Iterable[Quad] | None = None
+        best_size = 0
+        if subject is not None:
+            by_predicate = self._by_subject.get(subject)
+            if by_predicate is None:
+                return ()
+            if predicate is None:
+                best = itertools.chain.from_iterable(by_predicate.values())
+                best_size = sum(map(len, by_predicate.values()))
+            else:
+                best = by_predicate.get(predicate)
+                if best is None:
+                    return ()
+                best_size = len(best)
+                # The (subject, predicate) bucket lies inside the predicate's.
+                predicate = None
+        for key, index in ((predicate, self._by_predicate), (obj, self._by_object), (graph, self._graphs)):
             if key is None:
                 continue
             bucket = index.get(key)
             if bucket is None:
                 return ()
-            if best is None or len(bucket) < len(best):
-                best = bucket
+            if best is None or len(bucket) < best_size:
+                best, best_size = bucket, len(bucket)
         if best is None:
             return itertools.chain.from_iterable(self._graphs.values())
         return best

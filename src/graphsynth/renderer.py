@@ -269,17 +269,8 @@ def _ins(store: QuadStore, graph: str, subject: str, predicate: str, obj: Term):
     store.insert(Quad(Iri(subject), Iri(predicate), obj, graph))
 
 
-def _values(store: QuadStore, graph: str, subject: str, predicate: str) -> list[Term]:
-    rows = store.match_pattern(Pattern(Iri(subject), Iri(predicate), Var("o"), graph))
-    return [row["o"] for row in rows]
-
-
 def _str_of(store: QuadStore, graph: str, subject: str, predicate: str) -> str:
-    values = _values(store, graph, subject, predicate)
-    if not values:
-        raise RenderError(f"graph {graph} is missing {predicate} on {subject}")
-    value = values[0]
-    return value.lexical if isinstance(value, Literal) else value.value
+    return views.required_str(store, graph, subject, predicate, RenderError)
 
 
 def load_plr(store: QuadStore, graph_iri: str) -> PlrProgram:
@@ -290,20 +281,20 @@ def load_plr(store: QuadStore, graph_iri: str) -> PlrProgram:
     program_iri = programs[0]["p"].value
 
     by_section: dict[str, list[tuple[int, PlacedConcrete]]] = {}
-    for stmt_term in _values(store, graph_iri, program_iri, PLR_HAS_STATEMENT):
+    for stmt_term in store.objects(Iri(program_iri), Iri(PLR_HAS_STATEMENT), graph_iri):
         node = stmt_term.value
         variation = _str_of(store, graph_iri, node, PLR_HAS_VARIATION)
         section = _str_of(store, graph_iri, node, PLR_IN_SECTION)
         section_index = int(_str_of(store, graph_iri, node, PLR_HAS_SECTION_INDEX))
 
         fields = {}
-        for field_term in _values(store, graph_iri, node, PLR_HAS_FIELD):
+        for field_term in store.objects(Iri(node), Iri(PLR_HAS_FIELD), graph_iri):
             field_node = field_term.value
             fields[_str_of(store, graph_iri, field_node, PLR_HAS_FIELD_NAME)] = _str_of(
                 store, graph_iri, field_node, PLR_HAS_FIELD_VALUE
             )
         elements = []
-        for element_term in _values(store, graph_iri, node, PLR_HAS_ELEMENT_SLOT):
+        for element_term in store.objects(Iri(node), Iri(PLR_HAS_ELEMENT_SLOT), graph_iri):
             element_node = element_term.value
             elements.append(
                 (

@@ -59,6 +59,9 @@ class Literal:
             raise MalformedTermError("literal must carry a datatype IRI")
         if self.language_tag is not None and self.datatype != RDF_LANG_STRING:
             raise MalformedTermError("language-tagged literal must use the rdf langString datatype")
+        if self.language_tag == "":
+            # An empty tag would share its sort key with no tag at all.
+            raise MalformedTermError("language tag must be non-empty")
 
     def __repr__(self):
         if self.language_tag is not None:

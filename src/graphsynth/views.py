@@ -154,14 +154,17 @@ def _lex(term: Term) -> str:
     return term.id
 
 
-def _objects(store: QuadStore, graph: str, subject: str, predicate: str) -> list[Term]:
-    rows = store.match_pattern(Pattern(Iri(subject), Iri(predicate), Var("o"), graph))
-    return [row["o"] for row in rows]
-
-
 def _one_str(store: QuadStore, graph: str, subject: str, predicate: str) -> str | None:
-    values = _objects(store, graph, subject, predicate)
+    values = store.objects(Iri(subject), Iri(predicate), graph)
     return _lex(values[0]) if values else None
+
+
+def required_str(store: QuadStore, graph: str, subject: str, predicate: str, error: type[Exception]) -> str:
+    """The first value of a property the graph must hold; `error` names the stage that needs it."""
+    value = _one_str(store, graph, subject, predicate)
+    if value is None:
+        raise error(f"graph {graph} is missing {predicate} on {subject}")
+    return value
 
 
 def _one_int(store: QuadStore, graph: str, subject: str, predicate: str) -> int | None:
@@ -187,7 +190,7 @@ def _data_source_info(store: QuadStore, graph: str, iri: str) -> DataSourceInfo:
     numeric = bool(_one_bool(store, graph, datatype, vocab.IS_NUMERIC)) if datatype else False
     content_kind = _one_str(store, graph, iri, vocab.HAS_CONTENT_KIND)
     content_label = _one_str(store, graph, content_kind, vocab.HAS_TYPE_LABEL) if content_kind else None
-    quantities = tuple(sorted(_lex(t) for t in _objects(store, graph, iri, vocab.HAS_QUANTITY_KIND)))
+    quantities = tuple(sorted(_lex(t) for t in store.objects(Iri(iri), Iri(vocab.HAS_QUANTITY_KIND), graph)))
     return DataSourceInfo(
         iri=iri,
         name=_one_str(store, graph, iri, vocab.HAS_NAME) or "",
@@ -220,7 +223,7 @@ def view_data_source(store: QuadStore, name: str, graph: str = vocab.CORE_GRAPH)
 
 
 def _algorithm_info(store: QuadStore, graph: str, iri: str) -> AlgorithmInfo:
-    labels = frozenset(_lex(t) for t in _objects(store, graph, iri, vocab.HAS_OUTPUT_DESCRIPTION_LABEL))
+    labels = frozenset(_lex(t) for t in store.objects(Iri(iri), Iri(vocab.HAS_OUTPUT_DESCRIPTION_LABEL), graph))
     return AlgorithmInfo(
         iri=iri,
         name=_one_str(store, graph, iri, vocab.HAS_NAME) or "",
@@ -272,7 +275,7 @@ def _code_function_info(store: QuadStore, graph: str, iri: str) -> CodeFunctionI
     language = _one_str(store, graph, iri, vocab.IN_LANGUAGE) or ""
     family = (_one_str(store, graph, language, vocab.HAS_FAMILY_NAME) or "") if language else ""
     slots = []
-    for slot_term in _objects(store, graph, iri, vocab.HAS_ARGUMENT_SLOT):
+    for slot_term in store.objects(Iri(iri), Iri(vocab.HAS_ARGUMENT_SLOT), graph):
         slot = _lex(slot_term)
         index = _one_int(store, graph, slot, vocab.HAS_SLOT_INDEX)
         role = _one_str(store, graph, slot, vocab.HAS_SLOT_ROLE)
@@ -339,7 +342,7 @@ def view_all_code_functions(store: QuadStore, graph: str = vocab.CORE_GRAPH) -> 
 
 def _structure_info(store: QuadStore, graph: str, iri: str) -> ProgramStructureInfo:
     slots = []
-    for slot_term in _objects(store, graph, iri, vocab.HAS_SECTION_SLOT):
+    for slot_term in store.objects(Iri(iri), Iri(vocab.HAS_SECTION_SLOT), graph):
         slot = _lex(slot_term)
         section = _one_str(store, graph, slot, vocab.HAS_SECTION)
         if section is None:
@@ -353,7 +356,7 @@ def _structure_info(store: QuadStore, graph: str, iri: str) -> ProgramStructureI
             )
         )
     requirements = set()
-    for req_term in _objects(store, graph, iri, vocab.SATISFIES_REQUIREMENT):
+    for req_term in store.objects(Iri(iri), Iri(vocab.SATISFIES_REQUIREMENT), graph):
         label = _one_str(store, graph, _lex(req_term), vocab.HAS_REQUIREMENT_LABEL)
         if label is not None:
             requirements.add(label)
@@ -442,7 +445,7 @@ def view_statement_forms(store: QuadStore, family: str, graph: str = vocab.CORE_
         if variation is None:
             continue
         slots = []
-        for slot_term in _objects(store, graph, iri, vocab.HAS_TEMPLATE_SLOT):
+        for slot_term in store.objects(Iri(iri), Iri(vocab.HAS_TEMPLATE_SLOT), graph):
             slot = _lex(slot_term)
             index = _one_int(store, graph, slot, vocab.HAS_SLOT_INDEX)
             if index is None:

@@ -74,6 +74,12 @@ def expected_order(patterns: list[Pattern], bindings: list[dict]) -> list[dict]:
     return sorted(bindings, key=binding_key(variables))
 
 
+def objects_oracle(quads: list[Quad], subject, predicate, graph: str) -> list:
+    """Objects of every quad matching (subject, predicate, ?, graph), in term order."""
+    found = [q.object for q in quads if q.subject == subject and q.predicate == predicate and q.graph == graph]
+    return sorted(found, key=term_key)
+
+
 def canonical(binding: dict) -> tuple:
     return tuple((name, term_key(binding[name])) for name in sorted(binding))
 

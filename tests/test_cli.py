@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from graphsynth import vocab
@@ -110,8 +115,10 @@ def test_missing_naming_patterns_map_to_compose_exit_code(tmp_path, capsys):
     [
         ("code_function.ttl", 'gs:hasCallableName "mean"', 'gs:hasCallableName "class"'),
         ("data_content.ttl", 'gs:hasTypeLabel "input_data"', 'gs:hasTypeLabel "input data"'),
+        # numpy's alias: `np = np.np(input_data)` would shadow the import.
+        ("code_function.ttl", 'gs:hasCallableName "mean"', 'gs:hasCallableName "np"'),
     ],
-    ids=["keyword-callable", "spaced-type-label"],
+    ids=["keyword-callable", "spaced-type-label", "import-alias-callable"],
 )
 def test_kb_label_that_is_no_identifier_maps_to_compose_exit_code(tmp_path, capsys, filename, old, new):
     from graphsynth.seed import kb_dir
@@ -258,6 +265,17 @@ def test_query_pattern_syntax_error_is_config(capsys):
 def test_query_bad_term_is_config(capsys):
     code, _, err = run(capsys, "query", "?x ?p %%%")
     assert code == 2
+
+
+def test_importing_the_cli_does_not_import_subprocess():
+    import graphsynth
+
+    # -S keeps site-installed .pth files out, so only graphsynth's own imports count.
+    env = {**os.environ, "PYTHONPATH": str(Path(graphsynth.__file__).parents[1])}
+    probe = "import sys, graphsynth.cli; print('subprocess' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_exec_check_reports_values(tmp_path, capsys):

@@ -15,6 +15,7 @@ from graphsynth.composer import (
     ReportValue,
     compose,
     derive_variable_name,
+    library_names,
     load_pla,
 )
 from graphsynth.errors import ComposeError, UnnamedVariableError
@@ -198,6 +199,14 @@ def test_derived_name_that_is_no_identifier_raises_unnamed_variable(kb_store, ca
     function = dataclasses.replace(view_code_function_by_iri(kb_store, vocab.NUMPY_MEAN), callable_name=callable_name)
     with pytest.raises(UnnamedVariableError):
         derive_variable_name(patterns, NamingContext(vocab.PATTERN_ASSIGN_FUNCTION_RETURN, function=function))
+
+
+def test_derived_name_that_shadows_an_import_raises_unnamed_variable(kb_store, plan):
+    assert library_names(plan) == {"numpy", "np", "sys"}
+    calc = plan.calculations[0]
+    shadowing = dataclasses.replace(calc, function=dataclasses.replace(calc.function, callable_name="np"))
+    with pytest.raises(UnnamedVariableError, match="imported library"):
+        compose(dataclasses.replace(plan, calculations=(shadowing, *plan.calculations[1:])), kb_store)
 
 
 def test_collision_policy_appends_numeric_suffixes():

@@ -10,9 +10,18 @@ from hypothesis import strategies as st
 from graphsynth import quadstore, vocab
 from graphsynth.errors import MalformedQuadError, MalformedTermError
 from graphsynth.quadstore import Pattern, Quad, QuadStore, Var
-from graphsynth.terms import Blank, Iri, Literal, sort_key
+from graphsynth.terms import RDF_LANG_STRING, Blank, Iri, Literal, sort_key
 
-from oracles import canonical, expected_order, nested_loop_join, oracle_cost, random_bgp, random_quad, tractable_case
+from oracles import (
+    canonical,
+    expected_order,
+    nested_loop_join,
+    objects_oracle,
+    oracle_cost,
+    random_bgp,
+    random_quad,
+    tractable_case,
+)
 
 G = "http://t.example/g1"
 H = "http://t.example/g2"
@@ -70,6 +79,25 @@ def test_malformed_terms_rejected():
         Literal("x", "")
     with pytest.raises(MalformedTermError):
         Blank("no spaces allowed")
+
+
+def test_empty_language_tag_rejected():
+    # An empty tag would sort exactly like no tag, leaving result order to the hash seed.
+    with pytest.raises(MalformedTermError):
+        Literal("x", RDF_LANG_STRING, "")
+    assert sort_key(Literal("x", RDF_LANG_STRING, "en")) != sort_key(Literal("x", RDF_LANG_STRING))
+
+
+def test_objects_reads_one_subject_predicate_and_graph():
+    store = QuadStore()
+    for quad in (Quad(A, P, Literal("2"), G), Quad(A, P, B, G), Quad(A, P, Literal("1"), G),
+                 Quad(A, P, Literal("3"), H), Quad(A, Q, Literal("4"), G), Quad(B, P, Literal("5"), G)):
+        store.insert(quad)
+    assert store.objects(A, P, G) == [B, Literal("1"), Literal("2")]
+    assert store.objects(A, P, G) == [row["o"] for row in store.match_pattern(Pattern(A, P, Var("o"), G))]
+    assert store.objects(A, P, H) == [Literal("3")]
+    assert store.objects(B, Q, G) == []
+    assert store.objects(Iri("http://t.example/absent"), P, G) == []
 
 
 def test_match_pattern_binds_variables():
@@ -211,6 +239,15 @@ def _bounded_bgp(rng: random.Random, quads: list[Quad], budget: int = 50_000) ->
     return patterns[:1]
 
 
+def _check_subject_index(store: QuadStore, model: set[Quad], seen: list[Quad]):
+    """`objects` agrees with brute force, and the nested index keeps no empty level."""
+    for by_predicate in store._by_subject.values():
+        assert by_predicate and all(by_predicate.values())
+    quads = list(model)
+    for subject, predicate, graph in {(q.subject, q.predicate, q.graph) for q in seen}:
+        assert store.objects(subject, predicate, graph) == objects_oracle(quads, subject, predicate, graph)
+
+
 _store_ops = st.lists(
     st.tuples(st.sampled_from(["insert", "insert", "insert", "remove", "clone"]), st.integers(0, 2**32 - 1)),
     max_size=80,
@@ -238,7 +275,8 @@ def test_indexes_stay_consistent_under_insert_remove_clone(ops, seed):
             # Emptying the original must leave the copy's indexes whole.
             for quad in list(original.quads()):
                 original.remove(quad)
-            assert len(original) == 0 and original.graph_names() == []
+            assert len(original) == 0 and original.graph_names() == [] and original._by_subject == {}
+        _check_subject_index(store, model, inserted)
     assert set(store.quads()) == model and len(store) == len(model)
     quads = list(store.quads())
     # Each index on its own: one bound position per pattern, for every term seen.
@@ -288,6 +326,9 @@ def test_lookup_work_does_not_grow_with_the_graph(monkeypatch):
     monkeypatch.setattr(quadstore, "_unify", counting)
     rows = store.match_pattern(Pattern(A, P, Var("o"), G))
     assert rows == [{"o": Literal(str(i))} for i in range(3)]
+    assert unified <= len(own)
+    unified = 0
+    assert len(store.match_pattern(Pattern(A, Var("p"), Var("o"), G))) == len(own)
     assert unified <= len(own)
     unified = 0
     assert len(store.query_bgp([Pattern(Var("s"), P, Var("o"), G), Pattern(Var("s"), Q, B, G)])) == 3
