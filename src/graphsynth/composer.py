@@ -89,6 +89,7 @@ class ReportValue:
 @dataclass(frozen=True)
 class ProgramExit:
     status: int
+    function: str
 
 
 @dataclass(frozen=True)
@@ -275,9 +276,7 @@ class _Composition:
             self.place(vocab.SECTION_OUTPUT, ReportValue(label=variable, source=variable))
 
     def compose_cleanup(self):
-        if self.plan.exit_action != vocab.EXIT_ACTION_STATUS_ZERO:
-            raise ComposeError(f"unknown exit action {self.plan.exit_action!r}")
-        self.place(vocab.SECTION_CLEANUP, ProgramExit(status=0))
+        self.place(vocab.SECTION_CLEANUP, ProgramExit(status=0, function=self.plan.exit_function.iri))
         self.note_library(self.plan.exit_function.library)
 
     def compose_preamble(self):
@@ -375,6 +374,7 @@ def _write_statement(store: QuadStore, graph: str, node: str, statement: Abstrac
     elif isinstance(statement, ProgramExit):
         _ins(store, graph, node, RDF_TYPE, Iri(PLA_PROGRAM_EXIT))
         _ins(store, graph, node, PLA_HAS_EXIT_STATUS, integer_literal(statement.status))
+        _ins(store, graph, node, PLA_CALLS_FUNCTION, Iri(statement.function))
     elif isinstance(statement, ImportDirective):
         _ins(store, graph, node, RDF_TYPE, Iri(PLA_IMPORT_DIRECTIVE))
         _ins(store, graph, node, PLA_IMPORTS_LIBRARY, Iri(statement.library))
@@ -422,7 +422,10 @@ def _read_statement(store: QuadStore, graph: str, node: str) -> AbstractStatemen
             source=_str_of(store, graph, node, PLA_HAS_SOURCE_VARIABLE),
         )
     if PLA_PROGRAM_EXIT in kinds:
-        return ProgramExit(status=_int_of(store, graph, node, PLA_HAS_EXIT_STATUS))
+        return ProgramExit(
+            status=_int_of(store, graph, node, PLA_HAS_EXIT_STATUS),
+            function=_str_of(store, graph, node, PLA_CALLS_FUNCTION),
+        )
     if PLA_IMPORT_DIRECTIVE in kinds:
         return ImportDirective(library=_str_of(store, graph, node, PLA_IMPORTS_LIBRARY))
     raise ComposeError(f"statement node {node} has no recognized kind")

@@ -10,6 +10,7 @@ fixed source order and concatenates each statement's elements.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,11 +23,12 @@ from graphsynth.composer import (
     PlaProgram,
     ProgramExit,
     ReportValue,
+    _ins,
 )
 from graphsynth.errors import RenderError, UnmappableStatementError, UnsupportedLanguageError, WriteError
-from graphsynth.quadstore import Pattern, Quad, QuadStore, Var
-from graphsynth.terms import RDF_TYPE, Iri, Literal, Term, integer_literal
-from graphsynth.views import CodeFunctionInfo, LanguageInfo, LibraryInfo, StatementFormInfo
+from graphsynth.quadstore import Pattern, QuadStore, Var
+from graphsynth.terms import RDF_TYPE, Iri, Literal, integer_literal
+from graphsynth.views import LanguageInfo, LibraryInfo, StatementFormInfo
 
 # Concrete-program vocabulary (disjoint from the abstract one by design).
 PLR_PROGRAM = vocab.plr("Program")
@@ -38,9 +40,6 @@ PLR_HAS_VARIATION = vocab.plr("hasVariation")
 PLR_IN_SECTION = vocab.plr("inSection")
 PLR_HAS_SECTION_INDEX = vocab.plr("hasSectionIndex")
 PLR_HAS_STATEMENT_INDEX = vocab.plr("hasStatementIndex")
-PLR_HAS_FIELD = vocab.plr("hasField")
-PLR_HAS_FIELD_NAME = vocab.plr("hasFieldName")
-PLR_HAS_FIELD_VALUE = vocab.plr("hasFieldValue")
 PLR_HAS_ELEMENT_SLOT = vocab.plr("hasElementSlot")
 PLR_HAS_ELEMENT_INDEX = vocab.plr("hasElementIndex")
 PLR_HAS_ELEMENT_TEXT = vocab.plr("hasElementText")
@@ -86,27 +85,15 @@ class CallStmt:
     variation = vocab.VARIATION_CALL_STMT
 
     def fields(self) -> dict[str, str]:
-        # Per-argument fields keep reconstruction exact even when a rendered
-        # argument itself contains a comma.
-        fields = {"callee": self.callee, "arguments": ",".join(self.args)}
-        for index, arg in enumerate(self.args):
-            fields[f"arg{index}"] = arg
-        return fields
+        return {"callee": self.callee, "arguments": ",".join(self.args)}
 
 
 ConcreteStatement = ImportPlain | ImportAliased | AssignExpr | CallStmt
 
-_VARIANT_BY_ID = {
-    vocab.VARIATION_IMPORT_PLAIN: ImportPlain,
-    vocab.VARIATION_IMPORT_ALIASED: ImportAliased,
-    vocab.VARIATION_ASSIGN_EXPR: AssignExpr,
-    vocab.VARIATION_CALL_STMT: CallStmt,
-}
-
 
 @dataclass(frozen=True)
 class PlacedConcrete:
-    statement: ConcreteStatement
+    variation: str
     section: str
     section_index: int
     elements: tuple[str, ...]
@@ -144,6 +131,22 @@ def _elements_for(form: StatementFormInfo, fields: dict[str, str]) -> tuple[str,
     return tuple(elements)
 
 
+# Escapes for the body of a string literal: the backslash, line breaks and
+# tab by name, every other C0 control character and DEL as \xNN, so that no
+# KB text can end the literal or put a byte the parser rejects into the source.
+_LITERAL_ESCAPES = {code: f"\\x{code:02x}" for code in (*range(0x20), 0x7F)} | {
+    ord("\\"): "\\\\",
+    ord("\n"): "\\n",
+    ord("\r"): "\\r",
+    ord("\t"): "\\t",
+}
+
+
+def quote(value: str, quote_char: str) -> str:
+    """`value` as a string literal delimited by `quote_char`."""
+    return quote_char + value.translate(_LITERAL_ESCAPES).replace(quote_char, "\\" + quote_char) + quote_char
+
+
 def build_import_statements(libs: list[LibraryInfo] | set[LibraryInfo]) -> list[ImportPlain | ImportAliased]:
     """One import per library, sorted byte-wise by official name, alias applied when present."""
     statements: list[ImportPlain | ImportAliased] = []
@@ -161,6 +164,8 @@ class _Renderer:
         self.language = language
         self.core_graph = core_graph
         self.forms = views.view_statement_forms(store, language.family, core_graph)
+        if not self.forms:
+            raise UnsupportedLanguageError(language.family)
 
     def form(self, variation: str) -> StatementFormInfo:
         form = self.forms.get(variation)
@@ -169,16 +174,12 @@ class _Renderer:
         return form
 
     def quote(self, value: str) -> str:
-        q = self.language.string_quote
-        return q + value.replace("\\", "\\\\").replace(q, "\\" + q) + q
+        return quote(value, self.language.string_quote)
 
-    def function_info(self, iri: str) -> CodeFunctionInfo:
-        info = views.view_code_function_by_iri(self.store, iri, self.core_graph)
-        if info is None:
-            raise RenderError(f"function {iri} is not in the knowledge base")
-        return info
-
-    def callee_ref(self, function: CodeFunctionInfo) -> str:
+    def callee_ref(self, function_iri: str) -> str:
+        function = views.view_code_function_by_iri(self.store, function_iri, self.core_graph)
+        if function is None:
+            raise RenderError(f"function {function_iri} is not in the knowledge base")
         library = function.library
         prefix = library.alias or library.official_name
         return f"{prefix}.{function.callable_name}"
@@ -201,20 +202,14 @@ class _Renderer:
         if isinstance(statement, AssignLiteral):
             return AssignExpr(lhs=statement.target, rhs=self.quote(statement.value))
         if isinstance(statement, AssignCall):
-            function = self.function_info(statement.function)
             args = ",".join(self.render_args(statement.args))
-            return AssignExpr(lhs=statement.target, rhs=f"{self.callee_ref(function)}({args})")
+            return AssignExpr(lhs=statement.target, rhs=f"{self.callee_ref(statement.function)}({args})")
         if isinstance(statement, ReportValue):
             # The report form is print('<label> = ',<value>): a space inside
             # the label before '=', none after the comma.
             return CallStmt(callee="print", args=(self.quote(statement.label + " = "), statement.source))
         if isinstance(statement, ProgramExit):
-            exit_fn = views.view_code_function(
-                self.store, vocab.ACTION_PROGRAM_EXIT, self.language.family, graph=self.core_graph
-            )
-            if not exit_fn:
-                raise RenderError("no program-exit function in the knowledge base")
-            return CallStmt(callee=self.callee_ref(exit_fn[0]), args=(str(statement.status),))
+            return CallStmt(callee=self.callee_ref(statement.function), args=(str(statement.status),))
         raise UnmappableStatementError(type(statement).__name__)
 
 
@@ -225,14 +220,15 @@ def render(
     graph_iri: str | None = None,
     core_graph: str = vocab.CORE_GRAPH,
 ) -> PlrProgram:
-    """Map every abstract statement to one concrete statement in a fresh named graph."""
-    if language.family != "Python":
-        raise UnsupportedLanguageError(language.family)
+    """Map every abstract statement to one concrete statement in a fresh named graph.
+
+    A language family without statement forms in the KB is unsupported.
+    """
+    renderer = _Renderer(store, language, core_graph)
     graph_iri = graph_iri or vocab.program_graph_iri(pla.basename, "plr")
     if store.graph_size(graph_iri) != 0:
         raise RenderError(f"target graph is not empty: {graph_iri}")
 
-    renderer = _Renderer(store, language, core_graph)
     program = f"{graph_iri}#program"
     _ins(store, graph_iri, program, RDF_TYPE, Iri(PLR_PROGRAM))
     _ins(store, graph_iri, program, PLR_HAS_BASENAME, Literal(pla.basename))
@@ -250,11 +246,6 @@ def render(
             _ins(store, graph_iri, node, PLR_IN_SECTION, Literal(section.name))
             _ins(store, graph_iri, node, PLR_HAS_SECTION_INDEX, integer_literal(index))
             _ins(store, graph_iri, node, PLR_HAS_STATEMENT_INDEX, integer_literal(counter))
-            for field_index, (field_name, field_value) in enumerate(sorted(concrete.fields().items())):
-                field_node = f"{node}-f{field_index}"
-                _ins(store, graph_iri, node, PLR_HAS_FIELD, Iri(field_node))
-                _ins(store, graph_iri, field_node, PLR_HAS_FIELD_NAME, Literal(field_name))
-                _ins(store, graph_iri, field_node, PLR_HAS_FIELD_VALUE, Literal(field_value))
             for element_index, text in enumerate(elements):
                 element_node = f"{node}-e{element_index}"
                 _ins(store, graph_iri, node, PLR_HAS_ELEMENT_SLOT, Iri(element_node))
@@ -263,10 +254,6 @@ def render(
             counter += 1
 
     return load_plr(store, graph_iri)
-
-
-def _ins(store: QuadStore, graph: str, subject: str, predicate: str, obj: Term):
-    store.insert(Quad(Iri(subject), Iri(predicate), obj, graph))
 
 
 def _str_of(store: QuadStore, graph: str, subject: str, predicate: str) -> str:
@@ -286,13 +273,6 @@ def load_plr(store: QuadStore, graph_iri: str) -> PlrProgram:
         variation = _str_of(store, graph_iri, node, PLR_HAS_VARIATION)
         section = _str_of(store, graph_iri, node, PLR_IN_SECTION)
         section_index = int(_str_of(store, graph_iri, node, PLR_HAS_SECTION_INDEX))
-
-        fields = {}
-        for field_term in store.objects(Iri(node), Iri(PLR_HAS_FIELD), graph_iri):
-            field_node = field_term.value
-            fields[_str_of(store, graph_iri, field_node, PLR_HAS_FIELD_NAME)] = _str_of(
-                store, graph_iri, field_node, PLR_HAS_FIELD_VALUE
-            )
         elements = []
         for element_term in store.objects(Iri(node), Iri(PLR_HAS_ELEMENT_SLOT), graph_iri):
             element_node = element_term.value
@@ -302,9 +282,8 @@ def load_plr(store: QuadStore, graph_iri: str) -> PlrProgram:
                     _str_of(store, graph_iri, element_node, PLR_HAS_ELEMENT_TEXT),
                 )
             )
-        statement = _statement_from_fields(variation, fields)
         placed = PlacedConcrete(
-            statement=statement,
+            variation=variation,
             section=section,
             section_index=section_index,
             elements=tuple(text for _, text in sorted(elements, key=lambda pair: pair[0])),
@@ -328,21 +307,6 @@ def load_plr(store: QuadStore, graph_iri: str) -> PlrProgram:
     )
 
 
-def _statement_from_fields(variation: str, fields: dict[str, str]) -> ConcreteStatement:
-    if variation == vocab.VARIATION_IMPORT_PLAIN:
-        return ImportPlain(fields["official_name"])
-    if variation == vocab.VARIATION_IMPORT_ALIASED:
-        return ImportAliased(fields["official_name"], fields["alias"])
-    if variation == vocab.VARIATION_ASSIGN_EXPR:
-        return AssignExpr(fields["target"], fields["expression"])
-    if variation == vocab.VARIATION_CALL_STMT:
-        indexed = sorted(
-            (int(name[3:]), value) for name, value in fields.items() if name.startswith("arg") and name[3:].isdigit()
-        )
-        return CallStmt(fields["callee"], tuple(value for _, value in indexed))
-    raise RenderError(f"unknown statement variation {variation!r}")
-
-
 def emit(plr: PlrProgram, blank_lines_between_sections: bool = False) -> str:
     """Serialize the concrete program: one statement per line, LF endings,
     exactly one trailing newline; optionally one blank line between sections."""
@@ -364,14 +328,38 @@ def write_source(
     out_dir: Path,
     force: bool = False,
 ) -> Path:
-    """Write the program as UTF-8 to `basename` plus the language's extension."""
+    """Write the program as UTF-8 to `basename` plus the language's extension.
+
+    Without `force` the file is created exclusively, so an existing file is
+    never touched. With `force` the text goes to a temporary file in the same
+    directory that is then renamed over the target, so the target always
+    holds either its old or its new content.
+    """
     out_dir = Path(out_dir)
     path = out_dir / f"{basename}{language.source_file_extension}"
-    if path.exists() and not force:
-        raise WriteError(f"refusing to overwrite existing file: {path} (use force)")
+    data = text.encode("utf-8")
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(text.encode("utf-8"))
+        if force:
+            _replace(path, data)
+        else:
+            try:
+                handle = open(path, "xb")
+            except FileExistsError:
+                raise WriteError(f"refusing to overwrite existing file: {path} (use force)") from None
+            with handle:
+                handle.write(data)
     except OSError as exc:
         raise WriteError(f"cannot write {path}: {exc}") from exc
     return path
+
+
+def _replace(path: Path, data: bytes):
+    """Write `data` to a fresh file beside `path` and rename it over `path`."""
+    temp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(temp, "xb") as handle:
+            handle.write(data)
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)

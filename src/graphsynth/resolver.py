@@ -45,8 +45,6 @@ class BuildPlan:
     data_source: DataSourceInfo
     calculations: tuple[PlannedCalculation, ...]
     reader_function: CodeFunctionInfo
-    report_action: str
-    exit_action: str
     exit_function: CodeFunctionInfo
     structure: ProgramStructureInfo
     language: LanguageInfo
@@ -216,8 +214,6 @@ def resolve(ps: ProblemStatement, store: QuadStore, graph: str = vocab.CORE_GRAP
         data_source=data_source,
         calculations=calculations,
         reader_function=reader,
-        report_action=vocab.REPORT_ACTION_PRINT_VALUES,
-        exit_action=vocab.EXIT_ACTION_STATUS_ZERO,
         exit_function=exit_function,
         structure=structure,
         language=language,

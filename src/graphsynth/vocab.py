@@ -14,9 +14,9 @@ ONTOLOGY = "http://graphsynth.dev/ontology/"
 PLA = "http://graphsynth.dev/vocab/abstract#"
 PLR = "http://graphsynth.dev/vocab/concrete#"
 
-GRAPH_BASE = "http://graphsynth.dev/graph/"
-CORE_GRAPH = GRAPH_BASE + "core"
-DEFAULT_GRAPH = GRAPH_BASE + "default"
+_GRAPH_BASE = "http://graphsynth.dev/graph/"
+CORE_GRAPH = _GRAPH_BASE + "core"
+DEFAULT_GRAPH = _GRAPH_BASE + "default"
 
 
 def gs(local: str) -> str:
@@ -37,38 +37,21 @@ def plr(local: str) -> str:
 
 def program_graph_iri(basename: str, kind: str) -> str:
     """Named graph for one built program representation ('pla' or 'plr')."""
-    return f"{GRAPH_BASE}{basename}-{kind}"
+    return f"{_GRAPH_BASE}{basename}-{kind}"
 
 
 # --- classes -----------------------------------------------------------
 
 DATA_SOURCE = gs("DataSource")
-DATA_CONTAINER_KIND = gs("DataContainerKind")
-DATA_FORMAT = gs("DataFormat")
-DATA_ENCODING = gs("DataEncoding")
-VALUE_DATATYPE = gs("ValueDatatype")
-DATA_CONTENT_KIND = gs("DataContentKind")
-QUANTITY_KIND = gs("QuantityKind")
-VALUE = gs("Value")
-UNIT = gs("Unit")
 ALGORITHM = gs("Algorithm")
 CODE_FUNCTION = gs("CodeFunction")
-ARGUMENT_SLOT = gs("ArgumentSlot")
 LIBRARY = gs("Library")
-LANGUAGE_FAMILY = gs("LanguageFamily")
 PROGRAMMING_LANGUAGE = gs("ProgrammingLanguage")
-PARADIGM = gs("Paradigm")
 PROGRAM_STRUCTURE = gs("ProgramStructure")
-PROGRAM_SECTION = gs("ProgramSection")
-SECTION_SLOT = gs("SectionSlot")
 PROGRAM_REQUIREMENT = gs("ProgramRequirement")
-RUNTIME_ACTION = gs("RuntimeAction")
 READ_CAPABILITY = gs("ReadCapability")
 NAMING_PATTERN = gs("NamingPattern")
 STATEMENT_FORM = gs("StatementForm")
-TEMPLATE_SLOT = gs("TemplateSlot")
-SEMANTIC_ROLE = gs("SemanticRole")
-OUTPUT_QUANTITY_SPEC = gs("OutputQuantitySpec")
 
 # --- properties --------------------------------------------------------
 
@@ -85,7 +68,6 @@ HAS_LOCATION = gs("hasLocation")
 HAS_CONTENT_KIND = gs("hasContentKind")
 HAS_TYPE_LABEL = gs("hasTypeLabel")
 IS_NUMERIC = gs("isNumeric")
-MEASURED_IN_UNIT = gs("measuredInUnit")
 
 HAS_OUTPUT_DESCRIPTION_LABEL = gs("hasOutputDescriptionLabel")
 HAS_MIN_INPUT_COUNT = gs("hasMinInputCount")
@@ -141,32 +123,20 @@ FILE_CONTAINER = kb("file_container")
 CSV_FORMAT = kb("csv_format")
 ASCII_ENCODING = kb("ascii_encoding")
 FLOATING_POINT_DATATYPE = kb("floating_point_datatype")
-INTEGER_DATATYPE = kb("integer_datatype")
 TEXT_DATATYPE = kb("text_datatype")
-INPUT_DATA_CONTENT = kb("input_data_content")
 DIMENSIONLESS_SAMPLE = kb("dimensionless_sample")
 MYINPUT = kb("myinput")
 ARITHMETIC_MEAN = kb("arithmetic_mean")
 STANDARD_DEVIATION = kb("standard_deviation")
-SAME_AS_INPUT_QUANTITY = kb("same_as_input_quantity")
 NUMPY_LIBRARY = kb("numpy")
 SYS_LIBRARY = kb("sys")
-PYTHON_FAMILY = kb("python_family")
-PYTHON_3_8 = kb("python_3_8")
-IMPERATIVE_PARADIGM = kb("imperative_paradigm")
 NUMPY_LOADTXT = kb("numpy_loadtxt")
 NUMPY_MEAN = kb("numpy_mean")
 NUMPY_STD = kb("numpy_std")
-SYS_EXIT = kb("sys_exit")
 READ_CSV_FLOAT_FILE = kb("read_csv_float_file")
-INPUT_CALCULATE_OUTPUT = kb("Input_Calculate_Output")
 ACTION_PROGRAM_EXIT = kb("action_program_exit")
-ACTION_REPORT_VALUE = kb("action_report_value")
 
 ROLE_DATASOURCE_FILENAME = kb("role_datasource_filename")
-ROLE_INPUT_DATA = kb("role_input_data")
-ROLE_CALCULATION_RESULT = kb("role_calculation_result")
-ROLE_EXIT_STATUS = kb("role_exit_status")
 
 # Naming pattern identifiers (values of HAS_PATTERN_ID)
 PATTERN_LITERAL_IS_DATASOURCE_FILENAME = "literal-is-datasource-filename"
@@ -191,7 +161,3 @@ SECTION_OUTPUT = "Output"
 SECTION_CLEANUP = "CleanUp"
 EMISSION_ORDER = (SECTION_PREAMBLE, SECTION_INPUT, SECTION_CALCULATE, SECTION_OUTPUT, SECTION_CLEANUP)
 COMPOSITION_ORDER = (SECTION_INPUT, SECTION_CALCULATE, SECTION_OUTPUT, SECTION_CLEANUP, SECTION_PREAMBLE)
-
-# Plan-level action identifiers
-REPORT_ACTION_PRINT_VALUES = "print-values"
-EXIT_ACTION_STATUS_ZERO = "exit-status-zero"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -131,6 +132,23 @@ def test_kb_label_that_is_no_identifier_maps_to_compose_exit_code(tmp_path, caps
     assert code == 6
     assert "stage compose" in err
     assert not (out / "hello_analytic.py").exists()
+
+
+def test_control_character_in_a_kb_name_is_escaped_in_the_emitted_literal(tmp_path, capsys):
+    from graphsynth.seed import kb_dir
+
+    text = (kb_dir() / "myinput.ttl").read_text(encoding="utf-8")
+    old = 'gs:hasName "my_input.txt"'
+    assert old in text
+    kb = _doctored_kb(tmp_path, "myinput.ttl", text.replace(old, 'gs:hasName "my\\u0000input.txt"'))
+    statement = tmp_path / "nul.aida"
+    statement.write_text(example_statement_path().read_text().replace("'my_input.txt'", "'my\x00input.txt'"))
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "synthesize", str(statement), "--kb", str(kb), "--out", str(out))
+    assert code == 0, err
+    tree = ast.parse((out / "hello_analytic.py").read_text(encoding="utf-8"))
+    [value] = [node.value for node in tree.body if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)]
+    assert value.value == "my\x00input.txt"
 
 
 def test_missing_statement_forms_map_to_render_exit_code(tmp_path, capsys):

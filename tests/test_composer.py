@@ -44,7 +44,7 @@ def test_exemplar_sections_and_statement_counts(pla):
     assert len(pla.all_statements()) == 9
 
 
-def test_exemplar_statement_shapes(pla):
+def test_exemplar_statement_shapes(pla, plan):
     input_statements = [p.statement for p in pla.section("Input").statements]
     assert input_statements[0] == AssignLiteral("input_data_filename", "my_input.txt", vocab.ROLE_DATASOURCE_FILENAME)
     assert isinstance(input_statements[1], AssignCall)
@@ -60,7 +60,7 @@ def test_exemplar_statement_shapes(pla):
     output = [p.statement for p in pla.section("Output").statements]
     assert output == [ReportValue("mean", "mean"), ReportValue("std", "std")]
 
-    assert [p.statement for p in pla.section("CleanUp").statements] == [ProgramExit(0)]
+    assert [p.statement for p in pla.section("CleanUp").statements] == [ProgramExit(0, plan.exit_function.iri)]
 
     preamble = [p.statement for p in pla.section("Preamble").statements]
     assert preamble == [ImportDirective(vocab.NUMPY_LIBRARY), ImportDirective(vocab.SYS_LIBRARY)]

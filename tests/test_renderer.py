@@ -1,28 +1,31 @@
 from __future__ import annotations
 
+import ast
 import dataclasses
 import random
 import string
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from graphsynth import vocab
+from conftest import insert_turtle
+from graphsynth import renderer, vocab
 from graphsynth.composer import compose
 from graphsynth.errors import UnmappableStatementError, UnsupportedLanguageError, WriteError
 from graphsynth.problem import parse_problem_statement
 from graphsynth.renderer import (
-    AssignExpr,
-    CallStmt,
     ImportAliased,
     ImportPlain,
     build_import_statements,
     emit,
     load_plr,
+    quote,
     render,
     write_source,
 )
 from graphsynth.resolver import resolve
-from graphsynth.terms import Iri
+from graphsynth.terms import RDF_TYPE, Iri
 from graphsynth.views import LibraryInfo
 
 
@@ -77,7 +80,7 @@ def test_section_emission_order_is_fixed(pipeline):
 def test_concrete_statements_carry_variation_elements_and_order(pipeline):
     *_, plr = pipeline
     first = plr.sections[0][1][0]
-    assert first.statement == ImportAliased("numpy", "np")
+    assert first.variation == "import-aliased"
     assert first.elements == ("import ", "numpy", " as ", "np")
     assert first.text() == "import numpy as np"
 
@@ -166,17 +169,59 @@ def test_write_source_refuses_overwrite_without_force(pipeline, tmp_path):
     assert (tmp_path / "hello_analytic.py").read_text() == ""
 
 
-def test_call_arguments_with_commas_reconstruct_exactly():
-    from graphsynth.renderer import _statement_from_fields
+def test_write_source_force_replaces_content_and_leaves_no_temp_file(pipeline, tmp_path):
+    _, plan, _, plr = pipeline
+    write_source("old\n", plan.program_basename, plan.language, tmp_path)
+    path = write_source(emit(plr), plan.program_basename, plan.language, tmp_path, force=True)
+    assert path.read_text() == emit(plr)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["hello_analytic.py"]
 
-    original = CallStmt("print", ("'a, b = '", "value"))
-    assert _statement_from_fields(original.variation, original.fields()) == original
 
-
-def test_concrete_fields_round_trip_through_graph(pipeline):
+def test_concrete_graph_holds_only_variation_section_order_and_elements(pipeline):
     store, _, _, plr = pipeline
-    walked = load_plr(store, plr.graph_iri)
-    statements = [placed.statement for placed in walked.all_statements()]
-    assert AssignExpr("input_data_filename", "'my_input.txt'") in statements
-    assert CallStmt("print", ("'mean = '", "mean")) in statements
-    assert CallStmt("sys.exit", ("0",)) in statements
+    predicates = {quad.predicate.value for quad in store.quads(plr.graph_iri)}
+    assert predicates == {
+        RDF_TYPE,
+        renderer.PLR_HAS_BASENAME,
+        renderer.PLR_HAS_LANGUAGE,
+        renderer.PLR_HAS_STATEMENT,
+        renderer.PLR_HAS_VARIATION,
+        renderer.PLR_IN_SECTION,
+        renderer.PLR_HAS_SECTION_INDEX,
+        renderer.PLR_HAS_STATEMENT_INDEX,
+        renderer.PLR_HAS_ELEMENT_SLOT,
+        renderer.PLR_HAS_ELEMENT_INDEX,
+        renderer.PLR_HAS_ELEMENT_TEXT,
+    }
+    assert load_plr(store, plr.graph_iri) == plr
+
+
+def test_render_emits_the_exit_function_the_plan_chose(kb_store, statement_text):
+    plan = resolve(parse_problem_statement(statement_text), kb_store)
+    pla = compose(plan, kb_store)
+    # A second Python program-exit function, whose IRI sorts before kb:sys_exit.
+    insert_turtle(
+        kb_store,
+        """
+        @prefix gs: <http://graphsynth.dev/vocab/core#> .
+        @prefix kb: <http://graphsynth.dev/kb/> .
+        kb:os a gs:Library ;
+            gs:hasOfficialName "os" ;
+            gs:hasLibraryKind "standard-library" .
+        kb:os_exit a gs:CodeFunction ;
+            gs:hasCallableName "_exit" ;
+            gs:providedBy kb:os ;
+            gs:inLanguage kb:python_family ;
+            gs:hasPurpose kb:action_program_exit ;
+            gs:hasArgumentSlot kb:os_exit_arg0 .
+        kb:os_exit_arg0 a gs:ArgumentSlot ;
+            gs:hasSlotIndex 0 ;
+            gs:hasSlotRole kb:role_exit_status .
+        """,
+    )
+    assert emit(render(pla, plan.language, kb_store)).splitlines()[-1] == "sys.exit(0)"
+
+
+@given(st.text(), st.sampled_from(["'", '"']))
+def test_quoted_literal_evaluates_to_the_text(value, quote_char):
+    assert ast.literal_eval(quote(value, quote_char)) == value

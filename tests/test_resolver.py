@@ -58,8 +58,6 @@ def test_exemplar_statement_resolves_to_expected_plan(exemplar_plan):
     assert plan.structure.name == "Input_Calculate_Output"
     assert plan.language.tag == "Python-3.8"
     assert plan.language.source_file_extension == ".py"
-    assert plan.report_action == "print-values"
-    assert plan.exit_action == "exit-status-zero"
     assert plan.exit_function.qualified_name == "sys.exit"
 
 
