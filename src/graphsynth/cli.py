@@ -22,11 +22,11 @@ from graphsynth.errors import (
     ComposeError,
     GraphSynthError,
     ImportResolutionError,
+    KbFileError,
     KbValidationError,
     ProblemStatementError,
     RenderError,
     ResolveError,
-    TurtleParseError,
     WriteError,
 )
 from graphsynth.problem import parse_problem_statement
@@ -96,7 +96,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 def _load_kb(config: RunConfig) -> tuple[QuadStore, int]:
     try:
         store, report = seed.load_kb(config.kb_dir, config.catalog)
-    except (TurtleParseError, CatalogError, ImportResolutionError, KbValidationError, OSError) as exc:
+    except (KbFileError, CatalogError, ImportResolutionError, KbValidationError, OSError) as exc:
         raise _fail("kb-load", EXIT_KB_LOAD, str(exc)) from exc
     return store, report.files
 

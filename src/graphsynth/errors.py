@@ -38,6 +38,10 @@ class ImportResolutionError(GraphSynthError):
     pass
 
 
+class KbFileError(GraphSynthError):
+    """A KB file that is no UTF-8 text or no valid Turtle; the message leads with its path."""
+
+
 class KbValidationError(GraphSynthError):
     def __init__(self, problems: list[str]):
         self.problems = list(problems)

@@ -4,6 +4,8 @@ Each document is loaded exactly once (visited set keyed on ontology IRI and
 file path), so import cycles are harmless. Blank node labels are file
 scoped: on load they are renamed to dataset-unique ids derived from the
 document key, which keeps the final quad set independent of load order.
+A file that is no UTF-8 text or no valid Turtle raises KbFileError, whose
+message starts with the file's path.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
-from graphsynth.errors import CatalogError, ImportResolutionError
+from graphsynth.errors import CatalogError, ImportResolutionError, KbFileError, TurtleParseError
 from graphsynth.quadstore import Quad, QuadStore
-from graphsynth.terms import OWL_IMPORTS, OWL_ONTOLOGY, RDF_TYPE, Blank, Iri
+from graphsynth.terms import OWL_IMPORTS, OWL_ONTOLOGY, RDF_TYPE, Blank, Iri, Term
 from graphsynth.turtle import OntologyDocument, parse_document
 
 
@@ -28,8 +30,9 @@ class ImportCatalog:
     """Maps ontology IRIs to local files; the resolution table for owl:imports."""
 
     def __init__(self, mapping: dict[str, Path]):
-        self._mapping = dict(mapping)
-        self._by_path = {path.resolve(): iri for iri, path in self._mapping.items()}
+        # Paths are resolved here, once, so the loader can compare them as keys.
+        self._mapping = {iri: path.resolve() for iri, path in mapping.items()}
+        self._by_path = {path: iri for iri, path in self._mapping.items()}
 
     @classmethod
     def load(cls, catalog_path: Path) -> "ImportCatalog":
@@ -58,33 +61,33 @@ class ImportCatalog:
         return cls(mapping)
 
     def lookup(self, iri: str) -> Path | None:
+        """The resolved path of the file mapped to `iri`."""
         return self._mapping.get(iri)
 
     def iri_for_path(self, path: Path) -> str | None:
-        return self._by_path.get(path.resolve())
+        """The ontology IRI mapped to a resolved path."""
+        return self._by_path.get(path)
 
     def __len__(self) -> int:
         return len(self._mapping)
 
 
-def _document_key(path: Path, catalog: ImportCatalog) -> str:
-    return catalog.iri_for_path(path) or path.resolve().as_posix()
-
-
-def _rename_blank(doc_key: str, label: str) -> Blank:
-    digest = hashlib.sha1(f"{doc_key}|{label}".encode("utf-8")).hexdigest()[:16]
+def _renamed(doc_key: str, term: Term) -> Term:
+    """A blank node under its dataset-unique id; any other term as it is."""
+    if not isinstance(term, Blank):
+        return term
+    digest = hashlib.sha1(f"{doc_key}|{term.id}".encode("utf-8")).hexdigest()[:16]
     return Blank(f"b{digest}")
 
 
-def _ontology_iris(doc: OntologyDocument) -> list[str]:
-    return [
-        q.subject.value
-        for q in doc.statements
-        if isinstance(q.subject, Iri)
-        and q.predicate.value == RDF_TYPE
-        and isinstance(q.object, Iri)
-        and q.object.value == OWL_ONTOLOGY
-    ]
+def _read_document(path: Path, graph: str) -> OntologyDocument:
+    """Parse one KB file; a file that is no UTF-8 or no valid Turtle names itself."""
+    try:
+        return parse_document(path.read_text(encoding="utf-8"), graph=graph)
+    except UnicodeDecodeError as exc:
+        raise KbFileError(f"{path}: not UTF-8 text: {exc}") from exc
+    except TurtleParseError as exc:
+        raise KbFileError(f"{path}: {exc}") from exc
 
 
 def load_with_imports(
@@ -96,40 +99,38 @@ def load_with_imports(
     """Load the entry files and, transitively, everything they owl:import."""
     visited_iris: set[str] = set()
     visited_paths: set[Path] = set()
-    pending: list[Path] = [Path(p) for p in entry]
+    # Every path is resolved once: entries here, imports by the catalog.
+    pending: list[Path] = [Path(p).resolve() for p in entry]
     files = 0
     inserted = 0
 
     while pending:
         path = pending.pop(0)
-        resolved = path.resolve()
-        if resolved in visited_paths:
+        if path in visited_paths:
             continue
         known_iri = catalog.iri_for_path(path)
         if known_iri is not None and known_iri in visited_iris:
             continue
-        visited_paths.add(resolved)
+        visited_paths.add(path)
         if known_iri is not None:
             visited_iris.add(known_iri)
 
-        text = path.read_text(encoding="utf-8")
-        doc = parse_document(text, graph=graph)
-        doc_key = _document_key(path, catalog)
+        doc = _read_document(path, graph)
+        doc_key = known_iri or path.as_posix()
         files += 1
-        for declared in _ontology_iris(doc):
-            visited_iris.add(declared)
 
         imports: list[str] = []
         for quad in doc.statements:
-            subject = quad.subject
-            obj = quad.object
-            if isinstance(subject, Blank):
-                subject = _rename_blank(doc_key, subject.id)
-            if isinstance(obj, Blank):
-                obj = _rename_blank(doc_key, obj.id)
-            if quad.predicate.value == OWL_IMPORTS and isinstance(obj, Iri):
-                imports.append(obj.value)
-            if store.insert(Quad(subject, quad.predicate, obj, graph)):
+            subject, obj = quad.subject, quad.object
+            if isinstance(subject, Blank) or isinstance(obj, Blank):
+                quad = Quad(_renamed(doc_key, subject), quad.predicate, _renamed(doc_key, obj), graph)
+            if isinstance(obj, Iri):
+                predicate = quad.predicate.value
+                if predicate == OWL_IMPORTS:
+                    imports.append(obj.value)
+                elif predicate == RDF_TYPE and obj.value == OWL_ONTOLOGY and isinstance(subject, Iri):
+                    visited_iris.add(subject.value)
+            if store.insert(quad):
                 inserted += 1
 
         for target in sorted(imports):
@@ -137,7 +138,7 @@ def load_with_imports(
                 continue
             target_path = catalog.lookup(target)
             if target_path is None:
-                raise ImportResolutionError(f"imported ontology not in catalog: <{target}>")
+                raise ImportResolutionError(f"{path}: imported ontology not in catalog: <{target}>")
             pending.append(target_path)
 
     return LoadReport(files=files, quads=inserted)

@@ -147,6 +147,13 @@ class QuadStore:
             del self._graph_terms[quad.graph]
         return True
 
+    def drop_graph(self, graph: str) -> int:
+        """Remove every quad of one graph through `remove`; returns how many there were."""
+        quads = list(self._graphs.get(graph, ()))
+        for quad in quads:
+            self.remove(quad)
+        return len(quads)
+
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._graphs.values())
 

@@ -5,7 +5,12 @@ brackets, prefixed names, the ``a`` keyword, ``;`` and ``,`` lists,
 string/integer/decimal/boolean literals, ``^^`` datatypes, ``@lang`` tags
 passed through, and ``#`` comments. Deliberately out: blank-node property
 lists, collections, and multiline strings. Every malformed input raises a
-TurtleParseError carrying line and column.
+TurtleParseError carrying line and column, among them a string escape that
+names no Unicode character and an IRI the terms module rejects.
+
+The lexer keeps only offsets: a token is one match of one combined pattern
+after one match of the trivia pattern, and the line and column of an error
+are counted from its offset when it is raised.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import re
 from dataclasses import dataclass, field
 
 from graphsynth import vocab
-from graphsynth.errors import TurtleParseError
+from graphsynth.errors import MalformedTermError, TurtleParseError
 from graphsynth.quadstore import Quad, QuadStore
 from graphsynth.terms import (
     OWL,
@@ -41,11 +46,12 @@ _SCHEME = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*:")
 _INTEGER = re.compile(r"^[+-]?[0-9]+$")
 _DECIMAL = re.compile(r"^[+-]?[0-9]*\.[0-9]+$")
 
-# Token kinds
+# Token kinds, each also the name of its group in _TOKEN.
 _IRIREF = "IRIREF"
 _PNAME = "PNAME"
 _BLANK = "BLANK"
 _STRING = "STRING"
+_QUOTE = "QUOTE"
 _NUMBER = "NUMBER"
 _IDENT = "IDENT"
 _PUNCT = "PUNCT"
@@ -54,26 +60,33 @@ _LANGTAG = "LANGTAG"
 _EOF = "EOF"
 
 _ESCAPES = {"t": "\t", "n": "\n", "r": "\r", '"': '"', "'": "'", "\\": "\\"}
-_TOKEN_PATTERNS = [
-    (_IRIREF, re.compile(r"<([^<>\"{}|^`\\\x00-\x20]*)>")),
-    (_DIRECTIVE, re.compile(r"@(prefix|base)\b")),
-    (_LANGTAG, re.compile(r"@([A-Za-z]+(?:-[A-Za-z0-9]+)*)")),
-    (_BLANK, re.compile(r"_:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?")),
-    (_NUMBER, re.compile(r"[+-]?(?:[0-9]*\.[0-9]+|[0-9]+)")),
-    # Prefixed name: prefix part may be empty; local part may be empty but
-    # never ends in '.' so the statement terminator stays unambiguous.
-    (_PNAME, re.compile(r"(?:[A-Za-z][A-Za-z0-9_.-]*)?:(?:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)?")),
-    (_IDENT, re.compile(r"[A-Za-z][A-Za-z0-9_-]*")),
-    (_PUNCT, re.compile(r"\^\^|[.;,]")),
-]
-
-
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
+_HEX = re.compile(r"[0-9A-Fa-f]+")
+_TRIVIA = re.compile(r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*")
+# The alternatives in priority order: the first that matches names the kind.
+# A string without escapes is one STRING match; QUOTE starts any other
+# string, which _lex_string scans.
+_TOKEN = re.compile(
+    "|".join(
+        f"(?P<{kind}>{pattern})"
+        for kind, pattern in (
+            (_STRING, r"\"[^\"\\\n]*\"|'[^'\\\n]*'"),
+            (_QUOTE, r"[\"']"),
+            (_IRIREF, r"<[^<>\"{}|^`\\\x00-\x20]*>"),
+            (_DIRECTIVE, r"@(?:prefix|base)\b"),
+            (_LANGTAG, r"@[A-Za-z]+(?:-[A-Za-z0-9]+)*"),
+            (_BLANK, r"_:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?"),
+            (_NUMBER, r"[+-]?(?:[0-9]*\.[0-9]+|[0-9]+)"),
+            # Prefixed name: prefix part may be empty; local part may be empty but
+            # never ends in '.' so the statement terminator stays unambiguous.
+            (_PNAME, r"(?:[A-Za-z][A-Za-z0-9_.-]*)?:(?:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)?"),
+            (_IDENT, r"[A-Za-z][A-Za-z0-9_-]*"),
+            (_PUNCT, r"\^\^|[.;,]"),
+        )
+    )
+)
+# The run of a string body up to its closing quote, an escape or a newline.
+_STRING_RUN = {'"': re.compile(r'[^"\\\n]*'), "'": re.compile(r"[^'\\\n]*")}
+_A = Iri(RDF_TYPE)
 
 
 @dataclass
@@ -85,130 +98,120 @@ class OntologyDocument:
     statements: list[Quad] = field(default_factory=list)
 
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.column = 1
+def _error_at(text: str, pos: int, message: str) -> TurtleParseError:
+    """A parse error at offset `pos`; line and column are counted only here."""
+    return TurtleParseError(message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
 
-    def error(self, message: str) -> TurtleParseError:
-        return TurtleParseError(message, self.line, self.column)
 
-    def _advance(self, consumed: str):
-        newlines = consumed.count("\n")
-        if newlines:
-            self.line += newlines
-            self.column = len(consumed) - consumed.rfind("\n")
+def _lex_string(text: str, start: int) -> tuple[str, int]:
+    """The value of the string whose quote is at `start`, and the offset after it."""
+    quote = text[start]
+    run = _STRING_RUN[quote]
+    parts = []
+    pos = start + 1
+    while True:
+        end = run.match(text, pos).end()
+        parts.append(text[pos:end])
+        pos = end
+        if pos >= len(text):
+            raise _error_at(text, start, "unterminated string")
+        ch = text[pos]
+        if ch == quote:
+            return "".join(parts), pos + 1
+        if ch == "\n":
+            raise _error_at(text, pos, "newline inside string")
+        if pos + 1 >= len(text):
+            raise _error_at(text, pos, "dangling escape")
+        esc = text[pos + 1]
+        if esc == "u" or esc == "U":
+            width = 4 if esc == "u" else 8
+            digits = text[pos + 2 : pos + 2 + width]
+            code = int(digits, 16) if len(digits) == width and _HEX.fullmatch(digits) else -1
+            # chr() takes no code point past U+10FFFF, and a surrogate is no
+            # character: UTF-8 cannot encode it when the text is written out.
+            if not 0 <= code <= 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+                raise _error_at(text, pos, "bad unicode escape")
+            parts.append(chr(code))
+            pos += 2 + width
+        elif esc in _ESCAPES:
+            parts.append(_ESCAPES[esc])
+            pos += 2
         else:
-            self.column += len(consumed)
-        self.pos += len(consumed)
-
-    def _skip_trivia(self):
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in " \t\r\n":
-                self._advance(ch)
-            elif ch == "#":
-                end = self.text.find("\n", self.pos)
-                if end == -1:
-                    end = len(self.text)
-                self._advance(self.text[self.pos:end])
-            else:
-                return
-
-    def _lex_string(self) -> _Token:
-        line, column = self.line, self.column
-        quote = self.text[self.pos]
-        self._advance(quote)
-        out = []
-        while True:
-            if self.pos >= len(self.text):
-                raise TurtleParseError("unterminated string", line, column)
-            ch = self.text[self.pos]
-            if ch == "\n":
-                raise TurtleParseError("newline inside string", self.line, self.column)
-            if ch == quote:
-                self._advance(ch)
-                return _Token(_STRING, "".join(out), line, column)
-            if ch == "\\":
-                if self.pos + 1 >= len(self.text):
-                    raise TurtleParseError("dangling escape", self.line, self.column)
-                esc = self.text[self.pos + 1]
-                if esc == "u" or esc == "U":
-                    width = 4 if esc == "u" else 8
-                    hexpart = self.text[self.pos + 2 : self.pos + 2 + width]
-                    if len(hexpart) != width or not re.fullmatch(r"[0-9A-Fa-f]+", hexpart):
-                        raise TurtleParseError("bad unicode escape", self.line, self.column)
-                    out.append(chr(int(hexpart, 16)))
-                    self._advance(self.text[self.pos : self.pos + 2 + width])
-                elif esc in _ESCAPES:
-                    out.append(_ESCAPES[esc])
-                    self._advance(self.text[self.pos : self.pos + 2])
-                else:
-                    raise TurtleParseError(f"unknown escape '\\{esc}'", self.line, self.column)
-            else:
-                out.append(ch)
-                self._advance(ch)
-
-    def next_token(self) -> _Token:
-        self._skip_trivia()
-        if self.pos >= len(self.text):
-            return _Token(_EOF, "", self.line, self.column)
-        ch = self.text[self.pos]
-        if ch in "\"'":
-            return self._lex_string()
-        for kind, pattern in _TOKEN_PATTERNS:
-            m = pattern.match(self.text, self.pos)
-            if m:
-                token = _Token(kind, m.group(0), self.line, self.column)
-                self._advance(m.group(0))
-                return token
-        raise self.error(f"unexpected character {ch!r}")
+            raise _error_at(text, pos, f"unknown escape '\\{esc}'")
 
 
 class _Parser:
-    def __init__(self, text: str, graph: str):
-        self.lexer = _Lexer(text)
+    """Recursive descent over one token of lookahead: `kind`, `text` and `pos`.
+
+    `text` is the token's source text, or a string's value; `pos` is its
+    start offset, and `end` the offset where the next token's trivia starts.
+    """
+
+    def __init__(self, source: str, graph: str):
+        self.source = source
         self.graph = graph
         self.doc = OntologyDocument()
-        self.token = self.lexer.next_token()
+        self.end = 0
+        self._bump()
 
     def _bump(self):
-        self.token = self.lexer.next_token()
+        source = self.source
+        self.pos = pos = _TRIVIA.match(source, self.end).end()
+        m = _TOKEN.match(source, pos)
+        if m is None:
+            if pos < len(source):
+                raise _error_at(source, pos, f"unexpected character {source[pos]!r}")
+            self.kind, self.text = _EOF, ""
+            return
+        self.kind = m.lastgroup
+        if self.kind == _STRING:
+            self.text = source[pos + 1 : m.end() - 1]
+            self.end = m.end()
+        elif self.kind == _QUOTE:
+            self.kind = _STRING
+            self.text, self.end = _lex_string(source, pos)
+        else:
+            self.text = m.group()
+            self.end = m.end()
 
-    def _error(self, message: str) -> TurtleParseError:
-        return TurtleParseError(message, self.token.line, self.token.column)
+    def _error(self, message: str, pos: int | None = None) -> TurtleParseError:
+        return _error_at(self.source, self.pos if pos is None else pos, message)
+
+    def _iri(self, value: str, pos: int) -> Iri:
+        try:
+            return Iri(value)
+        except MalformedTermError as exc:
+            raise self._error(str(exc), pos) from exc
 
     def _expect_punct(self, text: str):
-        if self.token.kind != _PUNCT or self.token.text != text:
-            raise self._error(f"expected '{text}', got {self.token.text!r}")
+        if self.kind != _PUNCT or self.text != text:
+            raise self._error(f"expected '{text}', got {self.text!r}")
         self._bump()
 
     def parse(self) -> OntologyDocument:
-        while self.token.kind != _EOF:
-            if self.token.kind == _DIRECTIVE:
+        while self.kind != _EOF:
+            if self.kind == _DIRECTIVE:
                 self._parse_directive()
             else:
                 self._parse_triples()
         return self.doc
 
     def _parse_directive(self):
-        which = self.token.text
+        which = self.text
         self._bump()
         if which == "@prefix":
-            if self.token.kind != _PNAME or not self.token.text.endswith(":") or self.token.text.count(":") != 1:
+            if self.kind != _PNAME or not self.text.endswith(":") or self.text.count(":") != 1:
                 raise self._error("expected 'prefix:' after @prefix")
-            prefix = self.token.text[:-1]
+            prefix = self.text[:-1]
             self._bump()
-            if self.token.kind != _IRIREF:
+            if self.kind != _IRIREF:
                 raise self._error("expected <iri> in @prefix directive")
-            self.doc.prefixes[prefix] = self._resolve_iriref(self.token.text)
+            self.doc.prefixes[prefix] = self._resolve_iriref(self.text)
             self._bump()
         else:
-            if self.token.kind != _IRIREF:
+            if self.kind != _IRIREF:
                 raise self._error("expected <iri> in @base directive")
-            self.doc.base = self._resolve_iriref(self.token.text)
+            self.doc.base = self._resolve_iriref(self.text)
             self._bump()
         self._expect_punct(".")
 
@@ -221,41 +224,40 @@ class _Parser:
         return self.doc.base + value
 
     def _parse_term(self, position: str) -> Term:
-        token = self.token
-        if token.kind == _IRIREF:
+        kind, text, pos = self.kind, self.text, self.pos
+        if kind == _IRIREF:
             self._bump()
-            return Iri(self._resolve_iriref(token.text))
-        if token.kind == _PNAME:
-            prefix, _, local = token.text.partition(":")
+            return self._iri(self._resolve_iriref(text), pos)
+        if kind == _PNAME:
+            prefix, _, local = text.partition(":")
             namespace = self.doc.prefixes.get(prefix)
             if namespace is None:
                 raise self._error(f"undeclared prefix '{prefix}:'")
             self._bump()
-            return Iri(namespace + local)
-        if token.kind == _BLANK:
+            return self._iri(namespace + local, pos)
+        if kind == _BLANK:
             if position == "predicate":
                 raise self._error("blank node not allowed as predicate")
             self._bump()
-            return Blank(token.text[2:])
+            return Blank(text[2:])
         if position == "object":
-            if token.kind == _STRING:
+            if kind == _STRING:
                 self._bump()
-                return self._finish_literal(token.text)
-            if token.kind == _NUMBER:
+                return self._finish_literal(text)
+            if kind == _NUMBER:
                 self._bump()
-                datatype = XSD_DECIMAL if "." in token.text else XSD_INTEGER
-                return Literal(token.text, datatype)
-            if token.kind == _IDENT and token.text in ("true", "false"):
+                return Literal(text, XSD_DECIMAL if "." in text else XSD_INTEGER)
+            if kind == _IDENT and text in ("true", "false"):
                 self._bump()
-                return Literal(token.text, XSD_BOOLEAN)
-        raise self._error(f"expected {position} term, got {token.text!r}")
+                return Literal(text, XSD_BOOLEAN)
+        raise self._error(f"expected {position} term, got {text!r}")
 
     def _finish_literal(self, lexical: str) -> Literal:
-        if self.token.kind == _LANGTAG:
-            tag = self.token.text[1:]
+        if self.kind == _LANGTAG:
+            tag = self.text[1:]
             self._bump()
             return Literal(lexical, RDF_LANG_STRING, tag)
-        if self.token.kind == _PUNCT and self.token.text == "^^":
+        if self.kind == _PUNCT and self.text == "^^":
             self._bump()
             datatype = self._parse_term("datatype")
             if not isinstance(datatype, Iri):
@@ -264,9 +266,9 @@ class _Parser:
         return Literal(lexical, XSD_STRING)
 
     def _parse_verb(self) -> Iri:
-        if self.token.kind == _IDENT and self.token.text == "a":
+        if self.kind == _IDENT and self.text == "a":
             self._bump()
-            return Iri(RDF_TYPE)
+            return _A
         term = self._parse_term("predicate")
         if not isinstance(term, Iri):
             raise self._error("predicate must be an IRI")
@@ -274,19 +276,19 @@ class _Parser:
 
     def _parse_triples(self):
         subject = self._parse_term("subject")
+        statements = self.doc.statements
         while True:
             verb = self._parse_verb()
             while True:
-                obj = self._parse_term("object")
-                self.doc.statements.append(Quad(subject, verb, obj, self.graph))
-                if self.token.kind == _PUNCT and self.token.text == ",":
+                statements.append(Quad(subject, verb, self._parse_term("object"), self.graph))
+                if self.kind == _PUNCT and self.text == ",":
                     self._bump()
                     continue
                 break
-            if self.token.kind == _PUNCT and self.token.text == ";":
+            if self.kind == _PUNCT and self.text == ";":
                 self._bump()
                 # A dangling ';' before '.' is tolerated, as in full Turtle.
-                if self.token.kind == _PUNCT and self.token.text == ".":
+                if self.kind == _PUNCT and self.text == ".":
                     break
                 continue
             break

@@ -176,6 +176,40 @@ def test_corrupt_kb_file_maps_to_load_exit_code(tmp_path, capsys):
     assert "2:" in err or "1:" in err  # positioned diagnostic
 
 
+@pytest.mark.parametrize(
+    "filename, old, new, message",
+    [
+        ("myinput.ttl", 'gs:hasName "my_input.txt"', 'gs:hasName "my\\uD800input.txt"', "12:19: bad unicode escape"),
+        ("myinput.ttl", 'gs:hasName "my_input.txt"', 'gs:hasName "my\\U00110000input.txt"', "12:19: bad unicode escape"),
+        ("units.ttl", "kb:unitless a gs:Unit", "<http://graphsynth.dev/kb/unit\u00a0less> a gs:Unit", "13:1: IRI contains"),
+        ("units.ttl", "@prefix kb: <http://graphsynth.dev/kb/>", "@prefix kb: <http://graphsynth.dev/kb\u00a0/>", "13:1: IRI contains"),
+        ("units.ttl", "kb:unitless a gs:Unit", ":unitless a gs:Unit", "13:1: undeclared prefix ':'"),
+    ],
+    ids=["surrogate-escape", "escape-past-unicode", "spaced-iri", "spaced-iri-via-prefix", "undeclared-prefix"],
+)
+def test_broken_kb_file_maps_to_load_exit_code_and_is_named(tmp_path, capsys, filename, old, new, message):
+    from graphsynth.seed import kb_dir
+
+    text = (kb_dir() / filename).read_text(encoding="utf-8")
+    assert old in text
+    kb = _doctored_kb(tmp_path, filename, text.replace(old, new))
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "synthesize", STMT, "--kb", str(kb), "--out", str(out))
+    assert code == 3
+    assert f"error at stage kb-load: {kb / filename}: {message}" in err
+    assert not (out / "hello_analytic.py").exists()
+
+
+def test_kb_file_that_is_no_utf8_maps_to_load_exit_code_and_is_named(tmp_path, capsys):
+    kb = _doctored_kb(tmp_path, "units.ttl", "")
+    (kb / "units.ttl").write_bytes("# caf\u00e9\n".encode("latin-1"))
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "synthesize", STMT, "--kb", str(kb), "--out", str(out))
+    assert code == 3
+    assert f"error at stage kb-load: {kb / 'units.ttl'}: not UTF-8 text" in err
+    assert not (out / "hello_analytic.py").exists()
+
+
 def test_missing_kb_dir_is_a_config_error(tmp_path, capsys):
     code, _, err = run(capsys, "kb-stats", "--kb", str(tmp_path / "nowhere"))
     assert code == 2

@@ -249,7 +249,9 @@ def _check_subject_index(store: QuadStore, model: set[Quad], seen: list[Quad]):
 
 
 _store_ops = st.lists(
-    st.tuples(st.sampled_from(["insert", "insert", "insert", "remove", "clone"]), st.integers(0, 2**32 - 1)),
+    st.tuples(
+        st.sampled_from(["insert", "insert", "insert", "remove", "clone", "drop_graph"]), st.integers(0, 2**32 - 1)
+    ),
     max_size=80,
 )
 
@@ -270,6 +272,12 @@ def test_indexes_stay_consistent_under_insert_remove_clone(ops, seed):
             quad = inserted[value % len(inserted)] if inserted else random_quad(random.Random(value))
             assert store.remove(quad) is (quad in model)
             model.discard(quad)
+        elif op == "drop_graph":
+            graph = inserted[value % len(inserted)].graph if inserted else random_quad(random.Random(value)).graph
+            dropped = {quad for quad in model if quad.graph == graph}
+            assert store.drop_graph(graph) == len(dropped)
+            model -= dropped
+            assert graph not in store.graph_names() and sorted(store._graph_terms) == store.graph_names()
         else:
             original, store = store, store.clone()
             # Emptying the original must leave the copy's indexes whole.

@@ -109,6 +109,19 @@ def test_load_plr_round_trips_and_emits_identically(pipeline):
     assert emit(walked) == emit(plr)
 
 
+def test_dropping_both_program_graphs_leaves_the_kb_and_allows_the_same_synthesis(pipeline, seed_kb):
+    store, plan, pla, plr = pipeline
+    pla_quads, plr_quads = store.graph_quads(pla.graph_iri), store.graph_quads(plr.graph_iri)
+    assert store.drop_graph(pla.graph_iri) == len(pla_quads) > 0
+    assert store.drop_graph(plr.graph_iri) == len(plr_quads) > 0
+    kb, _ = seed_kb
+    assert set(store.quads()) == set(kb.quads()) and store.graph_names() == kb.graph_names()
+    again = render(compose(plan, store), plan.language, store)
+    assert (again.graph_iri, store.graph_quads(again.graph_iri)) == (plr.graph_iri, plr_quads)
+    assert store.graph_quads(pla.graph_iri) == pla_quads
+    assert emit(again) == emit(plr)
+
+
 def test_unsupported_language_family(pipeline):
     store, plan, pla, _ = pipeline
     alien = dataclasses.replace(plan.language, family="Fortran")

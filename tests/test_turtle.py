@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 import string
 
 import pytest
@@ -115,6 +116,73 @@ def test_syntax_error_carries_position():
     assert exc.value.column is not None
 
 
+# Every document puts CRLF line ends, tabs and comments before its error, so
+# a position that counted a tab, a '\r' or a comment wrongly would show.
+_ERROR_HEAD = "# leading comment\r\n@prefix a: <http://x.example/> .\r\n\t# indented comment\r\n\ta:s\ta:p\ta:o ;\r\n"
+
+
+@pytest.mark.parametrize(
+    "body, message, line, column",
+    [
+        ("\ta:q\t%oops .\r\n", "unexpected character '%'", 5, 6),
+        ('\ta:q\t"open', "unterminated string", 5, 6),
+        ('\ta:q\t"abc\r\n" .\r\n', "newline inside string", 5, 11),
+        ('\ta:q\t"abc\\', "dangling escape", 5, 10),
+        ('\ta:q\t"a\\qb" .\r\n', "unknown escape '\\q'", 5, 8),
+        ('\ta:q\t"x\\u12G4" .\r\n', "bad unicode escape", 5, 8),
+        ("\tnope:q\ta:o .\r\n", "undeclared prefix 'nope:'", 5, 2),
+        # Reported at the token after the IRI, where the parser stands when it resolves it.
+        ("\t<q>\ta:o .\r\n", "relative IRI <q> with no @base in scope", 5, 6),
+        ("\ta:q\ta:o\r\n# between\r\na:t a:p a:o .\r\n", "expected '.', got 'a:t'", 7, 1),
+        ("\t_:b\ta:o .\r\n", "blank node not allowed as predicate", 5, 2),
+    ],
+    ids=[
+        "unexpected-character",
+        "unterminated-string",
+        "newline-inside-string",
+        "dangling-escape",
+        "unknown-escape",
+        "bad-unicode-escape",
+        "undeclared-prefix",
+        "relative-iri-without-base",
+        "expected-dot",
+        "blank-predicate",
+    ],
+)
+def test_parse_errors_report_message_line_and_column(body, message, line, column):
+    with pytest.raises(TurtleParseError) as exc:
+        parse_document(_ERROR_HEAD + body)
+    assert (str(exc.value), exc.value.line, exc.value.column) == (f"{line}:{column}: {message}", line, column)
+
+
+@pytest.mark.parametrize("escape", ["\\uD800", "\\uDFFF", "\\U0000DC00", "\\U00110000", "\\UFFFFFFFF"])
+def test_escape_of_no_unicode_character_is_a_bad_unicode_escape(escape):
+    with pytest.raises(TurtleParseError) as exc:
+        quads_of(f'@prefix a: <{X}> .\n a:s a:p "ok {escape}" .')
+    assert (str(exc.value), exc.value.line, exc.value.column) == ("2:14: bad unicode escape", 2, 14)
+
+
+def test_escapes_at_the_edges_of_the_surrogate_block_and_of_unicode_load():
+    [quad] = quads_of(f'@prefix a: <{X}> . a:s a:p "\\uD7FF\\uE000\\U0010FFFF" .')
+    assert quad.object.lexical == "\ud7ff\ue000\U0010ffff"
+
+
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        ("<http://x.example/s\u00a0t> a:p a:o .", 2, 1),
+        ("a:s a:p <http://x.example/o\u2003p> .", 2, 9),
+        ("@prefix b: <http://x.example/\u3000> .\na:s b:p a:o .", 3, 5),
+    ],
+    ids=["subject-iri", "object-iri", "via-prefix"],
+)
+def test_iri_holding_a_non_ascii_space_is_a_parse_error_at_its_token(text, line, column):
+    with pytest.raises(TurtleParseError) as exc:
+        quads_of(f"@prefix a: <{X}> .\n" + text)
+    assert (exc.value.line, exc.value.column) == (line, column)
+    assert "IRI contains whitespace" in str(exc.value)
+
+
 def test_literal_subject_is_an_error():
     with pytest.raises(TurtleParseError):
         quads_of(f'@prefix a: <{X}> . "s" a:p a:o .')
@@ -209,3 +277,28 @@ def test_parser_total_on_fuzzed_inputs(seed_kb):
             parse_document(text)
         except TurtleParseError as exc:
             assert exc.line is not None and exc.column is not None
+
+
+# Splits a KB file into tokens and the trivia runs between them; only the
+# runs (group 1) are replaced, so the token sequence stays the same.
+_TRIVIA_OR_TOKEN = re.compile(r'"(?:[^"\\\n]|\\.)*"|\'(?:[^\'\\\n]|\\.)*\'|<[^<>\s]*>|((?:[ \t\r\n]|#[^\n]*)+)|[^\s"\'#<]+')
+_TRIVIA_PIECES = st.sampled_from([" ", "\t", "\n", "\r\n", "# note\n", "#\t'\"<>#\r\n"])
+
+
+def _kb_texts() -> list[str]:
+    from graphsynth.seed import kb_dir
+
+    return [path.read_text(encoding="utf-8") for path in sorted(kb_dir().glob("*.ttl"))]
+
+
+@given(st.sampled_from(_kb_texts()), st.data())
+@settings(max_examples=60, deadline=None)
+def test_random_trivia_between_tokens_keeps_the_quads(text, data):
+    pieces = []
+    for m in _TRIVIA_OR_TOKEN.finditer(text):
+        if m.group(1) is None:
+            pieces.append(m.group(0))
+        else:
+            pieces.append("".join(data.draw(st.lists(_TRIVIA_PIECES, min_size=1, max_size=3))))
+    assert sum(len(m.group(0)) for m in _TRIVIA_OR_TOKEN.finditer(text)) == len(text)
+    assert parse_document("".join(pieces)).statements == parse_document(text).statements
