@@ -106,6 +106,8 @@ def _parse_statement(path: Path):
         raise _fail("config", EXIT_CONFIG, f"problem statement file not found: {path}")
     try:
         return parse_problem_statement(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise _fail("statement-parse", EXIT_STATEMENT, f"{path}: not UTF-8 text: {exc}") from exc
     except ProblemStatementError as exc:
         raise _fail("statement-parse", EXIT_STATEMENT, f"{path}: {exc}") from exc
 
@@ -165,7 +167,11 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     config = _build_config(args)
     store, _ = _load_kb(config)
     plan, pla, plr = _run_pipeline(config, Path(args.statement), store)
-    text = emit(plr, blank_lines_between_sections=config.blank_lines)
+    try:
+        # The text is checked to parse before anything is written.
+        text = emit(plr, blank_lines_between_sections=config.blank_lines)
+    except RenderError as exc:
+        raise _fail("render", EXIT_RENDER, str(exc)) from exc
     try:
         path = write_source(text, plan.program_basename, plan.language, config.out_dir, force=config.force)
     except WriteError as exc:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Collection
 
 from graphsynth import vocab, views
-from graphsynth.errors import ComposeError, UnnamedVariableError
+from graphsynth.errors import CardinalityError, ComposeError, UnnamedVariableError
 from graphsynth.quadstore import Pattern, Quad, QuadStore, Var
 from graphsynth.resolver import BuildPlan
 from graphsynth.terms import RDF_TYPE, Iri, Literal, Term, integer_literal
@@ -386,7 +386,14 @@ def _write_statement(store: QuadStore, graph: str, node: str, statement: Abstrac
 
 
 def _str_of(store: QuadStore, graph: str, subject: str, predicate: str) -> str:
-    return views.required_str(store, graph, subject, predicate, ComposeError)
+    """The one value of a property the graph must hold, as its lexical form or IRI."""
+    try:
+        term = store.value(Iri(subject), Iri(predicate), graph)
+    except CardinalityError as exc:
+        raise ComposeError(str(exc)) from exc
+    if term is None:
+        raise ComposeError(f"graph {graph} is missing {predicate} on {subject}")
+    return term.lexical if isinstance(term, Literal) else term.value
 
 
 def _int_of(store: QuadStore, graph: str, subject: str, predicate: str) -> int:

@@ -15,6 +15,10 @@ class MalformedQuadError(GraphSynthError):
     pass
 
 
+class CardinalityError(GraphSynthError):
+    """A property read as functional holds more than one value."""
+
+
 class PositionedError(GraphSynthError):
     """A diagnostic anchored to a line/column in some source text."""
 
@@ -80,16 +84,20 @@ class ResolveError(GraphSynthError):
     pass
 
 
+def _did_you_mean(near_miss: str | None) -> str:
+    return f"; did you mean '{near_miss}'?" if near_miss is not None else ""
+
+
 class NoDataSourceError(ResolveError):
-    def __init__(self, name: str):
+    def __init__(self, name: str, near_miss: str | None):
         self.name = name
-        super().__init__(f"no data source named '{name}' in the knowledge base")
+        super().__init__(f"no data source named '{name}' in the knowledge base" + _did_you_mean(near_miss))
 
 
 class NoAlgorithmError(ResolveError):
-    def __init__(self, label: str):
+    def __init__(self, label: str, near_miss: str | None):
         self.label = label
-        super().__init__(f"no algorithm matches the requested calculation '{label}'")
+        super().__init__(f"no algorithm matches the requested calculation '{label}'" + _did_you_mean(near_miss))
 
 
 class IncompatibleError(ResolveError):

@@ -5,8 +5,9 @@ hash indexes, all kept up to date by `insert` and `remove`: the subject
 index maps a subject to its predicates and each of those to the quads
 holding that pair, the predicate and object indexes map a term to the quads
 holding it there, and the per-graph sets map a graph name to its quads.
-`objects(s, p, g)`, the read behind every property lookup of one entity,
-is two probes into the nested subject index plus a graph filter.
+`objects(s, p, g)` and its functional form `value(s, p, g)`, the reads
+behind every property lookup of one entity, are two probes into the nested
+subject index plus a graph filter.
 
 A basic graph pattern is answered by an index nested-loop join. Before the
 loop a greedy planner orders the patterns: next comes the one with the most
@@ -31,7 +32,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from graphsynth.errors import MalformedQuadError
+from graphsynth.errors import CardinalityError, MalformedQuadError
 from graphsynth.terms import _WHITESPACE, Blank, Iri, Literal, Term, sort_key
 
 _VAR_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -193,6 +194,17 @@ class QuadStore:
         """
         bucket = self._by_subject.get(subject, {}).get(predicate, ())
         return sorted((quad.object for quad in bucket if quad.graph == graph), key=sort_key)
+
+    def value(self, subject: Term, predicate: Term, graph: str) -> Term | None:
+        """The one object of the quads (subject, predicate, ?, graph), or None if there is none.
+
+        A functional property read: more than one object raises CardinalityError.
+        """
+        bucket = self._by_subject.get(subject, {}).get(predicate, ())
+        found = [quad.object for quad in bucket if quad.graph == graph]
+        if len(found) > 1:
+            raise CardinalityError(f"{subject!r} {predicate!r} has {len(found)} values in graph {graph}, expected 1")
+        return found[0] if found else None
 
     def match_pattern(self, pattern: Pattern) -> list[BindingSet]:
         """All bindings under which the pattern matches some quad, in deterministic order."""

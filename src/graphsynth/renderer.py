@@ -10,6 +10,7 @@ fixed source order and concatenates each statement's elements.
 
 from __future__ import annotations
 
+import ast
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +26,13 @@ from graphsynth.composer import (
     ReportValue,
     _ins,
 )
-from graphsynth.errors import RenderError, UnmappableStatementError, UnsupportedLanguageError, WriteError
+from graphsynth.errors import (
+    CardinalityError,
+    RenderError,
+    UnmappableStatementError,
+    UnsupportedLanguageError,
+    WriteError,
+)
 from graphsynth.quadstore import Pattern, QuadStore, Var
 from graphsynth.terms import RDF_TYPE, Iri, Literal, integer_literal
 from graphsynth.views import LanguageInfo, LibraryInfo, StatementFormInfo
@@ -257,7 +264,14 @@ def render(
 
 
 def _str_of(store: QuadStore, graph: str, subject: str, predicate: str) -> str:
-    return views.required_str(store, graph, subject, predicate, RenderError)
+    """The one value of a property the graph must hold, as its lexical form or IRI."""
+    try:
+        term = store.value(Iri(subject), Iri(predicate), graph)
+    except CardinalityError as exc:
+        raise RenderError(str(exc)) from exc
+    if term is None:
+        raise RenderError(f"graph {graph} is missing {predicate} on {subject}")
+    return term.lexical if isinstance(term, Literal) else term.value
 
 
 def load_plr(store: QuadStore, graph_iri: str) -> PlrProgram:
@@ -309,7 +323,10 @@ def load_plr(store: QuadStore, graph_iri: str) -> PlrProgram:
 
 def emit(plr: PlrProgram, blank_lines_between_sections: bool = False) -> str:
     """Serialize the concrete program: one statement per line, LF endings,
-    exactly one trailing newline; optionally one blank line between sections."""
+    exactly one trailing newline; optionally one blank line between sections.
+
+    Text that does not parse as Python is a RenderError, so it never reaches a file.
+    """
     blocks = []
     for _, statements in plr.sections:
         if not statements:
@@ -318,7 +335,12 @@ def emit(plr: PlrProgram, blank_lines_between_sections: bool = False) -> str:
     if not blocks:
         return ""
     joiner = "\n\n" if blank_lines_between_sections else "\n"
-    return joiner.join(blocks) + "\n"
+    text = joiner.join(blocks) + "\n"
+    try:
+        ast.parse(text)
+    except SyntaxError as exc:
+        raise RenderError(f"emitted source does not parse: line {exc.lineno}: {exc.msg}") from exc
+    return text
 
 
 def write_source(

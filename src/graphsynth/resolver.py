@@ -118,10 +118,19 @@ def _resolve_language(store: QuadStore, graph: str, tag: str) -> LanguageInfo:
     return select_candidate("language", most_specific, describe=lambda lang: lang.tag)
 
 
+def _near_miss(store: QuadStore, graph: str, cls: str, wanted: str) -> str | None:
+    """The label of an instance of `cls` closest to `wanted`, if any is close."""
+    # Imported here: only a failed resolve needs it, and the import costs every cold run.
+    import difflib
+
+    matches = difflib.get_close_matches(wanted, views.view_labels(store, cls, graph), n=1)
+    return matches[0] if matches else None
+
+
 def _resolve_data_source(store: QuadStore, graph: str, name: str) -> DataSourceInfo:
     sources = views.view_data_source(store, name, graph)
     if not sources:
-        raise NoDataSourceError(name)
+        raise NoDataSourceError(name, _near_miss(store, graph, vocab.DATA_SOURCE, name))
     return select_candidate("data source", sources, describe=lambda ds: ds.iri)
 
 
@@ -135,7 +144,7 @@ def _resolve_calculation(
 ) -> PlannedCalculation:
     algorithms = views.view_algorithm_by_label(store, label, graph)
     if not algorithms:
-        raise NoAlgorithmError(label)
+        raise NoAlgorithmError(label, _near_miss(store, graph, vocab.ALGORITHM, label))
     compatible = []
     all_violations: list[tuple[AlgorithmInfo, list[str]]] = []
     for alg in algorithms:

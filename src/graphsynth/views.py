@@ -1,18 +1,24 @@
 """Typed read-views over the loaded knowledge base.
 
-Each view runs basic-graph-pattern queries against the store and lifts the
-bindings into plain dataclasses the rest of the pipeline works with. Views
-never mutate the store and never interpret anything beyond the explicitly
-inserted triples.
+`SHAPES` declares once, in the manner of SHACL Core, the shape of every
+entity class the views read: per property its field, predicate, kind and
+cardinality, plus the field that labels the instances. `check_kb`
+validates every instance against it at load; the views then fill their
+dataclasses from the same table through `_read`, with no defaults: an
+absent value reads as None (or an empty tuple). Views never mutate the
+store and never interpret anything beyond the explicitly inserted triples.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import Iterator
 
 from graphsynth import vocab
 from graphsynth.quadstore import Pattern, QuadStore, Var
-from graphsynth.terms import RDF_TYPE, Iri, Literal, Term
+from graphsynth.terms import RDF_TYPE, XSD_BOOLEAN, XSD_INTEGER, XSD_STRING, Iri, Literal, Term
+from graphsynth.turtle import _format_term
 
 
 @dataclass(frozen=True)
@@ -143,226 +149,235 @@ class ReadCapabilityInfo:
     container: str
 
 
-# --- low-level pulls -----------------------------------------------------
+# --- the shape table -----------------------------------------------------
+
+# Value kinds, as sh:datatype. Any other kind is a class, as sh:class: the
+# value is an IRI typed with it. Class kinds mark the links views follow.
+STR, INT, BOOL, IRI = "string", "integer", "boolean", "IRI"
+MANY = None  # no upper bound on the number of values, as no sh:maxCount
+
+# Class -> (label field or None, fields); a field is (name, predicate, kind, min, max).
+SHAPES: dict[str, tuple[str | None, tuple[tuple[str, Iri, str, int, int | None], ...]]] = {
+    vocab.DATA_SOURCE: ("name", (
+        ("name", Iri(vocab.HAS_NAME), STR, 1, 1),
+        ("container", Iri(vocab.HAS_CONTAINER), IRI, 1, 1),
+        ("format", Iri(vocab.HAS_FORMAT), IRI, 1, 1),
+        ("encoding", Iri(vocab.HAS_ENCODING), IRI, 1, 1),
+        ("value_datatype", Iri(vocab.HAS_VALUE_DATATYPE), vocab.VALUE_DATATYPE, 1, 1),
+        ("header_rows", Iri(vocab.HAS_HEADER_ROW_COUNT), INT, 1, 1),
+        ("data_rows", Iri(vocab.HAS_DATA_ROW_COUNT), INT, 1, 1),
+        ("values_per_row", Iri(vocab.HAS_VALUES_PER_ROW), INT, 1, 1),
+        ("quantity_types", Iri(vocab.HAS_QUANTITY_KIND), IRI, 1, MANY),
+        ("location", Iri(vocab.HAS_LOCATION), STR, 1, 1),
+        ("content_kind", Iri(vocab.HAS_CONTENT_KIND), vocab.DATA_CONTENT_KIND, 0, 1))),
+    vocab.VALUE_DATATYPE: (None, (("numeric", Iri(vocab.IS_NUMERIC), BOOL, 1, 1),)),
+    vocab.DATA_CONTENT_KIND: ("type_label", (("type_label", Iri(vocab.HAS_TYPE_LABEL), STR, 1, 1),)),
+    vocab.ALGORITHM: ("output_description_labels", (
+        ("name", Iri(vocab.HAS_NAME), STR, 1, 1),
+        ("output_description_labels", Iri(vocab.HAS_OUTPUT_DESCRIPTION_LABEL), STR, 1, MANY),
+        ("min_input_count", Iri(vocab.HAS_MIN_INPUT_COUNT), INT, 1, 1),
+        ("input_numeric", Iri(vocab.REQUIRES_NUMERIC_INPUT), BOOL, 1, 1),
+        ("inputs_same_quantity", Iri(vocab.REQUIRES_SAME_QUANTITY_KIND), BOOL, 1, 1),
+        ("output_arity", Iri(vocab.HAS_OUTPUT_ARITY), INT, 1, 1),
+        ("output_quantity", Iri(vocab.HAS_OUTPUT_QUANTITY), IRI, 1, 1),
+        ("time_complexity", Iri(vocab.HAS_TIME_COMPLEXITY), STR, 1, 1))),
+    vocab.CODE_FUNCTION: ("callable_name", (
+        ("callable_name", Iri(vocab.HAS_CALLABLE_NAME), STR, 1, 1),
+        ("library", Iri(vocab.PROVIDED_BY), vocab.LIBRARY, 1, 1),
+        ("language", Iri(vocab.IN_LANGUAGE), vocab.LANGUAGE_FAMILY, 1, 1),
+        ("purpose", Iri(vocab.HAS_PURPOSE), IRI, 1, 1),
+        ("arg_slots", Iri(vocab.HAS_ARGUMENT_SLOT), vocab.ARGUMENT_SLOT, 1, MANY),
+        ("return_role", Iri(vocab.HAS_RETURN_ROLE), IRI, 0, 1))),
+    vocab.ARGUMENT_SLOT: (None, (
+        ("index", Iri(vocab.HAS_SLOT_INDEX), INT, 1, 1),
+        ("role", Iri(vocab.HAS_SLOT_ROLE), IRI, 1, 1))),
+    vocab.LIBRARY: ("official_name", (
+        ("official_name", Iri(vocab.HAS_OFFICIAL_NAME), STR, 1, 1),
+        ("alias", Iri(vocab.HAS_ALIAS), STR, 0, 1),
+        ("kind", Iri(vocab.HAS_LIBRARY_KIND), STR, 1, 1))),
+    vocab.PROGRAMMING_LANGUAGE: ("tag", (
+        ("tag", Iri(vocab.HAS_VERSION_TAG), STR, 1, 1),
+        ("family", Iri(vocab.IN_FAMILY), vocab.LANGUAGE_FAMILY, 1, 1),
+        ("source_file_extension", Iri(vocab.HAS_SOURCE_FILE_EXTENSION), STR, 1, 1),
+        ("paradigm", Iri(vocab.HAS_PARADIGM), IRI, 1, 1),
+        ("string_quote", Iri(vocab.HAS_STRING_LITERAL_QUOTE), STR, 1, 1))),
+    vocab.LANGUAGE_FAMILY: ("name", (("name", Iri(vocab.HAS_FAMILY_NAME), STR, 1, 1),)),
+    vocab.PROGRAM_STRUCTURE: ("name", (
+        ("name", Iri(vocab.HAS_NAME), STR, 1, 1),
+        ("slots", Iri(vocab.HAS_SECTION_SLOT), vocab.SECTION_SLOT, 1, MANY),
+        ("requirements", Iri(vocab.SATISFIES_REQUIREMENT), vocab.PROGRAM_REQUIREMENT, 1, MANY))),
+    vocab.SECTION_SLOT: (None, (
+        ("section_iri", Iri(vocab.HAS_SECTION), vocab.PROGRAM_SECTION, 1, 1),
+        ("emission_index", Iri(vocab.HAS_EMISSION_INDEX), INT, 1, 1),
+        ("composition_index", Iri(vocab.HAS_COMPOSITION_INDEX), INT, 1, 1))),
+    vocab.PROGRAM_SECTION: ("name", (("name", Iri(vocab.HAS_NAME), STR, 1, 1),)),
+    vocab.PROGRAM_REQUIREMENT: ("label", (
+        ("label", Iri(vocab.HAS_REQUIREMENT_LABEL), STR, 1, 1),
+        ("implied_action", Iri(vocab.IMPLIES_RUNTIME_ACTION), IRI, 0, 1))),
+    vocab.READ_CAPABILITY: (None, (
+        ("format", Iri(vocab.READS_FORMAT), IRI, 1, 1),
+        ("value_datatype", Iri(vocab.READS_VALUE_DATATYPE), IRI, 1, 1),
+        ("container", Iri(vocab.READS_CONTAINER), IRI, 1, 1))),
+    vocab.NAMING_PATTERN: ("pattern_id", (
+        ("pattern_id", Iri(vocab.HAS_PATTERN_ID), STR, 1, 1),
+        ("separator", Iri(vocab.HAS_LABEL_SEPARATOR), STR, 0, 1),
+        ("suffix_label", Iri(vocab.HAS_SUFFIX_LABEL), STR, 0, 1))),
+    vocab.STATEMENT_FORM: ("variation_id", (
+        ("variation_id", Iri(vocab.HAS_VARIATION_ID), STR, 1, 1),
+        ("family", Iri(vocab.FOR_LANGUAGE_FAMILY), STR, 1, 1),
+        ("slots", Iri(vocab.HAS_TEMPLATE_SLOT), vocab.TEMPLATE_SLOT, 1, MANY))),
+    vocab.TEMPLATE_SLOT: (None, (
+        ("index", Iri(vocab.HAS_SLOT_INDEX), INT, 1, 1),
+        ("text", Iri(vocab.HAS_SLOT_TEXT), STR, 0, 1),
+        ("field", Iri(vocab.HAS_SLOT_FIELD), STR, 0, 1))),
+}
+
+_RDF_TYPE = Iri(RDF_TYPE)
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+# The Python value of a term of each kind; a class kind reads as IRI.
+_VALUE = {
+    STR: lambda t: t.lexical, INT: lambda t: int(t.lexical), BOOL: lambda t: t.lexical == "true", IRI: lambda t: t.value
+}
 
 
-def _lex(term: Term) -> str:
-    if isinstance(term, Literal):
-        return term.lexical
-    if isinstance(term, Iri):
-        return term.value
-    return term.id
+def _read(store: QuadStore, graph: str, cls: str, iri: str | None) -> dict:
+    """Every field of `cls`'s shape on `iri`; no IRI (an absent link) reads as an entity with no properties."""
+    fields = SHAPES[cls][1]
+    if iri is None:
+        return {name: None if high == 1 else () for name, _, _, _, high in fields}
+    subject = Iri(iri)
+    out = {}
+    for name, predicate, kind, _, high in fields:
+        value = _VALUE.get(kind, _VALUE[IRI])
+        if high == 1:
+            term = store.value(subject, predicate, graph)
+            out[name] = None if term is None else value(term)
+        else:
+            out[name] = tuple(value(term) for term in store.objects(subject, predicate, graph))
+    return out
 
 
-def _one_str(store: QuadStore, graph: str, subject: str, predicate: str) -> str | None:
-    values = store.objects(Iri(subject), Iri(predicate), graph)
-    return _lex(values[0]) if values else None
+def _instances(store: QuadStore, graph: str, cls: str, *where: tuple[str, Term]) -> list[str]:
+    """The instances of `cls` that hold each (predicate, object) pair of `where`."""
+    patterns = [Pattern(Var("s"), _RDF_TYPE, Iri(cls), graph)]
+    patterns += [Pattern(Var("s"), Iri(predicate), obj, graph) for predicate, obj in where]
+    return [row["s"].value for row in store.query_bgp(patterns) if isinstance(row["s"], Iri)]
 
 
-def required_str(store: QuadStore, graph: str, subject: str, predicate: str, error: type[Exception]) -> str:
-    """The first value of a property the graph must hold; `error` names the stage that needs it."""
-    value = _one_str(store, graph, subject, predicate)
-    if value is None:
-        raise error(f"graph {graph} is missing {predicate} on {subject}")
-    return value
+def _is_a(store: QuadStore, graph: str, iri: str, cls: str) -> bool:
+    return Iri(cls) in store.objects(Iri(iri), _RDF_TYPE, graph)
 
 
-def _one_int(store: QuadStore, graph: str, subject: str, predicate: str) -> int | None:
-    value = _one_str(store, graph, subject, predicate)
-    return int(value) if value is not None else None
+def _all(store: QuadStore, graph: str, cls: str, info: type) -> list:
+    """Every instance of `cls`, filled into the dataclass `info` straight from its shape."""
+    return [info(iri=iri, **_read(store, graph, cls, iri)) for iri in _instances(store, graph, cls)]
 
 
-def _one_bool(store: QuadStore, graph: str, subject: str, predicate: str) -> bool | None:
-    value = _one_str(store, graph, subject, predicate)
-    return value == "true" if value is not None else None
-
-
-def _instances(store: QuadStore, graph: str, cls: str) -> list[str]:
-    rows = store.match_pattern(Pattern(Var("s"), Iri(RDF_TYPE), Iri(cls), graph))
-    return [row["s"].value for row in rows if isinstance(row["s"], Iri)]
-
-
-# --- data sources --------------------------------------------------------
+# --- data sources and algorithms -----------------------------------------
 
 
 def _data_source_info(store: QuadStore, graph: str, iri: str) -> DataSourceInfo:
-    datatype = _one_str(store, graph, iri, vocab.HAS_VALUE_DATATYPE) or ""
-    numeric = bool(_one_bool(store, graph, datatype, vocab.IS_NUMERIC)) if datatype else False
-    content_kind = _one_str(store, graph, iri, vocab.HAS_CONTENT_KIND)
-    content_label = _one_str(store, graph, content_kind, vocab.HAS_TYPE_LABEL) if content_kind else None
-    quantities = tuple(sorted(_lex(t) for t in store.objects(Iri(iri), Iri(vocab.HAS_QUANTITY_KIND), graph)))
+    fields = _read(store, graph, vocab.DATA_SOURCE, iri)
+    datatype = _read(store, graph, vocab.VALUE_DATATYPE, fields["value_datatype"])
+    content_kind = _read(store, graph, vocab.DATA_CONTENT_KIND, fields.pop("content_kind"))
     return DataSourceInfo(
-        iri=iri,
-        name=_one_str(store, graph, iri, vocab.HAS_NAME) or "",
-        container=_one_str(store, graph, iri, vocab.HAS_CONTAINER) or "",
-        format=_one_str(store, graph, iri, vocab.HAS_FORMAT) or "",
-        encoding=_one_str(store, graph, iri, vocab.HAS_ENCODING) or "",
-        value_datatype=datatype,
-        value_datatype_numeric=numeric,
-        header_rows=_one_int(store, graph, iri, vocab.HAS_HEADER_ROW_COUNT) or 0,
-        data_rows=_one_int(store, graph, iri, vocab.HAS_DATA_ROW_COUNT) or 0,
-        values_per_row=_one_int(store, graph, iri, vocab.HAS_VALUES_PER_ROW) or 0,
-        quantity_types=quantities,
-        location=_one_str(store, graph, iri, vocab.HAS_LOCATION) or "",
-        content_type_label=content_label,
+        iri=iri, **fields, value_datatype_numeric=datatype["numeric"], content_type_label=content_kind["type_label"]
     )
 
 
 def view_data_source(store: QuadStore, name: str, graph: str = vocab.CORE_GRAPH) -> list[DataSourceInfo]:
     """All data sources whose name equals `name` exactly (case-sensitive)."""
-    rows = store.query_bgp(
-        [
-            Pattern(Var("ds"), Iri(RDF_TYPE), Iri(vocab.DATA_SOURCE), graph),
-            Pattern(Var("ds"), Iri(vocab.HAS_NAME), Literal(name), graph),
-        ]
-    )
-    return [_data_source_info(store, graph, row["ds"].value) for row in rows]
-
-
-# --- algorithms ----------------------------------------------------------
+    matches = _instances(store, graph, vocab.DATA_SOURCE, (vocab.HAS_NAME, Literal(name)))
+    return [_data_source_info(store, graph, iri) for iri in matches]
 
 
 def _algorithm_info(store: QuadStore, graph: str, iri: str) -> AlgorithmInfo:
-    labels = frozenset(_lex(t) for t in store.objects(Iri(iri), Iri(vocab.HAS_OUTPUT_DESCRIPTION_LABEL), graph))
-    return AlgorithmInfo(
-        iri=iri,
-        name=_one_str(store, graph, iri, vocab.HAS_NAME) or "",
-        output_description_labels=labels,
-        min_input_count=_one_int(store, graph, iri, vocab.HAS_MIN_INPUT_COUNT) or 1,
-        input_numeric=bool(_one_bool(store, graph, iri, vocab.REQUIRES_NUMERIC_INPUT)),
-        inputs_same_quantity=bool(_one_bool(store, graph, iri, vocab.REQUIRES_SAME_QUANTITY_KIND)),
-        output_arity=_one_int(store, graph, iri, vocab.HAS_OUTPUT_ARITY) or 1,
-        output_quantity=_one_str(store, graph, iri, vocab.HAS_OUTPUT_QUANTITY) or "",
-        time_complexity=_one_str(store, graph, iri, vocab.HAS_TIME_COMPLEXITY) or "",
-    )
+    fields = _read(store, graph, vocab.ALGORITHM, iri)
+    labels = frozenset(fields.pop("output_description_labels"))
+    return AlgorithmInfo(iri=iri, output_description_labels=labels, **fields)
 
 
 def view_algorithm_by_label(store: QuadStore, label: str, graph: str = vocab.CORE_GRAPH) -> list[AlgorithmInfo]:
     """All algorithms carrying `label` among their output description labels."""
-    rows = store.query_bgp(
-        [
-            Pattern(Var("alg"), Iri(RDF_TYPE), Iri(vocab.ALGORITHM), graph),
-            Pattern(Var("alg"), Iri(vocab.HAS_OUTPUT_DESCRIPTION_LABEL), Literal(label), graph),
-        ]
-    )
-    return [_algorithm_info(store, graph, row["alg"].value) for row in rows]
+    matches = _instances(store, graph, vocab.ALGORITHM, (vocab.HAS_OUTPUT_DESCRIPTION_LABEL, Literal(label)))
+    return [_algorithm_info(store, graph, iri) for iri in matches]
 
 
 def view_all_algorithms(store: QuadStore, graph: str = vocab.CORE_GRAPH) -> list[AlgorithmInfo]:
     return [_algorithm_info(store, graph, iri) for iri in _instances(store, graph, vocab.ALGORITHM)]
 
 
+def view_labels(store: QuadStore, cls: str, graph: str = vocab.CORE_GRAPH) -> list[str]:
+    """The distinct values of a shaped class's label field over all its instances, sorted."""
+    field = SHAPES[cls][0]
+    values = [_read(store, graph, cls, iri)[field] for iri in _instances(store, graph, cls)]
+    return sorted({label for value in values for label in (value if isinstance(value, tuple) else (value,))})
+
+
 # --- libraries and code functions ----------------------------------------
 
 
+def _library_info(store: QuadStore, graph: str, iri: str) -> LibraryInfo:
+    return LibraryInfo(iri=iri, **_read(store, graph, vocab.LIBRARY, iri))
+
+
 def view_library(store: QuadStore, iri: str, graph: str = vocab.CORE_GRAPH) -> LibraryInfo | None:
-    official = _one_str(store, graph, iri, vocab.HAS_OFFICIAL_NAME)
-    if official is None:
-        return None
-    return LibraryInfo(
-        iri=iri,
-        official_name=official,
-        alias=_one_str(store, graph, iri, vocab.HAS_ALIAS),
-        kind=_one_str(store, graph, iri, vocab.HAS_LIBRARY_KIND) or "",
-    )
+    """The library `iri`, or None if it is no gs:Library."""
+    return _library_info(store, graph, iri) if _is_a(store, graph, iri, vocab.LIBRARY) else None
 
 
-def _code_function_info(store: QuadStore, graph: str, iri: str) -> CodeFunctionInfo | None:
-    library_iri = _one_str(store, graph, iri, vocab.PROVIDED_BY)
-    library = view_library(store, library_iri, graph) if library_iri else None
-    if library is None:
-        return None
-    language = _one_str(store, graph, iri, vocab.IN_LANGUAGE) or ""
-    family = (_one_str(store, graph, language, vocab.HAS_FAMILY_NAME) or "") if language else ""
-    slots = []
-    for slot_term in store.objects(Iri(iri), Iri(vocab.HAS_ARGUMENT_SLOT), graph):
-        slot = _lex(slot_term)
-        index = _one_int(store, graph, slot, vocab.HAS_SLOT_INDEX)
-        role = _one_str(store, graph, slot, vocab.HAS_SLOT_ROLE)
-        if index is not None and role is not None:
-            slots.append((index, role))
+def _code_function_info(store: QuadStore, graph: str, iri: str) -> CodeFunctionInfo:
+    fields = _read(store, graph, vocab.CODE_FUNCTION, iri)
+    slots = [_read(store, graph, vocab.ARGUMENT_SLOT, slot) for slot in fields["arg_slots"]]
     return CodeFunctionInfo(
         iri=iri,
-        callable_name=_one_str(store, graph, iri, vocab.HAS_CALLABLE_NAME) or "",
-        library=library,
-        language=language,
-        language_family=family,
-        purpose=_one_str(store, graph, iri, vocab.HAS_PURPOSE) or "",
-        arg_spec=tuple(role for _, role in sorted(slots)),
-        return_role=_one_str(store, graph, iri, vocab.HAS_RETURN_ROLE),
+        callable_name=fields["callable_name"],
+        library=_library_info(store, graph, fields["library"]),
+        language=fields["language"],
+        language_family=_read(store, graph, vocab.LANGUAGE_FAMILY, fields["language"])["name"],
+        purpose=fields["purpose"],
+        arg_spec=tuple(role for _, role in sorted((slot["index"], slot["role"]) for slot in slots)),
+        return_role=fields["return_role"],
     )
 
 
 def view_code_function(
-    store: QuadStore,
-    purpose: str,
-    language_family: str,
-    library_pref: str | None = None,
-    graph: str = vocab.CORE_GRAPH,
+    store: QuadStore, purpose: str, language_family: str, library_pref: str | None = None, graph: str = vocab.CORE_GRAPH
 ) -> list[CodeFunctionInfo]:
     """Functions with the given purpose in the given language family.
 
     When `library_pref` is given, only functions from the library with that
     official name are returned.
     """
-    rows = store.query_bgp(
-        [
-            Pattern(Var("fn"), Iri(RDF_TYPE), Iri(vocab.CODE_FUNCTION), graph),
-            Pattern(Var("fn"), Iri(vocab.HAS_PURPOSE), Iri(purpose), graph),
-            Pattern(Var("fn"), Iri(vocab.IN_LANGUAGE), Var("fam"), graph),
-            Pattern(Var("fam"), Iri(vocab.HAS_FAMILY_NAME), Literal(language_family), graph),
-        ]
-    )
-    out = []
-    for row in rows:
-        info = _code_function_info(store, graph, row["fn"].value)
-        if info is None:
-            continue
-        if library_pref is not None and info.library.official_name != library_pref:
-            continue
-        out.append(info)
-    return out
+    matches = _instances(store, graph, vocab.CODE_FUNCTION, (vocab.HAS_PURPOSE, Iri(purpose)))
+    functions = [_code_function_info(store, graph, iri) for iri in matches]
+    in_family = [fn for fn in functions if fn.language_family == language_family]
+    return [fn for fn in in_family if library_pref in (None, fn.library.official_name)]
 
 
 def view_code_function_by_iri(store: QuadStore, iri: str, graph: str = vocab.CORE_GRAPH) -> CodeFunctionInfo | None:
-    return _code_function_info(store, graph, iri)
+    """The code function `iri`, or None if it is no gs:CodeFunction."""
+    return _code_function_info(store, graph, iri) if _is_a(store, graph, iri, vocab.CODE_FUNCTION) else None
 
 
 def view_all_code_functions(store: QuadStore, graph: str = vocab.CORE_GRAPH) -> list[CodeFunctionInfo]:
-    out = []
-    for iri in _instances(store, graph, vocab.CODE_FUNCTION):
-        info = _code_function_info(store, graph, iri)
-        if info is not None:
-            out.append(info)
-    return out
+    return [_code_function_info(store, graph, iri) for iri in _instances(store, graph, vocab.CODE_FUNCTION)]
 
 
 # --- structures, languages, requirements ---------------------------------
 
 
 def _structure_info(store: QuadStore, graph: str, iri: str) -> ProgramStructureInfo:
+    fields = _read(store, graph, vocab.PROGRAM_STRUCTURE, iri)
     slots = []
-    for slot_term in store.objects(Iri(iri), Iri(vocab.HAS_SECTION_SLOT), graph):
-        slot = _lex(slot_term)
-        section = _one_str(store, graph, slot, vocab.HAS_SECTION)
-        if section is None:
-            continue
-        slots.append(
-            SectionSlotInfo(
-                section_iri=section,
-                name=_one_str(store, graph, section, vocab.HAS_NAME) or "",
-                emission_index=_one_int(store, graph, slot, vocab.HAS_EMISSION_INDEX) or 0,
-                composition_index=_one_int(store, graph, slot, vocab.HAS_COMPOSITION_INDEX) or 0,
-            )
-        )
-    requirements = set()
-    for req_term in store.objects(Iri(iri), Iri(vocab.SATISFIES_REQUIREMENT), graph):
-        label = _one_str(store, graph, _lex(req_term), vocab.HAS_REQUIREMENT_LABEL)
-        if label is not None:
-            requirements.add(label)
+    for slot_iri in fields["slots"]:
+        slot = _read(store, graph, vocab.SECTION_SLOT, slot_iri)
+        name = _read(store, graph, vocab.PROGRAM_SECTION, slot["section_iri"])["name"]
+        slots.append(SectionSlotInfo(name=name, **slot))
+    requirements = [_read(store, graph, vocab.PROGRAM_REQUIREMENT, req)["label"] for req in fields["requirements"]]
     return ProgramStructureInfo(
         iri=iri,
-        name=_one_str(store, graph, iri, vocab.HAS_NAME) or "",
+        name=fields["name"],
         slots=tuple(sorted(slots, key=lambda s: s.emission_index)),
         satisfied_requirements=frozenset(requirements),
     )
@@ -375,114 +390,98 @@ def view_structures(store: QuadStore, graph: str = vocab.CORE_GRAPH) -> list[Pro
 def view_languages(store: QuadStore, graph: str = vocab.CORE_GRAPH) -> list[LanguageInfo]:
     out = []
     for iri in _instances(store, graph, vocab.PROGRAMMING_LANGUAGE):
-        family_iri = _one_str(store, graph, iri, vocab.IN_FAMILY)
-        family = _one_str(store, graph, family_iri, vocab.HAS_FAMILY_NAME) if family_iri else None
-        out.append(
-            LanguageInfo(
-                iri=iri,
-                tag=_one_str(store, graph, iri, vocab.HAS_VERSION_TAG) or "",
-                family=family or "",
-                source_file_extension=_one_str(store, graph, iri, vocab.HAS_SOURCE_FILE_EXTENSION) or "",
-                paradigm=_one_str(store, graph, iri, vocab.HAS_PARADIGM) or "",
-                string_quote=_one_str(store, graph, iri, vocab.HAS_STRING_LITERAL_QUOTE) or "'",
-            )
-        )
+        fields = _read(store, graph, vocab.PROGRAMMING_LANGUAGE, iri)
+        fields["family"] = _read(store, graph, vocab.LANGUAGE_FAMILY, fields["family"])["name"]
+        out.append(LanguageInfo(iri=iri, **fields))
     return out
 
 
 def view_requirements(store: QuadStore, graph: str = vocab.CORE_GRAPH) -> list[RequirementInfo]:
-    out = []
-    for iri in _instances(store, graph, vocab.PROGRAM_REQUIREMENT):
-        label = _one_str(store, graph, iri, vocab.HAS_REQUIREMENT_LABEL)
-        if label is None:
-            continue
-        out.append(
-            RequirementInfo(
-                iri=iri,
-                label=label,
-                implied_action=_one_str(store, graph, iri, vocab.IMPLIES_RUNTIME_ACTION),
-            )
-        )
-    return out
+    return _all(store, graph, vocab.PROGRAM_REQUIREMENT, RequirementInfo)
 
 
 def view_read_capabilities(store: QuadStore, graph: str = vocab.CORE_GRAPH) -> list[ReadCapabilityInfo]:
-    out = []
-    for iri in _instances(store, graph, vocab.READ_CAPABILITY):
-        out.append(
-            ReadCapabilityInfo(
-                iri=iri,
-                format=_one_str(store, graph, iri, vocab.READS_FORMAT) or "",
-                value_datatype=_one_str(store, graph, iri, vocab.READS_VALUE_DATATYPE) or "",
-                container=_one_str(store, graph, iri, vocab.READS_CONTAINER) or "",
-            )
-        )
-    return out
+    return _all(store, graph, vocab.READ_CAPABILITY, ReadCapabilityInfo)
 
 
 def view_naming_patterns(store: QuadStore, graph: str = vocab.CORE_GRAPH) -> dict[str, NamingPatternInfo]:
-    out: dict[str, NamingPatternInfo] = {}
-    for iri in _instances(store, graph, vocab.NAMING_PATTERN):
-        pattern_id = _one_str(store, graph, iri, vocab.HAS_PATTERN_ID)
-        if pattern_id is None:
-            continue
-        out[pattern_id] = NamingPatternInfo(
-            iri=iri,
-            pattern_id=pattern_id,
-            separator=_one_str(store, graph, iri, vocab.HAS_LABEL_SEPARATOR),
-            suffix_label=_one_str(store, graph, iri, vocab.HAS_SUFFIX_LABEL),
-        )
-    return out
+    return {pattern.pattern_id: pattern for pattern in _all(store, graph, vocab.NAMING_PATTERN, NamingPatternInfo)}
 
 
 def view_statement_forms(store: QuadStore, family: str, graph: str = vocab.CORE_GRAPH) -> dict[str, StatementFormInfo]:
     """Statement form templates for one language family, keyed by variation id."""
     out: dict[str, StatementFormInfo] = {}
-    for iri in _instances(store, graph, vocab.STATEMENT_FORM):
-        if _one_str(store, graph, iri, vocab.FOR_LANGUAGE_FAMILY) != family:
-            continue
-        variation = _one_str(store, graph, iri, vocab.HAS_VARIATION_ID)
-        if variation is None:
-            continue
-        slots = []
-        for slot_term in store.objects(Iri(iri), Iri(vocab.HAS_TEMPLATE_SLOT), graph):
-            slot = _lex(slot_term)
-            index = _one_int(store, graph, slot, vocab.HAS_SLOT_INDEX)
-            if index is None:
-                continue
-            slots.append(
-                TemplateSlotInfo(
-                    index=index,
-                    text=_one_str(store, graph, slot, vocab.HAS_SLOT_TEXT),
-                    field=_one_str(store, graph, slot, vocab.HAS_SLOT_FIELD),
-                )
-            )
-        out[variation] = StatementFormInfo(
-            iri=iri,
-            variation_id=variation,
-            family=family,
-            slots=tuple(sorted(slots, key=lambda s: s.index)),
-        )
+    for iri in _instances(store, graph, vocab.STATEMENT_FORM, (vocab.FOR_LANGUAGE_FAMILY, Literal(family))):
+        fields = _read(store, graph, vocab.STATEMENT_FORM, iri)
+        slots = [TemplateSlotInfo(**_read(store, graph, vocab.TEMPLATE_SLOT, slot)) for slot in fields["slots"]]
+        variation = fields["variation_id"]
+        out[variation] = StatementFormInfo(iri, variation, family, tuple(sorted(slots, key=lambda s: s.index)))
     return out
 
 
-# --- load-time completeness check ----------------------------------------
+# --- load-time check -----------------------------------------------------
+
+_EXPECTED_COUNT = {(1, 1): "exactly 1 value", (0, 1): "at most 1 value", (1, MANY): "at least 1 value"}
+_EXPECTED_KIND = {STR: "a string literal", INT: "an integer literal", BOOL: "a boolean literal", IRI: "an IRI"}
+
+
+def _has_kind(term: Term, kind: str, members: dict[str, set[str]]) -> bool:
+    if kind == STR:
+        return isinstance(term, Literal) and term.datatype == XSD_STRING
+    if kind == INT:
+        return isinstance(term, Literal) and term.datatype == XSD_INTEGER and bool(_INTEGER.fullmatch(term.lexical))
+    if kind == BOOL:
+        return isinstance(term, Literal) and term.datatype == XSD_BOOLEAN and term.lexical in ("true", "false")
+    return isinstance(term, Iri) and (kind == IRI or term.value in members[kind])
+
+
+def _shape_problems(store: QuadStore, graph: str, cls: str, iri: str, members: dict[str, set[str]]) -> Iterator[str]:
+    """`ENTITY PROPERTY: expected ..., found ...` for each way `iri` breaks `cls`'s shape."""
+    subject = Iri(iri)
+    for _, predicate, kind, low, high in SHAPES[cls][1]:
+        values = store.objects(subject, predicate, graph)
+        bad_count = len(values) < low or (high is not MANY and len(values) > high)
+        bad_values = [value for value in values if not _has_kind(value, kind, members)]
+        if not bad_count and not bad_values:
+            continue
+        where = f"{_format_term(subject)} {_format_term(predicate)}"
+        if bad_count:
+            yield f"{where}: expected {_EXPECTED_COUNT[low, high]}, found {len(values)}"
+        for value in bad_values:
+            expected = _EXPECTED_KIND.get(kind) or f"an instance of {_format_term(Iri(kind))}"
+            yield f"{where}: expected {expected}, found {_format_term(value)}"
 
 
 def check_kb(store: QuadStore, graph: str = vocab.CORE_GRAPH) -> list[str]:
-    """Structural completeness problems in a loaded KB; empty list means clean."""
-    problems = []
-    for alg in view_all_algorithms(store, graph):
-        implementers = view_code_function(store, alg.iri, "Python", graph=graph)
-        if not implementers:
-            problems.append(f"algorithm {alg.name or alg.iri} has no implementing Python code function")
-    for fn in _instances(store, graph, vocab.CODE_FUNCTION):
-        library_iri = _one_str(store, graph, fn, vocab.PROVIDED_BY)
-        if library_iri is None or view_library(store, library_iri, graph) is None:
-            problems.append(f"code function {fn} has no resolvable library")
+    """Problems in a loaded KB; an empty list means clean.
+
+    Every instance of a shaped class is checked against its shape first. The
+    cross-entity checks read through the views, which trust the shapes, so
+    they run only on a KB with no shape problem.
+    """
+    members = {cls: set(_instances(store, graph, cls)) for cls in SHAPES}  # for the class kinds
+    problems = [
+        problem
+        for cls in SHAPES
+        for iri in sorted(members[cls])
+        for problem in _shape_problems(store, graph, cls, iri, members)
+    ]
+    if problems:
+        return problems
+    python_functions = [
+        Pattern(Var("fn"), _RDF_TYPE, Iri(vocab.CODE_FUNCTION), graph),
+        Pattern(Var("fn"), Iri(vocab.HAS_PURPOSE), Var("purpose"), graph),
+        Pattern(Var("fn"), Iri(vocab.IN_LANGUAGE), Var("family"), graph),
+        Pattern(Var("family"), Iri(vocab.HAS_FAMILY_NAME), Literal("Python"), graph),
+    ]
+    implemented = {row["purpose"].value for row in store.query_bgp(python_functions)}
+    for alg in _instances(store, graph, vocab.ALGORITHM):
+        if alg not in implemented:
+            name = _read(store, graph, vocab.ALGORITHM, alg)["name"]
+            problems.append(f"algorithm {name} has no implementing Python code function")
     for structure in view_structures(store, graph):
         emission = sorted(s.emission_index for s in structure.slots)
         composition = sorted(s.composition_index for s in structure.slots)
         if emission != composition or emission != list(range(len(structure.slots))):
-            problems.append(f"structure {structure.name or structure.iri} orderings are not permutations of 0..n-1")
+            problems.append(f"structure {structure.name} orderings are not permutations of 0..n-1")
     return problems

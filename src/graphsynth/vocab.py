@@ -43,15 +43,22 @@ def program_graph_iri(basename: str, kind: str) -> str:
 # --- classes -----------------------------------------------------------
 
 DATA_SOURCE = gs("DataSource")
+VALUE_DATATYPE = gs("ValueDatatype")
+DATA_CONTENT_KIND = gs("DataContentKind")
 ALGORITHM = gs("Algorithm")
 CODE_FUNCTION = gs("CodeFunction")
+ARGUMENT_SLOT = gs("ArgumentSlot")
 LIBRARY = gs("Library")
 PROGRAMMING_LANGUAGE = gs("ProgrammingLanguage")
+LANGUAGE_FAMILY = gs("LanguageFamily")
 PROGRAM_STRUCTURE = gs("ProgramStructure")
+SECTION_SLOT = gs("SectionSlot")
+PROGRAM_SECTION = gs("ProgramSection")
 PROGRAM_REQUIREMENT = gs("ProgramRequirement")
 READ_CAPABILITY = gs("ReadCapability")
 NAMING_PATTERN = gs("NamingPattern")
 STATEMENT_FORM = gs("StatementForm")
+TEMPLATE_SLOT = gs("TemplateSlot")
 
 # --- properties --------------------------------------------------------
 

@@ -165,6 +165,59 @@ def test_missing_statement_forms_map_to_render_exit_code(tmp_path, capsys):
     assert "stage render" in err
 
 
+def test_emitted_text_that_does_not_parse_maps_to_render_exit_code(tmp_path, capsys):
+    from graphsynth.seed import kb_dir
+
+    text = (kb_dir() / "statements.ttl").read_text(encoding="utf-8")
+    old = 'gs:hasSlotText " = "'
+    assert old in text
+    kb = _doctored_kb(tmp_path, "statements.ttl", text.replace(old, 'gs:hasSlotText " = ("'))
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "synthesize", STMT, "--kb", str(kb), "--out", str(out))
+    assert code == 7
+    assert "stage render: emitted source does not parse" in err
+    assert not (out / "hello_analytic.py").exists()
+
+
+@pytest.mark.parametrize(
+    "filename, old, new, entity, problem",
+    [
+        ("code_function.ttl", 'gs:hasCallableName "mean"', 'gs:hasCallableName "mean", "average"',
+         "kb:numpy_mean", 'gs:hasCallableName: expected exactly 1 value, found 2'),
+        ("code_function.ttl", "kb:numpy_mean_arg0 a gs:ArgumentSlot ;\n    gs:hasSlotIndex 0 ;\n",
+         "kb:numpy_mean_arg0 a gs:ArgumentSlot ;\n",
+         "kb:numpy_mean_arg0", "gs:hasSlotIndex: expected exactly 1 value, found 0"),
+        ("arithmetic_mean.ttl", "gs:hasMinInputCount 2", 'gs:hasMinInputCount "two"',
+         "kb:arithmetic_mean", 'gs:hasMinInputCount: expected an integer literal, found "two"'),
+        ("arithmetic_mean.ttl", "gs:requiresNumericInput true", 'gs:requiresNumericInput "yes"',
+         "kb:arithmetic_mean", 'gs:requiresNumericInput: expected a boolean literal, found "yes"'),
+        ("code_function.ttl", 'gs:hasCallableName "mean" ;\n    gs:providedBy kb:numpy',
+         'gs:hasCallableName "mean" ;\n    gs:providedBy "numpy"',
+         "kb:numpy_mean", 'gs:providedBy: expected an instance of gs:Library, found "numpy"'),
+        ("code_function.ttl", "gs:hasPurpose kb:arithmetic_mean", 'gs:hasPurpose "arithmetic_mean"',
+         "kb:numpy_mean", 'gs:hasPurpose: expected an IRI, found "arithmetic_mean"'),
+        ("code_function.ttl", 'gs:hasCallableName "mean" ;\n    gs:providedBy kb:numpy',
+         'gs:hasCallableName "mean" ;\n    gs:providedBy kb:csv_format',
+         "kb:numpy_mean", "gs:providedBy: expected an instance of gs:Library, found kb:csv_format"),
+    ],
+    ids=["max-count", "min-count", "integer-kind", "boolean-kind", "library-literal", "iri-kind", "target-class"],
+)
+def test_kb_shape_violation_maps_to_load_exit_code_and_names_entity_and_property(
+    tmp_path, capsys, filename, old, new, entity, problem
+):
+    from graphsynth.seed import kb_dir
+
+    text = (kb_dir() / filename).read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    kb = _doctored_kb(tmp_path, filename, text.replace(old, new))
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "synthesize", STMT, "--kb", str(kb), "--out", str(out))
+    assert code == 3
+    assert "stage kb-load" in err
+    assert f"  - {entity} {problem}\n" in err
+    assert not (out / "hello_analytic.py").exists()
+
+
 def test_corrupt_kb_file_maps_to_load_exit_code(tmp_path, capsys):
     kb = tmp_path / "kb"
     kb.mkdir()
@@ -208,6 +261,16 @@ def test_kb_file_that_is_no_utf8_maps_to_load_exit_code_and_is_named(tmp_path, c
     assert code == 3
     assert f"error at stage kb-load: {kb / 'units.ttl'}: not UTF-8 text" in err
     assert not (out / "hello_analytic.py").exists()
+
+
+def test_statement_that_is_no_utf8_maps_to_parse_exit_code_and_is_named(tmp_path, capsys):
+    bad = tmp_path / "bad.aida"
+    bad.write_bytes("program_basename = 'caf\u00e9'\n".encode("latin-1"))
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "synthesize", str(bad), "--out", str(out))
+    assert code == 4
+    assert f"error at stage statement-parse: {bad}: not UTF-8 text" in err
+    assert not out.exists()
 
 
 def test_missing_kb_dir_is_a_config_error(tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphsynth import quadstore, vocab
-from graphsynth.errors import MalformedQuadError, MalformedTermError
+from graphsynth.errors import CardinalityError, MalformedQuadError, MalformedTermError
 from graphsynth.quadstore import Pattern, Quad, QuadStore, Var
 from graphsynth.terms import RDF_LANG_STRING, Blank, Iri, Literal, sort_key
 
@@ -98,6 +98,19 @@ def test_objects_reads_one_subject_predicate_and_graph():
     assert store.objects(A, P, H) == [Literal("3")]
     assert store.objects(B, Q, G) == []
     assert store.objects(Iri("http://t.example/absent"), P, G) == []
+
+
+def test_value_reads_one_functional_property():
+    store = QuadStore()
+    for quad in (Quad(A, P, B, G), Quad(A, P, Literal("3"), H), Quad(A, Q, Literal("1"), G), Quad(A, Q, Literal("2"), G)):
+        store.insert(quad)
+    assert store.value(A, P, G) == B
+    assert store.value(A, P, H) == Literal("3")
+    assert store.value(B, P, G) is None
+    assert store.value(A, P, "http://t.example/g3") is None
+    with pytest.raises(CardinalityError, match="has 2 values"):
+        store.value(A, Q, G)
+    assert store.value(A, Q, H) is None
 
 
 def test_match_pattern_binds_variables():

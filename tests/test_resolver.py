@@ -88,6 +88,29 @@ def test_unknown_calculation_label(seed_kb, statement_text):
     assert exc.value.label == "median"
 
 
+@pytest.mark.parametrize(
+    "old, new, error, suggestion",
+    [
+        ("'average value'", "'Average value'", NoAlgorithmError, "average value"),
+        ("'my_input.txt'", "'my_inputs.txt'", NoDataSourceError, "my_input.txt"),
+    ],
+)
+def test_resolve_errors_name_the_closest_label(seed_kb, statement_text, old, new, error, suggestion):
+    store, _ = seed_kb
+    ps = parse_problem_statement(statement_text.replace(old, new, 1))
+    with pytest.raises(error) as exc:
+        resolve(ps, store)
+    assert str(exc.value).endswith(f"; did you mean '{suggestion}'?")
+
+
+def test_resolve_error_without_a_close_label_suggests_nothing(seed_kb, statement_text):
+    store, _ = seed_kb
+    ps = parse_problem_statement(statement_text.replace("'average value variation'", "'median'"))
+    with pytest.raises(NoAlgorithmError) as exc:
+        resolve(ps, store)
+    assert str(exc.value) == "no algorithm matches the requested calculation 'median'"
+
+
 def test_missing_data_source(seed_kb, statement_text):
     store, _ = seed_kb
     ps = parse_problem_statement(statement_text.replace("my_input.txt", "absent.txt"))

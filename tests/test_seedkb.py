@@ -136,6 +136,25 @@ def test_check_kb_flags_unimplemented_algorithm(kb_store):
     assert any("lonely" in p for p in problems)
 
 
+def test_check_kb_flags_well_shaped_algorithm_without_python_implementation(kb_store):
+    insert_turtle(
+        kb_store,
+        TEST_HEADER
+        + """\
+x:unimplemented a gs:Algorithm ;
+    gs:hasName "unimplemented" ;
+    gs:hasOutputDescriptionLabel "nothing" ;
+    gs:hasMinInputCount 1 ;
+    gs:requiresNumericInput true ;
+    gs:requiresSameQuantityKind false ;
+    gs:hasOutputArity 1 ;
+    gs:hasOutputQuantity kb:same_as_input_quantity ;
+    gs:hasTimeComplexity "O(n)" .
+""",
+    )
+    assert check_kb(kb_store) == ["algorithm unimplemented has no implementing Python code function"]
+
+
 def test_check_kb_flags_function_without_library(kb_store):
     insert_turtle(kb_store, TEST_HEADER + 'x:orphan a gs:CodeFunction ; gs:hasCallableName "orphan" .')
     problems = check_kb(kb_store)

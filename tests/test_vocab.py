@@ -33,3 +33,20 @@ def test_every_public_vocab_constant_is_used_outside_vocab():
         if path.resolve() != vocab_path:
             used |= _names_used(ast.parse(path.read_text(encoding="utf-8")))
     assert sorted(constants - used) == []
+
+
+def test_every_shape_names_a_shipped_class_and_public_vocab_predicates(seed_kb):
+    from graphsynth.quadstore import Pattern, Var
+    from graphsynth.terms import RDF_TYPE, Iri
+    from graphsynth.views import BOOL, INT, IRI, MANY, SHAPES, STR
+
+    store, _ = seed_kb
+    public = {getattr(vocab, name) for name in dir(vocab) if not name.startswith("_")}
+    for cls, (label, fields) in SHAPES.items():
+        assert store.match_pattern(Pattern(Var("s"), Iri(RDF_TYPE), Iri(cls), vocab.CORE_GRAPH)), cls
+        assert cls in public, cls
+        assert label is None or label in {name for name, *_ in fields}, cls
+        for name, predicate, kind, low, high in fields:
+            assert predicate.value in public, (cls, name)
+            assert kind in SHAPES or kind in (STR, INT, BOOL, IRI), (cls, name)
+            assert (low, high) in ((0, 1), (1, 1), (1, MANY)), (cls, name)
