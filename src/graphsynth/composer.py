@@ -21,37 +21,39 @@ from graphsynth.resolver import BuildPlan
 from graphsynth.terms import RDF_TYPE, Iri, Literal, Term, integer_literal
 from graphsynth.views import CodeFunctionInfo, LibraryInfo, NamingPatternInfo
 
-# Abstract-program vocabulary (disjoint from the concrete one by design).
-PLA_PROGRAM = vocab.pla("Program")
-PLA_SECTION = vocab.pla("Section")
-PLA_ASSIGN_LITERAL = vocab.pla("AssignLiteral")
-PLA_ASSIGN_CALL = vocab.pla("AssignCall")
-PLA_REPORT_VALUE = vocab.pla("ReportValue")
-PLA_PROGRAM_EXIT = vocab.pla("ProgramExit")
-PLA_IMPORT_DIRECTIVE = vocab.pla("ImportDirective")
+# Abstract-program vocabulary (disjoint from the concrete one by design), each
+# term built once here so that no write or read-back validates it again.
+_TYPE = Iri(RDF_TYPE)
+PLA_PROGRAM = Iri(vocab.pla("Program"))
+PLA_SECTION = Iri(vocab.pla("Section"))
+PLA_ASSIGN_LITERAL = Iri(vocab.pla("AssignLiteral"))
+PLA_ASSIGN_CALL = Iri(vocab.pla("AssignCall"))
+PLA_REPORT_VALUE = Iri(vocab.pla("ReportValue"))
+PLA_PROGRAM_EXIT = Iri(vocab.pla("ProgramExit"))
+PLA_IMPORT_DIRECTIVE = Iri(vocab.pla("ImportDirective"))
 
-PLA_HAS_BASENAME = vocab.pla("hasBasename")
-PLA_USES_STRUCTURE = vocab.pla("usesStructure")
-PLA_HAS_SECTION = vocab.pla("hasSection")
-PLA_SECTION_ENTITY = vocab.pla("sectionEntity")
-PLA_HAS_SECTION_NAME = vocab.pla("hasSectionName")
-PLA_HAS_EMISSION_INDEX = vocab.pla("hasEmissionIndex")
-PLA_HAS_COMPOSITION_INDEX = vocab.pla("hasCompositionIndex")
-PLA_HAS_STATEMENT = vocab.pla("hasStatement")
-PLA_HAS_ORDER_INDEX = vocab.pla("hasOrderIndex")
-PLA_HAS_TARGET_VARIABLE = vocab.pla("hasTargetVariable")
-PLA_HAS_LITERAL_VALUE = vocab.pla("hasLiteralValue")
-PLA_HAS_LITERAL_ROLE = vocab.pla("hasLiteralRole")
-PLA_CALLS_FUNCTION = vocab.pla("callsFunction")
-PLA_HAS_ARGUMENT_SLOT = vocab.pla("hasArgumentSlot")
-PLA_HAS_SLOT_INDEX = vocab.pla("hasSlotIndex")
-PLA_HAS_VARIABLE_REF = vocab.pla("hasVariableRef")
-PLA_HAS_REPORT_LABEL = vocab.pla("hasReportLabel")
-PLA_HAS_SOURCE_VARIABLE = vocab.pla("hasSourceVariable")
-PLA_HAS_EXIT_STATUS = vocab.pla("hasExitStatus")
-PLA_IMPORTS_LIBRARY = vocab.pla("importsLibrary")
-PLA_HAS_LIBRARY_REFERENCE = vocab.pla("hasLibraryReference")
-PLA_REFERS_TO_LIBRARY = vocab.pla("refersToLibrary")
+PLA_HAS_BASENAME = Iri(vocab.pla("hasBasename"))
+PLA_USES_STRUCTURE = Iri(vocab.pla("usesStructure"))
+PLA_HAS_SECTION = Iri(vocab.pla("hasSection"))
+PLA_SECTION_ENTITY = Iri(vocab.pla("sectionEntity"))
+PLA_HAS_SECTION_NAME = Iri(vocab.pla("hasSectionName"))
+PLA_HAS_EMISSION_INDEX = Iri(vocab.pla("hasEmissionIndex"))
+PLA_HAS_COMPOSITION_INDEX = Iri(vocab.pla("hasCompositionIndex"))
+PLA_HAS_STATEMENT = Iri(vocab.pla("hasStatement"))
+PLA_HAS_ORDER_INDEX = Iri(vocab.pla("hasOrderIndex"))
+PLA_HAS_TARGET_VARIABLE = Iri(vocab.pla("hasTargetVariable"))
+PLA_HAS_LITERAL_VALUE = Iri(vocab.pla("hasLiteralValue"))
+PLA_HAS_LITERAL_ROLE = Iri(vocab.pla("hasLiteralRole"))
+PLA_CALLS_FUNCTION = Iri(vocab.pla("callsFunction"))
+PLA_HAS_ARGUMENT_SLOT = Iri(vocab.pla("hasArgumentSlot"))
+PLA_HAS_SLOT_INDEX = Iri(vocab.pla("hasSlotIndex"))
+PLA_HAS_VARIABLE_REF = Iri(vocab.pla("hasVariableRef"))
+PLA_HAS_REPORT_LABEL = Iri(vocab.pla("hasReportLabel"))
+PLA_HAS_SOURCE_VARIABLE = Iri(vocab.pla("hasSourceVariable"))
+PLA_HAS_EXIT_STATUS = Iri(vocab.pla("hasExitStatus"))
+PLA_IMPORTS_LIBRARY = Iri(vocab.pla("importsLibrary"))
+PLA_HAS_LIBRARY_REFERENCE = Iri(vocab.pla("hasLibraryReference"))
+PLA_REFERS_TO_LIBRARY = Iri(vocab.pla("refersToLibrary"))
 
 
 @dataclass(frozen=True)
@@ -312,28 +314,28 @@ def compose(plan: BuildPlan, store: QuadStore, graph_iri: str | None = None) -> 
 # --- graph encoding -------------------------------------------------------
 
 
-def _ins(store: QuadStore, graph: str, subject: str, predicate: str, obj: Term):
-    store.insert(Quad(Iri(subject), Iri(predicate), obj, graph))
+def _ins(store: QuadStore, graph: str, subject: Iri, predicate: Iri, obj: Term):
+    store.insert(Quad(subject, predicate, obj, graph))
 
 
 def _write_pla(plan: BuildPlan, state: _Composition, store: QuadStore, graph: str):
-    program = f"{graph}#program"
-    _ins(store, graph, program, RDF_TYPE, Iri(PLA_PROGRAM))
+    program = Iri(f"{graph}#program")
+    _ins(store, graph, program, _TYPE, PLA_PROGRAM)
     _ins(store, graph, program, PLA_HAS_BASENAME, Literal(plan.program_basename))
     _ins(store, graph, program, PLA_USES_STRUCTURE, Iri(plan.structure.iri))
 
     for ref_index, library_iri in enumerate(state.libraries):
-        ref = f"{graph}#libref-{ref_index}"
-        _ins(store, graph, program, PLA_HAS_LIBRARY_REFERENCE, Iri(ref))
+        ref = Iri(f"{graph}#libref-{ref_index}")
+        _ins(store, graph, program, PLA_HAS_LIBRARY_REFERENCE, ref)
         _ins(store, graph, ref, PLA_HAS_SLOT_INDEX, integer_literal(ref_index))
         _ins(store, graph, ref, PLA_REFERS_TO_LIBRARY, Iri(library_iri))
 
     section_nodes = {}
     for slot in plan.structure.slots:
-        node = f"{graph}#section-{slot.name.lower()}"
+        node = Iri(f"{graph}#section-{slot.name.lower()}")
         section_nodes[slot.name] = node
-        _ins(store, graph, program, PLA_HAS_SECTION, Iri(node))
-        _ins(store, graph, node, RDF_TYPE, Iri(PLA_SECTION))
+        _ins(store, graph, program, PLA_HAS_SECTION, node)
+        _ins(store, graph, node, _TYPE, PLA_SECTION)
         _ins(store, graph, node, PLA_SECTION_ENTITY, Iri(slot.section_iri))
         _ins(store, graph, node, PLA_HAS_SECTION_NAME, Literal(slot.name))
         _ins(store, graph, node, PLA_HAS_EMISSION_INDEX, integer_literal(slot.emission_index))
@@ -342,41 +344,41 @@ def _write_pla(plan: BuildPlan, state: _Composition, store: QuadStore, graph: st
     for section_name, placed_list in state.placed.items():
         section_node = section_nodes[section_name]
         for placed in placed_list:
-            node = f"{graph}#stmt-{placed.composition_index}"
-            _ins(store, graph, section_node, PLA_HAS_STATEMENT, Iri(node))
+            node = Iri(f"{graph}#stmt-{placed.composition_index}")
+            _ins(store, graph, section_node, PLA_HAS_STATEMENT, node)
             _ins(store, graph, node, PLA_HAS_ORDER_INDEX, integer_literal(placed.order_index))
             _ins(store, graph, node, PLA_HAS_COMPOSITION_INDEX, integer_literal(placed.composition_index))
             _write_statement(store, graph, node, placed.statement)
 
 
-def _write_statement(store: QuadStore, graph: str, node: str, statement: AbstractStatement):
+def _write_statement(store: QuadStore, graph: str, node: Iri, statement: AbstractStatement):
     if isinstance(statement, AssignLiteral):
-        _ins(store, graph, node, RDF_TYPE, Iri(PLA_ASSIGN_LITERAL))
+        _ins(store, graph, node, _TYPE, PLA_ASSIGN_LITERAL)
         _ins(store, graph, node, PLA_HAS_TARGET_VARIABLE, Literal(statement.target))
         _ins(store, graph, node, PLA_HAS_LITERAL_VALUE, Literal(statement.value))
         _ins(store, graph, node, PLA_HAS_LITERAL_ROLE, Iri(statement.role))
     elif isinstance(statement, AssignCall):
-        _ins(store, graph, node, RDF_TYPE, Iri(PLA_ASSIGN_CALL))
+        _ins(store, graph, node, _TYPE, PLA_ASSIGN_CALL)
         _ins(store, graph, node, PLA_HAS_TARGET_VARIABLE, Literal(statement.target))
         _ins(store, graph, node, PLA_CALLS_FUNCTION, Iri(statement.function))
         for index, arg in enumerate(statement.args):
-            slot = f"{node}-arg{index}"
-            _ins(store, graph, node, PLA_HAS_ARGUMENT_SLOT, Iri(slot))
+            slot = Iri(f"{node.value}-arg{index}")
+            _ins(store, graph, node, PLA_HAS_ARGUMENT_SLOT, slot)
             _ins(store, graph, slot, PLA_HAS_SLOT_INDEX, integer_literal(index))
             if arg.variable is not None:
                 _ins(store, graph, slot, PLA_HAS_VARIABLE_REF, Literal(arg.variable))
             else:
                 _ins(store, graph, slot, PLA_HAS_LITERAL_VALUE, Literal(arg.literal))
     elif isinstance(statement, ReportValue):
-        _ins(store, graph, node, RDF_TYPE, Iri(PLA_REPORT_VALUE))
+        _ins(store, graph, node, _TYPE, PLA_REPORT_VALUE)
         _ins(store, graph, node, PLA_HAS_REPORT_LABEL, Literal(statement.label))
         _ins(store, graph, node, PLA_HAS_SOURCE_VARIABLE, Literal(statement.source))
     elif isinstance(statement, ProgramExit):
-        _ins(store, graph, node, RDF_TYPE, Iri(PLA_PROGRAM_EXIT))
+        _ins(store, graph, node, _TYPE, PLA_PROGRAM_EXIT)
         _ins(store, graph, node, PLA_HAS_EXIT_STATUS, integer_literal(statement.status))
         _ins(store, graph, node, PLA_CALLS_FUNCTION, Iri(statement.function))
     elif isinstance(statement, ImportDirective):
-        _ins(store, graph, node, RDF_TYPE, Iri(PLA_IMPORT_DIRECTIVE))
+        _ins(store, graph, node, _TYPE, PLA_IMPORT_DIRECTIVE)
         _ins(store, graph, node, PLA_IMPORTS_LIBRARY, Iri(statement.library))
     else:
         raise ComposeError(f"unknown abstract statement {statement!r}")
@@ -385,23 +387,23 @@ def _write_statement(store: QuadStore, graph: str, node: str, statement: Abstrac
 # --- graph decoding -------------------------------------------------------
 
 
-def _str_of(store: QuadStore, graph: str, subject: str, predicate: str) -> str:
+def _str_of(store: QuadStore, graph: str, subject: Iri, predicate: Iri) -> str:
     """The one value of a property the graph must hold, as its lexical form or IRI."""
     try:
-        term = store.value(Iri(subject), Iri(predicate), graph)
+        term = store.value(subject, predicate, graph)
     except CardinalityError as exc:
         raise ComposeError(str(exc)) from exc
     if term is None:
-        raise ComposeError(f"graph {graph} is missing {predicate} on {subject}")
+        raise ComposeError(f"graph {graph} is missing {predicate.value} on {subject.value}")
     return term.lexical if isinstance(term, Literal) else term.value
 
 
-def _int_of(store: QuadStore, graph: str, subject: str, predicate: str) -> int:
+def _int_of(store: QuadStore, graph: str, subject: Iri, predicate: Iri) -> int:
     return int(_str_of(store, graph, subject, predicate))
 
 
-def _read_statement(store: QuadStore, graph: str, node: str) -> AbstractStatement:
-    kinds = {t.value for t in store.objects(Iri(node), Iri(RDF_TYPE), graph) if isinstance(t, Iri)}
+def _read_statement(store: QuadStore, graph: str, node: Iri) -> AbstractStatement:
+    kinds = set(store.objects(node, _TYPE, graph))
     if PLA_ASSIGN_LITERAL in kinds:
         return AssignLiteral(
             target=_str_of(store, graph, node, PLA_HAS_TARGET_VARIABLE),
@@ -410,10 +412,9 @@ def _read_statement(store: QuadStore, graph: str, node: str) -> AbstractStatemen
         )
     if PLA_ASSIGN_CALL in kinds:
         slots = []
-        for slot_term in store.objects(Iri(node), Iri(PLA_HAS_ARGUMENT_SLOT), graph):
-            slot = slot_term.value
+        for slot in store.objects(node, PLA_HAS_ARGUMENT_SLOT, graph):
             index = _int_of(store, graph, slot, PLA_HAS_SLOT_INDEX)
-            variables = store.objects(Iri(slot), Iri(PLA_HAS_VARIABLE_REF), graph)
+            variables = store.objects(slot, PLA_HAS_VARIABLE_REF, graph)
             if variables:
                 slots.append((index, CallArg(variable=variables[0].lexical)))
             else:
@@ -435,22 +436,20 @@ def _read_statement(store: QuadStore, graph: str, node: str) -> AbstractStatemen
         )
     if PLA_IMPORT_DIRECTIVE in kinds:
         return ImportDirective(library=_str_of(store, graph, node, PLA_IMPORTS_LIBRARY))
-    raise ComposeError(f"statement node {node} has no recognized kind")
+    raise ComposeError(f"statement node {node.value} has no recognized kind")
 
 
 def load_pla(store: QuadStore, graph_iri: str, core_graph: str = vocab.CORE_GRAPH) -> PlaProgram:
     """Reconstruct the abstract program by walking its named graph."""
-    programs = store.match_pattern(Pattern(Var("p"), Iri(RDF_TYPE), Iri(PLA_PROGRAM), graph_iri))
+    programs = store.match_pattern(Pattern(Var("p"), _TYPE, PLA_PROGRAM, graph_iri))
     if len(programs) != 1:
         raise ComposeError(f"graph {graph_iri} holds {len(programs)} programs, expected 1")
-    program_iri = programs[0]["p"].value
+    program = programs[0]["p"]
 
     sections = []
-    for section_term in store.objects(Iri(program_iri), Iri(PLA_HAS_SECTION), graph_iri):
-        node = section_term.value
+    for node in store.objects(program, PLA_HAS_SECTION, graph_iri):
         placed = []
-        for stmt_term in store.objects(Iri(node), Iri(PLA_HAS_STATEMENT), graph_iri):
-            stmt_node = stmt_term.value
+        for stmt_node in store.objects(node, PLA_HAS_STATEMENT, graph_iri):
             placed.append(
                 PlacedStatement(
                     statement=_read_statement(store, graph_iri, stmt_node),
@@ -470,8 +469,7 @@ def load_pla(store: QuadStore, graph_iri: str, core_graph: str = vocab.CORE_GRAP
         )
 
     refs = []
-    for ref_term in store.objects(Iri(program_iri), Iri(PLA_HAS_LIBRARY_REFERENCE), graph_iri):
-        ref = ref_term.value
+    for ref in store.objects(program, PLA_HAS_LIBRARY_REFERENCE, graph_iri):
         refs.append((_int_of(store, graph_iri, ref, PLA_HAS_SLOT_INDEX), _str_of(store, graph_iri, ref, PLA_REFERS_TO_LIBRARY)))
     libraries = []
     for _, library_iri in sorted(refs, key=lambda pair: pair[0]):
@@ -482,9 +480,9 @@ def load_pla(store: QuadStore, graph_iri: str, core_graph: str = vocab.CORE_GRAP
 
     return PlaProgram(
         graph_iri=graph_iri,
-        program_iri=program_iri,
-        basename=_str_of(store, graph_iri, program_iri, PLA_HAS_BASENAME),
-        structure_iri=_str_of(store, graph_iri, program_iri, PLA_USES_STRUCTURE),
+        program_iri=program.value,
+        basename=_str_of(store, graph_iri, program, PLA_HAS_BASENAME),
+        structure_iri=_str_of(store, graph_iri, program, PLA_USES_STRUCTURE),
         sections=tuple(sorted(sections, key=lambda s: s.emission_index)),
         referenced_libraries=tuple(libraries),
     )

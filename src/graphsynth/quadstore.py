@@ -1,22 +1,22 @@
 """In-memory quad store with named graphs and a basic-graph-pattern engine.
 
-The store keeps set semantics (inserting a quad twice is a no-op) and four
-hash indexes, all kept up to date by `insert` and `remove`: the subject
-index maps a subject to its predicates and each of those to the quads
-holding that pair, the predicate and object indexes map a term to the quads
-holding it there, and the per-graph sets map a graph name to its quads.
-`objects(s, p, g)` and its functional form `value(s, p, g)`, the reads
-behind every property lookup of one entity, are two probes into the nested
-subject index plus a graph filter.
+The store keeps set semantics (inserting a quad twice is a no-op) and holds
+terms, not `Quad` objects: each named graph has three nested permutation
+tables, subject -> predicate -> {object}, predicate -> object -> {subject}
+and object -> subject -> {predicate}, plus its quad count, the graph-prefixed
+GSPO/GPOS/GOSP layout of Hexastore. `insert` and `remove` keep all three up
+to date and never leave an empty inner level; `drop_graph` pops the graph's
+entry from each table, so it does no work per quad. `objects(s, p, g)` and
+its functional form `value(s, p, g)`, the reads behind every property lookup
+of one entity, are three probes into the graph's subject table.
 
 A basic graph pattern is answered by an index nested-loop join. Before the
 loop a greedy planner orders the patterns: next comes the one with the most
 positions bound, either by a concrete term or by a variable an earlier
 pattern binds. For each partial binding, `_candidates` substitutes the
-bound variables into the pattern, looks up every bound position in its
-index and unifies only the quads of the smallest bucket; a bound subject
-and predicate together take their shared bucket of the subject index. A
-pattern with no bound position scans the whole store.
+bound variables into the pattern and walks the one permutation whose key
+order starts with the bound positions, so every row it returns matches them;
+only a graph variable makes it visit more than one graph.
 
 The join order decides only how much work is done, never what comes out:
 every result binds all variables of the query, so two distinct results
@@ -27,7 +27,6 @@ whatever the plan, insertion order or hash order was.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -105,84 +104,79 @@ class QuadStore:
     """Mutable quad dataset. Single-writer during mutation; reads are pure."""
 
     def __init__(self):
-        self._graphs: dict[str, set[Quad]] = {}
-        self._by_subject: dict[Term, dict[Term, set[Quad]]] = {}
-        self._by_predicate: dict[Term, set[Quad]] = {}
-        self._by_object: dict[Term, set[Quad]] = {}
+        # Graph name -> its permutation table: s -> p -> {o}, p -> o -> {s}, o -> s -> {p}.
+        self._spo: dict[str, dict[Term, dict[Term, set[Term]]]] = {}
+        self._pos: dict[str, dict[Term, dict[Term, set[Term]]]] = {}
+        self._osp: dict[str, dict[Term, dict[Term, set[Term]]]] = {}
+        self._sizes: dict[str, int] = {}
         # Graph name -> its Iri term, built (and validated) once per graph.
         self._graph_terms: dict[str, Iri] = {}
-
-    def _indexes(self, quad: Quad) -> tuple[tuple[dict, object], ...]:
-        """The flat indexes and the quad's key in each; the subject index is nested."""
-        return (
-            (self._graphs, quad.graph),
-            (self._by_subject.setdefault(quad.subject, {}), quad.predicate),
-            (self._by_predicate, quad.predicate),
-            (self._by_object, quad.object),
-        )
 
     def insert(self, quad: Quad) -> bool:
         """Add a quad; returns True iff it was not already present."""
         if not isinstance(quad, Quad):
             raise MalformedQuadError(f"expected a Quad, got {type(quad).__name__}")
-        if quad in self:
+        s, p, o, graph = quad.subject, quad.predicate, quad.object, quad.graph
+        spo = self._spo.get(graph)
+        if spo is None:
+            spo = self._spo[graph] = {}
+            self._pos[graph], self._osp[graph], self._sizes[graph] = {}, {}, 0
+            self._graph_terms[graph] = Iri(graph)
+        objects = spo.setdefault(s, {}).setdefault(p, set())
+        if o in objects:
             return False
-        if quad.graph not in self._graph_terms:
-            self._graph_terms[quad.graph] = Iri(quad.graph)
-        for index, key in self._indexes(quad):
-            index.setdefault(key, set()).add(quad)
+        objects.add(o)
+        self._pos[graph].setdefault(p, {}).setdefault(o, set()).add(s)
+        self._osp[graph].setdefault(o, {}).setdefault(s, set()).add(p)
+        self._sizes[graph] += 1
         return True
 
     def remove(self, quad: Quad) -> bool:
         """Drop a quad; returns True iff it was present."""
         if quad not in self:
             return False
-        for index, key in self._indexes(quad):
-            bucket = index[key]
-            bucket.discard(quad)
-            if not bucket:
-                del index[key]
-        if not self._by_subject[quad.subject]:
-            del self._by_subject[quad.subject]
-        if quad.graph not in self._graphs:
-            del self._graph_terms[quad.graph]
+        s, p, o, graph = quad.subject, quad.predicate, quad.object, quad.graph
+        _discard(self._spo[graph], s, p, o)
+        _discard(self._pos[graph], p, o, s)
+        _discard(self._osp[graph], o, s, p)
+        self._sizes[graph] -= 1
+        if not self._sizes[graph]:
+            self.drop_graph(graph)
         return True
 
     def drop_graph(self, graph: str) -> int:
-        """Remove every quad of one graph through `remove`; returns how many there were."""
-        quads = list(self._graphs.get(graph, ()))
-        for quad in quads:
-            self.remove(quad)
-        return len(quads)
+        """Remove every quad of one graph; returns how many there were."""
+        for table in (self._spo, self._pos, self._osp, self._graph_terms):
+            table.pop(graph, None)
+        return self._sizes.pop(graph, 0)
 
     def __len__(self) -> int:
-        return sum(len(bucket) for bucket in self._graphs.values())
+        return sum(self._sizes.values())
 
     def __contains__(self, quad: Quad) -> bool:
-        return quad in self._graphs.get(quad.graph, ())
+        return quad.object in self._spo.get(quad.graph, {}).get(quad.subject, {}).get(quad.predicate, ())
 
     def graph_size(self, graph: str) -> int:
-        return len(self._graphs.get(graph, ()))
+        return self._sizes.get(graph, 0)
 
     def graph_names(self) -> list[str]:
-        return sorted(self._graphs)
+        return sorted(self._spo)
 
     def quads(self, graph: str | None = None) -> Iterator[Quad]:
-        if graph is not None:
-            yield from self._graphs.get(graph, ())
-            return
-        for bucket in self._graphs.values():
-            yield from bucket
+        names = self._spo if graph is None else (graph,) if graph in self._spo else ()
+        for name in names:
+            for s, by_predicate in self._spo[name].items():
+                for p, objects in by_predicate.items():
+                    for o in objects:
+                        yield Quad(s, p, o, name)
 
     def graph_quads(self, graph: str) -> frozenset[Quad]:
-        return frozenset(self._graphs.get(graph, ()))
+        return frozenset(self.quads(graph))
 
     def clone(self) -> QuadStore:
         other = QuadStore()
-        other._graphs = _copy_index(self._graphs)
-        other._by_subject = {subject: _copy_index(inner) for subject, inner in self._by_subject.items()}
-        other._by_predicate = _copy_index(self._by_predicate)
-        other._by_object = _copy_index(self._by_object)
+        other._spo, other._pos, other._osp = (_copy_tables(t) for t in (self._spo, self._pos, self._osp))
+        other._sizes = dict(self._sizes)
         other._graph_terms = dict(self._graph_terms)
         return other
 
@@ -192,19 +186,17 @@ class QuadStore:
         The same terms, in the same order, as `match_pattern` binds to ?o for
         the pattern (subject, predicate, ?o, graph).
         """
-        bucket = self._by_subject.get(subject, {}).get(predicate, ())
-        return sorted((quad.object for quad in bucket if quad.graph == graph), key=sort_key)
+        return sorted(self._spo.get(graph, {}).get(subject, {}).get(predicate, ()), key=sort_key)
 
     def value(self, subject: Term, predicate: Term, graph: str) -> Term | None:
         """The one object of the quads (subject, predicate, ?, graph), or None if there is none.
 
         A functional property read: more than one object raises CardinalityError.
         """
-        bucket = self._by_subject.get(subject, {}).get(predicate, ())
-        found = [quad.object for quad in bucket if quad.graph == graph]
+        found = self._spo.get(graph, {}).get(subject, {}).get(predicate, ())
         if len(found) > 1:
             raise CardinalityError(f"{subject!r} {predicate!r} has {len(found)} values in graph {graph}, expected 1")
-        return found[0] if found else None
+        return next(iter(found), None)
 
     def match_pattern(self, pattern: Pattern) -> list[BindingSet]:
         """All bindings under which the pattern matches some quad, in deterministic order."""
@@ -220,12 +212,11 @@ class QuadStore:
     def _join(self, patterns: list[Pattern]) -> list[BindingSet]:
         """Index nested-loop join in planned order, sorted on all variables."""
         partial: list[BindingSet] = [{}]
-        graph_terms = self._graph_terms
         for pattern in _plan(patterns):
             extended: list[BindingSet] = []
             for binding in partial:
-                for quad in self._candidates(pattern, binding):
-                    merged = _unify(pattern, quad, graph_terms[quad.graph], binding)
+                for row in self._candidates(pattern, binding):
+                    merged = _unify(pattern, row, binding)
                     if merged is not None:
                         extended.append(merged)
             partial = extended
@@ -235,46 +226,76 @@ class QuadStore:
         partial.sort(key=_binding_order_key(variables))
         return partial
 
-    def _candidates(self, pattern: Pattern, binding: BindingSet) -> Iterable[Quad]:
-        """The smallest index bucket over the pattern's bound positions."""
-        subject, predicate, obj, graph = [
+    def _candidates(self, pattern: Pattern, binding: BindingSet) -> list[tuple[Term, Term, Term, Iri]]:
+        """(s, p, o, graph term) of every quad matching the pattern's bound positions.
+
+        Each graph visited is read through the one permutation whose key order
+        begins with the bound positions: POS for a predicate bound without a
+        subject, OSP for an object bound without a predicate, SPO otherwise.
+        """
+        s, p, o, graph = [
             binding.get(pos.name) if isinstance(pos, Var) else pos
             for pos in (pattern.subject, pattern.predicate, pattern.object, pattern.graph)
         ]
-        if isinstance(graph, Iri):
-            # A bound graph variable; a blank or literal there names no graph.
-            graph = graph.value
-        best: Iterable[Quad] | None = None
-        best_size = 0
-        if subject is not None:
-            by_predicate = self._by_subject.get(subject)
-            if by_predicate is None:
-                return ()
-            if predicate is None:
-                best = itertools.chain.from_iterable(by_predicate.values())
-                best_size = sum(map(len, by_predicate.values()))
-            else:
-                best = by_predicate.get(predicate)
-                if best is None:
-                    return ()
-                best_size = len(best)
-                # The (subject, predicate) bucket lies inside the predicate's.
-                predicate = None
-        for key, index in ((predicate, self._by_predicate), (obj, self._by_object), (graph, self._graphs)):
-            if key is None:
+        if graph is None:
+            names = list(self._spo)
+        elif isinstance(graph, Iri):
+            # A bound graph variable names its graph.
+            names = [graph.value]
+        else:
+            # A concrete name; a blank or literal bound to the variable names no graph.
+            names = [graph] if isinstance(graph, str) else []
+        rows: list[tuple[Term, Term, Term, Iri]] = []
+        for name in names:
+            if name not in self._spo:
                 continue
-            bucket = index.get(key)
-            if bucket is None:
-                return ()
-            if best is None or len(bucket) < best_size:
-                best, best_size = bucket, len(bucket)
-        if best is None:
-            return itertools.chain.from_iterable(self._graphs.values())
-        return best
+            g = self._graph_terms[name]
+            if p is not None and s is None:
+                by_object = self._pos[name].get(p, {})
+                if o is None:
+                    rows += [(s_, p, o_, g) for o_, subjects in by_object.items() for s_ in subjects]
+                else:
+                    rows += [(s_, p, o, g) for s_ in by_object.get(o, ())]
+            elif o is not None and p is None:
+                by_subject = self._osp[name].get(o, {})
+                if s is None:
+                    rows += [(s_, p_, o, g) for s_, predicates in by_subject.items() for p_ in predicates]
+                else:
+                    rows += [(s, p_, o, g) for p_ in by_subject.get(s, ())]
+            elif s is None:
+                rows += [
+                    (s_, p_, o_, g)
+                    for s_, by_predicate in self._spo[name].items()
+                    for p_, objects in by_predicate.items()
+                    for o_ in objects
+                ]
+            else:
+                by_predicate = self._spo[name].get(s, {})
+                if p is None:
+                    rows += [(s, p_, o_, g) for p_, objects in by_predicate.items() for o_ in objects]
+                elif o is None:
+                    rows += [(s, p, o_, g) for o_ in by_predicate.get(p, ())]
+                elif o in by_predicate.get(p, ()):
+                    rows.append((s, p, o, g))
+        return rows
 
 
-def _copy_index(index: dict) -> dict:
-    return {key: set(bucket) for key, bucket in index.items()}
+def _discard(table: dict, a: Term, b: Term, c: Term):
+    """Remove the path a -> b -> c from a permutation table, pruning levels left empty."""
+    inner = table[a]
+    leaves = inner[b]
+    leaves.discard(c)
+    if not leaves:
+        del inner[b]
+        if not inner:
+            del table[a]
+
+
+def _copy_tables(tables: dict[str, dict]) -> dict[str, dict]:
+    return {
+        graph: {a: {b: set(leaves) for b, leaves in inner.items()} for a, inner in table.items()}
+        for graph, table in tables.items()
+    }
 
 
 def _plan(patterns: list[Pattern]) -> list[Pattern]:
@@ -298,15 +319,13 @@ def _bound_positions(pattern: Pattern, bound: set[str]) -> int:
     )
 
 
-def _unify(pattern: Pattern, quad: Quad, graph_term: Iri, binding: BindingSet) -> BindingSet | None:
-    """Extend `binding` so the pattern matches the quad, or None if impossible."""
+def _unify(pattern: Pattern, row: tuple[Term, Term, Term, Iri], binding: BindingSet) -> BindingSet | None:
+    """Extend `binding` with the row's values for the pattern's variables, or None on a clash.
+
+    Concrete positions need no check: `_candidates` returns only rows that match them.
+    """
     out = binding
-    for pos, value in (
-        (pattern.subject, quad.subject),
-        (pattern.predicate, quad.predicate),
-        (pattern.object, quad.object),
-        (pattern.graph, graph_term),
-    ):
+    for pos, value in zip((pattern.subject, pattern.predicate, pattern.object, pattern.graph), row):
         if isinstance(pos, Var):
             bound = out.get(pos.name)
             if bound is None:
@@ -315,10 +334,4 @@ def _unify(pattern: Pattern, quad: Quad, graph_term: Iri, binding: BindingSet) -
                 out[pos.name] = value
             elif bound != value:
                 return None
-        elif isinstance(pos, str):
-            # Concrete graph position, compared as a name.
-            if pos != quad.graph:
-                return None
-        elif pos != value:
-            return None
     return dict(out) if out is binding else out

@@ -24,6 +24,7 @@ from graphsynth.composer import (
     PlaProgram,
     ProgramExit,
     ReportValue,
+    _TYPE,
     _ins,
 )
 from graphsynth.errors import (
@@ -34,22 +35,23 @@ from graphsynth.errors import (
     WriteError,
 )
 from graphsynth.quadstore import Pattern, QuadStore, Var
-from graphsynth.terms import RDF_TYPE, Iri, Literal, integer_literal
+from graphsynth.terms import Iri, Literal, integer_literal
 from graphsynth.views import LanguageInfo, LibraryInfo, StatementFormInfo
 
-# Concrete-program vocabulary (disjoint from the abstract one by design).
-PLR_PROGRAM = vocab.plr("Program")
-PLR_STATEMENT = vocab.plr("Statement")
-PLR_HAS_BASENAME = vocab.plr("hasBasename")
-PLR_HAS_LANGUAGE = vocab.plr("hasLanguage")
-PLR_HAS_STATEMENT = vocab.plr("hasStatement")
-PLR_HAS_VARIATION = vocab.plr("hasVariation")
-PLR_IN_SECTION = vocab.plr("inSection")
-PLR_HAS_SECTION_INDEX = vocab.plr("hasSectionIndex")
-PLR_HAS_STATEMENT_INDEX = vocab.plr("hasStatementIndex")
-PLR_HAS_ELEMENT_SLOT = vocab.plr("hasElementSlot")
-PLR_HAS_ELEMENT_INDEX = vocab.plr("hasElementIndex")
-PLR_HAS_ELEMENT_TEXT = vocab.plr("hasElementText")
+# Concrete-program vocabulary (disjoint from the abstract one by design), each
+# term built once here so that no write or read-back validates it again.
+PLR_PROGRAM = Iri(vocab.plr("Program"))
+PLR_STATEMENT = Iri(vocab.plr("Statement"))
+PLR_HAS_BASENAME = Iri(vocab.plr("hasBasename"))
+PLR_HAS_LANGUAGE = Iri(vocab.plr("hasLanguage"))
+PLR_HAS_STATEMENT = Iri(vocab.plr("hasStatement"))
+PLR_HAS_VARIATION = Iri(vocab.plr("hasVariation"))
+PLR_IN_SECTION = Iri(vocab.plr("inSection"))
+PLR_HAS_SECTION_INDEX = Iri(vocab.plr("hasSectionIndex"))
+PLR_HAS_STATEMENT_INDEX = Iri(vocab.plr("hasStatementIndex"))
+PLR_HAS_ELEMENT_SLOT = Iri(vocab.plr("hasElementSlot"))
+PLR_HAS_ELEMENT_INDEX = Iri(vocab.plr("hasElementIndex"))
+PLR_HAS_ELEMENT_TEXT = Iri(vocab.plr("hasElementText"))
 
 
 @dataclass(frozen=True)
@@ -236,8 +238,8 @@ def render(
     if store.graph_size(graph_iri) != 0:
         raise RenderError(f"target graph is not empty: {graph_iri}")
 
-    program = f"{graph_iri}#program"
-    _ins(store, graph_iri, program, RDF_TYPE, Iri(PLR_PROGRAM))
+    program = Iri(f"{graph_iri}#program")
+    _ins(store, graph_iri, program, _TYPE, PLR_PROGRAM)
     _ins(store, graph_iri, program, PLR_HAS_BASENAME, Literal(pla.basename))
     _ins(store, graph_iri, program, PLR_HAS_LANGUAGE, Iri(language.iri))
 
@@ -246,16 +248,16 @@ def render(
         for index, placed in enumerate(sorted(section.statements, key=lambda p: p.order_index)):
             concrete = renderer.render_statement(placed.statement)
             elements = _elements_for(renderer.form(concrete.variation), concrete.fields())
-            node = f"{graph_iri}#stmt-{counter}"
-            _ins(store, graph_iri, program, PLR_HAS_STATEMENT, Iri(node))
-            _ins(store, graph_iri, node, RDF_TYPE, Iri(PLR_STATEMENT))
+            node = Iri(f"{graph_iri}#stmt-{counter}")
+            _ins(store, graph_iri, program, PLR_HAS_STATEMENT, node)
+            _ins(store, graph_iri, node, _TYPE, PLR_STATEMENT)
             _ins(store, graph_iri, node, PLR_HAS_VARIATION, Literal(concrete.variation))
             _ins(store, graph_iri, node, PLR_IN_SECTION, Literal(section.name))
             _ins(store, graph_iri, node, PLR_HAS_SECTION_INDEX, integer_literal(index))
             _ins(store, graph_iri, node, PLR_HAS_STATEMENT_INDEX, integer_literal(counter))
             for element_index, text in enumerate(elements):
-                element_node = f"{node}-e{element_index}"
-                _ins(store, graph_iri, node, PLR_HAS_ELEMENT_SLOT, Iri(element_node))
+                element_node = Iri(f"{node.value}-e{element_index}")
+                _ins(store, graph_iri, node, PLR_HAS_ELEMENT_SLOT, element_node)
                 _ins(store, graph_iri, element_node, PLR_HAS_ELEMENT_INDEX, integer_literal(element_index))
                 _ins(store, graph_iri, element_node, PLR_HAS_ELEMENT_TEXT, Literal(text))
             counter += 1
@@ -263,33 +265,31 @@ def render(
     return load_plr(store, graph_iri)
 
 
-def _str_of(store: QuadStore, graph: str, subject: str, predicate: str) -> str:
+def _str_of(store: QuadStore, graph: str, subject: Iri, predicate: Iri) -> str:
     """The one value of a property the graph must hold, as its lexical form or IRI."""
     try:
-        term = store.value(Iri(subject), Iri(predicate), graph)
+        term = store.value(subject, predicate, graph)
     except CardinalityError as exc:
         raise RenderError(str(exc)) from exc
     if term is None:
-        raise RenderError(f"graph {graph} is missing {predicate} on {subject}")
+        raise RenderError(f"graph {graph} is missing {predicate.value} on {subject.value}")
     return term.lexical if isinstance(term, Literal) else term.value
 
 
 def load_plr(store: QuadStore, graph_iri: str) -> PlrProgram:
     """Reconstruct the concrete program by walking its named graph."""
-    programs = store.match_pattern(Pattern(Var("p"), Iri(RDF_TYPE), Iri(PLR_PROGRAM), graph_iri))
+    programs = store.match_pattern(Pattern(Var("p"), _TYPE, PLR_PROGRAM, graph_iri))
     if len(programs) != 1:
         raise RenderError(f"graph {graph_iri} holds {len(programs)} programs, expected 1")
-    program_iri = programs[0]["p"].value
+    program = programs[0]["p"]
 
     by_section: dict[str, list[tuple[int, PlacedConcrete]]] = {}
-    for stmt_term in store.objects(Iri(program_iri), Iri(PLR_HAS_STATEMENT), graph_iri):
-        node = stmt_term.value
+    for node in store.objects(program, PLR_HAS_STATEMENT, graph_iri):
         variation = _str_of(store, graph_iri, node, PLR_HAS_VARIATION)
         section = _str_of(store, graph_iri, node, PLR_IN_SECTION)
         section_index = int(_str_of(store, graph_iri, node, PLR_HAS_SECTION_INDEX))
         elements = []
-        for element_term in store.objects(Iri(node), Iri(PLR_HAS_ELEMENT_SLOT), graph_iri):
-            element_node = element_term.value
+        for element_node in store.objects(node, PLR_HAS_ELEMENT_SLOT, graph_iri):
             elements.append(
                 (
                     int(_str_of(store, graph_iri, element_node, PLR_HAS_ELEMENT_INDEX)),
@@ -314,9 +314,9 @@ def load_plr(store: QuadStore, graph_iri: str) -> PlrProgram:
 
     return PlrProgram(
         graph_iri=graph_iri,
-        program_iri=program_iri,
-        basename=_str_of(store, graph_iri, program_iri, PLR_HAS_BASENAME),
-        language_iri=_str_of(store, graph_iri, program_iri, PLR_HAS_LANGUAGE),
+        program_iri=program.value,
+        basename=_str_of(store, graph_iri, program, PLR_HAS_BASENAME),
+        language_iri=_str_of(store, graph_iri, program, PLR_HAS_LANGUAGE),
         sections=tuple(ordered_sections),
     )
 

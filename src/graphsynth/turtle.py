@@ -226,8 +226,9 @@ class _Parser:
     def _parse_term(self, position: str) -> Term:
         kind, text, pos = self.kind, self.text, self.pos
         if kind == _IRIREF:
+            value = self._resolve_iriref(text)
             self._bump()
-            return self._iri(self._resolve_iriref(text), pos)
+            return self._iri(value, pos)
         if kind == _PNAME:
             prefix, _, local = text.partition(":")
             namespace = self.doc.prefixes.get(prefix)

@@ -135,13 +135,6 @@ class StatementFormInfo:
 
 
 @dataclass(frozen=True)
-class RequirementInfo:
-    iri: str
-    label: str
-    implied_action: str | None
-
-
-@dataclass(frozen=True)
 class ReadCapabilityInfo:
     iri: str
     format: str
@@ -360,10 +353,6 @@ def view_code_function_by_iri(store: QuadStore, iri: str, graph: str = vocab.COR
     return _code_function_info(store, graph, iri) if _is_a(store, graph, iri, vocab.CODE_FUNCTION) else None
 
 
-def view_all_code_functions(store: QuadStore, graph: str = vocab.CORE_GRAPH) -> list[CodeFunctionInfo]:
-    return [_code_function_info(store, graph, iri) for iri in _instances(store, graph, vocab.CODE_FUNCTION)]
-
-
 # --- structures, languages, requirements ---------------------------------
 
 
@@ -394,10 +383,6 @@ def view_languages(store: QuadStore, graph: str = vocab.CORE_GRAPH) -> list[Lang
         fields["family"] = _read(store, graph, vocab.LANGUAGE_FAMILY, fields["family"])["name"]
         out.append(LanguageInfo(iri=iri, **fields))
     return out
-
-
-def view_requirements(store: QuadStore, graph: str = vocab.CORE_GRAPH) -> list[RequirementInfo]:
-    return _all(store, graph, vocab.PROGRAM_REQUIREMENT, RequirementInfo)
 
 
 def view_read_capabilities(store: QuadStore, graph: str = vocab.CORE_GRAPH) -> list[ReadCapabilityInfo]:
@@ -484,4 +469,19 @@ def check_kb(store: QuadStore, graph: str = vocab.CORE_GRAPH) -> list[str]:
         composition = sorted(s.composition_index for s in structure.slots)
         if emission != composition or emission != list(range(len(structure.slots))):
             problems.append(f"structure {structure.name} orderings are not permutations of 0..n-1")
+    for owner, link in ((vocab.STATEMENT_FORM, vocab.HAS_TEMPLATE_SLOT), (vocab.CODE_FUNCTION, vocab.HAS_ARGUMENT_SLOT)):
+        for iri in sorted(members[owner]):
+            problems += _duplicate_slot_indexes(store, graph, Iri(iri), Iri(link))
     return problems
+
+
+def _duplicate_slot_indexes(store: QuadStore, graph: str, owner: Iri, link: Iri) -> list[str]:
+    """`ENTITY PROPERTY: slot index N is held by SLOT, SLOT` for each index two of its slots share."""
+    by_index: dict[int, list[Term]] = {}
+    for slot in store.objects(owner, link, graph):
+        by_index.setdefault(int(store.value(slot, Iri(vocab.HAS_SLOT_INDEX), graph).lexical), []).append(slot)
+    return [
+        f"{_format_term(owner)} {_format_term(link)}: slot index {index} is held by {', '.join(map(_format_term, slots))}"
+        for index, slots in sorted(by_index.items())
+        if len(slots) > 1
+    ]

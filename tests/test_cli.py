@@ -218,6 +218,37 @@ def test_kb_shape_violation_maps_to_load_exit_code_and_names_entity_and_property
     assert not (out / "hello_analytic.py").exists()
 
 
+@pytest.mark.parametrize(
+    "filename, edits, problem",
+    [
+        ("statements.ttl", [("kb:py_assign_expr_s2 a gs:TemplateSlot ;\n    gs:hasSlotIndex 2",
+                             "kb:py_assign_expr_s2 a gs:TemplateSlot ;\n    gs:hasSlotIndex 0")],
+         "kb:py_assign_expr gs:hasTemplateSlot: slot index 0 is held by kb:py_assign_expr_s0, kb:py_assign_expr_s2"),
+        ("code_function.ttl", [("gs:hasArgumentSlot kb:numpy_mean_arg0 ;",
+                                "gs:hasArgumentSlot kb:numpy_mean_arg0 , kb:numpy_mean_arg1 ;"),
+                               ("kb:numpy_std a gs:CodeFunction",
+                                "kb:numpy_mean_arg1 a gs:ArgumentSlot ;\n    gs:hasSlotIndex 0 ;\n"
+                                "    gs:hasSlotRole kb:role_input_data .\n\nkb:numpy_std a gs:CodeFunction")],
+         "kb:numpy_mean gs:hasArgumentSlot: slot index 0 is held by kb:numpy_mean_arg0, kb:numpy_mean_arg1"),
+    ],
+    ids=["template-slot", "argument-slot"],
+)
+def test_duplicate_slot_index_maps_to_load_exit_code_and_names_the_slots(tmp_path, capsys, filename, edits, problem):
+    from graphsynth.seed import kb_dir
+
+    text = (kb_dir() / filename).read_text(encoding="utf-8")
+    for old, new in edits:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    kb = _doctored_kb(tmp_path, filename, text)
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "synthesize", STMT, "--kb", str(kb), "--out", str(out))
+    assert code == 3
+    assert "stage kb-load" in err
+    assert f"  - {problem}\n" in err
+    assert not (out / "hello_analytic.py").exists()
+
+
 def test_corrupt_kb_file_maps_to_load_exit_code(tmp_path, capsys):
     kb = tmp_path / "kb"
     kb.mkdir()

@@ -19,6 +19,7 @@ from oracles import (
     objects_oracle,
     oracle_cost,
     random_bgp,
+    random_dataset,
     random_quad,
     tractable_case,
 )
@@ -252,10 +253,16 @@ def _bounded_bgp(rng: random.Random, quads: list[Quad], budget: int = 50_000) ->
     return patterns[:1]
 
 
-def _check_subject_index(store: QuadStore, model: set[Quad], seen: list[Quad]):
-    """`objects` agrees with brute force, and the nested index keeps no empty level."""
-    for by_predicate in store._by_subject.values():
-        assert by_predicate and all(by_predicate.values())
+def _check_tables(store: QuadStore, model: set[Quad], seen: list[Quad]):
+    """`objects` agrees with brute force, and no permutation of any graph keeps an empty level."""
+    names = store.graph_names()
+    assert sorted(store._graph_terms) == names
+    for table in (store._spo, store._pos, store._osp):
+        assert sorted(table) == names
+        for by_first in table.values():
+            assert by_first
+            for by_second in by_first.values():
+                assert by_second and all(by_second.values())
     quads = list(model)
     for subject, predicate, graph in {(q.subject, q.predicate, q.graph) for q in seen}:
         assert store.objects(subject, predicate, graph) == objects_oracle(quads, subject, predicate, graph)
@@ -290,14 +297,15 @@ def test_indexes_stay_consistent_under_insert_remove_clone(ops, seed):
             dropped = {quad for quad in model if quad.graph == graph}
             assert store.drop_graph(graph) == len(dropped)
             model -= dropped
-            assert graph not in store.graph_names() and sorted(store._graph_terms) == store.graph_names()
+            assert graph not in store.graph_names()
         else:
             original, store = store, store.clone()
             # Emptying the original must leave the copy's indexes whole.
             for quad in list(original.quads()):
                 original.remove(quad)
-            assert len(original) == 0 and original.graph_names() == [] and original._by_subject == {}
-        _check_subject_index(store, model, inserted)
+            assert len(original) == 0 and original.graph_names() == []
+            assert original._spo == original._pos == original._osp == original._graph_terms == {}
+        _check_tables(store, model, inserted)
     assert set(store.quads()) == model and len(store) == len(model)
     quads = list(store.quads())
     # Each index on its own: one bound position per pattern, for every term seen.
@@ -336,6 +344,10 @@ def test_lookup_work_does_not_grow_with_the_graph(monkeypatch):
         store.insert(quad)
     for i in range(5000):
         store.insert(Quad(Iri(f"http://t.example/inert{i}"), P, Literal(str(i)), G))
+    # Another graph whose quads share Q with half of them and B with the other half.
+    for i in range(5000):
+        other = Iri(f"http://t.example/other{i}")
+        store.insert(Quad(other, Q, Literal(str(i)), H) if i % 2 else Quad(other, P, B, H))
     unified = 0
     original = quadstore._unify
 
@@ -354,3 +366,33 @@ def test_lookup_work_does_not_grow_with_the_graph(monkeypatch):
     unified = 0
     assert len(store.query_bgp([Pattern(Var("s"), P, Var("o"), G), Pattern(Var("s"), Q, B, G)])) == 3
     assert unified <= 2 * len(own)
+    unified = 0
+    assert store.match_pattern(Pattern(Var("s"), Var("p"), B, G)) == [{"s": A, "p": Q}]
+    assert unified <= len(own)
+    unified = 0
+    assert store.match_pattern(Pattern(Var("s"), Q, B, Var("g"))) == [{"s": A, "g": Iri(G)}]
+    assert unified <= len(own)
+
+
+def test_drop_graph_leaves_every_other_graph_unchanged():
+    rng = random.Random(5)
+    graphs = [G, H, "http://t.example/g3"]
+    store = QuadStore()
+    for quad in random_dataset(rng, max_quads=300):
+        store.insert(Quad(quad.subject, quad.predicate, quad.object, rng.choice(graphs)))
+    in_g = store.graph_quads(G)
+    s, p, o, g = Var("s"), Var("p"), Var("o"), Var("g")
+    patterns = {Pattern(s, p, o, name) for name in [*graphs, g]}
+    for quad in store.quads():
+        for name in [*graphs, g]:
+            patterns |= {Pattern(quad.subject, p, o, name), Pattern(s, quad.predicate, o, name)}
+            patterns.add(Pattern(s, p, quad.object, name))
+    before = {pattern: store.match_pattern(pattern) for pattern in patterns}
+    assert store.drop_graph(G) == len(in_g) > 0
+    assert store.graph_names() == sorted(graphs[1:]) and store.graph_size(G) == 0
+    for pattern, rows in before.items():
+        if pattern.graph == G:
+            rows = []
+        elif isinstance(pattern.graph, Var):
+            rows = [row for row in rows if row["g"] != Iri(G)]
+        assert store.match_pattern(pattern) == rows

@@ -192,9 +192,9 @@ def test_write_source_force_replaces_content_and_leaves_no_temp_file(pipeline, t
 
 def test_concrete_graph_holds_only_variation_section_order_and_elements(pipeline):
     store, _, _, plr = pipeline
-    predicates = {quad.predicate.value for quad in store.quads(plr.graph_iri)}
+    predicates = {quad.predicate for quad in store.quads(plr.graph_iri)}
     assert predicates == {
-        RDF_TYPE,
+        Iri(RDF_TYPE),
         renderer.PLR_HAS_BASENAME,
         renderer.PLR_HAS_LANGUAGE,
         renderer.PLR_HAS_STATEMENT,
@@ -207,6 +207,28 @@ def test_concrete_graph_holds_only_variation_section_order_and_elements(pipeline
         renderer.PLR_HAS_ELEMENT_TEXT,
     }
     assert load_plr(store, plr.graph_iri) == plr
+
+
+def test_compose_and_render_build_no_vocabulary_iri_and_each_node_iri_once(kb_store, statement_text, monkeypatch):
+    plan = resolve(parse_problem_statement(statement_text), kb_store)
+    built = []
+    check = Iri.__post_init__
+
+    def counting(term):
+        built.append(term.value)
+        check(term)
+
+    monkeypatch.setattr(Iri, "__post_init__", counting)
+    pla = compose(plan, kb_store)
+    plr = render(pla, plan.language, kb_store)
+    emit(plr)
+    monkeypatch.undo()
+    assert [value for value in built if value.startswith((vocab.PLA, vocab.PLR))] == []
+    node_prefixes = (f"{pla.graph_iri}#", f"{plr.graph_iri}#")
+    nodes = [value for value in built if value.startswith(node_prefixes)]
+    stored = {term.value for graph in (pla.graph_iri, plr.graph_iri) for quad in kb_store.quads(graph)
+              for term in (quad.subject, quad.object) if isinstance(term, Iri) and term.value.startswith(node_prefixes)}
+    assert sorted(nodes) == sorted(stored)
 
 
 def test_render_emits_the_exit_function_the_plan_chose(kb_store, statement_text):

@@ -131,8 +131,7 @@ _ERROR_HEAD = "# leading comment\r\n@prefix a: <http://x.example/> .\r\n\t# inde
         ('\ta:q\t"a\\qb" .\r\n', "unknown escape '\\q'", 5, 8),
         ('\ta:q\t"x\\u12G4" .\r\n', "bad unicode escape", 5, 8),
         ("\tnope:q\ta:o .\r\n", "undeclared prefix 'nope:'", 5, 2),
-        # Reported at the token after the IRI, where the parser stands when it resolves it.
-        ("\t<q>\ta:o .\r\n", "relative IRI <q> with no @base in scope", 5, 6),
+        ("\t<q>\ta:o .\r\n", "relative IRI <q> with no @base in scope", 5, 2),
         ("\ta:q\ta:o\r\n# between\r\na:t a:p a:o .\r\n", "expected '.', got 'a:t'", 7, 1),
         ("\t_:b\ta:o .\r\n", "blank node not allowed as predicate", 5, 2),
     ],
