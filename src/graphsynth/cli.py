@@ -12,8 +12,8 @@ import os
 import shutil
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from graphsynth import seed, vocab
 from graphsynth.composer import compose
@@ -56,8 +56,7 @@ class _StageFailure(Exception):
         super().__init__(message)
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     kb_dir: Path
     catalog: Path
     out_dir: Path

@@ -11,14 +11,13 @@ keywords; functions appear only as knowledge-base entity IRIs.
 from __future__ import annotations
 
 import keyword
-from dataclasses import dataclass
-from typing import Collection
+from typing import Collection, NamedTuple
 
 from graphsynth import vocab, views
 from graphsynth.errors import CardinalityError, ComposeError, UnnamedVariableError
 from graphsynth.quadstore import Pattern, Quad, QuadStore, Var
 from graphsynth.resolver import BuildPlan
-from graphsynth.terms import RDF_TYPE, Iri, Literal, Term, integer_literal
+from graphsynth.terms import RDF_TYPE, Iri, Literal, Term, _Frozen, _set, integer_literal
 from graphsynth.views import CodeFunctionInfo, LibraryInfo, NamingPatternInfo
 
 # Abstract-program vocabulary (disjoint from the concrete one by design), each
@@ -56,62 +55,55 @@ PLA_HAS_LIBRARY_REFERENCE = Iri(vocab.pla("hasLibraryReference"))
 PLA_REFERS_TO_LIBRARY = Iri(vocab.pla("refersToLibrary"))
 
 
-@dataclass(frozen=True)
-class CallArg:
+class CallArg(_Frozen):
     """One argument of an abstract call: a variable reference or a literal."""
 
-    variable: str | None = None
-    literal: str | None = None
+    __slots__ = ("variable", "literal")
 
-    def __post_init__(self):
-        if (self.variable is None) == (self.literal is None):
+    def __init__(self, variable: str | None = None, literal: str | None = None):
+        if (variable is None) == (literal is None):
             raise ComposeError("call argument must be exactly one of variable or literal")
+        _set(self, "variable", variable)
+        _set(self, "literal", literal)
 
 
-@dataclass(frozen=True)
-class AssignLiteral:
+class AssignLiteral(NamedTuple):
     target: str
     value: str
     role: str
 
 
-@dataclass(frozen=True)
-class AssignCall:
+class AssignCall(NamedTuple):
     target: str
     function: str
     args: tuple[CallArg, ...]
 
 
-@dataclass(frozen=True)
-class ReportValue:
+class ReportValue(NamedTuple):
     label: str
     source: str
 
 
-@dataclass(frozen=True)
-class ProgramExit:
+class ProgramExit(NamedTuple):
     status: int
     function: str
 
 
-@dataclass(frozen=True)
-class ImportDirective:
+class ImportDirective(NamedTuple):
     library: str
 
 
 AbstractStatement = AssignLiteral | AssignCall | ReportValue | ProgramExit | ImportDirective
 
 
-@dataclass(frozen=True)
-class PlacedStatement:
+class PlacedStatement(NamedTuple):
     statement: AbstractStatement
     section: str
     order_index: int
     composition_index: int
 
 
-@dataclass(frozen=True)
-class PlaSection:
+class PlaSection(NamedTuple):
     name: str
     entity_iri: str
     emission_index: int
@@ -119,8 +111,7 @@ class PlaSection:
     statements: tuple[PlacedStatement, ...]
 
 
-@dataclass(frozen=True)
-class PlaProgram:
+class PlaProgram(NamedTuple):
     graph_iri: str
     program_iri: str
     basename: str
@@ -141,8 +132,7 @@ class PlaProgram:
         return sorted(out, key=lambda p: p.composition_index)
 
 
-@dataclass(frozen=True)
-class NamingContext:
+class NamingContext(NamedTuple):
     """The situation a variable is being named in; payload depends on the pattern."""
 
     pattern_id: str

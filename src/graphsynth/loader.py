@@ -10,9 +10,8 @@ message starts with the file's path.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from graphsynth.errors import CatalogError, ImportResolutionError, KbFileError, TurtleParseError
 from graphsynth.quadstore import Quad, QuadStore
@@ -20,8 +19,7 @@ from graphsynth.terms import OWL_IMPORTS, OWL_ONTOLOGY, RDF_TYPE, Blank, Iri, Te
 from graphsynth.turtle import OntologyDocument, parse_document
 
 
-@dataclass(frozen=True)
-class LoadReport:
+class LoadReport(NamedTuple):
     files: int
     quads: int
 
@@ -76,6 +74,8 @@ def _renamed(doc_key: str, term: Term) -> Term:
     """A blank node under its dataset-unique id; any other term as it is."""
     if not isinstance(term, Blank):
         return term
+    import hashlib  # here, not at the top: only blank nodes need it, and most KBs have none
+
     digest = hashlib.sha1(f"{doc_key}|{term.id}".encode("utf-8")).hexdigest()[:16]
     return Blank(f"b{digest}")
 

@@ -9,7 +9,7 @@ keys, and list/scalar mismatches are errors with positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from graphsynth.errors import (
     DuplicateKeyError,
@@ -41,18 +41,16 @@ _CANONICAL_ORDER = (
 )
 
 
-@dataclass(frozen=True)
-class ProblemStatement:
+class ProblemStatement(NamedTuple):
     data_source_names: tuple[str, ...]
     requested_calculations: tuple[str, ...]
     program_requirements: tuple[str, ...]
     programming_language: str
     program_basename: str
-    library_preferences: tuple[str, ...] = field(default=())
+    library_preferences: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # IDENT | STRING | PUNCT | EOF
     text: str
     line: int

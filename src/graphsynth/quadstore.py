@@ -28,57 +28,92 @@ whatever the plan, insertion order or hash order was.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from graphsynth.errors import CardinalityError, MalformedQuadError
-from graphsynth.terms import _WHITESPACE, Blank, Iri, Literal, Term, sort_key
+from graphsynth.terms import _WHITESPACE, Blank, Iri, Literal, Term, _Frozen, _set, sort_key
 
 _VAR_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
-@dataclass(frozen=True, slots=True)
-class Quad:
-    subject: Term
-    predicate: Term
-    object: Term
-    graph: str
+class Quad(_Frozen):
+    __slots__ = ("subject", "predicate", "object", "graph")
 
-    def __post_init__(self):
-        if isinstance(self.subject, Literal):
-            raise MalformedQuadError(f"quad subject may not be a literal: {self.subject!r}")
-        if not isinstance(self.subject, (Iri, Blank)):
-            raise MalformedQuadError(f"quad subject must be an IRI or blank node: {self.subject!r}")
-        if not isinstance(self.predicate, Iri):
-            raise MalformedQuadError(f"quad predicate must be an IRI: {self.predicate!r}")
-        if not isinstance(self.object, (Iri, Blank, Literal)):
-            raise MalformedQuadError(f"quad object must be a term: {self.object!r}")
-        if not self.graph or not isinstance(self.graph, str) or _WHITESPACE.search(self.graph):
+    def __init__(self, subject: Term, predicate: Term, object: Term, graph: str):
+        if isinstance(subject, Literal):
+            raise MalformedQuadError(f"quad subject may not be a literal: {subject!r}")
+        if not isinstance(subject, (Iri, Blank)):
+            raise MalformedQuadError(f"quad subject must be an IRI or blank node: {subject!r}")
+        if not isinstance(predicate, Iri):
+            raise MalformedQuadError(f"quad predicate must be an IRI: {predicate!r}")
+        if not isinstance(object, (Iri, Blank, Literal)):
+            raise MalformedQuadError(f"quad object must be a term: {object!r}")
+        if not graph or not isinstance(graph, str) or _WHITESPACE.search(graph):
             raise MalformedQuadError("quad graph must be a non-empty IRI string")
+        _set(self, "subject", subject)
+        _set(self, "predicate", predicate)
+        _set(self, "object", object)
+        _set(self, "graph", graph)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (
+                self.subject == other.subject
+                and self.predicate == other.predicate
+                and self.object == other.object
+                and self.graph == other.graph
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.subject, self.predicate, self.object, self.graph))
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
+class Var(_Frozen):
     """A named variable usable in any pattern position."""
 
-    name: str
+    __slots__ = ("name",)
 
-    def __post_init__(self):
-        if not _VAR_NAME.match(self.name):
-            raise MalformedQuadError(f"variable name must be an identifier, got {self.name!r}")
+    def __init__(self, name: str):
+        if not _VAR_NAME.match(name):
+            raise MalformedQuadError(f"variable name must be an identifier, got {name!r}")
+        _set(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.name)
 
     def __repr__(self):
         return f"?{self.name}"
 
 
-@dataclass(frozen=True, slots=True)
-class Pattern:
+class Pattern(_Frozen):
     """One quad pattern; the same variable name in two positions is a join constraint."""
 
-    subject: Term | Var
-    predicate: Term | Var
-    object: Term | Var
-    graph: str | Var
+    __slots__ = ("subject", "predicate", "object", "graph")
+
+    def __init__(self, subject: Term | Var, predicate: Term | Var, object: Term | Var, graph: str | Var):
+        _set(self, "subject", subject)
+        _set(self, "predicate", predicate)
+        _set(self, "object", object)
+        _set(self, "graph", graph)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (
+                self.subject == other.subject
+                and self.predicate == other.predicate
+                and self.object == other.object
+                and self.graph == other.graph
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.subject, self.predicate, self.object, self.graph))
 
     def variables(self) -> set[str]:
         names = set()

@@ -10,10 +10,9 @@ fixed source order and concatenates each statement's elements.
 
 from __future__ import annotations
 
-import ast
 import os
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from graphsynth import vocab, views
 from graphsynth.composer import (
@@ -54,8 +53,7 @@ PLR_HAS_ELEMENT_INDEX = Iri(vocab.plr("hasElementIndex"))
 PLR_HAS_ELEMENT_TEXT = Iri(vocab.plr("hasElementText"))
 
 
-@dataclass(frozen=True)
-class ImportPlain:
+class ImportPlain(NamedTuple):
     official_name: str
 
     variation = vocab.VARIATION_IMPORT_PLAIN
@@ -64,8 +62,7 @@ class ImportPlain:
         return {"official_name": self.official_name}
 
 
-@dataclass(frozen=True)
-class ImportAliased:
+class ImportAliased(NamedTuple):
     official_name: str
     alias: str
 
@@ -75,8 +72,7 @@ class ImportAliased:
         return {"official_name": self.official_name, "alias": self.alias}
 
 
-@dataclass(frozen=True)
-class AssignExpr:
+class AssignExpr(NamedTuple):
     lhs: str
     rhs: str
 
@@ -86,8 +82,7 @@ class AssignExpr:
         return {"target": self.lhs, "expression": self.rhs}
 
 
-@dataclass(frozen=True)
-class CallStmt:
+class CallStmt(NamedTuple):
     callee: str
     args: tuple[str, ...]
 
@@ -100,8 +95,7 @@ class CallStmt:
 ConcreteStatement = ImportPlain | ImportAliased | AssignExpr | CallStmt
 
 
-@dataclass(frozen=True)
-class PlacedConcrete:
+class PlacedConcrete(NamedTuple):
     variation: str
     section: str
     section_index: int
@@ -111,8 +105,7 @@ class PlacedConcrete:
         return "".join(self.elements)
 
 
-@dataclass(frozen=True)
-class PlrProgram:
+class PlrProgram(NamedTuple):
     graph_iri: str
     program_iri: str
     basename: str
@@ -325,7 +318,9 @@ def emit(plr: PlrProgram, blank_lines_between_sections: bool = False) -> str:
     """Serialize the concrete program: one statement per line, LF endings,
     exactly one trailing newline; optionally one blank line between sections.
 
-    Text that does not parse as Python is a RenderError, so it never reaches a file.
+    Text that does not compile as a Python module is a RenderError, so it never
+    reaches a file; compiling, unlike parsing, also rejects `yield`, `return`,
+    `await` and `break` outside the constructs that allow them.
     """
     blocks = []
     for _, statements in plr.sections:
@@ -337,7 +332,7 @@ def emit(plr: PlrProgram, blank_lines_between_sections: bool = False) -> str:
     joiner = "\n\n" if blank_lines_between_sections else "\n"
     text = joiner.join(blocks) + "\n"
     try:
-        ast.parse(text)
+        compile(text, "<emitted>", "exec", dont_inherit=True)
     except SyntaxError as exc:
         raise RenderError(f"emitted source does not parse: line {exc.lineno}: {exc.msg}") from exc
     return text

@@ -8,8 +8,7 @@ an error, never a silent guess.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 from graphsynth import vocab, views
 from graphsynth.errors import (
@@ -33,15 +32,13 @@ from graphsynth.views import (
 )
 
 
-@dataclass(frozen=True)
-class PlannedCalculation:
+class PlannedCalculation(NamedTuple):
     label: str
     algorithm: AlgorithmInfo
     function: CodeFunctionInfo
 
 
-@dataclass(frozen=True)
-class BuildPlan:
+class BuildPlan(NamedTuple):
     data_source: DataSourceInfo
     calculations: tuple[PlannedCalculation, ...]
     reader_function: CodeFunctionInfo

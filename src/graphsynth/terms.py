@@ -10,7 +10,6 @@ serialization deterministic.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from graphsynth.errors import MalformedTermError
 
@@ -34,34 +33,96 @@ _WHITESPACE = re.compile(r"\s")
 _BLANK_ID = re.compile(r"^[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?$")
 
 
-@dataclass(frozen=True, slots=True)
-class Iri:
-    value: str
+class _Frozen:
+    """Base of the immutable `__slots__` records: fields are set once, in `__init__`.
 
-    def __post_init__(self):
-        if not self.value:
+    Records compare and hash by their fields, and only with records of the
+    same class. Terms, quads, variables and patterns write out their own
+    `__eq__` and `__hash__`, faster than these: terms key every store table
+    and patterns are compared while a query is planned. Assigning or
+    deleting a field raises AttributeError; copy and pickle rebuild a
+    record from its fields, through `__init__` and its checks.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+
+# Sets a field of a `_Frozen` record from inside its `__init__`.
+_set = object.__setattr__
+
+
+class Iri(_Frozen):
+    __slots__ = ("value",)
+
+    def __init__(self, value: str):
+        if not value:
             raise MalformedTermError("IRI must be non-empty")
-        if _WHITESPACE.search(self.value):
-            raise MalformedTermError(f"IRI contains whitespace: {self.value!r}")
+        if _WHITESPACE.search(value):
+            raise MalformedTermError(f"IRI contains whitespace: {value!r}")
+        _set(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.value == other.value
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.value)
 
     def __repr__(self):
         return f"<{self.value}>"
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
-    lexical: str
-    datatype: str = XSD_STRING
-    language_tag: str | None = None
+class Literal(_Frozen):
+    __slots__ = ("lexical", "datatype", "language_tag")
 
-    def __post_init__(self):
-        if not self.datatype:
+    def __init__(self, lexical: str, datatype: str = XSD_STRING, language_tag: str | None = None):
+        if not datatype:
             raise MalformedTermError("literal must carry a datatype IRI")
-        if self.language_tag is not None and self.datatype != RDF_LANG_STRING:
+        if language_tag is not None and datatype != RDF_LANG_STRING:
             raise MalformedTermError("language-tagged literal must use the rdf langString datatype")
-        if self.language_tag == "":
+        if language_tag == "":
             # An empty tag would share its sort key with no tag at all.
             raise MalformedTermError("language tag must be non-empty")
+        _set(self, "lexical", lexical)
+        _set(self, "datatype", datatype)
+        _set(self, "language_tag", language_tag)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (
+                self.lexical == other.lexical
+                and self.datatype == other.datatype
+                and self.language_tag == other.language_tag
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.lexical, self.datatype, self.language_tag))
 
     def __repr__(self):
         if self.language_tag is not None:
@@ -71,13 +132,21 @@ class Literal:
         return f"{self.lexical!r}^^<{self.datatype}>"
 
 
-@dataclass(frozen=True, slots=True)
-class Blank:
-    id: str
+class Blank(_Frozen):
+    __slots__ = ("id",)
 
-    def __post_init__(self):
-        if not _BLANK_ID.match(self.id):
-            raise MalformedTermError(f"blank node id must be a simple label, got {self.id!r}")
+    def __init__(self, id: str):
+        if not _BLANK_ID.match(id):
+            raise MalformedTermError(f"blank node id must be a simple label, got {id!r}")
+        _set(self, "id", id)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.id == other.id
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.id)
 
     def __repr__(self):
         return f"_:{self.id}"

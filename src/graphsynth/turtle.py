@@ -16,7 +16,6 @@ are counted from its offset when it is raised.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from graphsynth import vocab
 from graphsynth.errors import MalformedTermError, TurtleParseError
@@ -89,13 +88,15 @@ _STRING_RUN = {'"': re.compile(r'[^"\\\n]*'), "'": re.compile(r"[^'\\\n]*")}
 _A = Iri(RDF_TYPE)
 
 
-@dataclass
 class OntologyDocument:
     """One parsed ontology file: directives plus its statements in document order."""
 
-    base: str | None = None
-    prefixes: dict[str, str] = field(default_factory=dict)
-    statements: list[Quad] = field(default_factory=list)
+    __slots__ = ("base", "prefixes", "statements")
+
+    def __init__(self):
+        self.base: str | None = None
+        self.prefixes: dict[str, str] = {}
+        self.statements: list[Quad] = []
 
 
 def _error_at(text: str, pos: int, message: str) -> TurtleParseError:

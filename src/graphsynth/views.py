@@ -4,16 +4,16 @@
 entity class the views read: per property its field, predicate, kind and
 cardinality, plus the field that labels the instances. `check_kb`
 validates every instance against it at load; the views then fill their
-dataclasses from the same table through `_read`, with no defaults: an
-absent value reads as None (or an empty tuple). Views never mutate the
-store and never interpret anything beyond the explicitly inserted triples.
+`NamedTuple` records from the same table through `_read`, with no
+defaults: an absent value reads as None (or an empty tuple). Views never
+mutate the store and never interpret anything beyond the explicitly
+inserted triples.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from graphsynth import vocab
 from graphsynth.quadstore import Pattern, QuadStore, Var
@@ -21,8 +21,7 @@ from graphsynth.terms import RDF_TYPE, XSD_BOOLEAN, XSD_INTEGER, XSD_STRING, Iri
 from graphsynth.turtle import _format_term
 
 
-@dataclass(frozen=True)
-class DataSourceInfo:
+class DataSourceInfo(NamedTuple):
     iri: str
     name: str
     container: str
@@ -42,8 +41,7 @@ class DataSourceInfo:
         return self.quantity_types[0] if len(self.quantity_types) == 1 else None
 
 
-@dataclass(frozen=True)
-class AlgorithmInfo:
+class AlgorithmInfo(NamedTuple):
     iri: str
     name: str
     output_description_labels: frozenset[str]
@@ -55,16 +53,14 @@ class AlgorithmInfo:
     time_complexity: str
 
 
-@dataclass(frozen=True)
-class LibraryInfo:
+class LibraryInfo(NamedTuple):
     iri: str
     official_name: str
     alias: str | None
     kind: str
 
 
-@dataclass(frozen=True)
-class CodeFunctionInfo:
+class CodeFunctionInfo(NamedTuple):
     iri: str
     callable_name: str
     library: LibraryInfo
@@ -79,16 +75,14 @@ class CodeFunctionInfo:
         return f"{self.library.official_name}.{self.callable_name}"
 
 
-@dataclass(frozen=True)
-class SectionSlotInfo:
+class SectionSlotInfo(NamedTuple):
     section_iri: str
     name: str
     emission_index: int
     composition_index: int
 
 
-@dataclass(frozen=True)
-class ProgramStructureInfo:
+class ProgramStructureInfo(NamedTuple):
     iri: str
     name: str
     slots: tuple[SectionSlotInfo, ...]
@@ -101,8 +95,7 @@ class ProgramStructureInfo:
         return tuple(s.name for s in sorted(self.slots, key=lambda s: s.composition_index))
 
 
-@dataclass(frozen=True)
-class LanguageInfo:
+class LanguageInfo(NamedTuple):
     iri: str
     tag: str
     family: str
@@ -111,31 +104,27 @@ class LanguageInfo:
     string_quote: str
 
 
-@dataclass(frozen=True)
-class NamingPatternInfo:
+class NamingPatternInfo(NamedTuple):
     iri: str
     pattern_id: str
     separator: str | None
     suffix_label: str | None
 
 
-@dataclass(frozen=True)
-class TemplateSlotInfo:
+class TemplateSlotInfo(NamedTuple):
     index: int
     text: str | None
     field: str | None
 
 
-@dataclass(frozen=True)
-class StatementFormInfo:
+class StatementFormInfo(NamedTuple):
     iri: str
     variation_id: str
     family: str
     slots: tuple[TemplateSlotInfo, ...]
 
 
-@dataclass(frozen=True)
-class ReadCapabilityInfo:
+class ReadCapabilityInfo(NamedTuple):
     iri: str
     format: str
     value_datatype: str
@@ -262,7 +251,7 @@ def _is_a(store: QuadStore, graph: str, iri: str, cls: str) -> bool:
 
 
 def _all(store: QuadStore, graph: str, cls: str, info: type) -> list:
-    """Every instance of `cls`, filled into the dataclass `info` straight from its shape."""
+    """Every instance of `cls`, filled into the record class `info` by field name straight from its shape."""
     return [info(iri=iri, **_read(store, graph, cls, iri)) for iri in _instances(store, graph, cls)]
 
 

@@ -4,7 +4,6 @@ PASS line once its assertions hold (visible with `pytest -v -s` or `-rA`).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 import shutil
@@ -100,11 +99,11 @@ def _synthesize_variants(kb_store, statement_text):
     plan = resolve(parse_problem_statement(statement_text), kb_store)
     variants = [
         ("exemplar", plan),
-        ("zero-calculations", dataclasses.replace(plan, calculations=(), program_basename="hollow")),
-        ("single", dataclasses.replace(plan, calculations=plan.calculations[:1], program_basename="single")),
+        ("zero-calculations", plan._replace(calculations=(), program_basename="hollow")),
+        ("single", plan._replace(calculations=plan.calculations[:1], program_basename="single")),
         (
             "duplicated",
-            dataclasses.replace(plan, calculations=plan.calculations + plan.calculations, program_basename="doubled"),
+            plan._replace(calculations=plan.calculations + plan.calculations, program_basename="doubled"),
         ),
     ]
     for _, variant in variants:

@@ -165,13 +165,22 @@ def test_missing_statement_forms_map_to_render_exit_code(tmp_path, capsys):
     assert "stage render" in err
 
 
-def test_emitted_text_that_does_not_parse_maps_to_render_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "slot_text",
+    [
+        " = (",
+        # Parses, but `yield` outside a function does not compile.
+        " = yield ",
+    ],
+    ids=["unclosed-paren", "yield-outside-function"],
+)
+def test_emitted_text_that_does_not_parse_maps_to_render_exit_code(tmp_path, capsys, slot_text):
     from graphsynth.seed import kb_dir
 
     text = (kb_dir() / "statements.ttl").read_text(encoding="utf-8")
     old = 'gs:hasSlotText " = "'
     assert old in text
-    kb = _doctored_kb(tmp_path, "statements.ttl", text.replace(old, 'gs:hasSlotText " = ("'))
+    kb = _doctored_kb(tmp_path, "statements.ttl", text.replace(old, f'gs:hasSlotText "{slot_text}"'))
     out = tmp_path / "out"
     code, _, err = run(capsys, "synthesize", STMT, "--kb", str(kb), "--out", str(out))
     assert code == 7
@@ -413,15 +422,39 @@ def test_query_bad_term_is_config(capsys):
     assert code == 2
 
 
-def test_importing_the_cli_does_not_import_subprocess():
+@pytest.fixture(scope="module")
+def modules_after_importing_the_cli() -> set[str]:
     import graphsynth
 
     # -S keeps site-installed .pth files out, so only graphsynth's own imports count.
     env = {**os.environ, "PYTHONPATH": str(Path(graphsynth.__file__).parents[1])}
-    probe = "import sys, graphsynth.cli; print('subprocess' in sys.modules)"
+    probe = "import sys, graphsynth.cli; print(' '.join(sys.modules))"
     proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return set(proc.stdout.split())
+
+
+@pytest.mark.parametrize(
+    "module, loaded",
+    [
+        # Machinery no command needs: subprocess is for --exec-check only,
+        # hashlib for blank-node renaming only; dataclasses brings inspect and ast.
+        ("subprocess", False),
+        ("dataclasses", False),
+        ("inspect", False),
+        ("ast", False),
+        ("hashlib", False),
+        # The pipeline modules, which a tracer wrapping their functions
+        # expects to find loaded after `import graphsynth.cli`.
+        ("graphsynth.resolver", True),
+        ("graphsynth.composer", True),
+        ("graphsynth.renderer", True),
+        ("graphsynth.problem", True),
+        ("graphsynth.views", True),
+    ],
+)
+def test_importing_the_cli_loads_the_pipeline_and_no_unneeded_module(modules_after_importing_the_cli, module, loaded):
+    assert (module in modules_after_importing_the_cli) == loaded
 
 
 def test_exec_check_reports_values(tmp_path, capsys):

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 
 import pytest
 
@@ -139,7 +138,7 @@ def test_load_pla_round_trips_the_composed_object(kb_store, plan):
 
 
 def test_degenerate_plan_with_zero_calculations(kb_store, plan):
-    bare = dataclasses.replace(plan, calculations=())
+    bare = plan._replace(calculations=())
     pla = compose(bare, kb_store)
     assert section_counts(pla) == {"Preamble": 2, "Input": 2, "Calculate": 0, "Output": 0, "CleanUp": 1}
     # numpy still imported: the reader references it.
@@ -196,7 +195,7 @@ def test_derived_name_that_is_no_identifier_raises_unnamed_variable(kb_store, ca
     from graphsynth.views import view_code_function_by_iri
 
     patterns = view_naming_patterns(kb_store)
-    function = dataclasses.replace(view_code_function_by_iri(kb_store, vocab.NUMPY_MEAN), callable_name=callable_name)
+    function = view_code_function_by_iri(kb_store, vocab.NUMPY_MEAN)._replace(callable_name=callable_name)
     with pytest.raises(UnnamedVariableError):
         derive_variable_name(patterns, NamingContext(vocab.PATTERN_ASSIGN_FUNCTION_RETURN, function=function))
 
@@ -204,9 +203,9 @@ def test_derived_name_that_is_no_identifier_raises_unnamed_variable(kb_store, ca
 def test_derived_name_that_shadows_an_import_raises_unnamed_variable(kb_store, plan):
     assert library_names(plan) == {"numpy", "np", "sys"}
     calc = plan.calculations[0]
-    shadowing = dataclasses.replace(calc, function=dataclasses.replace(calc.function, callable_name="np"))
+    shadowing = calc._replace(function=calc.function._replace(callable_name="np"))
     with pytest.raises(UnnamedVariableError, match="imported library"):
-        compose(dataclasses.replace(plan, calculations=(shadowing, *plan.calculations[1:])), kb_store)
+        compose(plan._replace(calculations=(shadowing, *plan.calculations[1:])), kb_store)
 
 
 def test_collision_policy_appends_numeric_suffixes():
@@ -217,7 +216,7 @@ def test_collision_policy_appends_numeric_suffixes():
 
 def test_collisions_during_composition_are_deterministic(kb_store, plan):
     # Two calculations resolving to the same callable name must not collide.
-    doubled = dataclasses.replace(plan, calculations=(plan.calculations[0], plan.calculations[0]))
+    doubled = plan._replace(calculations=(plan.calculations[0], plan.calculations[0]))
     pla = compose(doubled, kb_store)
     targets = [p.statement.target for p in pla.section("Calculate").statements]
     assert targets == ["mean", "mean_2"]

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 
 import pytest
 
@@ -64,7 +63,7 @@ def test_exemplar_statement_resolves_to_expected_plan(exemplar_plan):
 def test_plan_preserves_requested_calculation_order(seed_kb, statement_text):
     store, _ = seed_kb
     ps = parse_problem_statement(statement_text)
-    swapped = dataclasses.replace(ps, requested_calculations=tuple(reversed(ps.requested_calculations)))
+    swapped = ps._replace(requested_calculations=tuple(reversed(ps.requested_calculations)))
     plan = resolve(swapped, store)
     assert [c.label for c in plan.calculations] == list(swapped.requested_calculations)
 
@@ -175,7 +174,7 @@ def test_compatibility_of_exemplar_pairing(seed_kb):
 def test_compatibility_min_input_count_violation(seed_kb):
     store, _ = seed_kb
     [ds] = views.view_data_source(store, "my_input.txt")
-    small = dataclasses.replace(ds, data_rows=1)
+    small = ds._replace(data_rows=1)
     [alg] = views.view_algorithm_by_label(store, "average value")
     assert check_compatibility(alg, small) == ["min_input_count"]
 
@@ -183,7 +182,7 @@ def test_compatibility_min_input_count_violation(seed_kb):
 def test_compatibility_numeric_violation(seed_kb):
     store, _ = seed_kb
     [ds] = views.view_data_source(store, "my_input.txt")
-    texty = dataclasses.replace(ds, value_datatype=vocab.TEXT_DATATYPE, value_datatype_numeric=False)
+    texty = ds._replace(value_datatype=vocab.TEXT_DATATYPE, value_datatype_numeric=False)
     [alg] = views.view_algorithm_by_label(store, "average value")
     assert "numeric_input" in check_compatibility(alg, texty)
 
@@ -191,7 +190,7 @@ def test_compatibility_numeric_violation(seed_kb):
 def test_compatibility_same_quantity_violation(seed_kb):
     store, _ = seed_kb
     [ds] = views.view_data_source(store, "my_input.txt")
-    mixed = dataclasses.replace(ds, quantity_types=(vocab.DIMENSIONLESS_SAMPLE, "http://t.example/temperature"))
+    mixed = ds._replace(quantity_types=(vocab.DIMENSIONLESS_SAMPLE, "http://t.example/temperature"))
     [alg] = views.view_algorithm_by_label(store, "average value")
     assert "same_quantity" in check_compatibility(alg, mixed)
 
