@@ -11,18 +11,19 @@ keywords; functions appear only as knowledge-base entity IRIs.
 from __future__ import annotations
 
 import keyword
-from typing import Collection, NamedTuple
+from operator import itemgetter
+from typing import Collection, Iterable, NamedTuple
 
 from graphsynth import vocab, views
 from graphsynth.errors import CardinalityError, ComposeError, UnnamedVariableError
-from graphsynth.quadstore import Pattern, Quad, QuadStore, Var
+from graphsynth.quadstore import QuadStore
 from graphsynth.resolver import BuildPlan
-from graphsynth.terms import RDF_TYPE, Iri, Literal, Term, _Frozen, _set, integer_literal
+from graphsynth.terms import Iri, _Frozen, _set
+from graphsynth.views import INT, IRI, MANY, NODE, STR, TYPE, read, write
 from graphsynth.views import CodeFunctionInfo, LibraryInfo, NamingPatternInfo
 
 # Abstract-program vocabulary (disjoint from the concrete one by design), each
 # term built once here so that no write or read-back validates it again.
-_TYPE = Iri(RDF_TYPE)
 PLA_PROGRAM = Iri(vocab.pla("Program"))
 PLA_SECTION = Iri(vocab.pla("Section"))
 PLA_ASSIGN_LITERAL = Iri(vocab.pla("AssignLiteral"))
@@ -272,9 +273,13 @@ class _Composition:
         self.note_library(self.plan.exit_function.library)
 
     def compose_preamble(self):
-        ordered = sorted(self.libraries.values(), key=lambda lib: lib.official_name.encode("utf-8"))
-        for library in ordered:
+        for library in import_order(self.libraries.values()):
             self.place(vocab.SECTION_PREAMBLE, ImportDirective(library.iri))
+
+
+def import_order(libraries: Iterable[LibraryInfo]) -> list[LibraryInfo]:
+    """The libraries in the order the program imports them: byte-wise by official name."""
+    return sorted(libraries, key=lambda lib: lib.official_name.encode("utf-8"))
 
 
 def compose(plan: BuildPlan, store: QuadStore, graph_iri: str | None = None) -> PlaProgram:
@@ -303,176 +308,127 @@ def compose(plan: BuildPlan, store: QuadStore, graph_iri: str | None = None) -> 
 
 # --- graph encoding -------------------------------------------------------
 
+# One field table per PLA node, in the form of `views.SHAPES`; field names are
+# those of the records the node encodes. A field two tables share is declared once.
+_COMPOSITION_INDEX = ("composition_index", PLA_HAS_COMPOSITION_INDEX, INT, 1, 1)
+_SLOT_INDEX = ("index", PLA_HAS_SLOT_INDEX, INT, 1, 1)
+_TARGET = ("target", PLA_HAS_TARGET_VARIABLE, STR, 1, 1)
+_FUNCTION = ("function", PLA_CALLS_FUNCTION, IRI, 1, 1)
 
-def _ins(store: QuadStore, graph: str, subject: Iri, predicate: Iri, obj: Term):
-    store.insert(Quad(subject, predicate, obj, graph))
+_PROGRAM = (
+    TYPE,
+    ("basename", PLA_HAS_BASENAME, STR, 1, 1),
+    ("structure_iri", PLA_USES_STRUCTURE, IRI, 1, 1),
+    ("sections", PLA_HAS_SECTION, NODE, 1, MANY),
+    ("library_references", PLA_HAS_LIBRARY_REFERENCE, NODE, 0, MANY),
+)
+_SECTION = (
+    TYPE,
+    ("name", PLA_HAS_SECTION_NAME, STR, 1, 1),
+    ("entity_iri", PLA_SECTION_ENTITY, IRI, 1, 1),
+    ("emission_index", PLA_HAS_EMISSION_INDEX, INT, 1, 1),
+    _COMPOSITION_INDEX,
+    ("statements", PLA_HAS_STATEMENT, NODE, 0, MANY),
+)
+_LIBRARY_REFERENCE = (_SLOT_INDEX, ("library", PLA_REFERS_TO_LIBRARY, IRI, 1, 1))
+# Every statement node: its statement kind as rdf:type, and where it is placed.
+_PLACEMENT = (TYPE, ("order_index", PLA_HAS_ORDER_INDEX, INT, 1, 1), _COMPOSITION_INDEX)
+# One child node per argument of a call; exactly one of variable and literal.
+_ARGUMENT_SLOT = (
+    _SLOT_INDEX,
+    ("variable", PLA_HAS_VARIABLE_REF, STR, 0, 1),
+    ("literal", PLA_HAS_LITERAL_VALUE, STR, 0, 1),
+)
+# Record class -> (statement kind, fields).
+_STATEMENTS = {
+    AssignLiteral: (
+        PLA_ASSIGN_LITERAL,
+        (_TARGET, ("value", PLA_HAS_LITERAL_VALUE, STR, 1, 1), ("role", PLA_HAS_LITERAL_ROLE, IRI, 1, 1)),
+    ),
+    AssignCall: (PLA_ASSIGN_CALL, (_TARGET, _FUNCTION, ("args", PLA_HAS_ARGUMENT_SLOT, NODE, 0, MANY))),
+    ReportValue: (
+        PLA_REPORT_VALUE,
+        (("label", PLA_HAS_REPORT_LABEL, STR, 1, 1), ("source", PLA_HAS_SOURCE_VARIABLE, STR, 1, 1)),
+    ),
+    ProgramExit: (PLA_PROGRAM_EXIT, (("status", PLA_HAS_EXIT_STATUS, INT, 1, 1), _FUNCTION)),
+    ImportDirective: (PLA_IMPORT_DIRECTIVE, (("library", PLA_IMPORTS_LIBRARY, IRI, 1, 1),)),
+}
+_RECORDS = {kind: (record, fields) for record, (kind, fields) in _STATEMENTS.items()}
 
 
 def _write_pla(plan: BuildPlan, state: _Composition, store: QuadStore, graph: str):
-    program = Iri(f"{graph}#program")
-    _ins(store, graph, program, _TYPE, PLA_PROGRAM)
-    _ins(store, graph, program, PLA_HAS_BASENAME, Literal(plan.program_basename))
-    _ins(store, graph, program, PLA_USES_STRUCTURE, Iri(plan.structure.iri))
-
-    for ref_index, library_iri in enumerate(state.libraries):
-        ref = Iri(f"{graph}#libref-{ref_index}")
-        _ins(store, graph, program, PLA_HAS_LIBRARY_REFERENCE, ref)
-        _ins(store, graph, ref, PLA_HAS_SLOT_INDEX, integer_literal(ref_index))
-        _ins(store, graph, ref, PLA_REFERS_TO_LIBRARY, Iri(library_iri))
-
-    section_nodes = {}
+    refs = [Iri(f"{graph}#libref-{index}") for index in range(len(state.libraries))]
+    for index, (ref, library) in enumerate(zip(refs, state.libraries)):
+        write(store, graph, _LIBRARY_REFERENCE, ref, index=index, library=library)
+    sections = []
     for slot in plan.structure.slots:
         node = Iri(f"{graph}#section-{slot.name.lower()}")
-        section_nodes[slot.name] = node
-        _ins(store, graph, program, PLA_HAS_SECTION, node)
-        _ins(store, graph, node, _TYPE, PLA_SECTION)
-        _ins(store, graph, node, PLA_SECTION_ENTITY, Iri(slot.section_iri))
-        _ins(store, graph, node, PLA_HAS_SECTION_NAME, Literal(slot.name))
-        _ins(store, graph, node, PLA_HAS_EMISSION_INDEX, integer_literal(slot.emission_index))
-        _ins(store, graph, node, PLA_HAS_COMPOSITION_INDEX, integer_literal(slot.composition_index))
-
-    for section_name, placed_list in state.placed.items():
-        section_node = section_nodes[section_name]
-        for placed in placed_list:
-            node = Iri(f"{graph}#stmt-{placed.composition_index}")
-            _ins(store, graph, section_node, PLA_HAS_STATEMENT, node)
-            _ins(store, graph, node, PLA_HAS_ORDER_INDEX, integer_literal(placed.order_index))
-            _ins(store, graph, node, PLA_HAS_COMPOSITION_INDEX, integer_literal(placed.composition_index))
-            _write_statement(store, graph, node, placed.statement)
+        statements = [_write_statement(store, graph, placed) for placed in state.placed.get(slot.name, ())]
+        write(store, graph, _SECTION, node, type=PLA_SECTION, entity_iri=slot.section_iri, statements=statements,
+              **slot._asdict())
+        sections.append(node)
+    write(store, graph, _PROGRAM, Iri(f"{graph}#program"), type=PLA_PROGRAM, basename=plan.program_basename,
+          structure_iri=plan.structure.iri, sections=sections, library_references=refs)
 
 
-def _write_statement(store: QuadStore, graph: str, node: Iri, statement: AbstractStatement):
-    if isinstance(statement, AssignLiteral):
-        _ins(store, graph, node, _TYPE, PLA_ASSIGN_LITERAL)
-        _ins(store, graph, node, PLA_HAS_TARGET_VARIABLE, Literal(statement.target))
-        _ins(store, graph, node, PLA_HAS_LITERAL_VALUE, Literal(statement.value))
-        _ins(store, graph, node, PLA_HAS_LITERAL_ROLE, Iri(statement.role))
-    elif isinstance(statement, AssignCall):
-        _ins(store, graph, node, _TYPE, PLA_ASSIGN_CALL)
-        _ins(store, graph, node, PLA_HAS_TARGET_VARIABLE, Literal(statement.target))
-        _ins(store, graph, node, PLA_CALLS_FUNCTION, Iri(statement.function))
-        for index, arg in enumerate(statement.args):
-            slot = Iri(f"{node.value}-arg{index}")
-            _ins(store, graph, node, PLA_HAS_ARGUMENT_SLOT, slot)
-            _ins(store, graph, slot, PLA_HAS_SLOT_INDEX, integer_literal(index))
-            if arg.variable is not None:
-                _ins(store, graph, slot, PLA_HAS_VARIABLE_REF, Literal(arg.variable))
-            else:
-                _ins(store, graph, slot, PLA_HAS_LITERAL_VALUE, Literal(arg.literal))
-    elif isinstance(statement, ReportValue):
-        _ins(store, graph, node, _TYPE, PLA_REPORT_VALUE)
-        _ins(store, graph, node, PLA_HAS_REPORT_LABEL, Literal(statement.label))
-        _ins(store, graph, node, PLA_HAS_SOURCE_VARIABLE, Literal(statement.source))
-    elif isinstance(statement, ProgramExit):
-        _ins(store, graph, node, _TYPE, PLA_PROGRAM_EXIT)
-        _ins(store, graph, node, PLA_HAS_EXIT_STATUS, integer_literal(statement.status))
-        _ins(store, graph, node, PLA_CALLS_FUNCTION, Iri(statement.function))
-    elif isinstance(statement, ImportDirective):
-        _ins(store, graph, node, _TYPE, PLA_IMPORT_DIRECTIVE)
-        _ins(store, graph, node, PLA_IMPORTS_LIBRARY, Iri(statement.library))
-    else:
-        raise ComposeError(f"unknown abstract statement {statement!r}")
+def _write_statement(store: QuadStore, graph: str, placed: PlacedStatement) -> Iri:
+    """Write one placed statement and its argument slots; returns its node."""
+    node = Iri(f"{graph}#stmt-{placed.composition_index}")
+    kind, fields = _STATEMENTS[type(placed.statement)]
+    write(store, graph, _PLACEMENT, node, type=kind, order_index=placed.order_index,
+          composition_index=placed.composition_index)
+    values = placed.statement._asdict()
+    # A call's arguments are child nodes of its statement node, one per slot.
+    args = values.get("args", ())
+    values["args"] = slots = [Iri(f"{node.value}-arg{index}") for index in range(len(args))]
+    for index, (slot, arg) in enumerate(zip(slots, args)):
+        write(store, graph, _ARGUMENT_SLOT, slot, index=index, variable=arg.variable, literal=arg.literal)
+    write(store, graph, fields, node, **values)
+    return node
 
 
 # --- graph decoding -------------------------------------------------------
 
 
-def _str_of(store: QuadStore, graph: str, subject: Iri, predicate: Iri) -> str:
-    """The one value of a property the graph must hold, as its lexical form or IRI."""
-    try:
-        term = store.value(subject, predicate, graph)
-    except CardinalityError as exc:
-        raise ComposeError(str(exc)) from exc
-    if term is None:
-        raise ComposeError(f"graph {graph} is missing {predicate.value} on {subject.value}")
-    return term.lexical if isinstance(term, Literal) else term.value
-
-
-def _int_of(store: QuadStore, graph: str, subject: Iri, predicate: Iri) -> int:
-    return int(_str_of(store, graph, subject, predicate))
-
-
-def _read_statement(store: QuadStore, graph: str, node: Iri) -> AbstractStatement:
-    kinds = set(store.objects(node, _TYPE, graph))
-    if PLA_ASSIGN_LITERAL in kinds:
-        return AssignLiteral(
-            target=_str_of(store, graph, node, PLA_HAS_TARGET_VARIABLE),
-            value=_str_of(store, graph, node, PLA_HAS_LITERAL_VALUE),
-            role=_str_of(store, graph, node, PLA_HAS_LITERAL_ROLE),
-        )
-    if PLA_ASSIGN_CALL in kinds:
-        slots = []
-        for slot in store.objects(node, PLA_HAS_ARGUMENT_SLOT, graph):
-            index = _int_of(store, graph, slot, PLA_HAS_SLOT_INDEX)
-            variables = store.objects(slot, PLA_HAS_VARIABLE_REF, graph)
-            if variables:
-                slots.append((index, CallArg(variable=variables[0].lexical)))
-            else:
-                slots.append((index, CallArg(literal=_str_of(store, graph, slot, PLA_HAS_LITERAL_VALUE))))
-        return AssignCall(
-            target=_str_of(store, graph, node, PLA_HAS_TARGET_VARIABLE),
-            function=_str_of(store, graph, node, PLA_CALLS_FUNCTION),
-            args=tuple(arg for _, arg in sorted(slots, key=lambda pair: pair[0])),
-        )
-    if PLA_REPORT_VALUE in kinds:
-        return ReportValue(
-            label=_str_of(store, graph, node, PLA_HAS_REPORT_LABEL),
-            source=_str_of(store, graph, node, PLA_HAS_SOURCE_VARIABLE),
-        )
-    if PLA_PROGRAM_EXIT in kinds:
-        return ProgramExit(
-            status=_int_of(store, graph, node, PLA_HAS_EXIT_STATUS),
-            function=_str_of(store, graph, node, PLA_CALLS_FUNCTION),
-        )
-    if PLA_IMPORT_DIRECTIVE in kinds:
-        return ImportDirective(library=_str_of(store, graph, node, PLA_IMPORTS_LIBRARY))
-    raise ComposeError(f"statement node {node.value} has no recognized kind")
-
-
 def load_pla(store: QuadStore, graph_iri: str, core_graph: str = vocab.CORE_GRAPH) -> PlaProgram:
     """Reconstruct the abstract program by walking its named graph."""
-    programs = store.match_pattern(Pattern(Var("p"), _TYPE, PLA_PROGRAM, graph_iri))
-    if len(programs) != 1:
-        raise ComposeError(f"graph {graph_iri} holds {len(programs)} programs, expected 1")
-    program = programs[0]["p"]
-
-    sections = []
-    for node in store.objects(program, PLA_HAS_SECTION, graph_iri):
-        placed = []
-        for stmt_node in store.objects(node, PLA_HAS_STATEMENT, graph_iri):
-            placed.append(
-                PlacedStatement(
-                    statement=_read_statement(store, graph_iri, stmt_node),
-                    section=_str_of(store, graph_iri, node, PLA_HAS_SECTION_NAME),
-                    order_index=_int_of(store, graph_iri, stmt_node, PLA_HAS_ORDER_INDEX),
-                    composition_index=_int_of(store, graph_iri, stmt_node, PLA_HAS_COMPOSITION_INDEX),
-                )
-            )
-        sections.append(
-            PlaSection(
-                name=_str_of(store, graph_iri, node, PLA_HAS_SECTION_NAME),
-                entity_iri=_str_of(store, graph_iri, node, PLA_SECTION_ENTITY),
-                emission_index=_int_of(store, graph_iri, node, PLA_HAS_EMISSION_INDEX),
-                composition_index=_int_of(store, graph_iri, node, PLA_HAS_COMPOSITION_INDEX),
-                statements=tuple(sorted(placed, key=lambda p: p.order_index)),
-            )
-        )
-
-    refs = []
-    for ref in store.objects(program, PLA_HAS_LIBRARY_REFERENCE, graph_iri):
-        refs.append((_int_of(store, graph_iri, ref, PLA_HAS_SLOT_INDEX), _str_of(store, graph_iri, ref, PLA_REFERS_TO_LIBRARY)))
+    try:
+        program = views.typed_node(store, graph_iri, PLA_PROGRAM)
+        fields = read(store, graph_iri, _PROGRAM, program)
+        sections = [_read_section(store, graph_iri, node) for node in fields["sections"]]
+        refs = [read(store, graph_iri, _LIBRARY_REFERENCE, ref) for ref in fields["library_references"]]
+    except CardinalityError as exc:
+        raise ComposeError(str(exc)) from exc
     libraries = []
-    for _, library_iri in sorted(refs, key=lambda pair: pair[0]):
-        info = views.view_library(store, library_iri, core_graph)
+    for ref in sorted(refs, key=itemgetter("index")):
+        info = views.view_library(store, ref["library"], core_graph)
         if info is None:
-            raise ComposeError(f"referenced library {library_iri} is not in the knowledge base")
+            raise ComposeError(f"referenced library {ref['library']} is not in the knowledge base")
         libraries.append(info)
-
     return PlaProgram(
         graph_iri=graph_iri,
         program_iri=program.value,
-        basename=_str_of(store, graph_iri, program, PLA_HAS_BASENAME),
-        structure_iri=_str_of(store, graph_iri, program, PLA_USES_STRUCTURE),
+        basename=fields["basename"],
+        structure_iri=fields["structure_iri"],
         sections=tuple(sorted(sections, key=lambda s: s.emission_index)),
         referenced_libraries=tuple(libraries),
     )
+
+
+def _read_section(store: QuadStore, graph: str, node: Iri) -> PlaSection:
+    section = read(store, graph, _SECTION, node)
+    del section["type"]
+    placed = [_read_statement(store, graph, statement, section["name"]) for statement in section.pop("statements")]
+    return PlaSection(**section, statements=tuple(sorted(placed, key=lambda p: p.order_index)))
+
+
+def _read_statement(store: QuadStore, graph: str, node: Iri, section: str) -> PlacedStatement:
+    placement = read(store, graph, _PLACEMENT, node)
+    if placement["type"] not in _RECORDS:
+        raise ComposeError(f"statement node {node.value} has no recognized kind")
+    record, fields = _RECORDS[placement["type"]]
+    values = read(store, graph, fields, node)
+    if "args" in values:  # a call: one child node per argument, read back in slot order
+        slots = sorted((read(store, graph, _ARGUMENT_SLOT, slot) for slot in values["args"]), key=itemgetter("index"))
+        values["args"] = tuple(CallArg(slot["variable"], slot["literal"]) for slot in slots)
+    return PlacedStatement(record(**values), section, placement["order_index"], placement["composition_index"])

@@ -11,21 +11,12 @@ fixed source order and concatenates each statement's elements.
 from __future__ import annotations
 
 import os
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
 from graphsynth import vocab, views
-from graphsynth.composer import (
-    AssignCall,
-    AssignLiteral,
-    CallArg,
-    ImportDirective,
-    PlaProgram,
-    ProgramExit,
-    ReportValue,
-    _TYPE,
-    _ins,
-)
+from graphsynth.composer import AssignCall, AssignLiteral, CallArg, ImportDirective, PlaProgram, ProgramExit, ReportValue
 from graphsynth.errors import (
     CardinalityError,
     RenderError,
@@ -33,9 +24,9 @@ from graphsynth.errors import (
     UnsupportedLanguageError,
     WriteError,
 )
-from graphsynth.quadstore import Pattern, QuadStore, Var
-from graphsynth.terms import Iri, Literal, integer_literal
-from graphsynth.views import LanguageInfo, LibraryInfo, StatementFormInfo
+from graphsynth.quadstore import QuadStore
+from graphsynth.terms import Iri
+from graphsynth.views import INT, IRI, MANY, NODE, STR, TYPE, LanguageInfo, LibraryInfo, StatementFormInfo, read, write
 
 # Concrete-program vocabulary (disjoint from the abstract one by design), each
 # term built once here so that no write or read-back validates it again.
@@ -51,6 +42,23 @@ PLR_HAS_STATEMENT_INDEX = Iri(vocab.plr("hasStatementIndex"))
 PLR_HAS_ELEMENT_SLOT = Iri(vocab.plr("hasElementSlot"))
 PLR_HAS_ELEMENT_INDEX = Iri(vocab.plr("hasElementIndex"))
 PLR_HAS_ELEMENT_TEXT = Iri(vocab.plr("hasElementText"))
+
+# One field table per PLR node, in the form of `views.SHAPES`.
+_PROGRAM = (
+    TYPE,
+    ("basename", PLR_HAS_BASENAME, STR, 1, 1),
+    ("language_iri", PLR_HAS_LANGUAGE, IRI, 1, 1),
+    ("statements", PLR_HAS_STATEMENT, NODE, 0, MANY),
+)
+_STATEMENT = (
+    TYPE,
+    ("variation", PLR_HAS_VARIATION, STR, 1, 1),
+    ("section", PLR_IN_SECTION, STR, 1, 1),
+    ("section_index", PLR_HAS_SECTION_INDEX, INT, 1, 1),
+    ("statement_index", PLR_HAS_STATEMENT_INDEX, INT, 1, 1),
+    ("elements", PLR_HAS_ELEMENT_SLOT, NODE, 1, MANY),
+)
+_ELEMENT = (("index", PLR_HAS_ELEMENT_INDEX, INT, 1, 1), ("text", PLR_HAS_ELEMENT_TEXT, STR, 1, 1))
 
 
 class ImportPlain(NamedTuple):
@@ -149,22 +157,19 @@ def quote(value: str, quote_char: str) -> str:
     return quote_char + value.translate(_LITERAL_ESCAPES).replace(quote_char, "\\" + quote_char) + quote_char
 
 
-def build_import_statements(libs: list[LibraryInfo] | set[LibraryInfo]) -> list[ImportPlain | ImportAliased]:
-    """One import per library, sorted byte-wise by official name, alias applied when present."""
-    statements: list[ImportPlain | ImportAliased] = []
-    for library in sorted(libs, key=lambda lib: lib.official_name.encode("utf-8")):
-        if library.alias:
-            statements.append(ImportAliased(library.official_name, library.alias))
-        else:
-            statements.append(ImportPlain(library.official_name))
-    return statements
+def import_statement(library: LibraryInfo) -> ImportPlain | ImportAliased:
+    """The import of one library, its alias applied when it has one."""
+    if library.alias:
+        return ImportAliased(library.official_name, library.alias)
+    return ImportPlain(library.official_name)
 
 
 class _Renderer:
-    def __init__(self, store: QuadStore, language: LanguageInfo, core_graph: str):
+    def __init__(self, store: QuadStore, language: LanguageInfo, core_graph: str, libraries: tuple[LibraryInfo, ...]):
         self.store = store
         self.language = language
         self.core_graph = core_graph
+        self.libraries = {library.iri: library for library in libraries}
         self.forms = views.view_statement_forms(store, language.family, core_graph)
         if not self.forms:
             raise UnsupportedLanguageError(language.family)
@@ -197,10 +202,10 @@ class _Renderer:
 
     def render_statement(self, statement) -> ConcreteStatement:
         if isinstance(statement, ImportDirective):
-            library = views.view_library(self.store, statement.library, self.core_graph)
+            library = self.libraries.get(statement.library)
             if library is None:
-                raise RenderError(f"library {statement.library} is not in the knowledge base")
-            return build_import_statements([library])[0]
+                raise RenderError(f"library {statement.library} is not among the program's referenced libraries")
+            return import_statement(library)
         if isinstance(statement, AssignLiteral):
             return AssignExpr(lhs=statement.target, rhs=self.quote(statement.value))
         if isinstance(statement, AssignCall):
@@ -226,91 +231,50 @@ def render(
 
     A language family without statement forms in the KB is unsupported.
     """
-    renderer = _Renderer(store, language, core_graph)
+    renderer = _Renderer(store, language, core_graph, pla.referenced_libraries)
     graph_iri = graph_iri or vocab.program_graph_iri(pla.basename, "plr")
     if store.graph_size(graph_iri) != 0:
         raise RenderError(f"target graph is not empty: {graph_iri}")
 
-    program = Iri(f"{graph_iri}#program")
-    _ins(store, graph_iri, program, _TYPE, PLR_PROGRAM)
-    _ins(store, graph_iri, program, PLR_HAS_BASENAME, Literal(pla.basename))
-    _ins(store, graph_iri, program, PLR_HAS_LANGUAGE, Iri(language.iri))
-
-    counter = 0
+    statements = []
     for section in sorted(pla.sections, key=lambda s: s.emission_index):
         for index, placed in enumerate(sorted(section.statements, key=lambda p: p.order_index)):
             concrete = renderer.render_statement(placed.statement)
             elements = _elements_for(renderer.form(concrete.variation), concrete.fields())
-            node = Iri(f"{graph_iri}#stmt-{counter}")
-            _ins(store, graph_iri, program, PLR_HAS_STATEMENT, node)
-            _ins(store, graph_iri, node, _TYPE, PLR_STATEMENT)
-            _ins(store, graph_iri, node, PLR_HAS_VARIATION, Literal(concrete.variation))
-            _ins(store, graph_iri, node, PLR_IN_SECTION, Literal(section.name))
-            _ins(store, graph_iri, node, PLR_HAS_SECTION_INDEX, integer_literal(index))
-            _ins(store, graph_iri, node, PLR_HAS_STATEMENT_INDEX, integer_literal(counter))
-            for element_index, text in enumerate(elements):
-                element_node = Iri(f"{node.value}-e{element_index}")
-                _ins(store, graph_iri, node, PLR_HAS_ELEMENT_SLOT, element_node)
-                _ins(store, graph_iri, element_node, PLR_HAS_ELEMENT_INDEX, integer_literal(element_index))
-                _ins(store, graph_iri, element_node, PLR_HAS_ELEMENT_TEXT, Literal(text))
-            counter += 1
-
+            node = Iri(f"{graph_iri}#stmt-{len(statements)}")
+            element_nodes = [Iri(f"{node.value}-e{element_index}") for element_index in range(len(elements))]
+            for element_index, (element, text) in enumerate(zip(element_nodes, elements)):
+                write(store, graph_iri, _ELEMENT, element, index=element_index, text=text)
+            write(store, graph_iri, _STATEMENT, node, type=PLR_STATEMENT, variation=concrete.variation,
+                  section=section.name, section_index=index, statement_index=len(statements), elements=element_nodes)
+            statements.append(node)
+    write(store, graph_iri, _PROGRAM, Iri(f"{graph_iri}#program"), type=PLR_PROGRAM, basename=pla.basename,
+          language_iri=language.iri, statements=statements)
     return load_plr(store, graph_iri)
-
-
-def _str_of(store: QuadStore, graph: str, subject: Iri, predicate: Iri) -> str:
-    """The one value of a property the graph must hold, as its lexical form or IRI."""
-    try:
-        term = store.value(subject, predicate, graph)
-    except CardinalityError as exc:
-        raise RenderError(str(exc)) from exc
-    if term is None:
-        raise RenderError(f"graph {graph} is missing {predicate.value} on {subject.value}")
-    return term.lexical if isinstance(term, Literal) else term.value
 
 
 def load_plr(store: QuadStore, graph_iri: str) -> PlrProgram:
     """Reconstruct the concrete program by walking its named graph."""
-    programs = store.match_pattern(Pattern(Var("p"), _TYPE, PLR_PROGRAM, graph_iri))
-    if len(programs) != 1:
-        raise RenderError(f"graph {graph_iri} holds {len(programs)} programs, expected 1")
-    program = programs[0]["p"]
-
-    by_section: dict[str, list[tuple[int, PlacedConcrete]]] = {}
-    for node in store.objects(program, PLR_HAS_STATEMENT, graph_iri):
-        variation = _str_of(store, graph_iri, node, PLR_HAS_VARIATION)
-        section = _str_of(store, graph_iri, node, PLR_IN_SECTION)
-        section_index = int(_str_of(store, graph_iri, node, PLR_HAS_SECTION_INDEX))
-        elements = []
-        for element_node in store.objects(node, PLR_HAS_ELEMENT_SLOT, graph_iri):
-            elements.append(
-                (
-                    int(_str_of(store, graph_iri, element_node, PLR_HAS_ELEMENT_INDEX)),
-                    _str_of(store, graph_iri, element_node, PLR_HAS_ELEMENT_TEXT),
-                )
-            )
-        placed = PlacedConcrete(
-            variation=variation,
-            section=section,
-            section_index=section_index,
-            elements=tuple(text for _, text in sorted(elements, key=lambda pair: pair[0])),
-        )
-        by_section.setdefault(section, []).append((section_index, placed))
-
-    ordered_sections = []
-    for name in vocab.EMISSION_ORDER:
-        entries = by_section.pop(name, [])
-        ordered_sections.append((name, tuple(p for _, p in sorted(entries, key=lambda pair: pair[0]))))
-    for name in sorted(by_section):  # sections beyond the canonical five, if any
-        entries = by_section[name]
-        ordered_sections.append((name, tuple(p for _, p in sorted(entries, key=lambda pair: pair[0]))))
-
+    sections: dict[str, list[PlacedConcrete]] = {name: [] for name in vocab.EMISSION_ORDER}
+    try:
+        program = views.typed_node(store, graph_iri, PLR_PROGRAM)
+        fields = read(store, graph_iri, _PROGRAM, program)
+        for node in fields["statements"]:
+            statement = read(store, graph_iri, _STATEMENT, node)
+            elements = [read(store, graph_iri, _ELEMENT, element) for element in statement["elements"]]
+            texts = tuple(element["text"] for element in sorted(elements, key=itemgetter("index")))
+            placed = PlacedConcrete(statement["variation"], statement["section"], statement["section_index"], texts)
+            sections[statement["section"]].append(placed)
+    except CardinalityError as exc:
+        raise RenderError(str(exc)) from exc
     return PlrProgram(
         graph_iri=graph_iri,
         program_iri=program.value,
-        basename=_str_of(store, graph_iri, program, PLR_HAS_BASENAME),
-        language_iri=_str_of(store, graph_iri, program, PLR_HAS_LANGUAGE),
-        sections=tuple(ordered_sections),
+        basename=fields["basename"],
+        language_iri=fields["language_iri"],
+        sections=tuple(
+            (name, tuple(sorted(placed, key=lambda p: p.section_index))) for name, placed in sections.items()
+        ),
     )
 
 

@@ -1,23 +1,27 @@
-"""Typed read-views over the loaded knowledge base.
+"""Typed read-views over the loaded knowledge base, and the field-table codec.
 
 `SHAPES` declares once, in the manner of SHACL Core, the shape of every
 entity class the views read: per property its field, predicate, kind and
 cardinality, plus the field that labels the instances. `check_kb`
 validates every instance against it at load; the views then fill their
-`NamedTuple` records from the same table through `_read`, with no
-defaults: an absent value reads as None (or an empty tuple). Views never
-mutate the store and never interpret anything beyond the explicitly
-inserted triples.
+`NamedTuple` records from the same table through `read`, with no
+defaults: an absent optional value reads as None (or an empty tuple).
+The program graphs declare their nodes in field tables of the same form
+and are written by `write` and read back by `read`. Views never mutate
+the store and never interpret anything beyond the explicitly inserted
+triples.
 """
 
 from __future__ import annotations
 
 import re
+from operator import attrgetter
 from typing import Iterator, NamedTuple
 
 from graphsynth import vocab
-from graphsynth.quadstore import Pattern, QuadStore, Var
-from graphsynth.terms import RDF_TYPE, XSD_BOOLEAN, XSD_INTEGER, XSD_STRING, Iri, Literal, Term
+from graphsynth.errors import CardinalityError
+from graphsynth.quadstore import Pattern, Quad, QuadStore, Var
+from graphsynth.terms import RDF_TYPE, XSD_BOOLEAN, XSD_INTEGER, XSD_STRING, Iri, Literal, Term, integer_literal, sort_key
 from graphsynth.turtle import _format_term
 
 
@@ -133,13 +137,18 @@ class ReadCapabilityInfo(NamedTuple):
 
 # --- the shape table -----------------------------------------------------
 
-# Value kinds, as sh:datatype. Any other kind is a class, as sh:class: the
-# value is an IRI typed with it. Class kinds mark the links views follow.
-STR, INT, BOOL, IRI = "string", "integer", "boolean", "IRI"
+# Value kinds, as sh:datatype; a NAME is a string literal each of whose
+# '.'-separated parts is an identifier. NODE is a link to a node that the
+# same graph describes. Any other kind is a class, as sh:class: the value is
+# an IRI typed with it. NODE and the class kinds are the links; they read as
+# the term itself.
+STR, INT, BOOL, IRI, NAME, NODE = "string", "integer", "boolean", "IRI", "name", "node"
 MANY = None  # no upper bound on the number of values, as no sh:maxCount
 
-# Class -> (label field or None, fields); a field is (name, predicate, kind, min, max).
-SHAPES: dict[str, tuple[str | None, tuple[tuple[str, Iri, str, int, int | None], ...]]] = {
+Field = tuple[str, Iri, str, int, "int | None"]  # (name, predicate, kind, min, max)
+
+# Class -> (label field or None, fields).
+SHAPES: dict[str, tuple[str | None, tuple[Field, ...]]] = {
     vocab.DATA_SOURCE: ("name", (
         ("name", Iri(vocab.HAS_NAME), STR, 1, 1),
         ("container", Iri(vocab.HAS_CONTAINER), IRI, 1, 1),
@@ -164,7 +173,7 @@ SHAPES: dict[str, tuple[str | None, tuple[tuple[str, Iri, str, int, int | None],
         ("output_quantity", Iri(vocab.HAS_OUTPUT_QUANTITY), IRI, 1, 1),
         ("time_complexity", Iri(vocab.HAS_TIME_COMPLEXITY), STR, 1, 1))),
     vocab.CODE_FUNCTION: ("callable_name", (
-        ("callable_name", Iri(vocab.HAS_CALLABLE_NAME), STR, 1, 1),
+        ("callable_name", Iri(vocab.HAS_CALLABLE_NAME), NAME, 1, 1),
         ("library", Iri(vocab.PROVIDED_BY), vocab.LIBRARY, 1, 1),
         ("language", Iri(vocab.IN_LANGUAGE), vocab.LANGUAGE_FAMILY, 1, 1),
         ("purpose", Iri(vocab.HAS_PURPOSE), IRI, 1, 1),
@@ -174,8 +183,8 @@ SHAPES: dict[str, tuple[str | None, tuple[tuple[str, Iri, str, int, int | None],
         ("index", Iri(vocab.HAS_SLOT_INDEX), INT, 1, 1),
         ("role", Iri(vocab.HAS_SLOT_ROLE), IRI, 1, 1))),
     vocab.LIBRARY: ("official_name", (
-        ("official_name", Iri(vocab.HAS_OFFICIAL_NAME), STR, 1, 1),
-        ("alias", Iri(vocab.HAS_ALIAS), STR, 0, 1),
+        ("official_name", Iri(vocab.HAS_OFFICIAL_NAME), NAME, 1, 1),
+        ("alias", Iri(vocab.HAS_ALIAS), NAME, 0, 1),
         ("kind", Iri(vocab.HAS_LIBRARY_KIND), STR, 1, 1))),
     vocab.PROGRAMMING_LANGUAGE: ("tag", (
         ("tag", Iri(vocab.HAS_VERSION_TAG), STR, 1, 1),
@@ -215,107 +224,159 @@ SHAPES: dict[str, tuple[str | None, tuple[tuple[str, Iri, str, int, int | None],
 }
 
 _RDF_TYPE = Iri(RDF_TYPE)
+# The rdf:type of a typed program-graph node, written and read as the class term.
+TYPE: Field = ("type", _RDF_TYPE, NODE, 1, 1)
 _INTEGER = re.compile(r"[+-]?[0-9]+")
-# The Python value of a term of each kind; a class kind reads as IRI.
+# The Python value a term of each kind reads as, and the term a value of each
+# kind is written as (no program graph holds a boolean); a link kind, in
+# neither table, reads and writes the term itself.
 _VALUE = {
-    STR: lambda t: t.lexical, INT: lambda t: int(t.lexical), BOOL: lambda t: t.lexical == "true", IRI: lambda t: t.value
+    STR: attrgetter("lexical"), NAME: attrgetter("lexical"), INT: lambda t: int(t.lexical),
+    BOOL: lambda t: t.lexical == "true", IRI: attrgetter("value"),
 }
+_TERM = {STR: Literal, NAME: Literal, INT: integer_literal, IRI: Iri}
+_EXPECTED_COUNT = {(1, 1): "exactly 1 value", (0, 1): "at most 1 value", (1, MANY): "at least 1 value"}
 
 
-def _read(store: QuadStore, graph: str, cls: str, iri: str | None) -> dict:
-    """Every field of `cls`'s shape on `iri`; no IRI (an absent link) reads as an entity with no properties."""
-    fields = SHAPES[cls][1]
-    if iri is None:
+def read(store: QuadStore, graph: str, fields: tuple[Field, ...], node: Term | None) -> dict:
+    """Every field of `fields` on `node`, by name: literal kinds as Python values, IRI as its string, links as the term.
+
+    A single-valued field reads as its value or None, a many-valued one as a
+    tuple. A required field with no value raises CardinalityError, as a
+    second value of a single-valued field does. No node (an absent link)
+    reads as a node with no properties.
+    """
+    if node is None:
         return {name: None if high == 1 else () for name, _, _, _, high in fields}
-    subject = Iri(iri)
     out = {}
-    for name, predicate, kind, _, high in fields:
-        value = _VALUE.get(kind, _VALUE[IRI])
+    for name, predicate, kind, low, high in fields:
+        value = _VALUE.get(kind)
         if high == 1:
-            term = store.value(subject, predicate, graph)
-            out[name] = None if term is None else value(term)
+            term = store.value(node, predicate, graph)
+            if term is not None:
+                out[name] = value(term) if value else term
+                continue
+            out[name] = None
         else:
-            out[name] = tuple(value(term) for term in store.objects(subject, predicate, graph))
+            terms = store.objects(node, predicate, graph)
+            out[name] = tuple(map(value, terms) if value else terms)
+            if terms:
+                continue
+        if low:
+            raise CardinalityError(
+                f"{node!r} {predicate!r} has no value in graph {graph}, expected {_EXPECTED_COUNT[low, high]}"
+            )
     return out
 
 
-def _instances(store: QuadStore, graph: str, cls: str, *where: tuple[str, Term]) -> list[str]:
+def write(store: QuadStore, graph: str, fields: tuple[Field, ...], node: Iri, **values):
+    """Insert one quad per value of each field of `fields` on `node`, as the term `read` reads back.
+
+    The kind decides the term: a literal, an IRI built from its string, or
+    the link term given. A single-valued field takes a value or None (no
+    quad), a many-valued one an iterable; values no field names are ignored.
+    """
+    for name, predicate, kind, _, high in fields:
+        value = values[name]
+        if value is None:
+            continue
+        term = _TERM.get(kind)
+        for item in value if high is MANY else (value,):
+            store.insert(Quad(node, predicate, term(item) if term else item, graph))
+
+
+def typed_node(store: QuadStore, graph: str, cls: Iri) -> Term:
+    """The one node of `graph` typed `cls`; none, or more than one, raises CardinalityError."""
+    rows = store.match_pattern(Pattern(Var("n"), _RDF_TYPE, cls, graph))
+    if len(rows) != 1:
+        raise CardinalityError(f"graph {graph} holds {len(rows)} nodes typed {cls!r}, expected 1")
+    return rows[0]["n"]
+
+
+def _read(store: QuadStore, graph: str, cls: str, node: Term | None) -> dict:
+    """The fields of `cls`'s shape on `node`."""
+    return read(store, graph, SHAPES[cls][1], node)
+
+
+def _instances(store: QuadStore, graph: str, cls: str, *where: tuple[str, Term]) -> list[Iri]:
     """The instances of `cls` that hold each (predicate, object) pair of `where`."""
     patterns = [Pattern(Var("s"), _RDF_TYPE, Iri(cls), graph)]
     patterns += [Pattern(Var("s"), Iri(predicate), obj, graph) for predicate, obj in where]
-    return [row["s"].value for row in store.query_bgp(patterns) if isinstance(row["s"], Iri)]
+    return [row["s"] for row in store.query_bgp(patterns) if isinstance(row["s"], Iri)]
 
 
-def _is_a(store: QuadStore, graph: str, iri: str, cls: str) -> bool:
-    return Iri(cls) in store.objects(Iri(iri), _RDF_TYPE, graph)
+def _is_a(store: QuadStore, graph: str, node: Iri, cls: str) -> bool:
+    return Iri(cls) in store.objects(node, _RDF_TYPE, graph)
 
 
 def _all(store: QuadStore, graph: str, cls: str, info: type) -> list:
     """Every instance of `cls`, filled into the record class `info` by field name straight from its shape."""
-    return [info(iri=iri, **_read(store, graph, cls, iri)) for iri in _instances(store, graph, cls)]
+    return [info(iri=node.value, **_read(store, graph, cls, node)) for node in _instances(store, graph, cls)]
 
 
 # --- data sources and algorithms -----------------------------------------
 
 
-def _data_source_info(store: QuadStore, graph: str, iri: str) -> DataSourceInfo:
-    fields = _read(store, graph, vocab.DATA_SOURCE, iri)
+def _data_source_info(store: QuadStore, graph: str, node: Iri) -> DataSourceInfo:
+    fields = _read(store, graph, vocab.DATA_SOURCE, node)
     datatype = _read(store, graph, vocab.VALUE_DATATYPE, fields["value_datatype"])
     content_kind = _read(store, graph, vocab.DATA_CONTENT_KIND, fields.pop("content_kind"))
+    fields["value_datatype"] = fields["value_datatype"].value
     return DataSourceInfo(
-        iri=iri, **fields, value_datatype_numeric=datatype["numeric"], content_type_label=content_kind["type_label"]
+        iri=node.value, **fields, value_datatype_numeric=datatype["numeric"], content_type_label=content_kind["type_label"]
     )
 
 
 def view_data_source(store: QuadStore, name: str, graph: str = vocab.CORE_GRAPH) -> list[DataSourceInfo]:
     """All data sources whose name equals `name` exactly (case-sensitive)."""
     matches = _instances(store, graph, vocab.DATA_SOURCE, (vocab.HAS_NAME, Literal(name)))
-    return [_data_source_info(store, graph, iri) for iri in matches]
+    return [_data_source_info(store, graph, node) for node in matches]
 
 
-def _algorithm_info(store: QuadStore, graph: str, iri: str) -> AlgorithmInfo:
-    fields = _read(store, graph, vocab.ALGORITHM, iri)
+def _algorithm_info(store: QuadStore, graph: str, node: Iri) -> AlgorithmInfo:
+    fields = _read(store, graph, vocab.ALGORITHM, node)
     labels = frozenset(fields.pop("output_description_labels"))
-    return AlgorithmInfo(iri=iri, output_description_labels=labels, **fields)
+    return AlgorithmInfo(iri=node.value, output_description_labels=labels, **fields)
 
 
 def view_algorithm_by_label(store: QuadStore, label: str, graph: str = vocab.CORE_GRAPH) -> list[AlgorithmInfo]:
     """All algorithms carrying `label` among their output description labels."""
     matches = _instances(store, graph, vocab.ALGORITHM, (vocab.HAS_OUTPUT_DESCRIPTION_LABEL, Literal(label)))
-    return [_algorithm_info(store, graph, iri) for iri in matches]
+    return [_algorithm_info(store, graph, node) for node in matches]
 
 
 def view_all_algorithms(store: QuadStore, graph: str = vocab.CORE_GRAPH) -> list[AlgorithmInfo]:
-    return [_algorithm_info(store, graph, iri) for iri in _instances(store, graph, vocab.ALGORITHM)]
+    return [_algorithm_info(store, graph, node) for node in _instances(store, graph, vocab.ALGORITHM)]
 
 
 def view_labels(store: QuadStore, cls: str, graph: str = vocab.CORE_GRAPH) -> list[str]:
     """The distinct values of a shaped class's label field over all its instances, sorted."""
     field = SHAPES[cls][0]
-    values = [_read(store, graph, cls, iri)[field] for iri in _instances(store, graph, cls)]
+    values = [_read(store, graph, cls, node)[field] for node in _instances(store, graph, cls)]
     return sorted({label for value in values for label in (value if isinstance(value, tuple) else (value,))})
 
 
 # --- libraries and code functions ----------------------------------------
 
 
-def _library_info(store: QuadStore, graph: str, iri: str) -> LibraryInfo:
-    return LibraryInfo(iri=iri, **_read(store, graph, vocab.LIBRARY, iri))
+def _library_info(store: QuadStore, graph: str, node: Iri) -> LibraryInfo:
+    return LibraryInfo(iri=node.value, **_read(store, graph, vocab.LIBRARY, node))
 
 
 def view_library(store: QuadStore, iri: str, graph: str = vocab.CORE_GRAPH) -> LibraryInfo | None:
     """The library `iri`, or None if it is no gs:Library."""
-    return _library_info(store, graph, iri) if _is_a(store, graph, iri, vocab.LIBRARY) else None
+    node = Iri(iri)
+    return _library_info(store, graph, node) if _is_a(store, graph, node, vocab.LIBRARY) else None
 
 
-def _code_function_info(store: QuadStore, graph: str, iri: str) -> CodeFunctionInfo:
-    fields = _read(store, graph, vocab.CODE_FUNCTION, iri)
+def _code_function_info(store: QuadStore, graph: str, node: Iri) -> CodeFunctionInfo:
+    fields = _read(store, graph, vocab.CODE_FUNCTION, node)
     slots = [_read(store, graph, vocab.ARGUMENT_SLOT, slot) for slot in fields["arg_slots"]]
     return CodeFunctionInfo(
-        iri=iri,
+        iri=node.value,
         callable_name=fields["callable_name"],
         library=_library_info(store, graph, fields["library"]),
-        language=fields["language"],
+        language=fields["language"].value,
         language_family=_read(store, graph, vocab.LANGUAGE_FAMILY, fields["language"])["name"],
         purpose=fields["purpose"],
         arg_spec=tuple(role for _, role in sorted((slot["index"], slot["role"]) for slot in slots)),
@@ -332,29 +393,31 @@ def view_code_function(
     official name are returned.
     """
     matches = _instances(store, graph, vocab.CODE_FUNCTION, (vocab.HAS_PURPOSE, Iri(purpose)))
-    functions = [_code_function_info(store, graph, iri) for iri in matches]
+    functions = [_code_function_info(store, graph, node) for node in matches]
     in_family = [fn for fn in functions if fn.language_family == language_family]
     return [fn for fn in in_family if library_pref in (None, fn.library.official_name)]
 
 
 def view_code_function_by_iri(store: QuadStore, iri: str, graph: str = vocab.CORE_GRAPH) -> CodeFunctionInfo | None:
     """The code function `iri`, or None if it is no gs:CodeFunction."""
-    return _code_function_info(store, graph, iri) if _is_a(store, graph, iri, vocab.CODE_FUNCTION) else None
+    node = Iri(iri)
+    return _code_function_info(store, graph, node) if _is_a(store, graph, node, vocab.CODE_FUNCTION) else None
 
 
 # --- structures, languages, requirements ---------------------------------
 
 
-def _structure_info(store: QuadStore, graph: str, iri: str) -> ProgramStructureInfo:
-    fields = _read(store, graph, vocab.PROGRAM_STRUCTURE, iri)
+def _structure_info(store: QuadStore, graph: str, node: Iri) -> ProgramStructureInfo:
+    fields = _read(store, graph, vocab.PROGRAM_STRUCTURE, node)
     slots = []
-    for slot_iri in fields["slots"]:
-        slot = _read(store, graph, vocab.SECTION_SLOT, slot_iri)
-        name = _read(store, graph, vocab.PROGRAM_SECTION, slot["section_iri"])["name"]
-        slots.append(SectionSlotInfo(name=name, **slot))
+    for slot_node in fields["slots"]:
+        slot = _read(store, graph, vocab.SECTION_SLOT, slot_node)
+        section = slot["section_iri"]
+        name = _read(store, graph, vocab.PROGRAM_SECTION, section)["name"]
+        slots.append(SectionSlotInfo(section.value, name, slot["emission_index"], slot["composition_index"]))
     requirements = [_read(store, graph, vocab.PROGRAM_REQUIREMENT, req)["label"] for req in fields["requirements"]]
     return ProgramStructureInfo(
-        iri=iri,
+        iri=node.value,
         name=fields["name"],
         slots=tuple(sorted(slots, key=lambda s: s.emission_index)),
         satisfied_requirements=frozenset(requirements),
@@ -362,15 +425,15 @@ def _structure_info(store: QuadStore, graph: str, iri: str) -> ProgramStructureI
 
 
 def view_structures(store: QuadStore, graph: str = vocab.CORE_GRAPH) -> list[ProgramStructureInfo]:
-    return [_structure_info(store, graph, iri) for iri in _instances(store, graph, vocab.PROGRAM_STRUCTURE)]
+    return [_structure_info(store, graph, node) for node in _instances(store, graph, vocab.PROGRAM_STRUCTURE)]
 
 
 def view_languages(store: QuadStore, graph: str = vocab.CORE_GRAPH) -> list[LanguageInfo]:
     out = []
-    for iri in _instances(store, graph, vocab.PROGRAMMING_LANGUAGE):
-        fields = _read(store, graph, vocab.PROGRAMMING_LANGUAGE, iri)
+    for node in _instances(store, graph, vocab.PROGRAMMING_LANGUAGE):
+        fields = _read(store, graph, vocab.PROGRAMMING_LANGUAGE, node)
         fields["family"] = _read(store, graph, vocab.LANGUAGE_FAMILY, fields["family"])["name"]
-        out.append(LanguageInfo(iri=iri, **fields))
+        out.append(LanguageInfo(iri=node.value, **fields))
     return out
 
 
@@ -385,33 +448,36 @@ def view_naming_patterns(store: QuadStore, graph: str = vocab.CORE_GRAPH) -> dic
 def view_statement_forms(store: QuadStore, family: str, graph: str = vocab.CORE_GRAPH) -> dict[str, StatementFormInfo]:
     """Statement form templates for one language family, keyed by variation id."""
     out: dict[str, StatementFormInfo] = {}
-    for iri in _instances(store, graph, vocab.STATEMENT_FORM, (vocab.FOR_LANGUAGE_FAMILY, Literal(family))):
-        fields = _read(store, graph, vocab.STATEMENT_FORM, iri)
+    for node in _instances(store, graph, vocab.STATEMENT_FORM, (vocab.FOR_LANGUAGE_FAMILY, Literal(family))):
+        fields = _read(store, graph, vocab.STATEMENT_FORM, node)
         slots = [TemplateSlotInfo(**_read(store, graph, vocab.TEMPLATE_SLOT, slot)) for slot in fields["slots"]]
         variation = fields["variation_id"]
-        out[variation] = StatementFormInfo(iri, variation, family, tuple(sorted(slots, key=lambda s: s.index)))
+        out[variation] = StatementFormInfo(node.value, variation, family, tuple(sorted(slots, key=lambda s: s.index)))
     return out
 
 
 # --- load-time check -----------------------------------------------------
 
-_EXPECTED_COUNT = {(1, 1): "exactly 1 value", (0, 1): "at most 1 value", (1, MANY): "at least 1 value"}
-_EXPECTED_KIND = {STR: "a string literal", INT: "an integer literal", BOOL: "a boolean literal", IRI: "an IRI"}
+_EXPECTED_KIND = {
+    STR: "a string literal", NAME: "a dotted identifier", INT: "an integer literal", BOOL: "a boolean literal",
+    IRI: "an IRI",
+}
 
 
-def _has_kind(term: Term, kind: str, members: dict[str, set[str]]) -> bool:
+def _has_kind(term: Term, kind: str, members: dict[str, set]) -> bool:
     if kind == STR:
         return isinstance(term, Literal) and term.datatype == XSD_STRING
+    if kind == NAME:
+        return _has_kind(term, STR, members) and all(part.isidentifier() for part in term.lexical.split("."))
     if kind == INT:
         return isinstance(term, Literal) and term.datatype == XSD_INTEGER and bool(_INTEGER.fullmatch(term.lexical))
     if kind == BOOL:
         return isinstance(term, Literal) and term.datatype == XSD_BOOLEAN and term.lexical in ("true", "false")
-    return isinstance(term, Iri) and (kind == IRI or term.value in members[kind])
+    return isinstance(term, Iri) and (kind == IRI or term in members[kind])
 
 
-def _shape_problems(store: QuadStore, graph: str, cls: str, iri: str, members: dict[str, set[str]]) -> Iterator[str]:
-    """`ENTITY PROPERTY: expected ..., found ...` for each way `iri` breaks `cls`'s shape."""
-    subject = Iri(iri)
+def _shape_problems(store: QuadStore, graph: str, cls: str, subject: Iri, members: dict[str, set]) -> Iterator[str]:
+    """`ENTITY PROPERTY: expected ..., found ...` for each way `subject` breaks `cls`'s shape."""
     for _, predicate, kind, low, high in SHAPES[cls][1]:
         values = store.objects(subject, predicate, graph)
         bad_count = len(values) < low or (high is not MANY and len(values) > high)
@@ -431,14 +497,16 @@ def check_kb(store: QuadStore, graph: str = vocab.CORE_GRAPH) -> list[str]:
 
     Every instance of a shaped class is checked against its shape first. The
     cross-entity checks read through the views, which trust the shapes, so
-    they run only on a KB with no shape problem.
+    they run only on a KB with no shape problem. The composer and the
+    renderer follow `vocab.EMISSION_ORDER` and `vocab.COMPOSITION_ORDER`, so
+    a structure must order its five named sections that way.
     """
     members = {cls: set(_instances(store, graph, cls)) for cls in SHAPES}  # for the class kinds
     problems = [
         problem
         for cls in SHAPES
-        for iri in sorted(members[cls])
-        for problem in _shape_problems(store, graph, cls, iri, members)
+        for node in sorted(members[cls], key=sort_key)
+        for problem in _shape_problems(store, graph, cls, node, members)
     ]
     if problems:
         return problems
@@ -448,7 +516,7 @@ def check_kb(store: QuadStore, graph: str = vocab.CORE_GRAPH) -> list[str]:
         Pattern(Var("fn"), Iri(vocab.IN_LANGUAGE), Var("family"), graph),
         Pattern(Var("family"), Iri(vocab.HAS_FAMILY_NAME), Literal("Python"), graph),
     ]
-    implemented = {row["purpose"].value for row in store.query_bgp(python_functions)}
+    implemented = {row["purpose"] for row in store.query_bgp(python_functions)}
     for alg in _instances(store, graph, vocab.ALGORITHM):
         if alg not in implemented:
             name = _read(store, graph, vocab.ALGORITHM, alg)["name"]
@@ -458,9 +526,18 @@ def check_kb(store: QuadStore, graph: str = vocab.CORE_GRAPH) -> list[str]:
         composition = sorted(s.composition_index for s in structure.slots)
         if emission != composition or emission != list(range(len(structure.slots))):
             problems.append(f"structure {structure.name} orderings are not permutations of 0..n-1")
+            continue
+        for kind, order, expected in (
+            ("emission", structure.emission_order(), vocab.EMISSION_ORDER),
+            ("composition", structure.composition_order(), vocab.COMPOSITION_ORDER),
+        ):
+            named = tuple(name for name in order if name in expected)
+            if named != expected:
+                problems.append(f"structure {structure.name} {kind} order is {', '.join(named)}, "
+                                f"expected {', '.join(expected)}")
     for owner, link in ((vocab.STATEMENT_FORM, vocab.HAS_TEMPLATE_SLOT), (vocab.CODE_FUNCTION, vocab.HAS_ARGUMENT_SLOT)):
-        for iri in sorted(members[owner]):
-            problems += _duplicate_slot_indexes(store, graph, Iri(iri), Iri(link))
+        for node in sorted(members[owner], key=sort_key):
+            problems += _duplicate_slot_indexes(store, graph, node, Iri(link))
     return problems
 
 

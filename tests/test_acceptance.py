@@ -17,11 +17,11 @@ import pytest
 
 from graphsynth import vocab, views
 from graphsynth.cli import main
-from graphsynth.composer import compose, derive_variable_name, load_pla, NameAllocator, NamingContext
+from graphsynth.composer import compose, derive_variable_name, import_order, load_pla, NameAllocator, NamingContext
 from graphsynth.errors import ProblemStatementError, TurtleParseError
 from graphsynth.problem import parse_problem_statement
 from graphsynth.quadstore import QuadStore
-from graphsynth.renderer import build_import_statements, render
+from graphsynth.renderer import render
 from graphsynth.resolver import check_compatibility, resolve
 from graphsynth.seed import example_statement_path, fixture_path, kb_dir
 from graphsynth.terms import Iri
@@ -153,7 +153,7 @@ def test_c6_ordering_properties(kb_store, statement_text):
             LibraryInfo(iri=f"http://t.example/{n}", official_name=n, alias=("x" if rng.random() < 0.5 else None), kind="external-package")
             for n in names
         ]
-        ordered = [s.official_name for s in build_import_statements(libs)]
+        ordered = [lib.official_name for lib in import_order(libs)]
         assert ordered == sorted(ordered, key=lambda n: n.encode("utf-8"))
 
     for variant, pla, plr in _synthesize_variants(kb_store, statement_text):

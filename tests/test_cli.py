@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import GOLDEN_DIR
 from graphsynth import vocab
 from graphsynth.cli import main
 from graphsynth.quadstore import QuadStore
@@ -208,8 +209,11 @@ def test_emitted_text_that_does_not_parse_maps_to_render_exit_code(tmp_path, cap
         ("code_function.ttl", 'gs:hasCallableName "mean" ;\n    gs:providedBy kb:numpy',
          'gs:hasCallableName "mean" ;\n    gs:providedBy kb:csv_format',
          "kb:numpy_mean", "gs:providedBy: expected an instance of gs:Library, found kb:csv_format"),
+        ("code_function.ttl", 'gs:hasCallableName "loadtxt"', 'gs:hasCallableName "loadtxt#"',
+         "kb:numpy_loadtxt", 'gs:hasCallableName: expected a dotted identifier, found "loadtxt#"'),
     ],
-    ids=["max-count", "min-count", "integer-kind", "boolean-kind", "library-literal", "iri-kind", "target-class"],
+    ids=["max-count", "min-count", "integer-kind", "boolean-kind", "library-literal", "iri-kind", "target-class",
+         "dotted-identifier"],
 )
 def test_kb_shape_violation_maps_to_load_exit_code_and_names_entity_and_property(
     tmp_path, capsys, filename, old, new, entity, problem
@@ -250,6 +254,36 @@ def test_duplicate_slot_index_maps_to_load_exit_code_and_names_the_slots(tmp_pat
         assert text.count(old) == 1
         text = text.replace(old, new)
     kb = _doctored_kb(tmp_path, filename, text)
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "synthesize", STMT, "--kb", str(kb), "--out", str(out))
+    assert code == 3
+    assert "stage kb-load" in err
+    assert f"  - {problem}\n" in err
+    assert not (out / "hello_analytic.py").exists()
+
+
+@pytest.mark.parametrize(
+    "edits, problem",
+    [
+        ([("gs:hasEmissionIndex 3 ;\n    gs:hasCompositionIndex 2", "gs:hasEmissionIndex 4 ;\n    gs:hasCompositionIndex 2"),
+          ("gs:hasEmissionIndex 4 ;\n    gs:hasCompositionIndex 3", "gs:hasEmissionIndex 3 ;\n    gs:hasCompositionIndex 3")],
+         "structure Input_Calculate_Output emission order is Preamble, Input, Calculate, CleanUp, Output, "
+         "expected Preamble, Input, Calculate, Output, CleanUp"),
+        ([("gs:hasEmissionIndex 2 ;\n    gs:hasCompositionIndex 1", "gs:hasEmissionIndex 2 ;\n    gs:hasCompositionIndex 2"),
+          ("gs:hasEmissionIndex 3 ;\n    gs:hasCompositionIndex 2", "gs:hasEmissionIndex 3 ;\n    gs:hasCompositionIndex 1")],
+         "structure Input_Calculate_Output composition order is Input, Output, Calculate, CleanUp, Preamble, "
+         "expected Input, Calculate, Output, CleanUp, Preamble"),
+    ],
+    ids=["swapped-emission", "swapped-composition"],
+)
+def test_section_order_the_pipeline_does_not_follow_maps_to_load_exit_code(tmp_path, capsys, edits, problem):
+    from graphsynth.seed import kb_dir
+
+    text = (kb_dir() / "program_structure.ttl").read_text(encoding="utf-8")
+    for old, new in edits:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    kb = _doctored_kb(tmp_path, "program_structure.ttl", text)
     out = tmp_path / "out"
     code, _, err = run(capsys, "synthesize", STMT, "--kb", str(kb), "--out", str(out))
     assert code == 3
@@ -371,6 +405,13 @@ def test_dump_graph_after_synthesis_round_trips(capsys):
     for quad in reparsed.statements:
         store.insert(quad)
     assert store.graph_size(graph) == len(set(reparsed.statements))
+
+
+@pytest.mark.parametrize("kind", ["pla", "plr"])
+def test_dump_graph_of_the_example_program_matches_its_golden(capsys, kind):
+    code, out, _ = run(capsys, "dump-graph", vocab.program_graph_iri("hello_analytic", kind), "--statement", STMT)
+    assert code == 0
+    assert out == (GOLDEN_DIR / f"hello_analytic-{kind}.ttl").read_text(encoding="utf-8")
 
 
 def test_query_lists_both_algorithms(capsys):

@@ -20,7 +20,8 @@ from graphsynth.composer import (
 from graphsynth.errors import ComposeError, UnnamedVariableError
 from graphsynth.problem import parse_problem_statement
 from graphsynth.resolver import resolve
-from graphsynth.terms import Iri
+from graphsynth.quadstore import Quad
+from graphsynth.terms import Iri, integer_literal
 from graphsynth.views import view_naming_patterns
 
 
@@ -222,3 +223,17 @@ def test_collisions_during_composition_are_deterministic(kb_store, plan):
     assert targets == ["mean", "mean_2"]
     labels = [p.statement.label for p in pla.section("Output").statements]
     assert labels == ["mean", "mean_2"]
+
+
+@pytest.mark.parametrize("change", ["drop", "second-value"])
+def test_statement_order_index_that_is_not_one_value_does_not_load(kb_store, pla, change):
+    node = Iri(f"{pla.graph_iri}#stmt-0")
+    predicate = Iri(vocab.pla("hasOrderIndex"))
+    [quad] = [q for q in kb_store.quads(pla.graph_iri) if q.subject == node and q.predicate == predicate]
+    if change == "drop":
+        kb_store.remove(quad)
+    else:
+        kb_store.insert(Quad(node, predicate, integer_literal(7), pla.graph_iri))
+    with pytest.raises(ComposeError) as raised:
+        load_pla(kb_store, pla.graph_iri)
+    assert f"{node!r} {predicate!r} has " in str(raised.value)

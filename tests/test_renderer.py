@@ -10,21 +10,22 @@ from hypothesis import strategies as st
 
 from conftest import insert_turtle
 from graphsynth import renderer, vocab
-from graphsynth.composer import compose
-from graphsynth.errors import UnmappableStatementError, UnsupportedLanguageError, WriteError
+from graphsynth.composer import compose, import_order
+from graphsynth.errors import RenderError, UnmappableStatementError, UnsupportedLanguageError, WriteError
 from graphsynth.problem import parse_problem_statement
 from graphsynth.renderer import (
     ImportAliased,
     ImportPlain,
-    build_import_statements,
     emit,
+    import_statement,
     load_plr,
     quote,
     render,
     write_source,
 )
 from graphsynth.resolver import resolve
-from graphsynth.terms import RDF_TYPE, Iri
+from graphsynth.quadstore import Quad
+from graphsynth.terms import RDF_TYPE, Iri, Literal
 from graphsynth.views import LibraryInfo
 
 
@@ -140,17 +141,17 @@ def test_missing_statement_form_is_unmappable(kb_store, statement_text):
 
 
 def test_import_statements_for_exemplar_library_set():
-    statements = build_import_statements([_lib("numpy", "np"), _lib("sys")])
+    statements = [import_statement(lib) for lib in import_order([_lib("sys"), _lib("numpy", "np")])]
     assert statements == [ImportAliased("numpy", "np"), ImportPlain("sys")]
 
 
 def test_import_statements_empty_set():
-    assert build_import_statements([]) == []
+    assert import_order([]) == []
 
 
 def test_import_statements_sort_by_official_name():
     libs = [_lib("zlib"), _lib("abc"), _lib("os")]
-    assert [s.official_name for s in build_import_statements(libs)] == sorted(["zlib", "abc", "os"])
+    assert [lib.official_name for lib in import_order(libs)] == sorted(["zlib", "abc", "os"])
 
 
 def test_import_statements_sorted_for_random_library_sets():
@@ -161,7 +162,7 @@ def test_import_statements_sorted_for_random_library_sets():
             for _ in range(rng.randint(0, 12))
         }
         libs = [_lib(name, "a" if rng.random() < 0.4 else None) for name in names]
-        ordered = [s.official_name for s in build_import_statements(libs)]
+        ordered = [lib.official_name for lib in import_order(libs)]
         assert ordered == sorted(ordered, key=lambda n: n.encode("utf-8"))
 
 
@@ -206,6 +207,20 @@ def test_concrete_graph_holds_only_variation_section_order_and_elements(pipeline
         renderer.PLR_HAS_ELEMENT_TEXT,
     }
     assert load_plr(store, plr.graph_iri) == plr
+
+
+@pytest.mark.parametrize("change", ["drop", "second-value"])
+def test_element_text_that_is_not_one_value_does_not_load(pipeline, change):
+    store, _, _, plr = pipeline
+    node = Iri(f"{plr.graph_iri}#stmt-0-e0")
+    [quad] = [q for q in store.quads(plr.graph_iri) if q.subject == node and q.predicate == renderer.PLR_HAS_ELEMENT_TEXT]
+    if change == "drop":
+        store.remove(quad)
+    else:
+        store.insert(Quad(node, renderer.PLR_HAS_ELEMENT_TEXT, Literal("extra"), plr.graph_iri))
+    with pytest.raises(RenderError) as raised:
+        load_plr(store, plr.graph_iri)
+    assert f"{node!r} {renderer.PLR_HAS_ELEMENT_TEXT!r} has " in str(raised.value)
 
 
 def test_compose_and_render_build_no_vocabulary_iri_and_each_node_iri_once(kb_store, statement_text, monkeypatch):

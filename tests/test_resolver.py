@@ -248,7 +248,20 @@ x:py31010 a gs:ProgrammingLanguage ;
 
 
 def test_ambiguous_duplicate_data_sources(kb_store, statement_text):
-    insert_turtle(kb_store, TEST_HEADER + 'x:dup a gs:DataSource ; gs:hasName "my_input.txt" .')
+    insert_turtle(
+        kb_store,
+        TEST_HEADER
+        + """x:dup a gs:DataSource ; gs:hasName "my_input.txt" ;
+    gs:hasContainer kb:file_container ;
+    gs:hasFormat kb:csv_format ;
+    gs:hasEncoding kb:ascii_encoding ;
+    gs:hasValueDatatype kb:floating_point_datatype ;
+    gs:hasHeaderRowCount 0 ;
+    gs:hasDataRowCount 6 ;
+    gs:hasValuesPerRow 1 ;
+    gs:hasQuantityKind kb:dimensionless_sample ;
+    gs:hasLocation "dup.txt" .""",
+    )
     ps = parse_problem_statement(statement_text)
     with pytest.raises(AmbiguousError):
         resolve(ps, kb_store)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from graphsynth import vocab, views
-from graphsynth.errors import KbValidationError
+from graphsynth.errors import CardinalityError, KbValidationError
 from graphsynth.seed import fixture_path, load_kb
 from graphsynth.terms import XSD_DECIMAL, Literal
 from graphsynth.views import check_kb
@@ -42,9 +42,22 @@ def test_duplicate_named_sources_are_both_returned(kb_store):
     insert_turtle(
         kb_store,
         TEST_HEADER
-        + 'x:other a gs:DataSource ; gs:hasName "my_input.txt" ; gs:hasDataRowCount 1 ; gs:hasValuesPerRow 1 .',
+        + """x:other a gs:DataSource ; gs:hasName "my_input.txt" ; gs:hasDataRowCount 1 ; gs:hasValuesPerRow 1 ;
+    gs:hasContainer kb:file_container ;
+    gs:hasFormat kb:csv_format ;
+    gs:hasEncoding kb:ascii_encoding ;
+    gs:hasValueDatatype kb:floating_point_datatype ;
+    gs:hasHeaderRowCount 0 ;
+    gs:hasQuantityKind kb:dimensionless_sample ;
+    gs:hasLocation "other.txt" .""",
     )
     assert len(views.view_data_source(kb_store, "my_input.txt")) == 2
+
+
+def test_view_over_a_half_described_data_source_names_the_missing_property(kb_store):
+    insert_turtle(kb_store, TEST_HEADER + 'x:half a gs:DataSource ; gs:hasName "half.txt" ; gs:hasContainer kb:file_container .')
+    with pytest.raises(CardinalityError, match="<http://t.example/half> <http://graphsynth.dev/vocab/core#hasFormat> has no"):
+        views.view_data_source(kb_store, "half.txt")
 
 
 @pytest.mark.parametrize(

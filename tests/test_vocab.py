@@ -38,7 +38,7 @@ def test_every_public_vocab_constant_is_used_outside_vocab():
 def test_every_shape_names_a_shipped_class_and_public_vocab_predicates(seed_kb):
     from graphsynth.quadstore import Pattern, Var
     from graphsynth.terms import RDF_TYPE, Iri
-    from graphsynth.views import BOOL, INT, IRI, MANY, SHAPES, STR
+    from graphsynth.views import BOOL, INT, IRI, MANY, NAME, SHAPES, STR
 
     store, _ = seed_kb
     public = {getattr(vocab, name) for name in dir(vocab) if not name.startswith("_")}
@@ -48,5 +48,5 @@ def test_every_shape_names_a_shipped_class_and_public_vocab_predicates(seed_kb):
         assert label is None or label in {name for name, *_ in fields}, cls
         for name, predicate, kind, low, high in fields:
             assert predicate.value in public, (cls, name)
-            assert kind in SHAPES or kind in (STR, INT, BOOL, IRI), (cls, name)
+            assert kind in SHAPES or kind in (STR, NAME, INT, BOOL, IRI), (cls, name)
             assert (low, high) in ((0, 1), (1, 1), (1, MANY)), (cls, name)
