@@ -57,15 +57,14 @@ PLA_REFERS_TO_LIBRARY = Iri(vocab.pla("refersToLibrary"))
 
 
 class CallArg(_Frozen):
-    """One argument of an abstract call: a variable reference or a literal."""
+    """One argument of an abstract call: a reference to a variable composed earlier."""
 
-    __slots__ = ("variable", "literal")
+    __slots__ = ("variable",)
 
-    def __init__(self, variable: str | None = None, literal: str | None = None):
-        if (variable is None) == (literal is None):
-            raise ComposeError("call argument must be exactly one of variable or literal")
+    def __init__(self, variable: str):
+        if variable is None:
+            raise ComposeError("call argument must name a variable")
         _set(self, "variable", variable)
-        _set(self, "literal", literal)
 
 
 class AssignLiteral(NamedTuple):
@@ -119,6 +118,7 @@ class PlaProgram(NamedTuple):
     structure_iri: str
     sections: tuple[PlaSection, ...]  # in emission order
     referenced_libraries: tuple[LibraryInfo, ...]  # in first-reference order
+    called_functions: tuple[CodeFunctionInfo, ...]  # in first-call order
 
     def section(self, name: str) -> PlaSection:
         for sec in self.sections:
@@ -203,12 +203,15 @@ class _Composition:
         self.reserved = library_names(plan)
         self.names = NameAllocator()
         self.role_vars: dict[str, str] = {}
+        self.functions: dict[str, CodeFunctionInfo] = {}
         self.libraries: dict[str, LibraryInfo] = {}
         self.counter = 0
         self.placed: dict[str, list[PlacedStatement]] = {}
 
-    def note_library(self, library: LibraryInfo):
-        self.libraries.setdefault(library.iri, library)
+    def note_call(self, function: CodeFunctionInfo):
+        """Record a placed call: its function, and the library that provides it."""
+        self.functions.setdefault(function.iri, function)
+        self.libraries.setdefault(function.library.iri, function.library)
 
     def place(self, section: str, statement: AbstractStatement):
         placed = self.placed.setdefault(section, [])
@@ -249,18 +252,18 @@ class _Composition:
             NamingContext(vocab.PATTERN_FILENAME_ARG_TO_READER, content_label=ds.content_type_label)
         )
         self.place(vocab.SECTION_INPUT, AssignCall(data_var, reader.iri, self.args_for(reader)))
+        self.note_call(reader)
         if reader.return_role:
             self.role_vars[reader.return_role] = data_var
-        self.note_library(reader.library)
 
     def compose_calculate(self) -> list[str]:
         result_vars = []
         for calc in self.plan.calculations:
             target = self.new_variable(NamingContext(vocab.PATTERN_ASSIGN_FUNCTION_RETURN, function=calc.function))
             self.place(vocab.SECTION_CALCULATE, AssignCall(target, calc.function.iri, self.args_for(calc.function)))
+            self.note_call(calc.function)
             if calc.function.return_role:
                 self.role_vars[calc.function.return_role] = target
-            self.note_library(calc.function.library)
             result_vars.append(target)
         return result_vars
 
@@ -270,7 +273,7 @@ class _Composition:
 
     def compose_cleanup(self):
         self.place(vocab.SECTION_CLEANUP, ProgramExit(status=0, function=self.plan.exit_function.iri))
-        self.note_library(self.plan.exit_function.library)
+        self.note_call(self.plan.exit_function)
 
     def compose_preamble(self):
         for library in import_order(self.libraries.values()):
@@ -283,7 +286,11 @@ def import_order(libraries: Iterable[LibraryInfo]) -> list[LibraryInfo]:
 
 
 def compose(plan: BuildPlan, store: QuadStore, graph_iri: str | None = None) -> PlaProgram:
-    """Compose the plan into a fresh named graph; returns the graph read back."""
+    """Compose the plan into a fresh named graph; returns the program written there.
+
+    The returned program is built from the composition itself, not read back
+    from the graph; `load_pla` on the graph decodes an equal program.
+    """
     graph_iri = graph_iri or vocab.program_graph_iri(plan.program_basename, "pla")
     if store.graph_size(graph_iri) != 0:
         raise ComposeError(f"target graph is not empty: {graph_iri}")
@@ -302,8 +309,21 @@ def compose(plan: BuildPlan, store: QuadStore, graph_iri: str | None = None) -> 
         elif section_name == vocab.SECTION_PREAMBLE:
             state.compose_preamble()
 
-    _write_pla(plan, state, store, graph_iri)
-    return load_pla(store, graph_iri)
+    program = PlaProgram(
+        graph_iri=graph_iri,
+        program_iri=f"{graph_iri}#program",
+        basename=plan.program_basename,
+        structure_iri=plan.structure.iri,
+        sections=tuple(
+            PlaSection(slot.name, slot.section_iri, slot.emission_index, slot.composition_index,
+                       tuple(state.placed.get(slot.name, ())))
+            for slot in sorted(plan.structure.slots, key=lambda s: s.emission_index)
+        ),
+        referenced_libraries=tuple(state.libraries.values()),
+        called_functions=tuple(state.functions.values()),
+    )
+    _write_pla(program, store)
+    return program
 
 
 # --- graph encoding -------------------------------------------------------
@@ -333,12 +353,8 @@ _SECTION = (
 _LIBRARY_REFERENCE = (_SLOT_INDEX, ("library", PLA_REFERS_TO_LIBRARY, IRI, 1, 1))
 # Every statement node: its statement kind as rdf:type, and where it is placed.
 _PLACEMENT = (TYPE, ("order_index", PLA_HAS_ORDER_INDEX, INT, 1, 1), _COMPOSITION_INDEX)
-# One child node per argument of a call; exactly one of variable and literal.
-_ARGUMENT_SLOT = (
-    _SLOT_INDEX,
-    ("variable", PLA_HAS_VARIABLE_REF, STR, 0, 1),
-    ("literal", PLA_HAS_LITERAL_VALUE, STR, 0, 1),
-)
+# One child node per argument of a call, naming the variable passed.
+_ARGUMENT_SLOT = (_SLOT_INDEX, ("variable", PLA_HAS_VARIABLE_REF, STR, 1, 1))
 # Record class -> (statement kind, fields).
 _STATEMENTS = {
     AssignLiteral: (
@@ -356,19 +372,20 @@ _STATEMENTS = {
 _RECORDS = {kind: (record, fields) for record, (kind, fields) in _STATEMENTS.items()}
 
 
-def _write_pla(plan: BuildPlan, state: _Composition, store: QuadStore, graph: str):
-    refs = [Iri(f"{graph}#libref-{index}") for index in range(len(state.libraries))]
-    for index, (ref, library) in enumerate(zip(refs, state.libraries)):
-        write(store, graph, _LIBRARY_REFERENCE, ref, index=index, library=library)
+def _write_pla(program: PlaProgram, store: QuadStore):
+    """Write the program's graph: the nodes and quads `load_pla` decodes it from."""
+    graph = program.graph_iri
+    refs = [Iri(f"{graph}#libref-{index}") for index in range(len(program.referenced_libraries))]
+    for index, (ref, library) in enumerate(zip(refs, program.referenced_libraries)):
+        write(store, graph, _LIBRARY_REFERENCE, ref, index=index, library=library.iri)
     sections = []
-    for slot in plan.structure.slots:
-        node = Iri(f"{graph}#section-{slot.name.lower()}")
-        statements = [_write_statement(store, graph, placed) for placed in state.placed.get(slot.name, ())]
-        write(store, graph, _SECTION, node, type=PLA_SECTION, entity_iri=slot.section_iri, statements=statements,
-              **slot._asdict())
+    for section in program.sections:
+        node = Iri(f"{graph}#section-{section.name.lower()}")
+        statements = [_write_statement(store, graph, placed) for placed in section.statements]
+        write(store, graph, _SECTION, node, **section._replace(statements=statements)._asdict(), type=PLA_SECTION)
         sections.append(node)
-    write(store, graph, _PROGRAM, Iri(f"{graph}#program"), type=PLA_PROGRAM, basename=plan.program_basename,
-          structure_iri=plan.structure.iri, sections=sections, library_references=refs)
+    write(store, graph, _PROGRAM, Iri(program.program_iri), type=PLA_PROGRAM, basename=program.basename,
+          structure_iri=program.structure_iri, sections=sections, library_references=refs)
 
 
 def _write_statement(store: QuadStore, graph: str, placed: PlacedStatement) -> Iri:
@@ -382,7 +399,7 @@ def _write_statement(store: QuadStore, graph: str, placed: PlacedStatement) -> I
     args = values.get("args", ())
     values["args"] = slots = [Iri(f"{node.value}-arg{index}") for index in range(len(args))]
     for index, (slot, arg) in enumerate(zip(slots, args)):
-        write(store, graph, _ARGUMENT_SLOT, slot, index=index, variable=arg.variable, literal=arg.literal)
+        write(store, graph, _ARGUMENT_SLOT, slot, index=index, variable=arg.variable)
     write(store, graph, fields, node, **values)
     return node
 
@@ -405,14 +422,24 @@ def load_pla(store: QuadStore, graph_iri: str, core_graph: str = vocab.CORE_GRAP
         if info is None:
             raise ComposeError(f"referenced library {ref['library']} is not in the knowledge base")
         libraries.append(info)
-    return PlaProgram(
+    pla = PlaProgram(
         graph_iri=graph_iri,
         program_iri=program.value,
         basename=fields["basename"],
         structure_iri=fields["structure_iri"],
         sections=tuple(sorted(sections, key=lambda s: s.emission_index)),
         referenced_libraries=tuple(libraries),
+        called_functions=(),
     )
+    # The functions the calls name, each once, in the order the calls were composed.
+    calls = [p.statement.function for p in pla.all_statements() if isinstance(p.statement, (AssignCall, ProgramExit))]
+    functions = []
+    for iri in dict.fromkeys(calls):
+        info = views.view_code_function_by_iri(store, iri, core_graph)
+        if info is None:
+            raise ComposeError(f"called function {iri} is not in the knowledge base")
+        functions.append(info)
+    return pla._replace(called_functions=tuple(functions))
 
 
 def _read_section(store: QuadStore, graph: str, node: Iri) -> PlaSection:
@@ -430,5 +457,5 @@ def _read_statement(store: QuadStore, graph: str, node: Iri, section: str) -> Pl
     values = read(store, graph, fields, node)
     if "args" in values:  # a call: one child node per argument, read back in slot order
         slots = sorted((read(store, graph, _ARGUMENT_SLOT, slot) for slot in values["args"]), key=itemgetter("index"))
-        values["args"] = tuple(CallArg(slot["variable"], slot["literal"]) for slot in slots)
+        values["args"] = tuple(CallArg(slot["variable"]) for slot in slots)
     return PlacedStatement(record(**values), section, placement["order_index"], placement["composition_index"])

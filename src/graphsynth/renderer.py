@@ -4,7 +4,7 @@ emits source text.
 Every concrete statement records three things: which statement variation it
 is, what its elements are, and the order of those elements. The element
 templates come from the knowledge base's statement forms; rendering fills
-their fields. Emission walks the concrete graph section by section in the
+their fields. Emission walks the concrete program section by section in the
 fixed source order and concatenates each statement's elements.
 """
 
@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from graphsynth import vocab, views
-from graphsynth.composer import AssignCall, AssignLiteral, CallArg, ImportDirective, PlaProgram, ProgramExit, ReportValue
+from graphsynth.composer import AssignCall, AssignLiteral, ImportDirective, PlaProgram, ProgramExit, ReportValue
 from graphsynth.errors import (
     CardinalityError,
     RenderError,
@@ -165,11 +165,10 @@ def import_statement(library: LibraryInfo) -> ImportPlain | ImportAliased:
 
 
 class _Renderer:
-    def __init__(self, store: QuadStore, language: LanguageInfo, core_graph: str, libraries: tuple[LibraryInfo, ...]):
-        self.store = store
+    def __init__(self, store: QuadStore, language: LanguageInfo, core_graph: str, pla: PlaProgram):
         self.language = language
-        self.core_graph = core_graph
-        self.libraries = {library.iri: library for library in libraries}
+        self.libraries = {library.iri: library for library in pla.referenced_libraries}
+        self.functions = {function.iri: function for function in pla.called_functions}
         self.forms = views.view_statement_forms(store, language.family, core_graph)
         if not self.forms:
             raise UnsupportedLanguageError(language.family)
@@ -184,21 +183,12 @@ class _Renderer:
         return quote(value, self.language.string_quote)
 
     def callee_ref(self, function_iri: str) -> str:
-        function = views.view_code_function_by_iri(self.store, function_iri, self.core_graph)
+        function = self.functions.get(function_iri)
         if function is None:
-            raise RenderError(f"function {function_iri} is not in the knowledge base")
+            raise RenderError(f"function {function_iri} is not among the program's called functions")
         library = function.library
         prefix = library.alias or library.official_name
         return f"{prefix}.{function.callable_name}"
-
-    def render_args(self, args: tuple[CallArg, ...]) -> tuple[str, ...]:
-        out = []
-        for arg in args:
-            if arg.variable is not None:
-                out.append(arg.variable)
-            else:
-                out.append(self.quote(arg.literal))
-        return tuple(out)
 
     def render_statement(self, statement) -> ConcreteStatement:
         if isinstance(statement, ImportDirective):
@@ -209,7 +199,7 @@ class _Renderer:
         if isinstance(statement, AssignLiteral):
             return AssignExpr(lhs=statement.target, rhs=self.quote(statement.value))
         if isinstance(statement, AssignCall):
-            args = ",".join(self.render_args(statement.args))
+            args = ",".join(arg.variable for arg in statement.args)
             return AssignExpr(lhs=statement.target, rhs=f"{self.callee_ref(statement.function)}({args})")
         if isinstance(statement, ReportValue):
             # The report form is print('<label> = ',<value>): a space inside
@@ -229,13 +219,18 @@ def render(
 ) -> PlrProgram:
     """Map every abstract statement to one concrete statement in a fresh named graph.
 
-    A language family without statement forms in the KB is unsupported.
+    Returns the program written there, built while rendering, not read back
+    from the graph; `load_plr` on the graph decodes an equal program. Each
+    callee is the function the abstract program carries for its call, the
+    one the resolver chose; the KB is not asked for it again. A language
+    family without statement forms in the KB is unsupported.
     """
-    renderer = _Renderer(store, language, core_graph, pla.referenced_libraries)
+    renderer = _Renderer(store, language, core_graph, pla)
     graph_iri = graph_iri or vocab.program_graph_iri(pla.basename, "plr")
     if store.graph_size(graph_iri) != 0:
         raise RenderError(f"target graph is not empty: {graph_iri}")
 
+    sections: dict[str, list[PlacedConcrete]] = {name: [] for name in vocab.EMISSION_ORDER}
     statements = []
     for section in sorted(pla.sections, key=lambda s: s.emission_index):
         for index, placed in enumerate(sorted(section.statements, key=lambda p: p.order_index)):
@@ -248,9 +243,12 @@ def render(
             write(store, graph_iri, _STATEMENT, node, type=PLR_STATEMENT, variation=concrete.variation,
                   section=section.name, section_index=index, statement_index=len(statements), elements=element_nodes)
             statements.append(node)
-    write(store, graph_iri, _PROGRAM, Iri(f"{graph_iri}#program"), type=PLR_PROGRAM, basename=pla.basename,
+            sections[section.name].append(PlacedConcrete(concrete.variation, section.name, index, elements))
+    program_iri = f"{graph_iri}#program"
+    write(store, graph_iri, _PROGRAM, Iri(program_iri), type=PLR_PROGRAM, basename=pla.basename,
           language_iri=language.iri, statements=statements)
-    return load_plr(store, graph_iri)
+    return PlrProgram(graph_iri, program_iri, pla.basename, language.iri,
+                      tuple((name, tuple(placed)) for name, placed in sections.items()))
 
 
 def load_plr(store: QuadStore, graph_iri: str) -> PlrProgram:

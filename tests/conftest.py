@@ -5,11 +5,45 @@ from pathlib import Path
 import pytest
 
 from graphsynth import vocab
+from graphsynth.problem import parse_problem_statement
 from graphsynth.quadstore import QuadStore
+from graphsynth.resolver import BuildPlan, resolve
 from graphsynth.seed import example_statement_path, load_kb
 from graphsynth.turtle import parse_document
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+MEAN, STD = "average value", "average value variation"
+# Statements the program-graph round trips run over besides the shipped
+# example (two calculations, Python-3.8, no preference), by id:
+# (calculations, language tag, library preferences). A statement must request
+# at least one calculation, so "none" resolves one and drops it from the plan.
+STATEMENT_VARIANTS = {
+    "none": ((), "Python-3.8", ()),
+    "one": ((MEAN,), "Python-3.8", ()),
+    "four": ((MEAN, STD, STD, MEAN), "Python-3.8", ()),
+    "repeated": ((MEAN, MEAN), "Python-3.8", ()),
+    "python": ((MEAN, STD), "Python", ()),
+    "python-3": ((STD, MEAN), "Python-3", ()),
+    "numpy-preferred": ((MEAN, STD), "Python-3.8", ("numpy",)),
+    "numpy-preferred-python": ((STD,), "Python", ("numpy",)),
+}
+
+
+def variant_plan(store: QuadStore, variant: str) -> BuildPlan:
+    """Resolve the statement variant `variant` of STATEMENT_VARIANTS against `store`."""
+    calculations, language, preferences = STATEMENT_VARIANTS[variant]
+    lines = [
+        "data_source_names = ['my_input.txt']",
+        f"requested_calculations = {list(calculations or (MEAN,))!r}",
+        "program_requirements = ['read input data', 'calculate quantity', 'report result']",
+        f"programming_language = '{language}'",
+        "program_basename = 'variant'",
+    ]
+    if preferences:
+        lines.append(f"library_preferences = {list(preferences)!r}")
+    plan = resolve(parse_problem_statement("\n".join(lines) + "\n"), store)
+    return plan if calculations else plan._replace(calculations=())
 
 
 @pytest.fixture(scope="session")

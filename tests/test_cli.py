@@ -189,6 +189,22 @@ def test_emitted_text_that_does_not_parse_maps_to_render_exit_code(tmp_path, cap
     assert not (out / "hello_analytic.py").exists()
 
 
+def test_a_call_to_a_function_the_program_does_not_carry_maps_to_render_exit_code(tmp_path, capsys, monkeypatch):
+    from graphsynth import cli, composer
+
+    def compose_without_mean(plan, store):
+        pla = composer.compose(plan, store)
+        functions = tuple(function for function in pla.called_functions if function.iri != vocab.NUMPY_MEAN)
+        return pla._replace(called_functions=functions)
+
+    monkeypatch.setattr(cli, "compose", compose_without_mean)
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "synthesize", STMT, "--out", str(out))
+    assert code == 7
+    assert f"stage render: function {vocab.NUMPY_MEAN} is not among the program's called functions" in err
+    assert not (out / "hello_analytic.py").exists()
+
+
 @pytest.mark.parametrize(
     "filename, old, new, entity, problem",
     [

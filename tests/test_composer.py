@@ -3,8 +3,10 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import STATEMENT_VARIANTS, variant_plan
 from graphsynth import vocab
 from graphsynth.composer import (
+    PLA_HAS_VARIABLE_REF,
     AssignCall,
     AssignLiteral,
     ImportDirective,
@@ -88,8 +90,7 @@ def test_every_argument_is_defined_earlier_in_composition_order(pla):
         statement = placed.statement
         if isinstance(statement, AssignCall):
             for arg in statement.args:
-                if arg.variable is not None:
-                    assert defined[arg.variable] < placed.composition_index
+                assert defined[arg.variable] < placed.composition_index
         if isinstance(statement, ReportValue):
             assert defined[statement.source] < placed.composition_index
         if isinstance(statement, (AssignLiteral, AssignCall)):
@@ -136,6 +137,28 @@ def test_compose_refuses_a_non_empty_graph(kb_store, plan):
 def test_load_pla_round_trips_the_composed_object(kb_store, plan):
     pla = compose(plan, kb_store)
     assert load_pla(kb_store, pla.graph_iri) == pla
+
+
+@pytest.mark.parametrize("variant", STATEMENT_VARIANTS)
+def test_load_pla_round_trips_the_composed_object_of_every_statement_variant(kb_store, variant):
+    pla = compose(variant_plan(kb_store, variant), kb_store)
+    assert load_pla(kb_store, pla.graph_iri) == pla
+
+
+def test_called_functions_are_the_plans_once_each_in_first_call_order(kb_store, plan):
+    functions = (plan.reader_function, *(calc.function for calc in plan.calculations), plan.exit_function)
+    assert compose(plan, kb_store).called_functions == functions
+    doubled = plan._replace(calculations=plan.calculations * 2, program_basename="doubled")
+    assert compose(doubled, kb_store).called_functions == functions
+
+
+def test_argument_slot_without_a_variable_does_not_load(kb_store, pla):
+    slot = Iri(f"{pla.graph_iri}#stmt-1-arg0")  # the reader call's one argument
+    [quad] = [q for q in kb_store.quads(pla.graph_iri) if q.subject == slot and q.predicate == PLA_HAS_VARIABLE_REF]
+    kb_store.remove(quad)
+    with pytest.raises(ComposeError) as raised:
+        load_pla(kb_store, pla.graph_iri)
+    assert f"{slot!r} {PLA_HAS_VARIABLE_REF!r} has no value" in str(raised.value)
 
 
 def test_degenerate_plan_with_zero_calculations(kb_store, plan):

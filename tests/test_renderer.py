@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import insert_turtle
-from graphsynth import renderer, vocab
+from conftest import STATEMENT_VARIANTS, insert_turtle, variant_plan
+from graphsynth import renderer, views, vocab
 from graphsynth.composer import compose, import_order
 from graphsynth.errors import RenderError, UnmappableStatementError, UnsupportedLanguageError, WriteError
 from graphsynth.problem import parse_problem_statement
@@ -24,7 +24,7 @@ from graphsynth.renderer import (
     write_source,
 )
 from graphsynth.resolver import resolve
-from graphsynth.quadstore import Quad
+from graphsynth.quadstore import Quad, QuadStore
 from graphsynth.terms import RDF_TYPE, Iri, Literal
 from graphsynth.views import LibraryInfo
 
@@ -107,6 +107,62 @@ def test_load_plr_round_trips_and_emits_identically(pipeline):
     walked = load_plr(store, plr.graph_iri)
     assert walked == plr
     assert emit(walked) == emit(plr)
+
+
+@pytest.mark.parametrize("variant", STATEMENT_VARIANTS)
+def test_load_plr_round_trips_and_emits_identically_for_every_statement_variant(kb_store, variant):
+    plan = variant_plan(kb_store, variant)
+    pla = compose(plan, kb_store)
+    plr = render(pla, plan.language, kb_store)
+    walked = load_plr(kb_store, plr.graph_iri)
+    assert walked == plr
+    assert emit(walked) == emit(plr)
+
+
+# The graphs each QuadStore read names, from its arguments.
+_READ_GRAPHS = {
+    "value": lambda subject, predicate, graph: [graph],
+    "objects": lambda subject, predicate, graph: [graph],
+    "match_pattern": lambda pattern: [pattern.graph],
+    "query_bgp": lambda patterns: [pattern.graph for pattern in patterns],
+}
+
+
+def test_compose_and_render_read_nothing_back_and_look_up_no_function(kb_store, statement_text, monkeypatch):
+    plan = resolve(parse_problem_statement(statement_text), kb_store)
+    read_graphs, function_lookups = [], []
+
+    def counting(name, method):
+        def wrapper(store, *args):
+            args = [list(arg) if name == "query_bgp" else arg for arg in args]
+            read_graphs.extend(_READ_GRAPHS[name](*args))
+            return method(store, *args)
+
+        return wrapper
+
+    for name in _READ_GRAPHS:
+        monkeypatch.setattr(QuadStore, name, counting(name, getattr(QuadStore, name)))
+    lookup = views.view_code_function_by_iri
+
+    def looking_up(store, iri, *rest):
+        function_lookups.append(iri)
+        return lookup(store, iri, *rest)
+
+    monkeypatch.setattr(views, "view_code_function_by_iri", looking_up)
+    pla = compose(plan, kb_store)
+    plr = render(pla, plan.language, kb_store)
+    monkeypatch.undo()
+    assert read_graphs and vocab.CORE_GRAPH in read_graphs
+    assert [graph for graph in read_graphs if graph in (pla.graph_iri, plr.graph_iri)] == []
+    assert function_lookups == []
+
+
+def test_a_call_to_a_function_the_program_does_not_carry_is_a_render_error(kb_store, statement_text):
+    plan = resolve(parse_problem_statement(statement_text), kb_store)
+    pla = compose(plan, kb_store)
+    without_mean = tuple(function for function in pla.called_functions if function.iri != vocab.NUMPY_MEAN)
+    with pytest.raises(RenderError, match=f"function {vocab.NUMPY_MEAN} is not among the program's called functions"):
+        render(pla._replace(called_functions=without_mean), plan.language, kb_store)
 
 
 def test_dropping_both_program_graphs_leaves_the_kb_and_allows_the_same_synthesis(pipeline, seed_kb):

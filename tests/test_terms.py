@@ -25,9 +25,8 @@ RECORDS = [
     lambda: Var("x"),
     lambda: Pattern(Var("s"), P, O, Var("g")),
     lambda: CallArg(variable="x"),
-    lambda: CallArg(literal="x"),
 ]
-RECORD_IDS = ["iri", "lang-literal", "typed-literal", "blank", "quad", "var", "pattern", "callarg-var", "callarg-lit"]
+RECORD_IDS = ["iri", "lang-literal", "typed-literal", "blank", "quad", "var", "pattern", "callarg-var"]
 
 
 def test_terms_of_different_kinds_never_compare_equal():
@@ -96,7 +95,7 @@ def test_fields_cannot_be_assigned_or_deleted(make):
             Pattern(Var("s"), P, O, Var("g")),
             "Pattern(subject=?s, predicate=<http://x/p>, object=<http://x/o>, graph=?g)",
         ),
-        (CallArg(variable="x"), "CallArg(variable='x', literal=None)"),
+        (CallArg(variable="x"), "CallArg(variable='x')"),
     ],
     ids=["iri", "string-literal", "typed-literal", "lang-literal", "blank", "var", "quad", "pattern", "callarg"],
 )
@@ -146,7 +145,6 @@ def test_malformed_quads_and_variables_raise(build, message):
         build()
 
 
-@pytest.mark.parametrize("fields", [{}, {"variable": "x", "literal": "y"}], ids=["neither", "both"])
-def test_call_argument_needs_exactly_one_of_variable_or_literal(fields):
-    with pytest.raises(ComposeError, match="exactly one of variable or literal"):
-        CallArg(**fields)
+def test_call_argument_needs_a_variable():
+    with pytest.raises(ComposeError, match="call argument must name a variable"):
+        CallArg(None)
