@@ -4,11 +4,14 @@ The surface syntax is a flat sequence of `key = value` entries where a
 value is either a single-quoted string or a bracketed list of them.
 Whitespace and blank lines between tokens carry no meaning, and a trailing
 backslash joins physical lines. Parsing is strict: unknown keys, duplicate
-keys, and list/scalar mismatches are errors with positions.
+keys, and list/scalar mismatches are errors with positions. Tokens keep
+only their offsets; the line and column of an error are counted from its
+offset when it is raised.
 """
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple
 
 from graphsynth.errors import (
@@ -52,72 +55,55 @@ class ProblemStatement(NamedTuple):
 
 class _Token(NamedTuple):
     kind: str  # IDENT | STRING | PUNCT | EOF
-    text: str
-    line: int
-    column: int
+    text: str  # a string's value, else the source text
+    pos: int  # offset of the token's first character
+
+
+# Whitespace, and a backslash directly before a line break (a line continuation).
+_TRIVIA = re.compile(r"[ \t\r\n]*(?:\\\r?\n[ \t\r\n]*)*")
+# A string's body up to its closing quote: no newline, and only \' and \\ as escapes.
+_STRING_BODY = re.compile(r"[^'\\\n]*(?:\\['\\][^'\\\n]*)*")
+_ESCAPE = re.compile(r"\\(['\\])")
+_WORD = re.compile(r"\w+")
+
+
+def _position(text: str, pos: int) -> tuple[int, int]:
+    """The line and column of offset `pos`, counted only when an error needs them."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
+def _error(text: str, pos: int, message: str) -> ProblemStatementError:
+    return ProblemStatementError(message, *_position(text, pos))
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """The tokens of `text`, each with only its offset."""
     tokens: list[_Token] = []
-    pos, line, column = 0, 1, 1
-
-    def advance(n: int):
-        nonlocal pos, line, column
-        for _ in range(n):
-            if text[pos] == "\n":
-                line += 1
-                column = 1
-            else:
-                column += 1
-            pos += 1
-
+    pos = _TRIVIA.match(text).end()
     while pos < len(text):
         ch = text[pos]
-        if ch in " \t\r\n":
-            advance(1)
-        elif ch == "\\":
-            # Line continuation: backslash directly before the line break.
-            rest = text[pos + 1 :]
-            if rest.startswith("\r\n"):
-                advance(3)
-            elif rest.startswith("\n"):
-                advance(2)
-            else:
-                raise ProblemStatementError("stray backslash", line, column)
-        elif ch == "'":
-            start_line, start_column = line, column
-            advance(1)
-            out = []
-            while True:
-                if pos >= len(text):
-                    raise ProblemStatementError("unterminated string", start_line, start_column)
-                ch = text[pos]
-                if ch == "\n":
-                    raise ProblemStatementError("newline inside string", line, column)
-                if ch == "'":
-                    advance(1)
-                    break
-                if ch == "\\":
-                    if pos + 1 < len(text) and text[pos + 1] in ("'", "\\"):
-                        out.append(text[pos + 1])
-                        advance(2)
-                        continue
-                    raise ProblemStatementError("unknown escape in string", line, column)
-                out.append(ch)
-                advance(1)
-            tokens.append(_Token("STRING", "".join(out), start_line, start_column))
+        if ch == "'":
+            end = _STRING_BODY.match(text, pos + 1).end()
+            if end == len(text):
+                raise _error(text, pos, "unterminated string")
+            if text[end] == "\n":
+                raise _error(text, end, "newline inside string")
+            if text[end] == "\\":
+                raise _error(text, end, "unknown escape in string")
+            tokens.append(_Token("STRING", _ESCAPE.sub(r"\1", text[pos + 1 : end]), pos))
+            end += 1
         elif ch in "=[],":
-            tokens.append(_Token("PUNCT", ch, line, column))
-            advance(1)
+            tokens.append(_Token("PUNCT", ch, pos))
+            end = pos + 1
         elif ch.isalpha() or ch == "_":
-            start_line, start_column = line, column
-            start = pos
-            while pos < len(text) and (text[pos].isalnum() or text[pos] == "_"):
-                advance(1)
-            tokens.append(_Token("IDENT", text[start:pos], start_line, start_column))
+            end = _WORD.match(text, pos).end()
+            tokens.append(_Token("IDENT", text[pos:end], pos))
+        elif ch == "\\":
+            raise _error(text, pos, "stray backslash")
         else:
-            raise ProblemStatementError(f"unexpected character {ch!r}", line, column)
-    tokens.append(_Token("EOF", "", line, column))
+            raise _error(text, pos, f"unexpected character {ch!r}")
+        pos = _TRIVIA.match(text, end).end()
+    tokens.append(_Token("EOF", "", len(text)))
     return tokens
 
 
@@ -125,6 +111,9 @@ def parse_problem_statement(text: str) -> ProblemStatement:
     """Parse statement text; raises a positioned ProblemStatementError subclass on any flaw."""
     tokens = _tokenize(text)
     index = 0
+
+    def at(token: _Token) -> tuple[int, int]:
+        return _position(text, token.pos)
 
     def peek() -> _Token:
         return tokens[index]
@@ -136,49 +125,49 @@ def parse_problem_statement(text: str) -> ProblemStatement:
         return token
 
     values: dict[str, str | list[str]] = {}
-    positions: dict[str, tuple[int, int]] = {}
+    keys: dict[str, _Token] = {}
     while peek().kind != "EOF":
         key_token = take()
         if key_token.kind != "IDENT":
-            raise ProblemStatementError(f"expected a key, got {key_token.text!r}", key_token.line, key_token.column)
+            raise ProblemStatementError(f"expected a key, got {key_token.text!r}", *at(key_token))
         raw_key = key_token.text
         key = _ALIASES.get(raw_key, raw_key)
         if key not in LIST_KEYS | SCALAR_KEYS:
-            raise UnknownKeyError(raw_key, key_token.line, key_token.column)
+            raise UnknownKeyError(raw_key, *at(key_token))
         if key in values:
-            raise DuplicateKeyError(raw_key, key_token.line, key_token.column)
-        positions[key] = (key_token.line, key_token.column)
+            raise DuplicateKeyError(raw_key, *at(key_token))
+        keys[key] = key_token
 
         eq = take()
         if eq.kind != "PUNCT" or eq.text != "=":
-            raise ProblemStatementError(f"expected '=' after '{raw_key}'", eq.line, eq.column)
+            raise ProblemStatementError(f"expected '=' after '{raw_key}'", *at(eq))
 
         value_token = peek()
         if value_token.kind == "STRING":
             take()
             if key in LIST_KEYS:
-                raise TypeMismatchError(raw_key, "list", "string", value_token.line, value_token.column)
+                raise TypeMismatchError(raw_key, "list", "string", *at(value_token))
             values[key] = value_token.text
         elif value_token.kind == "PUNCT" and value_token.text == "[":
             take()
             if key in SCALAR_KEYS:
-                raise TypeMismatchError(raw_key, "string", "list", value_token.line, value_token.column)
+                raise TypeMismatchError(raw_key, "string", "list", *at(value_token))
             items: list[str] = []
             while True:
                 item = take()
                 if item.kind != "STRING":
-                    raise ProblemStatementError(f"expected a string in list, got {item.text!r}", item.line, item.column)
+                    raise ProblemStatementError(f"expected a string in list, got {item.text!r}", *at(item))
                 items.append(item.text)
                 sep = take()
                 if sep.kind == "PUNCT" and sep.text == ",":
                     continue
                 if sep.kind == "PUNCT" and sep.text == "]":
                     break
-                raise ProblemStatementError(f"expected ',' or ']' in list, got {sep.text!r}", sep.line, sep.column)
+                raise ProblemStatementError(f"expected ',' or ']' in list, got {sep.text!r}", *at(sep))
             values[key] = items
         else:
             raise ProblemStatementError(
-                f"expected a string or list after '{raw_key} ='", value_token.line, value_token.column
+                f"expected a string or list after '{raw_key} ='", *at(value_token)
             )
 
     for key in ("data_source_names", "requested_calculations", "program_requirements",
@@ -188,16 +177,16 @@ def parse_problem_statement(text: str) -> ProblemStatement:
 
     for key in ("data_source_names", "requested_calculations", "program_requirements"):
         if not values[key]:
-            raise ProblemStatementError(f"key '{key}' must list at least one entry", *positions[key])
+            raise ProblemStatementError(f"key '{key}' must list at least one entry", *at(keys[key]))
 
     basename = values["program_basename"]
     if not basename or any(bad in basename for bad in ("/", "\\", ".")):
         raise ProblemStatementError(
             "program_basename must be non-empty and contain no path separators or dots",
-            *positions["program_basename"],
+            *at(keys["program_basename"]),
         )
     if not values["programming_language"]:
-        raise ProblemStatementError("programming_language must be non-empty", *positions["programming_language"])
+        raise ProblemStatementError("programming_language must be non-empty", *at(keys["programming_language"]))
 
     return ProblemStatement(
         data_source_names=tuple(values["data_source_names"]),

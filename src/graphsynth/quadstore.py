@@ -10,6 +10,14 @@ entry from each table, so it does no work per quad. `objects(s, p, g)` and
 its functional form `value(s, p, g)`, the reads behind every property lookup
 of one entity, are three probes into the graph's subject table.
 
+Each graph also has a generation: a count that every `insert` or `remove`
+that changes the graph, and every `drop_graph`, bumps, and that is never
+reset. A value compiled from a graph, such as the knowledge-base snapshot
+of `views`, is kept with `keep_snapshot` beside the generation it was built
+at, and `snapshot` returns it only while the graph is still at that
+generation, so a kept value is never stale. `clone` copies both maps and
+shares the kept values, which must be immutable.
+
 A basic graph pattern is answered by an index nested-loop join. Before the
 loop a greedy planner orders the patterns: next comes the one with the most
 positions bound, either by a concrete term or by a variable an earlier
@@ -146,6 +154,9 @@ class QuadStore:
         self._sizes: dict[str, int] = {}
         # Graph name -> its Iri term, built (and validated) once per graph.
         self._graph_terms: dict[str, Iri] = {}
+        # Graph name -> its generation, and -> (generation, value compiled from it).
+        self._generations: dict[str, int] = {}
+        self._snapshots: dict[str, tuple[int, object]] = {}
 
     def insert(self, quad: Quad) -> bool:
         """Add a quad; returns True iff it was not already present."""
@@ -157,10 +168,12 @@ class QuadStore:
             spo = self._spo[graph] = {}
             self._pos[graph], self._osp[graph], self._sizes[graph] = {}, {}, 0
             self._graph_terms[graph] = Iri(graph)
+            self._generations.setdefault(graph, 0)
         objects = spo.setdefault(s, {}).setdefault(p, set())
         if o in objects:
             return False
         objects.add(o)
+        self._generations[graph] += 1
         self._pos[graph].setdefault(p, {}).setdefault(o, set()).add(s)
         self._osp[graph].setdefault(o, {}).setdefault(s, set()).add(p)
         self._sizes[graph] += 1
@@ -175,6 +188,7 @@ class QuadStore:
         _discard(self._pos[graph], p, o, s)
         _discard(self._osp[graph], o, s, p)
         self._sizes[graph] -= 1
+        self._generations[graph] += 1
         if not self._sizes[graph]:
             self.drop_graph(graph)
         return True
@@ -183,7 +197,23 @@ class QuadStore:
         """Remove every quad of one graph; returns how many there were."""
         for table in (self._spo, self._pos, self._osp, self._graph_terms):
             table.pop(graph, None)
+        self._generations[graph] = self.generation(graph) + 1
         return self._sizes.pop(graph, 0)
+
+    def generation(self, graph: str) -> int:
+        """A count of the graph's changes, never reset: while it stays the same, so do the graph's quads."""
+        return self._generations.get(graph, 0)
+
+    def snapshot(self, graph: str):
+        """The value last kept for the graph, if the graph has not changed since; else None."""
+        entry = self._snapshots.get(graph)
+        if entry is not None and entry[0] == self._generations.get(graph, 0):
+            return entry[1]
+        return None
+
+    def keep_snapshot(self, graph: str, value):
+        """Keep an immutable value compiled from the graph as it is now, until the graph changes."""
+        self._snapshots[graph] = (self.generation(graph), value)
 
     def __len__(self) -> int:
         return sum(self._sizes.values())
@@ -213,6 +243,8 @@ class QuadStore:
         other._spo, other._pos, other._osp = (_copy_tables(t) for t in (self._spo, self._pos, self._osp))
         other._sizes = dict(self._sizes)
         other._graph_terms = dict(self._graph_terms)
+        other._generations = dict(self._generations)
+        other._snapshots = dict(self._snapshots)
         return other
 
     def objects(self, subject: Term, predicate: Term, graph: str) -> list[Term]:

@@ -20,7 +20,6 @@ XSD = "http://www.w3.org/2001/XMLSchema#"
 
 RDF_TYPE = RDF + "type"
 RDF_LANG_STRING = RDF + "langString"
-RDFS_LABEL = RDFS + "label"
 OWL_ONTOLOGY = OWL + "Ontology"
 OWL_IMPORTS = OWL + "imports"
 XSD_STRING = XSD + "string"

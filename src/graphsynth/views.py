@@ -2,26 +2,27 @@
 
 `SHAPES` declares once, in the manner of SHACL Core, the shape of every
 entity class the views read: per property its field, predicate, kind and
-cardinality, plus the field that labels the instances. `check_kb`
-validates every instance against it at load; the views then fill their
-`NamedTuple` records from the same table through `read`, with no
-defaults: an absent optional value reads as None (or an empty tuple).
-The program graphs declare their nodes in field tables of the same form
-and are written by `write` and read back by `read`. Views never mutate
-the store and never interpret anything beyond the explicitly inserted
-triples.
+cardinality, plus the field that labels the instances. `check_kb` reads
+each field of each instance once, validates it, and from the same values
+compiles a `Kb` snapshot of `NamedTuple` records and indexes, with no
+defaults: an absent optional value reads as None (or an empty tuple). The
+store keeps the snapshot at the graph's generation and a view compiles a
+new one once the graph has changed, so no view reads a stale KB; each view
+is a lookup that returns fresh lists and dicts. The program graphs declare
+their nodes in field tables of the same form, written by `write` and read
+back by `read`. Views never change the store's quads.
 """
 
 from __future__ import annotations
 
 import re
 from operator import attrgetter
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from graphsynth import vocab
-from graphsynth.errors import CardinalityError
+from graphsynth.errors import CardinalityError, GraphSynthError, KbValidationError
 from graphsynth.quadstore import Pattern, Quad, QuadStore, Var
-from graphsynth.terms import RDF_TYPE, XSD_BOOLEAN, XSD_INTEGER, XSD_STRING, Iri, Literal, Term, integer_literal, sort_key
+from graphsynth.terms import RDF_TYPE, XSD_BOOLEAN, XSD_INTEGER, XSD_STRING, Iri, Literal, Term, integer_literal
 from graphsynth.turtle import _format_term
 
 
@@ -177,7 +178,7 @@ SHAPES: dict[str, tuple[str | None, tuple[Field, ...]]] = {
         ("library", Iri(vocab.PROVIDED_BY), vocab.LIBRARY, 1, 1),
         ("language", Iri(vocab.IN_LANGUAGE), vocab.LANGUAGE_FAMILY, 1, 1),
         ("purpose", Iri(vocab.HAS_PURPOSE), IRI, 1, 1),
-        ("arg_slots", Iri(vocab.HAS_ARGUMENT_SLOT), vocab.ARGUMENT_SLOT, 1, MANY),
+        ("slots", Iri(vocab.HAS_ARGUMENT_SLOT), vocab.ARGUMENT_SLOT, 1, MANY),
         ("return_role", Iri(vocab.HAS_RETURN_ROLE), IRI, 0, 1))),
     vocab.ARGUMENT_SLOT: (None, (
         ("index", Iri(vocab.HAS_SLOT_INDEX), INT, 1, 1),
@@ -238,35 +239,34 @@ _TERM = {STR: Literal, NAME: Literal, INT: integer_literal, IRI: Iri}
 _EXPECTED_COUNT = {(1, 1): "exactly 1 value", (0, 1): "at most 1 value", (1, MANY): "at least 1 value"}
 
 
-def read(store: QuadStore, graph: str, fields: tuple[Field, ...], node: Term | None) -> dict:
+def read(store: QuadStore, graph: str, fields: tuple[Field, ...], node: Term) -> dict:
     """Every field of `fields` on `node`, by name: literal kinds as Python values, IRI as its string, links as the term.
 
     A single-valued field reads as its value or None, a many-valued one as a
     tuple. A required field with no value raises CardinalityError, as a
-    second value of a single-valued field does. No node (an absent link)
-    reads as a node with no properties.
+    second value of a single-valued field does.
     """
-    if node is None:
-        return {name: None if high == 1 else () for name, _, _, _, high in fields}
     out = {}
     for name, predicate, kind, low, high in fields:
-        value = _VALUE.get(kind)
-        if high == 1:
-            term = store.value(node, predicate, graph)
-            if term is not None:
-                out[name] = value(term) if value else term
-                continue
-            out[name] = None
-        else:
-            terms = store.objects(node, predicate, graph)
-            out[name] = tuple(map(value, terms) if value else terms)
-            if terms:
-                continue
-        if low:
-            raise CardinalityError(
-                f"{node!r} {predicate!r} has no value in graph {graph}, expected {_EXPECTED_COUNT[low, high]}"
-            )
+        terms = store.objects(node, predicate, graph)
+        if len(terms) < low or (high == 1 and len(terms) > 1):
+            raise _cardinality_error(node, predicate, graph, len(terms), low, high)
+        out[name] = _decode(terms, kind, high)
     return out
+
+
+def _decode(terms: list[Term], kind: str, high: int | None):
+    """A field's value from its terms: the one value or None if single-valued, else a tuple."""
+    value = _VALUE.get(kind)
+    values = [value(term) for term in terms] if value else terms
+    return tuple(values) if high is MANY else values[0] if values else None
+
+
+def _cardinality_error(node: Term, predicate: Iri, graph: str, found: int, low: int, high: int | None):
+    """The CardinalityError of a field of `node` that holds `found` values, outside `low`..`high`."""
+    if found:
+        return CardinalityError(f"{node!r} {predicate!r} has {found} values in graph {graph}, expected 1")
+    return CardinalityError(f"{node!r} {predicate!r} has no value in graph {graph}, expected {_EXPECTED_COUNT[low, high]}")
 
 
 def write(store: QuadStore, graph: str, fields: tuple[Field, ...], node: Iri, **values):
@@ -293,95 +293,56 @@ def typed_node(store: QuadStore, graph: str, cls: Iri) -> Term:
     return rows[0]["n"]
 
 
-def _read(store: QuadStore, graph: str, cls: str, node: Term | None) -> dict:
-    """The fields of `cls`'s shape on `node`."""
-    return read(store, graph, SHAPES[cls][1], node)
+# --- the snapshot and its views ---------------------------------------------
 
 
-def _instances(store: QuadStore, graph: str, cls: str, *where: tuple[str, Term]) -> list[Iri]:
-    """The instances of `cls` that hold each (predicate, object) pair of `where`."""
-    patterns = [Pattern(Var("s"), _RDF_TYPE, Iri(cls), graph)]
-    patterns += [Pattern(Var("s"), Iri(predicate), obj, graph) for predicate, obj in where]
-    return [row["s"] for row in store.query_bgp(patterns) if isinstance(row["s"], Iri)]
+class Kb(NamedTuple):
+    """One KB graph at one generation: its records, in IRI order, and the indexes over them."""
+
+    data_sources: dict[str, tuple[DataSourceInfo, ...]]  # by name
+    algorithms: tuple[AlgorithmInfo, ...]
+    algorithms_by_label: dict[str, tuple[AlgorithmInfo, ...]]
+    libraries: dict[str, LibraryInfo]  # by IRI, as are the functions
+    functions: dict[str, CodeFunctionInfo]
+    functions_by_purpose: dict[tuple[str, str], tuple[CodeFunctionInfo, ...]]  # by (purpose, language family)
+    statement_forms: dict[str, dict[str, StatementFormInfo]]  # by language family, then variation id
+    naming_patterns: dict[str, NamingPatternInfo]  # by pattern id
+    languages: tuple[LanguageInfo, ...]
+    structures: tuple[ProgramStructureInfo, ...]
+    read_capabilities: tuple[ReadCapabilityInfo, ...]
+    labels: dict[str, frozenset[str]]  # by each class that SHAPES gives a label field
 
 
-def _is_a(store: QuadStore, graph: str, node: Iri, cls: str) -> bool:
-    return Iri(cls) in store.objects(node, _RDF_TYPE, graph)
-
-
-def _all(store: QuadStore, graph: str, cls: str, info: type) -> list:
-    """Every instance of `cls`, filled into the record class `info` by field name straight from its shape."""
-    return [info(iri=node.value, **_read(store, graph, cls, node)) for node in _instances(store, graph, cls)]
-
-
-# --- data sources and algorithms -----------------------------------------
-
-
-def _data_source_info(store: QuadStore, graph: str, node: Iri) -> DataSourceInfo:
-    fields = _read(store, graph, vocab.DATA_SOURCE, node)
-    datatype = _read(store, graph, vocab.VALUE_DATATYPE, fields["value_datatype"])
-    content_kind = _read(store, graph, vocab.DATA_CONTENT_KIND, fields.pop("content_kind"))
-    fields["value_datatype"] = fields["value_datatype"].value
-    return DataSourceInfo(
-        iri=node.value, **fields, value_datatype_numeric=datatype["numeric"], content_type_label=content_kind["type_label"]
-    )
+def _kb(store: QuadStore, graph: str) -> Kb:
+    """The snapshot of `graph` at its current generation, compiled first if the store keeps none."""
+    kb = store.snapshot(graph) or _compile(store, graph)[1]
+    if not isinstance(kb, Kb):
+        raise kb
+    return kb
 
 
 def view_data_source(store: QuadStore, name: str, graph: str = vocab.CORE_GRAPH) -> list[DataSourceInfo]:
     """All data sources whose name equals `name` exactly (case-sensitive)."""
-    matches = _instances(store, graph, vocab.DATA_SOURCE, (vocab.HAS_NAME, Literal(name)))
-    return [_data_source_info(store, graph, node) for node in matches]
-
-
-def _algorithm_info(store: QuadStore, graph: str, node: Iri) -> AlgorithmInfo:
-    fields = _read(store, graph, vocab.ALGORITHM, node)
-    labels = frozenset(fields.pop("output_description_labels"))
-    return AlgorithmInfo(iri=node.value, output_description_labels=labels, **fields)
+    return list(_kb(store, graph).data_sources.get(name, ()))
 
 
 def view_algorithm_by_label(store: QuadStore, label: str, graph: str = vocab.CORE_GRAPH) -> list[AlgorithmInfo]:
     """All algorithms carrying `label` among their output description labels."""
-    matches = _instances(store, graph, vocab.ALGORITHM, (vocab.HAS_OUTPUT_DESCRIPTION_LABEL, Literal(label)))
-    return [_algorithm_info(store, graph, node) for node in matches]
+    return list(_kb(store, graph).algorithms_by_label.get(label, ()))
 
 
 def view_all_algorithms(store: QuadStore, graph: str = vocab.CORE_GRAPH) -> list[AlgorithmInfo]:
-    return [_algorithm_info(store, graph, node) for node in _instances(store, graph, vocab.ALGORITHM)]
+    return list(_kb(store, graph).algorithms)
 
 
 def view_labels(store: QuadStore, cls: str, graph: str = vocab.CORE_GRAPH) -> list[str]:
     """The distinct values of a shaped class's label field over all its instances, sorted."""
-    field = SHAPES[cls][0]
-    values = [_read(store, graph, cls, node)[field] for node in _instances(store, graph, cls)]
-    return sorted({label for value in values for label in (value if isinstance(value, tuple) else (value,))})
-
-
-# --- libraries and code functions ----------------------------------------
-
-
-def _library_info(store: QuadStore, graph: str, node: Iri) -> LibraryInfo:
-    return LibraryInfo(iri=node.value, **_read(store, graph, vocab.LIBRARY, node))
+    return sorted(_kb(store, graph).labels[cls])
 
 
 def view_library(store: QuadStore, iri: str, graph: str = vocab.CORE_GRAPH) -> LibraryInfo | None:
     """The library `iri`, or None if it is no gs:Library."""
-    node = Iri(iri)
-    return _library_info(store, graph, node) if _is_a(store, graph, node, vocab.LIBRARY) else None
-
-
-def _code_function_info(store: QuadStore, graph: str, node: Iri) -> CodeFunctionInfo:
-    fields = _read(store, graph, vocab.CODE_FUNCTION, node)
-    slots = [_read(store, graph, vocab.ARGUMENT_SLOT, slot) for slot in fields["arg_slots"]]
-    return CodeFunctionInfo(
-        iri=node.value,
-        callable_name=fields["callable_name"],
-        library=_library_info(store, graph, fields["library"]),
-        language=fields["language"].value,
-        language_family=_read(store, graph, vocab.LANGUAGE_FAMILY, fields["language"])["name"],
-        purpose=fields["purpose"],
-        arg_spec=tuple(role for _, role in sorted((slot["index"], slot["role"]) for slot in slots)),
-        return_role=fields["return_role"],
-    )
+    return _kb(store, graph).libraries.get(iri)
 
 
 def view_code_function(
@@ -392,71 +353,37 @@ def view_code_function(
     When `library_pref` is given, only functions from the library with that
     official name are returned.
     """
-    matches = _instances(store, graph, vocab.CODE_FUNCTION, (vocab.HAS_PURPOSE, Iri(purpose)))
-    functions = [_code_function_info(store, graph, node) for node in matches]
-    in_family = [fn for fn in functions if fn.language_family == language_family]
-    return [fn for fn in in_family if library_pref in (None, fn.library.official_name)]
+    functions = _kb(store, graph).functions_by_purpose.get((purpose, language_family), ())
+    return [fn for fn in functions if library_pref in (None, fn.library.official_name)]
 
 
 def view_code_function_by_iri(store: QuadStore, iri: str, graph: str = vocab.CORE_GRAPH) -> CodeFunctionInfo | None:
     """The code function `iri`, or None if it is no gs:CodeFunction."""
-    node = Iri(iri)
-    return _code_function_info(store, graph, node) if _is_a(store, graph, node, vocab.CODE_FUNCTION) else None
-
-
-# --- structures, languages, requirements ---------------------------------
-
-
-def _structure_info(store: QuadStore, graph: str, node: Iri) -> ProgramStructureInfo:
-    fields = _read(store, graph, vocab.PROGRAM_STRUCTURE, node)
-    slots = []
-    for slot_node in fields["slots"]:
-        slot = _read(store, graph, vocab.SECTION_SLOT, slot_node)
-        section = slot["section_iri"]
-        name = _read(store, graph, vocab.PROGRAM_SECTION, section)["name"]
-        slots.append(SectionSlotInfo(section.value, name, slot["emission_index"], slot["composition_index"]))
-    requirements = [_read(store, graph, vocab.PROGRAM_REQUIREMENT, req)["label"] for req in fields["requirements"]]
-    return ProgramStructureInfo(
-        iri=node.value,
-        name=fields["name"],
-        slots=tuple(sorted(slots, key=lambda s: s.emission_index)),
-        satisfied_requirements=frozenset(requirements),
-    )
+    return _kb(store, graph).functions.get(iri)
 
 
 def view_structures(store: QuadStore, graph: str = vocab.CORE_GRAPH) -> list[ProgramStructureInfo]:
-    return [_structure_info(store, graph, node) for node in _instances(store, graph, vocab.PROGRAM_STRUCTURE)]
+    return list(_kb(store, graph).structures)
 
 
 def view_languages(store: QuadStore, graph: str = vocab.CORE_GRAPH) -> list[LanguageInfo]:
-    out = []
-    for node in _instances(store, graph, vocab.PROGRAMMING_LANGUAGE):
-        fields = _read(store, graph, vocab.PROGRAMMING_LANGUAGE, node)
-        fields["family"] = _read(store, graph, vocab.LANGUAGE_FAMILY, fields["family"])["name"]
-        out.append(LanguageInfo(iri=node.value, **fields))
-    return out
+    return list(_kb(store, graph).languages)
 
 
 def view_read_capabilities(store: QuadStore, graph: str = vocab.CORE_GRAPH) -> list[ReadCapabilityInfo]:
-    return _all(store, graph, vocab.READ_CAPABILITY, ReadCapabilityInfo)
+    return list(_kb(store, graph).read_capabilities)
 
 
 def view_naming_patterns(store: QuadStore, graph: str = vocab.CORE_GRAPH) -> dict[str, NamingPatternInfo]:
-    return {pattern.pattern_id: pattern for pattern in _all(store, graph, vocab.NAMING_PATTERN, NamingPatternInfo)}
+    return dict(_kb(store, graph).naming_patterns)
 
 
 def view_statement_forms(store: QuadStore, family: str, graph: str = vocab.CORE_GRAPH) -> dict[str, StatementFormInfo]:
     """Statement form templates for one language family, keyed by variation id."""
-    out: dict[str, StatementFormInfo] = {}
-    for node in _instances(store, graph, vocab.STATEMENT_FORM, (vocab.FOR_LANGUAGE_FAMILY, Literal(family))):
-        fields = _read(store, graph, vocab.STATEMENT_FORM, node)
-        slots = [TemplateSlotInfo(**_read(store, graph, vocab.TEMPLATE_SLOT, slot)) for slot in fields["slots"]]
-        variation = fields["variation_id"]
-        out[variation] = StatementFormInfo(node.value, variation, family, tuple(sorted(slots, key=lambda s: s.index)))
-    return out
+    return dict(_kb(store, graph).statement_forms.get(family, {}))
 
 
-# --- load-time check -----------------------------------------------------
+# --- load-time check and compile -------------------------------------------
 
 _EXPECTED_KIND = {
     STR: "a string literal", NAME: "a dotted identifier", INT: "an integer literal", BOOL: "a boolean literal",
@@ -476,52 +403,59 @@ def _has_kind(term: Term, kind: str, members: dict[str, set]) -> bool:
     return isinstance(term, Iri) and (kind == IRI or term in members[kind])
 
 
-def _shape_problems(store: QuadStore, graph: str, cls: str, subject: Iri, members: dict[str, set]) -> Iterator[str]:
-    """`ENTITY PROPERTY: expected ..., found ...` for each way `subject` breaks `cls`'s shape."""
-    for _, predicate, kind, low, high in SHAPES[cls][1]:
-        values = store.objects(subject, predicate, graph)
-        bad_count = len(values) < low or (high is not MANY and len(values) > high)
-        bad_values = [value for value in values if not _has_kind(value, kind, members)]
-        if not bad_count and not bad_values:
-            continue
-        where = f"{_format_term(subject)} {_format_term(predicate)}"
-        if bad_count:
-            yield f"{where}: expected {_EXPECTED_COUNT[low, high]}, found {len(values)}"
-        for value in bad_values:
-            expected = _EXPECTED_KIND.get(kind) or f"an instance of {_format_term(Iri(kind))}"
-            yield f"{where}: expected {expected}, found {_format_term(value)}"
-
-
 def check_kb(store: QuadStore, graph: str = vocab.CORE_GRAPH) -> list[str]:
     """Problems in a loaded KB; an empty list means clean.
 
-    Every instance of a shaped class is checked against its shape first. The
-    cross-entity checks read through the views, which trust the shapes, so
-    they run only on a KB with no shape problem. The composer and the
-    renderer follow `vocab.EMISSION_ORDER` and `vocab.COMPOSITION_ORDER`, so
-    a structure must order its five named sections that way.
+    One pass checks every instance of a shaped class against its shape and,
+    from the same values, compiles the snapshot the store keeps for the
+    views. The cross-entity checks run over the snapshot, so only on a
+    well-shaped KB: each algorithm has an implementing code function in each
+    language family that has statement forms, and, as the composer and the
+    renderer follow `vocab.EMISSION_ORDER` and `vocab.COMPOSITION_ORDER`, a
+    structure must order its five named sections that way.
     """
-    members = {cls: set(_instances(store, graph, cls)) for cls in SHAPES}  # for the class kinds
-    problems = [
-        problem
-        for cls in SHAPES
-        for node in sorted(members[cls], key=sort_key)
-        for problem in _shape_problems(store, graph, cls, node, members)
-    ]
+    return _compile(store, graph)[0]
+
+
+def _compile(store: QuadStore, graph: str) -> tuple[list[str], Kb | GraphSynthError]:
+    """The problems of the KB in `graph`, and its snapshot, kept in the store, or the error a view raises.
+
+    A KB that breaks its shapes has no snapshot: a view raises the CardinalityError
+    `read` raises for its first missing or extra value, else KbValidationError.
+    """
+    rows = {cls: store.match_pattern(Pattern(Var("s"), _RDF_TYPE, Iri(cls), graph)) for cls in SHAPES}
+    members = {cls: [row["s"] for row in found if isinstance(row["s"], Iri)] for cls, found in rows.items()}
+    member_sets = {cls: set(nodes) for cls, nodes in members.items()}  # for the class kinds
+    problems: list[str] = []
+    errors: list[CardinalityError] = []
+    # Class -> instance, in IRI order -> field name -> its value, as `read` reads it.
+    kb_fields: dict[str, dict[Iri, dict]] = {cls: {} for cls in SHAPES}
+    for cls, (_, fields) in SHAPES.items():
+        for node in members[cls]:
+            kb_fields[cls][node] = values = {}
+            for name, predicate, kind, low, high in fields:
+                terms = store.objects(node, predicate, graph)
+                bad_count = len(terms) < low or (high is not MANY and len(terms) > high)
+                bad_values = [term for term in terms if not _has_kind(term, kind, member_sets)]
+                if not bad_count and not bad_values:
+                    values[name] = _decode(terms, kind, high)
+                    continue
+                where = f"{_format_term(node)} {_format_term(predicate)}"
+                if bad_count:
+                    problems.append(f"{where}: expected {_EXPECTED_COUNT[low, high]}, found {len(terms)}")
+                    errors.append(_cardinality_error(node, predicate, graph, len(terms), low, high))
+                for value in bad_values:
+                    expected = _EXPECTED_KIND.get(kind) or f"an instance of {_format_term(Iri(kind))}"
+                    problems.append(f"{where}: expected {expected}, found {_format_term(value)}")
     if problems:
-        return problems
-    python_functions = [
-        Pattern(Var("fn"), _RDF_TYPE, Iri(vocab.CODE_FUNCTION), graph),
-        Pattern(Var("fn"), Iri(vocab.HAS_PURPOSE), Var("purpose"), graph),
-        Pattern(Var("fn"), Iri(vocab.IN_LANGUAGE), Var("family"), graph),
-        Pattern(Var("family"), Iri(vocab.HAS_FAMILY_NAME), Literal("Python"), graph),
-    ]
-    implemented = {row["purpose"] for row in store.query_bgp(python_functions)}
-    for alg in _instances(store, graph, vocab.ALGORITHM):
-        if alg not in implemented:
-            name = _read(store, graph, vocab.ALGORITHM, alg)["name"]
-            problems.append(f"algorithm {name} has no implementing Python code function")
-    for structure in view_structures(store, graph):
+        return problems, errors[0] if errors else KbValidationError(problems)
+    kb = _snapshot(kb_fields)
+    store.keep_snapshot(graph, kb)
+    for algorithm in kb.algorithms:
+        for family in sorted(kb.statement_forms):
+            if (algorithm.iri, family) not in kb.functions_by_purpose:
+                problems.append(f"algorithm {algorithm.name} has no implementing {family} code function")
+    for structure in kb.structures:
         emission = sorted(s.emission_index for s in structure.slots)
         composition = sorted(s.composition_index for s in structure.slots)
         if emission != composition or emission != list(range(len(structure.slots))):
@@ -535,19 +469,83 @@ def check_kb(store: QuadStore, graph: str = vocab.CORE_GRAPH) -> list[str]:
             if named != expected:
                 problems.append(f"structure {structure.name} {kind} order is {', '.join(named)}, "
                                 f"expected {', '.join(expected)}")
-    for owner, link in ((vocab.STATEMENT_FORM, vocab.HAS_TEMPLATE_SLOT), (vocab.CODE_FUNCTION, vocab.HAS_ARGUMENT_SLOT)):
-        for node in sorted(members[owner], key=sort_key):
-            problems += _duplicate_slot_indexes(store, graph, node, Iri(link))
-    return problems
+    for owner, slot_cls, link in ((vocab.STATEMENT_FORM, vocab.TEMPLATE_SLOT, vocab.HAS_TEMPLATE_SLOT),
+                                  (vocab.CODE_FUNCTION, vocab.ARGUMENT_SLOT, vocab.HAS_ARGUMENT_SLOT)):
+        for node, values in kb_fields[owner].items():
+            by_index: dict[int, list[Iri]] = {}
+            for slot in values["slots"]:
+                by_index.setdefault(kb_fields[slot_cls][slot]["index"], []).append(slot)
+            problems += [
+                f"{_format_term(node)} {_format_term(Iri(link))}: slot index {index} is held by "
+                f"{', '.join(map(_format_term, slots))}"
+                for index, slots in sorted(by_index.items())
+                if len(slots) > 1
+            ]
+    return problems, kb
 
 
-def _duplicate_slot_indexes(store: QuadStore, graph: str, owner: Iri, link: Iri) -> list[str]:
-    """`ENTITY PROPERTY: slot index N is held by SLOT, SLOT` for each index two of its slots share."""
-    by_index: dict[int, list[Term]] = {}
-    for slot in store.objects(owner, link, graph):
-        by_index.setdefault(int(store.value(slot, Iri(vocab.HAS_SLOT_INDEX), graph).lexical), []).append(slot)
-    return [
-        f"{_format_term(owner)} {_format_term(link)}: slot index {index} is held by {', '.join(map(_format_term, slots))}"
-        for index, slots in sorted(by_index.items())
-        if len(slots) > 1
+def _snapshot(f: dict[str, dict[Iri, dict]]) -> Kb:
+    """The records and indexes of a well-shaped KB, from the fields of its instances as `_compile` reads them."""
+    family = {node: v["name"] for node, v in f[vocab.LANGUAGE_FAMILY].items()}
+    libraries = {node.value: LibraryInfo(node.value, **v) for node, v in f[vocab.LIBRARY].items()}
+    functions = {}
+    for node, v in f[vocab.CODE_FUNCTION].items():
+        slots = sorted(tuple(f[vocab.ARGUMENT_SLOT][slot].values()) for slot in v["slots"])  # (index, role) each
+        functions[node.value] = CodeFunctionInfo(
+            node.value, v["callable_name"], libraries[v["library"].value], v["language"].value, family[v["language"]],
+            v["purpose"], tuple(role for _, role in slots), v["return_role"])
+    sources = [
+        DataSourceInfo(
+            node.value, v["name"], v["container"], v["format"], v["encoding"], v["value_datatype"].value,
+            f[vocab.VALUE_DATATYPE][v["value_datatype"]]["numeric"], v["header_rows"], v["data_rows"],
+            v["values_per_row"], v["quantity_types"], v["location"],
+            v["content_kind"] and f[vocab.DATA_CONTENT_KIND][v["content_kind"]]["type_label"],
+        )
+        for node, v in f[vocab.DATA_SOURCE].items()
     ]
+    algorithms = [
+        AlgorithmInfo(node.value, **dict(v, output_description_labels=frozenset(v["output_description_labels"])))
+        for node, v in f[vocab.ALGORITHM].items()
+    ]
+    structures = []
+    for node, v in f[vocab.PROGRAM_STRUCTURE].items():
+        slots = [  # each slot's fields in shape order: section, emission index, composition index
+            SectionSlotInfo(section.value, f[vocab.PROGRAM_SECTION][section]["name"], emission, composition)
+            for section, emission, composition in (f[vocab.SECTION_SLOT][slot].values() for slot in v["slots"])
+        ]
+        slots = tuple(sorted(slots, key=attrgetter("emission_index")))
+        requirements = frozenset(f[vocab.PROGRAM_REQUIREMENT][req]["label"] for req in v["requirements"])
+        structures.append(ProgramStructureInfo(node.value, v["name"], slots, requirements))
+    forms: dict[str, dict[str, StatementFormInfo]] = {}
+    for node, v in f[vocab.STATEMENT_FORM].items():
+        slots = sorted((TemplateSlotInfo(**f[vocab.TEMPLATE_SLOT][slot]) for slot in v["slots"]), key=attrgetter("index"))
+        forms.setdefault(v["family"], {})[v["variation_id"]] = StatementFormInfo(
+            node.value, v["variation_id"], v["family"], tuple(slots))
+    return Kb(
+        data_sources=_group((source.name, source) for source in sources),
+        algorithms=tuple(algorithms),
+        algorithms_by_label=_group((label, alg) for alg in algorithms for label in alg.output_description_labels),
+        libraries=libraries,
+        functions=functions,
+        functions_by_purpose=_group(((fn.purpose, fn.language_family), fn) for fn in functions.values()),
+        statement_forms=forms,
+        naming_patterns={v["pattern_id"]: NamingPatternInfo(node.value, **v)
+                         for node, v in f[vocab.NAMING_PATTERN].items()},
+        languages=tuple(LanguageInfo(node.value, **dict(v, family=family[v["family"]]))
+                        for node, v in f[vocab.PROGRAMMING_LANGUAGE].items()),
+        structures=tuple(structures),
+        read_capabilities=tuple(ReadCapabilityInfo(node.value, **v) for node, v in f[vocab.READ_CAPABILITY].items()),
+        labels={
+            cls: frozenset(x for v in f[cls].values() for x in (v[label] if isinstance(v[label], tuple) else (v[label],)))
+            for cls, (label, _) in SHAPES.items()
+            if label
+        },
+    )
+
+
+def _group(pairs) -> dict:
+    """Each key of the (key, value) pairs, with the tuple of its values in order."""
+    groups: dict = {}
+    for key, value in pairs:
+        groups.setdefault(key, []).append(value)
+    return {key: tuple(values) for key, values in groups.items()}

@@ -282,30 +282,42 @@ def test_indexes_stay_consistent_under_insert_remove_clone(ops, seed):
     store = QuadStore()
     model: set[Quad] = set()
     inserted: list[Quad] = []
+    # (graph, generation) -> the graph's quads at that generation: one generation, one content.
+    contents: dict[tuple[str, int], frozenset[Quad]] = {}
     for op, value in ops:
         if op == "insert":
             quad = random_quad(random.Random(value))
+            before = store.generation(quad.graph)
             assert store.insert(quad) is (quad not in model)
+            assert (store.generation(quad.graph) > before) is (quad not in model)
             model.add(quad)
             inserted.append(quad)
         elif op == "remove":
             quad = inserted[value % len(inserted)] if inserted else random_quad(random.Random(value))
+            before = store.generation(quad.graph)
             assert store.remove(quad) is (quad in model)
+            assert (store.generation(quad.graph) > before) is (quad in model)
             model.discard(quad)
         elif op == "drop_graph":
             graph = inserted[value % len(inserted)].graph if inserted else random_quad(random.Random(value)).graph
             dropped = {quad for quad in model if quad.graph == graph}
+            before = store.generation(graph)
             assert store.drop_graph(graph) == len(dropped)
+            assert store.generation(graph) > before
             model -= dropped
             assert graph not in store.graph_names()
         else:
             original, store = store, store.clone()
+            assert all(store.generation(quad.graph) == original.generation(quad.graph) for quad in inserted)
             # Emptying the original must leave the copy's indexes whole.
             for quad in list(original.quads()):
                 original.remove(quad)
             assert len(original) == 0 and original.graph_names() == []
             assert original._spo == original._pos == original._osp == original._graph_terms == {}
         _check_tables(store, model, inserted)
+        for graph in {quad.graph for quad in inserted}:
+            content = store.graph_quads(graph)
+            assert contents.setdefault((graph, store.generation(graph)), content) == content
     assert set(store.quads()) == model and len(store) == len(model)
     quads = list(store.quads())
     # Each index on its own: one bound position per pattern, for every term seen.
@@ -396,3 +408,25 @@ def test_drop_graph_leaves_every_other_graph_unchanged():
         elif isinstance(pattern.graph, Var):
             rows = [row for row in rows if row["g"] != Iri(G)]
         assert store.match_pattern(pattern) == rows
+
+
+def test_a_kept_snapshot_lasts_until_its_graph_changes_and_a_clone_shares_it():
+    store = QuadStore()
+    store.insert(Quad(A, P, B, G))
+    store.insert(Quad(A, P, B, H))
+    assert store.snapshot(G) is None
+    kept = ("compiled from", G)
+    store.keep_snapshot(G, kept)
+    assert store.snapshot(G) is kept
+    store.insert(Quad(A, P, B, G))  # already present: no change
+    store.insert(Quad(A, Q, B, H))  # another graph
+    store.remove(Quad(B, P, A, G))  # absent: no change
+    assert store.snapshot(G) is kept
+    clone = store.clone()
+    assert clone.snapshot(G) is kept and clone.generation(G) == store.generation(G)
+    clone.insert(Quad(B, P, A, G))
+    assert clone.snapshot(G) is None and store.snapshot(G) is kept
+    generation = store.generation(G)
+    store.drop_graph(G)
+    store.insert(Quad(A, P, B, G))  # the same quads again, at a later generation
+    assert store.generation(G) > generation and store.snapshot(G) is None

@@ -151,9 +151,16 @@ def test_compose_and_render_read_nothing_back_and_look_up_no_function(kb_store, 
     monkeypatch.setattr(views, "view_code_function_by_iri", looking_up)
     pla = compose(plan, kb_store)
     plr = render(pla, plan.language, kb_store)
+    # The KB snapshot is current, so the stages read nothing from the store at all.
+    assert read_graphs == []
+    # One inert core quad makes the snapshot stale: the next view compiles the core graph again.
+    kb_store.insert(Quad(Iri("http://t.example/inert"), Iri("http://t.example/note"), Literal("x"), vocab.CORE_GRAPH))
+    again = compose(plan._replace(program_basename="again"), kb_store)
+    again_plr = render(again, plan.language, kb_store)
     monkeypatch.undo()
     assert read_graphs and vocab.CORE_GRAPH in read_graphs
-    assert [graph for graph in read_graphs if graph in (pla.graph_iri, plr.graph_iri)] == []
+    program_graphs = (pla.graph_iri, plr.graph_iri, again.graph_iri, again_plr.graph_iri)
+    assert [graph for graph in read_graphs if graph in program_graphs] == []
     assert function_lookups == []
 
 

@@ -168,6 +168,26 @@ x:unimplemented a gs:Algorithm ;
     assert check_kb(kb_store) == ["algorithm unimplemented has no implementing Python code function"]
 
 
+def test_check_kb_asks_an_implementation_in_each_language_family_that_has_statement_forms(kb_store):
+    insert_turtle(
+        kb_store,
+        TEST_HEADER
+        + """\
+x:fortran_assign a gs:StatementForm ;
+    gs:hasVariationId "assign-expr" ;
+    gs:forLanguageFamily "Fortran" ;
+    gs:hasTemplateSlot x:fortran_assign_s0 .
+x:fortran_assign_s0 a gs:TemplateSlot ;
+    gs:hasSlotIndex 0 ;
+    gs:hasSlotField "target" .
+""",
+    )
+    assert check_kb(kb_store) == [
+        "algorithm arithmetic_mean has no implementing Fortran code function",
+        "algorithm standard_deviation has no implementing Fortran code function",
+    ]
+
+
 def test_check_kb_flags_function_without_library(kb_store):
     insert_turtle(kb_store, TEST_HEADER + 'x:orphan a gs:CodeFunction ; gs:hasCallableName "orphan" .')
     problems = check_kb(kb_store)

@@ -1,0 +1,148 @@
+"""The KB snapshot: compiled by `check_kb`, kept per graph generation, never read stale.
+
+Every view is a lookup into a snapshot the store keeps beside the core
+graph's generation. These tests edit the KB between syntheses, clone
+stores, mutate what views return and break entities, and check that each
+view answers as a view over a freshly loaded store holding the same quads.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import insert_turtle
+from graphsynth import views, vocab
+from graphsynth.composer import compose
+from graphsynth.errors import CardinalityError, KbValidationError
+from graphsynth.problem import parse_problem_statement
+from graphsynth.quadstore import Quad, QuadStore
+from graphsynth.renderer import emit, render
+from graphsynth.resolver import resolve
+from graphsynth.seed import example_statement_path, load_kb
+from graphsynth.terms import sort_key
+
+CORE = vocab.CORE_GRAPH
+HEADER = """\
+@prefix gs: <http://graphsynth.dev/vocab/core#> .
+@prefix kb: <http://graphsynth.dev/kb/> .
+@prefix x: <http://t.example/> .
+"""
+
+
+def _source(name: str) -> str:
+    """A well-shaped data source named `name`, as subset Turtle; every name gives the same number of quads."""
+    return HEADER + f"""\
+x:{name.replace(".", "_")} a gs:DataSource ; gs:hasName "{name}" ; gs:hasDataRowCount 6 ; gs:hasValuesPerRow 1 ;
+    gs:hasContainer kb:file_container ; gs:hasFormat kb:csv_format ; gs:hasEncoding kb:ascii_encoding ;
+    gs:hasValueDatatype kb:floating_point_datatype ; gs:hasHeaderRowCount 0 ;
+    gs:hasQuantityKind kb:dimensionless_sample ; gs:hasLocation "{name}" .
+"""
+
+
+def _synthesize(store: QuadStore, basename: str) -> tuple[str, str]:
+    """("ok", emitted text) for the example statement over `store`, or the failure's (type name, message)."""
+    text = example_statement_path().read_text(encoding="utf-8").replace("'hello_analytic'", f"'{basename}'")
+    try:
+        plan = resolve(parse_problem_statement(text), store)
+        return "ok", emit(render(compose(plan, store), plan.language, store))
+    except Exception as error:  # whatever it is, the fresh store must fail the same way
+        return type(error).__name__, str(error)
+
+
+def _quad_key(quad: Quad) -> tuple:
+    return sort_key(quad.subject), sort_key(quad.predicate), sort_key(quad.object)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_an_edit_between_two_syntheses_gives_what_a_fresh_store_of_the_edited_kb_gives(seed_kb, data):
+    store = seed_kb[0].clone()
+    assert _synthesize(store, "first")[0] == "ok"  # over the snapshot check_kb kept at load
+    quads = sorted(store.quads(CORE), key=_quad_key)
+    predicates = sorted({quad.predicate for quad in quads}, key=sort_key)
+    objects = sorted({quad.object for quad in quads}, key=sort_key)
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        kind = data.draw(st.sampled_from(["remove", "replace object", "add"]), label="kind")
+        quad = data.draw(st.sampled_from(quads), label="quad")
+        if kind == "remove":
+            store.remove(quad)
+        elif kind == "replace object":
+            same_predicate = sorted({q.object for q in quads if q.predicate == quad.predicate}, key=sort_key)
+            store.remove(quad)
+            store.insert(Quad(quad.subject, quad.predicate, data.draw(st.sampled_from(same_predicate)), CORE))
+        else:
+            predicate = data.draw(st.sampled_from(predicates), label="predicate")
+            store.insert(Quad(quad.subject, predicate, data.draw(st.sampled_from(objects), label="object"), CORE))
+    fresh = QuadStore()
+    for quad in store.quads(CORE):
+        fresh.insert(quad)
+    assert _synthesize(store, "second") == _synthesize(fresh, "second")
+    assert views.check_kb(store) == views.check_kb(fresh)
+
+
+def test_a_clone_and_its_original_edited_to_the_same_generation_each_see_their_own_kb(kb_store):
+    clone = kb_store.clone()
+    assert clone.snapshot(CORE) is kb_store.snapshot(CORE) is not None  # shared, as it cannot change
+    insert_turtle(kb_store, _source("mine.txt"))
+    insert_turtle(clone, _source("theirs.txt"))
+    assert kb_store.generation(CORE) == clone.generation(CORE)
+    for store, own, other in ((kb_store, "mine.txt", "theirs.txt"), (clone, "theirs.txt", "mine.txt")):
+        assert [source.name for source in views.view_data_source(store, own)] == [own]
+        assert views.view_data_source(store, other) == []
+        assert own in views.view_labels(store, vocab.DATA_SOURCE)
+
+
+VIEWS = {
+    "data_source": lambda store: views.view_data_source(store, "my_input.txt"),
+    "algorithm_by_label": lambda store: views.view_algorithm_by_label(store, "average value"),
+    "all_algorithms": views.view_all_algorithms,
+    "labels": lambda store: views.view_labels(store, vocab.ALGORITHM),
+    "code_function": lambda store: views.view_code_function(store, vocab.ARITHMETIC_MEAN, "Python"),
+    "structures": views.view_structures,
+    "languages": views.view_languages,
+    "read_capabilities": views.view_read_capabilities,
+    "naming_patterns": views.view_naming_patterns,
+    "statement_forms": lambda store: views.view_statement_forms(store, "Python"),
+}
+
+
+@pytest.mark.parametrize("view", VIEWS.values(), ids=VIEWS)
+def test_mutating_what_a_view_returns_does_not_change_its_next_result(seed_kb, view):
+    store, _ = seed_kb
+    first = view(store)
+    expected = type(first)(first)
+    assert expected
+    first.clear()
+    if isinstance(first, dict):
+        first["added"] = None
+    else:
+        first.append(None)
+    assert view(store) == expected
+
+
+HALF = HEADER + 'x:half a gs:DataSource ; gs:hasName "half.txt" ; gs:hasContainer kb:file_container .'
+MISSING_FORMAT = "<http://t.example/half> <http://graphsynth.dev/vocab/core#hasFormat> has no value"
+
+
+def test_a_snapshot_built_lazily_over_a_broken_entity_raises_in_every_view_until_it_is_mended():
+    store, _ = load_kb(validate=False)  # no check_kb, so no snapshot yet
+    assert store.snapshot(CORE) is None
+    insert_turtle(store, HALF)
+    for view in (lambda: views.view_data_source(store, "half.txt"), lambda: views.view_structures(store)):
+        with pytest.raises(CardinalityError, match=MISSING_FORMAT):
+            view()
+    assert store.snapshot(CORE) is None
+    for quad in [quad for quad in store.quads(CORE) if quad.subject.value == "http://t.example/half"]:
+        store.remove(quad)
+    assert views.view_data_source(store, "half.txt") == []
+    assert store.snapshot(CORE) is not None
+
+
+def test_a_view_over_a_kb_with_only_kind_problems_raises_kb_validation_error(kb_store):
+    insert_turtle(kb_store, HEADER + 'x:odd a gs:Library ; gs:hasOfficialName "not a name" ; gs:hasLibraryKind "k" .')
+    with pytest.raises(KbValidationError) as raised:
+        views.view_library(kb_store, vocab.NUMPY_LIBRARY)
+    assert raised.value.problems == views.check_kb(kb_store)
+    assert raised.value.problems == ['<http://t.example/odd> gs:hasOfficialName: expected a dotted identifier, found "not a name"']
