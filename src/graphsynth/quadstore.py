@@ -1,16 +1,32 @@
 """In-memory quad store with named graphs and a basic-graph-pattern engine.
 
 The store keeps set semantics (inserting a quad twice is a no-op) and holds
-terms, not `Quad` objects: each named graph has three nested permutation
-tables, subject -> predicate -> {object}, predicate -> object -> {subject}
-and object -> subject -> {predicate}, plus its quad count, the graph-prefixed
-GSPO/GPOS/GOSP layout of Hexastore. `insert` and `remove` keep all three up
-to date and never leave an empty inner level; `drop_graph` pops the graph's
-entry from each table, so it does no work per quad. `objects(s, p, g)` and
-its functional form `value(s, p, g)`, the reads behind every property lookup
-of one entity, are three probes into the graph's subject table.
+terms, not `Quad` objects: each named graph has up to three nested
+permutation tables, subject -> predicate -> {object}, predicate -> object ->
+{subject} and object -> subject -> {predicate}, plus its quad count, the
+graph-prefixed GSPO/GPOS/GOSP layout of Hexastore. `objects(s, p, g)`, the
+read behind every property lookup of one entity, is three probes into the
+graph's subject table.
 
-Each graph also has a generation: a count that every `insert` or `remove`
+There are two write paths and one implementation. `insert(quad)` is the
+public one: the `Quad` constructor validates every term and the graph name,
+and `insert` hands the terms to `_add`. `_add(s, p, o, graph)` builds no
+`Quad` and checks only the name of a graph it creates; it is for a caller
+that has validated its terms itself, as the field-table codec
+`views.write` does once per call for the program graphs. `insert`, `_add`
+and `remove` keep every table that exists up to date and never leave an
+empty inner level; `drop_graph` pops the graph's entry from each table, so
+it does no work per quad.
+
+The SPO and POS tables are kept from a graph's first quad on. The OSP table
+is built from the SPO table the first time a pattern needs it (an object
+bound with no predicate bound), the adaptive indexing of database cracking:
+nothing in the pipeline asks for one, so its writes cost nothing until a
+query does. `drop_graph` discards whatever tables the graph had, and
+`clone` copies only the tables that exist, so a clone builds its own OSP
+table on its own first use.
+
+Each graph also has a generation: a count that every write or `remove`
 that changes the graph, and every `drop_graph`, bumps, and that is never
 reset. A value compiled from a graph, such as the knowledge-base snapshot
 of `views`, is kept with `keep_snapshot` beside the generation it was built
@@ -38,7 +54,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Iterator
 
-from graphsynth.errors import CardinalityError, MalformedQuadError
+from graphsynth.errors import MalformedQuadError
 from graphsynth.terms import _WHITESPACE, Blank, Iri, Literal, Term, _Frozen, _set, sort_key
 
 _VAR_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -56,8 +72,7 @@ class Quad(_Frozen):
             raise MalformedQuadError(f"quad predicate must be an IRI: {predicate!r}")
         if not isinstance(object, (Iri, Blank, Literal)):
             raise MalformedQuadError(f"quad object must be a term: {object!r}")
-        if not graph or not isinstance(graph, str) or _WHITESPACE.search(graph):
-            raise MalformedQuadError("quad graph must be a non-empty IRI string")
+        _check_graph(graph)
         _set(self, "subject", subject)
         _set(self, "predicate", predicate)
         _set(self, "object", object)
@@ -147,7 +162,8 @@ class QuadStore:
     """Mutable quad dataset. Single-writer during mutation; reads are pure."""
 
     def __init__(self):
-        # Graph name -> its permutation table: s -> p -> {o}, p -> o -> {s}, o -> s -> {p}.
+        # Graph name -> its permutation table: s -> p -> {o}, p -> o -> {s}, o -> s -> {p};
+        # a graph has an OSP table only once `_osp_table` has built it.
         self._spo: dict[str, dict[Term, dict[Term, set[Term]]]] = {}
         self._pos: dict[str, dict[Term, dict[Term, set[Term]]]] = {}
         self._osp: dict[str, dict[Term, dict[Term, set[Term]]]] = {}
@@ -162,11 +178,15 @@ class QuadStore:
         """Add a quad; returns True iff it was not already present."""
         if not isinstance(quad, Quad):
             raise MalformedQuadError(f"expected a Quad, got {type(quad).__name__}")
-        s, p, o, graph = quad.subject, quad.predicate, quad.object, quad.graph
+        return self._add(quad.subject, quad.predicate, quad.object, quad.graph)
+
+    def _add(self, s: Term, p: Iri, o: Term, graph: str) -> bool:
+        """`insert` of terms its caller has validated: no `Quad` is built, only a new graph's name is checked."""
         spo = self._spo.get(graph)
         if spo is None:
+            _check_graph(graph)
             spo = self._spo[graph] = {}
-            self._pos[graph], self._osp[graph], self._sizes[graph] = {}, {}, 0
+            self._pos[graph], self._sizes[graph] = {}, 0
             self._graph_terms[graph] = Iri(graph)
             self._generations.setdefault(graph, 0)
         objects = spo.setdefault(s, {}).setdefault(p, set())
@@ -175,7 +195,9 @@ class QuadStore:
         objects.add(o)
         self._generations[graph] += 1
         self._pos[graph].setdefault(p, {}).setdefault(o, set()).add(s)
-        self._osp[graph].setdefault(o, {}).setdefault(s, set()).add(p)
+        osp = self._osp.get(graph)
+        if osp is not None:
+            osp.setdefault(o, {}).setdefault(s, set()).add(p)
         self._sizes[graph] += 1
         return True
 
@@ -186,7 +208,9 @@ class QuadStore:
         s, p, o, graph = quad.subject, quad.predicate, quad.object, quad.graph
         _discard(self._spo[graph], s, p, o)
         _discard(self._pos[graph], p, o, s)
-        _discard(self._osp[graph], o, s, p)
+        osp = self._osp.get(graph)
+        if osp is not None:
+            _discard(osp, o, s, p)
         self._sizes[graph] -= 1
         self._generations[graph] += 1
         if not self._sizes[graph]:
@@ -255,16 +279,6 @@ class QuadStore:
         """
         return sorted(self._spo.get(graph, {}).get(subject, {}).get(predicate, ()), key=sort_key)
 
-    def value(self, subject: Term, predicate: Term, graph: str) -> Term | None:
-        """The one object of the quads (subject, predicate, ?, graph), or None if there is none.
-
-        A functional property read: more than one object raises CardinalityError.
-        """
-        found = self._spo.get(graph, {}).get(subject, {}).get(predicate, ())
-        if len(found) > 1:
-            raise CardinalityError(f"{subject!r} {predicate!r} has {len(found)} values in graph {graph}, expected 1")
-        return next(iter(found), None)
-
     def match_pattern(self, pattern: Pattern) -> list[BindingSet]:
         """All bindings under which the pattern matches some quad, in deterministic order."""
         return self._join([pattern])
@@ -324,7 +338,7 @@ class QuadStore:
                 else:
                     rows += [(s_, p, o, g) for s_ in by_object.get(o, ())]
             elif o is not None and p is None:
-                by_subject = self._osp[name].get(o, {})
+                by_subject = self._osp_table(name).get(o, {})
                 if s is None:
                     rows += [(s_, p_, o, g) for s_, predicates in by_subject.items() for p_ in predicates]
                 else:
@@ -345,6 +359,22 @@ class QuadStore:
                 elif o in by_predicate.get(p, ()):
                     rows.append((s, p, o, g))
         return rows
+
+    def _osp_table(self, graph: str) -> dict[Term, dict[Term, set[Term]]]:
+        """The graph's object -> subject -> {predicate} table, built from its SPO table on first use."""
+        osp = self._osp.get(graph)
+        if osp is None:
+            osp = self._osp[graph] = {}
+            for s, by_predicate in self._spo[graph].items():
+                for p, objects in by_predicate.items():
+                    for o in objects:
+                        osp.setdefault(o, {}).setdefault(s, set()).add(p)
+        return osp
+
+
+def _check_graph(graph: str):
+    if not graph or not isinstance(graph, str) or _WHITESPACE.search(graph):
+        raise MalformedQuadError("quad graph must be a non-empty IRI string")
 
 
 def _discard(table: dict, a: Term, b: Term, c: Term):

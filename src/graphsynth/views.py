@@ -20,9 +20,9 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from graphsynth import vocab
-from graphsynth.errors import CardinalityError, GraphSynthError, KbValidationError
-from graphsynth.quadstore import Pattern, Quad, QuadStore, Var
-from graphsynth.terms import RDF_TYPE, XSD_BOOLEAN, XSD_INTEGER, XSD_STRING, Iri, Literal, Term, integer_literal
+from graphsynth.errors import CardinalityError, GraphSynthError, KbValidationError, MalformedQuadError
+from graphsynth.quadstore import Pattern, QuadStore, Var
+from graphsynth.terms import RDF_TYPE, XSD_BOOLEAN, XSD_INTEGER, XSD_STRING, Blank, Iri, Literal, Term, integer_literal
 from graphsynth.turtle import _format_term
 
 
@@ -275,14 +275,27 @@ def write(store: QuadStore, graph: str, fields: tuple[Field, ...], node: Iri, **
     The kind decides the term: a literal, an IRI built from its string, or
     the link term given. A single-valued field takes a value or None (no
     quad), a many-valued one an iterable; values no field names are ignored.
+    The quads go through the store's unchecked `_add`, so the checks are
+    made here, once per call or field: the node and each predicate must be
+    IRIs and a link an IRI or blank node; the term constructors check the
+    other kinds, and the store the graph name.
     """
+    if not isinstance(node, Iri):
+        raise MalformedQuadError(f"a program-graph node must be an IRI: {node!r}")
+    add = store._add
     for name, predicate, kind, _, high in fields:
         value = values[name]
         if value is None:
             continue
+        if not isinstance(predicate, Iri):
+            raise MalformedQuadError(f"field {name!r} has a predicate that is no IRI: {predicate!r}")
         term = _TERM.get(kind)
         for item in value if high is MANY else (value,):
-            store.insert(Quad(node, predicate, term(item) if term else item, graph))
+            if term is not None:
+                item = term(item)
+            elif not isinstance(item, (Iri, Blank)):
+                raise MalformedQuadError(f"field {name!r} takes an IRI or blank node, got {item!r}")
+            add(node, predicate, item, graph)
 
 
 def typed_node(store: QuadStore, graph: str, cls: Iri) -> Term:

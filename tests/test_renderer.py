@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 from conftest import STATEMENT_VARIANTS, insert_turtle, variant_plan
 from graphsynth import renderer, views, vocab
 from graphsynth.composer import compose, import_order
-from graphsynth.errors import RenderError, UnmappableStatementError, UnsupportedLanguageError, WriteError
+from graphsynth.errors import (
+    MalformedQuadError,
+    RenderError,
+    UnmappableStatementError,
+    UnsupportedLanguageError,
+    WriteError,
+)
 from graphsynth.problem import parse_problem_statement
 from graphsynth.renderer import (
     ImportAliased,
@@ -24,9 +30,9 @@ from graphsynth.renderer import (
     write_source,
 )
 from graphsynth.resolver import resolve
-from graphsynth.quadstore import Quad, QuadStore
-from graphsynth.terms import RDF_TYPE, Iri, Literal
-from graphsynth.views import LibraryInfo
+from graphsynth.quadstore import Pattern, Quad, QuadStore, Var
+from graphsynth.terms import RDF_TYPE, Blank, Iri, Literal
+from graphsynth.views import LibraryInfo, write
 
 
 @pytest.fixture()
@@ -121,7 +127,6 @@ def test_load_plr_round_trips_and_emits_identically_for_every_statement_variant(
 
 # The graphs each QuadStore read names, from its arguments.
 _READ_GRAPHS = {
-    "value": lambda subject, predicate, graph: [graph],
     "objects": lambda subject, predicate, graph: [graph],
     "match_pattern": lambda pattern: [pattern.graph],
     "query_bgp": lambda patterns: [pattern.graph for pattern in patterns],
@@ -162,6 +167,55 @@ def test_compose_and_render_read_nothing_back_and_look_up_no_function(kb_store, 
     program_graphs = (pla.graph_iri, plr.graph_iri, again.graph_iri, again_plr.graph_iri)
     assert [graph for graph in read_graphs if graph in program_graphs] == []
     assert function_lookups == []
+
+
+_NODE = Iri("http://t.example/node")
+_LINK = ("link", Iri("http://t.example/link"), views.NODE, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "graph, fields, node, values",
+    [
+        pytest.param("http://t.example/g", (_LINK,), Blank("n"), {"link": _NODE}, id="blank-node"),
+        pytest.param("http://t.example/g", (_LINK,), Literal("n"), {"link": _NODE}, id="literal-node"),
+        pytest.param("http://t.example/g", (_LINK,), "http://t.example/n", {"link": _NODE}, id="string-node"),
+        pytest.param("http://t.example/g", (_LINK,), _NODE, {"link": Literal("x")}, id="literal-link"),
+        pytest.param("http://t.example/g", (_LINK,), _NODE, {"link": "http://t.example/x"}, id="string-link"),
+        pytest.param("http://t.example/g", (views.TYPE,), _NODE, {"type": True}, id="boolean-link"),
+        pytest.param("http://t.example/g", (("text", "http://t.example/p", views.STR, 1, 1),), _NODE, {"text": "x"},
+                     id="string-predicate"),
+        pytest.param("http://t.example/a graph", (_LINK,), _NODE, {"link": _NODE}, id="whitespace-graph"),
+        pytest.param("", (_LINK,), _NODE, {"link": _NODE}, id="empty-graph"),
+    ],
+)
+def test_write_rejects_a_malformed_quad_and_stores_nothing(graph, fields, node, values):
+    store = QuadStore()
+    with pytest.raises(MalformedQuadError):
+        write(store, graph, fields, node, **values)
+    assert len(store) == 0 and store.graph_names() == []
+
+
+@pytest.mark.parametrize("variant", ["example", *STATEMENT_VARIANTS])
+def test_codec_writes_the_same_graphs_and_tables_as_validated_inserts(kb_store, statement_text, variant):
+    plan = (resolve(parse_problem_statement(statement_text), kb_store) if variant == "example"
+            else variant_plan(kb_store, variant))
+    pla = compose(plan, kb_store)
+    plr = render(pla, plan.language, kb_store)
+    replay = QuadStore()
+    for graph in (pla.graph_iri, plr.graph_iri):
+        # `quads` rebuilds each stored quad through the validating `Quad` constructor.
+        for quad in kb_store.quads(graph):
+            assert replay.insert(quad)
+        assert replay.graph_quads(graph) == kb_store.graph_quads(graph)
+        assert replay.graph_size(graph) == kb_store.graph_size(graph) > 0
+        assert replay._spo[graph] == kb_store._spo[graph] and replay._pos[graph] == kb_store._pos[graph]
+        # Neither store has an OSP table for the graph until a pattern binds an object and no predicate.
+        assert graph not in kb_store._osp and graph not in replay._osp
+        program = Iri(pla.program_iri if graph == pla.graph_iri else plr.program_iri)
+        program_class = kb_store.objects(program, Iri(RDF_TYPE), graph)
+        pattern = Pattern(Var("s"), Var("p"), program_class[0], graph)
+        assert replay.match_pattern(pattern) == kb_store.match_pattern(pattern) == [{"s": program, "p": Iri(RDF_TYPE)}]
+        assert replay._osp[graph] == kb_store._osp[graph]
 
 
 def test_a_call_to_a_function_the_program_does_not_carry_is_a_render_error(kb_store, statement_text):
