@@ -65,10 +65,6 @@ class RunConfig(NamedTuple):
     force: bool
 
 
-def _fail(stage: str, code: int, message: str) -> _StageFailure:
-    return _StageFailure(stage, code, message)
-
-
 def _build_config(args: argparse.Namespace) -> RunConfig:
     if args.kb:
         kb_dir = Path(args.kb)
@@ -77,10 +73,10 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     else:
         kb_dir = seed.kb_dir()
     if not kb_dir.is_dir():
-        raise _fail("config", EXIT_CONFIG, f"knowledge base directory not found: {kb_dir}")
+        raise _StageFailure("config", EXIT_CONFIG, f"knowledge base directory not found: {kb_dir}")
     catalog = Path(args.catalog) if args.catalog else kb_dir / seed.CATALOG_FILE
     if not catalog.is_file():
-        raise _fail("config", EXIT_CONFIG, f"catalog file not found: {catalog}")
+        raise _StageFailure("config", EXIT_CONFIG, f"catalog file not found: {catalog}")
     out_dir = Path(args.out) if getattr(args, "out", None) else Path.cwd()
     return RunConfig(
         kb_dir=kb_dir,
@@ -96,19 +92,19 @@ def _load_kb(config: RunConfig) -> tuple[QuadStore, int]:
     try:
         store, report = seed.load_kb(config.kb_dir, config.catalog)
     except (KbFileError, CatalogError, ImportResolutionError, KbValidationError, OSError) as exc:
-        raise _fail("kb-load", EXIT_KB_LOAD, str(exc)) from exc
+        raise _StageFailure("kb-load", EXIT_KB_LOAD, str(exc)) from exc
     return store, report.files
 
 
 def _parse_statement(path: Path):
     if not path.is_file():
-        raise _fail("config", EXIT_CONFIG, f"problem statement file not found: {path}")
+        raise _StageFailure("config", EXIT_CONFIG, f"problem statement file not found: {path}")
     try:
         return parse_problem_statement(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
-        raise _fail("statement-parse", EXIT_STATEMENT, f"{path}: not UTF-8 text: {exc}") from exc
+        raise _StageFailure("statement-parse", EXIT_STATEMENT, f"{path}: not UTF-8 text: {exc}") from exc
     except ProblemStatementError as exc:
-        raise _fail("statement-parse", EXIT_STATEMENT, f"{path}: {exc}") from exc
+        raise _StageFailure("statement-parse", EXIT_STATEMENT, f"{path}: {exc}") from exc
 
 
 def _run_pipeline(config: RunConfig, statement_path: Path, store: QuadStore):
@@ -116,15 +112,15 @@ def _run_pipeline(config: RunConfig, statement_path: Path, store: QuadStore):
     try:
         plan = resolve(ps, store)
     except ResolveError as exc:
-        raise _fail("resolve", EXIT_RESOLVE, str(exc)) from exc
+        raise _StageFailure("resolve", EXIT_RESOLVE, str(exc)) from exc
     try:
         pla = compose(plan, store)
     except ComposeError as exc:
-        raise _fail("compose", EXIT_COMPOSE, str(exc)) from exc
+        raise _StageFailure("compose", EXIT_COMPOSE, str(exc)) from exc
     try:
         plr = render(pla, plan.language, store)
     except RenderError as exc:
-        raise _fail("render", EXIT_RENDER, str(exc)) from exc
+        raise _StageFailure("render", EXIT_RENDER, str(exc)) from exc
     return plan, pla, plr
 
 
@@ -136,7 +132,7 @@ def _exec_check(config: RunConfig, plan, path: Path) -> str:
     target = path.parent / plan.data_source.location
     if not target.exists():
         if not fixture.is_file():
-            raise _fail("exec-check", 1, f"fixture data file not found: {fixture}")
+            raise _StageFailure("exec-check", 1, f"fixture data file not found: {fixture}")
         shutil.copyfile(fixture, target)
     proc = subprocess.run(
         [sys.executable, path.name],
@@ -146,7 +142,7 @@ def _exec_check(config: RunConfig, plan, path: Path) -> str:
         timeout=60,
     )
     if proc.returncode != 0:
-        raise _fail("exec-check", 1, f"emitted program exited {proc.returncode}: {proc.stderr.strip()}")
+        raise _StageFailure("exec-check", 1, f"emitted program exited {proc.returncode}: {proc.stderr.strip()}")
     reported = {}
     for line in proc.stdout.splitlines():
         label, sep, value = line.partition("=")
@@ -155,9 +151,9 @@ def _exec_check(config: RunConfig, plan, path: Path) -> str:
         try:
             reported[label.strip()] = float(value.strip())
         except ValueError:
-            raise _fail("exec-check", 1, f"unparseable report line: {line!r}")
+            raise _StageFailure("exec-check", 1, f"unparseable report line: {line!r}")
     if len(reported) < 2:
-        raise _fail("exec-check", 1, f"expected two report lines, got: {proc.stdout!r}")
+        raise _StageFailure("exec-check", 1, f"expected two report lines, got: {proc.stdout!r}")
     return " ".join(f"{k}={v}" for k, v in sorted(reported.items()))
 
 
@@ -170,11 +166,11 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         # The text is checked to parse before anything is written.
         text = emit(plr, blank_lines_between_sections=config.blank_lines)
     except RenderError as exc:
-        raise _fail("render", EXIT_RENDER, str(exc)) from exc
+        raise _StageFailure("render", EXIT_RENDER, str(exc)) from exc
     try:
         path = write_source(text, plan.program_basename, plan.language, config.out_dir, force=config.force)
     except WriteError as exc:
-        raise _fail("write", EXIT_WRITE, str(exc)) from exc
+        raise _StageFailure("write", EXIT_WRITE, str(exc)) from exc
 
     print(f"data source: {plan.data_source.name} <{plan.data_source.iri}>")
     for calc in plan.calculations:
@@ -240,13 +236,13 @@ def _parse_query_term(token: str, position: str):
     prefix, sep, local = token.partition(":")
     if sep and prefix in _PREFIX_TABLE:
         return Iri(_PREFIX_TABLE[prefix] + local)
-    raise _fail("config", EXIT_CONFIG, f"cannot parse {position} term {token!r} in query pattern")
+    raise _StageFailure("config", EXIT_CONFIG, f"cannot parse {position} term {token!r} in query pattern")
 
 
 def _parse_query_pattern(text: str) -> Pattern:
     tokens = text.split()
     if len(tokens) not in (3, 4):
-        raise _fail("config", EXIT_CONFIG, f"pattern needs 3 or 4 terms, got {len(tokens)}: {text!r}")
+        raise _StageFailure("config", EXIT_CONFIG, f"pattern needs 3 or 4 terms, got {len(tokens)}: {text!r}")
     subject = _parse_query_term(tokens[0], "subject")
     predicate = _parse_query_term(tokens[1], "predicate")
     obj = _parse_query_term(tokens[2], "object")

@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import keyword
 from operator import itemgetter
-from typing import Collection, Iterable, NamedTuple
+from typing import Collection, Iterable, Mapping, NamedTuple
 
 from graphsynth import vocab, views
 from graphsynth.errors import CardinalityError, ComposeError, UnnamedVariableError
 from graphsynth.quadstore import QuadStore
 from graphsynth.resolver import BuildPlan
-from graphsynth.terms import Iri, _Frozen, _set
+from graphsynth.terms import Iri
 from graphsynth.views import INT, IRI, MANY, NODE, STR, TYPE, read, write
-from graphsynth.views import CodeFunctionInfo, LibraryInfo, NamingPatternInfo
+from graphsynth.views import CodeFunctionInfo, Kb, LibraryInfo, NamingPatternInfo
 
 # Abstract-program vocabulary (disjoint from the concrete one by design), each
 # term built once here so that no write or read-back validates it again.
@@ -56,17 +56,6 @@ PLA_HAS_LIBRARY_REFERENCE = Iri(vocab.pla("hasLibraryReference"))
 PLA_REFERS_TO_LIBRARY = Iri(vocab.pla("refersToLibrary"))
 
 
-class CallArg(_Frozen):
-    """One argument of an abstract call: a reference to a variable composed earlier."""
-
-    __slots__ = ("variable",)
-
-    def __init__(self, variable: str):
-        if variable is None:
-            raise ComposeError("call argument must name a variable")
-        _set(self, "variable", variable)
-
-
 class AssignLiteral(NamedTuple):
     target: str
     value: str
@@ -76,7 +65,7 @@ class AssignLiteral(NamedTuple):
 class AssignCall(NamedTuple):
     target: str
     function: str
-    args: tuple[CallArg, ...]
+    args: tuple[str, ...]  # the variables passed, each composed earlier
 
 
 class ReportValue(NamedTuple):
@@ -142,7 +131,7 @@ class NamingContext(NamedTuple):
 
 
 def derive_variable_name(
-    patterns: dict[str, NamingPatternInfo], context: NamingContext, reserved: Collection[str] = ()
+    patterns: Mapping[str, NamingPatternInfo], context: NamingContext, reserved: Collection[str] = ()
 ) -> str:
     """Apply the naming pattern matching `context`; no rule, or no usable identifier, is an error.
 
@@ -163,7 +152,7 @@ def library_names(plan: BuildPlan) -> frozenset[str]:
     return frozenset(name for fn in functions for name in (fn.library.official_name, fn.library.alias) if name)
 
 
-def _apply_naming_pattern(patterns: dict[str, NamingPatternInfo], context: NamingContext) -> str:
+def _apply_naming_pattern(patterns: Mapping[str, NamingPatternInfo], context: NamingContext) -> str:
     pattern = patterns.get(context.pattern_id)
     if pattern is None:
         raise UnnamedVariableError(f"pattern '{context.pattern_id}' is not in the knowledge base")
@@ -195,11 +184,9 @@ class NameAllocator:
 
 
 class _Composition:
-    def __init__(self, plan: BuildPlan, store: QuadStore, graph: str):
+    def __init__(self, plan: BuildPlan, kb: Kb):
         self.plan = plan
-        self.store = store
-        self.core_graph = graph
-        self.patterns = views.view_naming_patterns(store, graph)
+        self.patterns = kb.naming_patterns
         self.reserved = library_names(plan)
         self.names = NameAllocator()
         self.role_vars: dict[str, str] = {}
@@ -228,7 +215,7 @@ class _Composition:
     def new_variable(self, context: NamingContext) -> str:
         return self.names.allocate(derive_variable_name(self.patterns, context, self.reserved))
 
-    def args_for(self, function: CodeFunctionInfo) -> tuple[CallArg, ...]:
+    def args_for(self, function: CodeFunctionInfo) -> tuple[str, ...]:
         args = []
         for role in function.arg_spec:
             variable = self.role_vars.get(role)
@@ -236,7 +223,7 @@ class _Composition:
                 raise ComposeError(
                     f"function {function.qualified_name} needs a value in role {role}, none composed yet"
                 )
-            args.append(CallArg(variable=variable))
+            args.append(variable)
         return tuple(args)
 
     def compose_input(self):
@@ -295,7 +282,7 @@ def compose(plan: BuildPlan, store: QuadStore, graph_iri: str | None = None) -> 
     if store.graph_size(graph_iri) != 0:
         raise ComposeError(f"target graph is not empty: {graph_iri}")
 
-    state = _Composition(plan, store, vocab.CORE_GRAPH)
+    state = _Composition(plan, views.kb(store))
     result_vars: list[str] = []
     for section_name in (s.name for s in sorted(plan.structure.slots, key=lambda s: s.composition_index)):
         if section_name == vocab.SECTION_INPUT:
@@ -399,7 +386,7 @@ def _write_statement(store: QuadStore, graph: str, placed: PlacedStatement) -> I
     args = values.get("args", ())
     values["args"] = slots = [Iri(f"{node.value}-arg{index}") for index in range(len(args))]
     for index, (slot, arg) in enumerate(zip(slots, args)):
-        write(store, graph, _ARGUMENT_SLOT, slot, index=index, variable=arg.variable)
+        write(store, graph, _ARGUMENT_SLOT, slot, index=index, variable=arg)
     write(store, graph, fields, node, **values)
     return node
 
@@ -416,9 +403,10 @@ def load_pla(store: QuadStore, graph_iri: str, core_graph: str = vocab.CORE_GRAP
         refs = [read(store, graph_iri, _LIBRARY_REFERENCE, ref) for ref in fields["library_references"]]
     except CardinalityError as exc:
         raise ComposeError(str(exc)) from exc
+    kb = views.kb(store, core_graph)
     libraries = []
     for ref in sorted(refs, key=itemgetter("index")):
-        info = views.view_library(store, ref["library"], core_graph)
+        info = kb.libraries.get(ref["library"])
         if info is None:
             raise ComposeError(f"referenced library {ref['library']} is not in the knowledge base")
         libraries.append(info)
@@ -435,7 +423,7 @@ def load_pla(store: QuadStore, graph_iri: str, core_graph: str = vocab.CORE_GRAP
     calls = [p.statement.function for p in pla.all_statements() if isinstance(p.statement, (AssignCall, ProgramExit))]
     functions = []
     for iri in dict.fromkeys(calls):
-        info = views.view_code_function_by_iri(store, iri, core_graph)
+        info = kb.functions.get(iri)
         if info is None:
             raise ComposeError(f"called function {iri} is not in the knowledge base")
         functions.append(info)
@@ -457,5 +445,5 @@ def _read_statement(store: QuadStore, graph: str, node: Iri, section: str) -> Pl
     values = read(store, graph, fields, node)
     if "args" in values:  # a call: one child node per argument, read back in slot order
         slots = sorted((read(store, graph, _ARGUMENT_SLOT, slot) for slot in values["args"]), key=itemgetter("index"))
-        values["args"] = tuple(CallArg(slot["variable"]) for slot in slots)
+        values["args"] = tuple(slot["variable"] for slot in slots)
     return PlacedStatement(record(**values), section, placement["order_index"], placement["composition_index"])

@@ -1,12 +1,11 @@
 """In-memory quad store with named graphs and a basic-graph-pattern engine.
 
 The store keeps set semantics (inserting a quad twice is a no-op) and holds
-terms, not `Quad` objects: each named graph has up to three nested
-permutation tables, subject -> predicate -> {object}, predicate -> object ->
-{subject} and object -> subject -> {predicate}, plus its quad count, the
-graph-prefixed GSPO/GPOS/GOSP layout of Hexastore. `objects(s, p, g)`, the
-read behind every property lookup of one entity, is three probes into the
-graph's subject table.
+terms, not `Quad` objects: each named graph has two nested permutation
+tables, subject -> predicate -> {object} and predicate -> object ->
+{subject}, plus its quad count, the graph-prefixed GSPO/GPOS layout of
+Hexastore. `objects(s, p, g)`, the read behind every property lookup of one
+entity, is three probes into the graph's subject table.
 
 There are two write paths and one implementation. `insert(quad)` is the
 public one: the `Quad` constructor validates every term and the graph name,
@@ -14,17 +13,9 @@ and `insert` hands the terms to `_add`. `_add(s, p, o, graph)` builds no
 `Quad` and checks only the name of a graph it creates; it is for a caller
 that has validated its terms itself, as the field-table codec
 `views.write` does once per call for the program graphs. `insert`, `_add`
-and `remove` keep every table that exists up to date and never leave an
-empty inner level; `drop_graph` pops the graph's entry from each table, so
-it does no work per quad.
-
-The SPO and POS tables are kept from a graph's first quad on. The OSP table
-is built from the SPO table the first time a pattern needs it (an object
-bound with no predicate bound), the adaptive indexing of database cracking:
-nothing in the pipeline asks for one, so its writes cost nothing until a
-query does. `drop_graph` discards whatever tables the graph had, and
-`clone` copies only the tables that exist, so a clone builds its own OSP
-table on its own first use.
+and `remove` keep both tables up to date and never leave an empty inner
+level; `drop_graph` pops the graph's entry from each table, so it does no
+work per quad.
 
 Each graph also has a generation: a count that every write or `remove`
 that changes the graph, and every `drop_graph`, bumps, and that is never
@@ -38,9 +29,11 @@ A basic graph pattern is answered by an index nested-loop join. Before the
 loop a greedy planner orders the patterns: next comes the one with the most
 positions bound, either by a concrete term or by a variable an earlier
 pattern binds. For each partial binding, `_candidates` substitutes the
-bound variables into the pattern and walks the one permutation whose key
-order starts with the bound positions, so every row it returns matches them;
-only a graph variable makes it visit more than one graph.
+bound variables into the pattern and walks the permutation whose key order
+starts with the bound positions; an object bound with no predicate has no
+such table, and is matched by a scan of the subject table that keeps the
+rows holding it. Every row it returns matches the bound positions; only a
+graph variable makes it visit more than one graph.
 
 The join order decides only how much work is done, never what comes out:
 every result binds all variables of the query, so two distinct results
@@ -162,11 +155,9 @@ class QuadStore:
     """Mutable quad dataset. Single-writer during mutation; reads are pure."""
 
     def __init__(self):
-        # Graph name -> its permutation table: s -> p -> {o}, p -> o -> {s}, o -> s -> {p};
-        # a graph has an OSP table only once `_osp_table` has built it.
+        # Graph name -> its permutation table: s -> p -> {o}, p -> o -> {s}.
         self._spo: dict[str, dict[Term, dict[Term, set[Term]]]] = {}
         self._pos: dict[str, dict[Term, dict[Term, set[Term]]]] = {}
-        self._osp: dict[str, dict[Term, dict[Term, set[Term]]]] = {}
         self._sizes: dict[str, int] = {}
         # Graph name -> its Iri term, built (and validated) once per graph.
         self._graph_terms: dict[str, Iri] = {}
@@ -195,9 +186,6 @@ class QuadStore:
         objects.add(o)
         self._generations[graph] += 1
         self._pos[graph].setdefault(p, {}).setdefault(o, set()).add(s)
-        osp = self._osp.get(graph)
-        if osp is not None:
-            osp.setdefault(o, {}).setdefault(s, set()).add(p)
         self._sizes[graph] += 1
         return True
 
@@ -208,9 +196,6 @@ class QuadStore:
         s, p, o, graph = quad.subject, quad.predicate, quad.object, quad.graph
         _discard(self._spo[graph], s, p, o)
         _discard(self._pos[graph], p, o, s)
-        osp = self._osp.get(graph)
-        if osp is not None:
-            _discard(osp, o, s, p)
         self._sizes[graph] -= 1
         self._generations[graph] += 1
         if not self._sizes[graph]:
@@ -219,7 +204,7 @@ class QuadStore:
 
     def drop_graph(self, graph: str) -> int:
         """Remove every quad of one graph; returns how many there were."""
-        for table in (self._spo, self._pos, self._osp, self._graph_terms):
+        for table in (self._spo, self._pos, self._graph_terms):
             table.pop(graph, None)
         self._generations[graph] = self.generation(graph) + 1
         return self._sizes.pop(graph, 0)
@@ -264,7 +249,7 @@ class QuadStore:
 
     def clone(self) -> QuadStore:
         other = QuadStore()
-        other._spo, other._pos, other._osp = (_copy_tables(t) for t in (self._spo, self._pos, self._osp))
+        other._spo, other._pos = _copy_tables(self._spo), _copy_tables(self._pos)
         other._sizes = dict(self._sizes)
         other._graph_terms = dict(self._graph_terms)
         other._generations = dict(self._generations)
@@ -310,9 +295,10 @@ class QuadStore:
     def _candidates(self, pattern: Pattern, binding: BindingSet) -> list[tuple[Term, Term, Term, Iri]]:
         """(s, p, o, graph term) of every quad matching the pattern's bound positions.
 
-        Each graph visited is read through the one permutation whose key order
+        Each graph visited is read through the permutation whose key order
         begins with the bound positions: POS for a predicate bound without a
-        subject, OSP for an object bound without a predicate, SPO otherwise.
+        subject, SPO otherwise. An object bound with no predicate bound has
+        no table of its own: the walk over SPO keeps the rows that hold it.
         """
         s, p, o, graph = [
             binding.get(pos.name) if isinstance(pos, Var) else pos
@@ -337,39 +323,24 @@ class QuadStore:
                     rows += [(s_, p, o_, g) for o_, subjects in by_object.items() for s_ in subjects]
                 else:
                     rows += [(s_, p, o, g) for s_ in by_object.get(o, ())]
-            elif o is not None and p is None:
-                by_subject = self._osp_table(name).get(o, {})
-                if s is None:
-                    rows += [(s_, p_, o, g) for s_, predicates in by_subject.items() for p_ in predicates]
-                else:
-                    rows += [(s, p_, o, g) for p_ in by_subject.get(s, ())]
             elif s is None:
                 rows += [
                     (s_, p_, o_, g)
                     for s_, by_predicate in self._spo[name].items()
                     for p_, objects in by_predicate.items()
                     for o_ in objects
+                    if o is None or o_ == o
                 ]
             else:
                 by_predicate = self._spo[name].get(s, {})
                 if p is None:
-                    rows += [(s, p_, o_, g) for p_, objects in by_predicate.items() for o_ in objects]
+                    rows += [(s, p_, o_, g) for p_, objects in by_predicate.items() for o_ in objects
+                             if o is None or o_ == o]
                 elif o is None:
                     rows += [(s, p, o_, g) for o_ in by_predicate.get(p, ())]
                 elif o in by_predicate.get(p, ()):
                     rows.append((s, p, o, g))
         return rows
-
-    def _osp_table(self, graph: str) -> dict[Term, dict[Term, set[Term]]]:
-        """The graph's object -> subject -> {predicate} table, built from its SPO table on first use."""
-        osp = self._osp.get(graph)
-        if osp is None:
-            osp = self._osp[graph] = {}
-            for s, by_predicate in self._spo[graph].items():
-                for p, objects in by_predicate.items():
-                    for o in objects:
-                        osp.setdefault(o, {}).setdefault(s, set()).add(p)
-        return osp
 
 
 def _check_graph(graph: str):

@@ -26,7 +26,8 @@ from graphsynth.errors import (
 )
 from graphsynth.quadstore import QuadStore
 from graphsynth.terms import Iri
-from graphsynth.views import INT, IRI, MANY, NODE, STR, TYPE, LanguageInfo, LibraryInfo, StatementFormInfo, read, write
+from graphsynth.views import INT, IRI, MANY, NODE, STR, TYPE, read, write
+from graphsynth.views import Kb, LanguageInfo, LibraryInfo, StatementFormInfo
 
 # Concrete-program vocabulary (disjoint from the abstract one by design), each
 # term built once here so that no write or read-back validates it again.
@@ -165,11 +166,11 @@ def import_statement(library: LibraryInfo) -> ImportPlain | ImportAliased:
 
 
 class _Renderer:
-    def __init__(self, store: QuadStore, language: LanguageInfo, core_graph: str, pla: PlaProgram):
+    def __init__(self, kb: Kb, language: LanguageInfo, pla: PlaProgram):
         self.language = language
         self.libraries = {library.iri: library for library in pla.referenced_libraries}
         self.functions = {function.iri: function for function in pla.called_functions}
-        self.forms = views.view_statement_forms(store, language.family, core_graph)
+        self.forms = kb.statement_forms.get(language.family, {})
         if not self.forms:
             raise UnsupportedLanguageError(language.family)
 
@@ -199,7 +200,7 @@ class _Renderer:
         if isinstance(statement, AssignLiteral):
             return AssignExpr(lhs=statement.target, rhs=self.quote(statement.value))
         if isinstance(statement, AssignCall):
-            args = ",".join(arg.variable for arg in statement.args)
+            args = ",".join(statement.args)
             return AssignExpr(lhs=statement.target, rhs=f"{self.callee_ref(statement.function)}({args})")
         if isinstance(statement, ReportValue):
             # The report form is print('<label> = ',<value>): a space inside
@@ -225,7 +226,7 @@ def render(
     one the resolver chose; the KB is not asked for it again. A language
     family without statement forms in the KB is unsupported.
     """
-    renderer = _Renderer(store, language, core_graph, pla)
+    renderer = _Renderer(views.kb(store, core_graph), language, pla)
     graph_iri = graph_iri or vocab.program_graph_iri(pla.basename, "plr")
     if store.graph_size(graph_iri) != 0:
         raise RenderError(f"target graph is not empty: {graph_iri}")

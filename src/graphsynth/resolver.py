@@ -27,6 +27,7 @@ from graphsynth.views import (
     AlgorithmInfo,
     CodeFunctionInfo,
     DataSourceInfo,
+    Kb,
     LanguageInfo,
     ProgramStructureInfo,
 )
@@ -106,8 +107,8 @@ def _tag_matches(kb_tag: str, requested: str) -> bool:
     return kb_tag == requested or kb_tag.startswith(requested + ".") or kb_tag.startswith(requested + "-")
 
 
-def _resolve_language(store: QuadStore, graph: str, tag: str) -> LanguageInfo:
-    matches = [lang for lang in views.view_languages(store, graph) if _tag_matches(lang.tag, tag)]
+def _resolve_language(kb: Kb, tag: str) -> LanguageInfo:
+    matches = [lang for lang in kb.languages if _tag_matches(lang.tag, tag)]
     if not matches:
         raise NoLanguageError(tag)
     longest = max(len(lang.tag) for lang in matches)
@@ -115,33 +116,38 @@ def _resolve_language(store: QuadStore, graph: str, tag: str) -> LanguageInfo:
     return select_candidate("language", most_specific, describe=lambda lang: lang.tag)
 
 
-def _near_miss(store: QuadStore, graph: str, cls: str, wanted: str) -> str | None:
+def _near_miss(kb: Kb, cls: str, wanted: str) -> str | None:
     """The label of an instance of `cls` closest to `wanted`, if any is close."""
     # Imported here: only a failed resolve needs it, and the import costs every cold run.
     import difflib
 
-    matches = difflib.get_close_matches(wanted, views.view_labels(store, cls, graph), n=1)
+    matches = difflib.get_close_matches(wanted, sorted(kb.labels[cls]), n=1)
     return matches[0] if matches else None
 
 
-def _resolve_data_source(store: QuadStore, graph: str, name: str) -> DataSourceInfo:
-    sources = views.view_data_source(store, name, graph)
+def _functions(kb: Kb, purpose: str, language_family: str, library_pref: str | None) -> list[CodeFunctionInfo]:
+    """The functions with `purpose` in `language_family`; with `library_pref`, only that library's."""
+    functions = kb.functions_by_purpose.get((purpose, language_family), ())
+    return [fn for fn in functions if library_pref in (None, fn.library.official_name)]
+
+
+def _resolve_data_source(kb: Kb, name: str) -> DataSourceInfo:
+    sources = kb.data_sources.get(name, ())
     if not sources:
-        raise NoDataSourceError(name, _near_miss(store, graph, vocab.DATA_SOURCE, name))
+        raise NoDataSourceError(name, _near_miss(kb, vocab.DATA_SOURCE, name))
     return select_candidate("data source", sources, describe=lambda ds: ds.iri)
 
 
 def _resolve_calculation(
-    store: QuadStore,
-    graph: str,
+    kb: Kb,
     label: str,
     ds: DataSourceInfo,
     language: LanguageInfo,
     library_pref: str | None,
 ) -> PlannedCalculation:
-    algorithms = views.view_algorithm_by_label(store, label, graph)
+    algorithms = kb.algorithms_by_label.get(label, ())
     if not algorithms:
-        raise NoAlgorithmError(label, _near_miss(store, graph, vocab.ALGORITHM, label))
+        raise NoAlgorithmError(label, _near_miss(kb, vocab.ALGORITHM, label))
     compatible = []
     all_violations: list[tuple[AlgorithmInfo, list[str]]] = []
     for alg in algorithms:
@@ -159,7 +165,7 @@ def _resolve_calculation(
         criterion=lambda a: _complexity_rank(a.time_complexity),
         describe=lambda a: a.name or a.iri,
     )
-    functions = views.view_code_function(store, algorithm.iri, language.family, library_pref, graph)
+    functions = _functions(kb, algorithm.iri, language.family, library_pref)
     if not functions:
         raise NoFunctionError(f"implementation of {algorithm.name or algorithm.iri}")
     function = select_candidate(
@@ -168,29 +174,23 @@ def _resolve_calculation(
     return PlannedCalculation(label=label, algorithm=algorithm, function=function)
 
 
-def _resolve_reader(
-    store: QuadStore,
-    graph: str,
-    ds: DataSourceInfo,
-    language: LanguageInfo,
-    library_pref: str | None,
-) -> CodeFunctionInfo:
+def _resolve_reader(kb: Kb, ds: DataSourceInfo, language: LanguageInfo, library_pref: str | None) -> CodeFunctionInfo:
     capabilities = [
         cap
-        for cap in views.view_read_capabilities(store, graph)
+        for cap in kb.read_capabilities
         if cap.format == ds.format and cap.value_datatype == ds.value_datatype and cap.container == ds.container
     ]
     functions = []
     for cap in capabilities:
-        functions.extend(views.view_code_function(store, cap.iri, language.family, library_pref, graph))
+        functions.extend(_functions(kb, cap.iri, language.family, library_pref))
     if not functions:
         raise NoFunctionError(f"reader for data source {ds.name}")
     return select_candidate("reader function", functions, describe=lambda f: f.qualified_name)
 
 
-def _resolve_structure(store: QuadStore, graph: str, requirements: tuple[str, ...]) -> ProgramStructureInfo:
+def _resolve_structure(kb: Kb, requirements: tuple[str, ...]) -> ProgramStructureInfo:
     wanted = set(requirements)
-    matches = [s for s in views.view_structures(store, graph) if wanted <= s.satisfied_requirements]
+    matches = [s for s in kb.structures if wanted <= s.satisfied_requirements]
     if not matches:
         raise NoStructureError(list(requirements))
     return select_candidate("program structure", matches, describe=lambda s: s.name or s.iri)
@@ -201,17 +201,17 @@ def resolve(ps: ProblemStatement, store: QuadStore, graph: str = vocab.CORE_GRAP
     if len(ps.data_source_names) != 1:
         raise ResolveError("exactly one data source is supported per program")
     library_pref = ps.library_preferences[0] if ps.library_preferences else None
+    kb = views.kb(store, graph)
 
-    language = _resolve_language(store, graph, ps.programming_language)
-    data_source = _resolve_data_source(store, graph, ps.data_source_names[0])
+    language = _resolve_language(kb, ps.programming_language)
+    data_source = _resolve_data_source(kb, ps.data_source_names[0])
     calculations = tuple(
-        _resolve_calculation(store, graph, label, data_source, language, library_pref)
-        for label in ps.requested_calculations
+        _resolve_calculation(kb, label, data_source, language, library_pref) for label in ps.requested_calculations
     )
-    structure = _resolve_structure(store, graph, ps.program_requirements)
-    reader = _resolve_reader(store, graph, data_source, language, library_pref)
+    structure = _resolve_structure(kb, ps.program_requirements)
+    reader = _resolve_reader(kb, data_source, language, library_pref)
 
-    exit_functions = views.view_code_function(store, vocab.ACTION_PROGRAM_EXIT, language.family, graph=graph)
+    exit_functions = _functions(kb, vocab.ACTION_PROGRAM_EXIT, language.family, None)
     if not exit_functions:
         raise NoFunctionError("program-exit action")
     exit_function = select_candidate("exit function", exit_functions, describe=lambda f: f.qualified_name)

@@ -158,14 +158,6 @@ def integer_literal(value: int) -> Literal:
     return Literal(str(value), XSD_INTEGER)
 
 
-def decimal_literal(lexical: str) -> Literal:
-    return Literal(lexical, XSD_DECIMAL)
-
-
-def boolean_literal(value: bool) -> Literal:
-    return Literal("true" if value else "false", XSD_BOOLEAN)
-
-
 def sort_key(term: Term) -> tuple:
     """Total order: IRIs, then blanks, then literals; lexicographic within each."""
     if isinstance(term, Iri):

@@ -1,23 +1,26 @@
-"""Typed read-views over the loaded knowledge base, and the field-table codec.
+"""The compiled knowledge base, and the field-table codec.
 
 `SHAPES` declares once, in the manner of SHACL Core, the shape of every
-entity class the views read: per property its field, predicate, kind and
-cardinality, plus the field that labels the instances. `check_kb` reads
-each field of each instance once, validates it, and from the same values
-compiles a `Kb` snapshot of `NamedTuple` records and indexes, with no
-defaults: an absent optional value reads as None (or an empty tuple). The
-store keeps the snapshot at the graph's generation and a view compiles a
-new one once the graph has changed, so no view reads a stale KB; each view
-is a lookup that returns fresh lists and dicts. The program graphs declare
-their nodes in field tables of the same form, written by `write` and read
-back by `read`. Views never change the store's quads.
+entity class the pipeline reads: per property its field, predicate, kind
+and cardinality, plus the field that labels the instances. `check_kb`
+reads each field of each instance once, validates it, and from the same
+values compiles a `Kb` snapshot of `NamedTuple` records and indexes, with
+no defaults: an absent optional value reads as None (or an empty tuple).
+The store keeps the snapshot at the graph's generation, and `kb` compiles
+a new one once the graph has changed, so no stage reads a stale KB. The
+stages read the `Kb` fields directly; every mapping in it is read-only and
+every sequence a tuple, so no caller can change the kept snapshot. The
+program graphs declare their nodes in field tables of the same form,
+written by `write` and read back by `read`. Nothing here changes the
+store's KB quads.
 """
 
 from __future__ import annotations
 
 import re
 from operator import attrgetter
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from graphsynth import vocab
 from graphsynth.errors import CardinalityError, GraphSynthError, KbValidationError, MalformedQuadError
@@ -278,11 +281,12 @@ def write(store: QuadStore, graph: str, fields: tuple[Field, ...], node: Iri, **
     The quads go through the store's unchecked `_add`, so the checks are
     made here, once per call or field: the node and each predicate must be
     IRIs and a link an IRI or blank node; the term constructors check the
-    other kinds, and the store the graph name.
+    other kinds, and the store the graph name. Every value is checked before
+    the first quad goes in, so a malformed one leaves the store as it was.
     """
     if not isinstance(node, Iri):
         raise MalformedQuadError(f"a program-graph node must be an IRI: {node!r}")
-    add = store._add
+    quads = []
     for name, predicate, kind, _, high in fields:
         value = values[name]
         if value is None:
@@ -295,7 +299,10 @@ def write(store: QuadStore, graph: str, fields: tuple[Field, ...], node: Iri, **
                 item = term(item)
             elif not isinstance(item, (Iri, Blank)):
                 raise MalformedQuadError(f"field {name!r} takes an IRI or blank node, got {item!r}")
-            add(node, predicate, item, graph)
+            quads.append((predicate, item))
+    add = store._add
+    for predicate, item in quads:
+        add(node, predicate, item, graph)
 
 
 def typed_node(store: QuadStore, graph: str, cls: Iri) -> Term:
@@ -306,94 +313,36 @@ def typed_node(store: QuadStore, graph: str, cls: Iri) -> Term:
     return rows[0]["n"]
 
 
-# --- the snapshot and its views ---------------------------------------------
+# --- the snapshot ---------------------------------------------------------
 
 
 class Kb(NamedTuple):
-    """One KB graph at one generation: its records, in IRI order, and the indexes over them."""
+    """One KB graph at one generation: its records, in IRI order, and the read-only indexes over them."""
 
-    data_sources: dict[str, tuple[DataSourceInfo, ...]]  # by name
+    data_sources: Mapping[str, tuple[DataSourceInfo, ...]]  # by name
     algorithms: tuple[AlgorithmInfo, ...]
-    algorithms_by_label: dict[str, tuple[AlgorithmInfo, ...]]
-    libraries: dict[str, LibraryInfo]  # by IRI, as are the functions
-    functions: dict[str, CodeFunctionInfo]
-    functions_by_purpose: dict[tuple[str, str], tuple[CodeFunctionInfo, ...]]  # by (purpose, language family)
-    statement_forms: dict[str, dict[str, StatementFormInfo]]  # by language family, then variation id
-    naming_patterns: dict[str, NamingPatternInfo]  # by pattern id
+    algorithms_by_label: Mapping[str, tuple[AlgorithmInfo, ...]]
+    libraries: Mapping[str, LibraryInfo]  # by IRI, as are the functions
+    functions: Mapping[str, CodeFunctionInfo]
+    functions_by_purpose: Mapping[tuple[str, str], tuple[CodeFunctionInfo, ...]]  # by (purpose, language family)
+    statement_forms: Mapping[str, Mapping[str, StatementFormInfo]]  # by language family, then variation id
+    naming_patterns: Mapping[str, NamingPatternInfo]  # by pattern id
     languages: tuple[LanguageInfo, ...]
     structures: tuple[ProgramStructureInfo, ...]
     read_capabilities: tuple[ReadCapabilityInfo, ...]
-    labels: dict[str, frozenset[str]]  # by each class that SHAPES gives a label field
+    labels: Mapping[str, frozenset[str]]  # by each class that SHAPES gives a label field
 
 
-def _kb(store: QuadStore, graph: str) -> Kb:
-    """The snapshot of `graph` at its current generation, compiled first if the store keeps none."""
-    kb = store.snapshot(graph) or _compile(store, graph)[1]
-    if not isinstance(kb, Kb):
-        raise kb
-    return kb
+def kb(store: QuadStore, graph: str = vocab.CORE_GRAPH) -> Kb:
+    """The snapshot of `graph` at its current generation, compiled first if the store keeps none.
 
-
-def view_data_source(store: QuadStore, name: str, graph: str = vocab.CORE_GRAPH) -> list[DataSourceInfo]:
-    """All data sources whose name equals `name` exactly (case-sensitive)."""
-    return list(_kb(store, graph).data_sources.get(name, ()))
-
-
-def view_algorithm_by_label(store: QuadStore, label: str, graph: str = vocab.CORE_GRAPH) -> list[AlgorithmInfo]:
-    """All algorithms carrying `label` among their output description labels."""
-    return list(_kb(store, graph).algorithms_by_label.get(label, ()))
-
-
-def view_all_algorithms(store: QuadStore, graph: str = vocab.CORE_GRAPH) -> list[AlgorithmInfo]:
-    return list(_kb(store, graph).algorithms)
-
-
-def view_labels(store: QuadStore, cls: str, graph: str = vocab.CORE_GRAPH) -> list[str]:
-    """The distinct values of a shaped class's label field over all its instances, sorted."""
-    return sorted(_kb(store, graph).labels[cls])
-
-
-def view_library(store: QuadStore, iri: str, graph: str = vocab.CORE_GRAPH) -> LibraryInfo | None:
-    """The library `iri`, or None if it is no gs:Library."""
-    return _kb(store, graph).libraries.get(iri)
-
-
-def view_code_function(
-    store: QuadStore, purpose: str, language_family: str, library_pref: str | None = None, graph: str = vocab.CORE_GRAPH
-) -> list[CodeFunctionInfo]:
-    """Functions with the given purpose in the given language family.
-
-    When `library_pref` is given, only functions from the library with that
-    official name are returned.
+    A KB that breaks its shapes has no snapshot: this raises the
+    CardinalityError or KbValidationError that `_compile` gives for it.
     """
-    functions = _kb(store, graph).functions_by_purpose.get((purpose, language_family), ())
-    return [fn for fn in functions if library_pref in (None, fn.library.official_name)]
-
-
-def view_code_function_by_iri(store: QuadStore, iri: str, graph: str = vocab.CORE_GRAPH) -> CodeFunctionInfo | None:
-    """The code function `iri`, or None if it is no gs:CodeFunction."""
-    return _kb(store, graph).functions.get(iri)
-
-
-def view_structures(store: QuadStore, graph: str = vocab.CORE_GRAPH) -> list[ProgramStructureInfo]:
-    return list(_kb(store, graph).structures)
-
-
-def view_languages(store: QuadStore, graph: str = vocab.CORE_GRAPH) -> list[LanguageInfo]:
-    return list(_kb(store, graph).languages)
-
-
-def view_read_capabilities(store: QuadStore, graph: str = vocab.CORE_GRAPH) -> list[ReadCapabilityInfo]:
-    return list(_kb(store, graph).read_capabilities)
-
-
-def view_naming_patterns(store: QuadStore, graph: str = vocab.CORE_GRAPH) -> dict[str, NamingPatternInfo]:
-    return dict(_kb(store, graph).naming_patterns)
-
-
-def view_statement_forms(store: QuadStore, family: str, graph: str = vocab.CORE_GRAPH) -> dict[str, StatementFormInfo]:
-    """Statement form templates for one language family, keyed by variation id."""
-    return dict(_kb(store, graph).statement_forms.get(family, {}))
+    snapshot = store.snapshot(graph) or _compile(store, graph)[1]
+    if not isinstance(snapshot, Kb):
+        raise snapshot
+    return snapshot
 
 
 # --- load-time check and compile -------------------------------------------
@@ -421,7 +370,7 @@ def check_kb(store: QuadStore, graph: str = vocab.CORE_GRAPH) -> list[str]:
 
     One pass checks every instance of a shaped class against its shape and,
     from the same values, compiles the snapshot the store keeps for the
-    views. The cross-entity checks run over the snapshot, so only on a
+    stages. The cross-entity checks run over the snapshot, so only on a
     well-shaped KB: each algorithm has an implementing code function in each
     language family that has statement forms, and, as the composer and the
     renderer follow `vocab.EMISSION_ORDER` and `vocab.COMPOSITION_ORDER`, a
@@ -431,9 +380,9 @@ def check_kb(store: QuadStore, graph: str = vocab.CORE_GRAPH) -> list[str]:
 
 
 def _compile(store: QuadStore, graph: str) -> tuple[list[str], Kb | GraphSynthError]:
-    """The problems of the KB in `graph`, and its snapshot, kept in the store, or the error a view raises.
+    """The problems of the KB in `graph`, and its snapshot, kept in the store, or the error `kb` raises.
 
-    A KB that breaks its shapes has no snapshot: a view raises the CardinalityError
+    A KB that breaks its shapes has no snapshot: `kb` raises the CardinalityError
     `read` raises for its first missing or extra value, else KbValidationError.
     """
     rows = {cls: store.match_pattern(Pattern(Var("s"), _RDF_TYPE, Iri(cls), graph)) for cls in SHAPES}
@@ -538,27 +487,27 @@ def _snapshot(f: dict[str, dict[Iri, dict]]) -> Kb:
         data_sources=_group((source.name, source) for source in sources),
         algorithms=tuple(algorithms),
         algorithms_by_label=_group((label, alg) for alg in algorithms for label in alg.output_description_labels),
-        libraries=libraries,
-        functions=functions,
+        libraries=MappingProxyType(libraries),
+        functions=MappingProxyType(functions),
         functions_by_purpose=_group(((fn.purpose, fn.language_family), fn) for fn in functions.values()),
-        statement_forms=forms,
-        naming_patterns={v["pattern_id"]: NamingPatternInfo(node.value, **v)
-                         for node, v in f[vocab.NAMING_PATTERN].items()},
+        statement_forms=MappingProxyType({family: MappingProxyType(by_id) for family, by_id in forms.items()}),
+        naming_patterns=MappingProxyType({v["pattern_id"]: NamingPatternInfo(node.value, **v)
+                                          for node, v in f[vocab.NAMING_PATTERN].items()}),
         languages=tuple(LanguageInfo(node.value, **dict(v, family=family[v["family"]]))
                         for node, v in f[vocab.PROGRAMMING_LANGUAGE].items()),
         structures=tuple(structures),
         read_capabilities=tuple(ReadCapabilityInfo(node.value, **v) for node, v in f[vocab.READ_CAPABILITY].items()),
-        labels={
+        labels=MappingProxyType({
             cls: frozenset(x for v in f[cls].values() for x in (v[label] if isinstance(v[label], tuple) else (v[label],)))
             for cls, (label, _) in SHAPES.items()
             if label
-        },
+        }),
     )
 
 
-def _group(pairs) -> dict:
-    """Each key of the (key, value) pairs, with the tuple of its values in order."""
+def _group(pairs) -> Mapping:
+    """Each key of the (key, value) pairs, with the tuple of its values in order, read-only."""
     groups: dict = {}
     for key, value in pairs:
         groups.setdefault(key, []).append(value)
-    return {key: tuple(values) for key, values in groups.items()}
+    return MappingProxyType({key: tuple(values) for key, values in groups.items()})

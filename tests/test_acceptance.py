@@ -53,11 +53,11 @@ def test_c1_golden_end_to_end(tmp_path, capsys, golden_source):
 
 def test_c2_matching_fidelity(seed_kb):
     store, _ = seed_kb
-    [mean_alg] = views.view_algorithm_by_label(store, "average value")
-    [std_alg] = views.view_algorithm_by_label(store, "average value variation")
+    [mean_alg] = views.kb(store).algorithms_by_label["average value"]
+    [std_alg] = views.kb(store).algorithms_by_label["average value variation"]
     assert mean_alg.name == "arithmetic_mean"
     assert std_alg.name == "standard_deviation"
-    [ds] = views.view_data_source(store, "my_input.txt")
+    [ds] = views.kb(store).data_sources["my_input.txt"]
     assert ds.data_rows == 6
     for alg in (mean_alg, std_alg):
         assert alg.min_input_count == 2
@@ -172,9 +172,10 @@ def test_c6_ordering_properties(kb_store, statement_text):
 
 
 def test_c7_naming_rules(kb_store):
-    patterns = views.view_naming_patterns(kb_store)
-    mean_fn = views.view_code_function_by_iri(kb_store, vocab.NUMPY_MEAN)
-    std_fn = views.view_code_function_by_iri(kb_store, vocab.NUMPY_STD)
+    kb = views.kb(kb_store)
+    patterns = kb.naming_patterns
+    mean_fn = kb.functions[vocab.NUMPY_MEAN]
+    std_fn = kb.functions[vocab.NUMPY_STD]
     derived = [
         derive_variable_name(
             patterns, NamingContext(vocab.PATTERN_LITERAL_IS_DATASOURCE_FILENAME, content_label="input_data")

@@ -24,7 +24,7 @@ from graphsynth.problem import parse_problem_statement
 from graphsynth.resolver import resolve
 from graphsynth.quadstore import Quad
 from graphsynth.terms import Iri, integer_literal
-from graphsynth.views import view_naming_patterns
+from graphsynth.views import kb
 
 
 @pytest.fixture()
@@ -52,12 +52,12 @@ def test_exemplar_statement_shapes(pla, plan):
     assert isinstance(input_statements[1], AssignCall)
     assert input_statements[1].target == "input_data"
     assert input_statements[1].function == vocab.NUMPY_LOADTXT
-    assert input_statements[1].args[0].variable == "input_data_filename"
+    assert input_statements[1].args == ("input_data_filename",)
 
     calculate = [p.statement for p in pla.section("Calculate").statements]
     assert [s.target for s in calculate] == ["mean", "std"]
     assert [s.function for s in calculate] == [vocab.NUMPY_MEAN, vocab.NUMPY_STD]
-    assert all(s.args[0].variable == "input_data" for s in calculate)
+    assert all(s.args == ("input_data",) for s in calculate)
 
     output = [p.statement for p in pla.section("Output").statements]
     assert output == [ReportValue("mean", "mean"), ReportValue("std", "std")]
@@ -90,7 +90,7 @@ def test_every_argument_is_defined_earlier_in_composition_order(pla):
         statement = placed.statement
         if isinstance(statement, AssignCall):
             for arg in statement.args:
-                assert defined[arg.variable] < placed.composition_index
+                assert defined[arg] < placed.composition_index
         if isinstance(statement, ReportValue):
             assert defined[statement.source] < placed.composition_index
         if isinstance(statement, (AssignLiteral, AssignCall)):
@@ -98,13 +98,11 @@ def test_every_argument_is_defined_earlier_in_composition_order(pla):
 
 
 def test_import_set_is_exactly_the_referenced_libraries(kb_store, pla):
-    from graphsynth.views import view_code_function_by_iri
-
     expected = set()
     for placed in pla.all_statements():
         statement = placed.statement
         if isinstance(statement, AssignCall):
-            expected.add(view_code_function_by_iri(kb_store, statement.function).library.iri)
+            expected.add(kb(kb_store).functions[statement.function].library.iri)
     expected.add(vocab.SYS_LIBRARY)  # bound by the planned exit action
     imported = {p.statement.library for p in pla.section("Preamble").statements}
     assert imported == expected == {lib.iri for lib in pla.referenced_libraries}
@@ -177,7 +175,7 @@ def test_graph_iri_derived_from_basename(pla, plan):
 
 
 def test_pattern_one_joins_content_and_filename_labels(kb_store):
-    patterns = view_naming_patterns(kb_store)
+    patterns = kb(kb_store).naming_patterns
     name = derive_variable_name(
         patterns, NamingContext(vocab.PATTERN_LITERAL_IS_DATASOURCE_FILENAME, content_label="input_data")
     )
@@ -185,7 +183,7 @@ def test_pattern_one_joins_content_and_filename_labels(kb_store):
 
 
 def test_pattern_two_uses_content_label_alone(kb_store):
-    patterns = view_naming_patterns(kb_store)
+    patterns = kb(kb_store).naming_patterns
     name = derive_variable_name(
         patterns, NamingContext(vocab.PATTERN_FILENAME_ARG_TO_READER, content_label="input_data")
     )
@@ -194,32 +192,28 @@ def test_pattern_two_uses_content_label_alone(kb_store):
 
 @pytest.mark.parametrize("function_iri, expected", [(vocab.NUMPY_MEAN, "mean"), (vocab.NUMPY_STD, "std")])
 def test_pattern_three_uses_the_function_name(kb_store, function_iri, expected):
-    from graphsynth.views import view_code_function_by_iri
-
-    patterns = view_naming_patterns(kb_store)
-    function = view_code_function_by_iri(kb_store, function_iri)
+    patterns = kb(kb_store).naming_patterns
+    function = kb(kb_store).functions[function_iri]
     name = derive_variable_name(patterns, NamingContext(vocab.PATTERN_ASSIGN_FUNCTION_RETURN, function=function))
     assert name == expected
 
 
 def test_unknown_pattern_raises_unnamed_variable(kb_store):
-    patterns = view_naming_patterns(kb_store)
+    patterns = kb(kb_store).naming_patterns
     with pytest.raises(UnnamedVariableError):
         derive_variable_name(patterns, NamingContext("no-such-pattern"))
 
 
 def test_missing_payload_raises_unnamed_variable(kb_store):
-    patterns = view_naming_patterns(kb_store)
+    patterns = kb(kb_store).naming_patterns
     with pytest.raises(UnnamedVariableError):
         derive_variable_name(patterns, NamingContext(vocab.PATTERN_FILENAME_ARG_TO_READER, content_label=None))
 
 
 @pytest.mark.parametrize("callable_name", ["class", "None", "my mean", "2nd"])
 def test_derived_name_that_is_no_identifier_raises_unnamed_variable(kb_store, callable_name):
-    from graphsynth.views import view_code_function_by_iri
-
-    patterns = view_naming_patterns(kb_store)
-    function = view_code_function_by_iri(kb_store, vocab.NUMPY_MEAN)._replace(callable_name=callable_name)
+    patterns = kb(kb_store).naming_patterns
+    function = kb(kb_store).functions[vocab.NUMPY_MEAN]._replace(callable_name=callable_name)
     with pytest.raises(UnnamedVariableError):
         derive_variable_name(patterns, NamingContext(vocab.PATTERN_ASSIGN_FUNCTION_RETURN, function=function))
 

@@ -105,29 +105,6 @@ def test_objects_reads_one_subject_predicate_and_graph():
     assert store.objects(A, P, "http://t.example/g3") == []
 
 
-def test_a_built_osp_table_follows_every_later_write():
-    store = QuadStore()
-    store.insert(Quad(A, P, B, G))
-    store.insert(Quad(B, Q, B, G))
-    assert G not in store._osp
-    # The object bound and no predicate: the first such pattern builds the graph's OSP table.
-    by_object = Pattern(Var("s"), Var("p"), B, G)
-    assert store.match_pattern(by_object) == [{"s": A, "p": P}, {"s": B, "p": Q}]
-    assert G in store._osp
-    store.insert(Quad(A, Q, B, G))
-    store.remove(Quad(B, Q, B, G))
-    assert store.match_pattern(by_object) == [{"s": A, "p": P}, {"s": A, "p": Q}]
-    copy = store.clone()
-    copy.remove(Quad(A, P, B, G))
-    assert copy.match_pattern(by_object) == [{"s": A, "p": Q}]
-    assert store.match_pattern(by_object) == [{"s": A, "p": P}, {"s": A, "p": Q}]
-    store.drop_graph(G)
-    assert G not in store._osp
-    store.insert(Quad(A, P, B, G))
-    assert G not in store._osp
-    assert store.match_pattern(by_object) == [{"s": A, "p": P}]
-
-
 def test_match_pattern_binds_variables():
     store = QuadStore()
     store.insert(Quad(A, P, B, G))
@@ -267,29 +244,16 @@ def _bounded_bgp(rng: random.Random, quads: list[Quad], budget: int = 50_000) ->
     return patterns[:1]
 
 
-def _check_tables(store: QuadStore, model: set[Quad], seen: list[Quad], osp_built: set[str]):
-    """`objects` agrees with brute force, every table that exists is whole, and no other exists.
-
-    SPO and POS exist for every graph. An OSP table exists exactly for the
-    graphs in `osp_built`, those an object-bound pattern has read since they
-    last gained their first quad, and equals the table rebuilt from SPO.
-    """
+def _check_tables(store: QuadStore, model: set[Quad], seen: list[Quad]):
+    """`objects` agrees with brute force, and SPO and POS exist for every graph and nowhere hold an empty level."""
     names = store.graph_names()
     assert sorted(store._graph_terms) == names
     assert sorted(store._spo) == sorted(store._pos) == names
-    assert sorted(store._osp) == sorted(osp_built)
-    for table in (store._spo, store._pos, store._osp):
+    for table in (store._spo, store._pos):
         for by_first in table.values():
             assert by_first
             for by_second in by_first.values():
                 assert by_second and all(by_second.values())
-    for graph, osp in store._osp.items():
-        rebuilt: dict = {}
-        for s, by_predicate in store._spo[graph].items():
-            for p, objects in by_predicate.items():
-                for o in objects:
-                    rebuilt.setdefault(o, {}).setdefault(s, set()).add(p)
-        assert osp == rebuilt
     quads = list(model)
     for subject, predicate, graph in {(q.subject, q.predicate, q.graph) for q in seen}:
         assert store.objects(subject, predicate, graph) == objects_oracle(quads, subject, predicate, graph)
@@ -310,8 +274,6 @@ def test_indexes_stay_consistent_under_insert_remove_clone(ops, seed):
     store = QuadStore()
     model: set[Quad] = set()
     inserted: list[Quad] = []
-    # The graphs whose OSP table a pattern has built.
-    osp_built: set[str] = set()
     # (graph, generation) -> the graph's quads at that generation: one generation, one content.
     contents: dict[tuple[str, int], frozenset[Quad]] = {}
     for op, value in ops:
@@ -337,13 +299,12 @@ def test_indexes_stay_consistent_under_insert_remove_clone(ops, seed):
             model -= dropped
             assert graph not in store.graph_names()
         elif op == "osp":
-            # The object bound and the predicate a variable: the one pattern that reads OSP, which
-            # builds the table of the named graph, or of every graph for a graph variable.
+            # The object bound and the predicate a variable, in the named graph or in every graph:
+            # no table leads with the object, so the subject table is scanned for it.
             quad = inserted[value % len(inserted)] if inserted else random_quad(random.Random(value))
             graph = Var("g") if value % 2 else quad.graph
             pattern = Pattern(Var("s"), Var("p"), quad.object, graph)
             assert store.match_pattern(pattern) == expected_order([pattern], nested_loop_join(list(model), [pattern]))
-            osp_built |= set(store.graph_names()) if value % 2 else {quad.graph} & set(store.graph_names())
         else:
             original, store = store, store.clone()
             assert all(store.generation(quad.graph) == original.generation(quad.graph) for quad in inserted)
@@ -351,10 +312,8 @@ def test_indexes_stay_consistent_under_insert_remove_clone(ops, seed):
             for quad in list(original.quads()):
                 original.remove(quad)
             assert len(original) == 0 and original.graph_names() == []
-            assert original._spo == original._pos == original._osp == original._graph_terms == {}
-        # A graph that is dropped, or loses its last quad, loses its OSP table with it.
-        osp_built &= set(store.graph_names())
-        _check_tables(store, model, inserted, osp_built)
+            assert original._spo == original._pos == original._graph_terms == {}
+        _check_tables(store, model, inserted)
         for graph in {quad.graph for quad in inserted}:
             content = store.graph_quads(graph)
             assert contents.setdefault((graph, store.generation(graph)), content) == content
@@ -366,9 +325,7 @@ def test_indexes_stay_consistent_under_insert_remove_clone(ops, seed):
     single_bound |= {Pattern(s, p, q.object, g) for q in inserted} | {Pattern(s, p, o, q.graph) for q in inserted}
     for pattern in single_bound:
         assert store.match_pattern(pattern) == expected_order([pattern], nested_loop_join(quads, [pattern]))
-    # Those patterns built the OSP table of every graph.
-    osp_built = set(store.graph_names())
-    _check_tables(store, model, inserted, osp_built)
+    _check_tables(store, model, inserted)
     rng = random.Random(seed)
     patterns = _bounded_bgp(rng, quads)
     oracle = nested_loop_join(quads, patterns)
@@ -422,6 +379,7 @@ def test_lookup_work_does_not_grow_with_the_graph(monkeypatch):
     assert len(store.query_bgp([Pattern(Var("s"), P, Var("o"), G), Pattern(Var("s"), Q, B, G)])) == 3
     assert unified <= 2 * len(own)
     unified = 0
+    # No table leads with the object: the scan visits every quad of the graph but unifies only the matches.
     assert store.match_pattern(Pattern(Var("s"), Var("p"), B, G)) == [{"s": A, "p": Q}]
     assert unified <= len(own)
     unified = 0

@@ -135,7 +135,7 @@ _READ_GRAPHS = {
 
 def test_compose_and_render_read_nothing_back_and_look_up_no_function(kb_store, statement_text, monkeypatch):
     plan = resolve(parse_problem_statement(statement_text), kb_store)
-    read_graphs, function_lookups = [], []
+    read_graphs = []
 
     def counting(name, method):
         def wrapper(store, *args):
@@ -147,18 +147,11 @@ def test_compose_and_render_read_nothing_back_and_look_up_no_function(kb_store, 
 
     for name in _READ_GRAPHS:
         monkeypatch.setattr(QuadStore, name, counting(name, getattr(QuadStore, name)))
-    lookup = views.view_code_function_by_iri
-
-    def looking_up(store, iri, *rest):
-        function_lookups.append(iri)
-        return lookup(store, iri, *rest)
-
-    monkeypatch.setattr(views, "view_code_function_by_iri", looking_up)
     pla = compose(plan, kb_store)
     plr = render(pla, plan.language, kb_store)
     # The KB snapshot is current, so the stages read nothing from the store at all.
     assert read_graphs == []
-    # One inert core quad makes the snapshot stale: the next view compiles the core graph again.
+    # One inert core quad makes the snapshot stale: the next `views.kb` compiles the core graph again.
     kb_store.insert(Quad(Iri("http://t.example/inert"), Iri("http://t.example/note"), Literal("x"), vocab.CORE_GRAPH))
     again = compose(plan._replace(program_basename="again"), kb_store)
     again_plr = render(again, plan.language, kb_store)
@@ -166,7 +159,17 @@ def test_compose_and_render_read_nothing_back_and_look_up_no_function(kb_store, 
     assert read_graphs and vocab.CORE_GRAPH in read_graphs
     program_graphs = (pla.graph_iri, plr.graph_iri, again.graph_iri, again_plr.graph_iri)
     assert [graph for graph in read_graphs if graph in program_graphs] == []
-    assert function_lookups == []
+
+
+def test_each_callee_is_the_function_the_program_carries(kb_store, statement_text):
+    plan = resolve(parse_problem_statement(statement_text), kb_store)
+    pla = compose(plan, kb_store)
+    # A callee the KB does not hold under that name: only the program's own record can supply it.
+    carried = tuple(function._replace(callable_name="average") if function.iri == vocab.NUMPY_MEAN else function
+                    for function in pla.called_functions)
+    lines = emit(render(pla._replace(called_functions=carried), plan.language, kb_store)).splitlines()
+    assert "mean = np.average(input_data)" in lines
+    assert "mean = np.mean(input_data)" not in lines
 
 
 _NODE = Iri("http://t.example/node")
@@ -195,6 +198,20 @@ def test_write_rejects_a_malformed_quad_and_stores_nothing(graph, fields, node, 
     assert len(store) == 0 and store.graph_names() == []
 
 
+@pytest.mark.parametrize("existing", [0, 1], ids=["new-graph", "graph-with-a-quad"])
+def test_a_malformed_value_late_in_a_node_leaves_the_graph_as_it_was(existing):
+    store, graph = QuadStore(), "http://t.example/g"
+    if existing:
+        store.insert(Quad(Iri("http://t.example/other"), _LINK[1], _NODE, graph))
+    generation = store.generation(graph)
+    fields = (("name", Iri("http://t.example/name"), views.STR, 1, 1), _LINK, ("second", _LINK[1], views.NODE, 1, 1))
+    with pytest.raises(MalformedQuadError):
+        # A valid name and a valid first link come before the malformed second link.
+        write(store, graph, fields, _NODE, name="n", link=_NODE, second=Literal("x"))
+    assert store.graph_size(graph) == existing
+    assert store.generation(graph) == generation
+
+
 @pytest.mark.parametrize("variant", ["example", *STATEMENT_VARIANTS])
 def test_codec_writes_the_same_graphs_and_tables_as_validated_inserts(kb_store, statement_text, variant):
     plan = (resolve(parse_problem_statement(statement_text), kb_store) if variant == "example"
@@ -209,13 +226,10 @@ def test_codec_writes_the_same_graphs_and_tables_as_validated_inserts(kb_store, 
         assert replay.graph_quads(graph) == kb_store.graph_quads(graph)
         assert replay.graph_size(graph) == kb_store.graph_size(graph) > 0
         assert replay._spo[graph] == kb_store._spo[graph] and replay._pos[graph] == kb_store._pos[graph]
-        # Neither store has an OSP table for the graph until a pattern binds an object and no predicate.
-        assert graph not in kb_store._osp and graph not in replay._osp
         program = Iri(pla.program_iri if graph == pla.graph_iri else plr.program_iri)
         program_class = kb_store.objects(program, Iri(RDF_TYPE), graph)
         pattern = Pattern(Var("s"), Var("p"), program_class[0], graph)
         assert replay.match_pattern(pattern) == kb_store.match_pattern(pattern) == [{"s": program, "p": Iri(RDF_TYPE)}]
-        assert replay._osp[graph] == kb_store._osp[graph]
 
 
 def test_a_call_to_a_function_the_program_does_not_carry_is_a_render_error(kb_store, statement_text):

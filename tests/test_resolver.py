@@ -166,32 +166,32 @@ x:tiny a gs:DataSource ;
 
 def test_compatibility_of_exemplar_pairing(seed_kb):
     store, _ = seed_kb
-    [ds] = views.view_data_source(store, "my_input.txt")
-    [alg] = views.view_algorithm_by_label(store, "average value")
+    [ds] = views.kb(store).data_sources["my_input.txt"]
+    [alg] = views.kb(store).algorithms_by_label["average value"]
     assert check_compatibility(alg, ds) == []
 
 
 def test_compatibility_min_input_count_violation(seed_kb):
     store, _ = seed_kb
-    [ds] = views.view_data_source(store, "my_input.txt")
+    [ds] = views.kb(store).data_sources["my_input.txt"]
     small = ds._replace(data_rows=1)
-    [alg] = views.view_algorithm_by_label(store, "average value")
+    [alg] = views.kb(store).algorithms_by_label["average value"]
     assert check_compatibility(alg, small) == ["min_input_count"]
 
 
 def test_compatibility_numeric_violation(seed_kb):
     store, _ = seed_kb
-    [ds] = views.view_data_source(store, "my_input.txt")
+    [ds] = views.kb(store).data_sources["my_input.txt"]
     texty = ds._replace(value_datatype=vocab.TEXT_DATATYPE, value_datatype_numeric=False)
-    [alg] = views.view_algorithm_by_label(store, "average value")
+    [alg] = views.kb(store).algorithms_by_label["average value"]
     assert "numeric_input" in check_compatibility(alg, texty)
 
 
 def test_compatibility_same_quantity_violation(seed_kb):
     store, _ = seed_kb
-    [ds] = views.view_data_source(store, "my_input.txt")
+    [ds] = views.kb(store).data_sources["my_input.txt"]
     mixed = ds._replace(quantity_types=(vocab.DIMENSIONLESS_SAMPLE, "http://t.example/temperature"))
-    [alg] = views.view_algorithm_by_label(store, "average value")
+    [alg] = views.kb(store).algorithms_by_label["average value"]
     assert "same_quantity" in check_compatibility(alg, mixed)
 
 

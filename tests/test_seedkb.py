@@ -4,6 +4,7 @@ import pytest
 
 from graphsynth import vocab, views
 from graphsynth.errors import CardinalityError, KbValidationError
+from graphsynth.resolver import _functions
 from graphsynth.seed import fixture_path, load_kb
 from graphsynth.terms import XSD_DECIMAL, Literal
 from graphsynth.views import check_kb
@@ -19,7 +20,7 @@ TEST_HEADER = """\
 
 def test_myinput_metadata_matches_shipped_shape(seed_kb):
     store, _ = seed_kb
-    [ds] = views.view_data_source(store, "my_input.txt")
+    [ds] = views.kb(store).data_sources["my_input.txt"]
     assert ds.iri == vocab.MYINPUT
     assert ds.format == vocab.CSV_FORMAT
     assert ds.encoding == vocab.ASCII_ENCODING
@@ -35,7 +36,7 @@ def test_myinput_metadata_matches_shipped_shape(seed_kb):
 
 def test_missing_data_source_name_gives_empty_view(seed_kb):
     store, _ = seed_kb
-    assert views.view_data_source(store, "missing.txt") == []
+    assert "missing.txt" not in views.kb(store).data_sources
 
 
 def test_duplicate_named_sources_are_both_returned(kb_store):
@@ -51,13 +52,13 @@ def test_duplicate_named_sources_are_both_returned(kb_store):
     gs:hasQuantityKind kb:dimensionless_sample ;
     gs:hasLocation "other.txt" .""",
     )
-    assert len(views.view_data_source(kb_store, "my_input.txt")) == 2
+    assert len(views.kb(kb_store).data_sources["my_input.txt"]) == 2
 
 
 def test_view_over_a_half_described_data_source_names_the_missing_property(kb_store):
     insert_turtle(kb_store, TEST_HEADER + 'x:half a gs:DataSource ; gs:hasName "half.txt" ; gs:hasContainer kb:file_container .')
     with pytest.raises(CardinalityError, match="<http://t.example/half> <http://graphsynth.dev/vocab/core#hasFormat> has no"):
-        views.view_data_source(kb_store, "half.txt")
+        views.kb(kb_store)
 
 
 @pytest.mark.parametrize(
@@ -69,7 +70,7 @@ def test_view_over_a_half_described_data_source_names_the_missing_property(kb_st
 )
 def test_algorithm_lookup_by_output_label(seed_kb, label, expected):
     store, _ = seed_kb
-    [alg] = views.view_algorithm_by_label(store, label)
+    [alg] = views.kb(store).algorithms_by_label[label]
     assert alg.name == expected
     assert alg.min_input_count == 2
     assert alg.input_numeric and alg.inputs_same_quantity
@@ -79,7 +80,7 @@ def test_algorithm_lookup_by_output_label(seed_kb, label, expected):
 
 def test_unknown_label_matches_nothing(seed_kb):
     store, _ = seed_kb
-    assert views.view_algorithm_by_label(store, "median") == []
+    assert "median" not in views.kb(store).algorithms_by_label
 
 
 @pytest.mark.parametrize(
@@ -93,20 +94,21 @@ def test_unknown_label_matches_nothing(seed_kb):
 )
 def test_code_function_lookup_by_purpose(seed_kb, purpose, expected):
     store, _ = seed_kb
-    [fn] = views.view_code_function(store, purpose, "Python")
+    [fn] = views.kb(store).functions_by_purpose[purpose, "Python"]
     assert fn.qualified_name == expected
 
 
 def test_library_preference_filters_functions(seed_kb):
     store, _ = seed_kb
-    assert views.view_code_function(store, vocab.ARITHMETIC_MEAN, "Python", library_pref="numpy")
-    assert views.view_code_function(store, vocab.ARITHMETIC_MEAN, "Python", library_pref="scipy") == []
+    kb = views.kb(store)
+    assert _functions(kb, vocab.ARITHMETIC_MEAN, "Python", "numpy")
+    assert _functions(kb, vocab.ARITHMETIC_MEAN, "Python", "scipy") == []
 
 
 def test_numpy_carries_alias_sys_does_not(seed_kb):
     store, _ = seed_kb
-    numpy = views.view_library(store, vocab.NUMPY_LIBRARY)
-    system = views.view_library(store, vocab.SYS_LIBRARY)
+    numpy = views.kb(store).libraries[vocab.NUMPY_LIBRARY]
+    system = views.kb(store).libraries[vocab.SYS_LIBRARY]
     assert (numpy.official_name, numpy.alias, numpy.kind) == ("numpy", "np", vocab.LIBRARY_KIND_EXTERNAL)
     assert (system.official_name, system.alias, system.kind) == ("sys", None, vocab.LIBRARY_KIND_STDLIB)
 
@@ -114,14 +116,14 @@ def test_numpy_carries_alias_sys_does_not(seed_kb):
 def test_exactly_one_structure_satisfies_the_exemplar_requirements(seed_kb):
     store, _ = seed_kb
     wanted = {"read input data", "calculate quantity", "report result"}
-    matching = [s for s in views.view_structures(store) if wanted <= s.satisfied_requirements]
+    matching = [s for s in views.kb(store).structures if wanted <= s.satisfied_requirements]
     assert len(matching) == 1
     assert matching[0].name == "Input_Calculate_Output"
 
 
 def test_structure_orderings_are_permutations(seed_kb):
     store, _ = seed_kb
-    for structure in views.view_structures(store):
+    for structure in views.kb(store).structures:
         emission = structure.emission_order()
         composition = structure.composition_order()
         assert sorted(emission) == sorted(composition)
@@ -131,8 +133,9 @@ def test_structure_orderings_are_permutations(seed_kb):
 
 def test_every_algorithm_has_a_python_implementation(seed_kb):
     store, _ = seed_kb
-    for alg in views.view_all_algorithms(store):
-        assert views.view_code_function(store, alg.iri, "Python"), alg.name
+    kb = views.kb(store)
+    for alg in kb.algorithms:
+        assert kb.functions_by_purpose[alg.iri, "Python"], alg.name
 
 
 def test_check_kb_is_clean_on_shipped_kb(seed_kb):
@@ -228,5 +231,5 @@ def test_no_raw_data_values_in_the_kb(seed_kb):
 
 def test_location_is_a_pointer_to_the_shipped_fixture(seed_kb):
     store, _ = seed_kb
-    [ds] = views.view_data_source(store, "my_input.txt")
+    [ds] = views.kb(store).data_sources["my_input.txt"]
     assert (fixture_path().parent / ds.location).read_text().splitlines()[0] == "1.0"

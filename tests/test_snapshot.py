@@ -1,12 +1,15 @@
 """The KB snapshot: compiled by `check_kb`, kept per graph generation, never read stale.
 
-Every view is a lookup into a snapshot the store keeps beside the core
-graph's generation. These tests edit the KB between syntheses, clone
-stores, mutate what views return and break entities, and check that each
-view answers as a view over a freshly loaded store holding the same quads.
+Every stage reads the KB through `views.kb`, the snapshot the store keeps
+beside the core graph's generation. These tests edit the KB between
+syntheses, clone stores, try to change a snapshot and break entities, and
+check that `kb` answers as it does over a freshly loaded store holding the
+same quads.
 """
 
 from __future__ import annotations
+
+from typing import Mapping
 
 import pytest
 from hypothesis import given, settings
@@ -89,37 +92,31 @@ def test_a_clone_and_its_original_edited_to_the_same_generation_each_see_their_o
     insert_turtle(clone, _source("theirs.txt"))
     assert kb_store.generation(CORE) == clone.generation(CORE)
     for store, own, other in ((kb_store, "mine.txt", "theirs.txt"), (clone, "theirs.txt", "mine.txt")):
-        assert [source.name for source in views.view_data_source(store, own)] == [own]
-        assert views.view_data_source(store, other) == []
-        assert own in views.view_labels(store, vocab.DATA_SOURCE)
+        kb = views.kb(store)
+        assert [source.name for source in kb.data_sources[own]] == [own]
+        assert other not in kb.data_sources
+        assert own in kb.labels[vocab.DATA_SOURCE]
 
 
-VIEWS = {
-    "data_source": lambda store: views.view_data_source(store, "my_input.txt"),
-    "algorithm_by_label": lambda store: views.view_algorithm_by_label(store, "average value"),
-    "all_algorithms": views.view_all_algorithms,
-    "labels": lambda store: views.view_labels(store, vocab.ALGORITHM),
-    "code_function": lambda store: views.view_code_function(store, vocab.ARITHMETIC_MEAN, "Python"),
-    "structures": views.view_structures,
-    "languages": views.view_languages,
-    "read_capabilities": views.view_read_capabilities,
-    "naming_patterns": views.view_naming_patterns,
-    "statement_forms": lambda store: views.view_statement_forms(store, "Python"),
-}
-
-
-@pytest.mark.parametrize("view", VIEWS.values(), ids=VIEWS)
-def test_mutating_what_a_view_returns_does_not_change_its_next_result(seed_kb, view):
+def test_assigning_into_any_kb_mapping_raises_type_error_and_the_next_kb_equals_the_first(seed_kb):
     store, _ = seed_kb
-    first = view(store)
-    expected = type(first)(first)
-    assert expected
-    first.clear()
-    if isinstance(first, dict):
-        first["added"] = None
-    else:
-        first.append(None)
-    assert view(store) == expected
+    first = views.kb(store)
+    # Every field is a read-only mapping or a tuple; the per-family form maps are mappings too.
+    assert all(isinstance(field, (Mapping, tuple)) for field in first)
+    mappings = [field for field in first if isinstance(field, Mapping)]
+    mappings += first.statement_forms.values()
+    assert len(mappings) == 8 + len(first.statement_forms) > 8
+    for mapping in mappings:
+        key = next(iter(mapping))
+        with pytest.raises(TypeError):
+            mapping[key] = None
+        with pytest.raises(TypeError):
+            mapping["added"] = None
+        with pytest.raises(TypeError):
+            del mapping[key]
+    again = views.kb(store)
+    assert again == first
+    assert again == views.kb(load_kb()[0])  # as compiled afresh from the same files
 
 
 HALF = HEADER + 'x:half a gs:DataSource ; gs:hasName "half.txt" ; gs:hasContainer kb:file_container .'
@@ -130,19 +127,19 @@ def test_a_snapshot_built_lazily_over_a_broken_entity_raises_in_every_view_until
     store, _ = load_kb(validate=False)  # no check_kb, so no snapshot yet
     assert store.snapshot(CORE) is None
     insert_turtle(store, HALF)
-    for view in (lambda: views.view_data_source(store, "half.txt"), lambda: views.view_structures(store)):
+    for _ in range(2):  # and again: a broken KB keeps no snapshot
         with pytest.raises(CardinalityError, match=MISSING_FORMAT):
-            view()
-    assert store.snapshot(CORE) is None
+            views.kb(store)
+        assert store.snapshot(CORE) is None
     for quad in [quad for quad in store.quads(CORE) if quad.subject.value == "http://t.example/half"]:
         store.remove(quad)
-    assert views.view_data_source(store, "half.txt") == []
+    assert "half.txt" not in views.kb(store).data_sources
     assert store.snapshot(CORE) is not None
 
 
 def test_a_view_over_a_kb_with_only_kind_problems_raises_kb_validation_error(kb_store):
     insert_turtle(kb_store, HEADER + 'x:odd a gs:Library ; gs:hasOfficialName "not a name" ; gs:hasLibraryKind "k" .')
     with pytest.raises(KbValidationError) as raised:
-        views.view_library(kb_store, vocab.NUMPY_LIBRARY)
+        views.kb(kb_store)
     assert raised.value.problems == views.check_kb(kb_store)
     assert raised.value.problems == ['<http://t.example/odd> gs:hasOfficialName: expected a dotted identifier, found "not a name"']

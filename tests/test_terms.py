@@ -1,4 +1,4 @@
-"""Value semantics of the hand-written immutable records: terms, quads, patterns, call arguments."""
+"""Value semantics of the hand-written immutable records: terms, quads and patterns."""
 
 from __future__ import annotations
 
@@ -7,8 +7,7 @@ import pickle
 
 import pytest
 
-from graphsynth.composer import CallArg
-from graphsynth.errors import ComposeError, MalformedQuadError, MalformedTermError
+from graphsynth.errors import MalformedQuadError, MalformedTermError
 from graphsynth.quadstore import Pattern, Quad, Var
 from graphsynth.terms import RDF_LANG_STRING, XSD_INTEGER, XSD_STRING, Blank, Iri, Literal
 
@@ -24,9 +23,8 @@ RECORDS = [
     lambda: Quad(S, P, Literal("v"), G),
     lambda: Var("x"),
     lambda: Pattern(Var("s"), P, O, Var("g")),
-    lambda: CallArg(variable="x"),
 ]
-RECORD_IDS = ["iri", "lang-literal", "typed-literal", "blank", "quad", "var", "pattern", "callarg-var"]
+RECORD_IDS = ["iri", "lang-literal", "typed-literal", "blank", "quad", "var", "pattern"]
 
 
 def test_terms_of_different_kinds_never_compare_equal():
@@ -95,9 +93,8 @@ def test_fields_cannot_be_assigned_or_deleted(make):
             Pattern(Var("s"), P, O, Var("g")),
             "Pattern(subject=?s, predicate=<http://x/p>, object=<http://x/o>, graph=?g)",
         ),
-        (CallArg(variable="x"), "CallArg(variable='x')"),
     ],
-    ids=["iri", "string-literal", "typed-literal", "lang-literal", "blank", "var", "quad", "pattern", "callarg"],
+    ids=["iri", "string-literal", "typed-literal", "lang-literal", "blank", "var", "quad", "pattern"],
 )
 def test_repr(record, text):
     assert repr(record) == text
@@ -143,8 +140,3 @@ def test_malformed_terms_raise(build, message):
 def test_malformed_quads_and_variables_raise(build, message):
     with pytest.raises(MalformedQuadError, match=message):
         build()
-
-
-def test_call_argument_needs_a_variable():
-    with pytest.raises(ComposeError, match="call argument must name a variable"):
-        CallArg(None)
