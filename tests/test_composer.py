@@ -159,6 +159,13 @@ def test_argument_slot_without_a_variable_does_not_load(kb_store, pla):
     assert f"{slot!r} {PLA_HAS_VARIABLE_REF!r} has no value" in str(raised.value)
 
 
+def test_a_call_argument_in_a_role_no_statement_filled_raises_compose_error(kb_store, plan):
+    # The reader's argument names a role that nothing composed before the call fills.
+    reader = plan.reader_function._replace(arg_spec=("role-nobody-fills",))
+    with pytest.raises(ComposeError, match="needs a value in role role-nobody-fills, none composed yet"):
+        compose(plan._replace(reader_function=reader), kb_store)
+
+
 def test_degenerate_plan_with_zero_calculations(kb_store, plan):
     bare = plan._replace(calculations=())
     pla = compose(bare, kb_store)

@@ -105,6 +105,31 @@ def test_objects_reads_one_subject_predicate_and_graph():
     assert store.objects(A, P, "http://t.example/g3") == []
 
 
+@pytest.mark.parametrize("graph", [G, Var("g")], ids=["named-graph", "graph-variable"])
+def test_an_object_bound_pattern_follows_every_later_write(graph):
+    store = QuadStore()
+    store.insert(Quad(A, P, B, G))
+    store.insert(Quad(B, Q, B, G))
+    store.insert(Quad(A, Q, A, G))
+    # The object bound and no predicate: no table leads with the object, so each answer comes from a scan.
+    by_object = Pattern(Var("s"), Var("p"), B, graph)
+    in_g = {"g": Iri(G)} if isinstance(graph, Var) else {}
+    assert store.match_pattern(by_object) == [{"s": A, "p": P, **in_g}, {"s": B, "p": Q, **in_g}]
+    store.insert(Quad(A, Q, B, G))
+    store.remove(Quad(B, Q, B, G))
+    assert store.match_pattern(by_object) == [{"s": A, "p": P, **in_g}, {"s": A, "p": Q, **in_g}]
+    copy = store.clone()
+    copy.remove(Quad(A, P, B, G))
+    assert copy.match_pattern(by_object) == [{"s": A, "p": Q, **in_g}]
+    assert store.match_pattern(by_object) == [{"s": A, "p": P, **in_g}, {"s": A, "p": Q, **in_g}]
+    store.drop_graph(G)
+    assert store.match_pattern(by_object) == []
+    store.insert(Quad(A, P, B, G))
+    store.insert(Quad(A, P, B, H))
+    in_h = [{"s": A, "p": P, "g": Iri(H)}] if isinstance(graph, Var) else []
+    assert store.match_pattern(by_object) == [{"s": A, "p": P, **in_g}, *in_h]
+
+
 def test_match_pattern_binds_variables():
     store = QuadStore()
     store.insert(Quad(A, P, B, G))

@@ -9,6 +9,7 @@ same quads.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Mapping
 
 import pytest
@@ -117,6 +118,28 @@ def test_assigning_into_any_kb_mapping_raises_type_error_and_the_next_kb_equals_
     again = views.kb(store)
     assert again == first
     assert again == views.kb(load_kb()[0])  # as compiled afresh from the same files
+
+
+def _mutable_parts(value, path: str) -> list[str]:
+    """The paths, below `value`, of every part that is not a read-only mapping, tuple, frozenset or scalar."""
+    if isinstance(value, (str, int, float, type(None))):  # bool is an int
+        return []
+    if isinstance(value, MappingProxyType):
+        return [
+            bad for key, item in value.items()
+            for bad in _mutable_parts(key, path) + _mutable_parts(item, f"{path}[{key!r}]")
+        ]
+    if isinstance(value, (tuple, frozenset)):  # records are NamedTuples
+        return [bad for index, item in enumerate(value) for bad in _mutable_parts(item, f"{path}[{index}]")]
+    return [f"{path}: {type(value).__name__}"]
+
+
+@pytest.mark.parametrize("field", views.Kb._fields)
+def test_every_part_of_a_kb_field_is_immutable(seed_kb, field):
+    store, _ = seed_kb
+    value = getattr(views.kb(store), field)
+    assert value  # the shipped KB fills every field
+    assert _mutable_parts(value, field) == []
 
 
 HALF = HEADER + 'x:half a gs:DataSource ; gs:hasName "half.txt" ; gs:hasContainer kb:file_container .'
