@@ -152,8 +152,9 @@ def _exec_check(config: RunConfig, plan, path: Path) -> str:
             reported[label.strip()] = float(value.strip())
         except ValueError:
             raise _StageFailure("exec-check", 1, f"unparseable report line: {line!r}")
-    if len(reported) < 2:
-        raise _StageFailure("exec-check", 1, f"expected two report lines, got: {proc.stdout!r}")
+    if len(reported) != len(plan.calculations):
+        expected = len(plan.calculations)
+        raise _StageFailure("exec-check", 1, f"expected one report line per calculation ({expected}), got: {proc.stdout!r}")
     return " ".join(f"{k}={v}" for k, v in sorted(reported.items()))
 
 

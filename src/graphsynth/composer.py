@@ -272,13 +272,13 @@ def import_order(libraries: Iterable[LibraryInfo]) -> list[LibraryInfo]:
     return sorted(libraries, key=lambda lib: lib.official_name.encode("utf-8"))
 
 
-def compose(plan: BuildPlan, store: QuadStore, graph_iri: str | None = None) -> PlaProgram:
-    """Compose the plan into a fresh named graph; returns the program written there.
+def compose(plan: BuildPlan, store: QuadStore) -> PlaProgram:
+    """Compose the plan over the store's KB into its empty graph `program_graph_iri(basename, "pla")`.
 
     The returned program is built from the composition itself, not read back
     from the graph; `load_pla` on the graph decodes an equal program.
     """
-    graph_iri = graph_iri or vocab.program_graph_iri(plan.program_basename, "pla")
+    graph_iri = vocab.program_graph_iri(plan.program_basename, "pla")
     if store.graph_size(graph_iri) != 0:
         raise ComposeError(f"target graph is not empty: {graph_iri}")
 
@@ -394,8 +394,8 @@ def _write_statement(store: QuadStore, graph: str, placed: PlacedStatement) -> I
 # --- graph decoding -------------------------------------------------------
 
 
-def load_pla(store: QuadStore, graph_iri: str, core_graph: str = vocab.CORE_GRAPH) -> PlaProgram:
-    """Reconstruct the abstract program by walking its named graph."""
+def load_pla(store: QuadStore, graph_iri: str) -> PlaProgram:
+    """Reconstruct the abstract program by walking its named graph; its libraries and functions are the KB's."""
     try:
         program = views.typed_node(store, graph_iri, PLA_PROGRAM)
         fields = read(store, graph_iri, _PROGRAM, program)
@@ -403,7 +403,7 @@ def load_pla(store: QuadStore, graph_iri: str, core_graph: str = vocab.CORE_GRAP
         refs = [read(store, graph_iri, _LIBRARY_REFERENCE, ref) for ref in fields["library_references"]]
     except CardinalityError as exc:
         raise ComposeError(str(exc)) from exc
-    kb = views.kb(store, core_graph)
+    kb = views.kb(store)
     libraries = []
     for ref in sorted(refs, key=itemgetter("index")):
         info = kb.libraries.get(ref["library"])

@@ -211,14 +211,8 @@ class _Renderer:
         raise UnmappableStatementError(type(statement).__name__)
 
 
-def render(
-    pla: PlaProgram,
-    language: LanguageInfo,
-    store: QuadStore,
-    graph_iri: str | None = None,
-    core_graph: str = vocab.CORE_GRAPH,
-) -> PlrProgram:
-    """Map every abstract statement to one concrete statement in a fresh named graph.
+def render(pla: PlaProgram, language: LanguageInfo, store: QuadStore) -> PlrProgram:
+    """Map every abstract statement to one concrete statement in its empty graph `program_graph_iri(basename, "plr")`.
 
     Returns the program written there, built while rendering, not read back
     from the graph; `load_plr` on the graph decodes an equal program. Each
@@ -226,8 +220,8 @@ def render(
     one the resolver chose; the KB is not asked for it again. A language
     family without statement forms in the KB is unsupported.
     """
-    renderer = _Renderer(views.kb(store, core_graph), language, pla)
-    graph_iri = graph_iri or vocab.program_graph_iri(pla.basename, "plr")
+    renderer = _Renderer(views.kb(store), language, pla)
+    graph_iri = vocab.program_graph_iri(pla.basename, "plr")
     if store.graph_size(graph_iri) != 0:
         raise RenderError(f"target graph is not empty: {graph_iri}")
 

@@ -196,12 +196,12 @@ def _resolve_structure(kb: Kb, requirements: tuple[str, ...]) -> ProgramStructur
     return select_candidate("program structure", matches, describe=lambda s: s.name or s.iri)
 
 
-def resolve(ps: ProblemStatement, store: QuadStore, graph: str = vocab.CORE_GRAPH) -> BuildPlan:
-    """Match every part of the statement against the KB and assemble the plan."""
+def resolve(ps: ProblemStatement, store: QuadStore) -> BuildPlan:
+    """Match every part of the statement against the store's KB, `views.kb(store)`, and assemble the plan."""
     if len(ps.data_source_names) != 1:
         raise ResolveError("exactly one data source is supported per program")
     library_pref = ps.library_preferences[0] if ps.library_preferences else None
-    kb = views.kb(store, graph)
+    kb = views.kb(store)
 
     language = _resolve_language(kb, ps.programming_language)
     data_source = _resolve_data_source(kb, ps.data_source_names[0])

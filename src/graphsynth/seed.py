@@ -36,10 +36,9 @@ def load_kb(
     kb_directory: Path | None = None,
     catalog_file: Path | None = None,
     store: QuadStore | None = None,
-    graph: str = vocab.CORE_GRAPH,
     validate: bool = True,
 ) -> tuple[QuadStore, LoadReport]:
-    """Load a knowledge base directory (default: the shipped one) into a store.
+    """Load a knowledge base directory (default: the shipped one) into a store's KB graph, `vocab.CORE_GRAPH`.
 
     The entry file is `core.ttl` inside the directory; everything else is
     reached through imports. With `validate`, structural completeness
@@ -48,9 +47,9 @@ def load_kb(
     directory = kb_directory or kb_dir()
     catalog = ImportCatalog.load(catalog_file or directory / CATALOG_FILE)
     target = store or QuadStore()
-    report = load_with_imports([directory / ENTRY_FILE], catalog, target, graph)
+    report = load_with_imports([directory / ENTRY_FILE], catalog, target, vocab.CORE_GRAPH)
     if validate:
-        problems = check_kb(target, graph)
+        problems = check_kb(target)
         if problems:
             raise KbValidationError(problems)
     return target, report

@@ -23,7 +23,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from graphsynth import vocab
-from graphsynth.errors import CardinalityError, GraphSynthError, KbValidationError, MalformedQuadError
+from graphsynth.errors import CardinalityError, KbValidationError, MalformedQuadError
 from graphsynth.quadstore import Pattern, QuadStore, Var
 from graphsynth.terms import RDF_TYPE, XSD_BOOLEAN, XSD_INTEGER, XSD_STRING, Blank, Iri, Literal, Term, integer_literal
 from graphsynth.turtle import _format_term
@@ -247,13 +247,19 @@ def read(store: QuadStore, graph: str, fields: tuple[Field, ...], node: Term) ->
 
     A single-valued field reads as its value or None, a many-valued one as a
     tuple. A required field with no value raises CardinalityError, as a
-    second value of a single-valued field does.
+    second value of a single-valued field and a value of the wrong kind do.
     """
     out = {}
     for name, predicate, kind, low, high in fields:
         terms = store.objects(node, predicate, graph)
         if len(terms) < low or (high == 1 and len(terms) > 1):
-            raise _cardinality_error(node, predicate, graph, len(terms), low, high)
+            found = f"has {len(terms)} values" if terms else "has no value"
+            raise CardinalityError(f"{node!r} {predicate!r} {found} in graph {graph}, "
+                                   f"expected {_EXPECTED_COUNT[low, high]}")
+        for term in terms:
+            if not _has_kind(term, kind, {}):
+                raise CardinalityError(f"{node!r} {predicate!r} in graph {graph}: "
+                                       f"expected {_EXPECTED_KIND[kind]}, found {_format_term(term)}")
         out[name] = _decode(terms, kind, high)
     return out
 
@@ -263,13 +269,6 @@ def _decode(terms: list[Term], kind: str, high: int | None):
     value = _VALUE.get(kind)
     values = [value(term) for term in terms] if value else terms
     return tuple(values) if high is MANY else values[0] if values else None
-
-
-def _cardinality_error(node: Term, predicate: Iri, graph: str, found: int, low: int, high: int | None):
-    """The CardinalityError of a field of `node` that holds `found` values, outside `low`..`high`."""
-    if found:
-        return CardinalityError(f"{node!r} {predicate!r} has {found} values in graph {graph}, expected 1")
-    return CardinalityError(f"{node!r} {predicate!r} has no value in graph {graph}, expected {_EXPECTED_COUNT[low, high]}")
 
 
 def write(store: QuadStore, graph: str, fields: tuple[Field, ...], node: Iri, **values):
@@ -333,23 +332,24 @@ class Kb(NamedTuple):
     labels: Mapping[str, frozenset[str]]  # by each class that SHAPES gives a label field
 
 
-def kb(store: QuadStore, graph: str = vocab.CORE_GRAPH) -> Kb:
-    """The snapshot of `graph` at its current generation, compiled first if the store keeps none.
+def kb(store: QuadStore) -> Kb:
+    """The snapshot of the KB graph, `vocab.CORE_GRAPH`, at its generation, compiled first if the store keeps none.
 
-    A KB that breaks its shapes has no snapshot: this raises the
-    CardinalityError or KbValidationError that `_compile` gives for it.
+    A KB that breaks its shapes has no snapshot: this raises KbValidationError
+    with the problems `check_kb` gives for it, kept, like a snapshot, until
+    the graph changes.
     """
-    snapshot = store.snapshot(graph) or _compile(store, graph)[1]
-    if not isinstance(snapshot, Kb):
-        raise snapshot
-    return snapshot
+    kept = store.snapshot(vocab.CORE_GRAPH) or _compile(store, vocab.CORE_GRAPH)[1]
+    if not isinstance(kept, Kb):
+        raise KbValidationError(kept)
+    return kept
 
 
 # --- load-time check and compile -------------------------------------------
 
 _EXPECTED_KIND = {
     STR: "a string literal", NAME: "a dotted identifier", INT: "an integer literal", BOOL: "a boolean literal",
-    IRI: "an IRI",
+    IRI: "an IRI", NODE: "an IRI or blank node",
 }
 
 
@@ -362,6 +362,8 @@ def _has_kind(term: Term, kind: str, members: dict[str, set]) -> bool:
         return isinstance(term, Literal) and term.datatype == XSD_INTEGER and bool(_INTEGER.fullmatch(term.lexical))
     if kind == BOOL:
         return isinstance(term, Literal) and term.datatype == XSD_BOOLEAN and term.lexical in ("true", "false")
+    if kind == NODE:
+        return isinstance(term, (Iri, Blank))
     return isinstance(term, Iri) and (kind == IRI or term in members[kind])
 
 
@@ -369,27 +371,28 @@ def check_kb(store: QuadStore, graph: str = vocab.CORE_GRAPH) -> list[str]:
     """Problems in a loaded KB; an empty list means clean.
 
     One pass checks every instance of a shaped class against its shape and,
-    from the same values, compiles the snapshot the store keeps for the
-    stages. The cross-entity checks run over the snapshot, so only on a
-    well-shaped KB: each algorithm has an implementing code function in each
-    language family that has statement forms, and, as the composer and the
-    renderer follow `vocab.EMISSION_ORDER` and `vocab.COMPOSITION_ORDER`, a
-    structure must order its five named sections that way.
+    from the same values, compiles the snapshot the store keeps for `kb`
+    (for a KB that breaks its shapes, the problems instead); `graph` defaults
+    to the one KB graph `kb` reads. The cross-entity checks run over the
+    snapshot, so only on a well-shaped KB: each algorithm has an implementing
+    code function in each language family that has statement forms, and, as
+    the composer and the renderer follow `vocab.EMISSION_ORDER` and
+    `vocab.COMPOSITION_ORDER`, a structure must order its five named sections
+    that way.
     """
     return _compile(store, graph)[0]
 
 
-def _compile(store: QuadStore, graph: str) -> tuple[list[str], Kb | GraphSynthError]:
-    """The problems of the KB in `graph`, and its snapshot, kept in the store, or the error `kb` raises.
+def _compile(store: QuadStore, graph: str) -> tuple[list[str], Kb | tuple[str, ...]]:
+    """The problems of the KB in `graph`, and the verdict the store keeps for it at the graph's generation.
 
-    A KB that breaks its shapes has no snapshot: `kb` raises the CardinalityError
-    `read` raises for its first missing or extra value, else KbValidationError.
+    The verdict is the snapshot, or for a KB that breaks its shapes, which has
+    none, the tuple of those problems.
     """
     rows = {cls: store.match_pattern(Pattern(Var("s"), _RDF_TYPE, Iri(cls), graph)) for cls in SHAPES}
     members = {cls: [row["s"] for row in found if isinstance(row["s"], Iri)] for cls, found in rows.items()}
     member_sets = {cls: set(nodes) for cls, nodes in members.items()}  # for the class kinds
     problems: list[str] = []
-    errors: list[CardinalityError] = []
     # Class -> instance, in IRI order -> field name -> its value, as `read` reads it.
     kb_fields: dict[str, dict[Iri, dict]] = {cls: {} for cls in SHAPES}
     for cls, (_, fields) in SHAPES.items():
@@ -405,12 +408,13 @@ def _compile(store: QuadStore, graph: str) -> tuple[list[str], Kb | GraphSynthEr
                 where = f"{_format_term(node)} {_format_term(predicate)}"
                 if bad_count:
                     problems.append(f"{where}: expected {_EXPECTED_COUNT[low, high]}, found {len(terms)}")
-                    errors.append(_cardinality_error(node, predicate, graph, len(terms), low, high))
                 for value in bad_values:
                     expected = _EXPECTED_KIND.get(kind) or f"an instance of {_format_term(Iri(kind))}"
                     problems.append(f"{where}: expected {expected}, found {_format_term(value)}")
     if problems:
-        return problems, errors[0] if errors else KbValidationError(problems)
+        verdict = tuple(problems)
+        store.keep_snapshot(graph, verdict)
+        return problems, verdict
     kb = _snapshot(kb_fields)
     store.keep_snapshot(graph, kb)
     for algorithm in kb.algorithms:

@@ -520,3 +520,14 @@ def test_exec_check_reports_values(tmp_path, capsys):
     assert code == 0, err
     [line] = [l for l in out.splitlines() if l.startswith("exec-check:")]
     assert "mean=3.5" in line
+
+
+def test_exec_check_of_a_one_calculation_program_expects_one_report_line(tmp_path, capsys):
+    pytest.importorskip("numpy")
+    statement = tmp_path / "one.aida"
+    statement.write_text(example_statement_path().read_text().replace(",\n        'average value variation'", ""))
+    code, out, err = run(capsys, "synthesize", str(statement), "--out", str(tmp_path), "--exec-check")
+    assert code == 0, err
+    assert "mean = " in (tmp_path / "hello_analytic.py").read_text()
+    [line] = [l for l in out.splitlines() if l.startswith("exec-check:")]
+    assert line == "exec-check: mean=3.5"

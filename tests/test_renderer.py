@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from conftest import STATEMENT_VARIANTS, insert_turtle, variant_plan
 from graphsynth import renderer, views, vocab
-from graphsynth.composer import compose, import_order
+from graphsynth.composer import compose, import_order, load_pla
 from graphsynth.errors import (
+    ComposeError,
     MalformedQuadError,
     RenderError,
     UnmappableStatementError,
@@ -198,6 +199,13 @@ def test_write_rejects_a_malformed_quad_and_stores_nothing(graph, fields, node, 
     assert len(store) == 0 and store.graph_names() == []
 
 
+@pytest.mark.parametrize("link", [_NODE, Blank("b")], ids=["iri", "blank-node"])
+def test_a_link_reads_back_as_the_term_written(link):
+    store, graph = QuadStore(), "http://t.example/g"
+    write(store, graph, (_LINK,), _NODE, link=link)
+    assert views.read(store, graph, (_LINK,), _NODE) == {"link": link}
+
+
 @pytest.mark.parametrize("existing", [0, 1], ids=["new-graph", "graph-with-a-quad"])
 def test_a_malformed_value_late_in_a_node_leaves_the_graph_as_it_was(existing):
     store, graph = QuadStore(), "http://t.example/g"
@@ -254,10 +262,13 @@ def test_dropping_both_program_graphs_leaves_the_kb_and_allows_the_same_synthesi
 
 
 def test_unsupported_language_family(pipeline):
-    store, plan, pla, _ = pipeline
+    store, plan, pla, plr = pipeline
+    clone = store.clone()
+    clone.drop_graph(plr.graph_iri)  # so that only the language stands in the way
     alien = plan.language._replace(family="Fortran")
     with pytest.raises(UnsupportedLanguageError):
-        render(pla, alien, store, graph_iri="http://t.example/other-plr")
+        render(pla, alien, clone)
+    assert clone.graph_size(plr.graph_iri) == 0
 
 
 def test_missing_statement_form_is_unmappable(kb_store, statement_text):
@@ -352,6 +363,28 @@ def test_element_text_that_is_not_one_value_does_not_load(pipeline, change):
     with pytest.raises(RenderError) as raised:
         load_plr(store, plr.graph_iri)
     assert f"{node!r} {renderer.PLR_HAS_ELEMENT_TEXT!r} has " in str(raised.value)
+
+
+@pytest.mark.parametrize(
+    "graph, node, predicate, error, expected",
+    [
+        ("pla", "stmt-0", Iri(vocab.pla("hasOrderIndex")), ComposeError, "an integer literal"),
+        ("plr", "program", renderer.PLR_HAS_LANGUAGE, RenderError, "an IRI"),
+    ],
+    ids=["pla-order-index", "plr-language"],
+)
+def test_a_value_of_the_wrong_kind_does_not_load_and_names_its_node_and_predicate(
+    pipeline, graph, node, predicate, error, expected
+):
+    store, _, pla, plr = pipeline
+    graph_iri, load = (pla.graph_iri, load_pla) if graph == "pla" else (plr.graph_iri, load_plr)
+    node = Iri(f"{graph_iri}#{node}")
+    [quad] = [q for q in store.quads(graph_iri) if q.subject == node and q.predicate == predicate]
+    store.remove(quad)
+    store.insert(Quad(node, predicate, Literal("x"), graph_iri))
+    with pytest.raises(error) as raised:
+        load(store, graph_iri)
+    assert str(raised.value) == f'{node!r} {predicate!r} in graph {graph_iri}: expected {expected}, found "x"'
 
 
 def test_compose_and_render_build_no_vocabulary_iri_and_each_node_iri_once(kb_store, statement_text, monkeypatch):

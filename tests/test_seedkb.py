@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from graphsynth import vocab, views
-from graphsynth.errors import CardinalityError, KbValidationError
+from graphsynth.errors import KbValidationError
 from graphsynth.resolver import _functions
 from graphsynth.seed import fixture_path, load_kb
 from graphsynth.terms import XSD_DECIMAL, Literal
@@ -57,8 +57,10 @@ def test_duplicate_named_sources_are_both_returned(kb_store):
 
 def test_view_over_a_half_described_data_source_names_the_missing_property(kb_store):
     insert_turtle(kb_store, TEST_HEADER + 'x:half a gs:DataSource ; gs:hasName "half.txt" ; gs:hasContainer kb:file_container .')
-    with pytest.raises(CardinalityError, match="<http://t.example/half> <http://graphsynth.dev/vocab/core#hasFormat> has no"):
+    with pytest.raises(KbValidationError) as raised:
         views.kb(kb_store)
+    assert "<http://t.example/half> gs:hasFormat: expected exactly 1 value, found 0" in raised.value.problems
+    assert raised.value.problems == check_kb(kb_store)
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from conftest import insert_turtle
 from graphsynth import views, vocab
 from graphsynth.composer import compose
-from graphsynth.errors import CardinalityError, KbValidationError
+from graphsynth.errors import KbValidationError
 from graphsynth.problem import parse_problem_statement
 from graphsynth.quadstore import Quad, QuadStore
 from graphsynth.renderer import emit, render
@@ -143,21 +143,31 @@ def test_every_part_of_a_kb_field_is_immutable(seed_kb, field):
 
 
 HALF = HEADER + 'x:half a gs:DataSource ; gs:hasName "half.txt" ; gs:hasContainer kb:file_container .'
-MISSING_FORMAT = "<http://t.example/half> <http://graphsynth.dev/vocab/core#hasFormat> has no value"
+MISSING_FORMAT = "<http://t.example/half> gs:hasFormat: expected exactly 1 value, found 0"
 
 
-def test_a_snapshot_built_lazily_over_a_broken_entity_raises_in_every_view_until_it_is_mended():
+def test_a_snapshot_built_lazily_over_a_broken_entity_raises_in_every_view_until_it_is_mended(monkeypatch):
     store, _ = load_kb(validate=False)  # no check_kb, so no snapshot yet
-    assert store.snapshot(CORE) is None
     insert_turtle(store, HALF)
-    for _ in range(2):  # and again: a broken KB keeps no snapshot
-        with pytest.raises(CardinalityError, match=MISSING_FORMAT):
+    problems = views.check_kb(store.clone())  # the clone keeps its own verdict
+    assert MISSING_FORMAT in problems
+    assert store.snapshot(CORE) is None
+    compiled = []
+    compile_kb = views._compile
+    monkeypatch.setattr(views, "_compile", lambda *args: compiled.append(args) or compile_kb(*args))
+    raised = []
+    for _ in range(2):  # the second call reads the verdict kept for the unchanged graph
+        with pytest.raises(KbValidationError) as error:
             views.kb(store)
-        assert store.snapshot(CORE) is None
+        assert error.value.problems == problems
+        raised.append(error.value)
+    assert len(compiled) == 1
+    assert raised[0] is not raised[1]  # a fresh error each time, so no traceback grows
     for quad in [quad for quad in store.quads(CORE) if quad.subject.value == "http://t.example/half"]:
         store.remove(quad)
     assert "half.txt" not in views.kb(store).data_sources
-    assert store.snapshot(CORE) is not None
+    assert isinstance(store.snapshot(CORE), views.Kb)
+    assert len(compiled) == 2
 
 
 def test_a_view_over_a_kb_with_only_kind_problems_raises_kb_validation_error(kb_store):
