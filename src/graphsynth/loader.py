@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from graphsynth.errors import CatalogError, ImportResolutionError, KbFileError, TurtleParseError
-from graphsynth.quadstore import Quad, QuadStore
+from graphsynth.quadstore import QuadStore
 from graphsynth.terms import OWL_IMPORTS, OWL_ONTOLOGY, RDF_TYPE, Blank, Iri, Term
 from graphsynth.turtle import OntologyDocument, parse_document
 
@@ -120,18 +120,19 @@ def load_with_imports(
         files += 1
 
         imports: list[str] = []
+        triples = []
         for quad in doc.statements:
-            subject, obj = quad.subject, quad.object
-            if isinstance(subject, Blank) or isinstance(obj, Blank):
-                quad = Quad(_renamed(doc_key, subject), quad.predicate, _renamed(doc_key, obj), graph)
+            subject, predicate, obj = quad.subject, quad.predicate, quad.object
             if isinstance(obj, Iri):
-                predicate = quad.predicate.value
-                if predicate == OWL_IMPORTS:
+                if predicate.value == OWL_IMPORTS:
                     imports.append(obj.value)
-                elif predicate == RDF_TYPE and obj.value == OWL_ONTOLOGY and isinstance(subject, Iri):
+                elif predicate.value == RDF_TYPE and obj.value == OWL_ONTOLOGY and isinstance(subject, Iri):
                     visited_iris.add(subject.value)
-            if store.insert(quad):
-                inserted += 1
+            if isinstance(subject, Blank) or isinstance(obj, Blank):
+                subject, obj = _renamed(doc_key, subject), _renamed(doc_key, obj)
+            triples.append((subject, predicate, obj))
+        # The parser built each statement as a Quad, so its terms are checked.
+        inserted += store._add_all(graph, triples)
 
         for target in sorted(imports):
             if target in visited_iris:

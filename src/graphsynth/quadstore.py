@@ -7,22 +7,23 @@ tables, subject -> predicate -> {object} and predicate -> object ->
 Hexastore. `objects(s, p, g)`, the read behind every property lookup of one
 entity, is three probes into the graph's subject table.
 
-There are two write paths and one implementation. `insert(quad)` is the
-public one: the `Quad` constructor validates every term and the graph name,
-and `insert` hands the terms to `_add`. `_add(s, p, o, graph)` builds no
-`Quad` and checks only the name of a graph it creates; it is for a caller
-that has validated its terms itself, as the field-table codec
-`views.write` does once per call for the program graphs. `insert`, `_add`
-and `remove` keep both tables up to date and never leave an empty inner
-level; `drop_graph` pops the graph's entry from each table, so it does no
-work per quad.
+There is one write path, `_add_all(graph, triples)`, which adds a batch
+of (subject, predicate, object) triples to one graph, fetching the graph's
+tables once and a subject's row once per run of that subject. It builds
+no `Quad` and checks only the name of a graph it creates, so its callers
+validate the terms: `insert(quad)`, the public entry, by the `Quad`
+constructor; the loader by parsing, one document per call; and the
+field-table codec `views.write`, one program-graph node per call.
+`_add_all` and `remove` keep both tables up to date and never leave an
+empty inner level; `drop_graph` pops the graph's entry from each table, so
+it does no work per quad.
 
-Each graph also has a generation: a count that every write or `remove`
-that changes the graph, and every `drop_graph`, bumps, and that is never
-reset. A value compiled from a graph, such as the knowledge-base snapshot
-of `views`, is kept with `keep_snapshot` beside the generation it was built
-at, and `snapshot` returns it only while the graph is still at that
-generation, so a kept value is never stale. `clone` copies both maps and
+Each graph also has a generation: a count that every batch written or
+`remove` that changes the graph, and every `drop_graph`, bumps, and that
+is never reset. A value compiled from a graph, such as the knowledge-base
+snapshot of `views`, is kept with `keep_snapshot` beside the generation it
+was built at, and `snapshot` returns it only while the graph is still at
+that generation, so a kept value is never stale. `clone` copies both maps and
 shares the kept values, which must be immutable.
 
 A basic graph pattern is answered by an index nested-loop join. Before the
@@ -38,19 +39,63 @@ graph variable makes it visit more than one graph.
 The join order decides only how much work is done, never what comes out:
 every result binds all variables of the query, so two distinct results
 differ in some variable's value, and the final sort on those values (in
-variable-name order, by the total order on terms) gives the same list
-whatever the plan, insertion order or hash order was.
+variable-name order, by the total order on terms, which is the terms' own
+tuple order) gives the same list whatever the plan, insertion order or
+hash order was.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 from graphsynth.errors import MalformedQuadError
-from graphsynth.terms import _WHITESPACE, Blank, Iri, Literal, Term, _Frozen, _set, sort_key
+from graphsynth.terms import _WHITESPACE, Blank, Iri, Literal, Term
 
 _VAR_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+
+
+class _Frozen:
+    """Base of the immutable `__slots__` records: fields are set once, in `__init__`.
+
+    Records compare and hash by their fields, and only with records of the
+    same class. Quads, variables and patterns write out their own `__eq__`
+    and `__hash__`, faster than these: patterns are compared while a query
+    is planned. Assigning or deleting a field raises AttributeError; copy
+    and pickle rebuild a record from its fields, through `__init__` and its
+    checks.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+
+# Sets a field of a `_Frozen` record from inside its `__init__`.
+_set = object.__setattr__
 
 
 class Quad(_Frozen):
@@ -113,6 +158,11 @@ class Pattern(_Frozen):
     __slots__ = ("subject", "predicate", "object", "graph")
 
     def __init__(self, subject: Term | Var, predicate: Term | Var, object: Term | Var, graph: str | Var):
+        for name, pos in (("subject", subject), ("predicate", predicate), ("object", object)):
+            if not isinstance(pos, (Iri, Blank, Literal, Var)):
+                raise MalformedQuadError(f"pattern {name} must be a term or a variable: {pos!r}")
+        if not isinstance(graph, (str, Var)):
+            raise MalformedQuadError(f"pattern graph must be a graph name or a variable: {graph!r}")
         _set(self, "subject", subject)
         _set(self, "predicate", predicate)
         _set(self, "object", object)
@@ -144,13 +194,6 @@ class Pattern(_Frozen):
 BindingSet = dict[str, Term]
 
 
-def _binding_order_key(variables: list[str]):
-    def key(binding: BindingSet) -> tuple:
-        return tuple(sort_key(binding[name]) for name in variables)
-
-    return key
-
-
 class QuadStore:
     """Mutable quad dataset. Single-writer during mutation; reads are pure."""
 
@@ -169,10 +212,18 @@ class QuadStore:
         """Add a quad; returns True iff it was not already present."""
         if not isinstance(quad, Quad):
             raise MalformedQuadError(f"expected a Quad, got {type(quad).__name__}")
-        return self._add(quad.subject, quad.predicate, quad.object, quad.graph)
+        return self._add_all(quad.graph, ((quad.subject, quad.predicate, quad.object),)) == 1
 
-    def _add(self, s: Term, p: Iri, o: Term, graph: str) -> bool:
-        """`insert` of terms its caller has validated: no `Quad` is built, only a new graph's name is checked."""
+    def _add_all(self, graph: str, triples: Sequence[tuple[Term, Iri, Term]]) -> int:
+        """Add (subject, predicate, object) triples to one graph; returns how many were new.
+
+        The terms are not checked, only the name of a graph this creates:
+        the caller has validated them. The graph's tables are fetched once,
+        and a subject's row once per run of triples with that subject; the
+        generation is bumped once if anything was new.
+        """
+        if not triples:
+            return 0
         spo = self._spo.get(graph)
         if spo is None:
             _check_graph(graph)
@@ -180,14 +231,36 @@ class QuadStore:
             self._pos[graph], self._sizes[graph] = {}, 0
             self._graph_terms[graph] = Iri(graph)
             self._generations.setdefault(graph, 0)
-        objects = spo.setdefault(s, {}).setdefault(p, set())
-        if o in objects:
-            return False
-        objects.add(o)
-        self._generations[graph] += 1
-        self._pos[graph].setdefault(p, {}).setdefault(o, set()).add(s)
-        self._sizes[graph] += 1
-        return True
+        pos = self._pos[graph]
+        added = 0
+        subject = row = None
+        for s, p, o in triples:
+            if s is not subject:
+                subject = s
+                row = spo.get(s)
+                if row is None:
+                    row = spo[s] = {}
+            objects = row.get(p)
+            if objects is None:
+                row[p] = {o}
+            elif o in objects:
+                continue
+            else:
+                objects.add(o)
+            by_object = pos.get(p)
+            if by_object is None:
+                pos[p] = {o: {s}}
+            else:
+                subjects = by_object.get(o)
+                if subjects is None:
+                    by_object[o] = {s}
+                else:
+                    subjects.add(s)
+            added += 1
+        if added:
+            self._sizes[graph] += added
+            self._generations[graph] += 1
+        return added
 
     def remove(self, quad: Quad) -> bool:
         """Drop a quad; returns True iff it was present."""
@@ -262,7 +335,7 @@ class QuadStore:
         The same terms, in the same order, as `match_pattern` binds to ?o for
         the pattern (subject, predicate, ?o, graph).
         """
-        return sorted(self._spo.get(graph, {}).get(subject, {}).get(predicate, ()), key=sort_key)
+        return sorted(self._spo.get(graph, {}).get(subject, {}).get(predicate, ()))
 
     def match_pattern(self, pattern: Pattern) -> list[BindingSet]:
         """All bindings under which the pattern matches some quad, in deterministic order."""
@@ -289,7 +362,8 @@ class QuadStore:
             if not partial:
                 return []
         variables = sorted(set().union(*(p.variables() for p in patterns)))
-        partial.sort(key=_binding_order_key(variables))
+        if variables:  # with none, there is at most one (empty) binding
+            partial.sort(key=itemgetter(*variables))  # a term is its own sort key
         return partial
 
     def _candidates(self, pattern: Pattern, binding: BindingSet) -> list[tuple[Term, Term, Term, Iri]]:

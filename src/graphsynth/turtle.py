@@ -8,9 +8,11 @@ lists, collections, and multiline strings. Every malformed input raises a
 TurtleParseError carrying line and column, among them a string escape that
 names no Unicode character and an IRI the terms module rejects.
 
-The lexer keeps only offsets: a token is one match of one combined pattern
-after one match of the trivia pattern, and the line and column of an error
-are counted from its offset when it is raised.
+The lexer keeps only offsets: a token and the trivia before it are one
+match of one combined pattern, and the line and column of an error are
+counted from its offset when it is raised. The IRI of an IRIREF or
+prefixed-name token is built once per text while the same directives are
+in scope.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from graphsynth.terms import (
     Iri,
     Literal,
     Term,
-    sort_key,
 )
 
 DEFAULT_GRAPH = vocab.DEFAULT_GRAPH
@@ -60,12 +61,17 @@ _EOF = "EOF"
 
 _ESCAPES = {"t": "\t", "n": "\n", "r": "\r", '"': '"', "'": "'", "\\": "\\"}
 _HEX = re.compile(r"[0-9A-Fa-f]+")
-_TRIVIA = re.compile(r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*")
-# The alternatives in priority order: the first that matches names the kind.
-# A string without escapes is one STRING match; QUOTE starts any other
-# string, which _lex_string scans.
+# Whitespace and comments. A comment must run to its line's end, so that no
+# backtracking into it can find a token inside it.
+_TRIVIA = re.compile(r"[ \t\r\n]*(?:#[^\n]*(?:\n|\Z)[ \t\r\n]*)*")
+# The trivia before a token, then the token: one alternative per kind, in
+# priority order, so the first that matches names the kind. A string
+# without escapes is one STRING match; QUOTE starts any other string, which
+# _lex_string scans.
 _TOKEN = re.compile(
-    "|".join(
+    _TRIVIA.pattern
+    + "(?:"
+    + "|".join(
         f"(?P<{kind}>{pattern})"
         for kind, pattern in (
             (_STRING, r"\"[^\"\\\n]*\"|'[^'\\\n]*'"),
@@ -82,6 +88,7 @@ _TOKEN = re.compile(
             (_PUNCT, r"\^\^|[.;,]"),
         )
     )
+    + ")"
 )
 # The run of a string body up to its closing quote, an escape or a newline.
 _STRING_RUN = {'"': re.compile(r'[^"\\\n]*'), "'": re.compile(r"[^'\\\n]*")}
@@ -152,19 +159,22 @@ class _Parser:
         self.source = source
         self.graph = graph
         self.doc = OntologyDocument()
+        # IRIREF or prefixed-name text -> its Iri, under the directives so far.
+        self.iris: dict[str, Iri] = {}
         self.end = 0
         self._bump()
 
     def _bump(self):
         source = self.source
-        self.pos = pos = _TRIVIA.match(source, self.end).end()
-        m = _TOKEN.match(source, pos)
+        m = _TOKEN.match(source, self.end)
         if m is None:
+            self.pos = pos = _TRIVIA.match(source, self.end).end()
             if pos < len(source):
                 raise _error_at(source, pos, f"unexpected character {source[pos]!r}")
             self.kind, self.text = _EOF, ""
             return
         self.kind = m.lastgroup
+        self.pos = pos = m.start(self.kind)
         if self.kind == _STRING:
             self.text = source[pos + 1 : m.end() - 1]
             self.end = m.end()
@@ -172,7 +182,7 @@ class _Parser:
             self.kind = _STRING
             self.text, self.end = _lex_string(source, pos)
         else:
-            self.text = m.group()
+            self.text = m.group(self.kind)
             self.end = m.end()
 
     def _error(self, message: str, pos: int | None = None) -> TurtleParseError:
@@ -199,6 +209,7 @@ class _Parser:
 
     def _parse_directive(self):
         which = self.text
+        self.iris.clear()
         self._bump()
         if which == "@prefix":
             if self.kind != _PNAME or not self.text.endswith(":") or self.text.count(":") != 1:
@@ -216,6 +227,16 @@ class _Parser:
             self._bump()
         self._expect_punct(".")
 
+    def _expand(self, kind: str, text: str) -> str:
+        """The IRI an IRIREF or prefixed-name token stands for."""
+        if kind == _IRIREF:
+            return self._resolve_iriref(text)
+        prefix, _, local = text.partition(":")
+        namespace = self.doc.prefixes.get(prefix)
+        if namespace is None:
+            raise self._error(f"undeclared prefix '{prefix}:'")
+        return namespace + local
+
     def _resolve_iriref(self, raw: str) -> str:
         value = raw[1:-1]
         if _SCHEME.match(value):
@@ -226,17 +247,12 @@ class _Parser:
 
     def _parse_term(self, position: str) -> Term:
         kind, text, pos = self.kind, self.text, self.pos
-        if kind == _IRIREF:
-            value = self._resolve_iriref(text)
+        if kind == _IRIREF or kind == _PNAME:
+            iri = self.iris.get(text)
+            if iri is None:
+                self.iris[text] = iri = self._iri(self._expand(kind, text), pos)
             self._bump()
-            return self._iri(value, pos)
-        if kind == _PNAME:
-            prefix, _, local = text.partition(":")
-            namespace = self.doc.prefixes.get(prefix)
-            if namespace is None:
-                raise self._error(f"undeclared prefix '{prefix}:'")
-            self._bump()
-            return self._iri(namespace + local, pos)
+            return iri
         if kind == _BLANK:
             if position == "predicate":
                 raise self._error("blank node not allowed as predicate")
@@ -359,10 +375,7 @@ def serialize(store: QuadStore, graph: str) -> str:
     """Write one graph as subset-Turtle; parse(serialize(g)) yields g's quad set."""
     lines = [f"@prefix {prefix}: <{namespace}> ." for prefix, namespace in WELL_KNOWN_PREFIXES]
     lines.append("")
-    quads = sorted(
-        store.quads(graph),
-        key=lambda q: (sort_key(q.subject), sort_key(q.predicate), sort_key(q.object)),
-    )
+    quads = sorted(store.quads(graph), key=lambda q: (q.subject, q.predicate, q.object))
     for quad in quads:
         subject = _format_term(quad.subject)
         predicate = "a" if quad.predicate.value == RDF_TYPE else _format_term(quad.predicate)

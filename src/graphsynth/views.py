@@ -277,10 +277,10 @@ def write(store: QuadStore, graph: str, fields: tuple[Field, ...], node: Iri, **
     The kind decides the term: a literal, an IRI built from its string, or
     the link term given. A single-valued field takes a value or None (no
     quad), a many-valued one an iterable; values no field names are ignored.
-    The quads go through the store's unchecked `_add`, so the checks are
-    made here, once per call or field: the node and each predicate must be
-    IRIs and a link an IRI or blank node; the term constructors check the
-    other kinds, and the store the graph name. Every value is checked before
+    The quads go in as one batch through the store's unchecked `_add_all`,
+    so the checks are made here, once per call or field: the node and each
+    predicate must be IRIs and a link an IRI or blank node; the term
+    constructors check the other kinds, and the store the graph name. Every value is checked before
     the first quad goes in, so a malformed one leaves the store as it was.
     """
     if not isinstance(node, Iri):
@@ -298,10 +298,8 @@ def write(store: QuadStore, graph: str, fields: tuple[Field, ...], node: Iri, **
                 item = term(item)
             elif not isinstance(item, (Iri, Blank)):
                 raise MalformedQuadError(f"field {name!r} takes an IRI or blank node, got {item!r}")
-            quads.append((predicate, item))
-    add = store._add
-    for predicate, item in quads:
-        add(node, predicate, item, graph)
+            quads.append((node, predicate, item))
+    store._add_all(graph, quads)
 
 
 def typed_node(store: QuadStore, graph: str, cls: Iri) -> Term:
@@ -335,9 +333,9 @@ class Kb(NamedTuple):
 def kb(store: QuadStore) -> Kb:
     """The snapshot of the KB graph, `vocab.CORE_GRAPH`, at its generation, compiled first if the store keeps none.
 
-    A KB that breaks its shapes has no snapshot: this raises KbValidationError
-    with the problems `check_kb` gives for it, kept, like a snapshot, until
-    the graph changes.
+    A KB for which `check_kb` finds any problem has no snapshot: this raises
+    KbValidationError with those problems, kept, like a snapshot, until the
+    graph changes.
     """
     kept = store.snapshot(vocab.CORE_GRAPH) or _compile(store, vocab.CORE_GRAPH)[1]
     if not isinstance(kept, Kb):
@@ -372,7 +370,7 @@ def check_kb(store: QuadStore, graph: str = vocab.CORE_GRAPH) -> list[str]:
 
     One pass checks every instance of a shaped class against its shape and,
     from the same values, compiles the snapshot the store keeps for `kb`
-    (for a KB that breaks its shapes, the problems instead); `graph` defaults
+    (for a KB with any problem, the problems instead); `graph` defaults
     to the one KB graph `kb` reads. The cross-entity checks run over the
     snapshot, so only on a well-shaped KB: each algorithm has an implementing
     code function in each language family that has statement forms, and, as
@@ -386,8 +384,9 @@ def check_kb(store: QuadStore, graph: str = vocab.CORE_GRAPH) -> list[str]:
 def _compile(store: QuadStore, graph: str) -> tuple[list[str], Kb | tuple[str, ...]]:
     """The problems of the KB in `graph`, and the verdict the store keeps for it at the graph's generation.
 
-    The verdict is the snapshot, or for a KB that breaks its shapes, which has
-    none, the tuple of those problems.
+    The verdict is the snapshot of a clean KB, or the tuple of the problems
+    of any other: a KB that breaks its shapes, which has no snapshot, or one
+    that fails a cross-entity check.
     """
     rows = {cls: store.match_pattern(Pattern(Var("s"), _RDF_TYPE, Iri(cls), graph)) for cls in SHAPES}
     members = {cls: [row["s"] for row in found if isinstance(row["s"], Iri)] for cls, found in rows.items()}
@@ -411,12 +410,17 @@ def _compile(store: QuadStore, graph: str) -> tuple[list[str], Kb | tuple[str, .
                 for value in bad_values:
                     expected = _EXPECTED_KIND.get(kind) or f"an instance of {_format_term(Iri(kind))}"
                     problems.append(f"{where}: expected {expected}, found {_format_term(value)}")
-    if problems:
-        verdict = tuple(problems)
-        store.keep_snapshot(graph, verdict)
-        return problems, verdict
-    kb = _snapshot(kb_fields)
-    store.keep_snapshot(graph, kb)
+    if not problems:
+        kb = _snapshot(kb_fields)
+        problems = _cross_entity_problems(kb, kb_fields)
+    verdict = tuple(problems) if problems else kb
+    store.keep_snapshot(graph, verdict)
+    return problems, verdict
+
+
+def _cross_entity_problems(kb: Kb, kb_fields: dict[str, dict[Iri, dict]]) -> list[str]:
+    """The problems of a well-shaped KB that no one instance shows, from its snapshot and its instances' fields."""
+    problems: list[str] = []
     for algorithm in kb.algorithms:
         for family in sorted(kb.statement_forms):
             if (algorithm.iri, family) not in kb.functions_by_purpose:
@@ -447,7 +451,7 @@ def _compile(store: QuadStore, graph: str) -> tuple[list[str], Kb | tuple[str, .
                 for index, slots in sorted(by_index.items())
                 if len(slots) > 1
             ]
-    return problems, kb
+    return problems
 
 
 def _snapshot(f: dict[str, dict[Iri, dict]]) -> Kb:

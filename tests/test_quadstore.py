@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from graphsynth import quadstore, vocab
 from graphsynth.errors import MalformedQuadError, MalformedTermError
 from graphsynth.quadstore import Pattern, Quad, QuadStore, Var
-from graphsynth.terms import RDF_LANG_STRING, Blank, Iri, Literal, sort_key
+from graphsynth.terms import RDF_LANG_STRING, Blank, Iri, Literal
 
 from oracles import (
     canonical,
@@ -21,6 +21,7 @@ from oracles import (
     random_bgp,
     random_dataset,
     random_quad,
+    term_key,
     tractable_case,
 )
 
@@ -86,7 +87,8 @@ def test_empty_language_tag_rejected():
     # An empty tag would sort exactly like no tag, leaving result order to the hash seed.
     with pytest.raises(MalformedTermError):
         Literal("x", RDF_LANG_STRING, "")
-    assert sort_key(Literal("x", RDF_LANG_STRING, "en")) != sort_key(Literal("x", RDF_LANG_STRING))
+    assert term_key(Literal("x", RDF_LANG_STRING, "en")) != term_key(Literal("x", RDF_LANG_STRING))
+    assert Literal("x", RDF_LANG_STRING) < Literal("x", RDF_LANG_STRING, "en")
 
 
 def test_objects_reads_one_subject_predicate_and_graph():
@@ -191,6 +193,23 @@ def test_query_bgp_over_seed_kb_matches_oracle(seed_kb):
     assert labels == {"average value", "average value variation"}
 
 
+def test_add_all_counts_the_new_triples_of_a_batch_and_bumps_the_generation_once():
+    store = QuadStore()
+    assert store._add_all(G, []) == 0
+    assert store.graph_names() == [] and store.generation(G) == 0  # an empty batch makes no graph
+    batch = [(A, P, B), (A, P, B), (A, Q, B), (B, P, Literal("1")), (A, P, B)]
+    assert store._add_all(G, batch) == 3
+    assert store.generation(G) == 1 and store.graph_size(G) == 3
+    assert store._add_all(G, batch[:2]) == 0  # nothing new: no change, so the same generation
+    assert store.generation(G) == 1
+    assert store._add_all(G, [(A, P, A), (A, P, B), (B, Q, A), (A, P, A)]) == 2
+    assert store.generation(G) == 2 and store.graph_size(G) == 5
+    assert set(store.quads(G)) == {Quad(s, p, o, G) for s, p, o in [*batch, (A, P, A), (B, Q, A)]}
+    with pytest.raises(MalformedQuadError):
+        store._add_all("a graph", [(A, P, B)])  # a new graph's name is checked
+    assert store.graph_names() == [G]
+
+
 def test_graph_size():
     store = QuadStore()
     assert store.graph_size(G) == 0
@@ -204,7 +223,7 @@ def test_graph_size():
 
 def test_term_total_order_ranks_variants():
     terms = [Literal("a"), Blank("a"), Iri("http://a")]
-    ordered = sorted(terms, key=sort_key)
+    ordered = sorted(terms)
     assert [type(t).__name__ for t in ordered] == ["Iri", "Blank", "Literal"]
 
 
@@ -244,7 +263,7 @@ def test_query_bgp_equals_nested_loop_oracle(seed):
     for quad in quads:
         store.insert(quad)
     got = store.query_bgp(patterns)
-    oracle = nested_loop_join(sorted(set(quads), key=lambda q: (sort_key(q.subject), sort_key(q.predicate), sort_key(q.object), q.graph)), patterns)
+    oracle = nested_loop_join(sorted(set(quads), key=lambda q: (q.subject, q.predicate, q.object, q.graph)), patterns)
     assert sorted(map(canonical, got)) == sorted(map(canonical, oracle))
     assert got == expected_order(patterns, oracle)
 
@@ -270,7 +289,7 @@ def _bounded_bgp(rng: random.Random, quads: list[Quad], budget: int = 50_000) ->
 
 
 def _check_tables(store: QuadStore, model: set[Quad], seen: list[Quad]):
-    """`objects` agrees with brute force, and SPO and POS exist for every graph and nowhere hold an empty level."""
+    """`objects` agrees with brute force; SPO and POS exist for every graph, hold the same triples, and no empty level."""
     names = store.graph_names()
     assert sorted(store._graph_terms) == names
     assert sorted(store._spo) == sorted(store._pos) == names
@@ -279,6 +298,10 @@ def _check_tables(store: QuadStore, model: set[Quad], seen: list[Quad]):
             assert by_first
             for by_second in by_first.values():
                 assert by_second and all(by_second.values())
+    for name in names:
+        spo = {(s, p, o) for s, row in store._spo[name].items() for p, objects in row.items() for o in objects}
+        pos = {(s, p, o) for p, row in store._pos[name].items() for o, subjects in row.items() for s in subjects}
+        assert spo == pos and len(spo) == store.graph_size(name)
     quads = list(model)
     for subject, predicate, graph in {(q.subject, q.predicate, q.graph) for q in seen}:
         assert store.objects(subject, predicate, graph) == objects_oracle(quads, subject, predicate, graph)
@@ -286,7 +309,7 @@ def _check_tables(store: QuadStore, model: set[Quad], seen: list[Quad]):
 
 _store_ops = st.lists(
     st.tuples(
-        st.sampled_from(["insert", "insert", "insert", "remove", "clone", "drop_graph", "osp", "osp"]),
+        st.sampled_from(["insert", "insert", "insert", "add_all", "remove", "clone", "drop_graph", "osp", "osp"]),
         st.integers(0, 2**32 - 1),
     ),
     max_size=80,
@@ -309,6 +332,21 @@ def test_indexes_stay_consistent_under_insert_remove_clone(ops, seed):
             assert (store.generation(quad.graph) > before) is (quad not in model)
             model.add(quad)
             inserted.append(quad)
+        elif op == "add_all":
+            # One batch to one graph, with duplicates, old triples and, when sorted, runs of one subject.
+            rng = random.Random(value)
+            graph = random_quad(rng).graph
+            batch = [random_quad(rng) for _ in range(rng.randint(0, 6))] + rng.sample(inserted, min(2, len(inserted)))
+            batch = [Quad(q.subject, q.predicate, q.object, graph) for q in batch]
+            batch += batch[: rng.randint(0, len(batch))]
+            if rng.random() < 0.5:
+                batch.sort(key=lambda q: q.subject)
+            new = set(batch) - model
+            before = store.generation(graph)
+            assert store._add_all(graph, [(q.subject, q.predicate, q.object) for q in batch]) == len(new)
+            assert store.generation(graph) == before + bool(new)
+            model |= new
+            inserted += batch
         elif op == "remove":
             quad = inserted[value % len(inserted)] if inserted else random_quad(random.Random(value))
             before = store.generation(quad.graph)

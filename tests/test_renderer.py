@@ -390,13 +390,13 @@ def test_a_value_of_the_wrong_kind_does_not_load_and_names_its_node_and_predicat
 def test_compose_and_render_build_no_vocabulary_iri_and_each_node_iri_once(kb_store, statement_text, monkeypatch):
     plan = resolve(parse_problem_statement(statement_text), kb_store)
     built = []
-    init = Iri.__init__
+    new = Iri.__new__
 
-    def counting(term, value):
+    def counting(cls, value):
         built.append(value)
-        init(term, value)
+        return new(cls, value)
 
-    monkeypatch.setattr(Iri, "__init__", counting)
+    monkeypatch.setattr(Iri, "__new__", counting)
     pla = compose(plan, kb_store)
     plr = render(pla, plan.language, kb_store)
     emit(plr)

@@ -25,7 +25,6 @@ from graphsynth.quadstore import Quad, QuadStore
 from graphsynth.renderer import emit, render
 from graphsynth.resolver import resolve
 from graphsynth.seed import example_statement_path, load_kb
-from graphsynth.terms import sort_key
 
 CORE = vocab.CORE_GRAPH
 HEADER = """\
@@ -56,7 +55,7 @@ def _synthesize(store: QuadStore, basename: str) -> tuple[str, str]:
 
 
 def _quad_key(quad: Quad) -> tuple:
-    return sort_key(quad.subject), sort_key(quad.predicate), sort_key(quad.object)
+    return quad.subject, quad.predicate, quad.object
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -65,15 +64,15 @@ def test_an_edit_between_two_syntheses_gives_what_a_fresh_store_of_the_edited_kb
     store = seed_kb[0].clone()
     assert _synthesize(store, "first")[0] == "ok"  # over the snapshot check_kb kept at load
     quads = sorted(store.quads(CORE), key=_quad_key)
-    predicates = sorted({quad.predicate for quad in quads}, key=sort_key)
-    objects = sorted({quad.object for quad in quads}, key=sort_key)
+    predicates = sorted({quad.predicate for quad in quads})
+    objects = sorted({quad.object for quad in quads})
     for _ in range(data.draw(st.integers(1, 3), label="edits")):
         kind = data.draw(st.sampled_from(["remove", "replace object", "add"]), label="kind")
         quad = data.draw(st.sampled_from(quads), label="quad")
         if kind == "remove":
             store.remove(quad)
         elif kind == "replace object":
-            same_predicate = sorted({q.object for q in quads if q.predicate == quad.predicate}, key=sort_key)
+            same_predicate = sorted({q.object for q in quads if q.predicate == quad.predicate})
             store.remove(quad)
             store.insert(Quad(quad.subject, quad.predicate, data.draw(st.sampled_from(same_predicate)), CORE))
         else:
@@ -176,3 +175,22 @@ def test_a_view_over_a_kb_with_only_kind_problems_raises_kb_validation_error(kb_
         views.kb(kb_store)
     assert raised.value.problems == views.check_kb(kb_store)
     assert raised.value.problems == ['<http://t.example/odd> gs:hasOfficialName: expected a dotted identifier, found "not a name"']
+
+
+SECOND_SLOT_0 = HEADER + """\
+kb:numpy_mean gs:hasArgumentSlot x:extra_slot .
+x:extra_slot a gs:ArgumentSlot ; gs:hasSlotIndex 0 ; gs:hasSlotRole kb:role_input_data .
+"""
+SLOT_CLASH = "kb:numpy_mean gs:hasArgumentSlot: slot index 0 is held by kb:numpy_mean_arg0, <http://t.example/extra_slot>"
+
+
+def test_a_well_shaped_kb_that_fails_a_cross_entity_check_has_no_snapshot_and_stops_the_pipeline():
+    store, _ = load_kb(validate=False)  # as a library caller may: no check at load
+    insert_turtle(store, SECOND_SLOT_0)  # a second argument slot at index 0 of kb:numpy_mean
+    assert views.check_kb(store.clone()) == [SLOT_CLASH]
+    with pytest.raises(KbValidationError) as raised:
+        views.kb(store)
+    assert raised.value.problems == [SLOT_CLASH]
+    assert store.snapshot(CORE) == (SLOT_CLASH,)
+    assert _synthesize(store, "clash") == ("KbValidationError", str(raised.value))  # resolve stops at the KB
+    assert store.graph_names() == [CORE]

@@ -1,4 +1,4 @@
-"""Value semantics of the hand-written immutable records: terms, quads and patterns."""
+"""Value semantics of the immutable records: terms, quads and patterns."""
 
 from __future__ import annotations
 
@@ -6,10 +6,15 @@ import copy
 import pickle
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from graphsynth import views
 from graphsynth.errors import MalformedQuadError, MalformedTermError
-from graphsynth.quadstore import Pattern, Quad, Var
+from graphsynth.quadstore import Pattern, Quad, QuadStore, Var
 from graphsynth.terms import RDF_LANG_STRING, XSD_INTEGER, XSD_STRING, Blank, Iri, Literal
+
+from oracles import term_key
 
 G = "http://x/g"
 S, P, O = Iri("http://x/s"), Iri("http://x/p"), Iri("http://x/o")
@@ -62,18 +67,30 @@ def test_equal_records_hash_equal_and_survive_copy_and_pickle(make):
     assert pickle.loads(pickle.dumps(record)) == record
 
 
+# The field names of each record class. A term is a tuple and keeps no
+# slot of its own: its fields are read-only properties over the tuple.
+FIELDS = {
+    Iri: ("value",),
+    Blank: ("id",),
+    Literal: ("lexical", "datatype", "language_tag"),
+    Quad: Quad.__slots__,
+    Var: Var.__slots__,
+    Pattern: Pattern.__slots__,
+}
+
+
 @pytest.mark.parametrize("make", RECORDS, ids=RECORD_IDS)
 def test_fields_cannot_be_assigned_or_deleted(make):
     record = make()
-    field = type(record).__slots__[0]
-    before = getattr(record, field)
-    with pytest.raises(AttributeError):
-        setattr(record, field, before)
-    with pytest.raises(AttributeError):
-        delattr(record, field)
+    for field in FIELDS[type(record)]:
+        before = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, before)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        assert getattr(record, field) == before
     with pytest.raises(AttributeError):
         record.extra = 1
-    assert getattr(record, field) == before
 
 
 @pytest.mark.parametrize(
@@ -140,3 +157,69 @@ def test_malformed_terms_raise(build, message):
 def test_malformed_quads_and_variables_raise(build, message):
     with pytest.raises(MalformedQuadError, match=message):
         build()
+
+
+# Terms over a few characters, so that equal fields, and the same text in
+# terms of different kinds, come up often.
+_iris = st.text("ab:/é", min_size=1, max_size=3).map(Iri)
+_blanks = st.text("ab1_", min_size=1, max_size=3).map(Blank)
+_lexicals = st.text("ab1 é", max_size=3)
+_literals = st.one_of(
+    st.builds(Literal, _lexicals, st.sampled_from([XSD_STRING, XSD_INTEGER, RDF_LANG_STRING, "a"])),
+    st.builds(Literal, _lexicals, st.just(RDF_LANG_STRING), st.sampled_from(["en", "de", "en-GB"])),
+)
+_terms = st.one_of(_iris, _blanks, _literals)
+
+
+@given(st.lists(_terms, max_size=12))
+def test_terms_sort_as_the_explicit_key_orders_them(terms):
+    assert sorted(terms) == sorted(terms, key=term_key)
+    for a, b in zip(terms, terms[1:]):
+        assert (a < b) is (term_key(a) < term_key(b))
+        assert (a == b) is (term_key(a) == term_key(b))
+
+
+@given(_terms, _terms)
+def test_terms_are_equal_only_within_a_kind_and_hash_with_their_equality(a, b):
+    if type(a) is not type(b):
+        assert a != b and not a == b
+    if a == b:
+        assert hash(a) == hash(b)
+    assert {a: 1}.get(b) == (1 if a == b else None)
+
+
+@given(_terms)
+def test_terms_survive_copy_and_pickle_with_their_class_and_fields(term):
+    pickled = [pickle.loads(pickle.dumps(term, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in (copy.copy(term), copy.deepcopy(term), *pickled):
+        assert type(twin) is type(term) and twin == term and hash(twin) == hash(term)
+        assert term_key(twin) == term_key(term)
+        assert repr(twin) == repr(term)
+
+
+@given(_terms)
+def test_a_bare_tuple_is_no_term(term):
+    bare = tuple(term)
+    assert bare == term and type(bare) is tuple  # equal as tuples, which is why each entry point checks the class
+    s, p, g = Iri("http://x/s"), Iri("http://x/p"), "http://x/g"
+    for build in (
+        lambda: Quad(bare, p, term, g),
+        lambda: Quad(s, bare, term, g),
+        lambda: Quad(s, p, bare, g),
+        lambda: Pattern(bare, Var("p"), Var("o"), g),
+        lambda: Pattern(Var("s"), bare, Var("o"), g),
+        lambda: Pattern(Var("s"), Var("p"), bare, g),
+        lambda: Pattern(Var("s"), Var("p"), Var("o"), bare),
+    ):
+        with pytest.raises(MalformedQuadError):
+            build()
+    store = QuadStore()
+    link = (("link", p, views.NODE, 1, 1),)
+    for build in (
+        lambda: views.write(store, g, (), bare),
+        lambda: views.write(store, g, (("link", bare, views.NODE, 1, 1),), s, link=s),
+        lambda: views.write(store, g, link, s, link=bare),
+    ):
+        with pytest.raises(MalformedQuadError):
+            build()
+    assert len(store) == 0
