@@ -80,10 +80,10 @@ def _renamed(doc_key: str, term: Term) -> Term:
     return Blank(f"b{digest}")
 
 
-def _read_document(path: Path, graph: str) -> OntologyDocument:
+def _read_document(path: Path) -> OntologyDocument:
     """Parse one KB file; a file that is no UTF-8 or no valid Turtle names itself."""
     try:
-        return parse_document(path.read_text(encoding="utf-8"), graph=graph)
+        return parse_document(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise KbFileError(f"{path}: not UTF-8 text: {exc}") from exc
     except TurtleParseError as exc:
@@ -115,14 +115,13 @@ def load_with_imports(
         if known_iri is not None:
             visited_iris.add(known_iri)
 
-        doc = _read_document(path, graph)
+        doc = _read_document(path)
         doc_key = known_iri or path.as_posix()
         files += 1
 
         imports: list[str] = []
         triples = []
-        for quad in doc.statements:
-            subject, predicate, obj = quad.subject, quad.predicate, quad.object
+        for subject, predicate, obj in doc.statements:
             if isinstance(obj, Iri):
                 if predicate.value == OWL_IMPORTS:
                     imports.append(obj.value)
@@ -131,7 +130,7 @@ def load_with_imports(
             if isinstance(subject, Blank) or isinstance(obj, Blank):
                 subject, obj = _renamed(doc_key, subject), _renamed(doc_key, obj)
             triples.append((subject, predicate, obj))
-        # The parser built each statement as a Quad, so its terms are checked.
+        # The parser's grammar admits only triples a Quad accepts, so they need no check.
         inserted += store._add_all(graph, triples)
 
         for target in sorted(imports):

@@ -12,8 +12,10 @@ of (subject, predicate, object) triples to one graph, fetching the graph's
 tables once and a subject's row once per run of that subject. It builds
 no `Quad` and checks only the name of a graph it creates, so its callers
 validate the terms: `insert(quad)`, the public entry, by the `Quad`
-constructor; the loader by parsing, one document per call; and the
-field-table codec `views.write`, one program-graph node per call.
+constructor; the loader by the Turtle grammar, which builds every term
+through its constructor and admits only an IRI or blank subject and an IRI
+predicate, one document per call; and the field-table codec `views.write`,
+one program-graph node per call.
 `_add_all` and `remove` keep both tables up to date and never leave an
 empty inner level; `drop_graph` pops the graph's entry from each table, so
 it does no work per quad.
@@ -51,57 +53,40 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from graphsynth.errors import MalformedQuadError
-from graphsynth.terms import _WHITESPACE, Blank, Iri, Literal, Term
+from graphsynth.terms import _WHITESPACE, _tuple, Blank, Iri, Literal, Term
 
 _VAR_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
-class _Frozen:
-    """Base of the immutable `__slots__` records: fields are set once, in `__init__`.
+class _QuadFields(tuple):
+    """The fields a quad and a pattern share, as the tuple (subject, predicate, object, graph).
 
-    Records compare and hash by their fields, and only with records of the
-    same class. Quads, variables and patterns write out their own `__eq__`
-    and `__hash__`, faster than these: patterns are compared while a query
-    is planned. Assigning or deleting a field raises AttributeError; copy
-    and pickle rebuild a record from its fields, through `__init__` and its
-    checks.
+    Like a term, each record is a tuple whose constructor checks its fields
+    in `__new__`, and whose fields read back under their names. Equality,
+    hashing and order are the tuple's, so a quad also equals the pattern,
+    or the bare tuple, with the same items: the store's entry points check
+    the class. Copy and pickle rebuild a record through its constructor.
     """
 
     __slots__ = ()
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{self.__class__.__name__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+    subject = property(itemgetter(0))
+    predicate = property(itemgetter(1))
+    object = property(itemgetter(2))
+    graph = property(itemgetter(3))
 
     def __reduce__(self):
-        return self.__class__, self._fields()
+        return self.__class__, tuple(self)
+
+    def __repr__(self):
+        s, p, o, g = self
+        return f"{self.__class__.__name__}(subject={s!r}, predicate={p!r}, object={o!r}, graph={g!r})"
 
 
-# Sets a field of a `_Frozen` record from inside its `__init__`.
-_set = object.__setattr__
+class Quad(_QuadFields):
+    __slots__ = ()
 
-
-class Quad(_Frozen):
-    __slots__ = ("subject", "predicate", "object", "graph")
-
-    def __init__(self, subject: Term, predicate: Term, object: Term, graph: str):
+    def __new__(cls, subject: Term, predicate: Term, object: Term, graph: str):
         if isinstance(subject, Literal):
             raise MalformedQuadError(f"quad subject may not be a literal: {subject!r}")
         if not isinstance(subject, (Iri, Blank)):
@@ -111,82 +96,47 @@ class Quad(_Frozen):
         if not isinstance(object, (Iri, Blank, Literal)):
             raise MalformedQuadError(f"quad object must be a term: {object!r}")
         _check_graph(graph)
-        _set(self, "subject", subject)
-        _set(self, "predicate", predicate)
-        _set(self, "object", object)
-        _set(self, "graph", graph)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (
-                self.subject == other.subject
-                and self.predicate == other.predicate
-                and self.object == other.object
-                and self.graph == other.graph
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.subject, self.predicate, self.object, self.graph))
+        return _tuple(cls, (subject, predicate, object, graph))
 
 
-class Var(_Frozen):
-    """A named variable usable in any pattern position."""
+class Var(tuple):
+    """A named variable usable in any pattern position, as the tuple (3, name).
 
-    __slots__ = ("name",)
+    The tag 3 follows the terms' kind tags, so a variable equals no term,
+    and being a tuple, no graph-name string either.
+    """
 
-    def __init__(self, name: str):
+    __slots__ = ()
+
+    def __new__(cls, name: str):
         if not _VAR_NAME.match(name):
             raise MalformedQuadError(f"variable name must be an identifier, got {name!r}")
-        _set(self, "name", name)
+        return _tuple(cls, (3, name))
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.name == other.name
-        return NotImplemented
+    name = property(itemgetter(1))
 
-    def __hash__(self):
-        return hash(self.name)
+    def __reduce__(self):
+        return self.__class__, self[1:]
 
     def __repr__(self):
         return f"?{self.name}"
 
 
-class Pattern(_Frozen):
+class Pattern(_QuadFields):
     """One quad pattern; the same variable name in two positions is a join constraint."""
 
-    __slots__ = ("subject", "predicate", "object", "graph")
+    __slots__ = ()
 
-    def __init__(self, subject: Term | Var, predicate: Term | Var, object: Term | Var, graph: str | Var):
+    def __new__(cls, subject: Term | Var, predicate: Term | Var, object: Term | Var, graph: str | Var):
         for name, pos in (("subject", subject), ("predicate", predicate), ("object", object)):
             if not isinstance(pos, (Iri, Blank, Literal, Var)):
                 raise MalformedQuadError(f"pattern {name} must be a term or a variable: {pos!r}")
         if not isinstance(graph, (str, Var)):
             raise MalformedQuadError(f"pattern graph must be a graph name or a variable: {graph!r}")
-        _set(self, "subject", subject)
-        _set(self, "predicate", predicate)
-        _set(self, "object", object)
-        _set(self, "graph", graph)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (
-                self.subject == other.subject
-                and self.predicate == other.predicate
-                and self.object == other.object
-                and self.graph == other.graph
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.subject, self.predicate, self.object, self.graph))
+        return _tuple(cls, (subject, predicate, object, graph))
 
     def variables(self) -> set[str]:
-        names = set()
-        for pos in (self.subject, self.predicate, self.object, self.graph):
-            if isinstance(pos, Var):
-                names.add(pos.name)
-        return names
+        return {pos.name for pos in self if isinstance(pos, Var)}
 
 
 # A binding set maps every variable of the originating pattern(s) to a term.
@@ -212,7 +162,7 @@ class QuadStore:
         """Add a quad; returns True iff it was not already present."""
         if not isinstance(quad, Quad):
             raise MalformedQuadError(f"expected a Quad, got {type(quad).__name__}")
-        return self._add_all(quad.graph, ((quad.subject, quad.predicate, quad.object),)) == 1
+        return self._add_all(quad.graph, (quad[:3],)) == 1
 
     def _add_all(self, graph: str, triples: Sequence[tuple[Term, Iri, Term]]) -> int:
         """Add (subject, predicate, object) triples to one graph; returns how many were new.
@@ -264,9 +214,11 @@ class QuadStore:
 
     def remove(self, quad: Quad) -> bool:
         """Drop a quad; returns True iff it was present."""
+        if not isinstance(quad, Quad):
+            raise MalformedQuadError(f"expected a Quad, got {type(quad).__name__}")
         if quad not in self:
             return False
-        s, p, o, graph = quad.subject, quad.predicate, quad.object, quad.graph
+        s, p, o, graph = quad
         _discard(self._spo[graph], s, p, o)
         _discard(self._pos[graph], p, o, s)
         self._sizes[graph] -= 1
@@ -301,7 +253,8 @@ class QuadStore:
         return sum(self._sizes.values())
 
     def __contains__(self, quad: Quad) -> bool:
-        return quad.object in self._spo.get(quad.graph, {}).get(quad.subject, {}).get(quad.predicate, ())
+        s, p, o, graph = quad
+        return o in self._spo.get(graph, {}).get(s, {}).get(p, ())
 
     def graph_size(self, graph: str) -> int:
         return self._sizes.get(graph, 0)
@@ -310,12 +263,13 @@ class QuadStore:
         return sorted(self._spo)
 
     def quads(self, graph: str | None = None) -> Iterator[Quad]:
+        """Every quad of one graph, or of all; built unchecked, from the checked terms the store holds."""
         names = self._spo if graph is None else (graph,) if graph in self._spo else ()
         for name in names:
             for s, by_predicate in self._spo[name].items():
                 for p, objects in by_predicate.items():
                     for o in objects:
-                        yield Quad(s, p, o, name)
+                        yield _tuple(Quad, (s, p, o, name))
 
     def graph_quads(self, graph: str) -> frozenset[Quad]:
         return frozenset(self.quads(graph))
@@ -352,10 +306,11 @@ class QuadStore:
         """Index nested-loop join in planned order, sorted on all variables."""
         partial: list[BindingSet] = [{}]
         for pattern in _plan(patterns):
+            variables = [(i, pos.name) for i, pos in enumerate(pattern) if isinstance(pos, Var)]
             extended: list[BindingSet] = []
             for binding in partial:
                 for row in self._candidates(pattern, binding):
-                    merged = _unify(pattern, row, binding)
+                    merged = _unify(variables, row, binding)
                     if merged is not None:
                         extended.append(merged)
             partial = extended
@@ -374,10 +329,7 @@ class QuadStore:
         subject, SPO otherwise. An object bound with no predicate bound has
         no table of its own: the walk over SPO keeps the rows that hold it.
         """
-        s, p, o, graph = [
-            binding.get(pos.name) if isinstance(pos, Var) else pos
-            for pos in (pattern.subject, pattern.predicate, pattern.object, pattern.graph)
-        ]
+        s, p, o, graph = [binding.get(pos.name) if isinstance(pos, Var) else pos for pos in pattern]
         if graph is None:
             names = list(self._spo)
         elif isinstance(graph, Iri):
@@ -454,26 +406,24 @@ def _plan(patterns: list[Pattern]) -> list[Pattern]:
 
 
 def _bound_positions(pattern: Pattern, bound: set[str]) -> int:
-    return sum(
-        1
-        for pos in (pattern.subject, pattern.predicate, pattern.object, pattern.graph)
-        if not isinstance(pos, Var) or pos.name in bound
-    )
+    return sum(1 for pos in pattern if not isinstance(pos, Var) or pos.name in bound)
 
 
-def _unify(pattern: Pattern, row: tuple[Term, Term, Term, Iri], binding: BindingSet) -> BindingSet | None:
-    """Extend `binding` with the row's values for the pattern's variables, or None on a clash.
+def _unify(
+    variables: list[tuple[int, str]], row: tuple[Term, Term, Term, Iri], binding: BindingSet
+) -> BindingSet | None:
+    """Extend `binding` with the row's value at each (position, name) of a pattern's variables, or None on a clash.
 
     Concrete positions need no check: `_candidates` returns only rows that match them.
     """
     out = binding
-    for pos, value in zip((pattern.subject, pattern.predicate, pattern.object, pattern.graph), row):
-        if isinstance(pos, Var):
-            bound = out.get(pos.name)
-            if bound is None:
-                if out is binding:
-                    out = dict(binding)
-                out[pos.name] = value
-            elif bound != value:
-                return None
+    for i, name in variables:
+        value = row[i]
+        bound = out.get(name)
+        if bound is None:
+            if out is binding:
+                out = dict(binding)
+            out[name] = value
+        elif bound != value:
+            return None
     return dict(out) if out is binding else out

@@ -21,7 +21,7 @@ import re
 
 from graphsynth import vocab
 from graphsynth.errors import MalformedTermError, TurtleParseError
-from graphsynth.quadstore import Quad, QuadStore
+from graphsynth.quadstore import QuadStore
 from graphsynth.terms import (
     OWL,
     RDF,
@@ -38,8 +38,6 @@ from graphsynth.terms import (
     Literal,
     Term,
 )
-
-DEFAULT_GRAPH = vocab.DEFAULT_GRAPH
 
 _SCHEME = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*:")
 
@@ -96,14 +94,14 @@ _A = Iri(RDF_TYPE)
 
 
 class OntologyDocument:
-    """One parsed ontology file: directives plus its statements in document order."""
+    """One parsed ontology file: directives plus its (subject, predicate, object) statements in document order."""
 
     __slots__ = ("base", "prefixes", "statements")
 
     def __init__(self):
         self.base: str | None = None
         self.prefixes: dict[str, str] = {}
-        self.statements: list[Quad] = []
+        self.statements: list[tuple[Iri | Blank, Iri, Term]] = []
 
 
 def _error_at(text: str, pos: int, message: str) -> TurtleParseError:
@@ -155,9 +153,8 @@ class _Parser:
     start offset, and `end` the offset where the next token's trivia starts.
     """
 
-    def __init__(self, source: str, graph: str):
+    def __init__(self, source: str):
         self.source = source
-        self.graph = graph
         self.doc = OntologyDocument()
         # IRIREF or prefixed-name text -> its Iri, under the directives so far.
         self.iris: dict[str, Iri] = {}
@@ -298,7 +295,7 @@ class _Parser:
         while True:
             verb = self._parse_verb()
             while True:
-                statements.append(Quad(subject, verb, self._parse_term("object"), self.graph))
+                statements.append((subject, verb, self._parse_term("object")))
                 if self.kind == _PUNCT and self.text == ",":
                     self._bump()
                     continue
@@ -313,14 +310,17 @@ class _Parser:
         self._expect_punct(".")
 
 
-def parse_document(text: str, graph: str = DEFAULT_GRAPH) -> OntologyDocument:
-    """Parse subset-Turtle text into quads destined for `graph`.
+def parse_document(text: str) -> OntologyDocument:
+    """Parse subset-Turtle text into (subject, predicate, object) triples.
 
-    Duplicate triples are preserved here; the store deduplicates on insert.
+    The grammar admits only an IRI or blank subject and an IRI predicate,
+    and builds each term through its constructor, so every triple is one a
+    `Quad` accepts. Duplicate triples are preserved here; the store
+    deduplicates on insert.
     """
     if not isinstance(text, str):
         raise TurtleParseError("input must be text", 1, 1)
-    return _Parser(text, graph).parse()
+    return _Parser(text).parse()
 
 
 # Prefixes the serializer will try to compact against, in emission order.
@@ -375,9 +375,7 @@ def serialize(store: QuadStore, graph: str) -> str:
     """Write one graph as subset-Turtle; parse(serialize(g)) yields g's quad set."""
     lines = [f"@prefix {prefix}: <{namespace}> ." for prefix, namespace in WELL_KNOWN_PREFIXES]
     lines.append("")
-    quads = sorted(store.quads(graph), key=lambda q: (q.subject, q.predicate, q.object))
-    for quad in quads:
-        subject = _format_term(quad.subject)
-        predicate = "a" if quad.predicate.value == RDF_TYPE else _format_term(quad.predicate)
-        lines.append(f"{subject} {predicate} {_format_term(quad.object)} .")
+    for s, p, o, _ in sorted(store.quads(graph)):
+        predicate = "a" if p.value == RDF_TYPE else _format_term(p)
+        lines.append(f"{_format_term(s)} {predicate} {_format_term(o)} .")
     return "\n".join(lines) + "\n"

@@ -451,6 +451,11 @@ def _cross_entity_problems(kb: Kb, kb_fields: dict[str, dict[Iri, dict]]) -> lis
                 for index, slots in sorted(by_index.items())
                 if len(slots) > 1
             ]
+            # A gap would leave a slot out of every line written with the owner.
+            indexes = sorted(by_index)
+            if indexes != list(range(len(indexes))):
+                problems.append(f"{_format_term(node)} {_format_term(Iri(link))}: slot indexes {indexes} "
+                                f"do not run 0..{len(indexes) - 1}")
     return problems
 
 

@@ -16,7 +16,6 @@ PLR = "http://graphsynth.dev/vocab/concrete#"
 
 _GRAPH_BASE = "http://graphsynth.dev/graph/"
 CORE_GRAPH = _GRAPH_BASE + "core"
-DEFAULT_GRAPH = _GRAPH_BASE + "default"
 
 
 def gs(local: str) -> str:

@@ -6,7 +6,7 @@ import pytest
 
 from graphsynth import vocab
 from graphsynth.problem import parse_problem_statement
-from graphsynth.quadstore import QuadStore
+from graphsynth.quadstore import Quad, QuadStore
 from graphsynth.resolver import BuildPlan, resolve
 from graphsynth.seed import example_statement_path, load_kb
 from graphsynth.turtle import parse_document
@@ -73,7 +73,7 @@ def golden_source() -> str:
 def insert_turtle(store: QuadStore, text: str, graph: str = vocab.CORE_GRAPH) -> int:
     """Parse subset-Turtle and insert every statement into `graph`."""
     inserted = 0
-    for quad in parse_document(text, graph=graph).statements:
-        if store.insert(quad):
+    for triple in parse_document(text).statements:
+        if store.insert(Quad(*triple, graph)):
             inserted += 1
     return inserted

@@ -20,7 +20,7 @@ from graphsynth.cli import main
 from graphsynth.composer import compose, derive_variable_name, import_order, load_pla, NameAllocator, NamingContext
 from graphsynth.errors import ProblemStatementError, TurtleParseError
 from graphsynth.problem import parse_problem_statement
-from graphsynth.quadstore import QuadStore
+from graphsynth.quadstore import Quad, QuadStore
 from graphsynth.renderer import render
 from graphsynth.resolver import check_compatibility, resolve
 from graphsynth.seed import example_statement_path, fixture_path, kb_dir
@@ -223,8 +223,8 @@ def test_c8_format_robustness(seed_kb):
         except ProblemStatementError:
             pass
 
-    round_tripped = parse_document(serialize(store, vocab.CORE_GRAPH), graph=vocab.CORE_GRAPH)
-    assert set(round_tripped.statements) == store.graph_quads(vocab.CORE_GRAPH)
+    round_tripped = parse_document(serialize(store, vocab.CORE_GRAPH))
+    assert {Quad(*t, vocab.CORE_GRAPH) for t in round_tripped.statements} == store.graph_quads(vocab.CORE_GRAPH)
     report(8, "20k fuzzed inputs parsed or diagnosed; shipped KB round-trips through the serializer")
 
 

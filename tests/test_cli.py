@@ -11,7 +11,7 @@ import pytest
 from conftest import GOLDEN_DIR
 from graphsynth import vocab
 from graphsynth.cli import main
-from graphsynth.quadstore import QuadStore
+from graphsynth.quadstore import Quad, QuadStore
 from graphsynth.seed import example_statement_path
 from graphsynth.turtle import parse_document
 
@@ -259,8 +259,12 @@ def test_kb_shape_violation_maps_to_load_exit_code_and_names_entity_and_property
                                 "kb:numpy_mean_arg1 a gs:ArgumentSlot ;\n    gs:hasSlotIndex 0 ;\n"
                                 "    gs:hasSlotRole kb:role_input_data .\n\nkb:numpy_std a gs:CodeFunction")],
          "kb:numpy_mean gs:hasArgumentSlot: slot index 0 is held by kb:numpy_mean_arg0, kb:numpy_mean_arg1"),
+        # Without its " as " slot the example's import line read `import numpynp`, and synthesize exited 0.
+        ("statements.ttl", [("kb:py_import_aliased_s1 ,\n        kb:py_import_aliased_s2 , kb:py_import_aliased_s3 .",
+                             "kb:py_import_aliased_s1 ,\n        kb:py_import_aliased_s3 .")],
+         "kb:py_import_aliased gs:hasTemplateSlot: slot indexes [0, 1, 3] do not run 0..2"),
     ],
-    ids=["template-slot", "argument-slot"],
+    ids=["template-slot", "argument-slot", "template-slot-gap"],
 )
 def test_duplicate_slot_index_maps_to_load_exit_code_and_names_the_slots(tmp_path, capsys, filename, edits, problem):
     from graphsynth.seed import kb_dir
@@ -415,11 +419,11 @@ def test_dump_graph_after_synthesis_round_trips(capsys):
     graph = vocab.program_graph_iri("hello_analytic", "pla")
     code, out, _ = run(capsys, "dump-graph", graph, "--statement", STMT)
     assert code == 0
-    reparsed = parse_document(out, graph=graph)
+    reparsed = parse_document(out)
     assert len(reparsed.statements) > 0
     store = QuadStore()
-    for quad in reparsed.statements:
-        store.insert(quad)
+    for triple in reparsed.statements:
+        store.insert(Quad(*triple, graph))
     assert store.graph_size(graph) == len(set(reparsed.statements))
 
 

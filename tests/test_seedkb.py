@@ -4,9 +4,10 @@ import pytest
 
 from graphsynth import vocab, views
 from graphsynth.errors import KbValidationError
+from graphsynth.quadstore import Quad
 from graphsynth.resolver import _functions
 from graphsynth.seed import fixture_path, load_kb
-from graphsynth.terms import XSD_DECIMAL, Literal
+from graphsynth.terms import XSD_DECIMAL, Iri, Literal, integer_literal
 from graphsynth.views import check_kb
 
 from conftest import insert_turtle
@@ -191,6 +192,41 @@ x:fortran_assign_s0 a gs:TemplateSlot ;
         "algorithm arithmetic_mean has no implementing Fortran code function",
         "algorithm standard_deviation has no implementing Fortran code function",
     ]
+
+
+def _kb_quad(subject: str, predicate: str, obj) -> Quad:
+    return Quad(Iri(vocab.KB + subject), Iri(predicate), obj, vocab.CORE_GRAPH)
+
+
+# Each of the first four deletions left the example emitting a broken program
+# with exit 0 while check_kb found nothing: `import numpynp`, a bare `sys`, a
+# call with no callee, and `print()`.
+@pytest.mark.parametrize(
+    "removed, added, problem",
+    [
+        ([_kb_quad("py_import_aliased", vocab.HAS_TEMPLATE_SLOT, Iri(vocab.KB + "py_import_aliased_s2"))], [],
+         "kb:py_import_aliased gs:hasTemplateSlot: slot indexes [0, 1, 3] do not run 0..2"),
+        ([_kb_quad("py_import_plain", vocab.HAS_TEMPLATE_SLOT, Iri(vocab.KB + "py_import_plain_s0"))], [],
+         "kb:py_import_plain gs:hasTemplateSlot: slot indexes [1] do not run 0..0"),
+        ([_kb_quad("py_call_stmt", vocab.HAS_TEMPLATE_SLOT, Iri(vocab.KB + "py_call_stmt_s0"))], [],
+         "kb:py_call_stmt gs:hasTemplateSlot: slot indexes [1, 2, 3] do not run 0..2"),
+        ([_kb_quad("py_call_stmt", vocab.HAS_TEMPLATE_SLOT, Iri(vocab.KB + "py_call_stmt_s2"))], [],
+         "kb:py_call_stmt gs:hasTemplateSlot: slot indexes [0, 1, 3] do not run 0..2"),
+        ([_kb_quad("numpy_mean_arg0", vocab.HAS_SLOT_INDEX, integer_literal(0))],
+         [_kb_quad("numpy_mean_arg0", vocab.HAS_SLOT_INDEX, integer_literal(1))],
+         "kb:numpy_mean gs:hasArgumentSlot: slot indexes [1] do not run 0..0"),
+    ],
+    ids=["import-aliased-s2", "import-plain-s0", "call-stmt-s0", "call-stmt-s2", "argument-index-1"],
+)
+def test_check_kb_flags_slot_indexes_that_do_not_run_from_0_to_n_minus_1(kb_store, removed, added, problem):
+    for quad in removed:
+        assert kb_store.remove(quad)
+    for quad in added:
+        assert kb_store.insert(quad)
+    assert check_kb(kb_store) == [problem]
+    with pytest.raises(KbValidationError) as raised:
+        views.kb(kb_store)
+    assert raised.value.problems == [problem]
 
 
 def test_check_kb_flags_function_without_library(kb_store):

@@ -67,15 +67,15 @@ def test_equal_records_hash_equal_and_survive_copy_and_pickle(make):
     assert pickle.loads(pickle.dumps(record)) == record
 
 
-# The field names of each record class. A term is a tuple and keeps no
-# slot of its own: its fields are read-only properties over the tuple.
+# The field names of each record class. Every record is a tuple and keeps
+# no slot of its own: its fields are read-only properties over the tuple.
 FIELDS = {
     Iri: ("value",),
     Blank: ("id",),
     Literal: ("lexical", "datatype", "language_tag"),
-    Quad: Quad.__slots__,
-    Var: Var.__slots__,
-    Pattern: Pattern.__slots__,
+    Quad: ("subject", "predicate", "object", "graph"),
+    Var: ("name",),
+    Pattern: ("subject", "predicate", "object", "graph"),
 }
 
 
@@ -202,6 +202,14 @@ def test_a_bare_tuple_is_no_term(term):
     bare = tuple(term)
     assert bare == term and type(bare) is tuple  # equal as tuples, which is why each entry point checks the class
     s, p, g = Iri("http://x/s"), Iri("http://x/p"), "http://x/g"
+    # A variable is the tuple (3, name): it equals no term and no graph name,
+    # and a pattern refuses the bare tuple (3, name) in its place.
+    var, bare_var = Var("x"), (3, "x")
+    assert var == bare_var and type(bare_var) is tuple
+    assert var != term and term != var
+    for other in (Iri("x"), Blank("x"), Literal("x"), "x"):
+        assert var != other and other != var
+    assert len({var, Iri("x"), Blank("x"), Literal("x"), "x"}) == 5
     for build in (
         lambda: Quad(bare, p, term, g),
         lambda: Quad(s, bare, term, g),
@@ -210,6 +218,10 @@ def test_a_bare_tuple_is_no_term(term):
         lambda: Pattern(Var("s"), bare, Var("o"), g),
         lambda: Pattern(Var("s"), Var("p"), bare, g),
         lambda: Pattern(Var("s"), Var("p"), Var("o"), bare),
+        lambda: Pattern(bare_var, p, term, g),
+        lambda: Pattern(s, bare_var, term, g),
+        lambda: Pattern(s, p, bare_var, g),
+        lambda: Pattern(s, p, term, bare_var),
     ):
         with pytest.raises(MalformedQuadError):
             build()
@@ -223,3 +235,12 @@ def test_a_bare_tuple_is_no_term(term):
         with pytest.raises(MalformedQuadError):
             build()
     assert len(store) == 0
+    # The store takes and drops only a Quad, never the bare tuple equal to one.
+    quad = Quad(s, p, term, g)
+    store.insert(quad)
+    for bare_quad in (tuple(quad), (s, p, Iri("http://x/other"), g)):
+        assert type(bare_quad) is tuple
+        for method in (store.insert, store.remove):
+            with pytest.raises(MalformedQuadError, match="expected a Quad, got tuple"):
+                method(bare_quad)
+    assert store.graph_quads(g) == {quad} and len(store) == 1

@@ -22,38 +22,40 @@ from graphsynth.terms import (
     Iri,
     Literal,
 )
-from graphsynth.turtle import DEFAULT_GRAPH, parse_document, serialize
+from graphsynth.turtle import parse_document, serialize
 
 X = "http://x.example/"
+G = "http://x.example/graph"
 
 
-def quads_of(text: str):
+def triples_of(text: str):
     return parse_document(text).statements
 
 
 def test_a_keyword_expands_to_rdf_type():
     text = "@prefix a: <http://x/> . a:s a a:C ."
-    [quad] = quads_of(text)
-    assert quad == Quad(Iri("http://x/s"), Iri(RDF_TYPE), Iri("http://x/C"), DEFAULT_GRAPH)
+    [triple] = triples_of(text)
+    assert type(triple) is tuple
+    assert triple == (Iri("http://x/s"), Iri(RDF_TYPE), Iri("http://x/C"))
 
 
 def test_datatyped_literal():
     text = f'@prefix a: <{X}> . @prefix xsd: <http://www.w3.org/2001/XMLSchema#> . a:s a:p "6"^^xsd:integer .'
-    [quad] = quads_of(text)
-    assert quad.object == Literal("6", XSD_INTEGER)
+    [(_, _, obj)] = triples_of(text)
+    assert obj == Literal("6", XSD_INTEGER)
 
 
 def test_predicate_object_lists_share_subject():
     text = f"@prefix a: <{X}> . a:s a:p a:o1 , a:o2 ; a:q a:o3 ."
-    statements = quads_of(text)
+    statements = triples_of(text)
     assert len(statements) == 3
-    assert {q.subject for q in statements} == {Iri(X + "s")}
-    assert [q.predicate.value.rsplit("/", 1)[-1] for q in statements] == ["p", "p", "q"]
+    assert {s for s, _, _ in statements} == {Iri(X + "s")}
+    assert [p.value.rsplit("/", 1)[-1] for _, p, _ in statements] == ["p", "p", "q"]
 
 
 def test_numeric_boolean_and_string_literals():
     text = f"@prefix a: <{X}> . a:s a:p 6 ; a:p 1.5 ; a:p true ; a:p \"plain\" ; a:p 'single' ."
-    objects = [q.object for q in quads_of(text)]
+    objects = [obj for _, _, obj in triples_of(text)]
     assert objects == [
         Literal("6", XSD_INTEGER),
         Literal("1.5", XSD_DECIMAL),
@@ -65,53 +67,53 @@ def test_numeric_boolean_and_string_literals():
 
 def test_language_tag_passes_through():
     text = f'@prefix a: <{X}> . a:s a:p "hello"@en-GB .'
-    [quad] = quads_of(text)
-    assert quad.object == Literal("hello", RDF_LANG_STRING, "en-GB")
+    [(_, _, obj)] = triples_of(text)
+    assert obj == Literal("hello", RDF_LANG_STRING, "en-GB")
 
 
 def test_base_resolves_relative_iris():
     text = f"@base <{X}> . <s> <p> <o> ."
-    [quad] = quads_of(text)
-    assert quad.subject == Iri(X + "s")
+    [(subject, _, _)] = triples_of(text)
+    assert subject == Iri(X + "s")
 
 
 def test_duplicate_triples_preserved_until_insert():
     text = f"@prefix a: <{X}> . a:s a:p a:o . a:s a:p a:o ."
-    statements = quads_of(text)
+    statements = triples_of(text)
     assert len(statements) == 2
     store = QuadStore()
-    assert [store.insert(q) for q in statements] == [True, False]
+    assert [store.insert(Quad(*t, G)) for t in statements] == [True, False]
     assert len(store) == 1
 
 
 def test_blank_nodes_and_comments():
     text = f"@prefix a: <{X}> .\n# a comment line\n_:b1 a:p _:b2 .\n"
-    [quad] = quads_of(text)
-    assert quad.subject == Blank("b1")
-    assert quad.object == Blank("b2")
+    [(subject, _, obj)] = triples_of(text)
+    assert subject == Blank("b1")
+    assert obj == Blank("b2")
 
 
 def test_string_escapes():
     text = f'@prefix a: <{X}> . a:s a:p "tab\\there \\"quoted\\" \\u00e9" .'
-    [quad] = quads_of(text)
-    assert quad.object.lexical == 'tab\there "quoted" é'
+    [(_, _, obj)] = triples_of(text)
+    assert obj.lexical == 'tab\there "quoted" é'
 
 
 def test_undeclared_prefix_is_an_error():
     with pytest.raises(TurtleParseError) as exc:
-        quads_of("nope:s nope:p nope:o .")
+        triples_of("nope:s nope:p nope:o .")
     assert "undeclared prefix" in str(exc.value)
 
 
 def test_relative_iri_without_base_is_an_error():
     with pytest.raises(TurtleParseError) as exc:
-        quads_of("<s> <p> <o> .")
+        triples_of("<s> <p> <o> .")
     assert "no @base" in str(exc.value)
 
 
 def test_syntax_error_carries_position():
     with pytest.raises(TurtleParseError) as exc:
-        quads_of(f"@prefix a: <{X}> .\na:s a:p %%% .")
+        triples_of(f"@prefix a: <{X}> .\na:s a:p %%% .")
     assert exc.value.line == 2
     assert exc.value.column is not None
 
@@ -157,13 +159,13 @@ def test_parse_errors_report_message_line_and_column(body, message, line, column
 @pytest.mark.parametrize("escape", ["\\uD800", "\\uDFFF", "\\U0000DC00", "\\U00110000", "\\UFFFFFFFF"])
 def test_escape_of_no_unicode_character_is_a_bad_unicode_escape(escape):
     with pytest.raises(TurtleParseError) as exc:
-        quads_of(f'@prefix a: <{X}> .\n a:s a:p "ok {escape}" .')
+        triples_of(f'@prefix a: <{X}> .\n a:s a:p "ok {escape}" .')
     assert (str(exc.value), exc.value.line, exc.value.column) == ("2:14: bad unicode escape", 2, 14)
 
 
 def test_escapes_at_the_edges_of_the_surrogate_block_and_of_unicode_load():
-    [quad] = quads_of(f'@prefix a: <{X}> . a:s a:p "\\uD7FF\\uE000\\U0010FFFF" .')
-    assert quad.object.lexical == "\ud7ff\ue000\U0010ffff"
+    [(_, _, obj)] = triples_of(f'@prefix a: <{X}> . a:s a:p "\\uD7FF\\uE000\\U0010FFFF" .')
+    assert obj.lexical == "\ud7ff\ue000\U0010ffff"
 
 
 @pytest.mark.parametrize(
@@ -177,41 +179,41 @@ def test_escapes_at_the_edges_of_the_surrogate_block_and_of_unicode_load():
 )
 def test_iri_holding_a_non_ascii_space_is_a_parse_error_at_its_token(text, line, column):
     with pytest.raises(TurtleParseError) as exc:
-        quads_of(f"@prefix a: <{X}> .\n" + text)
+        triples_of(f"@prefix a: <{X}> .\n" + text)
     assert (exc.value.line, exc.value.column) == (line, column)
     assert "IRI contains whitespace" in str(exc.value)
 
 
 def test_literal_subject_is_an_error():
     with pytest.raises(TurtleParseError):
-        quads_of(f'@prefix a: <{X}> . "s" a:p a:o .')
+        triples_of(f'@prefix a: <{X}> . "s" a:p a:o .')
 
 
 def test_unterminated_string():
     with pytest.raises(TurtleParseError):
-        quads_of(f'@prefix a: <{X}> . a:s a:p "open .')
+        triples_of(f'@prefix a: <{X}> . a:s a:p "open .')
 
 
 def test_serialize_empty_graph_is_header_only():
     text = serialize(QuadStore(), "http://g.example/none")
     assert text.startswith("@prefix ")
-    reparsed = parse_document(text, graph="http://g.example/none")
+    reparsed = parse_document(text)
     assert reparsed.statements == []
 
 
 def test_single_quad_round_trip():
     store = QuadStore()
-    quad = Quad(Iri(X + "s"), Iri(X + "p"), Literal("v"), DEFAULT_GRAPH)
+    quad = Quad(Iri(X + "s"), Iri(X + "p"), Literal("v"), G)
     store.insert(quad)
-    text = serialize(store, DEFAULT_GRAPH)
-    assert set(parse_document(text, graph=DEFAULT_GRAPH).statements) == {quad}
+    text = serialize(store, G)
+    assert {Quad(*t, G) for t in parse_document(text).statements} == {quad}
 
 
 def test_seed_kb_round_trips_to_equal_quad_set(seed_kb):
     store, _ = seed_kb
     text = serialize(store, vocab.CORE_GRAPH)
-    reparsed = parse_document(text, graph=vocab.CORE_GRAPH)
-    assert set(reparsed.statements) == store.graph_quads(vocab.CORE_GRAPH)
+    reparsed = parse_document(text)
+    assert {Quad(*t, vocab.CORE_GRAPH) for t in reparsed.statements} == store.graph_quads(vocab.CORE_GRAPH)
 
 
 _safe_iris = st.sampled_from([Iri(X + suffix) for suffix in ("a", "b", "p", "q", "o/long", "x%20y", "v?k=1")])
@@ -235,10 +237,10 @@ _objects = st.one_of(_safe_iris, st.builds(Blank, _blank_labels), _literals)
 def test_serialize_parse_round_trip(triples):
     store = QuadStore()
     for subject, predicate, obj in triples:
-        store.insert(Quad(subject, predicate, obj, DEFAULT_GRAPH))
-    text = serialize(store, DEFAULT_GRAPH)
-    reparsed = parse_document(text, graph=DEFAULT_GRAPH)
-    assert set(reparsed.statements) == store.graph_quads(DEFAULT_GRAPH)
+        store.insert(Quad(subject, predicate, obj, G))
+    text = serialize(store, G)
+    reparsed = parse_document(text)
+    assert {Quad(*t, G) for t in reparsed.statements} == store.graph_quads(G)
 
 
 _FUZZ_ALPHABET = string.ascii_letters + string.digits + " \t\n<>\"'@#.;,:^\\_-%{}|`()[]~é€"
