@@ -275,8 +275,10 @@ def import_order(libraries: Iterable[LibraryInfo]) -> list[LibraryInfo]:
 def compose(plan: BuildPlan, store: QuadStore) -> PlaProgram:
     """Compose the plan over the store's KB into its empty graph `program_graph_iri(basename, "pla")`.
 
-    The returned program is built from the composition itself, not read back
-    from the graph; `load_pla` on the graph decodes an equal program.
+    The whole program is built first and then written there in one batch, so
+    a composition that fails leaves no graph. The returned program is that
+    one, not read back from the graph; `load_pla` on the graph decodes an
+    equal program.
     """
     graph_iri = vocab.program_graph_iri(plan.program_basename, "pla")
     if store.graph_size(graph_iri) != 0:
@@ -309,7 +311,7 @@ def compose(plan: BuildPlan, store: QuadStore) -> PlaProgram:
         referenced_libraries=tuple(state.libraries.values()),
         called_functions=tuple(state.functions.values()),
     )
-    _write_pla(program, store)
+    write(store, graph_iri, _pla_nodes(program))
     return program
 
 
@@ -359,36 +361,32 @@ _STATEMENTS = {
 _RECORDS = {kind: (record, fields) for record, (kind, fields) in _STATEMENTS.items()}
 
 
-def _write_pla(program: PlaProgram, store: QuadStore):
-    """Write the program's graph: the nodes and quads `load_pla` decodes it from."""
+def _pla_nodes(program: PlaProgram):
+    """The program's graph as `views.write` takes it: the nodes `load_pla` decodes it from."""
     graph = program.graph_iri
     refs = [Iri(f"{graph}#libref-{index}") for index in range(len(program.referenced_libraries))]
     for index, (ref, library) in enumerate(zip(refs, program.referenced_libraries)):
-        write(store, graph, _LIBRARY_REFERENCE, ref, index=index, library=library.iri)
+        yield _LIBRARY_REFERENCE, ref, {"index": index, "library": library.iri}
     sections = []
     for section in program.sections:
+        statements = []
+        for placed in section.statements:
+            node = Iri(f"{graph}#stmt-{placed.composition_index}")
+            kind, fields = _STATEMENTS[type(placed.statement)]
+            values = dict(placed._asdict(), **placed.statement._asdict(), type=kind)
+            # A call's arguments are child nodes of its statement node, one per slot.
+            args = values.get("args", ())
+            values["args"] = slots = [Iri(f"{node.value}-arg{index}") for index in range(len(args))]
+            for index, (slot, arg) in enumerate(zip(slots, args)):
+                yield _ARGUMENT_SLOT, slot, {"index": index, "variable": arg}
+            yield _PLACEMENT, node, values
+            yield fields, node, values
+            statements.append(node)
         node = Iri(f"{graph}#section-{section.name.lower()}")
-        statements = [_write_statement(store, graph, placed) for placed in section.statements]
-        write(store, graph, _SECTION, node, **section._replace(statements=statements)._asdict(), type=PLA_SECTION)
+        yield _SECTION, node, dict(section._asdict(), type=PLA_SECTION, statements=statements)
         sections.append(node)
-    write(store, graph, _PROGRAM, Iri(program.program_iri), type=PLA_PROGRAM, basename=program.basename,
-          structure_iri=program.structure_iri, sections=sections, library_references=refs)
-
-
-def _write_statement(store: QuadStore, graph: str, placed: PlacedStatement) -> Iri:
-    """Write one placed statement and its argument slots; returns its node."""
-    node = Iri(f"{graph}#stmt-{placed.composition_index}")
-    kind, fields = _STATEMENTS[type(placed.statement)]
-    write(store, graph, _PLACEMENT, node, type=kind, order_index=placed.order_index,
-          composition_index=placed.composition_index)
-    values = placed.statement._asdict()
-    # A call's arguments are child nodes of its statement node, one per slot.
-    args = values.get("args", ())
-    values["args"] = slots = [Iri(f"{node.value}-arg{index}") for index in range(len(args))]
-    for index, (slot, arg) in enumerate(zip(slots, args)):
-        write(store, graph, _ARGUMENT_SLOT, slot, index=index, variable=arg)
-    write(store, graph, fields, node, **values)
-    return node
+    yield _PROGRAM, Iri(program.program_iri), dict(program._asdict(), type=PLA_PROGRAM, sections=sections,
+                                                   library_references=refs)
 
 
 # --- graph decoding -------------------------------------------------------

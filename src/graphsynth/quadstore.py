@@ -15,7 +15,7 @@ validate the terms: `insert(quad)`, the public entry, by the `Quad`
 constructor; the loader by the Turtle grammar, which builds every term
 through its constructor and admits only an IRI or blank subject and an IRI
 predicate, one document per call; and the field-table codec `views.write`,
-one program-graph node per call.
+one program graph per call.
 `_add_all` and `remove` keep both tables up to date and never leave an
 empty inner level; `drop_graph` pops the graph's entry from each table, so
 it does no work per quad.

@@ -67,9 +67,6 @@ class ImportPlain(NamedTuple):
 
     variation = vocab.VARIATION_IMPORT_PLAIN
 
-    def fields(self) -> dict[str, str]:
-        return {"official_name": self.official_name}
-
 
 class ImportAliased(NamedTuple):
     official_name: str
@@ -77,28 +74,19 @@ class ImportAliased(NamedTuple):
 
     variation = vocab.VARIATION_IMPORT_ALIASED
 
-    def fields(self) -> dict[str, str]:
-        return {"official_name": self.official_name, "alias": self.alias}
-
 
 class AssignExpr(NamedTuple):
-    lhs: str
-    rhs: str
+    target: str
+    expression: str
 
     variation = vocab.VARIATION_ASSIGN_EXPR
-
-    def fields(self) -> dict[str, str]:
-        return {"target": self.lhs, "expression": self.rhs}
 
 
 class CallStmt(NamedTuple):
     callee: str
-    args: tuple[str, ...]
+    arguments: str  # the argument texts, comma-joined
 
     variation = vocab.VARIATION_CALL_STMT
-
-    def fields(self) -> dict[str, str]:
-        return {"callee": self.callee, "arguments": ",".join(self.args)}
 
 
 ConcreteStatement = ImportPlain | ImportAliased | AssignExpr | CallStmt
@@ -128,18 +116,22 @@ class PlrProgram(NamedTuple):
         return out
 
 
-def _elements_for(form: StatementFormInfo, fields: dict[str, str]) -> tuple[str, ...]:
-    elements = []
+def _elements_for(form: StatementFormInfo, concrete: ConcreteStatement) -> tuple[str, ...]:
+    """The form's slots in order, each its text or the record's value of its field.
+
+    Each slot holds exactly one of a text and a field, and the field slots
+    name exactly the record's fields, each once; else a RenderError.
+    """
     for slot in form.slots:
-        if slot.text is not None:
-            elements.append(slot.text)
-        elif slot.field is not None:
-            if slot.field not in fields:
-                raise RenderError(f"form {form.variation_id} needs field '{slot.field}'")
-            elements.append(fields[slot.field])
-        else:
-            raise RenderError(f"form {form.variation_id} slot {slot.index} has neither text nor field")
-    return tuple(elements)
+        if (slot.text is None) == (slot.field is None):
+            held = "neither text nor field" if slot.text is None else "both a text and a field"
+            raise RenderError(f"form {form.variation_id} slot {slot.index} has {held}")
+    slot_fields = sorted(slot.field for slot in form.slots if slot.field is not None)
+    if slot_fields != sorted(concrete._fields):
+        raise RenderError(f"form {form.variation_id} has field slots {slot_fields}, "
+                          f"its record has fields {sorted(concrete._fields)}")
+    values = concrete._asdict()
+    return tuple(slot.text if slot.field is None else values[slot.field] for slot in form.slots)
 
 
 # Escapes for the body of a string literal: the backslash, line breaks and
@@ -198,23 +190,24 @@ class _Renderer:
                 raise RenderError(f"library {statement.library} is not among the program's referenced libraries")
             return import_statement(library)
         if isinstance(statement, AssignLiteral):
-            return AssignExpr(lhs=statement.target, rhs=self.quote(statement.value))
+            return AssignExpr(statement.target, self.quote(statement.value))
         if isinstance(statement, AssignCall):
             args = ",".join(statement.args)
-            return AssignExpr(lhs=statement.target, rhs=f"{self.callee_ref(statement.function)}({args})")
+            return AssignExpr(statement.target, f"{self.callee_ref(statement.function)}({args})")
         if isinstance(statement, ReportValue):
             # The report form is print('<label> = ',<value>): a space inside
             # the label before '=', none after the comma.
-            return CallStmt(callee="print", args=(self.quote(statement.label + " = "), statement.source))
+            return CallStmt("print", f"{self.quote(statement.label + ' = ')},{statement.source}")
         if isinstance(statement, ProgramExit):
-            return CallStmt(callee=self.callee_ref(statement.function), args=(str(statement.status),))
+            return CallStmt(self.callee_ref(statement.function), str(statement.status))
         raise UnmappableStatementError(type(statement).__name__)
 
 
 def render(pla: PlaProgram, language: LanguageInfo, store: QuadStore) -> PlrProgram:
     """Map every abstract statement to one concrete statement in its empty graph `program_graph_iri(basename, "plr")`.
 
-    Returns the program written there, built while rendering, not read back
+    The whole program is built first and then written there in one batch, so
+    a render that fails leaves no graph. Returns that program, not read back
     from the graph; `load_plr` on the graph decodes an equal program. Each
     callee is the function the abstract program carries for its call, the
     one the resolver chose; the KB is not asked for it again. A language
@@ -226,24 +219,29 @@ def render(pla: PlaProgram, language: LanguageInfo, store: QuadStore) -> PlrProg
         raise RenderError(f"target graph is not empty: {graph_iri}")
 
     sections: dict[str, list[PlacedConcrete]] = {name: [] for name in vocab.EMISSION_ORDER}
-    statements = []
     for section in sorted(pla.sections, key=lambda s: s.emission_index):
         for index, placed in enumerate(sorted(section.statements, key=lambda p: p.order_index)):
             concrete = renderer.render_statement(placed.statement)
-            elements = _elements_for(renderer.form(concrete.variation), concrete.fields())
-            node = Iri(f"{graph_iri}#stmt-{len(statements)}")
-            element_nodes = [Iri(f"{node.value}-e{element_index}") for element_index in range(len(elements))]
-            for element_index, (element, text) in enumerate(zip(element_nodes, elements)):
-                write(store, graph_iri, _ELEMENT, element, index=element_index, text=text)
-            write(store, graph_iri, _STATEMENT, node, type=PLR_STATEMENT, variation=concrete.variation,
-                  section=section.name, section_index=index, statement_index=len(statements), elements=element_nodes)
-            statements.append(node)
+            elements = _elements_for(renderer.form(concrete.variation), concrete)
             sections[section.name].append(PlacedConcrete(concrete.variation, section.name, index, elements))
-    program_iri = f"{graph_iri}#program"
-    write(store, graph_iri, _PROGRAM, Iri(program_iri), type=PLR_PROGRAM, basename=pla.basename,
-          language_iri=language.iri, statements=statements)
-    return PlrProgram(graph_iri, program_iri, pla.basename, language.iri,
-                      tuple((name, tuple(placed)) for name, placed in sections.items()))
+    plr = PlrProgram(graph_iri, f"{graph_iri}#program", pla.basename, language.iri,
+                     tuple((name, tuple(placed)) for name, placed in sections.items()))
+    write(store, graph_iri, _plr_nodes(plr))
+    return plr
+
+
+def _plr_nodes(plr: PlrProgram):
+    """The program's graph as `views.write` takes it: the nodes `load_plr` decodes it from."""
+    statements = []
+    for statement_index, placed in enumerate(plr.all_statements()):
+        node = Iri(f"{plr.graph_iri}#stmt-{statement_index}")
+        elements = [Iri(f"{node.value}-e{index}") for index in range(len(placed.elements))]
+        for index, (element, text) in enumerate(zip(elements, placed.elements)):
+            yield _ELEMENT, element, {"index": index, "text": text}
+        yield _STATEMENT, node, dict(placed._asdict(), type=PLR_STATEMENT, statement_index=statement_index,
+                                     elements=elements)
+        statements.append(node)
+    yield _PROGRAM, Iri(plr.program_iri), dict(plr._asdict(), type=PLR_PROGRAM, statements=statements)
 
 
 def load_plr(store: QuadStore, graph_iri: str) -> PlrProgram:

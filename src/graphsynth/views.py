@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from graphsynth import vocab
 from graphsynth.errors import CardinalityError, KbValidationError, MalformedQuadError
@@ -271,34 +271,36 @@ def _decode(terms: list[Term], kind: str, high: int | None):
     return tuple(values) if high is MANY else values[0] if values else None
 
 
-def write(store: QuadStore, graph: str, fields: tuple[Field, ...], node: Iri, **values):
-    """Insert one quad per value of each field of `fields` on `node`, as the term `read` reads back.
+def write(store: QuadStore, graph: str, nodes: Iterable[tuple[tuple[Field, ...], Iri, Mapping]]):
+    """Insert every node of `graph`, each (fields, node, values): one quad per value of each field on the node.
 
-    The kind decides the term: a literal, an IRI built from its string, or
-    the link term given. A single-valued field takes a value or None (no
-    quad), a many-valued one an iterable; values no field names are ignored.
-    The quads go in as one batch through the store's unchecked `_add_all`,
-    so the checks are made here, once per call or field: the node and each
-    predicate must be IRIs and a link an IRI or blank node; the term
-    constructors check the other kinds, and the store the graph name. Every value is checked before
-    the first quad goes in, so a malformed one leaves the store as it was.
+    Each quad is the term `read` reads back: the kind decides it, a literal,
+    an IRI built from its string, or the link term given. A single-valued
+    field takes a value or None (no quad), a many-valued one an iterable;
+    values no field names are ignored. The quads go in as one batch through
+    the store's unchecked `_add_all`, so the checks are made here, once per
+    node or field: each node and predicate must be an IRI and a link an IRI
+    or blank node; the term constructors check the other kinds, and the store
+    the graph name. Every value of every node is checked before the first
+    quad goes in, so a malformed one leaves the store as it was.
     """
-    if not isinstance(node, Iri):
-        raise MalformedQuadError(f"a program-graph node must be an IRI: {node!r}")
     quads = []
-    for name, predicate, kind, _, high in fields:
-        value = values[name]
-        if value is None:
-            continue
-        if not isinstance(predicate, Iri):
-            raise MalformedQuadError(f"field {name!r} has a predicate that is no IRI: {predicate!r}")
-        term = _TERM.get(kind)
-        for item in value if high is MANY else (value,):
-            if term is not None:
-                item = term(item)
-            elif not isinstance(item, (Iri, Blank)):
-                raise MalformedQuadError(f"field {name!r} takes an IRI or blank node, got {item!r}")
-            quads.append((node, predicate, item))
+    for fields, node, values in nodes:
+        if not isinstance(node, Iri):
+            raise MalformedQuadError(f"a program-graph node must be an IRI: {node!r}")
+        for name, predicate, kind, _, high in fields:
+            value = values[name]
+            if value is None:
+                continue
+            if not isinstance(predicate, Iri):
+                raise MalformedQuadError(f"field {name!r} has a predicate that is no IRI: {predicate!r}")
+            term = _TERM.get(kind)
+            for item in value if high is MANY else (value,):
+                if term is not None:
+                    item = term(item)
+                elif not isinstance(item, (Iri, Blank)):
+                    raise MalformedQuadError(f"field {name!r} takes an IRI or blank node, got {item!r}")
+                quads.append((node, predicate, item))
     store._add_all(graph, quads)
 
 

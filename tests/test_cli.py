@@ -189,6 +189,21 @@ def test_emitted_text_that_does_not_parse_maps_to_render_exit_code(tmp_path, cap
     assert not (out / "hello_analytic.py").exists()
 
 
+def test_a_form_that_does_not_fill_exactly_its_records_fields_maps_to_render_exit_code(tmp_path, capsys):
+    from graphsynth.seed import kb_dir
+
+    text = (kb_dir() / "statements.ttl").read_text(encoding="utf-8")
+    # Passes check_kb, and would emit `input_data = input_data`.
+    old = 'kb:py_assign_expr_s2 a gs:TemplateSlot ;\n    gs:hasSlotIndex 2 ;\n    gs:hasSlotField "expression" .'
+    assert old in text
+    kb = _doctored_kb(tmp_path, "statements.ttl", text.replace(old, old.replace('"expression"', '"target"')))
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "synthesize", STMT, "--kb", str(kb), "--out", str(out))
+    assert code == 7
+    assert "stage render: form assign-expr has field slots ['target', 'target']" in err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_a_call_to_a_function_the_program_does_not_carry_maps_to_render_exit_code(tmp_path, capsys, monkeypatch):
     from graphsynth import cli, composer
 

@@ -195,14 +195,14 @@ _LINK = ("link", Iri("http://t.example/link"), views.NODE, 1, 1)
 def test_write_rejects_a_malformed_quad_and_stores_nothing(graph, fields, node, values):
     store = QuadStore()
     with pytest.raises(MalformedQuadError):
-        write(store, graph, fields, node, **values)
+        write(store, graph, [(fields, node, values)])
     assert len(store) == 0 and store.graph_names() == []
 
 
 @pytest.mark.parametrize("link", [_NODE, Blank("b")], ids=["iri", "blank-node"])
 def test_a_link_reads_back_as_the_term_written(link):
     store, graph = QuadStore(), "http://t.example/g"
-    write(store, graph, (_LINK,), _NODE, link=link)
+    write(store, graph, [((_LINK,), _NODE, {"link": link})])
     assert views.read(store, graph, (_LINK,), _NODE) == {"link": link}
 
 
@@ -211,13 +211,18 @@ def test_a_malformed_value_late_in_a_node_leaves_the_graph_as_it_was(existing):
     store, graph = QuadStore(), "http://t.example/g"
     if existing:
         store.insert(Quad(Iri("http://t.example/other"), _LINK[1], _NODE, graph))
-    generation = store.generation(graph)
+    quads, generation = store.graph_quads(graph), store.generation(graph)
     fields = (("name", Iri("http://t.example/name"), views.STR, 1, 1), _LINK, ("second", _LINK[1], views.NODE, 1, 1))
-    with pytest.raises(MalformedQuadError):
+    for nodes in (
         # A valid name and a valid first link come before the malformed second link.
-        write(store, graph, fields, _NODE, name="n", link=_NODE, second=Literal("x"))
-    assert store.graph_size(graph) == existing
-    assert store.generation(graph) == generation
+        [(fields, _NODE, {"name": "n", "link": _NODE, "second": Literal("x")})],
+        # A whole valid node comes before the node that holds the malformed value.
+        [((_LINK,), Iri("http://t.example/first"), {"link": _NODE}), ((_LINK,), _NODE, {"link": Literal("x")})],
+    ):
+        with pytest.raises(MalformedQuadError):
+            write(store, graph, nodes)
+        assert store.graph_quads(graph) == quads and store.graph_size(graph) == existing
+        assert store.generation(graph) == generation
 
 
 @pytest.mark.parametrize("variant", ["example", *STATEMENT_VARIANTS])
@@ -240,12 +245,67 @@ def test_codec_writes_the_same_graphs_and_tables_as_validated_inserts(kb_store, 
         assert replay.match_pattern(pattern) == kb_store.match_pattern(pattern) == [{"s": program, "p": Iri(RDF_TYPE)}]
 
 
-def test_a_call_to_a_function_the_program_does_not_carry_is_a_render_error(kb_store, statement_text):
+def test_a_call_to_a_function_the_program_does_not_carry_is_a_render_error(kb_store, statement_text, golden_source):
     plan = resolve(parse_problem_statement(statement_text), kb_store)
     pla = compose(plan, kb_store)
     without_mean = tuple(function for function in pla.called_functions if function.iri != vocab.NUMPY_MEAN)
     with pytest.raises(RenderError, match=f"function {vocab.NUMPY_MEAN} is not among the program's called functions"):
         render(pla._replace(called_functions=without_mean), plan.language, kb_store)
+    # The failed render wrote no part of its graph, so the intact program renders into the same store.
+    graph = vocab.program_graph_iri(pla.basename, "plr")
+    assert kb_store.graph_size(graph) == 0 and graph not in kb_store.graph_names()
+    assert emit(render(pla, plan.language, kb_store)) == golden_source
+
+
+@pytest.mark.parametrize("variant", ["example", *STATEMENT_VARIANTS])
+def test_compose_and_render_each_write_their_graph_in_one_store_write(kb_store, statement_text, variant, monkeypatch):
+    plan = (resolve(parse_problem_statement(statement_text), kb_store) if variant == "example"
+            else variant_plan(kb_store, variant))
+    written = []
+    add_all = QuadStore._add_all
+    monkeypatch.setattr(QuadStore, "_add_all", lambda store, graph, triples: written.append(graph) or add_all(
+        store, graph, triples))
+    pla = compose(plan, kb_store)
+    assert written == [pla.graph_iri]
+    plr = render(pla, plan.language, kb_store)
+    assert written == [pla.graph_iri, plr.graph_iri]
+    if variant == "example":
+        assert (kb_store.graph_size(pla.graph_iri), kb_store.graph_size(plr.graph_iri)) == (101, 147)
+
+
+_SLOT_FIELD, _SLOT_TEXT = Iri(vocab.HAS_SLOT_FIELD), Iri(vocab.HAS_SLOT_TEXT)
+
+
+@pytest.mark.parametrize(
+    "slot, predicate, old, new, message",
+    [
+        # Each edit passes check_kb; filled, it would emit `import np as np`, `print(print)` and
+        # `sys.exit(sys.exit)`, or `input_data = input_data`.
+        ("py_import_aliased_s1", _SLOT_FIELD, "official_name", "alias",
+         r"form import-aliased has field slots \['alias', 'alias'\], its record has fields \['alias', 'official_name'\]"),
+        ("py_call_stmt_s2", _SLOT_FIELD, "arguments", "callee",
+         r"form call-stmt has field slots \['callee', 'callee'\], its record has fields \['arguments', 'callee'\]"),
+        ("py_assign_expr_s2", _SLOT_FIELD, "expression", "target",
+         r"form assign-expr has field slots \['target', 'target'\], its record has fields \['expression', 'target'\]"),
+        ("py_assign_expr_s0", _SLOT_TEXT, None, "x", "form assign-expr slot 0 has both a text and a field"),
+        ("py_assign_expr_s0", _SLOT_FIELD, "target", None, "form assign-expr slot 0 has neither text nor field"),
+    ],
+    ids=["alias-twice", "callee-twice", "target-twice", "text-and-field", "neither"],
+)
+def test_a_form_that_does_not_fill_exactly_its_records_fields_is_a_render_error(
+    kb_store, statement_text, slot, predicate, old, new, message
+):
+    node = Iri(vocab.kb(slot))
+    if old is not None:
+        assert kb_store.remove(Quad(node, predicate, Literal(old), vocab.CORE_GRAPH))
+    if new is not None:
+        kb_store.insert(Quad(node, predicate, Literal(new), vocab.CORE_GRAPH))
+    assert views.check_kb(kb_store) == []
+    plan = resolve(parse_problem_statement(statement_text), kb_store)
+    pla = compose(plan, kb_store)
+    with pytest.raises(RenderError, match=message):
+        render(pla, plan.language, kb_store)
+    assert kb_store.graph_size(vocab.program_graph_iri(pla.basename, "plr")) == 0
 
 
 def test_dropping_both_program_graphs_leaves_the_kb_and_allows_the_same_synthesis(pipeline, seed_kb):
@@ -280,6 +340,7 @@ def test_missing_statement_form_is_unmappable(kb_store, statement_text):
             kb_store.remove(quad)
     with pytest.raises(UnmappableStatementError):
         render(pla, plan.language, kb_store)
+    assert kb_store.graph_size(vocab.program_graph_iri(pla.basename, "plr")) == 0
 
 
 def test_import_statements_for_exemplar_library_set():

@@ -228,9 +228,9 @@ def test_a_bare_tuple_is_no_term(term):
     store = QuadStore()
     link = (("link", p, views.NODE, 1, 1),)
     for build in (
-        lambda: views.write(store, g, (), bare),
-        lambda: views.write(store, g, (("link", bare, views.NODE, 1, 1),), s, link=s),
-        lambda: views.write(store, g, link, s, link=bare),
+        lambda: views.write(store, g, [((), bare, {})]),
+        lambda: views.write(store, g, [((("link", bare, views.NODE, 1, 1),), s, {"link": s})]),
+        lambda: views.write(store, g, [(link, s, {"link": bare})]),
     ):
         with pytest.raises(MalformedQuadError):
             build()
