@@ -49,6 +49,8 @@ class Iri(tuple):
     __slots__ = ()
 
     def __new__(cls, value: str):
+        if not isinstance(value, str):
+            raise MalformedTermError(f"IRI must be a string, got {value!r}")
         if not value:
             raise MalformedTermError("IRI must be non-empty")
         if _WHITESPACE.search(value):
@@ -70,7 +72,7 @@ class Blank(tuple):
     __slots__ = ()
 
     def __new__(cls, id: str):
-        if not _BLANK_ID.match(id):
+        if not isinstance(id, str) or not _BLANK_ID.match(id):
             raise MalformedTermError(f"blank node id must be a simple label, got {id!r}")
         return _tuple(cls, (1, id))
 
@@ -89,13 +91,18 @@ class Literal(tuple):
     __slots__ = ()
 
     def __new__(cls, lexical: str, datatype: str = XSD_STRING, language_tag: str | None = None):
-        if not datatype:
-            raise MalformedTermError("literal must carry a datatype IRI")
-        if language_tag is not None and datatype != RDF_LANG_STRING:
-            raise MalformedTermError("language-tagged literal must use the rdf langString datatype")
-        if language_tag == "":
-            # An empty tag would be the same tuple as no tag at all.
-            raise MalformedTermError("language tag must be non-empty")
+        if not isinstance(lexical, str):
+            raise MalformedTermError(f"literal lexical form must be a string, got {lexical!r}")
+        if not isinstance(datatype, str) or not datatype:
+            raise MalformedTermError(f"literal must carry a datatype IRI, got {datatype!r}")
+        if language_tag is not None:
+            if not isinstance(language_tag, str):
+                raise MalformedTermError(f"language tag must be a string, got {language_tag!r}")
+            if datatype != RDF_LANG_STRING:
+                raise MalformedTermError("language-tagged literal must use the rdf langString datatype")
+            if not language_tag:
+                # An empty tag would be the same tuple as no tag at all.
+                raise MalformedTermError("language tag must be non-empty")
         return _tuple(cls, (2, lexical, datatype, language_tag or ""))
 
     lexical = property(itemgetter(1))
@@ -116,5 +123,13 @@ class Literal(tuple):
 Term = Iri | Literal | Blank
 
 
+_SMALL_INTEGERS = tuple(Literal(str(value), XSD_INTEGER) for value in range(256))
+
+
 def integer_literal(value: int) -> Literal:
+    """The xsd:integer literal of an int; one literal is shared for each of 0..255."""
+    if type(value) is not int:  # a bool is an int, but its str() is no integer
+        raise MalformedTermError(f"integer literal must be built from an int, got {value!r}")
+    if 0 <= value < len(_SMALL_INTEGERS):
+        return _SMALL_INTEGERS[value]
     return Literal(str(value), XSD_INTEGER)

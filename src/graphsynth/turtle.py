@@ -8,16 +8,22 @@ lists, collections, and multiline strings. Every malformed input raises a
 TurtleParseError carrying line and column, among them a string escape that
 names no Unicode character and an IRI the terms module rejects.
 
-The lexer keeps only offsets: a token and the trivia before it are one
-match of one combined pattern, and the line and column of an error are
-counted from its offset when it is raised. The IRI of an IRIREF or
-prefixed-name token is built once per text while the same directives are
-in scope.
+The lexer is one `findall` of one pattern per document. Each match is the
+trivia before a token and, in the pattern's one group, the token, so the
+parser walks a list of strings and reads each token's kind from its text:
+its first character, a ':' in it, its length. No offset is kept. An error
+is located after the fact: the pattern is matched again up to the failing
+token, and the line and column are counted from its offset. At that token
+the error is what a lexer reading one token ahead would have raised first:
+a stray character, a quote that opens no string, or a string with a bad
+escape. The IRI of an IRIREF or prefixed-name token is built once per text
+while the same directives are in scope.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import islice
 
 from graphsynth import vocab
 from graphsynth.errors import MalformedTermError, TurtleParseError
@@ -44,50 +50,47 @@ _SCHEME = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*:")
 _INTEGER = re.compile(r"^[+-]?[0-9]+$")
 _DECIMAL = re.compile(r"^[+-]?[0-9]*\.[0-9]+$")
 
-# Token kinds, each also the name of its group in _TOKEN.
-_IRIREF = "IRIREF"
-_PNAME = "PNAME"
-_BLANK = "BLANK"
-_STRING = "STRING"
-_QUOTE = "QUOTE"
-_NUMBER = "NUMBER"
-_IDENT = "IDENT"
-_PUNCT = "PUNCT"
-_DIRECTIVE = "DIRECTIVE"
-_LANGTAG = "LANGTAG"
-_EOF = "EOF"
-
 _ESCAPES = {"t": "\t", "n": "\n", "r": "\r", '"': '"', "'": "'", "\\": "\\"}
 _HEX = re.compile(r"[0-9A-Fa-f]+")
-# Whitespace and comments. A comment must run to its line's end, so that no
-# backtracking into it can find a token inside it.
-_TRIVIA = re.compile(r"[ \t\r\n]*(?:#[^\n]*(?:\n|\Z)[ \t\r\n]*)*")
-# The trivia before a token, then the token: one alternative per kind, in
-# priority order, so the first that matches names the kind. A string
-# without escapes is one STRING match; QUOTE starts any other string, which
-# _lex_string scans.
+# The trivia before a token (whitespace and comments), then, in the one group,
+# the token: the first alternative that matches is the token. Alternatives
+# whose first characters overlap keep their order (a prefixed name before an
+# identifier, a directive before a language tag); the common kinds come
+# first. A comment runs to its line's end, so no backtracking into it can
+# find a token inside it; the group is optional, so the trivia at the end of
+# the text is one match with an empty token and never gives a comment back.
+# A string is matched whole, escapes and all; a quote that opens no string,
+# like any character that starts no token, is a token of its own, which the
+# parser never accepts.
+_PN_LOCAL = r"(?:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)?"
 _TOKEN = re.compile(
-    _TRIVIA.pattern
-    + "(?:"
-    + "|".join(
-        f"(?P<{kind}>{pattern})"
-        for kind, pattern in (
-            (_STRING, r"\"[^\"\\\n]*\"|'[^'\\\n]*'"),
-            (_QUOTE, r"[\"']"),
-            (_IRIREF, r"<[^<>\"{}|^`\\\x00-\x20]*>"),
-            (_DIRECTIVE, r"@(?:prefix|base)\b"),
-            (_LANGTAG, r"@[A-Za-z]+(?:-[A-Za-z0-9]+)*"),
-            (_BLANK, r"_:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?"),
-            (_NUMBER, r"[+-]?(?:[0-9]*\.[0-9]+|[0-9]+)"),
-            # Prefixed name: prefix part may be empty; local part may be empty but
-            # never ends in '.' so the statement terminator stays unambiguous.
-            (_PNAME, r"(?:[A-Za-z][A-Za-z0-9_.-]*)?:(?:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)?"),
-            (_IDENT, r"[A-Za-z][A-Za-z0-9_-]*"),
-            (_PUNCT, r"\^\^|[.;,]"),
-        )
-    )
-    + ")"
+    r"[ \t\r\n]*(?:#[^\n]*(?:\n|\Z)[ \t\r\n]*)*("
+    # Prefixed name: its local part may be empty but never ends in '.', so
+    # the statement terminator stays unambiguous.
+    r"[A-Za-z][A-Za-z0-9_.-]*:" + _PN_LOCAL
+    + r"|[A-Za-z][A-Za-z0-9_-]*"  # identifier: a, true, false
+    r"|:" + _PN_LOCAL  # prefixed name with the empty prefix
+    + r"|[;,]|\.(?![0-9])|\^\^"  # punctuation; '.' before a digit starts a number
+    r"|\"[^\"\\\n]*(?:\\.[^\"\\\n]*)*\"|'[^'\\\n]*(?:\\.[^'\\\n]*)*'"  # string
+    r"|<[^<>\"{}|^`\\\x00-\x20]*>"  # IRIREF
+    r"|[+-]?(?:[0-9]*\.[0-9]+|[0-9]+)"  # number
+    r"|@(?:prefix|base)\b"  # directive
+    r"|@[A-Za-z]+(?:-[A-Za-z0-9]+)*"  # language tag
+    r"|_:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?"  # blank node
+    r"|."  # a stray character
+    r")?"
 )
+_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+# The one-character tokens that are no stray: a letter, a digit, ':' and punctuation.
+_ONE_CHAR_TOKENS = frozenset(_LETTERS + "0123456789:.;,")
+# First characters, as sets: the empty token at the end is in every string.
+_QUOTES = frozenset("\"'")
+_PNAME_START = frozenset(_LETTERS + ":")
+_DIGITS = frozenset("0123456789")
+_SIGN_OR_DOT = frozenset("+-.")  # starts a number when more follows
+# The first character of a token glued to a directive keyword that makes the
+# keyword a language tag: a word character no language tag can hold.
+_TAG_GLUE = re.compile(r"[^\WA-Za-z]")
 # The run of a string body up to its closing quote, an escape or a newline.
 _STRING_RUN = {'"': re.compile(r'[^"\\\n]*'), "'": re.compile(r"[^'\\\n]*")}
 _A = Iri(RDF_TYPE)
@@ -109,8 +112,8 @@ def _error_at(text: str, pos: int, message: str) -> TurtleParseError:
     return TurtleParseError(message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
 
 
-def _lex_string(text: str, start: int) -> tuple[str, int]:
-    """The value of the string whose quote is at `start`, and the offset after it."""
+def _lex_string(text: str, start: int) -> str:
+    """The value of the string whose quote is at `start`."""
     quote = text[start]
     run = _STRING_RUN[quote]
     parts = []
@@ -123,7 +126,7 @@ def _lex_string(text: str, start: int) -> tuple[str, int]:
             raise _error_at(text, start, "unterminated string")
         ch = text[pos]
         if ch == quote:
-            return "".join(parts), pos + 1
+            return "".join(parts)
         if ch == "\n":
             raise _error_at(text, pos, "newline inside string")
         if pos + 1 >= len(text):
@@ -147,167 +150,185 @@ def _lex_string(text: str, start: int) -> tuple[str, int]:
 
 
 class _Parser:
-    """Recursive descent over one token of lookahead: `kind`, `text` and `pos`.
+    """Recursive descent over the token list, which ends with an empty token.
 
-    `text` is the token's source text, or a string's value; `pos` is its
-    start offset, and `end` the offset where the next token's trivia starts.
+    Each method takes the index of the token it starts at; one that may
+    read more than one token also returns the index after what it read.
     """
+
+    __slots__ = ("source", "tokens", "doc", "iris")
 
     def __init__(self, source: str):
         self.source = source
+        self.tokens = _TOKEN.findall(source)
         self.doc = OntologyDocument()
         # IRIREF or prefixed-name text -> its Iri, under the directives so far.
         self.iris: dict[str, Iri] = {}
-        self.end = 0
-        self._bump()
-
-    def _bump(self):
-        source = self.source
-        m = _TOKEN.match(source, self.end)
-        if m is None:
-            self.pos = pos = _TRIVIA.match(source, self.end).end()
-            if pos < len(source):
-                raise _error_at(source, pos, f"unexpected character {source[pos]!r}")
-            self.kind, self.text = _EOF, ""
-            return
-        self.kind = m.lastgroup
-        self.pos = pos = m.start(self.kind)
-        if self.kind == _STRING:
-            self.text = source[pos + 1 : m.end() - 1]
-            self.end = m.end()
-        elif self.kind == _QUOTE:
-            self.kind = _STRING
-            self.text, self.end = _lex_string(source, pos)
-        else:
-            self.text = m.group(self.kind)
-            self.end = m.end()
-
-    def _error(self, message: str, pos: int | None = None) -> TurtleParseError:
-        return _error_at(self.source, self.pos if pos is None else pos, message)
-
-    def _iri(self, value: str, pos: int) -> Iri:
-        try:
-            return Iri(value)
-        except MalformedTermError as exc:
-            raise self._error(str(exc), pos) from exc
-
-    def _expect_punct(self, text: str):
-        if self.kind != _PUNCT or self.text != text:
-            raise self._error(f"expected '{text}', got {self.text!r}")
-        self._bump()
 
     def parse(self) -> OntologyDocument:
-        while self.kind != _EOF:
-            if self.kind == _DIRECTIVE:
-                self._parse_directive()
-            else:
-                self._parse_triples()
+        tokens, iris = self.tokens, self.iris
+        statements = self.doc.statements
+        i = 0
+        while tokens[i]:
+            if self._is_directive(i):
+                i = self._parse_directive(i)
+                continue
+            subject = iris.get(tokens[i]) or self._term(i, "subject")
+            i += 1
+            while True:
+                tok = tokens[i]
+                verb = _A if tok == "a" else iris.get(tok) or self._term(i, "predicate")
+                i += 1
+                while True:
+                    obj = iris.get(tokens[i])
+                    if obj is None:
+                        obj, i = self._object(i)
+                    else:
+                        i += 1
+                    statements.append((subject, verb, obj))
+                    if tokens[i] != ",":
+                        break
+                    i += 1
+                if tokens[i] != ";":
+                    break
+                i += 1
+                # A dangling ';' before '.' is tolerated, as in full Turtle.
+                if tokens[i] == ".":
+                    break
+            i = self._expect(i, ".")
         return self.doc
 
-    def _parse_directive(self):
-        which = self.text
+    def _is_directive(self, i: int) -> bool:
+        """Whether token i is the `@prefix` or `@base` keyword.
+
+        Glued to a word character, a keyword is a language tag: `\b` in
+        _TOKEN ends a directive, and the language tag alternative then
+        matches the same text.
+        """
+        tok = self.tokens[i]
+        if tok != "@prefix" and tok != "@base":
+            return False
+        return not (_TAG_GLUE.match(self.tokens[i + 1]) and self._offset(i + 1) == self._offset(i) + len(tok))
+
+    def _parse_directive(self, i: int) -> int:
+        tokens = self.tokens
         self.iris.clear()
-        self._bump()
-        if which == "@prefix":
-            if self.kind != _PNAME or not self.text.endswith(":") or self.text.count(":") != 1:
-                raise self._error("expected 'prefix:' after @prefix")
-            prefix = self.text[:-1]
-            self._bump()
-            if self.kind != _IRIREF:
-                raise self._error("expected <iri> in @prefix directive")
-            self.doc.prefixes[prefix] = self._resolve_iriref(self.text)
-            self._bump()
+        if tokens[i] == "@prefix":
+            name = tokens[i + 1]
+            # Only a prefixed name can end in its one ':'.
+            if not name.endswith(":") or name.count(":") != 1:
+                raise self._error(i + 1, "expected 'prefix:' after @prefix")
+            i += 2
+            if not _is_iriref(tokens[i]):
+                raise self._error(i, "expected <iri> in @prefix directive")
+            self.doc.prefixes[name[:-1]] = self._resolve_iriref(i)
         else:
-            if self.kind != _IRIREF:
-                raise self._error("expected <iri> in @base directive")
-            self.doc.base = self._resolve_iriref(self.text)
-            self._bump()
-        self._expect_punct(".")
+            i += 1
+            if not _is_iriref(tokens[i]):
+                raise self._error(i, "expected <iri> in @base directive")
+            self.doc.base = self._resolve_iriref(i)
+        return self._expect(i + 1, ".")
 
-    def _expand(self, kind: str, text: str) -> str:
-        """The IRI an IRIREF or prefixed-name token stands for."""
-        if kind == _IRIREF:
-            return self._resolve_iriref(text)
-        prefix, _, local = text.partition(":")
-        namespace = self.doc.prefixes.get(prefix)
-        if namespace is None:
-            raise self._error(f"undeclared prefix '{prefix}:'")
-        return namespace + local
+    def _expect(self, i: int, text: str) -> int:
+        if self.tokens[i] != text:
+            raise self._unexpected(i, f"'{text}'")
+        return i + 1
 
-    def _resolve_iriref(self, raw: str) -> str:
-        value = raw[1:-1]
+    def _resolve_iriref(self, i: int) -> str:
+        value = self.tokens[i][1:-1]
         if _SCHEME.match(value):
             return value
         if self.doc.base is None:
-            raise self._error(f"relative IRI <{value}> with no @base in scope")
+            raise self._error(i, f"relative IRI <{value}> with no @base in scope")
         return self.doc.base + value
 
-    def _parse_term(self, position: str) -> Term:
-        kind, text, pos = self.kind, self.text, self.pos
-        if kind == _IRIREF or kind == _PNAME:
-            iri = self.iris.get(text)
-            if iri is None:
-                self.iris[text] = iri = self._iri(self._expand(kind, text), pos)
-            self._bump()
-            return iri
-        if kind == _BLANK:
+    def _term(self, i: int, position: str) -> Iri | Blank:
+        """The IRI or blank node at token i, which `iris` does not hold."""
+        tok = self.tokens[i]
+        first = tok[:1]
+        if first == "_" and len(tok) > 1:
             if position == "predicate":
-                raise self._error("blank node not allowed as predicate")
-            self._bump()
-            return Blank(text[2:])
-        if position == "object":
-            if kind == _STRING:
-                self._bump()
-                return self._finish_literal(text)
-            if kind == _NUMBER:
-                self._bump()
-                return Literal(text, XSD_DECIMAL if "." in text else XSD_INTEGER)
-            if kind == _IDENT and text in ("true", "false"):
-                self._bump()
-                return Literal(text, XSD_BOOLEAN)
-        raise self._error(f"expected {position} term, got {text!r}")
+                raise self._error(i, "blank node not allowed as predicate")
+            return Blank(tok[2:])
+        if _is_iriref(tok):
+            value = self._resolve_iriref(i)
+        elif first in _PNAME_START and ":" in tok:
+            prefix, _, local = tok.partition(":")
+            namespace = self.doc.prefixes.get(prefix)
+            if namespace is None:
+                raise self._error(i, f"undeclared prefix '{prefix}:'")
+            value = namespace + local
+        else:
+            raise self._unexpected(i, f"{position} term")
+        try:
+            self.iris[tok] = iri = Iri(value)
+        except MalformedTermError as exc:
+            raise self._error(i, str(exc)) from exc
+        return iri
 
-    def _finish_literal(self, lexical: str) -> Literal:
-        if self.kind == _LANGTAG:
-            tag = self.text[1:]
-            self._bump()
-            return Literal(lexical, RDF_LANG_STRING, tag)
-        if self.kind == _PUNCT and self.text == "^^":
-            self._bump()
-            datatype = self._parse_term("datatype")
-            if not isinstance(datatype, Iri):
-                raise self._error("datatype must be an IRI")
-            return Literal(lexical, datatype.value)
-        return Literal(lexical, XSD_STRING)
+    def _object(self, i: int) -> tuple[Term, int]:
+        """The object term at token i, which `iris` does not hold."""
+        tok = self.tokens[i]
+        first = tok[:1]
+        if first in _QUOTES and len(tok) > 1:
+            return self._literal(i)
+        if first in _DIGITS or first in _SIGN_OR_DOT and len(tok) > 1:
+            return Literal(tok, XSD_DECIMAL if "." in tok else XSD_INTEGER), i + 1
+        if tok == "true" or tok == "false":
+            return Literal(tok, XSD_BOOLEAN), i + 1
+        return self._term(i, "object"), i + 1
 
-    def _parse_verb(self) -> Iri:
-        if self.kind == _IDENT and self.text == "a":
-            self._bump()
-            return _A
-        term = self._parse_term("predicate")
-        if not isinstance(term, Iri):
-            raise self._error("predicate must be an IRI")
-        return term
+    def _literal(self, i: int) -> tuple[Literal, int]:
+        """The literal of string token i, with the language tag or datatype after it."""
+        lexical = self._string(i)
+        tok = self.tokens[i + 1]
+        if tok[:1] == "@" and len(tok) > 1 and not self._is_directive(i + 1):
+            return Literal(lexical, RDF_LANG_STRING, tok[1:]), i + 2
+        if tok != "^^":
+            return Literal(lexical, XSD_STRING), i + 1
+        datatype = self.iris.get(self.tokens[i + 2]) or self._term(i + 2, "datatype")
+        if not isinstance(datatype, Iri):
+            raise self._error(i + 3, "datatype must be an IRI")
+        return Literal(lexical, datatype.value), i + 3
 
-    def _parse_triples(self):
-        subject = self._parse_term("subject")
-        statements = self.doc.statements
-        while True:
-            verb = self._parse_verb()
-            while True:
-                statements.append((subject, verb, self._parse_term("object")))
-                if self.kind == _PUNCT and self.text == ",":
-                    self._bump()
-                    continue
-                break
-            if self.kind == _PUNCT and self.text == ";":
-                self._bump()
-                # A dangling ';' before '.' is tolerated, as in full Turtle.
-                if self.kind == _PUNCT and self.text == ".":
-                    break
-                continue
-            break
-        self._expect_punct(".")
+    def _string(self, i: int) -> str:
+        """The value of string token i."""
+        tok = self.tokens[i]
+        if "\\" not in tok:
+            return tok[1:-1]
+        try:
+            return _lex_string(tok, 0)
+        except TurtleParseError:
+            # Raises the same error, placed in the source.
+            return _lex_string(self.source, self._offset(i))
+
+    def _offset(self, i: int) -> int:
+        """The offset of token i, found by lexing the source again up to it."""
+        return next(islice(_TOKEN.finditer(self.source), i, None)).end() - len(self.tokens[i])
+
+    def _error(self, i: int, message: str) -> TurtleParseError:
+        """The error at token i, as a lexer that read one token ahead met it.
+
+        Such a lexer raised at a token it could not read before the parser
+        looked at it: a stray character, a quote that opens no string, or a
+        string with a bad escape.
+        """
+        tok = self.tokens[i]
+        pos = self._offset(i)
+        if tok[:1] in _QUOTES:
+            _lex_string(self.source, pos)
+        elif len(tok) == 1 and tok not in _ONE_CHAR_TOKENS:
+            message = f"unexpected character {tok!r}"
+        return _error_at(self.source, pos, message)
+
+    def _unexpected(self, i: int, expected: str) -> TurtleParseError:
+        tok = self.tokens[i]
+        shown = self._string(i) if tok[:1] in _QUOTES and len(tok) > 1 else tok
+        return self._error(i, f"expected {expected}, got {shown!r}")
+
+
+def _is_iriref(tok: str) -> bool:
+    return tok[:1] == "<" and len(tok) > 1
 
 
 def parse_document(text: str) -> OntologyDocument:

@@ -443,9 +443,11 @@ def _cross_entity_problems(kb: Kb, kb_fields: dict[str, dict[Iri, dict]]) -> lis
                                 f"expected {', '.join(expected)}")
     for owner, slot_cls, link in ((vocab.STATEMENT_FORM, vocab.TEMPLATE_SLOT, vocab.HAS_TEMPLATE_SLOT),
                                   (vocab.CODE_FUNCTION, vocab.ARGUMENT_SLOT, vocab.HAS_ARGUMENT_SLOT)):
+        owners: dict[Iri, list[Iri]] = {slot: [] for slot in kb_fields[slot_cls]}
         for node, values in kb_fields[owner].items():
             by_index: dict[int, list[Iri]] = {}
             for slot in values["slots"]:
+                owners[slot].append(node)
                 by_index.setdefault(kb_fields[slot_cls][slot]["index"], []).append(slot)
             problems += [
                 f"{_format_term(node)} {_format_term(Iri(link))}: slot index {index} is held by "
@@ -458,6 +460,12 @@ def _cross_entity_problems(kb: Kb, kb_fields: dict[str, dict[Iri, dict]]) -> lis
             if indexes != list(range(len(indexes))):
                 problems.append(f"{_format_term(node)} {_format_term(Iri(link))}: slot indexes {indexes} "
                                 f"do not run 0..{len(indexes) - 1}")
+        # A slot with no owner is never used, and one with several is used by each.
+        for slot, nodes in owners.items():
+            if len(nodes) != 1:
+                held = f": {', '.join(map(_format_term, nodes))}" if nodes else ""
+                problems.append(f"{_format_term(slot)}: expected exactly 1 owner by {_format_term(Iri(link))}, "
+                                f"found {len(nodes)}{held}")
     return problems
 
 

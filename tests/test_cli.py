@@ -278,8 +278,13 @@ def test_kb_shape_violation_maps_to_load_exit_code_and_names_entity_and_property
         ("statements.ttl", [("kb:py_import_aliased_s1 ,\n        kb:py_import_aliased_s2 , kb:py_import_aliased_s3 .",
                              "kb:py_import_aliased_s1 ,\n        kb:py_import_aliased_s3 .")],
          "kb:py_import_aliased gs:hasTemplateSlot: slot indexes [0, 1, 3] do not run 0..2"),
+        # A slot no form holds was accepted, and synthesize exited 0.
+        ("statements.ttl", [("kb:py_import_plain_s0 a gs:TemplateSlot ;",
+                             'kb:py_loose_s0 a gs:TemplateSlot ;\n    gs:hasSlotIndex 0 ;\n    gs:hasSlotText "x" .\n'
+                             "kb:py_import_plain_s0 a gs:TemplateSlot ;")],
+         "kb:py_loose_s0: expected exactly 1 owner by gs:hasTemplateSlot, found 0"),
     ],
-    ids=["template-slot", "argument-slot", "template-slot-gap"],
+    ids=["template-slot", "argument-slot", "template-slot-gap", "orphan-template-slot"],
 )
 def test_duplicate_slot_index_maps_to_load_exit_code_and_names_the_slots(tmp_path, capsys, filename, edits, problem):
     from graphsynth.seed import kb_dir

@@ -334,10 +334,13 @@ def test_unsupported_language_family(pipeline):
 def test_missing_statement_form_is_unmappable(kb_store, statement_text):
     plan = resolve(parse_problem_statement(statement_text), kb_store)
     pla = compose(plan, kb_store)
-    # Strip the aliased-import form from the KB so numpy cannot be rendered.
+    # Strip the aliased-import form and its slots from the KB so numpy cannot be rendered.
+    form = Iri(vocab.kb("py_import_aliased"))
+    stripped = {form, *kb_store.objects(form, Iri(vocab.HAS_TEMPLATE_SLOT), vocab.CORE_GRAPH)}
     for quad in list(kb_store.quads(vocab.CORE_GRAPH)):
-        if quad.subject == Iri(vocab.kb("py_import_aliased")):
+        if quad.subject in stripped:
             kb_store.remove(quad)
+    assert views.check_kb(kb_store) == []
     with pytest.raises(UnmappableStatementError):
         render(pla, plan.language, kb_store)
     assert kb_store.graph_size(vocab.program_graph_iri(pla.basename, "plr")) == 0

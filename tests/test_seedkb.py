@@ -198,35 +198,67 @@ def _kb_quad(subject: str, predicate: str, obj) -> Quad:
     return Quad(Iri(vocab.KB + subject), Iri(predicate), obj, vocab.CORE_GRAPH)
 
 
+def _orphan(slot: str) -> str:
+    return f"kb:{slot}: expected exactly 1 owner by gs:hasTemplateSlot, found 0"
+
+
 # Each of the first four deletions left the example emitting a broken program
 # with exit 0 while check_kb found nothing: `import numpynp`, a bare `sys`, a
-# call with no callee, and `print()`.
+# call with no callee, and `print()`. Each also leaves the unlinked slot with
+# no owner.
 @pytest.mark.parametrize(
-    "removed, added, problem",
+    "removed, added, problems",
     [
         ([_kb_quad("py_import_aliased", vocab.HAS_TEMPLATE_SLOT, Iri(vocab.KB + "py_import_aliased_s2"))], [],
-         "kb:py_import_aliased gs:hasTemplateSlot: slot indexes [0, 1, 3] do not run 0..2"),
+         ["kb:py_import_aliased gs:hasTemplateSlot: slot indexes [0, 1, 3] do not run 0..2",
+          _orphan("py_import_aliased_s2")]),
         ([_kb_quad("py_import_plain", vocab.HAS_TEMPLATE_SLOT, Iri(vocab.KB + "py_import_plain_s0"))], [],
-         "kb:py_import_plain gs:hasTemplateSlot: slot indexes [1] do not run 0..0"),
+         ["kb:py_import_plain gs:hasTemplateSlot: slot indexes [1] do not run 0..0", _orphan("py_import_plain_s0")]),
         ([_kb_quad("py_call_stmt", vocab.HAS_TEMPLATE_SLOT, Iri(vocab.KB + "py_call_stmt_s0"))], [],
-         "kb:py_call_stmt gs:hasTemplateSlot: slot indexes [1, 2, 3] do not run 0..2"),
+         ["kb:py_call_stmt gs:hasTemplateSlot: slot indexes [1, 2, 3] do not run 0..2", _orphan("py_call_stmt_s0")]),
         ([_kb_quad("py_call_stmt", vocab.HAS_TEMPLATE_SLOT, Iri(vocab.KB + "py_call_stmt_s2"))], [],
-         "kb:py_call_stmt gs:hasTemplateSlot: slot indexes [0, 1, 3] do not run 0..2"),
+         ["kb:py_call_stmt gs:hasTemplateSlot: slot indexes [0, 1, 3] do not run 0..2", _orphan("py_call_stmt_s2")]),
         ([_kb_quad("numpy_mean_arg0", vocab.HAS_SLOT_INDEX, integer_literal(0))],
          [_kb_quad("numpy_mean_arg0", vocab.HAS_SLOT_INDEX, integer_literal(1))],
-         "kb:numpy_mean gs:hasArgumentSlot: slot indexes [1] do not run 0..0"),
+         ["kb:numpy_mean gs:hasArgumentSlot: slot indexes [1] do not run 0..0"]),
     ],
     ids=["import-aliased-s2", "import-plain-s0", "call-stmt-s0", "call-stmt-s2", "argument-index-1"],
 )
-def test_check_kb_flags_slot_indexes_that_do_not_run_from_0_to_n_minus_1(kb_store, removed, added, problem):
+def test_check_kb_flags_slot_indexes_that_do_not_run_from_0_to_n_minus_1(kb_store, removed, added, problems):
     for quad in removed:
         assert kb_store.remove(quad)
     for quad in added:
         assert kb_store.insert(quad)
-    assert check_kb(kb_store) == [problem]
+    assert check_kb(kb_store) == problems
     with pytest.raises(KbValidationError) as raised:
         views.kb(kb_store)
-    assert raised.value.problems == [problem]
+    assert raised.value.problems == problems
+
+
+@pytest.mark.parametrize(
+    "added, problems",
+    [
+        ('kb:loose_s0 a gs:TemplateSlot ; gs:hasSlotIndex 0 ; gs:hasSlotText "x" .',
+         ["kb:loose_s0: expected exactly 1 owner by gs:hasTemplateSlot, found 0"]),
+        ("kb:loose_arg0 a gs:ArgumentSlot ; gs:hasSlotIndex 0 ; gs:hasSlotRole kb:role_input_data .",
+         ["kb:loose_arg0: expected exactly 1 owner by gs:hasArgumentSlot, found 0"]),
+        ("kb:py_import_aliased gs:hasTemplateSlot kb:py_import_plain_s1 .",
+         ["kb:py_import_aliased gs:hasTemplateSlot: slot index 1 is held by kb:py_import_aliased_s1, "
+          "kb:py_import_plain_s1",
+          "kb:py_import_plain_s1: expected exactly 1 owner by gs:hasTemplateSlot, found 2: "
+          "kb:py_import_aliased, kb:py_import_plain"]),
+        ("kb:numpy_std gs:hasArgumentSlot kb:numpy_mean_arg0 .",
+         ["kb:numpy_std gs:hasArgumentSlot: slot index 0 is held by kb:numpy_mean_arg0, kb:numpy_std_arg0",
+          "kb:numpy_mean_arg0: expected exactly 1 owner by gs:hasArgumentSlot, found 2: kb:numpy_mean, kb:numpy_std"]),
+    ],
+    ids=["orphan-template-slot", "orphan-argument-slot", "shared-template-slot", "shared-argument-slot"],
+)
+def test_check_kb_flags_a_slot_with_no_owner_or_several(kb_store, added, problems):
+    insert_turtle(kb_store, TEST_HEADER + added)
+    assert check_kb(kb_store) == problems
+    with pytest.raises(KbValidationError) as raised:
+        views.kb(kb_store)
+    assert raised.value.problems == problems
 
 
 def test_check_kb_flags_function_without_library(kb_store):

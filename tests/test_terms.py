@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from graphsynth import views
 from graphsynth.errors import MalformedQuadError, MalformedTermError
 from graphsynth.quadstore import Pattern, Quad, QuadStore, Var
-from graphsynth.terms import RDF_LANG_STRING, XSD_INTEGER, XSD_STRING, Blank, Iri, Literal
+from graphsynth.terms import RDF_LANG_STRING, XSD_INTEGER, XSD_STRING, Blank, Iri, Literal, integer_literal
 
 from oracles import term_key
 
@@ -130,11 +130,29 @@ def test_repr(record, text):
         (lambda: Blank("a b"), "blank node id must be a simple label"),
         (lambda: Blank(".a"), "blank node id must be a simple label"),
         (lambda: Blank("a."), "blank node id must be a simple label"),
+        # A field of another type is no term, even where str() would make one.
+        (lambda: Iri(5), "IRI must be a string, got 5"),
+        (lambda: Iri(b"http://x/a"), "IRI must be a string"),
+        (lambda: Blank(5), "blank node id must be a simple label, got 5"),
+        (lambda: Literal(5), "literal lexical form must be a string, got 5"),
+        (lambda: Literal(None), "literal lexical form must be a string"),
+        (lambda: Literal("x", Iri(XSD_INTEGER)), "literal must carry a datatype IRI, got <"),
+        (lambda: Literal("x", RDF_LANG_STRING, 5), "language tag must be a string, got 5"),
+        (lambda: integer_literal(True), "integer literal must be built from an int, got True"),
+        (lambda: integer_literal("5"), "integer literal must be built from an int, got '5'"),
+        (lambda: integer_literal(5.0), "integer literal must be built from an int, got 5.0"),
     ],
 )
 def test_malformed_terms_raise(build, message):
     with pytest.raises(MalformedTermError, match=message):
         build()
+
+
+def test_integer_literals_of_0_to_255_are_shared_and_all_equal_a_built_literal():
+    for value in (*range(-3, 260), 10**20, -(10**20)):
+        literal = integer_literal(value)
+        assert type(literal) is Literal and literal == Literal(str(value), XSD_INTEGER)
+        assert (integer_literal(value) is literal) is (0 <= value <= 255)
 
 
 @pytest.mark.parametrize(

@@ -136,6 +136,17 @@ _ERROR_HEAD = "# leading comment\r\n@prefix a: <http://x.example/> .\r\n\t# inde
         ("\t<q>\ta:o .\r\n", "relative IRI <q> with no @base in scope", 5, 2),
         ("\ta:q\ta:o\r\n# between\r\na:t a:p a:o .\r\n", "expected '.', got 'a:t'", 7, 1),
         ("\t_:b\ta:o .\r\n", "blank node not allowed as predicate", 5, 2),
+        # Which error wins where a token the lexer cannot read meets a parse
+        # error: the lexer reads one token ahead of the parser.
+        ('\ta:q\ta:o .\r\n"s\\q"\ta:p\ta:o .\r\n', "unknown escape '\\q'", 6, 3),
+        ('\ta:q\ta:o .\r\nnope:s\t"x\\q" .\r\n', "undeclared prefix 'nope:'", 6, 1),
+        ('\ta:q\t"x"@en\t"y\\q" .\r\n', "unknown escape '\\q'", 5, 15),
+        ("\ta:q\ta:o .\r\n. %", "expected subject term, got '.'", 6, 1),
+        ("\ta:q\ta:o\t%\r\n", "unexpected character '%'", 5, 10),
+        ("\ta:q\t<http://x.example/a b> .\r\n", "unexpected character '<'", 5, 6),
+        # A directive keyword glued to a word character is a language tag.
+        ('\ta:q\t"x"@prefix1 .\r\n', "expected '.', got '1'", 5, 16),
+        ("\ta:q\ta:o .\r\n@base_:b a:p a:o .\r\n", "expected subject term, got '@base'", 6, 1),
     ],
     ids=[
         "unexpected-character",
@@ -148,6 +159,14 @@ _ERROR_HEAD = "# leading comment\r\n@prefix a: <http://x.example/> .\r\n\t# inde
         "relative-iri-without-base",
         "expected-dot",
         "blank-predicate",
+        "bad-escape-as-subject",
+        "undeclared-prefix-before-bad-escape",
+        "bad-escape-after-language-tag",
+        "stray-after-unexpected-dot",
+        "stray-after-triple",
+        "iri-holding-a-space",
+        "keyword-glued-to-digit-is-language-tag",
+        "keyword-glued-to-underscore-is-no-directive",
     ],
 )
 def test_parse_errors_report_message_line_and_column(body, message, line, column):
@@ -303,3 +322,121 @@ def test_random_trivia_between_tokens_keeps_the_quads(text, data):
             pieces.append("".join(data.draw(st.lists(_TRIVIA_PIECES, min_size=1, max_size=3))))
     assert sum(len(m.group(0)) for m in _TRIVIA_OR_TOKEN.finditer(text)) == len(text)
     assert parse_document("".join(pieces)).statements == parse_document(text).statements
+
+
+# --- random valid documents, each written together with the triples it holds.
+# They cover what the serializer never writes: @base and relative IRIs, the
+# empty prefix, escapes in both quote styles, language tags, prefixed
+# datatypes, signed and dot-led numbers, object and predicate lists with a
+# dangling ';', and comments between any two tokens.
+_BASE, _NS, _EMPTY_NS = "http://base.example/dir/", "http://x.example/", "http://empty.example/"
+_SPACE = st.lists(st.sampled_from([" ", "\t", "\n", "\r\n", " # a 'comment' with \"quotes\" <and> @at #\n"]),
+                  min_size=1, max_size=2).map("".join)
+
+
+@st.composite
+def _quoted(draw) -> tuple[str, str]:
+    """A string token, every character written raw or escaped, and its value."""
+    quote = draw(st.sampled_from(['"', "'"]))
+    value = draw(st.text(st.characters(blacklist_categories=("Cs",)), max_size=8))
+    body = []
+    for ch in value:
+        ways = [f"\\U{ord(ch):08X}"]
+        if ord(ch) <= 0xFFFF:
+            ways.append(f"\\u{ord(ch):04x}")
+        if ch in "\t\n\r\"'\\":
+            ways.append("\\" + {"\t": "t", "\n": "n", "\r": "r"}.get(ch, ch))
+        if ch not in (quote, "\\", "\n"):
+            ways.append(ch)
+        body.append(draw(st.sampled_from(ways)))
+    return quote + "".join(body) + quote, value
+
+
+_names = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,5}", fullmatch=True)
+
+
+@st.composite
+def _iri(draw, base: bool):
+    """An IRI token: a prefixed name, the empty prefix, an absolute IRI or, under @base, a relative one."""
+    name = draw(st.one_of(st.just(""), _names))
+    kinds = ["prefixed", "empty-prefix", "absolute"] + ["relative"] * base
+    kind = draw(st.sampled_from(kinds))
+    if kind == "prefixed":
+        return f"x:{name}", Iri(_NS + name)
+    if kind == "empty-prefix":
+        return f":{name}", Iri(_EMPTY_NS + name)
+    if kind == "absolute":
+        return f"<{_NS}abs/{name}>", Iri(f"{_NS}abs/{name}")
+    return f"<{name}>", Iri(_BASE + name)
+
+
+_blank = st.from_regex(r"[A-Za-z0-9_]{1,4}", fullmatch=True).map(lambda label: (f"_:{label}", Blank(label)))
+_NUMBERS = [".5", "+1", "-2.0", "0", "42", "-7", "3.25", "+.75"]
+# A language tag spelled like a directive keyword would lex as that keyword.
+_tags = st.from_regex(r"[A-Za-z]{1,8}(-[A-Za-z0-9]{1,8}){0,2}", fullmatch=True).filter(
+    lambda tag: tag not in ("prefix", "base"))
+
+
+@st.composite
+def _object(draw, base: bool):
+    kind = draw(st.sampled_from(["iri", "blank", "string", "tagged", "typed", "number", "boolean"]))
+    if kind == "iri":
+        return draw(_iri(base))
+    if kind == "blank":
+        return draw(_blank)
+    if kind == "number":
+        text = draw(st.sampled_from(_NUMBERS))
+        return text, Literal(text, XSD_DECIMAL if "." in text else XSD_INTEGER)
+    if kind == "boolean":
+        text = draw(st.sampled_from(["true", "false"]))
+        return text, Literal(text, XSD_BOOLEAN)
+    text, value = draw(_quoted())
+    if kind == "string":
+        return text, Literal(value)
+    if kind == "tagged":
+        tag = draw(_tags)
+        return f"{text}@{tag}", Literal(value, RDF_LANG_STRING, tag)
+    datatype, iri = draw(st.sampled_from([("xsd:integer", XSD_INTEGER), ("x:dt", _NS + "dt"), (f"<{_NS}d>", _NS + "d")]))
+    return f"{text}^^{datatype}", Literal(value, iri)
+
+
+@st.composite
+def _document(draw):
+    """A valid document as its tokens, and the base, prefixes and statements it holds."""
+    base = draw(st.booleans())
+    tokens = ["@base", f"<{_BASE}>", "."] if base else []
+    prefixes = {"x": _NS, "": _EMPTY_NS, "xsd": "http://www.w3.org/2001/XMLSchema#"}
+    for prefix, namespace in prefixes.items():
+        tokens += ["@prefix", f"{prefix}:", f"<{namespace}>", "."]
+    statements = []
+    for _ in range(draw(st.integers(0, 4))):
+        text, subject = draw(st.one_of(_iri(base), _blank))
+        tokens.append(text)
+        verbs = draw(st.integers(1, 3))
+        for v in range(verbs):
+            text, verb = draw(st.one_of(_iri(base), st.just(("a", Iri(RDF_TYPE)))))
+            tokens.append(text)
+            for o in range(draw(st.integers(1, 3))):
+                text, obj = draw(_object(base))
+                tokens += [",", text] if o else [text]
+                statements.append((subject, verb, obj))
+            if v < verbs - 1 or draw(st.booleans()):
+                tokens.append(";")
+        tokens.append(".")
+    return tokens, (_BASE if base else None, prefixes, statements)
+
+
+@given(_document(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_random_valid_document_parses_to_the_triples_it_was_written_with(document, data):
+    tokens, expected = document
+    # Trivia goes between any two tokens; only punctuation may follow a token
+    # glued to it, as a name, number or tag would run on into the next token.
+    pieces = []
+    for token in tokens:
+        if pieces:
+            pieces.append(data.draw(_SPACE | st.just("")) if token in (".", ";", ",") else data.draw(_SPACE))
+        pieces.append(token)
+    pieces.append(data.draw(st.sampled_from(["", "\n", " # a last comment, with no line end"])))
+    doc = parse_document("".join(pieces))
+    assert (doc.base, doc.prefixes, doc.statements) == expected
