@@ -17,8 +17,13 @@ through its constructor and admits only an IRI or blank subject and an IRI
 predicate, one document per call; and the field-table codec `views.write`,
 one program graph per call.
 `_add_all` and `remove` keep both tables up to date and never leave an
-empty inner level; `drop_graph` pops the graph's entry from each table, so
-it does no work per quad.
+empty inner level. Beside the tables the store keeps one map from each
+predicate to the names of the graphs whose POS table holds it, with no
+empty entry: `_add_all` adds a graph only where a predicate first enters
+its POS table, `remove` takes it out where the predicate's last quad
+leaves, and `drop_graph`, which pops the graph's entry from each table,
+takes it out for each of the graph's predicates, so it does no work per
+quad.
 
 Each graph also has a generation: a count that every batch written or
 `remove` that changes the graph, and every `drop_graph`, bumps, and that
@@ -26,17 +31,22 @@ is never reset. A value compiled from a graph, such as the knowledge-base
 snapshot of `views`, is kept with `keep_snapshot` beside the generation it
 was built at, and `snapshot` returns it only while the graph is still at
 that generation, so a kept value is never stale. `clone` copies both maps and
-shares the kept values, which must be immutable.
+shares the kept values, which must be immutable; it copies the predicate
+map too.
 
-A basic graph pattern is answered by an index nested-loop join. Before the
-loop a greedy planner orders the patterns: next comes the one with the most
-positions bound, either by a concrete term or by a variable an earlier
-pattern binds. For each partial binding, `_candidates` substitutes the
-bound variables into the pattern and walks the permutation whose key order
-starts with the bound positions; an object bound with no predicate has no
-such table, and is matched by a scan of the subject table that keeps the
-rows holding it. Every row it returns matches the bound positions; only a
-graph variable makes it visit more than one graph.
+A basic graph pattern is answered by an index nested-loop join, planned
+once per query: each pattern's variables are listed once, as (position,
+name) pairs, and a greedy planner orders the patterns, taking next the one
+with the fewest free positions, those holding a variable no earlier pattern
+binds. The join reuses those lists for every binding. For each partial
+binding, `_candidates` puts the bound values into the variable positions
+only and walks the permutation whose key order starts with the bound
+positions; an object bound with no predicate has no such table, and is
+matched by a scan of the subject table that keeps the rows holding it.
+Every row it returns matches the bound positions. A graph name, or a graph
+variable already bound, visits one graph; a free graph variable visits the
+graphs the predicate map names for a bound predicate, and every graph only
+when the predicate is free too.
 
 The join order decides only how much work is done, never what comes out:
 every result binds all variables of the query, so two distinct results
@@ -152,6 +162,8 @@ class QuadStore:
         self._spo: dict[str, dict[Term, dict[Term, set[Term]]]] = {}
         self._pos: dict[str, dict[Term, dict[Term, set[Term]]]] = {}
         self._sizes: dict[str, int] = {}
+        # Predicate -> the names of the graphs whose POS table holds it; never an empty set.
+        self._graphs_of: dict[Iri, set[str]] = {}
         # Graph name -> its Iri term, built (and validated) once per graph.
         self._graph_terms: dict[str, Iri] = {}
         # Graph name -> its generation, and -> (generation, value compiled from it).
@@ -200,6 +212,7 @@ class QuadStore:
             by_object = pos.get(p)
             if by_object is None:
                 pos[p] = {o: {s}}
+                self._graphs_of.setdefault(p, set()).add(graph)
             else:
                 subjects = by_object.get(o)
                 if subjects is None:
@@ -220,7 +233,10 @@ class QuadStore:
             return False
         s, p, o, graph = quad
         _discard(self._spo[graph], s, p, o)
-        _discard(self._pos[graph], p, o, s)
+        pos = self._pos[graph]
+        _discard(pos, p, o, s)
+        if p not in pos:
+            self._forget(p, graph)
         self._sizes[graph] -= 1
         self._generations[graph] += 1
         if not self._sizes[graph]:
@@ -229,10 +245,19 @@ class QuadStore:
 
     def drop_graph(self, graph: str) -> int:
         """Remove every quad of one graph; returns how many there were."""
-        for table in (self._spo, self._pos, self._graph_terms):
-            table.pop(graph, None)
+        for p in self._pos.pop(graph, ()):
+            self._forget(p, graph)
+        self._spo.pop(graph, None)
+        self._graph_terms.pop(graph, None)
         self._generations[graph] = self.generation(graph) + 1
         return self._sizes.pop(graph, 0)
+
+    def _forget(self, predicate: Iri, graph: str):
+        """Drop the graph from the predicate's graphs, once its POS table no longer holds it."""
+        graphs = self._graphs_of[predicate]
+        graphs.discard(graph)
+        if not graphs:
+            del self._graphs_of[predicate]
 
     def generation(self, graph: str) -> int:
         """A count of the graph's changes, never reset: while it stays the same, so do the graph's quads."""
@@ -278,6 +303,7 @@ class QuadStore:
         other = QuadStore()
         other._spo, other._pos = _copy_tables(self._spo), _copy_tables(self._pos)
         other._sizes = dict(self._sizes)
+        other._graphs_of = {p: set(graphs) for p, graphs in self._graphs_of.items()}
         other._graph_terms = dict(self._graph_terms)
         other._generations = dict(self._generations)
         other._snapshots = dict(self._snapshots)
@@ -305,43 +331,48 @@ class QuadStore:
     def _join(self, patterns: list[Pattern]) -> list[BindingSet]:
         """Index nested-loop join in planned order, sorted on all variables."""
         partial: list[BindingSet] = [{}]
-        for pattern in _plan(patterns):
-            variables = [(i, pos.name) for i, pos in enumerate(pattern) if isinstance(pos, Var)]
+        plan, names = _plan(patterns)
+        for pattern, variables in plan:
             extended: list[BindingSet] = []
             for binding in partial:
-                for row in self._candidates(pattern, binding):
+                for row in self._candidates(pattern, variables, binding):
                     merged = _unify(variables, row, binding)
                     if merged is not None:
                         extended.append(merged)
             partial = extended
             if not partial:
                 return []
-        variables = sorted(set().union(*(p.variables() for p in patterns)))
-        if variables:  # with none, there is at most one (empty) binding
-            partial.sort(key=itemgetter(*variables))  # a term is its own sort key
+        if names:  # with none, there is at most one (empty) binding
+            partial.sort(key=itemgetter(*names))  # a term is its own sort key
         return partial
 
-    def _candidates(self, pattern: Pattern, binding: BindingSet) -> list[tuple[Term, Term, Term, Iri]]:
+    def _candidates(
+        self, pattern: Pattern, variables: list[tuple[int, str]], binding: BindingSet
+    ) -> list[tuple[Term, Term, Term, Iri]]:
         """(s, p, o, graph term) of every quad matching the pattern's bound positions.
 
-        Each graph visited is read through the permutation whose key order
-        begins with the bound positions: POS for a predicate bound without a
-        subject, SPO otherwise. An object bound with no predicate bound has
-        no table of its own: the walk over SPO keeps the rows that hold it.
+        `variables` holds the pattern's (position, name) variables; only
+        those positions take their value, or None, from the binding. A free
+        graph variable visits the graphs that hold the predicate, or every
+        graph when the predicate is free too. Each graph visited is read
+        through the permutation whose key order begins with the bound
+        positions: POS for a predicate bound without a subject, SPO
+        otherwise. An object bound with no predicate bound has no table of
+        its own: the walk over SPO keeps the rows that hold it.
         """
-        s, p, o, graph = [binding.get(pos.name) if isinstance(pos, Var) else pos for pos in pattern]
+        key = [*pattern]
+        for i, name in variables:
+            key[i] = binding.get(name)
+        s, p, o, graph = key
         if graph is None:
-            names = list(self._spo)
-        elif isinstance(graph, Iri):
-            # A bound graph variable names its graph.
-            names = [graph.value]
+            names = self._spo if p is None else self._graphs_of.get(p, ())
+        elif isinstance(graph, str):
+            names = (graph,) if graph in self._spo else ()
         else:
-            # A concrete name; a blank or literal bound to the variable names no graph.
-            names = [graph] if isinstance(graph, str) else []
+            # A graph variable bound to an Iri names its graph; one bound to a blank or literal names none.
+            names = (graph.value,) if isinstance(graph, Iri) and graph.value in self._spo else ()
         rows: list[tuple[Term, Term, Term, Iri]] = []
         for name in names:
-            if name not in self._spo:
-                continue
             g = self._graph_terms[name]
             if p is not None and s is None:
                 by_object = self._pos[name].get(p, {})
@@ -392,21 +423,32 @@ def _copy_tables(tables: dict[str, dict]) -> dict[str, dict]:
     }
 
 
-def _plan(patterns: list[Pattern]) -> list[Pattern]:
-    """Greedy join order: most bound positions next, ties in the given order."""
-    remaining = list(patterns)
+def _plan(patterns: list[Pattern]) -> tuple[list[tuple[Pattern, list[tuple[int, str]]]], list[str]]:
+    """Greedy join order, each pattern with its (position, name) variables, found once per query.
+
+    Next comes the pattern with the fewest free positions, those holding a
+    variable no earlier pattern binds; ties go in the given order. Also
+    returns the names of all the variables, sorted.
+    """
+    remaining = [(pattern, [(i, pos.name) for i, pos in enumerate(pattern) if isinstance(pos, Var)])
+                 for pattern in patterns]
     bound: set[str] = set()
     ordered = []
-    while remaining:
-        best = max(remaining, key=lambda p: _bound_positions(p, bound))
-        remaining.remove(best)
-        ordered.append(best)
-        bound |= best.variables()
-    return ordered
-
-
-def _bound_positions(pattern: Pattern, bound: set[str]) -> int:
-    return sum(1 for pos in pattern if not isinstance(pos, Var) or pos.name in bound)
+    while len(remaining) > 1:
+        best, fewest = 0, 5
+        for k, (_, variables) in enumerate(remaining):
+            free = 0
+            for _, name in variables:
+                if name not in bound:
+                    free += 1
+            if free < fewest:
+                best, fewest = k, free
+        entry = remaining.pop(best)
+        ordered.append(entry)
+        bound.update([name for _, name in entry[1]])
+    ordered += remaining  # the last pattern needs no pick
+    bound.update([name for _, name in remaining[0][1]])
+    return ordered, sorted(bound)
 
 
 def _unify(

@@ -18,12 +18,17 @@ the error is what a lexer reading one token ahead would have raised first:
 a stray character, a quote that opens no string, or a string with a bad
 escape. The IRI of an IRIREF or prefixed-name token is built once per text
 while the same directives are in scope.
+
+A run of names, dots and numbers with no ':' after it that holds a second
+name is lexed as one token, so that lexing stays linear in the run's
+length. No valid document holds such a run past its second name; where the
+parser reaches one, it puts the tokens the run holds in its place and reads
+on, so messages and positions are those of lexing it name by name.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import islice
 
 from graphsynth import vocab
 from graphsynth.errors import MalformedTermError, TurtleParseError
@@ -62,13 +67,17 @@ _HEX = re.compile(r"[0-9A-Fa-f]+")
 # A string is matched whole, escapes and all; a quote that opens no string,
 # like any character that starts no token, is a token of its own, which the
 # parser never accepts.
+# A run of names, dots and numbers with no ':' after it that holds a second
+# name (`a.b`, `true.5x`) is one token: lexed name by name, each name would
+# scan the rest of the run for a ':' in the prefixed-name alternative.
 _PN_LOCAL = r"(?:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)?"
 _TOKEN = re.compile(
     r"[ \t\r\n]*(?:#[^\n]*(?:\n|\Z)[ \t\r\n]*)*("
     # Prefixed name: its local part may be empty but never ends in '.', so
     # the statement terminator stays unambiguous.
     r"[A-Za-z][A-Za-z0-9_.-]*:" + _PN_LOCAL
-    + r"|[A-Za-z][A-Za-z0-9_-]*"  # identifier: a, true, false
+    # Identifier (a, true, false), or a run holding a second name.
+    + r"|[A-Za-z][A-Za-z0-9_-]*(?:\.[0-9_.-]*[A-Za-z][A-Za-z0-9_.-]*)?"
     r"|:" + _PN_LOCAL  # prefixed name with the empty prefix
     + r"|[;,]|\.(?![0-9])|\^\^"  # punctuation; '.' before a digit starts a number
     r"|\"[^\"\\\n]*(?:\\.[^\"\\\n]*)*\"|'[^'\\\n]*(?:\\.[^'\\\n]*)*'"  # string
@@ -80,6 +89,9 @@ _TOKEN = re.compile(
     r"|."  # a stray character
     r")?"
 )
+# The tokens of such a run, as `_TOKEN` reads them where no ':' can follow:
+# an identifier, a '.', a number, or a stray '_' or '-'.
+_RUN_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_-]*|\.(?![0-9])|[+-]?(?:[0-9]*\.[0-9]+|[0-9]+)|.")
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
 # The one-character tokens that are no stray: a letter, a digit, ':' and punctuation.
 _ONE_CHAR_TOKENS = frozenset(_LETTERS + "0123456789:.;,")
@@ -258,6 +270,9 @@ class _Parser:
             if namespace is None:
                 raise self._error(i, f"undeclared prefix '{prefix}:'")
             value = namespace + local
+        elif self._split(i):
+            # The run's first name is the token now; as a verb it may be `a`.
+            return _A if position == "predicate" and self.tokens[i] == "a" else self._term(i, position)
         else:
             raise self._unexpected(i, f"{position} term")
         try:
@@ -276,6 +291,8 @@ class _Parser:
             return Literal(tok, XSD_DECIMAL if "." in tok else XSD_INTEGER), i + 1
         if tok == "true" or tok == "false":
             return Literal(tok, XSD_BOOLEAN), i + 1
+        if self._split(i):
+            return self._object(i)
         return self._term(i, "object"), i + 1
 
     def _literal(self, i: int) -> tuple[Literal, int]:
@@ -288,7 +305,7 @@ class _Parser:
             return Literal(lexical, XSD_STRING), i + 1
         datatype = self.iris.get(self.tokens[i + 2]) or self._term(i + 2, "datatype")
         if not isinstance(datatype, Iri):
-            raise self._error(i + 3, "datatype must be an IRI")
+            raise self._error(i + 2, "datatype must be an IRI")
         return Literal(lexical, datatype.value), i + 3
 
     def _string(self, i: int) -> str:
@@ -302,9 +319,31 @@ class _Parser:
             # Raises the same error, placed in the source.
             return _lex_string(self.source, self._offset(i))
 
+    def _split(self, i: int) -> bool:
+        """If token i is a run holding a second name, put the run's own tokens in its place."""
+        tok = self.tokens[i]
+        if tok[:1] not in _PNAME_START or "." not in tok or ":" in tok:
+            return False
+        self.tokens[i : i + 1] = _RUN_TOKEN.findall(tok)
+        return True
+
     def _offset(self, i: int) -> int:
-        """The offset of token i, found by lexing the source again up to it."""
-        return next(islice(_TOKEN.finditer(self.source), i, None)).end() - len(self.tokens[i])
+        """The offset of token i, found by lexing the source again up to it.
+
+        A run the parser has split is one match that spans several tokens.
+        """
+        tokens = self.tokens
+        k = 0
+        for match in _TOKEN.finditer(self.source):
+            end = match.end()
+            pos = end - len(match[1] or "")
+            while True:
+                if k == i:
+                    return pos
+                pos += len(tokens[k])
+                k += 1
+                if pos >= end:
+                    break
 
     def _error(self, i: int, message: str) -> TurtleParseError:
         """The error at token i, as a lexer that read one token ahead met it.
@@ -322,6 +361,7 @@ class _Parser:
         return _error_at(self.source, pos, message)
 
     def _unexpected(self, i: int, expected: str) -> TurtleParseError:
+        self._split(i)
         tok = self.tokens[i]
         shown = self._string(i) if tok[:1] in _QUOTES and len(tok) > 1 else tok
         return self._error(i, f"expected {expected}, got {shown!r}")

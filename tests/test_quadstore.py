@@ -289,7 +289,10 @@ def _bounded_bgp(rng: random.Random, quads: list[Quad], budget: int = 50_000) ->
 
 
 def _check_tables(store: QuadStore, model: set[Quad], seen: list[Quad]):
-    """`objects` agrees with brute force; SPO and POS exist for every graph, hold the same triples, and no empty level."""
+    """`objects` agrees with brute force; SPO and POS exist for every graph, hold the same triples, and no empty level.
+
+    The predicate map names, for each predicate, exactly the graphs whose POS table holds it.
+    """
     names = store.graph_names()
     assert sorted(store._graph_terms) == names
     assert sorted(store._spo) == sorted(store._pos) == names
@@ -302,6 +305,11 @@ def _check_tables(store: QuadStore, model: set[Quad], seen: list[Quad]):
         spo = {(s, p, o) for s, row in store._spo[name].items() for p, objects in row.items() for o in objects}
         pos = {(s, p, o) for p, row in store._pos[name].items() for o, subjects in row.items() for s in subjects}
         assert spo == pos and len(spo) == store.graph_size(name)
+    graphs_of: dict[Iri, set[str]] = {}
+    for name, by_predicate in store._pos.items():
+        for predicate in by_predicate:
+            graphs_of.setdefault(predicate, set()).add(name)
+    assert store._graphs_of == graphs_of
     quads = list(model)
     for subject, predicate, graph in {(q.subject, q.predicate, q.graph) for q in seen}:
         assert store.objects(subject, predicate, graph) == objects_oracle(quads, subject, predicate, graph)
@@ -309,7 +317,9 @@ def _check_tables(store: QuadStore, model: set[Quad], seen: list[Quad]):
 
 _store_ops = st.lists(
     st.tuples(
-        st.sampled_from(["insert", "insert", "insert", "add_all", "remove", "clone", "drop_graph", "osp", "osp"]),
+        st.sampled_from(
+            ["insert", "insert", "insert", "add_all", "remove", "clone", "drop_graph", "osp", "osp", "by_predicate"]
+        ),
         st.integers(0, 2**32 - 1),
     ),
     max_size=80,
@@ -368,14 +378,20 @@ def test_indexes_stay_consistent_under_insert_remove_clone(ops, seed):
             graph = Var("g") if value % 2 else quad.graph
             pattern = Pattern(Var("s"), Var("p"), quad.object, graph)
             assert store.match_pattern(pattern) == expected_order([pattern], nested_loop_join(list(model), [pattern]))
+        elif op == "by_predicate":
+            # The predicate bound and the graph a variable: only the graphs holding the predicate are read.
+            quad = inserted[value % len(inserted)] if inserted else random_quad(random.Random(value))
+            pattern = Pattern(Var("s"), quad.predicate, quad.object if value % 2 else Var("o"), Var("g"))
+            assert store.match_pattern(pattern) == expected_order([pattern], nested_loop_join(list(model), [pattern]))
         else:
             original, store = store, store.clone()
+            _check_tables(original, model, inserted)
             assert all(store.generation(quad.graph) == original.generation(quad.graph) for quad in inserted)
             # Emptying the original must leave the copy's indexes whole.
             for quad in list(original.quads()):
                 original.remove(quad)
             assert len(original) == 0 and original.graph_names() == []
-            assert original._spo == original._pos == original._graph_terms == {}
+            assert original._spo == original._pos == original._graph_terms == original._graphs_of == {}
         _check_tables(store, model, inserted)
         for graph in {quad.graph for quad in inserted}:
             content = store.graph_quads(graph)
@@ -448,6 +464,53 @@ def test_lookup_work_does_not_grow_with_the_graph(monkeypatch):
     unified = 0
     assert store.match_pattern(Pattern(Var("s"), Q, B, Var("g"))) == [{"s": A, "g": Iri(G)}]
     assert unified <= len(own)
+
+
+class _ReadLog(dict):
+    """A graph-keyed table of the store that logs the graph names read from it."""
+
+    def __init__(self, table: dict, reads: set[str]):
+        super().__init__(table)
+        self.reads = reads
+
+    def __getitem__(self, key):
+        self.reads.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.reads.add(key)
+        return super().__contains__(key)
+
+
+def test_a_graph_variable_visits_only_the_graphs_holding_the_predicate():
+    store = QuadStore()
+    graphs = [f"http://t.example/g{i}" for i in range(50)]
+    for i, name in enumerate(graphs):
+        store._add_all(name, [(Iri(f"http://t.example/s{j}"), P, Literal(str(i))) for j in range(20)])
+    holder = graphs[17]
+    store.insert(Quad(A, Q, B, holder))
+    reads: set[str] = set()
+    for table in ("_spo", "_pos", "_graph_terms"):
+        setattr(store, table, _ReadLog(getattr(store, table), reads))
+    s, o, g = Var("s"), Var("o"), Var("g")
+    assert store.match_pattern(Pattern(s, Q, o, g)) == [{"s": A, "o": B, "g": Iri(holder)}]
+    assert reads == {holder}
+    reads.clear()
+    assert store.query_bgp([Pattern(s, Q, B, g), Pattern(s, Q, o, g)]) == [{"s": A, "o": B, "g": Iri(holder)}]
+    assert reads == {holder}
+    reads.clear()
+    assert store.match_pattern(Pattern(s, Iri("http://t.example/absent"), o, g)) == []
+    assert reads == set()
+    assert len(store.match_pattern(Pattern(s, P, o, g))) == 50 * 20
+    assert reads == set(graphs)
+    store.remove(Quad(A, Q, B, holder))
+    reads.clear()
+    assert store.match_pattern(Pattern(s, Q, o, g)) == []
+    assert reads == set()
 
 
 def test_drop_graph_leaves_every_other_graph_unchanged():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import re
 import string
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -147,6 +148,12 @@ _ERROR_HEAD = "# leading comment\r\n@prefix a: <http://x.example/> .\r\n\t# inde
         # A directive keyword glued to a word character is a language tag.
         ('\ta:q\t"x"@prefix1 .\r\n', "expected '.', got '1'", 5, 16),
         ("\ta:q\ta:o .\r\n@base_:b a:p a:o .\r\n", "expected subject term, got '@base'", 6, 1),
+        # A blank datatype is reported at the blank.
+        ('\ta:q\t"x"^^_:b .\r\n', "datatype must be an IRI", 5, 11),
+        # A run of names, dots and numbers is read token by token where the parser reaches it.
+        ("\ta:q\ttrue.5x .\r\n", "expected '.', got '.5'", 5, 10),
+        ("\ta.5x .\r\n", "expected '.', got 'x'", 5, 5),
+        ("\ta:q\ta:o .\r\na.b.c a:p a:o .\r\n", "expected subject term, got 'a'", 6, 1),
     ],
     ids=[
         "unexpected-character",
@@ -167,12 +174,27 @@ _ERROR_HEAD = "# leading comment\r\n@prefix a: <http://x.example/> .\r\n\t# inde
         "iri-holding-a-space",
         "keyword-glued-to-digit-is-language-tag",
         "keyword-glued-to-underscore-is-no-directive",
+        "blank-datatype",
+        "run-after-boolean-object",
+        "run-after-verb-a",
+        "run-as-subject",
     ],
 )
 def test_parse_errors_report_message_line_and_column(body, message, line, column):
     with pytest.raises(TurtleParseError) as exc:
         parse_document(_ERROR_HEAD + body)
     assert (str(exc.value), exc.value.line, exc.value.column) == (f"{line}:{column}: {message}", line, column)
+
+
+def test_a_long_run_of_names_and_dots_raises_the_short_runs_error_quickly():
+    with pytest.raises(TurtleParseError) as short:
+        parse_document("a." * 2)
+    start = time.perf_counter()
+    with pytest.raises(TurtleParseError) as long:
+        parse_document("a." * 50_000)
+    assert time.perf_counter() - start < 1.0
+    assert (str(long.value), long.value.line, long.value.column) == (str(short.value), 1, 1)
+    assert str(short.value) == "1:1: expected subject term, got 'a'"
 
 
 @pytest.mark.parametrize("escape", ["\\uD800", "\\uDFFF", "\\U0000DC00", "\\U00110000", "\\UFFFFFFFF"])
