@@ -249,6 +249,8 @@ def _parse_query_pattern(text: str) -> Pattern:
     obj = _parse_query_term(tokens[2], "object")
     if len(tokens) == 4:
         graph_term = _parse_query_term(tokens[3], "graph")
+        if not isinstance(graph_term, (Var, Iri)):
+            raise _StageFailure("config", EXIT_CONFIG, f"graph term must be an IRI or a variable, got {tokens[3]!r}")
         graph = graph_term if isinstance(graph_term, Var) else graph_term.value
     else:
         graph = vocab.CORE_GRAPH

@@ -65,6 +65,10 @@ _TRIVIA = re.compile(r"[ \t\r\n]*(?:\\\r?\n[ \t\r\n]*)*")
 _STRING_BODY = re.compile(r"[^'\\\n]*(?:\\['\\][^'\\\n]*)*")
 _ESCAPE = re.compile(r"\\(['\\])")
 _WORD = re.compile(r"\w+")
+# What a basename may not hold: a path separator or dot (it names a file), and
+# whitespace, a control character or a character IRIREF excludes (it is part
+# of the program graphs' IRIs).
+_BASENAME_EXCLUDED = re.compile(r'[/\\.\s\x00-\x1f\x7f-\x9f<>"{}|^`]')
 
 
 def _position(text: str, pos: int) -> tuple[int, int]:
@@ -180,9 +184,10 @@ def parse_problem_statement(text: str) -> ProblemStatement:
             raise ProblemStatementError(f"key '{key}' must list at least one entry", *at(keys[key]))
 
     basename = values["program_basename"]
-    if not basename or any(bad in basename for bad in ("/", "\\", ".")):
+    if not basename or _BASENAME_EXCLUDED.search(basename):
         raise ProblemStatementError(
-            "program_basename must be non-empty and contain no path separators or dots",
+            "program_basename must be non-empty and contain no path separator, dot, whitespace, "
+            'control character or any of <>"{}|^`',
             *at(keys["program_basename"]),
         )
     if not values["programming_language"]:

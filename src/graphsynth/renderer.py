@@ -4,8 +4,10 @@ emits source text.
 Every concrete statement records three things: which statement variation it
 is, what its elements are, and the order of those elements. The element
 templates come from the knowledge base's statement forms; rendering fills
-their fields. Emission walks the concrete program section by section in the
-fixed source order and concatenates each statement's elements.
+each form's field slots with its variation's fields (`vocab.VARIATION_FIELDS`),
+and checks no form, as `views.check_kb` has checked each against that table.
+Emission walks the concrete program section by section in the fixed source
+order and concatenates each statement's elements.
 """
 
 from __future__ import annotations
@@ -62,36 +64,6 @@ _STATEMENT = (
 _ELEMENT = (("index", PLR_HAS_ELEMENT_INDEX, INT, 1, 1), ("text", PLR_HAS_ELEMENT_TEXT, STR, 1, 1))
 
 
-class ImportPlain(NamedTuple):
-    official_name: str
-
-    variation = vocab.VARIATION_IMPORT_PLAIN
-
-
-class ImportAliased(NamedTuple):
-    official_name: str
-    alias: str
-
-    variation = vocab.VARIATION_IMPORT_ALIASED
-
-
-class AssignExpr(NamedTuple):
-    target: str
-    expression: str
-
-    variation = vocab.VARIATION_ASSIGN_EXPR
-
-
-class CallStmt(NamedTuple):
-    callee: str
-    arguments: str  # the argument texts, comma-joined
-
-    variation = vocab.VARIATION_CALL_STMT
-
-
-ConcreteStatement = ImportPlain | ImportAliased | AssignExpr | CallStmt
-
-
 class PlacedConcrete(NamedTuple):
     variation: str
     section: str
@@ -116,24 +88,6 @@ class PlrProgram(NamedTuple):
         return out
 
 
-def _elements_for(form: StatementFormInfo, concrete: ConcreteStatement) -> tuple[str, ...]:
-    """The form's slots in order, each its text or the record's value of its field.
-
-    Each slot holds exactly one of a text and a field, and the field slots
-    name exactly the record's fields, each once; else a RenderError.
-    """
-    for slot in form.slots:
-        if (slot.text is None) == (slot.field is None):
-            held = "neither text nor field" if slot.text is None else "both a text and a field"
-            raise RenderError(f"form {form.variation_id} slot {slot.index} has {held}")
-    slot_fields = sorted(slot.field for slot in form.slots if slot.field is not None)
-    if slot_fields != sorted(concrete._fields):
-        raise RenderError(f"form {form.variation_id} has field slots {slot_fields}, "
-                          f"its record has fields {sorted(concrete._fields)}")
-    values = concrete._asdict()
-    return tuple(slot.text if slot.field is None else values[slot.field] for slot in form.slots)
-
-
 # Escapes for the body of a string literal: the backslash, line breaks and
 # tab by name, every other C0 control character and DEL as \xNN, so that no
 # KB text can end the literal or put a byte the parser rejects into the source.
@@ -150,11 +104,16 @@ def quote(value: str, quote_char: str) -> str:
     return quote_char + value.translate(_LITERAL_ESCAPES).replace(quote_char, "\\" + quote_char) + quote_char
 
 
-def import_statement(library: LibraryInfo) -> ImportPlain | ImportAliased:
+def _statement(variation: str, *values: str) -> tuple[str, dict[str, str]]:
+    """`variation` with its fields, named in `vocab.VARIATION_FIELDS` order."""
+    return variation, dict(zip(vocab.VARIATION_FIELDS[variation], values, strict=True))
+
+
+def import_statement(library: LibraryInfo) -> tuple[str, dict[str, str]]:
     """The import of one library, its alias applied when it has one."""
     if library.alias:
-        return ImportAliased(library.official_name, library.alias)
-    return ImportPlain(library.official_name)
+        return _statement(vocab.VARIATION_IMPORT_ALIASED, library.official_name, library.alias)
+    return _statement(vocab.VARIATION_IMPORT_PLAIN, library.official_name)
 
 
 class _Renderer:
@@ -183,23 +142,26 @@ class _Renderer:
         prefix = library.alias or library.official_name
         return f"{prefix}.{function.callable_name}"
 
-    def render_statement(self, statement) -> ConcreteStatement:
+    def render_statement(self, statement) -> tuple[str, dict[str, str]]:
+        """The statement's variation and the fields its form is filled with."""
         if isinstance(statement, ImportDirective):
             library = self.libraries.get(statement.library)
             if library is None:
                 raise RenderError(f"library {statement.library} is not among the program's referenced libraries")
             return import_statement(library)
         if isinstance(statement, AssignLiteral):
-            return AssignExpr(statement.target, self.quote(statement.value))
+            return _statement(vocab.VARIATION_ASSIGN_EXPR, statement.target, self.quote(statement.value))
         if isinstance(statement, AssignCall):
             args = ",".join(statement.args)
-            return AssignExpr(statement.target, f"{self.callee_ref(statement.function)}({args})")
+            return _statement(vocab.VARIATION_ASSIGN_EXPR, statement.target,
+                              f"{self.callee_ref(statement.function)}({args})")
         if isinstance(statement, ReportValue):
             # The report form is print('<label> = ',<value>): a space inside
             # the label before '=', none after the comma.
-            return CallStmt("print", f"{self.quote(statement.label + ' = ')},{statement.source}")
+            return _statement(vocab.VARIATION_CALL_STMT, "print",
+                              f"{self.quote(statement.label + ' = ')},{statement.source}")
         if isinstance(statement, ProgramExit):
-            return CallStmt(self.callee_ref(statement.function), str(statement.status))
+            return _statement(vocab.VARIATION_CALL_STMT, self.callee_ref(statement.function), str(statement.status))
         raise UnmappableStatementError(type(statement).__name__)
 
 
@@ -221,9 +183,10 @@ def render(pla: PlaProgram, language: LanguageInfo, store: QuadStore) -> PlrProg
     sections: dict[str, list[PlacedConcrete]] = {name: [] for name in vocab.EMISSION_ORDER}
     for section in sorted(pla.sections, key=lambda s: s.emission_index):
         for index, placed in enumerate(sorted(section.statements, key=lambda p: p.order_index)):
-            concrete = renderer.render_statement(placed.statement)
-            elements = _elements_for(renderer.form(concrete.variation), concrete)
-            sections[section.name].append(PlacedConcrete(concrete.variation, section.name, index, elements))
+            variation, fields = renderer.render_statement(placed.statement)
+            elements = tuple(slot.text if slot.field is None else fields[slot.field]
+                             for slot in renderer.form(variation).slots)
+            sections[section.name].append(PlacedConcrete(variation, section.name, index, elements))
     plr = PlrProgram(graph_iri, f"{graph_iri}#program", pla.basename, language.iri,
                      tuple((name, tuple(placed)) for name, placed in sections.items()))
     write(store, graph_iri, _plr_nodes(plr))

@@ -378,7 +378,10 @@ def check_kb(store: QuadStore, graph: str = vocab.CORE_GRAPH) -> list[str]:
     code function in each language family that has statement forms, and, as
     the composer and the renderer follow `vocab.EMISSION_ORDER` and
     `vocab.COMPOSITION_ORDER`, a structure must order its five named sections
-    that way.
+    that way; and, as the renderer fills each statement form from its
+    variation's fields, each template slot holds a text or a field, and a
+    form's field slots are exactly the fields `vocab.VARIATION_FIELDS` gives
+    its variation, each once.
     """
     return _compile(store, graph)[0]
 
@@ -393,7 +396,9 @@ def _compile(store: QuadStore, graph: str) -> tuple[list[str], Kb | tuple[str, .
     rows = {cls: store.match_pattern(Pattern(Var("s"), _RDF_TYPE, Iri(cls), graph)) for cls in SHAPES}
     members = {cls: [row["s"] for row in found if isinstance(row["s"], Iri)] for cls, found in rows.items()}
     member_sets = {cls: set(nodes) for cls, nodes in members.items()}  # for the class kinds
-    problems: list[str] = []
+    # Each instance becomes a record the stages name by its IRI, so a blank one would be dropped unseen.
+    problems = [f"{_format_term(row['s'])}: expected an IRI for an instance of {_format_term(Iri(cls))}, "
+                "found a blank node" for cls, found in rows.items() for row in found if not isinstance(row["s"], Iri)]
     # Class -> instance, in IRI order -> field name -> its value, as `read` reads it.
     kb_fields: dict[str, dict[Iri, dict]] = {cls: {} for cls in SHAPES}
     for cls, (_, fields) in SHAPES.items():
@@ -466,6 +471,20 @@ def _cross_entity_problems(kb: Kb, kb_fields: dict[str, dict[Iri, dict]]) -> lis
                 held = f": {', '.join(map(_format_term, nodes))}" if nodes else ""
                 problems.append(f"{_format_term(slot)}: expected exactly 1 owner by {_format_term(Iri(link))}, "
                                 f"found {len(nodes)}{held}")
+    # A form is filled from its variation's fields: each slot is a text or a
+    # field, and the field slots are exactly those fields, each once.
+    slots = kb_fields[vocab.TEMPLATE_SLOT]
+    for slot, values in slots.items():
+        if (values["text"] is None) == (values["field"] is None):
+            held = "neither" if values["text"] is None else "both"
+            problems.append(f"{_format_term(slot)}: expected exactly one of {_format_term(Iri(vocab.HAS_SLOT_TEXT))} "
+                            f"and {_format_term(Iri(vocab.HAS_SLOT_FIELD))}, found {held}")
+    for form, values in kb_fields[vocab.STATEMENT_FORM].items():
+        expected = vocab.VARIATION_FIELDS.get(values["variation_id"])
+        found = sorted(slots[slot]["field"] for slot in values["slots"] if slots[slot]["field"] is not None)
+        if expected is not None and found != sorted(expected):
+            problems.append(f"{_format_term(form)} {_format_term(Iri(vocab.HAS_TEMPLATE_SLOT))}: field slots {found}, "
+                            f"expected the fields of {values['variation_id']}: {list(expected)}")
     return problems
 
 

@@ -154,6 +154,14 @@ VARIATION_IMPORT_PLAIN = "import-plain"
 VARIATION_IMPORT_ALIASED = "import-aliased"
 VARIATION_ASSIGN_EXPR = "assign-expr"
 VARIATION_CALL_STMT = "call-stmt"
+# The fields each variation is filled with, in fill order: a form of the
+# variation has one field slot for each of them and no other.
+VARIATION_FIELDS = {
+    VARIATION_IMPORT_PLAIN: ("official_name",),
+    VARIATION_IMPORT_ALIASED: ("official_name", "alias"),
+    VARIATION_ASSIGN_EXPR: ("target", "expression"),
+    VARIATION_CALL_STMT: ("callee", "arguments"),  # the argument texts, comma-joined
+}
 
 # Library kinds (values of HAS_LIBRARY_KIND)
 LIBRARY_KIND_EXTERNAL = "external-package"

@@ -189,18 +189,33 @@ def test_emitted_text_that_does_not_parse_maps_to_render_exit_code(tmp_path, cap
     assert not (out / "hello_analytic.py").exists()
 
 
-def test_a_form_that_does_not_fill_exactly_its_records_fields_maps_to_render_exit_code(tmp_path, capsys):
+def test_a_form_that_does_not_fill_exactly_its_variations_fields_maps_to_load_exit_code(tmp_path, capsys):
     from graphsynth.seed import kb_dir
 
     text = (kb_dir() / "statements.ttl").read_text(encoding="utf-8")
-    # Passes check_kb, and would emit `input_data = input_data`.
+    # Filled, it would emit `input_data = input_data`.
     old = 'kb:py_assign_expr_s2 a gs:TemplateSlot ;\n    gs:hasSlotIndex 2 ;\n    gs:hasSlotField "expression" .'
     assert old in text
     kb = _doctored_kb(tmp_path, "statements.ttl", text.replace(old, old.replace('"expression"', '"target"')))
     out = tmp_path / "out"
     code, _, err = run(capsys, "synthesize", STMT, "--kb", str(kb), "--out", str(out))
-    assert code == 7
-    assert "stage render: form assign-expr has field slots ['target', 'target']" in err
+    assert code == 3
+    assert ("kb:py_assign_expr gs:hasTemplateSlot: field slots ['target', 'target'], "
+            "expected the fields of assign-expr: ['target', 'expression']") in err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_a_blank_node_typed_with_a_shaped_class_maps_to_load_exit_code(tmp_path, capsys):
+    from graphsynth.seed import kb_dir
+
+    text = (kb_dir() / "myinput.ttl").read_text(encoding="utf-8")
+    kb = _doctored_kb(tmp_path, "myinput.ttl", text + "\n_:stray a gs:DataSource .\n")
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "synthesize", STMT, "--kb", str(kb), "--out", str(out))
+    assert code == 3
+    # The loader gives each blank node a dataset-unique id, so only the rest of the problem is stable.
+    assert ": expected an IRI for an instance of gs:DataSource, found a blank node" in err
+    assert "  - _:b" in err
     assert not out.exists() or list(out.iterdir()) == []
 
 
@@ -429,6 +444,18 @@ def test_kb_dir_env_variable_is_honoured(tmp_path, capsys, monkeypatch):
     assert "nowhere" in err
 
 
+@pytest.mark.parametrize("basename", ["hello analytic", "a>b", "a\x01b"], ids=["space", "angle", "control"])
+def test_a_basename_that_cannot_be_part_of_an_iri_maps_to_parse_exit_code(tmp_path, capsys, basename):
+    statement = tmp_path / "statement.aida"
+    text = Path(STMT).read_text(encoding="utf-8").replace("'hello_analytic'", f"'{basename}'")
+    statement.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "synthesize", str(statement), "--out", str(out))
+    assert code == 4
+    assert "stage statement-parse" in err and "program_basename must be non-empty" in err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_dump_graph_unknown_graph_is_header_only(capsys):
     code, out, _ = run(capsys, "dump-graph", "http://graphsynth.dev/graph/unknown")
     assert code == 0
@@ -501,6 +528,14 @@ def test_query_pattern_syntax_error_is_config(capsys):
 def test_query_bad_term_is_config(capsys):
     code, _, err = run(capsys, "query", "?x ?p %%%")
     assert code == 2
+
+
+@pytest.mark.parametrize("graph", ['"x"', "_:b", "42", "true"], ids=["literal", "blank", "integer", "boolean"])
+def test_query_graph_term_that_is_no_iri_or_variable_is_config(capsys, graph):
+    code, out, err = run(capsys, "query", f"?s ?p ?o {graph}")
+    assert code == 2
+    assert f"stage config: graph term must be an IRI or a variable, got {graph!r}" in err
+    assert out == "" and "Traceback" not in err
 
 
 @pytest.fixture(scope="module")

@@ -89,12 +89,23 @@ def test_empty_list_is_rejected():
         parse_problem_statement(text)
 
 
-@pytest.mark.parametrize("bad", ["x/y", "x.y", "", "a\\\\b"])
+@pytest.mark.parametrize(
+    "bad",
+    # Space, '>' and a control character cannot be part of a program graph's IRI.
+    ["x/y", "x.y", "", "a\\\\b", "hello analytic", "a>b", "a\x01b", "a\tb", "a\u3000b", *'<>"{}|^`'],
+)
 def test_basename_constraints(bad):
     text = EXEMPLAR.replace("'hello_analytic'", f"'{bad}'")
     with pytest.raises(ProblemStatementError) as exc:
         parse_problem_statement(text)
     assert exc.value.line == 10  # anchored at the offending key
+    assert "program_basename must be non-empty and contain no path separator" in str(exc.value)
+
+
+@pytest.mark.parametrize("good", ["hello_analytic", "variant", "wb_1_0", "curve_0", "x-y", "na\u00efve"])
+def test_basenames_that_can_be_part_of_an_iri_are_accepted(good):
+    text = EXEMPLAR.replace("'hello_analytic'", f"'{good}'")
+    assert parse_problem_statement(text).program_basename == good
 
 
 def test_empty_list_value_error_is_anchored_at_its_key():

@@ -13,6 +13,7 @@ from graphsynth import renderer, views, vocab
 from graphsynth.composer import compose, import_order, load_pla
 from graphsynth.errors import (
     ComposeError,
+    KbValidationError,
     MalformedQuadError,
     RenderError,
     UnmappableStatementError,
@@ -21,8 +22,6 @@ from graphsynth.errors import (
 )
 from graphsynth.problem import parse_problem_statement
 from graphsynth.renderer import (
-    ImportAliased,
-    ImportPlain,
     emit,
     import_statement,
     load_plr,
@@ -276,36 +275,56 @@ def test_compose_and_render_each_write_their_graph_in_one_store_write(kb_store, 
 _SLOT_FIELD, _SLOT_TEXT = Iri(vocab.HAS_SLOT_FIELD), Iri(vocab.HAS_SLOT_TEXT)
 
 
+_FIELDS = "expected the fields of"
+_ONE_OF = "expected exactly one of gs:hasSlotText and gs:hasSlotField"
+
+
 @pytest.mark.parametrize(
-    "slot, predicate, old, new, message",
+    "slot, predicate, old, new, problems",
     [
-        # Each edit passes check_kb; filled, it would emit `import np as np`, `print(print)` and
-        # `sys.exit(sys.exit)`, or `input_data = input_data`.
+        # Each edit, filled, would emit `import np as np`, `print(print)` and `sys.exit(sys.exit)`,
+        # `input_data = input_data`, or drop a slot's text or field.
         ("py_import_aliased_s1", _SLOT_FIELD, "official_name", "alias",
-         r"form import-aliased has field slots \['alias', 'alias'\], its record has fields \['alias', 'official_name'\]"),
+         [f"kb:py_import_aliased gs:hasTemplateSlot: field slots ['alias', 'alias'], "
+          f"{_FIELDS} import-aliased: ['official_name', 'alias']"]),
         ("py_call_stmt_s2", _SLOT_FIELD, "arguments", "callee",
-         r"form call-stmt has field slots \['callee', 'callee'\], its record has fields \['arguments', 'callee'\]"),
+         [f"kb:py_call_stmt gs:hasTemplateSlot: field slots ['callee', 'callee'], "
+          f"{_FIELDS} call-stmt: ['callee', 'arguments']"]),
         ("py_assign_expr_s2", _SLOT_FIELD, "expression", "target",
-         r"form assign-expr has field slots \['target', 'target'\], its record has fields \['expression', 'target'\]"),
-        ("py_assign_expr_s0", _SLOT_TEXT, None, "x", "form assign-expr slot 0 has both a text and a field"),
-        ("py_assign_expr_s0", _SLOT_FIELD, "target", None, "form assign-expr slot 0 has neither text nor field"),
+         [f"kb:py_assign_expr gs:hasTemplateSlot: field slots ['target', 'target'], "
+          f"{_FIELDS} assign-expr: ['target', 'expression']"]),
+        ("py_assign_expr_s0", _SLOT_TEXT, None, "x", [f"kb:py_assign_expr_s0: {_ONE_OF}, found both"]),
+        ("py_assign_expr_s0", _SLOT_FIELD, "target", None,
+         [f"kb:py_assign_expr_s0: {_ONE_OF}, found neither",
+          f"kb:py_assign_expr gs:hasTemplateSlot: field slots ['expression'], "
+          f"{_FIELDS} assign-expr: ['target', 'expression']"]),
     ],
     ids=["alias-twice", "callee-twice", "target-twice", "text-and-field", "neither"],
 )
-def test_a_form_that_does_not_fill_exactly_its_records_fields_is_a_render_error(
-    kb_store, statement_text, slot, predicate, old, new, message
+def test_a_form_that_does_not_fill_exactly_its_variations_fields_is_a_kb_problem(
+    kb_store, slot, predicate, old, new, problems
 ):
     node = Iri(vocab.kb(slot))
     if old is not None:
         assert kb_store.remove(Quad(node, predicate, Literal(old), vocab.CORE_GRAPH))
     if new is not None:
         kb_store.insert(Quad(node, predicate, Literal(new), vocab.CORE_GRAPH))
+    assert views.check_kb(kb_store) == problems
+    with pytest.raises(KbValidationError) as raised:
+        views.kb(kb_store)
+    assert raised.value.problems == problems
+
+
+def test_a_form_of_a_variation_the_renderer_never_fills_is_not_checked_against_the_table(kb_store):
+    insert_turtle(kb_store, """
+        @prefix gs: <http://graphsynth.dev/vocab/core#> .
+        @prefix x: <http://t.example/> .
+        x:form a gs:StatementForm ; gs:hasVariationId "pass-stmt" ; gs:forLanguageFamily "Python" ;
+            gs:hasTemplateSlot x:s0 .
+        x:s0 a gs:TemplateSlot ; gs:hasSlotIndex 0 ; gs:hasSlotField "anything" .
+    """)
+    assert "pass-stmt" not in vocab.VARIATION_FIELDS
     assert views.check_kb(kb_store) == []
-    plan = resolve(parse_problem_statement(statement_text), kb_store)
-    pla = compose(plan, kb_store)
-    with pytest.raises(RenderError, match=message):
-        render(pla, plan.language, kb_store)
-    assert kb_store.graph_size(vocab.program_graph_iri(pla.basename, "plr")) == 0
 
 
 def test_dropping_both_program_graphs_leaves_the_kb_and_allows_the_same_synthesis(pipeline, seed_kb):
@@ -348,7 +367,10 @@ def test_missing_statement_form_is_unmappable(kb_store, statement_text):
 
 def test_import_statements_for_exemplar_library_set():
     statements = [import_statement(lib) for lib in import_order([_lib("sys"), _lib("numpy", "np")])]
-    assert statements == [ImportAliased("numpy", "np"), ImportPlain("sys")]
+    assert statements == [
+        (vocab.VARIATION_IMPORT_ALIASED, {"official_name": "numpy", "alias": "np"}),
+        (vocab.VARIATION_IMPORT_PLAIN, {"official_name": "sys"}),
+    ]
 
 
 def test_import_statements_empty_set():

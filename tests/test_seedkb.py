@@ -182,10 +182,16 @@ def test_check_kb_asks_an_implementation_in_each_language_family_that_has_statem
 x:fortran_assign a gs:StatementForm ;
     gs:hasVariationId "assign-expr" ;
     gs:forLanguageFamily "Fortran" ;
-    gs:hasTemplateSlot x:fortran_assign_s0 .
+    gs:hasTemplateSlot x:fortran_assign_s0 , x:fortran_assign_s1 , x:fortran_assign_s2 .
 x:fortran_assign_s0 a gs:TemplateSlot ;
     gs:hasSlotIndex 0 ;
     gs:hasSlotField "target" .
+x:fortran_assign_s1 a gs:TemplateSlot ;
+    gs:hasSlotIndex 1 ;
+    gs:hasSlotText " = " .
+x:fortran_assign_s2 a gs:TemplateSlot ;
+    gs:hasSlotIndex 2 ;
+    gs:hasSlotField "expression" .
 """,
     )
     assert check_kb(kb_store) == [
@@ -202,10 +208,14 @@ def _orphan(slot: str) -> str:
     return f"kb:{slot}: expected exactly 1 owner by gs:hasTemplateSlot, found 0"
 
 
+def _field_slots(form: str, found: list[str], expected: str) -> str:
+    return f"kb:{form} gs:hasTemplateSlot: field slots {found}, expected the fields of {expected}"
+
+
 # Each of the first four deletions left the example emitting a broken program
 # with exit 0 while check_kb found nothing: `import numpynp`, a bare `sys`, a
 # call with no callee, and `print()`. Each also leaves the unlinked slot with
-# no owner.
+# no owner, and each call-stmt deletion a form with a field slot short.
 @pytest.mark.parametrize(
     "removed, added, problems",
     [
@@ -215,9 +225,11 @@ def _orphan(slot: str) -> str:
         ([_kb_quad("py_import_plain", vocab.HAS_TEMPLATE_SLOT, Iri(vocab.KB + "py_import_plain_s0"))], [],
          ["kb:py_import_plain gs:hasTemplateSlot: slot indexes [1] do not run 0..0", _orphan("py_import_plain_s0")]),
         ([_kb_quad("py_call_stmt", vocab.HAS_TEMPLATE_SLOT, Iri(vocab.KB + "py_call_stmt_s0"))], [],
-         ["kb:py_call_stmt gs:hasTemplateSlot: slot indexes [1, 2, 3] do not run 0..2", _orphan("py_call_stmt_s0")]),
+         ["kb:py_call_stmt gs:hasTemplateSlot: slot indexes [1, 2, 3] do not run 0..2", _orphan("py_call_stmt_s0"),
+          _field_slots("py_call_stmt", ["arguments"], "call-stmt: ['callee', 'arguments']")]),
         ([_kb_quad("py_call_stmt", vocab.HAS_TEMPLATE_SLOT, Iri(vocab.KB + "py_call_stmt_s2"))], [],
-         ["kb:py_call_stmt gs:hasTemplateSlot: slot indexes [0, 1, 3] do not run 0..2", _orphan("py_call_stmt_s2")]),
+         ["kb:py_call_stmt gs:hasTemplateSlot: slot indexes [0, 1, 3] do not run 0..2", _orphan("py_call_stmt_s2"),
+          _field_slots("py_call_stmt", ["callee"], "call-stmt: ['callee', 'arguments']")]),
         ([_kb_quad("numpy_mean_arg0", vocab.HAS_SLOT_INDEX, integer_literal(0))],
          [_kb_quad("numpy_mean_arg0", vocab.HAS_SLOT_INDEX, integer_literal(1))],
          ["kb:numpy_mean gs:hasArgumentSlot: slot indexes [1] do not run 0..0"]),
@@ -246,7 +258,9 @@ def test_check_kb_flags_slot_indexes_that_do_not_run_from_0_to_n_minus_1(kb_stor
          ["kb:py_import_aliased gs:hasTemplateSlot: slot index 1 is held by kb:py_import_aliased_s1, "
           "kb:py_import_plain_s1",
           "kb:py_import_plain_s1: expected exactly 1 owner by gs:hasTemplateSlot, found 2: "
-          "kb:py_import_aliased, kb:py_import_plain"]),
+          "kb:py_import_aliased, kb:py_import_plain",
+          _field_slots("py_import_aliased", ["alias", "official_name", "official_name"],
+                       "import-aliased: ['official_name', 'alias']")]),
         ("kb:numpy_std gs:hasArgumentSlot kb:numpy_mean_arg0 .",
          ["kb:numpy_std gs:hasArgumentSlot: slot index 0 is held by kb:numpy_mean_arg0, kb:numpy_std_arg0",
           "kb:numpy_mean_arg0: expected exactly 1 owner by gs:hasArgumentSlot, found 2: kb:numpy_mean, kb:numpy_std"]),
@@ -255,6 +269,16 @@ def test_check_kb_flags_slot_indexes_that_do_not_run_from_0_to_n_minus_1(kb_stor
 )
 def test_check_kb_flags_a_slot_with_no_owner_or_several(kb_store, added, problems):
     insert_turtle(kb_store, TEST_HEADER + added)
+    assert check_kb(kb_store) == problems
+    with pytest.raises(KbValidationError) as raised:
+        views.kb(kb_store)
+    assert raised.value.problems == problems
+
+
+@pytest.mark.parametrize("cls", ["DataSource", "CodeFunction", "TemplateSlot"])
+def test_check_kb_flags_a_blank_node_typed_with_a_shaped_class(kb_store, cls):
+    insert_turtle(kb_store, TEST_HEADER + f"_:x a gs:{cls} .")
+    problems = [f"_:x: expected an IRI for an instance of gs:{cls}, found a blank node"]
     assert check_kb(kb_store) == problems
     with pytest.raises(KbValidationError) as raised:
         views.kb(kb_store)

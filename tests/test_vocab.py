@@ -41,7 +41,7 @@ def test_every_shape_names_a_shipped_class_and_public_vocab_predicates(seed_kb):
     from graphsynth.views import BOOL, INT, IRI, MANY, NAME, SHAPES, STR
 
     store, _ = seed_kb
-    public = {getattr(vocab, name) for name in dir(vocab) if not name.startswith("_")}
+    public = {value for name in dir(vocab) if isinstance(value := getattr(vocab, name), str) and name[0] != "_"}
     for cls, (label, fields) in SHAPES.items():
         assert store.match_pattern(Pattern(Var("s"), Iri(RDF_TYPE), Iri(cls), vocab.CORE_GRAPH)), cls
         assert cls in public, cls
