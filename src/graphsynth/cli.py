@@ -202,8 +202,7 @@ def cmd_kb_stats(args: argparse.Namespace) -> int:
         ("languages", vocab.PROGRAMMING_LANGUAGE),
     )
     for label, cls in counts:
-        rows = store.match_pattern(Pattern(Var("s"), Iri(RDF_TYPE), Iri(cls), vocab.CORE_GRAPH))
-        print(f"{label}: {len(rows)}")
+        print(f"{label}: {len(store.subjects(Iri(RDF_TYPE), Iri(cls), vocab.CORE_GRAPH))}")
     return EXIT_OK
 
 

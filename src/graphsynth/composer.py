@@ -11,15 +11,14 @@ keywords; functions appear only as knowledge-base entity IRIs.
 from __future__ import annotations
 
 import keyword
-from operator import itemgetter
 from typing import Collection, Iterable, Mapping, NamedTuple
 
 from graphsynth import vocab, views
-from graphsynth.errors import CardinalityError, ComposeError, UnnamedVariableError
+from graphsynth.errors import ComposeError, UnnamedVariableError
 from graphsynth.quadstore import QuadStore
 from graphsynth.resolver import BuildPlan
 from graphsynth.terms import Iri
-from graphsynth.views import INT, IRI, MANY, NODE, STR, TYPE, read, write
+from graphsynth.views import INT, IRI, MANY, NODE, STR, TYPE, write
 from graphsynth.views import CodeFunctionInfo, Kb, LibraryInfo, NamingPatternInfo
 
 # Abstract-program vocabulary (disjoint from the concrete one by design), each
@@ -277,8 +276,8 @@ def compose(plan: BuildPlan, store: QuadStore) -> PlaProgram:
 
     The whole program is built first and then written there in one batch, so
     a composition that fails leaves no graph. The returned program is that
-    one, not read back from the graph; `load_pla` on the graph decodes an
-    equal program.
+    one, not read back from the graph; decoded through the field tables
+    below, the graph gives an equal program.
     """
     graph_iri = vocab.program_graph_iri(plan.program_basename, "pla")
     if store.graph_size(graph_iri) != 0:
@@ -358,11 +357,10 @@ _STATEMENTS = {
     ProgramExit: (PLA_PROGRAM_EXIT, (("status", PLA_HAS_EXIT_STATUS, INT, 1, 1), _FUNCTION)),
     ImportDirective: (PLA_IMPORT_DIRECTIVE, (("library", PLA_IMPORTS_LIBRARY, IRI, 1, 1),)),
 }
-_RECORDS = {kind: (record, fields) for record, (kind, fields) in _STATEMENTS.items()}
 
 
 def _pla_nodes(program: PlaProgram):
-    """The program's graph as `views.write` takes it: the nodes `load_pla` decodes it from."""
+    """The program's graph as `views.write` takes it, one (fields, node, values) per node."""
     graph = program.graph_iri
     refs = [Iri(f"{graph}#libref-{index}") for index in range(len(program.referenced_libraries))]
     for index, (ref, library) in enumerate(zip(refs, program.referenced_libraries)):
@@ -387,61 +385,3 @@ def _pla_nodes(program: PlaProgram):
         sections.append(node)
     yield _PROGRAM, Iri(program.program_iri), dict(program._asdict(), type=PLA_PROGRAM, sections=sections,
                                                    library_references=refs)
-
-
-# --- graph decoding -------------------------------------------------------
-
-
-def load_pla(store: QuadStore, graph_iri: str) -> PlaProgram:
-    """Reconstruct the abstract program by walking its named graph; its libraries and functions are the KB's."""
-    try:
-        program = views.typed_node(store, graph_iri, PLA_PROGRAM)
-        fields = read(store, graph_iri, _PROGRAM, program)
-        sections = [_read_section(store, graph_iri, node) for node in fields["sections"]]
-        refs = [read(store, graph_iri, _LIBRARY_REFERENCE, ref) for ref in fields["library_references"]]
-    except CardinalityError as exc:
-        raise ComposeError(str(exc)) from exc
-    kb = views.kb(store)
-    libraries = []
-    for ref in sorted(refs, key=itemgetter("index")):
-        info = kb.libraries.get(ref["library"])
-        if info is None:
-            raise ComposeError(f"referenced library {ref['library']} is not in the knowledge base")
-        libraries.append(info)
-    pla = PlaProgram(
-        graph_iri=graph_iri,
-        program_iri=program.value,
-        basename=fields["basename"],
-        structure_iri=fields["structure_iri"],
-        sections=tuple(sorted(sections, key=lambda s: s.emission_index)),
-        referenced_libraries=tuple(libraries),
-        called_functions=(),
-    )
-    # The functions the calls name, each once, in the order the calls were composed.
-    calls = [p.statement.function for p in pla.all_statements() if isinstance(p.statement, (AssignCall, ProgramExit))]
-    functions = []
-    for iri in dict.fromkeys(calls):
-        info = kb.functions.get(iri)
-        if info is None:
-            raise ComposeError(f"called function {iri} is not in the knowledge base")
-        functions.append(info)
-    return pla._replace(called_functions=tuple(functions))
-
-
-def _read_section(store: QuadStore, graph: str, node: Iri) -> PlaSection:
-    section = read(store, graph, _SECTION, node)
-    del section["type"]
-    placed = [_read_statement(store, graph, statement, section["name"]) for statement in section.pop("statements")]
-    return PlaSection(**section, statements=tuple(sorted(placed, key=lambda p: p.order_index)))
-
-
-def _read_statement(store: QuadStore, graph: str, node: Iri, section: str) -> PlacedStatement:
-    placement = read(store, graph, _PLACEMENT, node)
-    if placement["type"] not in _RECORDS:
-        raise ComposeError(f"statement node {node.value} has no recognized kind")
-    record, fields = _RECORDS[placement["type"]]
-    values = read(store, graph, fields, node)
-    if "args" in values:  # a call: one child node per argument, read back in slot order
-        slots = sorted((read(store, graph, _ARGUMENT_SLOT, slot) for slot in values["args"]), key=itemgetter("index"))
-        values["args"] = tuple(slot["variable"] for slot in slots)
-    return PlacedStatement(record(**values), section, placement["order_index"], placement["composition_index"])

@@ -15,10 +15,6 @@ class MalformedQuadError(GraphSynthError):
     pass
 
 
-class CardinalityError(GraphSynthError):
-    """A property read as functional holds more than one value."""
-
-
 class PositionedError(GraphSynthError):
     """A diagnostic anchored to a line/column in some source text."""
 

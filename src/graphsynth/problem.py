@@ -34,16 +34,6 @@ SCALAR_KEYS = {"programming_language", "program_basename"}
 # both are accepted and normalized to data_source_names.
 _ALIASES = {"data_sources_names": "data_source_names"}
 
-_CANONICAL_ORDER = (
-    "data_source_names",
-    "requested_calculations",
-    "program_requirements",
-    "library_preferences",
-    "programming_language",
-    "program_basename",
-)
-
-
 class ProblemStatement(NamedTuple):
     data_source_names: tuple[str, ...]
     requested_calculations: tuple[str, ...]
@@ -201,21 +191,3 @@ def parse_problem_statement(text: str) -> ProblemStatement:
         program_basename=basename,
         library_preferences=tuple(values.get("library_preferences", ())),
     )
-
-
-def _quote(value: str) -> str:
-    return "'" + value.replace("\\", "\\\\").replace("'", "\\'") + "'"
-
-
-def serialize_problem_statement(ps: ProblemStatement) -> str:
-    """Canonical text form; re-parsing it yields an equal statement."""
-    lines = []
-    for key in _CANONICAL_ORDER:
-        value = getattr(ps, key)
-        if key == "library_preferences" and not value:
-            continue
-        if isinstance(value, tuple):
-            lines.append(f"{key} = [{', '.join(_quote(v) for v in value)}]")
-        else:
-            lines.append(f"{key} = {_quote(value)}")
-    return "\n".join(lines) + "\n"

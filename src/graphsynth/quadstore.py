@@ -5,7 +5,9 @@ terms, not `Quad` objects: each named graph has two nested permutation
 tables, subject -> predicate -> {object} and predicate -> object ->
 {subject}, plus its quad count, the graph-prefixed GSPO/GPOS layout of
 Hexastore. `objects(s, p, g)`, the read behind every property lookup of one
-entity, is three probes into the graph's subject table.
+entity, is three probes into the graph's subject table; `subjects(p, o, g)`,
+the read behind every listing of a class's instances, three into its
+predicate table.
 
 There is one write path, `_add_all(graph, triples)`, which adds a batch
 of (subject, predicate, object) triples to one graph, fetching the graph's
@@ -316,6 +318,14 @@ class QuadStore:
         the pattern (subject, predicate, ?o, graph).
         """
         return sorted(self._spo.get(graph, {}).get(subject, {}).get(predicate, ()))
+
+    def subjects(self, predicate: Term, object: Term, graph: str) -> list[Term]:
+        """Subjects of the quads (?, predicate, object, graph), in term order, from one probe of the POS table.
+
+        The same terms, in the same order, as `match_pattern` binds to ?s for
+        the pattern (?s, predicate, object, graph).
+        """
+        return sorted(self._pos.get(graph, {}).get(predicate, {}).get(object, ()))
 
     def match_pattern(self, pattern: Pattern) -> list[BindingSet]:
         """All bindings under which the pattern matches some quad, in deterministic order."""

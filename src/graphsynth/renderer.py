@@ -13,22 +13,15 @@ order and concatenates each statement's elements.
 from __future__ import annotations
 
 import os
-from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
 from graphsynth import vocab, views
 from graphsynth.composer import AssignCall, AssignLiteral, ImportDirective, PlaProgram, ProgramExit, ReportValue
-from graphsynth.errors import (
-    CardinalityError,
-    RenderError,
-    UnmappableStatementError,
-    UnsupportedLanguageError,
-    WriteError,
-)
+from graphsynth.errors import RenderError, UnmappableStatementError, UnsupportedLanguageError, WriteError
 from graphsynth.quadstore import QuadStore
 from graphsynth.terms import Iri
-from graphsynth.views import INT, IRI, MANY, NODE, STR, TYPE, read, write
+from graphsynth.views import INT, IRI, MANY, NODE, STR, TYPE, write
 from graphsynth.views import Kb, LanguageInfo, LibraryInfo, StatementFormInfo
 
 # Concrete-program vocabulary (disjoint from the abstract one by design), each
@@ -170,10 +163,11 @@ def render(pla: PlaProgram, language: LanguageInfo, store: QuadStore) -> PlrProg
 
     The whole program is built first and then written there in one batch, so
     a render that fails leaves no graph. Returns that program, not read back
-    from the graph; `load_plr` on the graph decodes an equal program. Each
-    callee is the function the abstract program carries for its call, the
-    one the resolver chose; the KB is not asked for it again. A language
-    family without statement forms in the KB is unsupported.
+    from the graph; decoded through the field tables above, the graph gives
+    an equal program. Each callee is the function the abstract program
+    carries for its call, the one the resolver chose; the KB is not asked
+    for it again. A language family without statement forms in the KB is
+    unsupported.
     """
     renderer = _Renderer(views.kb(store), language, pla)
     graph_iri = vocab.program_graph_iri(pla.basename, "plr")
@@ -194,7 +188,7 @@ def render(pla: PlaProgram, language: LanguageInfo, store: QuadStore) -> PlrProg
 
 
 def _plr_nodes(plr: PlrProgram):
-    """The program's graph as `views.write` takes it: the nodes `load_plr` decodes it from."""
+    """The program's graph as `views.write` takes it, one (fields, node, values) per node."""
     statements = []
     for statement_index, placed in enumerate(plr.all_statements()):
         node = Iri(f"{plr.graph_iri}#stmt-{statement_index}")
@@ -205,31 +199,6 @@ def _plr_nodes(plr: PlrProgram):
                                      elements=elements)
         statements.append(node)
     yield _PROGRAM, Iri(plr.program_iri), dict(plr._asdict(), type=PLR_PROGRAM, statements=statements)
-
-
-def load_plr(store: QuadStore, graph_iri: str) -> PlrProgram:
-    """Reconstruct the concrete program by walking its named graph."""
-    sections: dict[str, list[PlacedConcrete]] = {name: [] for name in vocab.EMISSION_ORDER}
-    try:
-        program = views.typed_node(store, graph_iri, PLR_PROGRAM)
-        fields = read(store, graph_iri, _PROGRAM, program)
-        for node in fields["statements"]:
-            statement = read(store, graph_iri, _STATEMENT, node)
-            elements = [read(store, graph_iri, _ELEMENT, element) for element in statement["elements"]]
-            texts = tuple(element["text"] for element in sorted(elements, key=itemgetter("index")))
-            placed = PlacedConcrete(statement["variation"], statement["section"], statement["section_index"], texts)
-            sections[statement["section"]].append(placed)
-    except CardinalityError as exc:
-        raise RenderError(str(exc)) from exc
-    return PlrProgram(
-        graph_iri=graph_iri,
-        program_iri=program.value,
-        basename=fields["basename"],
-        language_iri=fields["language_iri"],
-        sections=tuple(
-            (name, tuple(sorted(placed, key=lambda p: p.section_index))) for name, placed in sections.items()
-        ),
-    )
 
 
 def emit(plr: PlrProgram, blank_lines_between_sections: bool = False) -> str:

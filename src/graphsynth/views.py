@@ -3,16 +3,18 @@
 `SHAPES` declares once, in the manner of SHACL Core, the shape of every
 entity class the pipeline reads: per property its field, predicate, kind
 and cardinality, plus the field that labels the instances. `check_kb`
-reads each field of each instance once, validates it, and from the same
-values compiles a `Kb` snapshot of `NamedTuple` records and indexes, with
-no defaults: an absent optional value reads as None (or an empty tuple).
-The store keeps the snapshot at the graph's generation, and `kb` compiles
-a new one once the graph has changed, so no stage reads a stale KB. The
-stages read the `Kb` fields directly; every mapping in it is read-only and
-every sequence a tuple, so no caller can change the kept snapshot. The
-program graphs declare their nodes in field tables of the same form,
-written by `write` and read back by `read`. Nothing here changes the
-store's KB quads.
+lists each class's instances with one probe of the store's predicate
+table and reads the fields of each once through `read`, the one reader of
+a field table, which checks each field's count and kind and reports what
+breaks them. From the same values it compiles a `Kb` snapshot of
+`NamedTuple` records and indexes, with no defaults: an absent optional
+value reads as None (or an empty tuple). The store keeps the snapshot at
+the graph's generation, and `kb` compiles a new one once the graph has
+changed, so no stage reads a stale KB. The stages read the `Kb` fields
+directly; every mapping in it is read-only and every sequence a tuple, so
+no caller can change the kept snapshot. The program graphs declare their
+nodes in field tables of the same form, written by `write`; no stage
+reads them back. Nothing here changes the store's KB quads.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 from graphsynth import vocab
-from graphsynth.errors import CardinalityError, KbValidationError, MalformedQuadError
-from graphsynth.quadstore import Pattern, QuadStore, Var
+from graphsynth.errors import KbValidationError, MalformedQuadError
+from graphsynth.quadstore import QuadStore
 from graphsynth.terms import RDF_TYPE, XSD_BOOLEAN, XSD_INTEGER, XSD_STRING, Blank, Iri, Literal, Term, integer_literal
 from graphsynth.turtle import _format_term
 
@@ -231,6 +233,7 @@ _RDF_TYPE = Iri(RDF_TYPE)
 # The rdf:type of a typed program-graph node, written and read as the class term.
 TYPE: Field = ("type", _RDF_TYPE, NODE, 1, 1)
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+_QUOTE = re.compile(r"[^\w\s\\]")  # a string quote: no word character, whitespace or backslash
 # The Python value a term of each kind reads as, and the term a value of each
 # kind is written as (no program graph holds a boolean); a link kind, in
 # neither table, reads and writes the term itself.
@@ -240,28 +243,53 @@ _VALUE = {
 }
 _TERM = {STR: Literal, NAME: Literal, INT: integer_literal, IRI: Iri}
 _EXPECTED_COUNT = {(1, 1): "exactly 1 value", (0, 1): "at most 1 value", (1, MANY): "at least 1 value"}
+_EXPECTED_KIND = {
+    STR: "a string literal", NAME: "a dotted identifier", INT: "an integer literal", BOOL: "a boolean literal",
+    IRI: "an IRI", NODE: "an IRI or blank node",
+}
 
 
-def read(store: QuadStore, graph: str, fields: tuple[Field, ...], node: Term) -> dict:
-    """Every field of `fields` on `node`, by name: literal kinds as Python values, IRI as its string, links as the term.
+def _has_kind(term: Term, kind: str, members: Mapping[str, set]) -> bool:
+    if kind == STR:
+        return isinstance(term, Literal) and term.datatype == XSD_STRING
+    if kind == NAME:
+        return _has_kind(term, STR, members) and all(part.isidentifier() for part in term.lexical.split("."))
+    if kind == INT:
+        return isinstance(term, Literal) and term.datatype == XSD_INTEGER and bool(_INTEGER.fullmatch(term.lexical))
+    if kind == BOOL:
+        return isinstance(term, Literal) and term.datatype == XSD_BOOLEAN and term.lexical in ("true", "false")
+    if kind == NODE:
+        return isinstance(term, (Iri, Blank))
+    return isinstance(term, Iri) and (kind == IRI or term in members[kind])
 
-    A single-valued field reads as its value or None, a many-valued one as a
-    tuple. A required field with no value raises CardinalityError, as a
-    second value of a single-valued field and a value of the wrong kind do.
+
+def read(store: QuadStore, graph: str, fields: tuple[Field, ...], node: Term, problems: list[str],
+         members: Mapping[str, set]) -> dict:
+    """The well-formed fields of `fields` on `node`, by name; each problem of the others is appended to `problems`.
+
+    A field reads as a literal kind's Python value, an IRI as its string, a
+    link as the term; a single-valued field as its value or None, a
+    many-valued one as a tuple. A field with too few or too many values, or
+    with a value of the wrong kind, is left out, and each fault is one
+    problem that names the node and the predicate, and the count or kind
+    expected and what was found. `members` maps each class kind to the set
+    of its instances.
     """
-    out = {}
+    values = {}
     for name, predicate, kind, low, high in fields:
         terms = store.objects(node, predicate, graph)
-        if len(terms) < low or (high == 1 and len(terms) > 1):
-            found = f"has {len(terms)} values" if terms else "has no value"
-            raise CardinalityError(f"{node!r} {predicate!r} {found} in graph {graph}, "
-                                   f"expected {_EXPECTED_COUNT[low, high]}")
-        for term in terms:
-            if not _has_kind(term, kind, {}):
-                raise CardinalityError(f"{node!r} {predicate!r} in graph {graph}: "
-                                       f"expected {_EXPECTED_KIND[kind]}, found {_format_term(term)}")
-        out[name] = _decode(terms, kind, high)
-    return out
+        bad_count = len(terms) < low or (high is not MANY and len(terms) > high)
+        bad_values = [term for term in terms if not _has_kind(term, kind, members)]
+        if not bad_count and not bad_values:
+            values[name] = _decode(terms, kind, high)
+            continue
+        where = f"{_format_term(node)} {_format_term(predicate)}"
+        if bad_count:
+            problems.append(f"{where}: expected {_EXPECTED_COUNT[low, high]}, found {len(terms)}")
+        for value in bad_values:
+            expected = _EXPECTED_KIND.get(kind) or f"an instance of {_format_term(Iri(kind))}"
+            problems.append(f"{where}: expected {expected}, found {_format_term(value)}")
+    return values
 
 
 def _decode(terms: list[Term], kind: str, high: int | None):
@@ -304,14 +332,6 @@ def write(store: QuadStore, graph: str, nodes: Iterable[tuple[tuple[Field, ...],
     store._add_all(graph, quads)
 
 
-def typed_node(store: QuadStore, graph: str, cls: Iri) -> Term:
-    """The one node of `graph` typed `cls`; none, or more than one, raises CardinalityError."""
-    rows = store.match_pattern(Pattern(Var("n"), _RDF_TYPE, cls, graph))
-    if len(rows) != 1:
-        raise CardinalityError(f"graph {graph} holds {len(rows)} nodes typed {cls!r}, expected 1")
-    return rows[0]["n"]
-
-
 # --- the snapshot ---------------------------------------------------------
 
 
@@ -347,26 +367,6 @@ def kb(store: QuadStore) -> Kb:
 
 # --- load-time check and compile -------------------------------------------
 
-_EXPECTED_KIND = {
-    STR: "a string literal", NAME: "a dotted identifier", INT: "an integer literal", BOOL: "a boolean literal",
-    IRI: "an IRI", NODE: "an IRI or blank node",
-}
-
-
-def _has_kind(term: Term, kind: str, members: dict[str, set]) -> bool:
-    if kind == STR:
-        return isinstance(term, Literal) and term.datatype == XSD_STRING
-    if kind == NAME:
-        return _has_kind(term, STR, members) and all(part.isidentifier() for part in term.lexical.split("."))
-    if kind == INT:
-        return isinstance(term, Literal) and term.datatype == XSD_INTEGER and bool(_INTEGER.fullmatch(term.lexical))
-    if kind == BOOL:
-        return isinstance(term, Literal) and term.datatype == XSD_BOOLEAN and term.lexical in ("true", "false")
-    if kind == NODE:
-        return isinstance(term, (Iri, Blank))
-    return isinstance(term, Iri) and (kind == IRI or term in members[kind])
-
-
 def check_kb(store: QuadStore, graph: str = vocab.CORE_GRAPH) -> list[str]:
     """Problems in a loaded KB; an empty list means clean.
 
@@ -379,9 +379,12 @@ def check_kb(store: QuadStore, graph: str = vocab.CORE_GRAPH) -> list[str]:
     the composer and the renderer follow `vocab.EMISSION_ORDER` and
     `vocab.COMPOSITION_ORDER`, a structure must order its five named sections
     that way; and, as the renderer fills each statement form from its
-    variation's fields, each template slot holds a text or a field, and a
+    variation's fields, each template slot holds a text or a field, a
     form's field slots are exactly the fields `vocab.VARIATION_FIELDS` gives
-    its variation, each once.
+    its variation, each once, and a language family has at most one form of
+    each variation; and, as the renderer delimits and escapes string
+    literals with it, a language's string quote is one character that is
+    no word character, whitespace or backslash.
     """
     return _compile(store, graph)[0]
 
@@ -393,30 +396,15 @@ def _compile(store: QuadStore, graph: str) -> tuple[list[str], Kb | tuple[str, .
     of any other: a KB that breaks its shapes, which has no snapshot, or one
     that fails a cross-entity check.
     """
-    rows = {cls: store.match_pattern(Pattern(Var("s"), _RDF_TYPE, Iri(cls), graph)) for cls in SHAPES}
-    members = {cls: [row["s"] for row in found if isinstance(row["s"], Iri)] for cls, found in rows.items()}
-    member_sets = {cls: set(nodes) for cls, nodes in members.items()}  # for the class kinds
+    listed = {cls: store.subjects(_RDF_TYPE, Iri(cls), graph) for cls in SHAPES}
     # Each instance becomes a record the stages name by its IRI, so a blank one would be dropped unseen.
-    problems = [f"{_format_term(row['s'])}: expected an IRI for an instance of {_format_term(Iri(cls))}, "
-                "found a blank node" for cls, found in rows.items() for row in found if not isinstance(row["s"], Iri)]
+    problems = [f"{_format_term(node)}: expected an IRI for an instance of {_format_term(Iri(cls))}, "
+                "found a blank node" for cls, nodes in listed.items() for node in nodes if not isinstance(node, Iri)]
+    members = {cls: [node for node in nodes if isinstance(node, Iri)] for cls, nodes in listed.items()}
+    member_sets = {cls: set(nodes) for cls, nodes in members.items()}  # for the class kinds
     # Class -> instance, in IRI order -> field name -> its value, as `read` reads it.
-    kb_fields: dict[str, dict[Iri, dict]] = {cls: {} for cls in SHAPES}
-    for cls, (_, fields) in SHAPES.items():
-        for node in members[cls]:
-            kb_fields[cls][node] = values = {}
-            for name, predicate, kind, low, high in fields:
-                terms = store.objects(node, predicate, graph)
-                bad_count = len(terms) < low or (high is not MANY and len(terms) > high)
-                bad_values = [term for term in terms if not _has_kind(term, kind, member_sets)]
-                if not bad_count and not bad_values:
-                    values[name] = _decode(terms, kind, high)
-                    continue
-                where = f"{_format_term(node)} {_format_term(predicate)}"
-                if bad_count:
-                    problems.append(f"{where}: expected {_EXPECTED_COUNT[low, high]}, found {len(terms)}")
-                for value in bad_values:
-                    expected = _EXPECTED_KIND.get(kind) or f"an instance of {_format_term(Iri(kind))}"
-                    problems.append(f"{where}: expected {expected}, found {_format_term(value)}")
+    kb_fields = {cls: {node: read(store, graph, fields, node, problems, member_sets) for node in members[cls]}
+                 for cls, (_, fields) in SHAPES.items()}
     if not problems:
         kb = _snapshot(kb_fields)
         problems = _cross_entity_problems(kb, kb_fields)
@@ -479,12 +467,24 @@ def _cross_entity_problems(kb: Kb, kb_fields: dict[str, dict[Iri, dict]]) -> lis
             held = "neither" if values["text"] is None else "both"
             problems.append(f"{_format_term(slot)}: expected exactly one of {_format_term(Iri(vocab.HAS_SLOT_TEXT))} "
                             f"and {_format_term(Iri(vocab.HAS_SLOT_FIELD))}, found {held}")
+    # The renderer fills the one form of each (language family, variation).
+    forms: dict[tuple[str, str], list[Iri]] = {}
     for form, values in kb_fields[vocab.STATEMENT_FORM].items():
+        forms.setdefault((values["family"], values["variation_id"]), []).append(form)
         expected = vocab.VARIATION_FIELDS.get(values["variation_id"])
         found = sorted(slots[slot]["field"] for slot in values["slots"] if slots[slot]["field"] is not None)
         if expected is not None and found != sorted(expected):
             problems.append(f"{_format_term(form)} {_format_term(Iri(vocab.HAS_TEMPLATE_SLOT))}: field slots {found}, "
                             f"expected the fields of {values['variation_id']}: {list(expected)}")
+    problems += [f"statement forms of {variation} for {family}: expected exactly 1, found {len(nodes)}: "
+                 f"{', '.join(map(_format_term, nodes))}"
+                 for (family, variation), nodes in forms.items() if len(nodes) > 1]
+    # A string literal is the text between two quotes, each quote inside it escaped with a backslash.
+    for language, values in kb_fields[vocab.PROGRAMMING_LANGUAGE].items():
+        if not _QUOTE.fullmatch(values["string_quote"]):
+            problems.append(f"{_format_term(language)} {_format_term(Iri(vocab.HAS_STRING_LITERAL_QUOTE))}: expected "
+                            f"one character that is no word character, whitespace or backslash, "
+                            f"found {_format_term(Literal(values['string_quote']))}")
     return problems
 
 

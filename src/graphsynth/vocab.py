@@ -125,23 +125,7 @@ HAS_SLOT_FIELD = gs("hasSlotField")
 
 # --- shipped individuals -----------------------------------------------
 
-FILE_CONTAINER = kb("file_container")
-CSV_FORMAT = kb("csv_format")
-ASCII_ENCODING = kb("ascii_encoding")
-FLOATING_POINT_DATATYPE = kb("floating_point_datatype")
-TEXT_DATATYPE = kb("text_datatype")
-DIMENSIONLESS_SAMPLE = kb("dimensionless_sample")
-MYINPUT = kb("myinput")
-ARITHMETIC_MEAN = kb("arithmetic_mean")
-STANDARD_DEVIATION = kb("standard_deviation")
-NUMPY_LIBRARY = kb("numpy")
-SYS_LIBRARY = kb("sys")
-NUMPY_LOADTXT = kb("numpy_loadtxt")
-NUMPY_MEAN = kb("numpy_mean")
-NUMPY_STD = kb("numpy_std")
-READ_CSV_FLOAT_FILE = kb("read_csv_float_file")
 ACTION_PROGRAM_EXIT = kb("action_program_exit")
-
 ROLE_DATASOURCE_FILENAME = kb("role_datasource_filename")
 
 # Naming pattern identifiers (values of HAS_PATTERN_ID)
@@ -162,10 +146,6 @@ VARIATION_FIELDS = {
     VARIATION_ASSIGN_EXPR: ("target", "expression"),
     VARIATION_CALL_STMT: ("callee", "arguments"),  # the argument texts, comma-joined
 }
-
-# Library kinds (values of HAS_LIBRARY_KIND)
-LIBRARY_KIND_EXTERNAL = "external-package"
-LIBRARY_KIND_STDLIB = "standard-library"
 
 # Section names, in the fixed source-file emission order.
 SECTION_PREAMBLE = "Preamble"

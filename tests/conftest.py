@@ -13,6 +13,26 @@ from graphsynth.turtle import parse_document
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
+# Shipped KB instances that tests name; no pipeline code names an instance.
+FILE_CONTAINER = vocab.kb("file_container")
+CSV_FORMAT = vocab.kb("csv_format")
+ASCII_ENCODING = vocab.kb("ascii_encoding")
+FLOATING_POINT_DATATYPE = vocab.kb("floating_point_datatype")
+TEXT_DATATYPE = vocab.kb("text_datatype")
+DIMENSIONLESS_SAMPLE = vocab.kb("dimensionless_sample")
+MYINPUT = vocab.kb("myinput")
+ARITHMETIC_MEAN = vocab.kb("arithmetic_mean")
+STANDARD_DEVIATION = vocab.kb("standard_deviation")
+NUMPY_LIBRARY = vocab.kb("numpy")
+SYS_LIBRARY = vocab.kb("sys")
+NUMPY_LOADTXT = vocab.kb("numpy_loadtxt")
+NUMPY_MEAN = vocab.kb("numpy_mean")
+NUMPY_STD = vocab.kb("numpy_std")
+READ_CSV_FLOAT_FILE = vocab.kb("read_csv_float_file")
+# Library kinds (values of gs:hasLibraryKind) in the shipped KB.
+LIBRARY_KIND_EXTERNAL = "external-package"
+LIBRARY_KIND_STDLIB = "standard-library"
+
 MEAN, STD = "average value", "average value variation"
 # Statements the program-graph round trips run over besides the shipped
 # example (two calculations, Python-3.8, no preference), by id:

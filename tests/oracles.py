@@ -1,15 +1,23 @@
-"""Independent reference implementations the tests check the engine against.
+"""Reference implementations the tests check the engine against.
 
-Everything here is deliberately written from scratch against the documented
-contracts, not by calling into the package's own query machinery.
+The query oracle is written from scratch against the documented contracts,
+not by calling into the package's own query machinery. The program-graph
+decoders `load_pla` and `load_plr`, which no command needs, read through
+the composer's and the renderer's field tables and `views.read`.
 """
 
 from __future__ import annotations
 
 import random
+from operator import itemgetter
 
-from graphsynth.quadstore import Pattern, Quad, Var
-from graphsynth.terms import Blank, Iri, Literal
+from graphsynth import composer, renderer, views, vocab
+from graphsynth.composer import AssignCall, PlacedStatement, PlaProgram, PlaSection, ProgramExit
+from graphsynth.errors import ComposeError, RenderError
+from graphsynth.quadstore import Pattern, Quad, QuadStore, Var
+from graphsynth.renderer import PlacedConcrete, PlrProgram
+from graphsynth.terms import RDF_TYPE, Blank, Iri, Literal
+from graphsynth.turtle import _format_term
 
 
 def term_key(term):
@@ -144,3 +152,98 @@ def tractable_case(rng: random.Random, max_quads: int = 200, budget: int = 500_0
         if oracle_cost(quads, patterns) <= budget:
             return quads, patterns
     return quads[:15], random_bgp(rng)
+
+
+# --- program-graph decoders ----------------------------------------------
+
+
+def _read(store: QuadStore, graph: str, fields: tuple, node, error: type) -> dict:
+    """Every field of `fields` on `node`, as `views.read` reads it; any problem raises `error`, the problems joined."""
+    problems: list[str] = []
+    values = views.read(store, graph, fields, node, problems, {})
+    if problems:
+        raise error("; ".join(problems))
+    return values
+
+
+def _typed_node(store: QuadStore, graph: str, cls: Iri, error: type):
+    """The one node of `graph` typed `cls`; none, or more than one, raises `error`."""
+    nodes = store.subjects(Iri(RDF_TYPE), cls, graph)
+    if len(nodes) != 1:
+        raise error(f"graph {graph} holds {len(nodes)} nodes typed {_format_term(cls)}, expected 1")
+    return nodes[0]
+
+
+def load_pla(store: QuadStore, graph_iri: str) -> PlaProgram:
+    """The abstract program its graph holds; its libraries and functions are the KB's."""
+    program = _typed_node(store, graph_iri, composer.PLA_PROGRAM, ComposeError)
+    fields = _read(store, graph_iri, composer._PROGRAM, program, ComposeError)
+    sections = [_read_section(store, graph_iri, node) for node in fields["sections"]]
+    refs = sorted((_read(store, graph_iri, composer._LIBRARY_REFERENCE, ref, ComposeError)
+                   for ref in fields["library_references"]), key=itemgetter("index"))
+    kb = views.kb(store)
+    pla = PlaProgram(
+        graph_iri=graph_iri,
+        program_iri=program.value,
+        basename=fields["basename"],
+        structure_iri=fields["structure_iri"],
+        sections=tuple(sorted(sections, key=lambda s: s.emission_index)),
+        referenced_libraries=tuple(_in_kb(kb.libraries, ref["library"]) for ref in refs),
+        called_functions=(),
+    )
+    # The functions the calls name, each once, in the order the calls were composed.
+    calls = [p.statement.function for p in pla.all_statements() if isinstance(p.statement, (AssignCall, ProgramExit))]
+    return pla._replace(called_functions=tuple(_in_kb(kb.functions, iri) for iri in dict.fromkeys(calls)))
+
+
+def _in_kb(records: dict, iri: str):
+    if iri not in records:
+        raise ComposeError(f"{iri} is not in the knowledge base")
+    return records[iri]
+
+
+# Statement kind -> (record class, fields), from the composer's one table of statement nodes.
+_RECORDS = {kind: (record, fields) for record, (kind, fields) in composer._STATEMENTS.items()}
+
+
+def _read_section(store: QuadStore, graph: str, node: Iri) -> PlaSection:
+    section = _read(store, graph, composer._SECTION, node, ComposeError)
+    del section["type"]
+    placed = [_read_statement(store, graph, statement, section["name"]) for statement in section.pop("statements")]
+    return PlaSection(**section, statements=tuple(sorted(placed, key=lambda p: p.order_index)))
+
+
+def _read_statement(store: QuadStore, graph: str, node: Iri, section: str) -> PlacedStatement:
+    placement = _read(store, graph, composer._PLACEMENT, node, ComposeError)
+    if placement["type"] not in _RECORDS:
+        raise ComposeError(f"statement node {node.value} has no recognized kind")
+    record, fields = _RECORDS[placement["type"]]
+    values = _read(store, graph, fields, node, ComposeError)
+    if "args" in values:  # a call: one child node per argument, read back in slot order
+        slots = sorted((_read(store, graph, composer._ARGUMENT_SLOT, slot, ComposeError) for slot in values["args"]),
+                       key=itemgetter("index"))
+        values["args"] = tuple(slot["variable"] for slot in slots)
+    return PlacedStatement(record(**values), section, placement["order_index"], placement["composition_index"])
+
+
+def load_plr(store: QuadStore, graph_iri: str) -> PlrProgram:
+    """The concrete program its graph holds."""
+    sections: dict[str, list[PlacedConcrete]] = {name: [] for name in vocab.EMISSION_ORDER}
+    program = _typed_node(store, graph_iri, renderer.PLR_PROGRAM, RenderError)
+    fields = _read(store, graph_iri, renderer._PROGRAM, program, RenderError)
+    for node in fields["statements"]:
+        statement = _read(store, graph_iri, renderer._STATEMENT, node, RenderError)
+        elements = sorted((_read(store, graph_iri, renderer._ELEMENT, element, RenderError)
+                           for element in statement["elements"]), key=itemgetter("index"))
+        texts = tuple(element["text"] for element in elements)
+        placed = PlacedConcrete(statement["variation"], statement["section"], statement["section_index"], texts)
+        sections[statement["section"]].append(placed)
+    return PlrProgram(
+        graph_iri=graph_iri,
+        program_iri=program.value,
+        basename=fields["basename"],
+        language_iri=fields["language_iri"],
+        sections=tuple(
+            (name, tuple(sorted(placed, key=lambda p: p.section_index))) for name, placed in sections.items()
+        ),
+    )

@@ -15,9 +15,10 @@ from importlib.util import find_spec
 
 import pytest
 
+from conftest import NUMPY_MEAN, NUMPY_STD
 from graphsynth import vocab, views
 from graphsynth.cli import main
-from graphsynth.composer import compose, derive_variable_name, import_order, load_pla, NameAllocator, NamingContext
+from graphsynth.composer import compose, derive_variable_name, import_order, NameAllocator, NamingContext
 from graphsynth.errors import ProblemStatementError, TurtleParseError
 from graphsynth.problem import parse_problem_statement
 from graphsynth.quadstore import Quad, QuadStore
@@ -28,7 +29,7 @@ from graphsynth.terms import Iri
 from graphsynth.turtle import parse_document, serialize
 from graphsynth.views import LibraryInfo
 
-from oracles import canonical, expected_order, nested_loop_join, tractable_case
+from oracles import canonical, expected_order, load_pla, nested_loop_join, tractable_case
 from test_turtle import fuzz_once
 
 STMT = str(example_statement_path())
@@ -174,8 +175,8 @@ def test_c6_ordering_properties(kb_store, statement_text):
 def test_c7_naming_rules(kb_store):
     kb = views.kb(kb_store)
     patterns = kb.naming_patterns
-    mean_fn = kb.functions[vocab.NUMPY_MEAN]
-    std_fn = kb.functions[vocab.NUMPY_STD]
+    mean_fn = kb.functions[NUMPY_MEAN]
+    std_fn = kb.functions[NUMPY_STD]
     derived = [
         derive_variable_name(
             patterns, NamingContext(vocab.PATTERN_LITERAL_IS_DATASOURCE_FILENAME, content_label="input_data")

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import GOLDEN_DIR
+from conftest import GOLDEN_DIR, NUMPY_MEAN
+from test_seedkb import ZFORM, ZFORM_PROBLEM
 from graphsynth import vocab
 from graphsynth.cli import main
 from graphsynth.quadstore import Quad, QuadStore
@@ -224,14 +225,14 @@ def test_a_call_to_a_function_the_program_does_not_carry_maps_to_render_exit_cod
 
     def compose_without_mean(plan, store):
         pla = composer.compose(plan, store)
-        functions = tuple(function for function in pla.called_functions if function.iri != vocab.NUMPY_MEAN)
+        functions = tuple(function for function in pla.called_functions if function.iri != NUMPY_MEAN)
         return pla._replace(called_functions=functions)
 
     monkeypatch.setattr(cli, "compose", compose_without_mean)
     out = tmp_path / "out"
     code, _, err = run(capsys, "synthesize", STMT, "--out", str(out))
     assert code == 7
-    assert f"stage render: function {vocab.NUMPY_MEAN} is not among the program's called functions" in err
+    assert f"stage render: function {NUMPY_MEAN} is not among the program's called functions" in err
     assert not (out / "hello_analytic.py").exists()
 
 
@@ -257,9 +258,13 @@ def test_a_call_to_a_function_the_program_does_not_carry_maps_to_render_exit_cod
          "kb:numpy_mean", "gs:providedBy: expected an instance of gs:Library, found kb:csv_format"),
         ("code_function.ttl", 'gs:hasCallableName "loadtxt"', 'gs:hasCallableName "loadtxt#"',
          "kb:numpy_loadtxt", 'gs:hasCallableName: expected a dotted identifier, found "loadtxt#"'),
+        # With `' ` the program opened ' my_input.txt' and synthesize exited 0.
+        *(("python.ttl", "gs:hasStringLiteralQuote \"'\"", f"gs:hasStringLiteralQuote {shown}", "kb:python_3_8",
+           "gs:hasStringLiteralQuote: expected one character that is no word character, whitespace or backslash, "
+           f"found {shown}") for shown in ('"\' "', '"\'\'"', '"x"', '"\\\\"')),
     ],
     ids=["max-count", "min-count", "integer-kind", "boolean-kind", "library-literal", "iri-kind", "target-class",
-         "dotted-identifier"],
+         "dotted-identifier", "quote-space", "two-quotes", "word-quote", "backslash-quote"],
 )
 def test_kb_shape_violation_maps_to_load_exit_code_and_names_entity_and_property(
     tmp_path, capsys, filename, old, new, entity, problem
@@ -298,8 +303,11 @@ def test_kb_shape_violation_maps_to_load_exit_code_and_names_entity_and_property
                              'kb:py_loose_s0 a gs:TemplateSlot ;\n    gs:hasSlotIndex 0 ;\n    gs:hasSlotText "x" .\n'
                              "kb:py_import_plain_s0 a gs:TemplateSlot ;")],
          "kb:py_loose_s0: expected exactly 1 owner by gs:hasTemplateSlot, found 0"),
+        # With a second assign-expr form, the later one in IRI order was filled and synthesize exited 0.
+        ("statements.ttl", [("gs:hasSlotField a owl:DatatypeProperty .\n",
+                             "gs:hasSlotField a owl:DatatypeProperty .\n" + ZFORM)], ZFORM_PROBLEM),
     ],
-    ids=["template-slot", "argument-slot", "template-slot-gap", "orphan-template-slot"],
+    ids=["template-slot", "argument-slot", "template-slot-gap", "orphan-template-slot", "second-form"],
 )
 def test_duplicate_slot_index_maps_to_load_exit_code_and_names_the_slots(tmp_path, capsys, filename, edits, problem):
     from graphsynth.seed import kb_dir

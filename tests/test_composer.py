@@ -3,7 +3,10 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import STATEMENT_VARIANTS, variant_plan
+from conftest import (
+    NUMPY_LIBRARY, NUMPY_LOADTXT, NUMPY_MEAN, NUMPY_STD, STATEMENT_VARIANTS, SYS_LIBRARY, variant_plan,
+)
+from oracles import load_pla
 from graphsynth import vocab
 from graphsynth.composer import (
     PLA_HAS_VARIABLE_REF,
@@ -17,7 +20,6 @@ from graphsynth.composer import (
     compose,
     derive_variable_name,
     library_names,
-    load_pla,
 )
 from graphsynth.errors import ComposeError, UnnamedVariableError
 from graphsynth.problem import parse_problem_statement
@@ -51,12 +53,12 @@ def test_exemplar_statement_shapes(pla, plan):
     assert input_statements[0] == AssignLiteral("input_data_filename", "my_input.txt", vocab.ROLE_DATASOURCE_FILENAME)
     assert isinstance(input_statements[1], AssignCall)
     assert input_statements[1].target == "input_data"
-    assert input_statements[1].function == vocab.NUMPY_LOADTXT
+    assert input_statements[1].function == NUMPY_LOADTXT
     assert input_statements[1].args == ("input_data_filename",)
 
     calculate = [p.statement for p in pla.section("Calculate").statements]
     assert [s.target for s in calculate] == ["mean", "std"]
-    assert [s.function for s in calculate] == [vocab.NUMPY_MEAN, vocab.NUMPY_STD]
+    assert [s.function for s in calculate] == [NUMPY_MEAN, NUMPY_STD]
     assert all(s.args == ("input_data",) for s in calculate)
 
     output = [p.statement for p in pla.section("Output").statements]
@@ -65,7 +67,7 @@ def test_exemplar_statement_shapes(pla, plan):
     assert [p.statement for p in pla.section("CleanUp").statements] == [ProgramExit(0, plan.exit_function.iri)]
 
     preamble = [p.statement for p in pla.section("Preamble").statements]
-    assert preamble == [ImportDirective(vocab.NUMPY_LIBRARY), ImportDirective(vocab.SYS_LIBRARY)]
+    assert preamble == [ImportDirective(NUMPY_LIBRARY), ImportDirective(SYS_LIBRARY)]
 
 
 def test_composition_indices_order_sections_input_first_preamble_last(pla):
@@ -103,7 +105,7 @@ def test_import_set_is_exactly_the_referenced_libraries(kb_store, pla):
         statement = placed.statement
         if isinstance(statement, AssignCall):
             expected.add(kb(kb_store).functions[statement.function].library.iri)
-    expected.add(vocab.SYS_LIBRARY)  # bound by the planned exit action
+    expected.add(SYS_LIBRARY)  # bound by the planned exit action
     imported = {p.statement.library for p in pla.section("Preamble").statements}
     assert imported == expected == {lib.iri for lib in pla.referenced_libraries}
 
@@ -156,7 +158,7 @@ def test_argument_slot_without_a_variable_does_not_load(kb_store, pla):
     kb_store.remove(quad)
     with pytest.raises(ComposeError) as raised:
         load_pla(kb_store, pla.graph_iri)
-    assert f"{slot!r} {PLA_HAS_VARIABLE_REF!r} has no value" in str(raised.value)
+    assert str(raised.value) == f"<{slot.value}> pla:hasVariableRef: expected exactly 1 value, found 0"
 
 
 def test_a_call_argument_in_a_role_no_statement_filled_raises_compose_error(kb_store, plan):
@@ -197,7 +199,7 @@ def test_pattern_two_uses_content_label_alone(kb_store):
     assert name == "input_data"
 
 
-@pytest.mark.parametrize("function_iri, expected", [(vocab.NUMPY_MEAN, "mean"), (vocab.NUMPY_STD, "std")])
+@pytest.mark.parametrize("function_iri, expected", [(NUMPY_MEAN, "mean"), (NUMPY_STD, "std")])
 def test_pattern_three_uses_the_function_name(kb_store, function_iri, expected):
     patterns = kb(kb_store).naming_patterns
     function = kb(kb_store).functions[function_iri]
@@ -220,7 +222,7 @@ def test_missing_payload_raises_unnamed_variable(kb_store):
 @pytest.mark.parametrize("callable_name", ["class", "None", "my mean", "2nd"])
 def test_derived_name_that_is_no_identifier_raises_unnamed_variable(kb_store, callable_name):
     patterns = kb(kb_store).naming_patterns
-    function = kb(kb_store).functions[vocab.NUMPY_MEAN]._replace(callable_name=callable_name)
+    function = kb(kb_store).functions[NUMPY_MEAN]._replace(callable_name=callable_name)
     with pytest.raises(UnnamedVariableError):
         derive_variable_name(patterns, NamingContext(vocab.PATTERN_ASSIGN_FUNCTION_RETURN, function=function))
 
@@ -260,4 +262,5 @@ def test_statement_order_index_that_is_not_one_value_does_not_load(kb_store, pla
         kb_store.insert(Quad(node, predicate, integer_literal(7), pla.graph_iri))
     with pytest.raises(ComposeError) as raised:
         load_pla(kb_store, pla.graph_iri)
-    assert f"{node!r} {predicate!r} has " in str(raised.value)
+    found = 0 if change == "drop" else 2
+    assert str(raised.value) == f"<{node.value}> pla:hasOrderIndex: expected exactly 1 value, found {found}"

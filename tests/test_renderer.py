@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import STATEMENT_VARIANTS, insert_turtle, variant_plan
+from conftest import NUMPY_MEAN, STATEMENT_VARIANTS, insert_turtle, variant_plan
+from oracles import load_pla, load_plr
 from graphsynth import renderer, views, vocab
-from graphsynth.composer import compose, import_order, load_pla
+from graphsynth.composer import compose, import_order
 from graphsynth.errors import (
     ComposeError,
     KbValidationError,
@@ -24,7 +25,6 @@ from graphsynth.problem import parse_problem_statement
 from graphsynth.renderer import (
     emit,
     import_statement,
-    load_plr,
     quote,
     render,
     write_source,
@@ -128,6 +128,7 @@ def test_load_plr_round_trips_and_emits_identically_for_every_statement_variant(
 # The graphs each QuadStore read names, from its arguments.
 _READ_GRAPHS = {
     "objects": lambda subject, predicate, graph: [graph],
+    "subjects": lambda predicate, object, graph: [graph],
     "match_pattern": lambda pattern: [pattern.graph],
     "query_bgp": lambda patterns: [pattern.graph for pattern in patterns],
 }
@@ -165,7 +166,7 @@ def test_each_callee_is_the_function_the_program_carries(kb_store, statement_tex
     plan = resolve(parse_problem_statement(statement_text), kb_store)
     pla = compose(plan, kb_store)
     # A callee the KB does not hold under that name: only the program's own record can supply it.
-    carried = tuple(function._replace(callable_name="average") if function.iri == vocab.NUMPY_MEAN else function
+    carried = tuple(function._replace(callable_name="average") if function.iri == NUMPY_MEAN else function
                     for function in pla.called_functions)
     lines = emit(render(pla._replace(called_functions=carried), plan.language, kb_store)).splitlines()
     assert "mean = np.average(input_data)" in lines
@@ -202,7 +203,25 @@ def test_write_rejects_a_malformed_quad_and_stores_nothing(graph, fields, node, 
 def test_a_link_reads_back_as_the_term_written(link):
     store, graph = QuadStore(), "http://t.example/g"
     write(store, graph, [((_LINK,), _NODE, {"link": link})])
-    assert views.read(store, graph, (_LINK,), _NODE) == {"link": link}
+    problems = []
+    assert views.read(store, graph, (_LINK,), _NODE, problems, {}) == {"link": link}
+    assert problems == []
+
+
+def test_read_returns_the_well_formed_fields_and_appends_one_problem_per_fault():
+    store, graph = QuadStore(), "http://t.example/g"
+    name = ("name", Iri("http://t.example/name"), views.STR, 1, 1)
+    count = ("count", Iri("http://t.example/count"), views.INT, 1, 1)
+    tags = ("tags", Iri("http://t.example/tag"), views.STR, 1, views.MANY)
+    write(store, graph, [((name, _LINK), _NODE, {"name": "n", "link": _NODE})])
+    store.insert(Quad(_NODE, count[1], Literal("x"), graph))
+    problems = ["an earlier problem"]
+    assert views.read(store, graph, (name, count, tags, _LINK), _NODE, problems, {}) == {"name": "n", "link": _NODE}
+    assert problems == [
+        "an earlier problem",
+        '<http://t.example/node> <http://t.example/count>: expected an integer literal, found "x"',
+        "<http://t.example/node> <http://t.example/tag>: expected at least 1 value, found 0",
+    ]
 
 
 @pytest.mark.parametrize("existing", [0, 1], ids=["new-graph", "graph-with-a-quad"])
@@ -247,8 +266,8 @@ def test_codec_writes_the_same_graphs_and_tables_as_validated_inserts(kb_store, 
 def test_a_call_to_a_function_the_program_does_not_carry_is_a_render_error(kb_store, statement_text, golden_source):
     plan = resolve(parse_problem_statement(statement_text), kb_store)
     pla = compose(plan, kb_store)
-    without_mean = tuple(function for function in pla.called_functions if function.iri != vocab.NUMPY_MEAN)
-    with pytest.raises(RenderError, match=f"function {vocab.NUMPY_MEAN} is not among the program's called functions"):
+    without_mean = tuple(function for function in pla.called_functions if function.iri != NUMPY_MEAN)
+    with pytest.raises(RenderError, match=f"function {NUMPY_MEAN} is not among the program's called functions"):
         render(pla._replace(called_functions=without_mean), plan.language, kb_store)
     # The failed render wrote no part of its graph, so the intact program renders into the same store.
     graph = vocab.program_graph_iri(pla.basename, "plr")
@@ -448,14 +467,15 @@ def test_element_text_that_is_not_one_value_does_not_load(pipeline, change):
         store.insert(Quad(node, renderer.PLR_HAS_ELEMENT_TEXT, Literal("extra"), plr.graph_iri))
     with pytest.raises(RenderError) as raised:
         load_plr(store, plr.graph_iri)
-    assert f"{node!r} {renderer.PLR_HAS_ELEMENT_TEXT!r} has " in str(raised.value)
+    found = 0 if change == "drop" else 2
+    assert str(raised.value) == f"<{node.value}> plr:hasElementText: expected exactly 1 value, found {found}"
 
 
 @pytest.mark.parametrize(
     "graph, node, predicate, error, expected",
     [
-        ("pla", "stmt-0", Iri(vocab.pla("hasOrderIndex")), ComposeError, "an integer literal"),
-        ("plr", "program", renderer.PLR_HAS_LANGUAGE, RenderError, "an IRI"),
+        ("pla", "stmt-0", Iri(vocab.pla("hasOrderIndex")), ComposeError, "pla:hasOrderIndex: expected an integer literal"),
+        ("plr", "program", renderer.PLR_HAS_LANGUAGE, RenderError, "plr:hasLanguage: expected an IRI"),
     ],
     ids=["pla-order-index", "plr-language"],
 )
@@ -470,7 +490,7 @@ def test_a_value_of_the_wrong_kind_does_not_load_and_names_its_node_and_predicat
     store.insert(Quad(node, predicate, Literal("x"), graph_iri))
     with pytest.raises(error) as raised:
         load(store, graph_iri)
-    assert str(raised.value) == f'{node!r} {predicate!r} in graph {graph_iri}: expected {expected}, found "x"'
+    assert str(raised.value) == f'<{node.value}> {expected}, found "x"'
 
 
 def test_compose_and_render_build_no_vocabulary_iri_and_each_node_iri_once(kb_store, statement_text, monkeypatch):

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from graphsynth import vocab, views
+from graphsynth import views
 from graphsynth.errors import (
     AmbiguousError,
     IncompatibleError,
@@ -17,7 +17,7 @@ from graphsynth.problem import parse_problem_statement
 from graphsynth.resolver import check_compatibility, resolve, select_candidate
 from graphsynth.views import AlgorithmInfo
 
-from conftest import insert_turtle
+from conftest import DIMENSIONLESS_SAMPLE, MYINPUT, TEXT_DATATYPE, insert_turtle
 
 TEST_HEADER = """\
 @prefix gs: <http://graphsynth.dev/vocab/core#> .
@@ -48,7 +48,7 @@ def _alg(name="alg", complexity="O(n)", min_input=2, numeric=True, same_quantity
 
 def test_exemplar_statement_resolves_to_expected_plan(exemplar_plan):
     plan = exemplar_plan
-    assert plan.data_source.iri == vocab.MYINPUT
+    assert plan.data_source.iri == MYINPUT
     assert [(c.label, c.algorithm.name, c.function.qualified_name) for c in plan.calculations] == [
         ("average value", "arithmetic_mean", "numpy.mean"),
         ("average value variation", "standard_deviation", "numpy.std"),
@@ -182,7 +182,7 @@ def test_compatibility_min_input_count_violation(seed_kb):
 def test_compatibility_numeric_violation(seed_kb):
     store, _ = seed_kb
     [ds] = views.kb(store).data_sources["my_input.txt"]
-    texty = ds._replace(value_datatype=vocab.TEXT_DATATYPE, value_datatype_numeric=False)
+    texty = ds._replace(value_datatype=TEXT_DATATYPE, value_datatype_numeric=False)
     [alg] = views.kb(store).algorithms_by_label["average value"]
     assert "numeric_input" in check_compatibility(alg, texty)
 
@@ -190,7 +190,7 @@ def test_compatibility_numeric_violation(seed_kb):
 def test_compatibility_same_quantity_violation(seed_kb):
     store, _ = seed_kb
     [ds] = views.kb(store).data_sources["my_input.txt"]
-    mixed = ds._replace(quantity_types=(vocab.DIMENSIONLESS_SAMPLE, "http://t.example/temperature"))
+    mixed = ds._replace(quantity_types=(DIMENSIONLESS_SAMPLE, "http://t.example/temperature"))
     [alg] = views.kb(store).algorithms_by_label["average value"]
     assert "same_quantity" in check_compatibility(alg, mixed)
 

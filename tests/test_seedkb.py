@@ -10,7 +10,11 @@ from graphsynth.seed import fixture_path, load_kb
 from graphsynth.terms import XSD_DECIMAL, Iri, Literal, integer_literal
 from graphsynth.views import check_kb
 
-from conftest import insert_turtle
+from conftest import (
+    ARITHMETIC_MEAN, ASCII_ENCODING, CSV_FORMAT, DIMENSIONLESS_SAMPLE, FILE_CONTAINER, FLOATING_POINT_DATATYPE,
+    LIBRARY_KIND_EXTERNAL, LIBRARY_KIND_STDLIB, MYINPUT, NUMPY_LIBRARY, READ_CSV_FLOAT_FILE, STANDARD_DEVIATION,
+    SYS_LIBRARY, insert_turtle,
+)
 
 TEST_HEADER = """\
 @prefix gs: <http://graphsynth.dev/vocab/core#> .
@@ -18,20 +22,35 @@ TEST_HEADER = """\
 @prefix x: <http://t.example/> .
 """
 
+# A second well-formed Python assign-expr form, beside the shipped kb:py_assign_expr.
+ZFORM = """\
+@prefix gs: <http://graphsynth.dev/vocab/core#> .
+@prefix x: <http://t.example/> .
+x:zform a gs:StatementForm ;
+    gs:hasVariationId "assign-expr" ;
+    gs:forLanguageFamily "Python" ;
+    gs:hasTemplateSlot x:zform_s0 , x:zform_s1 , x:zform_s2 .
+x:zform_s0 a gs:TemplateSlot ; gs:hasSlotIndex 0 ; gs:hasSlotField "target" .
+x:zform_s1 a gs:TemplateSlot ; gs:hasSlotIndex 1 ; gs:hasSlotText "=" .
+x:zform_s2 a gs:TemplateSlot ; gs:hasSlotIndex 2 ; gs:hasSlotField "expression" .
+"""
+ZFORM_PROBLEM = ("statement forms of assign-expr for Python: expected exactly 1, found 2: "
+                 "kb:py_assign_expr, <http://t.example/zform>")
+
 
 def test_myinput_metadata_matches_shipped_shape(seed_kb):
     store, _ = seed_kb
     [ds] = views.kb(store).data_sources["my_input.txt"]
-    assert ds.iri == vocab.MYINPUT
-    assert ds.format == vocab.CSV_FORMAT
-    assert ds.encoding == vocab.ASCII_ENCODING
-    assert ds.container == vocab.FILE_CONTAINER
-    assert ds.value_datatype == vocab.FLOATING_POINT_DATATYPE
+    assert ds.iri == MYINPUT
+    assert ds.format == CSV_FORMAT
+    assert ds.encoding == ASCII_ENCODING
+    assert ds.container == FILE_CONTAINER
+    assert ds.value_datatype == FLOATING_POINT_DATATYPE
     assert ds.value_datatype_numeric
     assert ds.header_rows == 0
     assert ds.data_rows == 6
     assert ds.values_per_row == 1
-    assert ds.quantity_type == vocab.DIMENSIONLESS_SAMPLE
+    assert ds.quantity_type == DIMENSIONLESS_SAMPLE
     assert ds.content_type_label == "input_data"
 
 
@@ -89,9 +108,9 @@ def test_unknown_label_matches_nothing(seed_kb):
 @pytest.mark.parametrize(
     "purpose, expected",
     [
-        (vocab.ARITHMETIC_MEAN, "numpy.mean"),
-        (vocab.STANDARD_DEVIATION, "numpy.std"),
-        (vocab.READ_CSV_FLOAT_FILE, "numpy.loadtxt"),
+        (ARITHMETIC_MEAN, "numpy.mean"),
+        (STANDARD_DEVIATION, "numpy.std"),
+        (READ_CSV_FLOAT_FILE, "numpy.loadtxt"),
         (vocab.ACTION_PROGRAM_EXIT, "sys.exit"),
     ],
 )
@@ -104,16 +123,16 @@ def test_code_function_lookup_by_purpose(seed_kb, purpose, expected):
 def test_library_preference_filters_functions(seed_kb):
     store, _ = seed_kb
     kb = views.kb(store)
-    assert _functions(kb, vocab.ARITHMETIC_MEAN, "Python", "numpy")
-    assert _functions(kb, vocab.ARITHMETIC_MEAN, "Python", "scipy") == []
+    assert _functions(kb, ARITHMETIC_MEAN, "Python", "numpy")
+    assert _functions(kb, ARITHMETIC_MEAN, "Python", "scipy") == []
 
 
 def test_numpy_carries_alias_sys_does_not(seed_kb):
     store, _ = seed_kb
-    numpy = views.kb(store).libraries[vocab.NUMPY_LIBRARY]
-    system = views.kb(store).libraries[vocab.SYS_LIBRARY]
-    assert (numpy.official_name, numpy.alias, numpy.kind) == ("numpy", "np", vocab.LIBRARY_KIND_EXTERNAL)
-    assert (system.official_name, system.alias, system.kind) == ("sys", None, vocab.LIBRARY_KIND_STDLIB)
+    numpy = views.kb(store).libraries[NUMPY_LIBRARY]
+    system = views.kb(store).libraries[SYS_LIBRARY]
+    assert (numpy.official_name, numpy.alias, numpy.kind) == ("numpy", "np", LIBRARY_KIND_EXTERNAL)
+    assert (system.official_name, system.alias, system.kind) == ("sys", None, LIBRARY_KIND_STDLIB)
 
 
 def test_exactly_one_structure_satisfies_the_exemplar_requirements(seed_kb):
@@ -283,6 +302,33 @@ def test_check_kb_flags_a_blank_node_typed_with_a_shaped_class(kb_store, cls):
     with pytest.raises(KbValidationError) as raised:
         views.kb(kb_store)
     assert raised.value.problems == problems
+
+
+def test_check_kb_flags_two_statement_forms_of_one_variation_and_family(kb_store):
+    # Each form alone is well formed; before this check the later one in IRI order was filled without a word.
+    insert_turtle(kb_store, ZFORM)
+    assert check_kb(kb_store) == [ZFORM_PROBLEM]
+    with pytest.raises(KbValidationError) as raised:
+        views.kb(kb_store)
+    assert raised.value.problems == [ZFORM_PROBLEM]
+
+
+# Each quote, and the literal as a problem shows it; the double quote is the one other safe character tried.
+@pytest.mark.parametrize("quote, shown", [("' ", '"\' "'), ("''", '"\'\'"'), ("x", '"x"'), ("\\", '"\\\\"'), ('"', None)],
+                         ids=["quote-space", "two-quotes", "word", "backslash", "double-quote"])
+def test_check_kb_takes_only_one_safe_character_as_the_string_quote(kb_store, quote, shown):
+    language = Iri(vocab.kb("python_3_8"))
+    assert kb_store.remove(Quad(language, Iri(vocab.HAS_STRING_LITERAL_QUOTE), Literal("'"), vocab.CORE_GRAPH))
+    assert kb_store.insert(Quad(language, Iri(vocab.HAS_STRING_LITERAL_QUOTE), Literal(quote), vocab.CORE_GRAPH))
+    if shown is None:
+        assert check_kb(kb_store) == []
+        return
+    problem = ("kb:python_3_8 gs:hasStringLiteralQuote: expected one character that is no word character, "
+               f"whitespace or backslash, found {shown}")
+    assert check_kb(kb_store) == [problem]
+    with pytest.raises(KbValidationError) as raised:
+        views.kb(kb_store)
+    assert raised.value.problems == [problem]
 
 
 def test_check_kb_flags_function_without_library(kb_store):
