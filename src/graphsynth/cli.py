@@ -2,7 +2,10 @@
 
 Each pipeline stage maps to a distinct exit code so failures are
 scriptable: 0 ok, 2 config, 3 KB load, 4 statement parse, 5 resolve,
-6 compose, 7 render, 8 write.
+6 compose, 7 render, 8 write, and 1 an exec-check failure or an error of
+no stage. Each stage raises its own error family; `main` alone turns an
+error into its stage and exit code, by the first row of `STAGES` whose
+family matches.
 """
 
 from __future__ import annotations
@@ -13,17 +16,20 @@ import shutil
 import sys
 import time
 from pathlib import Path
-from typing import NamedTuple
 
 from graphsynth import seed, vocab
 from graphsynth.composer import compose
 from graphsynth.errors import (
     CatalogError,
     ComposeError,
+    ConfigError,
+    ExecCheckError,
     GraphSynthError,
     ImportResolutionError,
     KbFileError,
     KbValidationError,
+    MalformedQuadError,
+    MalformedTermError,
     ProblemStatementError,
     RenderError,
     ResolveError,
@@ -37,6 +43,7 @@ from graphsynth.terms import Blank, Iri, Literal, RDF_TYPE, XSD_BOOLEAN, XSD_INT
 from graphsynth.turtle import WELL_KNOWN_PREFIXES, _format_term, serialize
 
 EXIT_OK = 0
+EXIT_ERROR = 1
 EXIT_CONFIG = 2
 EXIT_KB_LOAD = 3
 EXIT_STATEMENT = 4
@@ -47,92 +54,55 @@ EXIT_WRITE = 8
 
 KB_DIR_ENV = "GRAPHSYNTH_KB"
 
-
-class _StageFailure(Exception):
-    def __init__(self, stage: str, code: int, message: str):
-        self.stage = stage
-        self.code = code
-        self.message = message
-        super().__init__(message)
-
-
-class RunConfig(NamedTuple):
-    kb_dir: Path
-    catalog: Path
-    out_dir: Path
-    blank_lines: bool
-    exec_check: bool
-    force: bool
+# (error families, stage, exit code); the first row whose families include an error's class decides.
+STAGES = (
+    ((ConfigError,), "config", EXIT_CONFIG),
+    ((KbFileError, CatalogError, ImportResolutionError, KbValidationError), "kb-load", EXIT_KB_LOAD),
+    ((ProblemStatementError,), "statement-parse", EXIT_STATEMENT),
+    ((ResolveError,), "resolve", EXIT_RESOLVE),
+    ((ComposeError,), "compose", EXIT_COMPOSE),
+    ((RenderError,), "render", EXIT_RENDER),
+    ((WriteError,), "write", EXIT_WRITE),
+    ((ExecCheckError,), "exec-check", EXIT_ERROR),
+)
 
 
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    if args.kb:
-        kb_dir = Path(args.kb)
-    elif os.environ.get(KB_DIR_ENV):
-        kb_dir = Path(os.environ[KB_DIR_ENV])
-    else:
-        kb_dir = seed.kb_dir()
+def _kb_paths(args: argparse.Namespace) -> tuple[Path, Path]:
+    """The KB directory (`--kb`, else `$GRAPHSYNTH_KB`, else the shipped KB) and its catalog file."""
+    kb_dir = Path(args.kb or os.environ.get(KB_DIR_ENV) or seed.kb_dir())
     if not kb_dir.is_dir():
-        raise _StageFailure("config", EXIT_CONFIG, f"knowledge base directory not found: {kb_dir}")
+        raise ConfigError(f"knowledge base directory not found: {kb_dir}")
     catalog = Path(args.catalog) if args.catalog else kb_dir / seed.CATALOG_FILE
     if not catalog.is_file():
-        raise _StageFailure("config", EXIT_CONFIG, f"catalog file not found: {catalog}")
-    out_dir = Path(args.out) if getattr(args, "out", None) else Path.cwd()
-    return RunConfig(
-        kb_dir=kb_dir,
-        catalog=catalog,
-        out_dir=out_dir,
-        blank_lines=(getattr(args, "style", None) == "blank-lines"),
-        exec_check=bool(getattr(args, "exec_check", False)),
-        force=bool(getattr(args, "force", False)),
-    )
-
-
-def _load_kb(config: RunConfig) -> tuple[QuadStore, int]:
-    try:
-        store, report = seed.load_kb(config.kb_dir, config.catalog)
-    except (KbFileError, CatalogError, ImportResolutionError, KbValidationError, OSError) as exc:
-        raise _StageFailure("kb-load", EXIT_KB_LOAD, str(exc)) from exc
-    return store, report.files
+        raise ConfigError(f"catalog file not found: {catalog}")
+    return kb_dir, catalog
 
 
 def _parse_statement(path: Path):
     if not path.is_file():
-        raise _StageFailure("config", EXIT_CONFIG, f"problem statement file not found: {path}")
+        raise ConfigError(f"problem statement file not found: {path}")
     try:
         return parse_problem_statement(path.read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise _StageFailure("statement-parse", EXIT_STATEMENT, f"{path}: not UTF-8 text: {exc}") from exc
-    except ProblemStatementError as exc:
-        raise _StageFailure("statement-parse", EXIT_STATEMENT, f"{path}: {exc}") from exc
+    except (UnicodeDecodeError, ProblemStatementError) as exc:
+        reason = f"not UTF-8 text: {exc}" if isinstance(exc, UnicodeDecodeError) else exc
+        raise ProblemStatementError(f"{path}: {reason}") from exc
 
 
-def _run_pipeline(config: RunConfig, statement_path: Path, store: QuadStore):
-    ps = _parse_statement(statement_path)
-    try:
-        plan = resolve(ps, store)
-    except ResolveError as exc:
-        raise _StageFailure("resolve", EXIT_RESOLVE, str(exc)) from exc
-    try:
-        pla = compose(plan, store)
-    except ComposeError as exc:
-        raise _StageFailure("compose", EXIT_COMPOSE, str(exc)) from exc
-    try:
-        plr = render(pla, plan.language, store)
-    except RenderError as exc:
-        raise _StageFailure("render", EXIT_RENDER, str(exc)) from exc
-    return plan, pla, plr
+def _run_pipeline(statement_path: Path, store: QuadStore):
+    plan = resolve(_parse_statement(statement_path), store)
+    pla = compose(plan, store)
+    return plan, pla, render(pla, plan.language, store)
 
 
-def _exec_check(config: RunConfig, plan, path: Path) -> str:
+def _exec_check(kb_dir: Path, plan, path: Path) -> str:
     # Imported here: it is the only user, and the import costs every cold run.
     import subprocess
 
-    fixture = config.kb_dir / plan.data_source.location
+    fixture = kb_dir / plan.data_source.location
     target = path.parent / plan.data_source.location
     if not target.exists():
         if not fixture.is_file():
-            raise _StageFailure("exec-check", 1, f"fixture data file not found: {fixture}")
+            raise ExecCheckError(f"fixture data file not found: {fixture}")
         shutil.copyfile(fixture, target)
     proc = subprocess.run(
         [sys.executable, path.name],
@@ -142,7 +112,7 @@ def _exec_check(config: RunConfig, plan, path: Path) -> str:
         timeout=60,
     )
     if proc.returncode != 0:
-        raise _StageFailure("exec-check", 1, f"emitted program exited {proc.returncode}: {proc.stderr.strip()}")
+        raise ExecCheckError(f"emitted program exited {proc.returncode}: {proc.stderr.strip()}")
     reported = {}
     for line in proc.stdout.splitlines():
         label, sep, value = line.partition("=")
@@ -151,27 +121,22 @@ def _exec_check(config: RunConfig, plan, path: Path) -> str:
         try:
             reported[label.strip()] = float(value.strip())
         except ValueError:
-            raise _StageFailure("exec-check", 1, f"unparseable report line: {line!r}")
+            raise ExecCheckError(f"unparseable report line: {line!r}")
     if len(reported) != len(plan.calculations):
         expected = len(plan.calculations)
-        raise _StageFailure("exec-check", 1, f"expected one report line per calculation ({expected}), got: {proc.stdout!r}")
+        raise ExecCheckError(f"expected one report line per calculation ({expected}), got: {proc.stdout!r}")
     return " ".join(f"{k}={v}" for k, v in sorted(reported.items()))
 
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    config = _build_config(args)
-    store, _ = _load_kb(config)
-    plan, pla, plr = _run_pipeline(config, Path(args.statement), store)
-    try:
-        # The text is checked to parse before anything is written.
-        text = emit(plr, blank_lines_between_sections=config.blank_lines)
-    except RenderError as exc:
-        raise _StageFailure("render", EXIT_RENDER, str(exc)) from exc
-    try:
-        path = write_source(text, plan.program_basename, plan.language, config.out_dir, force=config.force)
-    except WriteError as exc:
-        raise _StageFailure("write", EXIT_WRITE, str(exc)) from exc
+    kb_dir, catalog = _kb_paths(args)
+    store, _ = seed.load_kb(kb_dir, catalog)
+    plan, pla, plr = _run_pipeline(Path(args.statement), store)
+    # The text is checked to parse before anything is written.
+    text = emit(plr, blank_lines_between_sections=args.style == "blank-lines")
+    out_dir = Path(args.out) if args.out else Path.cwd()
+    path = write_source(text, plan.program_basename, plan.language, out_dir, force=args.force)
 
     print(f"data source: {plan.data_source.name} <{plan.data_source.iri}>")
     for calc in plan.calculations:
@@ -182,16 +147,15 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     print(f"graph <{pla.graph_iri}>: {store.graph_size(pla.graph_iri)} quads")
     print(f"graph <{plr.graph_iri}>: {store.graph_size(plr.graph_iri)} quads")
     print(f"wrote: {path}")
-    if config.exec_check:
-        print(f"exec-check: {_exec_check(config, plan, path)}")
+    if args.exec_check:
+        print(f"exec-check: {_exec_check(kb_dir, plan, path)}")
     print(f"time: {time.perf_counter() - started:.3f}s")
     return EXIT_OK
 
 
 def cmd_kb_stats(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    store, files = _load_kb(config)
-    print(f"files loaded: {files}")
+    store, report = seed.load_kb(*_kb_paths(args))
+    print(f"files loaded: {report.files}")
     print(f"graph <{vocab.CORE_GRAPH}>: {store.graph_size(vocab.CORE_GRAPH)} quads")
     counts = (
         ("data sources", vocab.DATA_SOURCE),
@@ -207,10 +171,9 @@ def cmd_kb_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_dump_graph(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    store, _ = _load_kb(config)
+    store, _ = seed.load_kb(*_kb_paths(args))
     if args.statement:
-        _run_pipeline(config, Path(args.statement), store)
+        _run_pipeline(Path(args.statement), store)
     sys.stdout.write(serialize(store, args.graph))
     return EXIT_OK
 
@@ -219,37 +182,41 @@ _PREFIX_TABLE = dict(WELL_KNOWN_PREFIXES)
 
 
 def _parse_query_term(token: str, position: str):
-    if token.startswith("?") and len(token) > 1:
-        return Var(token[1:])
-    if token == "a":
-        return Iri(RDF_TYPE)
-    if token.startswith("<") and token.endswith(">"):
-        return Iri(token[1:-1])
-    if token.startswith("_:"):
-        return Blank(token[2:])
-    if token.startswith('"') and token.endswith('"') and len(token) >= 2:
-        return Literal(token[1:-1])
-    if token in ("true", "false"):
-        return Literal(token, XSD_BOOLEAN)
-    if token.lstrip("+-").isdigit():
-        return Literal(token, XSD_INTEGER)
+    digits = token[1:] if token[0] in "+-" else token
     prefix, sep, local = token.partition(":")
-    if sep and prefix in _PREFIX_TABLE:
-        return Iri(_PREFIX_TABLE[prefix] + local)
-    raise _StageFailure("config", EXIT_CONFIG, f"cannot parse {position} term {token!r} in query pattern")
+    try:
+        if token.startswith("?") and len(token) > 1:
+            return Var(token[1:])
+        if token == "a":
+            return Iri(RDF_TYPE)
+        if token.startswith("<") and token.endswith(">"):
+            return Iri(token[1:-1])
+        if token.startswith("_:"):
+            return Blank(token[2:])
+        if token.startswith('"') and token.endswith('"') and len(token) >= 2:
+            return Literal(token[1:-1])
+        if token in ("true", "false"):
+            return Literal(token, XSD_BOOLEAN)
+        if digits.isascii() and digits.isdigit():
+            return Literal(token, XSD_INTEGER)
+        if sep and prefix in _PREFIX_TABLE:
+            return Iri(_PREFIX_TABLE[prefix] + local)
+    except (MalformedTermError, MalformedQuadError) as exc:
+        raise ConfigError(f"cannot parse {position} term {token!r} in query pattern: {exc}") from exc
+    raise ConfigError(f"cannot parse {position} term {token!r} in query pattern")
 
 
 def _parse_query_pattern(text: str) -> Pattern:
     tokens = text.split()
     if len(tokens) not in (3, 4):
-        raise _StageFailure("config", EXIT_CONFIG, f"pattern needs 3 or 4 terms, got {len(tokens)}: {text!r}")
+        raise ConfigError(f"pattern needs 3 or 4 terms, got {len(tokens)}: {text!r}")
     subject = _parse_query_term(tokens[0], "subject")
     predicate = _parse_query_term(tokens[1], "predicate")
     obj = _parse_query_term(tokens[2], "object")
     if len(tokens) == 4:
         graph_term = _parse_query_term(tokens[3], "graph")
         if not isinstance(graph_term, (Var, Iri)):
-            raise _StageFailure("config", EXIT_CONFIG, f"graph term must be an IRI or a variable, got {tokens[3]!r}")
+            raise ConfigError(f"graph term must be an IRI or a variable, got {tokens[3]!r}")
         graph = graph_term if isinstance(graph_term, Var) else graph_term.value
     else:
         graph = vocab.CORE_GRAPH
@@ -257,8 +224,7 @@ def _parse_query_pattern(text: str) -> Pattern:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    store, _ = _load_kb(config)
+    store, _ = seed.load_kb(*_kb_paths(args))
     patterns = [_parse_query_pattern(text) for text in args.patterns]
     rows = store.query_bgp(patterns)
     variables = sorted(set().union(*(p.variables() for p in patterns)))
@@ -300,7 +266,8 @@ def _make_parser() -> argparse.ArgumentParser:
         "patterns",
         nargs="+",
         metavar="PATTERN",
-        help="pattern of 3 or 4 terms: ?var, <iri>, prefix:local, a, \"literal\", integer; graph defaults to the core graph",
+        help="pattern of 3 or 4 terms: ?var, <iri>, prefix:local, a, \"literal\", integer, true/false, _:id; "
+        "graph defaults to the core graph",
     )
     p_query.set_defaults(func=cmd_query)
     return parser
@@ -311,12 +278,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _StageFailure as failure:
-        print(f"graphsynth: error at stage {failure.stage}: {failure.message}", file=sys.stderr)
-        return failure.code
-    except GraphSynthError as exc:  # anything a stage forgot to map
+    except GraphSynthError as exc:
+        for families, stage, code in STAGES:
+            if isinstance(exc, families):
+                print(f"graphsynth: error at stage {stage}: {exc}", file=sys.stderr)
+                return code
         print(f"graphsynth: error: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

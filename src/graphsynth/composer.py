@@ -145,10 +145,15 @@ def derive_variable_name(
     return name
 
 
+def _libraries(plan: BuildPlan) -> list[LibraryInfo]:
+    """The library of each function the planned program calls."""
+    functions = (plan.reader_function, plan.exit_function, *(calc.function for calc in plan.calculations))
+    return [fn.library for fn in functions]
+
+
 def library_names(plan: BuildPlan) -> frozenset[str]:
     """Official names and aliases of every library the planned program references."""
-    functions = [plan.reader_function, plan.exit_function, *(calc.function for calc in plan.calculations)]
-    return frozenset(name for fn in functions for name in (fn.library.official_name, fn.library.alias) if name)
+    return frozenset(name for lib in _libraries(plan) for name in (lib.official_name, lib.alias) if name)
 
 
 def _apply_naming_pattern(patterns: Mapping[str, NamingPatternInfo], context: NamingContext) -> str:
@@ -282,6 +287,9 @@ def compose(plan: BuildPlan, store: QuadStore) -> PlaProgram:
     graph_iri = vocab.program_graph_iri(plan.program_basename, "pla")
     if store.graph_size(graph_iri) != 0:
         raise ComposeError(f"target graph is not empty: {graph_iri}")
+    # A program file named after a top-level module it imports would import itself instead.
+    if plan.program_basename in {lib.official_name.partition(".")[0] for lib in _libraries(plan)}:
+        raise ComposeError(f"program basename {plan.program_basename!r} names an imported library")
 
     state = _Composition(plan, views.kb(store))
     result_vars: list[str] = []

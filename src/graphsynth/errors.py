@@ -7,6 +7,10 @@ class GraphSynthError(Exception):
     """Base class for every error raised by this package."""
 
 
+class ConfigError(GraphSynthError):
+    """A command's input that names no usable file, directory or query term."""
+
+
 class MalformedTermError(GraphSynthError):
     pass
 
@@ -39,7 +43,7 @@ class ImportResolutionError(GraphSynthError):
 
 
 class KbFileError(GraphSynthError):
-    """A KB file that is no UTF-8 text or no valid Turtle; the message leads with its path."""
+    """A KB file that cannot be read, or is no UTF-8 text or no valid Turtle; the message leads with its path."""
 
 
 class KbValidationError(GraphSynthError):
@@ -155,3 +159,7 @@ class UnmappableStatementError(RenderError):
 
 class WriteError(GraphSynthError):
     pass
+
+
+class ExecCheckError(GraphSynthError):
+    """An emitted program that fails to run, or whose report lines do not match its calculations."""

@@ -4,8 +4,8 @@ Each document is loaded exactly once (visited set keyed on ontology IRI and
 file path), so import cycles are harmless. Blank node labels are file
 scoped: on load they are renamed to dataset-unique ids derived from the
 document key, which keeps the final quad set independent of load order.
-A file that is no UTF-8 text or no valid Turtle raises KbFileError, whose
-message starts with the file's path.
+A file that cannot be read, or is no UTF-8 text or no valid Turtle, raises
+KbFileError, whose message starts with the file's path.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class ImportCatalog:
         root = catalog_path.parent
         try:
             text = catalog_path.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise CatalogError(f"cannot read catalog {catalog_path}: {exc}") from exc
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
@@ -81,9 +81,11 @@ def _renamed(doc_key: str, term: Term) -> Term:
 
 
 def _read_document(path: Path) -> OntologyDocument:
-    """Parse one KB file; a file that is no UTF-8 or no valid Turtle names itself."""
+    """Parse one KB file; a file that cannot be read, or is no UTF-8 or no valid Turtle, names itself."""
     try:
         return parse_document(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise KbFileError(f"{path}: cannot read: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise KbFileError(f"{path}: not UTF-8 text: {exc}") from exc
     except TurtleParseError as exc:

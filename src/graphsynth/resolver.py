@@ -8,7 +8,7 @@ an error, never a silent guess.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from graphsynth import vocab, views
 from graphsynth.errors import (
@@ -116,12 +116,12 @@ def _resolve_language(kb: Kb, tag: str) -> LanguageInfo:
     return select_candidate("language", most_specific, describe=lambda lang: lang.tag)
 
 
-def _near_miss(kb: Kb, cls: str, wanted: str) -> str | None:
-    """The label of an instance of `cls` closest to `wanted`, if any is close."""
+def _near_miss(labels: Iterable[str], wanted: str) -> str | None:
+    """The one of `labels` closest to `wanted`, if any is close."""
     # Imported here: only a failed resolve needs it, and the import costs every cold run.
     import difflib
 
-    matches = difflib.get_close_matches(wanted, sorted(kb.labels[cls]), n=1)
+    matches = difflib.get_close_matches(wanted, sorted(labels), n=1)
     return matches[0] if matches else None
 
 
@@ -134,7 +134,7 @@ def _functions(kb: Kb, purpose: str, language_family: str, library_pref: str | N
 def _resolve_data_source(kb: Kb, name: str) -> DataSourceInfo:
     sources = kb.data_sources.get(name, ())
     if not sources:
-        raise NoDataSourceError(name, _near_miss(kb, vocab.DATA_SOURCE, name))
+        raise NoDataSourceError(name, _near_miss(kb.data_sources, name))
     return select_candidate("data source", sources, describe=lambda ds: ds.iri)
 
 
@@ -147,7 +147,7 @@ def _resolve_calculation(
 ) -> PlannedCalculation:
     algorithms = kb.algorithms_by_label.get(label, ())
     if not algorithms:
-        raise NoAlgorithmError(label, _near_miss(kb, vocab.ALGORITHM, label))
+        raise NoAlgorithmError(label, _near_miss(kb.algorithms_by_label, label))
     compatible = []
     all_violations: list[tuple[AlgorithmInfo, list[str]]] = []
     for alg in algorithms:

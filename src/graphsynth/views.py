@@ -2,11 +2,10 @@
 
 `SHAPES` declares once, in the manner of SHACL Core, the shape of every
 entity class the pipeline reads: per property its field, predicate, kind
-and cardinality, plus the field that labels the instances. `check_kb`
-lists each class's instances with one probe of the store's predicate
-table and reads the fields of each once through `read`, the one reader of
-a field table, which checks each field's count and kind and reports what
-breaks them. From the same values it compiles a `Kb` snapshot of
+and cardinality. `check_kb` lists each class's instances with one probe of
+the store's predicate table and reads the fields of each once through
+`read`, the one reader of a field table, which checks each field's count
+and kind and reports what breaks them. From the same values it compiles a `Kb` snapshot of
 `NamedTuple` records and indexes, with no defaults: an absent optional
 value reads as None (or an empty tuple). The store keeps the snapshot at
 the graph's generation, and `kb` compiles a new one once the graph has
@@ -153,9 +152,9 @@ MANY = None  # no upper bound on the number of values, as no sh:maxCount
 
 Field = tuple[str, Iri, str, int, "int | None"]  # (name, predicate, kind, min, max)
 
-# Class -> (label field or None, fields).
-SHAPES: dict[str, tuple[str | None, tuple[Field, ...]]] = {
-    vocab.DATA_SOURCE: ("name", (
+# Class -> fields.
+SHAPES: dict[str, tuple[Field, ...]] = {
+    vocab.DATA_SOURCE: (
         ("name", Iri(vocab.HAS_NAME), STR, 1, 1),
         ("container", Iri(vocab.HAS_CONTAINER), IRI, 1, 1),
         ("format", Iri(vocab.HAS_FORMAT), IRI, 1, 1),
@@ -166,10 +165,10 @@ SHAPES: dict[str, tuple[str | None, tuple[Field, ...]]] = {
         ("values_per_row", Iri(vocab.HAS_VALUES_PER_ROW), INT, 1, 1),
         ("quantity_types", Iri(vocab.HAS_QUANTITY_KIND), IRI, 1, MANY),
         ("location", Iri(vocab.HAS_LOCATION), STR, 1, 1),
-        ("content_kind", Iri(vocab.HAS_CONTENT_KIND), vocab.DATA_CONTENT_KIND, 0, 1))),
-    vocab.VALUE_DATATYPE: (None, (("numeric", Iri(vocab.IS_NUMERIC), BOOL, 1, 1),)),
-    vocab.DATA_CONTENT_KIND: ("type_label", (("type_label", Iri(vocab.HAS_TYPE_LABEL), STR, 1, 1),)),
-    vocab.ALGORITHM: ("output_description_labels", (
+        ("content_kind", Iri(vocab.HAS_CONTENT_KIND), vocab.DATA_CONTENT_KIND, 0, 1)),
+    vocab.VALUE_DATATYPE: (("numeric", Iri(vocab.IS_NUMERIC), BOOL, 1, 1),),
+    vocab.DATA_CONTENT_KIND: (("type_label", Iri(vocab.HAS_TYPE_LABEL), STR, 1, 1),),
+    vocab.ALGORITHM: (
         ("name", Iri(vocab.HAS_NAME), STR, 1, 1),
         ("output_description_labels", Iri(vocab.HAS_OUTPUT_DESCRIPTION_LABEL), STR, 1, MANY),
         ("min_input_count", Iri(vocab.HAS_MIN_INPUT_COUNT), INT, 1, 1),
@@ -177,56 +176,56 @@ SHAPES: dict[str, tuple[str | None, tuple[Field, ...]]] = {
         ("inputs_same_quantity", Iri(vocab.REQUIRES_SAME_QUANTITY_KIND), BOOL, 1, 1),
         ("output_arity", Iri(vocab.HAS_OUTPUT_ARITY), INT, 1, 1),
         ("output_quantity", Iri(vocab.HAS_OUTPUT_QUANTITY), IRI, 1, 1),
-        ("time_complexity", Iri(vocab.HAS_TIME_COMPLEXITY), STR, 1, 1))),
-    vocab.CODE_FUNCTION: ("callable_name", (
+        ("time_complexity", Iri(vocab.HAS_TIME_COMPLEXITY), STR, 1, 1)),
+    vocab.CODE_FUNCTION: (
         ("callable_name", Iri(vocab.HAS_CALLABLE_NAME), NAME, 1, 1),
         ("library", Iri(vocab.PROVIDED_BY), vocab.LIBRARY, 1, 1),
         ("language", Iri(vocab.IN_LANGUAGE), vocab.LANGUAGE_FAMILY, 1, 1),
         ("purpose", Iri(vocab.HAS_PURPOSE), IRI, 1, 1),
         ("slots", Iri(vocab.HAS_ARGUMENT_SLOT), vocab.ARGUMENT_SLOT, 1, MANY),
-        ("return_role", Iri(vocab.HAS_RETURN_ROLE), IRI, 0, 1))),
-    vocab.ARGUMENT_SLOT: (None, (
+        ("return_role", Iri(vocab.HAS_RETURN_ROLE), IRI, 0, 1)),
+    vocab.ARGUMENT_SLOT: (
         ("index", Iri(vocab.HAS_SLOT_INDEX), INT, 1, 1),
-        ("role", Iri(vocab.HAS_SLOT_ROLE), IRI, 1, 1))),
-    vocab.LIBRARY: ("official_name", (
+        ("role", Iri(vocab.HAS_SLOT_ROLE), IRI, 1, 1)),
+    vocab.LIBRARY: (
         ("official_name", Iri(vocab.HAS_OFFICIAL_NAME), NAME, 1, 1),
         ("alias", Iri(vocab.HAS_ALIAS), NAME, 0, 1),
-        ("kind", Iri(vocab.HAS_LIBRARY_KIND), STR, 1, 1))),
-    vocab.PROGRAMMING_LANGUAGE: ("tag", (
+        ("kind", Iri(vocab.HAS_LIBRARY_KIND), STR, 1, 1)),
+    vocab.PROGRAMMING_LANGUAGE: (
         ("tag", Iri(vocab.HAS_VERSION_TAG), STR, 1, 1),
         ("family", Iri(vocab.IN_FAMILY), vocab.LANGUAGE_FAMILY, 1, 1),
         ("source_file_extension", Iri(vocab.HAS_SOURCE_FILE_EXTENSION), STR, 1, 1),
         ("paradigm", Iri(vocab.HAS_PARADIGM), IRI, 1, 1),
-        ("string_quote", Iri(vocab.HAS_STRING_LITERAL_QUOTE), STR, 1, 1))),
-    vocab.LANGUAGE_FAMILY: ("name", (("name", Iri(vocab.HAS_FAMILY_NAME), STR, 1, 1),)),
-    vocab.PROGRAM_STRUCTURE: ("name", (
+        ("string_quote", Iri(vocab.HAS_STRING_LITERAL_QUOTE), STR, 1, 1)),
+    vocab.LANGUAGE_FAMILY: (("name", Iri(vocab.HAS_FAMILY_NAME), STR, 1, 1),),
+    vocab.PROGRAM_STRUCTURE: (
         ("name", Iri(vocab.HAS_NAME), STR, 1, 1),
         ("slots", Iri(vocab.HAS_SECTION_SLOT), vocab.SECTION_SLOT, 1, MANY),
-        ("requirements", Iri(vocab.SATISFIES_REQUIREMENT), vocab.PROGRAM_REQUIREMENT, 1, MANY))),
-    vocab.SECTION_SLOT: (None, (
+        ("requirements", Iri(vocab.SATISFIES_REQUIREMENT), vocab.PROGRAM_REQUIREMENT, 1, MANY)),
+    vocab.SECTION_SLOT: (
         ("section_iri", Iri(vocab.HAS_SECTION), vocab.PROGRAM_SECTION, 1, 1),
         ("emission_index", Iri(vocab.HAS_EMISSION_INDEX), INT, 1, 1),
-        ("composition_index", Iri(vocab.HAS_COMPOSITION_INDEX), INT, 1, 1))),
-    vocab.PROGRAM_SECTION: ("name", (("name", Iri(vocab.HAS_NAME), STR, 1, 1),)),
-    vocab.PROGRAM_REQUIREMENT: ("label", (
+        ("composition_index", Iri(vocab.HAS_COMPOSITION_INDEX), INT, 1, 1)),
+    vocab.PROGRAM_SECTION: (("name", Iri(vocab.HAS_NAME), STR, 1, 1),),
+    vocab.PROGRAM_REQUIREMENT: (
         ("label", Iri(vocab.HAS_REQUIREMENT_LABEL), STR, 1, 1),
-        ("implied_action", Iri(vocab.IMPLIES_RUNTIME_ACTION), IRI, 0, 1))),
-    vocab.READ_CAPABILITY: (None, (
+        ("implied_action", Iri(vocab.IMPLIES_RUNTIME_ACTION), IRI, 0, 1)),
+    vocab.READ_CAPABILITY: (
         ("format", Iri(vocab.READS_FORMAT), IRI, 1, 1),
         ("value_datatype", Iri(vocab.READS_VALUE_DATATYPE), IRI, 1, 1),
-        ("container", Iri(vocab.READS_CONTAINER), IRI, 1, 1))),
-    vocab.NAMING_PATTERN: ("pattern_id", (
+        ("container", Iri(vocab.READS_CONTAINER), IRI, 1, 1)),
+    vocab.NAMING_PATTERN: (
         ("pattern_id", Iri(vocab.HAS_PATTERN_ID), STR, 1, 1),
         ("separator", Iri(vocab.HAS_LABEL_SEPARATOR), STR, 0, 1),
-        ("suffix_label", Iri(vocab.HAS_SUFFIX_LABEL), STR, 0, 1))),
-    vocab.STATEMENT_FORM: ("variation_id", (
+        ("suffix_label", Iri(vocab.HAS_SUFFIX_LABEL), STR, 0, 1)),
+    vocab.STATEMENT_FORM: (
         ("variation_id", Iri(vocab.HAS_VARIATION_ID), STR, 1, 1),
         ("family", Iri(vocab.FOR_LANGUAGE_FAMILY), STR, 1, 1),
-        ("slots", Iri(vocab.HAS_TEMPLATE_SLOT), vocab.TEMPLATE_SLOT, 1, MANY))),
-    vocab.TEMPLATE_SLOT: (None, (
+        ("slots", Iri(vocab.HAS_TEMPLATE_SLOT), vocab.TEMPLATE_SLOT, 1, MANY)),
+    vocab.TEMPLATE_SLOT: (
         ("index", Iri(vocab.HAS_SLOT_INDEX), INT, 1, 1),
         ("text", Iri(vocab.HAS_SLOT_TEXT), STR, 0, 1),
-        ("field", Iri(vocab.HAS_SLOT_FIELD), STR, 0, 1))),
+        ("field", Iri(vocab.HAS_SLOT_FIELD), STR, 0, 1)),
 }
 
 _RDF_TYPE = Iri(RDF_TYPE)
@@ -349,7 +348,6 @@ class Kb(NamedTuple):
     languages: tuple[LanguageInfo, ...]
     structures: tuple[ProgramStructureInfo, ...]
     read_capabilities: tuple[ReadCapabilityInfo, ...]
-    labels: Mapping[str, frozenset[str]]  # by each class that SHAPES gives a label field
 
 
 def kb(store: QuadStore) -> Kb:
@@ -404,7 +402,7 @@ def _compile(store: QuadStore, graph: str) -> tuple[list[str], Kb | tuple[str, .
     member_sets = {cls: set(nodes) for cls, nodes in members.items()}  # for the class kinds
     # Class -> instance, in IRI order -> field name -> its value, as `read` reads it.
     kb_fields = {cls: {node: read(store, graph, fields, node, problems, member_sets) for node in members[cls]}
-                 for cls, (_, fields) in SHAPES.items()}
+                 for cls, fields in SHAPES.items()}
     if not problems:
         kb = _snapshot(kb_fields)
         problems = _cross_entity_problems(kb, kb_fields)
@@ -539,11 +537,6 @@ def _snapshot(f: dict[str, dict[Iri, dict]]) -> Kb:
                         for node, v in f[vocab.PROGRAMMING_LANGUAGE].items()),
         structures=tuple(structures),
         read_capabilities=tuple(ReadCapabilityInfo(node.value, **v) for node, v in f[vocab.READ_CAPABILITY].items()),
-        labels=MappingProxyType({
-            cls: frozenset(x for v in f[cls].values() for x in (v[label] if isinstance(v[label], tuple) else (v[label],)))
-            for cls, (label, _) in SHAPES.items()
-            if label
-        }),
     )
 
 

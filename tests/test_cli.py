@@ -12,6 +12,20 @@ from conftest import GOLDEN_DIR, NUMPY_MEAN
 from test_seedkb import ZFORM, ZFORM_PROBLEM
 from graphsynth import vocab
 from graphsynth.cli import main
+from graphsynth.errors import (
+    CatalogError,
+    ComposeError,
+    ConfigError,
+    ExecCheckError,
+    ImportResolutionError,
+    KbFileError,
+    KbValidationError,
+    MalformedQuadError,
+    NoAlgorithmError,
+    ProblemStatementError,
+    RenderError,
+    WriteError,
+)
 from graphsynth.quadstore import Quad, QuadStore
 from graphsynth.seed import example_statement_path
 from graphsynth.turtle import parse_document
@@ -400,6 +414,14 @@ def test_kb_file_that_is_no_utf8_maps_to_load_exit_code_and_is_named(tmp_path, c
     assert not (out / "hello_analytic.py").exists()
 
 
+def test_catalog_that_is_no_utf8_maps_to_load_exit_code_and_is_named(tmp_path, capsys):
+    kb = _doctored_kb(tmp_path, "catalog.tsv", "")
+    (kb / "catalog.tsv").write_bytes("# caf\u00e9\n".encode("latin-1"))
+    code, out, err = run(capsys, "kb-stats", "--kb", str(kb))
+    assert code == 3 and out == ""
+    assert err.startswith(f"graphsynth: error at stage kb-load: cannot read catalog {kb / 'catalog.tsv'}: ")
+
+
 def test_statement_that_is_no_utf8_maps_to_parse_exit_code_and_is_named(tmp_path, capsys):
     bad = tmp_path / "bad.aida"
     bad.write_bytes("program_basename = 'caf\u00e9'\n".encode("latin-1"))
@@ -462,6 +484,76 @@ def test_a_basename_that_cannot_be_part_of_an_iri_maps_to_parse_exit_code(tmp_pa
     assert code == 4
     assert "stage statement-parse" in err and "program_basename must be non-empty" in err
     assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_a_basename_that_names_an_imported_library_maps_to_compose_exit_code(tmp_path, capsys):
+    # `numpy.py` would import itself in place of numpy; the alias `np` shadows nothing.
+    for basename, expected in (("numpy", 6), ("np", 0)):
+        statement = tmp_path / f"{basename}.aida"
+        statement.write_text(Path(STMT).read_text(encoding="utf-8").replace("'hello_analytic'", f"'{basename}'"))
+        out = tmp_path / basename
+        code, _, err = run(capsys, "synthesize", str(statement), "--out", str(out))
+        assert code == expected, err
+        if expected:
+            assert f"stage compose: program basename '{basename}' names an imported library" in err
+            assert not out.exists() or list(out.iterdir()) == []
+        else:
+            assert [path.name for path in out.iterdir()] == [f"{basename}.py"]
+
+
+@pytest.mark.parametrize(
+    "error, stage, code",
+    [
+        (ConfigError("x"), "config", 2),
+        (KbFileError("x"), "kb-load", 3),
+        (CatalogError("x"), "kb-load", 3),
+        (ImportResolutionError("x"), "kb-load", 3),
+        (KbValidationError(["x"]), "kb-load", 3),
+        (ProblemStatementError("x"), "statement-parse", 4),
+        (NoAlgorithmError("x", None), "resolve", 5),
+        (ComposeError("x"), "compose", 6),
+        (RenderError("x"), "render", 7),
+        (WriteError("x"), "write", 8),
+        (ExecCheckError("x"), "exec-check", 1),
+        (MalformedQuadError("x"), None, 1),
+    ],
+    ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None,
+)
+def test_each_error_family_exits_with_its_stage_code_wherever_it_is_raised(capsys, monkeypatch, error, stage, code):
+    from graphsynth import cli
+
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(cli, "resolve", fail)
+    where = f" at stage {stage}" if stage else ""
+    assert run(capsys, "synthesize", STMT) == (code, "", f"graphsynth: error{where}: {error}\n")
+
+
+def test_a_kb_file_that_cannot_be_read_maps_to_load_exit_code_and_is_named(capsys, monkeypatch):
+    from graphsynth.seed import kb_dir
+
+    unreadable = (kb_dir() / "units.ttl").resolve()
+    read_text = Path.read_text
+
+    def refuse(self, *args, **kwargs):
+        if self == unreadable:
+            raise PermissionError(13, "Permission denied", str(self))
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    code, out, err = run(capsys, "kb-stats")
+    assert code == 3 and out == ""
+    assert err.startswith(f"graphsynth: error at stage kb-load: {unreadable}: cannot read: ")
+
+
+def test_exec_check_without_its_fixture_maps_to_exit_1_at_exec_check(tmp_path, capsys):
+    kb = _doctored_kb(tmp_path, "my_input.txt", "")
+    (kb / "my_input.txt").unlink()
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "synthesize", STMT, "--kb", str(kb), "--out", str(out), "--exec-check")
+    assert code == 1
+    assert err == f"graphsynth: error at stage exec-check: fixture data file not found: {kb / 'my_input.txt'}\n"
 
 
 def test_dump_graph_unknown_graph_is_header_only(capsys):
@@ -527,10 +619,24 @@ def test_query_single_pattern_equals_match_pattern(capsys, seed_kb):
     ]
 
 
-def test_query_pattern_syntax_error_is_config(capsys):
-    code, _, err = run(capsys, "query", "?x only-two")
+@pytest.mark.parametrize(
+    "pattern",
+    [
+        "?x only-two",
+        # Terms the term constructors reject; each once exited 1 and named no stage.
+        "?1x ?p ?o",
+        "<> ?p ?o",
+        "_:!! ?p ?o",
+        # No integer: once read as the integer literal "+-5".
+        "+-5 ?p ?o",
+    ],
+    ids=["two-terms", "digit-variable", "empty-iri", "bad-blank-label", "two-signs"],
+)
+def test_query_pattern_syntax_error_is_config(capsys, pattern):
+    code, out, err = run(capsys, "query", pattern)
     assert code == 2
     assert "stage config" in err
+    assert out == "" and "Traceback" not in err
 
 
 def test_query_bad_term_is_config(capsys):

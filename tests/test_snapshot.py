@@ -95,7 +95,6 @@ def test_a_clone_and_its_original_edited_to_the_same_generation_each_see_their_o
         kb = views.kb(store)
         assert [source.name for source in kb.data_sources[own]] == [own]
         assert other not in kb.data_sources
-        assert own in kb.labels[vocab.DATA_SOURCE]
 
 
 def test_assigning_into_any_kb_mapping_raises_type_error_and_the_next_kb_equals_the_first(seed_kb):
@@ -105,7 +104,7 @@ def test_assigning_into_any_kb_mapping_raises_type_error_and_the_next_kb_equals_
     assert all(isinstance(field, (Mapping, tuple)) for field in first)
     mappings = [field for field in first if isinstance(field, Mapping)]
     mappings += first.statement_forms.values()
-    assert len(mappings) == 8 + len(first.statement_forms) > 8
+    assert len(mappings) == 7 + len(first.statement_forms) > 7
     for mapping in mappings:
         key = next(iter(mapping))
         with pytest.raises(TypeError):

@@ -42,10 +42,9 @@ def test_every_shape_names_a_shipped_class_and_public_vocab_predicates(seed_kb):
 
     store, _ = seed_kb
     public = {value for name in dir(vocab) if isinstance(value := getattr(vocab, name), str) and name[0] != "_"}
-    for cls, (label, fields) in SHAPES.items():
+    for cls, fields in SHAPES.items():
         assert store.match_pattern(Pattern(Var("s"), Iri(RDF_TYPE), Iri(cls), vocab.CORE_GRAPH)), cls
         assert cls in public, cls
-        assert label is None or label in {name for name, *_ in fields}, cls
         for name, predicate, kind, low, high in fields:
             assert predicate.value in public, (cls, name)
             assert kind in SHAPES or kind in (STR, NAME, INT, BOOL, IRI), (cls, name)
