@@ -627,10 +627,11 @@ def test_query_single_pattern_equals_match_pattern(capsys, seed_kb):
         "?1x ?p ?o",
         "<> ?p ?o",
         "_:!! ?p ?o",
-        # No integer: once read as the integer literal "+-5".
+        # No integers: each once read as an integer literal.
         "+-5 ?p ?o",
+        "?s ?p \u00b2",
     ],
-    ids=["two-terms", "digit-variable", "empty-iri", "bad-blank-label", "two-signs"],
+    ids=["two-terms", "digit-variable", "empty-iri", "bad-blank-label", "two-signs", "superscript-digit"],
 )
 def test_query_pattern_syntax_error_is_config(capsys, pattern):
     code, out, err = run(capsys, "query", pattern)
