@@ -171,6 +171,10 @@ def cmd_kb_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_dump_graph(args: argparse.Namespace) -> int:
+    try:
+        Iri(args.graph)
+    except MalformedTermError as exc:
+        raise ConfigError(f"graph must be an IRI, got {args.graph!r}: {exc}") from exc
     store, _ = seed.load_kb(*_kb_paths(args))
     if args.statement:
         _run_pipeline(Path(args.statement), store)

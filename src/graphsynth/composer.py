@@ -1,9 +1,10 @@
 """Builds the abstract program representation as triples in a named graph.
 
-Sections are composed in dependency order (Input, Calculate, Output,
-CleanUp, Preamble) so that variables defined in one section flow into the
-next, and external library references observed along the way become import
-directives when everything else is done. The abstract graph is
+Sections are composed in one pass in dependency order (Input, Calculate,
+Output, CleanUp, Preamble), the composition order `views.check_kb` fixes for
+every structure, so that variables defined in one section flow into the
+next, and the libraries of the called functions become import directives
+when everything else is done. The abstract graph is
 paradigm-bound but language-agnostic: no concrete syntax, no quoting, no
 keywords; functions appear only as knowledge-base entity IRIs.
 """
@@ -92,6 +93,8 @@ class PlacedStatement(NamedTuple):
 
 
 class PlaSection(NamedTuple):
+    """One section of the structure, its statements in order-index order."""
+
     name: str
     entity_iri: str
     emission_index: int
@@ -100,12 +103,14 @@ class PlaSection(NamedTuple):
 
 
 class PlaProgram(NamedTuple):
+    """An abstract program: its sections in emission order, each holding its statements in order-index order."""
+
     graph_iri: str
     program_iri: str
     basename: str
     structure_iri: str
-    sections: tuple[PlaSection, ...]  # in emission order
-    referenced_libraries: tuple[LibraryInfo, ...]  # in first-reference order
+    sections: tuple[PlaSection, ...]
+    referenced_libraries: tuple[LibraryInfo, ...]  # the called functions' libraries, in first-call order
     called_functions: tuple[CodeFunctionInfo, ...]  # in first-call order
 
     def section(self, name: str) -> PlaSection:
@@ -145,15 +150,16 @@ def derive_variable_name(
     return name
 
 
-def _libraries(plan: BuildPlan) -> list[LibraryInfo]:
-    """The library of each function the planned program calls."""
-    functions = (plan.reader_function, plan.exit_function, *(calc.function for calc in plan.calculations))
-    return [fn.library for fn in functions]
+def _called_functions(plan: BuildPlan) -> tuple[CodeFunctionInfo, ...]:
+    """The functions the planned program calls, each once, in first-call order."""
+    return tuple(dict.fromkeys((plan.reader_function, *(calc.function for calc in plan.calculations),
+                                plan.exit_function)))
 
 
 def library_names(plan: BuildPlan) -> frozenset[str]:
     """Official names and aliases of every library the planned program references."""
-    return frozenset(name for lib in _libraries(plan) for name in (lib.official_name, lib.alias) if name)
+    return frozenset(name for function in _called_functions(plan)
+                     for name in (function.library.official_name, function.library.alias) if name)
 
 
 def _apply_naming_pattern(patterns: Mapping[str, NamingPatternInfo], context: NamingContext) -> str:
@@ -187,88 +193,20 @@ class NameAllocator:
         return name if count == 1 else f"{name}_{count}"
 
 
-class _Composition:
-    def __init__(self, plan: BuildPlan, kb: Kb):
-        self.plan = plan
-        self.patterns = kb.naming_patterns
-        self.reserved = library_names(plan)
-        self.names = NameAllocator()
-        self.role_vars: dict[str, str] = {}
-        self.functions: dict[str, CodeFunctionInfo] = {}
-        self.libraries: dict[str, LibraryInfo] = {}
-        self.counter = 0
-        self.placed: dict[str, list[PlacedStatement]] = {}
+def _call(target: str, function: CodeFunctionInfo, role_vars: dict[str, str]) -> AssignCall:
+    """`target` assigned the call of `function` on the variable of each of its argument roles.
 
-    def note_call(self, function: CodeFunctionInfo):
-        """Record a placed call: its function, and the library that provides it."""
-        self.functions.setdefault(function.iri, function)
-        self.libraries.setdefault(function.library.iri, function.library)
-
-    def place(self, section: str, statement: AbstractStatement):
-        placed = self.placed.setdefault(section, [])
-        placed.append(
-            PlacedStatement(
-                statement=statement,
-                section=section,
-                order_index=len(placed),
-                composition_index=self.counter,
-            )
-        )
-        self.counter += 1
-
-    def new_variable(self, context: NamingContext) -> str:
-        return self.names.allocate(derive_variable_name(self.patterns, context, self.reserved))
-
-    def args_for(self, function: CodeFunctionInfo) -> tuple[str, ...]:
-        args = []
-        for role in function.arg_spec:
-            variable = self.role_vars.get(role)
-            if variable is None:
-                raise ComposeError(
-                    f"function {function.qualified_name} needs a value in role {role}, none composed yet"
-                )
-            args.append(variable)
-        return tuple(args)
-
-    def compose_input(self):
-        ds = self.plan.data_source
-        filename_var = self.new_variable(
-            NamingContext(vocab.PATTERN_LITERAL_IS_DATASOURCE_FILENAME, content_label=ds.content_type_label)
-        )
-        self.place(vocab.SECTION_INPUT, AssignLiteral(filename_var, ds.name, vocab.ROLE_DATASOURCE_FILENAME))
-        self.role_vars[vocab.ROLE_DATASOURCE_FILENAME] = filename_var
-
-        reader = self.plan.reader_function
-        data_var = self.new_variable(
-            NamingContext(vocab.PATTERN_FILENAME_ARG_TO_READER, content_label=ds.content_type_label)
-        )
-        self.place(vocab.SECTION_INPUT, AssignCall(data_var, reader.iri, self.args_for(reader)))
-        self.note_call(reader)
-        if reader.return_role:
-            self.role_vars[reader.return_role] = data_var
-
-    def compose_calculate(self) -> list[str]:
-        result_vars = []
-        for calc in self.plan.calculations:
-            target = self.new_variable(NamingContext(vocab.PATTERN_ASSIGN_FUNCTION_RETURN, function=calc.function))
-            self.place(vocab.SECTION_CALCULATE, AssignCall(target, calc.function.iri, self.args_for(calc.function)))
-            self.note_call(calc.function)
-            if calc.function.return_role:
-                self.role_vars[calc.function.return_role] = target
-            result_vars.append(target)
-        return result_vars
-
-    def compose_output(self, result_vars: list[str]):
-        for variable in result_vars:
-            self.place(vocab.SECTION_OUTPUT, ReportValue(label=variable, source=variable))
-
-    def compose_cleanup(self):
-        self.place(vocab.SECTION_CLEANUP, ProgramExit(status=0, function=self.plan.exit_function.iri))
-        self.note_call(self.plan.exit_function)
-
-    def compose_preamble(self):
-        for library in import_order(self.libraries.values()):
-            self.place(vocab.SECTION_PREAMBLE, ImportDirective(library.iri))
+    The call's return role, if it has one, is then bound to `target`.
+    """
+    args = []
+    for role in function.arg_spec:
+        variable = role_vars.get(role)
+        if variable is None:
+            raise ComposeError(f"function {function.qualified_name} needs a value in role {role}, none composed yet")
+        args.append(variable)
+    if function.return_role:
+        role_vars[function.return_role] = target
+    return AssignCall(target, function.iri, tuple(args))
 
 
 def import_order(libraries: Iterable[LibraryInfo]) -> list[LibraryInfo]:
@@ -287,36 +225,55 @@ def compose(plan: BuildPlan, store: QuadStore) -> PlaProgram:
     graph_iri = vocab.program_graph_iri(plan.program_basename, "pla")
     if store.graph_size(graph_iri) != 0:
         raise ComposeError(f"target graph is not empty: {graph_iri}")
+    functions = _called_functions(plan)
+    libraries = tuple(dict.fromkeys(function.library for function in functions))
     # A program file named after a top-level module it imports would import itself instead.
-    if plan.program_basename in {lib.official_name.partition(".")[0] for lib in _libraries(plan)}:
+    if plan.program_basename in {lib.official_name.partition(".")[0] for lib in libraries}:
         raise ComposeError(f"program basename {plan.program_basename!r} names an imported library")
 
-    state = _Composition(plan, views.kb(store))
-    result_vars: list[str] = []
-    for section_name in (s.name for s in sorted(plan.structure.slots, key=lambda s: s.composition_index)):
-        if section_name == vocab.SECTION_INPUT:
-            state.compose_input()
-        elif section_name == vocab.SECTION_CALCULATE:
-            result_vars = state.compose_calculate()
-        elif section_name == vocab.SECTION_OUTPUT:
-            state.compose_output(result_vars)
-        elif section_name == vocab.SECTION_CLEANUP:
-            state.compose_cleanup()
-        elif section_name == vocab.SECTION_PREAMBLE:
-            state.compose_preamble()
+    patterns, reserved, names = views.kb(store).naming_patterns, library_names(plan), NameAllocator()
 
+    def variable(context: NamingContext) -> str:
+        return names.allocate(derive_variable_name(patterns, context, reserved))
+
+    # `views.check_kb` fixes the composition order of every structure that
+    # loads to `vocab.COMPOSITION_ORDER`: Input, Calculate, Output, CleanUp,
+    # Preamble. Each section's values are composed before the next uses them.
+    source = plan.data_source
+    filename = variable(NamingContext(vocab.PATTERN_LITERAL_IS_DATASOURCE_FILENAME,
+                                      content_label=source.content_type_label))
+    role_vars = {vocab.ROLE_DATASOURCE_FILENAME: filename}
+    data = variable(NamingContext(vocab.PATTERN_FILENAME_ARG_TO_READER, content_label=source.content_type_label))
+    composed = [
+        (vocab.SECTION_INPUT, AssignLiteral(filename, source.name, vocab.ROLE_DATASOURCE_FILENAME)),
+        (vocab.SECTION_INPUT, _call(data, plan.reader_function, role_vars)),
+    ]
+    calls = [
+        _call(variable(NamingContext(vocab.PATTERN_ASSIGN_FUNCTION_RETURN, function=calc.function)),
+              calc.function, role_vars)
+        for calc in plan.calculations
+    ]
+    composed += [(vocab.SECTION_CALCULATE, call) for call in calls]
+    composed += [(vocab.SECTION_OUTPUT, ReportValue(label=call.target, source=call.target)) for call in calls]
+    composed.append((vocab.SECTION_CLEANUP, ProgramExit(status=0, function=plan.exit_function.iri)))
+    composed += [(vocab.SECTION_PREAMBLE, ImportDirective(library.iri)) for library in import_order(libraries)]
+
+    placed: dict[str, list[PlacedStatement]] = {}
+    for counter, (section, statement) in enumerate(composed):
+        statements = placed.setdefault(section, [])
+        statements.append(PlacedStatement(statement, section, len(statements), counter))
     program = PlaProgram(
         graph_iri=graph_iri,
         program_iri=f"{graph_iri}#program",
         basename=plan.program_basename,
         structure_iri=plan.structure.iri,
-        sections=tuple(
+        sections=tuple(  # `views._snapshot` keeps a structure's slots in emission order
             PlaSection(slot.name, slot.section_iri, slot.emission_index, slot.composition_index,
-                       tuple(state.placed.get(slot.name, ())))
-            for slot in sorted(plan.structure.slots, key=lambda s: s.emission_index)
+                       tuple(placed.get(slot.name, ())))
+            for slot in plan.structure.slots
         ),
-        referenced_libraries=tuple(state.libraries.values()),
-        called_functions=tuple(state.functions.values()),
+        referenced_libraries=libraries,
+        called_functions=functions,
     )
     write(store, graph_iri, _pla_nodes(program))
     return program

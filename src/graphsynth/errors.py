@@ -30,6 +30,11 @@ class PositionedError(GraphSynthError):
         super().__init__(message)
 
 
+def position(text: str, offset: int) -> tuple[int, int]:
+    """The line and column, each counted from 1, of `offset` in `text`."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
 class TurtleParseError(PositionedError):
     pass
 

@@ -20,6 +20,7 @@ from graphsynth.errors import (
     ProblemStatementError,
     TypeMismatchError,
     UnknownKeyError,
+    position,
 )
 
 LIST_KEYS = {
@@ -61,13 +62,8 @@ _WORD = re.compile(r"\w+")
 _BASENAME_EXCLUDED = re.compile(r'[/\\.\s\x00-\x1f\x7f-\x9f<>"{}|^`]')
 
 
-def _position(text: str, pos: int) -> tuple[int, int]:
-    """The line and column of offset `pos`, counted only when an error needs them."""
-    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
-
-
 def _error(text: str, pos: int, message: str) -> ProblemStatementError:
-    return ProblemStatementError(message, *_position(text, pos))
+    return ProblemStatementError(message, *position(text, pos))
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -107,7 +103,7 @@ def parse_problem_statement(text: str) -> ProblemStatement:
     index = 0
 
     def at(token: _Token) -> tuple[int, int]:
-        return _position(text, token.pos)
+        return position(text, token.pos)
 
     def peek() -> _Token:
         return tokens[index]

@@ -161,6 +161,9 @@ class _Renderer:
 def render(pla: PlaProgram, language: LanguageInfo, store: QuadStore) -> PlrProgram:
     """Map every abstract statement to one concrete statement in its empty graph `program_graph_iri(basename, "plr")`.
 
+    Sections and statements are taken in the order the abstract program
+    holds them: sections in emission order, statements in order-index order.
+
     The whole program is built first and then written there in one batch, so
     a render that fails leaves no graph. Returns that program, not read back
     from the graph; decoded through the field tables above, the graph gives
@@ -174,15 +177,16 @@ def render(pla: PlaProgram, language: LanguageInfo, store: QuadStore) -> PlrProg
     if store.graph_size(graph_iri) != 0:
         raise RenderError(f"target graph is not empty: {graph_iri}")
 
-    sections: dict[str, list[PlacedConcrete]] = {name: [] for name in vocab.EMISSION_ORDER}
-    for section in sorted(pla.sections, key=lambda s: s.emission_index):
-        for index, placed in enumerate(sorted(section.statements, key=lambda p: p.order_index)):
+    sections = []
+    for section in pla.sections:
+        statements = []
+        for placed in section.statements:
             variation, fields = renderer.render_statement(placed.statement)
             elements = tuple(slot.text if slot.field is None else fields[slot.field]
                              for slot in renderer.form(variation).slots)
-            sections[section.name].append(PlacedConcrete(variation, section.name, index, elements))
-    plr = PlrProgram(graph_iri, f"{graph_iri}#program", pla.basename, language.iri,
-                     tuple((name, tuple(placed)) for name, placed in sections.items()))
+            statements.append(PlacedConcrete(variation, section.name, placed.order_index, elements))
+        sections.append((section.name, tuple(statements)))
+    plr = PlrProgram(graph_iri, f"{graph_iri}#program", pla.basename, language.iri, tuple(sections))
     write(store, graph_iri, _plr_nodes(plr))
     return plr
 

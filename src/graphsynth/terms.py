@@ -38,8 +38,11 @@ XSD_DECIMAL = XSD + "decimal"
 XSD_BOOLEAN = XSD + "boolean"
 
 _WHITESPACE = re.compile(r"\s")
-# Simple label: no whitespace, no leading/trailing '.', serializes as _:id.
-_BLANK_ID = re.compile(r"^[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?$")
+# A simple label: no whitespace, no leading or trailing '.'. It is a blank
+# node's id, serialized as _:id, and the non-empty local part of a prefixed
+# name; the Turtle lexer reads both with this pattern.
+LABEL = r"[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?"
+_BLANK_ID = re.compile(LABEL)
 _tuple = tuple.__new__
 
 
@@ -72,7 +75,7 @@ class Blank(tuple):
     __slots__ = ()
 
     def __new__(cls, id: str):
-        if not isinstance(id, str) or not _BLANK_ID.match(id):
+        if not isinstance(id, str) or not _BLANK_ID.fullmatch(id):
             raise MalformedTermError(f"blank node id must be a simple label, got {id!r}")
         return _tuple(cls, (1, id))
 

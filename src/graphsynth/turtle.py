@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 
 from graphsynth import vocab
-from graphsynth.errors import MalformedTermError, TurtleParseError
+from graphsynth.errors import MalformedTermError, TurtleParseError, position
 from graphsynth.quadstore import QuadStore
 from graphsynth.terms import (
     OWL,
@@ -44,6 +44,7 @@ from graphsynth.terms import (
     XSD_DECIMAL,
     XSD_INTEGER,
     XSD_STRING,
+    LABEL,
     Blank,
     Iri,
     Literal,
@@ -70,7 +71,7 @@ _HEX = re.compile(r"[0-9A-Fa-f]+")
 # A run of names, dots and numbers with no ':' after it that holds a second
 # name (`a.b`, `true.5x`) is one token: lexed name by name, each name would
 # scan the rest of the run for a ':' in the prefixed-name alternative.
-_PN_LOCAL = r"(?:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)?"
+_PN_LOCAL = f"(?:{LABEL})?"
 _TOKEN = re.compile(
     r"[ \t\r\n]*(?:#[^\n]*(?:\n|\Z)[ \t\r\n]*)*("
     # Prefixed name: its local part may be empty but never ends in '.', so
@@ -85,8 +86,8 @@ _TOKEN = re.compile(
     r"|[+-]?(?:[0-9]*\.[0-9]+|[0-9]+)"  # number
     r"|@(?:prefix|base)\b"  # directive
     r"|@[A-Za-z]+(?:-[A-Za-z0-9]+)*"  # language tag
-    r"|_:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?"  # blank node
-    r"|."  # a stray character
+    r"|_:" + LABEL  # blank node
+    + r"|."  # a stray character
     r")?"
 )
 # The tokens of such a run, as `_TOKEN` reads them where no ':' can follow:
@@ -121,7 +122,7 @@ class OntologyDocument:
 
 def _error_at(text: str, pos: int, message: str) -> TurtleParseError:
     """A parse error at offset `pos`; line and column are counted only here."""
-    return TurtleParseError(message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
+    return TurtleParseError(message, *position(text, pos))
 
 
 def _lex_string(text: str, start: int) -> str:
@@ -397,7 +398,8 @@ WELL_KNOWN_PREFIXES: tuple[tuple[str, str], ...] = (
     ("plr", vocab.PLR),
 )
 
-_PN_LOCAL_OK = re.compile(r"^(?:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)?$")
+# A local part the lexer reads back whole, from the pattern it reads it with.
+_PN_LOCAL_OK = re.compile(_PN_LOCAL)
 _STRING_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 
 
@@ -405,7 +407,7 @@ def _compact(iri: str) -> str:
     for prefix, namespace in WELL_KNOWN_PREFIXES:
         if iri.startswith(namespace):
             local = iri[len(namespace):]
-            if _PN_LOCAL_OK.match(local):
+            if _PN_LOCAL_OK.fullmatch(local):
                 return f"{prefix}:{local}"
     return f"<{iri}>"
 

@@ -94,11 +94,11 @@ class SectionSlotInfo(NamedTuple):
 class ProgramStructureInfo(NamedTuple):
     iri: str
     name: str
-    slots: tuple[SectionSlotInfo, ...]
+    slots: tuple[SectionSlotInfo, ...]  # in emission order
     satisfied_requirements: frozenset[str]
 
     def emission_order(self) -> tuple[str, ...]:
-        return tuple(s.name for s in sorted(self.slots, key=lambda s: s.emission_index))
+        return tuple(s.name for s in self.slots)
 
     def composition_order(self) -> tuple[str, ...]:
         return tuple(s.name for s in sorted(self.slots, key=lambda s: s.composition_index))
@@ -233,6 +233,7 @@ _RDF_TYPE = Iri(RDF_TYPE)
 TYPE: Field = ("type", _RDF_TYPE, NODE, 1, 1)
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 _QUOTE = re.compile(r"[^\w\s\\]")  # a string quote: no word character, whitespace or backslash
+_WORD = re.compile(r"\w")
 # The Python value a term of each kind reads as, and the term a value of each
 # kind is written as (no program graph holds a boolean); a link kind, in
 # neither table, reads and writes the term itself.
@@ -469,11 +470,26 @@ def _cross_entity_problems(kb: Kb, kb_fields: dict[str, dict[Iri, dict]]) -> lis
     forms: dict[tuple[str, str], list[Iri]] = {}
     for form, values in kb_fields[vocab.STATEMENT_FORM].items():
         forms.setdefault((values["family"], values["variation_id"]), []).append(form)
+        where = f"{_format_term(form)} {_format_term(Iri(vocab.HAS_TEMPLATE_SLOT))}"
         expected = vocab.VARIATION_FIELDS.get(values["variation_id"])
         found = sorted(slots[slot]["field"] for slot in values["slots"] if slots[slot]["field"] is not None)
         if expected is not None and found != sorted(expected):
-            problems.append(f"{_format_term(form)} {_format_term(Iri(vocab.HAS_TEMPLATE_SLOT))}: field slots {found}, "
+            problems.append(f"{where}: field slots {found}, "
                             f"expected the fields of {values['variation_id']}: {list(expected)}")
+        # Each fill stands as a token: no word character of a text beside it,
+        # and no other fill right next to it (a slot of empty text renders as nothing).
+        filled = [slots[slot] for slot in sorted(values["slots"], key=lambda slot: slots[slot]["index"])
+                  if slots[slot]["field"] is not None or slots[slot]["text"]]
+        for before, after in zip(filled, filled[1:]):
+            if before["field"] is not None and after["field"] is not None:
+                problems.append(f"{where}: field slots {before['field']} and {after['field']} are adjacent, "
+                                "with no slot text between them")
+            elif before["field"] is not None and _WORD.match(after["text"]):
+                problems.append(f"{where}: field {before['field']} is followed by a word character in slot text "
+                                f"{_format_term(Literal(after['text']))}")
+            elif after["field"] is not None and _WORD.match(before["text"][-1]):
+                problems.append(f"{where}: field {after['field']} is preceded by a word character in slot text "
+                                f"{_format_term(Literal(before['text']))}")
     problems += [f"statement forms of {variation} for {family}: expected exactly 1, found {len(nodes)}: "
                  f"{', '.join(map(_format_term, nodes))}"
                  for (family, variation), nodes in forms.items() if len(nodes) > 1]

@@ -220,6 +220,22 @@ def test_a_form_that_does_not_fill_exactly_its_variations_fields_maps_to_load_ex
     assert not out.exists() or list(out.iterdir()) == []
 
 
+def test_a_form_whose_fill_would_not_stand_as_a_token_maps_to_load_exit_code(tmp_path, capsys):
+    from graphsynth.seed import kb_dir
+
+    text = (kb_dir() / "statements.ttl").read_text(encoding="utf-8")
+    # Filled, it would emit `import numpy as xnp`.
+    old = 'gs:hasSlotText " as " .'
+    assert text.count(old) == 1
+    kb = _doctored_kb(tmp_path, "statements.ttl", text.replace(old, 'gs:hasSlotText " as x" .'))
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "synthesize", STMT, "--kb", str(kb), "--out", str(out))
+    assert code == 3
+    assert ('kb:py_import_aliased gs:hasTemplateSlot: field alias is preceded by a word character in slot text '
+            '" as x"') in err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_a_blank_node_typed_with_a_shaped_class_maps_to_load_exit_code(tmp_path, capsys):
     from graphsynth.seed import kb_dir
 
@@ -560,6 +576,13 @@ def test_dump_graph_unknown_graph_is_header_only(capsys):
     code, out, _ = run(capsys, "dump-graph", "http://graphsynth.dev/graph/unknown")
     assert code == 0
     assert all(line.startswith("@prefix") or not line for line in out.splitlines())
+
+
+@pytest.mark.parametrize("graph, reason", [("a b", "IRI contains whitespace: 'a b'"), ("", "IRI must be non-empty")])
+def test_dump_graph_of_no_iri_maps_to_exit_2_at_config(capsys, graph, reason):
+    code, out, err = run(capsys, "dump-graph", graph)
+    assert code == 2 and out == ""
+    assert err == f"graphsynth: error at stage config: graph must be an IRI, got {graph!r}: {reason}\n"
 
 
 def test_dump_graph_after_synthesis_round_trips(capsys):

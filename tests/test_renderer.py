@@ -334,6 +334,37 @@ def test_a_form_that_does_not_fill_exactly_its_variations_fields_is_a_kb_problem
     assert raised.value.problems == problems
 
 
+_TOKEN = "kb:py_import_aliased gs:hasTemplateSlot: field"
+
+
+@pytest.mark.parametrize(
+    "slot, old, new, problems",
+    [
+        # Filled, each would emit `import numpynpnp`, `expressionsys` or `import numpy as xnp`.
+        ("py_import_aliased_s2", " as ", "np",
+         [f'{_TOKEN} official_name is followed by a word character in slot text "np"',
+          f'{_TOKEN} alias is preceded by a word character in slot text "np"']),
+        ("py_import_plain_s0", "import ", "expression",
+         ['kb:py_import_plain gs:hasTemplateSlot: field official_name is preceded by a word character in slot text '
+          '"expression"']),
+        ("py_import_aliased_s2", " as ", " as x", [f'{_TOKEN} alias is preceded by a word character in slot text " as x"']),
+        # An empty text renders as nothing, so the two fills would run together.
+        ("py_assign_expr_s1", " = ", "",
+         ["kb:py_assign_expr gs:hasTemplateSlot: field slots target and expression are adjacent, "
+          "with no slot text between them"]),
+    ],
+    ids=["as-np", "import-expression", "as-x", "empty-text"],
+)
+def test_a_form_whose_field_fill_would_not_stand_as_a_token_is_a_kb_problem(kb_store, slot, old, new, problems):
+    node = Iri(vocab.kb(slot))
+    assert kb_store.remove(Quad(node, _SLOT_TEXT, Literal(old), vocab.CORE_GRAPH))
+    kb_store.insert(Quad(node, _SLOT_TEXT, Literal(new), vocab.CORE_GRAPH))
+    assert views.check_kb(kb_store) == problems
+    with pytest.raises(KbValidationError) as raised:
+        views.kb(kb_store)
+    assert raised.value.problems == problems
+
+
 def test_a_form_of_a_variation_the_renderer_never_fills_is_not_checked_against_the_table(kb_store):
     insert_turtle(kb_store, """
         @prefix gs: <http://graphsynth.dev/vocab/core#> .

@@ -231,16 +231,21 @@ def _field_slots(form: str, found: list[str], expected: str) -> str:
     return f"kb:{form} gs:hasTemplateSlot: field slots {found}, expected the fields of {expected}"
 
 
+def _adjacent(form: str, before: str, after: str) -> str:
+    return f"kb:{form} gs:hasTemplateSlot: field slots {before} and {after} are adjacent, with no slot text between them"
+
+
 # Each of the first four deletions left the example emitting a broken program
 # with exit 0 while check_kb found nothing: `import numpynp`, a bare `sys`, a
 # call with no callee, and `print()`. Each also leaves the unlinked slot with
-# no owner, and each call-stmt deletion a form with a field slot short.
+# no owner, each call-stmt deletion a form with a field slot short, and the
+# import-aliased deletion its two fields with no text between them.
 @pytest.mark.parametrize(
     "removed, added, problems",
     [
         ([_kb_quad("py_import_aliased", vocab.HAS_TEMPLATE_SLOT, Iri(vocab.KB + "py_import_aliased_s2"))], [],
          ["kb:py_import_aliased gs:hasTemplateSlot: slot indexes [0, 1, 3] do not run 0..2",
-          _orphan("py_import_aliased_s2")]),
+          _orphan("py_import_aliased_s2"), _adjacent("py_import_aliased", "official_name", "alias")]),
         ([_kb_quad("py_import_plain", vocab.HAS_TEMPLATE_SLOT, Iri(vocab.KB + "py_import_plain_s0"))], [],
          ["kb:py_import_plain gs:hasTemplateSlot: slot indexes [1] do not run 0..0", _orphan("py_import_plain_s0")]),
         ([_kb_quad("py_call_stmt", vocab.HAS_TEMPLATE_SLOT, Iri(vocab.KB + "py_call_stmt_s0"))], [],
@@ -279,7 +284,8 @@ def test_check_kb_flags_slot_indexes_that_do_not_run_from_0_to_n_minus_1(kb_stor
           "kb:py_import_plain_s1: expected exactly 1 owner by gs:hasTemplateSlot, found 2: "
           "kb:py_import_aliased, kb:py_import_plain",
           _field_slots("py_import_aliased", ["alias", "official_name", "official_name"],
-                       "import-aliased: ['official_name', 'alias']")]),
+                       "import-aliased: ['official_name', 'alias']"),
+          _adjacent("py_import_aliased", "official_name", "official_name")]),
         ("kb:numpy_std gs:hasArgumentSlot kb:numpy_mean_arg0 .",
          ["kb:numpy_std gs:hasArgumentSlot: slot index 0 is held by kb:numpy_mean_arg0, kb:numpy_std_arg0",
           "kb:numpy_mean_arg0: expected exactly 1 owner by gs:hasArgumentSlot, found 2: kb:numpy_mean, kb:numpy_std"]),

@@ -130,6 +130,8 @@ def test_repr(record, text):
         (lambda: Blank("a b"), "blank node id must be a simple label"),
         (lambda: Blank(".a"), "blank node id must be a simple label"),
         (lambda: Blank("a."), "blank node id must be a simple label"),
+        # The whole id is a label: a line break after it does not pass as its end.
+        (lambda: Blank("a\n"), "blank node id must be a simple label"),
         # A field of another type is no term, even where str() would make one.
         (lambda: Iri(5), "IRI must be a string, got 5"),
         (lambda: Iri(b"http://x/a"), "IRI must be a string"),
