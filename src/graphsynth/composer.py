@@ -20,7 +20,7 @@ from graphsynth.quadstore import QuadStore
 from graphsynth.resolver import BuildPlan
 from graphsynth.terms import Iri
 from graphsynth.views import INT, IRI, MANY, NODE, STR, TYPE, write
-from graphsynth.views import CodeFunctionInfo, Kb, LibraryInfo, NamingPatternInfo
+from graphsynth.views import CodeFunctionInfo, LibraryInfo, NamingPatternInfo
 
 # Abstract-program vocabulary (disjoint from the concrete one by design), each
 # term built once here so that no write or read-back validates it again.

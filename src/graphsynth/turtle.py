@@ -121,7 +121,7 @@ class OntologyDocument:
 
 
 def _error_at(text: str, pos: int, message: str) -> TurtleParseError:
-    """A parse error at offset `pos`; line and column are counted only here."""
+    """A parse error at offset `pos`; its line and column are counted only when one is raised."""
     return TurtleParseError(message, *position(text, pos))
 
 
