@@ -171,18 +171,30 @@ def cmd_kb_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_dump_graph(args: argparse.Namespace) -> int:
-    try:
-        Iri(args.graph)
-    except MalformedTermError as exc:
-        raise ConfigError(f"graph must be an IRI, got {args.graph!r}: {exc}") from exc
+    graph = _graph_name(args.graph)
     store, _ = seed.load_kb(*_kb_paths(args))
     if args.statement:
         _run_pipeline(Path(args.statement), store)
-    sys.stdout.write(serialize(store, args.graph))
+    sys.stdout.write(serialize(store, graph))
     return EXIT_OK
 
 
 _PREFIX_TABLE = dict(WELL_KNOWN_PREFIXES)
+
+
+def _graph_name(token: str) -> str:
+    """The graph a `dump-graph` argument names: `<IRI>` or a well-known prefixed name, read as
+    `query` reads a graph term, else the argument itself as a bare IRI."""
+    prefix, sep, local = token.partition(":")
+    iri = token
+    if token.startswith("<") and token.endswith(">"):
+        iri = token[1:-1]
+    elif sep and prefix in _PREFIX_TABLE:
+        iri = _PREFIX_TABLE[prefix] + local
+    try:
+        return Iri(iri).value
+    except MalformedTermError as exc:
+        raise ConfigError(f"graph must be an IRI, got {token!r}: {exc}") from exc
 
 
 def _parse_query_term(token: str, position: str):

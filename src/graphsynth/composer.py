@@ -7,6 +7,8 @@ next, and the libraries of the called functions become import directives
 when everything else is done. The abstract graph is
 paradigm-bound but language-agnostic: no concrete syntax, no quoting, no
 keywords; functions appear only as knowledge-base entity IRIs.
+The graph's triples are written straight from the composed records, one
+node per program, section, library reference, statement and call argument.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ from graphsynth import vocab, views
 from graphsynth.errors import ComposeError, UnnamedVariableError
 from graphsynth.quadstore import QuadStore
 from graphsynth.resolver import BuildPlan
-from graphsynth.terms import Iri
-from graphsynth.views import INT, IRI, MANY, NODE, STR, TYPE, write
+from graphsynth.terms import RDF_TYPE, Iri, Literal, Term, integer_literal
 from graphsynth.views import CodeFunctionInfo, LibraryInfo, NamingPatternInfo
 
 # Abstract-program vocabulary (disjoint from the concrete one by design), each
@@ -54,6 +55,7 @@ PLA_HAS_EXIT_STATUS = Iri(vocab.pla("hasExitStatus"))
 PLA_IMPORTS_LIBRARY = Iri(vocab.pla("importsLibrary"))
 PLA_HAS_LIBRARY_REFERENCE = Iri(vocab.pla("hasLibraryReference"))
 PLA_REFERS_TO_LIBRARY = Iri(vocab.pla("refersToLibrary"))
+_RDF_TYPE = Iri(RDF_TYPE)
 
 
 class AssignLiteral(NamedTuple):
@@ -83,6 +85,9 @@ class ImportDirective(NamedTuple):
 
 
 AbstractStatement = AssignLiteral | AssignCall | ReportValue | ProgramExit | ImportDirective
+# Record class -> the statement kind its node is typed with.
+_KINDS = {AssignLiteral: PLA_ASSIGN_LITERAL, AssignCall: PLA_ASSIGN_CALL, ReportValue: PLA_REPORT_VALUE,
+          ProgramExit: PLA_PROGRAM_EXIT, ImportDirective: PLA_IMPORT_DIRECTIVE}
 
 
 class PlacedStatement(NamedTuple):
@@ -112,18 +117,6 @@ class PlaProgram(NamedTuple):
     sections: tuple[PlaSection, ...]
     referenced_libraries: tuple[LibraryInfo, ...]  # the called functions' libraries, in first-call order
     called_functions: tuple[CodeFunctionInfo, ...]  # in first-call order
-
-    def section(self, name: str) -> PlaSection:
-        for sec in self.sections:
-            if sec.name == name:
-                return sec
-        raise KeyError(name)
-
-    def all_statements(self) -> list[PlacedStatement]:
-        out = []
-        for sec in self.sections:
-            out.extend(sec.statements)
-        return sorted(out, key=lambda p: p.composition_index)
 
 
 class NamingContext(NamedTuple):
@@ -217,10 +210,11 @@ def import_order(libraries: Iterable[LibraryInfo]) -> list[LibraryInfo]:
 def compose(plan: BuildPlan, store: QuadStore) -> PlaProgram:
     """Compose the plan over the store's KB into its empty graph `program_graph_iri(basename, "pla")`.
 
-    The whole program is built first and then written there in one batch, so
-    a composition that fails leaves no graph. The returned program is that
-    one, not read back from the graph; decoded through the field tables
-    below, the graph gives an equal program.
+    The whole program is built first, then its triples, each term through
+    its checking constructor, and then they are written there in one batch,
+    so a composition that fails leaves no graph. The returned program is
+    that one, not read back from the graph; decoded through the PLA field
+    tables in `tests/oracles.py`, the graph gives an equal program.
     """
     graph_iri = vocab.program_graph_iri(plan.program_basename, "pla")
     if store.graph_size(graph_iri) != 0:
@@ -275,78 +269,70 @@ def compose(plan: BuildPlan, store: QuadStore) -> PlaProgram:
         referenced_libraries=libraries,
         called_functions=functions,
     )
-    write(store, graph_iri, _pla_nodes(program))
+    store._add_all(graph_iri, _pla_triples(program))
     return program
 
 
-# --- graph encoding -------------------------------------------------------
+def _pla_triples(program: PlaProgram) -> list[tuple[Iri, Iri, Term]]:
+    """The program's graph as (subject, predicate, object) triples, each term built by its checking constructor.
 
-# One field table per PLA node, in the form of `views.SHAPES`; field names are
-# those of the records the node encodes. A field two tables share is declared once.
-_COMPOSITION_INDEX = ("composition_index", PLA_HAS_COMPOSITION_INDEX, INT, 1, 1)
-_SLOT_INDEX = ("index", PLA_HAS_SLOT_INDEX, INT, 1, 1)
-_TARGET = ("target", PLA_HAS_TARGET_VARIABLE, STR, 1, 1)
-_FUNCTION = ("function", PLA_CALLS_FUNCTION, IRI, 1, 1)
-
-_PROGRAM = (
-    TYPE,
-    ("basename", PLA_HAS_BASENAME, STR, 1, 1),
-    ("structure_iri", PLA_USES_STRUCTURE, IRI, 1, 1),
-    ("sections", PLA_HAS_SECTION, NODE, 1, MANY),
-    ("library_references", PLA_HAS_LIBRARY_REFERENCE, NODE, 0, MANY),
-)
-_SECTION = (
-    TYPE,
-    ("name", PLA_HAS_SECTION_NAME, STR, 1, 1),
-    ("entity_iri", PLA_SECTION_ENTITY, IRI, 1, 1),
-    ("emission_index", PLA_HAS_EMISSION_INDEX, INT, 1, 1),
-    _COMPOSITION_INDEX,
-    ("statements", PLA_HAS_STATEMENT, NODE, 0, MANY),
-)
-_LIBRARY_REFERENCE = (_SLOT_INDEX, ("library", PLA_REFERS_TO_LIBRARY, IRI, 1, 1))
-# Every statement node: its statement kind as rdf:type, and where it is placed.
-_PLACEMENT = (TYPE, ("order_index", PLA_HAS_ORDER_INDEX, INT, 1, 1), _COMPOSITION_INDEX)
-# One child node per argument of a call, naming the variable passed.
-_ARGUMENT_SLOT = (_SLOT_INDEX, ("variable", PLA_HAS_VARIABLE_REF, STR, 1, 1))
-# Record class -> (statement kind, fields).
-_STATEMENTS = {
-    AssignLiteral: (
-        PLA_ASSIGN_LITERAL,
-        (_TARGET, ("value", PLA_HAS_LITERAL_VALUE, STR, 1, 1), ("role", PLA_HAS_LITERAL_ROLE, IRI, 1, 1)),
-    ),
-    AssignCall: (PLA_ASSIGN_CALL, (_TARGET, _FUNCTION, ("args", PLA_HAS_ARGUMENT_SLOT, NODE, 0, MANY))),
-    ReportValue: (
-        PLA_REPORT_VALUE,
-        (("label", PLA_HAS_REPORT_LABEL, STR, 1, 1), ("source", PLA_HAS_SOURCE_VARIABLE, STR, 1, 1)),
-    ),
-    ProgramExit: (PLA_PROGRAM_EXIT, (("status", PLA_HAS_EXIT_STATUS, INT, 1, 1), _FUNCTION)),
-    ImportDirective: (PLA_IMPORT_DIRECTIVE, (("library", PLA_IMPORTS_LIBRARY, IRI, 1, 1),)),
-}
-
-
-def _pla_nodes(program: PlaProgram):
-    """The program's graph as `views.write` takes it, one (fields, node, values) per node."""
+    A record value of the wrong type, such as an int where an IRI belongs,
+    raises here, before the store is touched.
+    """
     graph = program.graph_iri
-    refs = [Iri(f"{graph}#libref-{index}") for index in range(len(program.referenced_libraries))]
-    for index, (ref, library) in enumerate(zip(refs, program.referenced_libraries)):
-        yield _LIBRARY_REFERENCE, ref, {"index": index, "library": library.iri}
+    triples = []
+    refs = []
+    for index, library in enumerate(program.referenced_libraries):
+        ref = Iri(f"{graph}#libref-{index}")
+        triples += [(ref, PLA_HAS_SLOT_INDEX, integer_literal(index)), (ref, PLA_REFERS_TO_LIBRARY, Iri(library.iri))]
+        refs.append(ref)
     sections = []
     for section in program.sections:
         statements = []
         for placed in section.statements:
+            statement = placed.statement
+            kind = type(statement)
             node = Iri(f"{graph}#stmt-{placed.composition_index}")
-            kind, fields = _STATEMENTS[type(placed.statement)]
-            values = dict(placed._asdict(), **placed.statement._asdict(), type=kind)
-            # A call's arguments are child nodes of its statement node, one per slot.
-            args = values.get("args", ())
-            values["args"] = slots = [Iri(f"{node.value}-arg{index}") for index in range(len(args))]
-            for index, (slot, arg) in enumerate(zip(slots, args)):
-                yield _ARGUMENT_SLOT, slot, {"index": index, "variable": arg}
-            yield _PLACEMENT, node, values
-            yield fields, node, values
+            triples += [
+                (node, _RDF_TYPE, _KINDS[kind]),
+                (node, PLA_HAS_ORDER_INDEX, integer_literal(placed.order_index)),
+                (node, PLA_HAS_COMPOSITION_INDEX, integer_literal(placed.composition_index)),
+            ]
+            if kind is AssignLiteral:
+                triples += [(node, PLA_HAS_TARGET_VARIABLE, Literal(statement.target)),
+                            (node, PLA_HAS_LITERAL_VALUE, Literal(statement.value)),
+                            (node, PLA_HAS_LITERAL_ROLE, Iri(statement.role))]
+            elif kind is AssignCall:
+                # A call's arguments are child nodes of its statement node, one per slot.
+                slots = [Iri(f"{node.value}-arg{index}") for index in range(len(statement.args))]
+                triples += [(node, PLA_HAS_TARGET_VARIABLE, Literal(statement.target)),
+                            (node, PLA_CALLS_FUNCTION, Iri(statement.function))]
+                triples += [(node, PLA_HAS_ARGUMENT_SLOT, slot) for slot in slots]
+                for index, (slot, arg) in enumerate(zip(slots, statement.args)):
+                    triples += [(slot, PLA_HAS_SLOT_INDEX, integer_literal(index)),
+                                (slot, PLA_HAS_VARIABLE_REF, Literal(arg))]
+            elif kind is ReportValue:
+                triples += [(node, PLA_HAS_REPORT_LABEL, Literal(statement.label)),
+                            (node, PLA_HAS_SOURCE_VARIABLE, Literal(statement.source))]
+            elif kind is ProgramExit:
+                triples += [(node, PLA_HAS_EXIT_STATUS, integer_literal(statement.status)),
+                            (node, PLA_CALLS_FUNCTION, Iri(statement.function))]
+            else:
+                triples.append((node, PLA_IMPORTS_LIBRARY, Iri(statement.library)))
             statements.append(node)
         node = Iri(f"{graph}#section-{section.name.lower()}")
-        yield _SECTION, node, dict(section._asdict(), type=PLA_SECTION, statements=statements)
+        triples += [
+            (node, _RDF_TYPE, PLA_SECTION),
+            (node, PLA_HAS_SECTION_NAME, Literal(section.name)),
+            (node, PLA_SECTION_ENTITY, Iri(section.entity_iri)),
+            (node, PLA_HAS_EMISSION_INDEX, integer_literal(section.emission_index)),
+            (node, PLA_HAS_COMPOSITION_INDEX, integer_literal(section.composition_index)),
+        ]
+        triples += [(node, PLA_HAS_STATEMENT, statement) for statement in statements]
         sections.append(node)
-    yield _PROGRAM, Iri(program.program_iri), dict(program._asdict(), type=PLA_PROGRAM, sections=sections,
-                                                   library_references=refs)
+    node = Iri(program.program_iri)
+    triples += [(node, _RDF_TYPE, PLA_PROGRAM), (node, PLA_HAS_BASENAME, Literal(program.basename)),
+                (node, PLA_USES_STRUCTURE, Iri(program.structure_iri))]
+    triples += [(node, PLA_HAS_SECTION, section) for section in sections]
+    triples += [(node, PLA_HAS_LIBRARY_REFERENCE, ref) for ref in refs]
+    return triples

@@ -1,15 +1,19 @@
 """Loads a whole ontology set into the quad store, following owl:imports.
 
-Each document is loaded exactly once (visited set keyed on ontology IRI and
-file path), so import cycles are harmless. Blank node labels are file
-scoped: on load they are renamed to dataset-unique ids derived from the
-document key, which keeps the final quad set independent of load order.
+Each document is loaded exactly once (visited sets keyed on ontology IRI
+and on the file's device and inode), so import cycles are harmless, and a
+file reached by two paths, say through a symlinked directory, is one file.
+Blank node labels are file scoped: on load they are renamed to
+dataset-unique ids derived from the document key, which keeps the final
+quad set independent of load order.
 A file that cannot be read, or is no UTF-8 text or no valid Turtle, raises
 KbFileError, whose message starts with the file's path.
 """
 
 from __future__ import annotations
 
+import os
+import stat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -24,23 +28,30 @@ class LoadReport(NamedTuple):
     quads: int
 
 
+FileKey = tuple[int, int]  # (st_dev, st_ino): one file, whatever path reaches it
+
+
 class ImportCatalog:
     """Maps ontology IRIs to local files; the resolution table for owl:imports."""
 
-    def __init__(self, mapping: dict[str, Path]):
-        # Paths are resolved here, once, so the loader can compare them as keys.
-        self._mapping = {iri: path.resolve() for iri, path in mapping.items()}
-        self._by_path = {path: iri for iri, path in self._mapping.items()}
+    def __init__(self, mapping: dict[str, tuple[Path, FileKey]]):
+        # Each file is keyed by its device and inode, so the loader can compare files by key.
+        self._mapping = dict(mapping)
+        self._by_key = {key: iri for iri, (_, key) in self._mapping.items()}
 
     @classmethod
     def load(cls, catalog_path: Path) -> "ImportCatalog":
-        """Read `<ontology-iri> <tab> relative/path.ttl` lines, one mapping per line."""
-        mapping: dict[str, Path] = {}
-        root = catalog_path.parent
+        """Read `<ontology-iri> <tab> relative/path.ttl` lines, one mapping per line.
+
+        The catalog's directory is resolved once; each file is named under
+        it and keyed by the one `os.stat` that checks it exists.
+        """
+        mapping: dict[str, tuple[Path, FileKey]] = {}
         try:
             text = catalog_path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise CatalogError(f"cannot read catalog {catalog_path}: {exc}") from exc
+        root = catalog_path.parent.resolve()
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -53,18 +64,22 @@ class ImportCatalog:
             if iri in mapping:
                 raise CatalogError(f"{catalog_path}:{lineno}: ontology <{iri}> already mapped")
             path = root / path_part
-            if not path.is_file():
+            try:
+                status = os.stat(path)
+            except OSError:
+                status = None
+            if status is None or not stat.S_ISREG(status.st_mode):
                 raise CatalogError(f"{catalog_path}:{lineno}: file not found: {path}")
-            mapping[iri] = path
+            mapping[iri] = path, (status.st_dev, status.st_ino)
         return cls(mapping)
 
-    def lookup(self, iri: str) -> Path | None:
-        """The resolved path of the file mapped to `iri`."""
+    def lookup(self, iri: str) -> tuple[Path, FileKey] | None:
+        """The path of the file mapped to `iri`, and its key."""
         return self._mapping.get(iri)
 
-    def iri_for_path(self, path: Path) -> str | None:
-        """The ontology IRI mapped to a resolved path."""
-        return self._by_path.get(path)
+    def iri_for_key(self, key: FileKey) -> str | None:
+        """The ontology IRI mapped to the file with this key."""
+        return self._by_key.get(key)
 
     def __len__(self) -> int:
         return len(self._mapping)
@@ -78,6 +93,15 @@ def _renamed(doc_key: str, term: Term) -> Term:
 
     digest = hashlib.sha1(f"{doc_key}|{term.id}".encode("utf-8")).hexdigest()[:16]
     return Blank(f"b{digest}")
+
+
+def _keyed(path: Path) -> tuple[Path, FileKey]:
+    """The path with its file's key; a file that cannot be found names itself, as one that cannot be read."""
+    try:
+        status = os.stat(path)
+    except OSError as exc:
+        raise KbFileError(f"{path}: cannot read: {exc}") from exc
+    return path, (status.st_dev, status.st_ino)
 
 
 def _read_document(path: Path) -> OntologyDocument:
@@ -100,20 +124,20 @@ def load_with_imports(
 ) -> LoadReport:
     """Load the entry files and, transitively, everything they owl:import."""
     visited_iris: set[str] = set()
-    visited_paths: set[Path] = set()
-    # Every path is resolved once: entries here, imports by the catalog.
-    pending: list[Path] = [Path(p).resolve() for p in entry]
+    visited_files: set[FileKey] = set()
+    # Each entry is resolved once; each import comes with its path and key from the catalog.
+    pending: list[tuple[Path, FileKey]] = [_keyed(Path(p).resolve()) for p in entry]
     files = 0
     inserted = 0
 
     while pending:
-        path = pending.pop(0)
-        if path in visited_paths:
+        path, key = pending.pop(0)
+        if key in visited_files:
             continue
-        known_iri = catalog.iri_for_path(path)
+        known_iri = catalog.iri_for_key(key)
         if known_iri is not None and known_iri in visited_iris:
             continue
-        visited_paths.add(path)
+        visited_files.add(key)
         if known_iri is not None:
             visited_iris.add(known_iri)
 
@@ -138,9 +162,9 @@ def load_with_imports(
         for target in sorted(imports):
             if target in visited_iris:
                 continue
-            target_path = catalog.lookup(target)
-            if target_path is None:
+            mapped = catalog.lookup(target)
+            if mapped is None:
                 raise ImportResolutionError(f"{path}: imported ontology not in catalog: <{target}>")
-            pending.append(target_path)
+            pending.append(mapped)
 
     return LoadReport(files=files, quads=inserted)

@@ -16,8 +16,9 @@ no `Quad` and checks only the name of a graph it creates, so its callers
 validate the terms: `insert(quad)`, the public entry, by the `Quad`
 constructor; the loader by the Turtle grammar, which builds every term
 through its constructor and admits only an IRI or blank subject and an IRI
-predicate, one document per call; and the field-table codec `views.write`,
-one program graph per call.
+predicate, one document per call; and the program-graph writers of
+`composer` and `renderer`, one graph per call, which build every term
+through its checking constructor.
 `_add_all` and `remove` keep both tables up to date and never leave an
 empty inner level. Beside the tables the store keeps one map from each
 predicate to the names of the graphs whose POS table holds it, with no
@@ -65,7 +66,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from graphsynth.errors import MalformedQuadError
-from graphsynth.terms import _WHITESPACE, _tuple, Blank, Iri, Literal, Term
+from graphsynth.terms import _tuple, Blank, Iri, Literal, Term
 
 _VAR_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -411,7 +412,7 @@ class QuadStore:
 
 
 def _check_graph(graph: str):
-    if not graph or not isinstance(graph, str) or _WHITESPACE.search(graph):
+    if not isinstance(graph, str) or graph.split() != [graph]:  # empty, or holding whitespace
         raise MalformedQuadError("quad graph must be a non-empty IRI string")
 
 

@@ -6,6 +6,8 @@ is, what its elements are, and the order of those elements. The element
 templates come from the knowledge base's statement forms; rendering fills
 each form's field slots with its variation's fields (`vocab.VARIATION_FIELDS`),
 and checks no form, as `views.check_kb` has checked each against that table.
+The concrete program's graph is written straight from its records: one
+node for the program, each statement and each of its elements.
 Emission walks the concrete program section by section in the fixed source
 order and concatenates each statement's elements.
 """
@@ -20,8 +22,7 @@ from graphsynth import vocab, views
 from graphsynth.composer import AssignCall, AssignLiteral, ImportDirective, PlaProgram, ProgramExit, ReportValue
 from graphsynth.errors import RenderError, UnmappableStatementError, UnsupportedLanguageError, WriteError
 from graphsynth.quadstore import QuadStore
-from graphsynth.terms import Iri
-from graphsynth.views import INT, IRI, MANY, NODE, STR, TYPE, write
+from graphsynth.terms import RDF_TYPE, Iri, Literal, Term, integer_literal
 from graphsynth.views import Kb, LanguageInfo, LibraryInfo, StatementFormInfo
 
 # Concrete-program vocabulary (disjoint from the abstract one by design), each
@@ -39,22 +40,7 @@ PLR_HAS_ELEMENT_SLOT = Iri(vocab.plr("hasElementSlot"))
 PLR_HAS_ELEMENT_INDEX = Iri(vocab.plr("hasElementIndex"))
 PLR_HAS_ELEMENT_TEXT = Iri(vocab.plr("hasElementText"))
 
-# One field table per PLR node, in the form of `views.SHAPES`.
-_PROGRAM = (
-    TYPE,
-    ("basename", PLR_HAS_BASENAME, STR, 1, 1),
-    ("language_iri", PLR_HAS_LANGUAGE, IRI, 1, 1),
-    ("statements", PLR_HAS_STATEMENT, NODE, 0, MANY),
-)
-_STATEMENT = (
-    TYPE,
-    ("variation", PLR_HAS_VARIATION, STR, 1, 1),
-    ("section", PLR_IN_SECTION, STR, 1, 1),
-    ("section_index", PLR_HAS_SECTION_INDEX, INT, 1, 1),
-    ("statement_index", PLR_HAS_STATEMENT_INDEX, INT, 1, 1),
-    ("elements", PLR_HAS_ELEMENT_SLOT, NODE, 1, MANY),
-)
-_ELEMENT = (("index", PLR_HAS_ELEMENT_INDEX, INT, 1, 1), ("text", PLR_HAS_ELEMENT_TEXT, STR, 1, 1))
+_RDF_TYPE = Iri(RDF_TYPE)
 
 
 class PlacedConcrete(NamedTuple):
@@ -73,12 +59,6 @@ class PlrProgram(NamedTuple):
     basename: str
     language_iri: str
     sections: tuple[tuple[str, tuple[PlacedConcrete, ...]], ...]  # (name, statements) in emission order
-
-    def all_statements(self) -> list[PlacedConcrete]:
-        out = []
-        for _, statements in self.sections:
-            out.extend(statements)
-        return out
 
 
 # Escapes for the body of a string literal: the backslash, line breaks and
@@ -164,13 +144,14 @@ def render(pla: PlaProgram, language: LanguageInfo, store: QuadStore) -> PlrProg
     Sections and statements are taken in the order the abstract program
     holds them: sections in emission order, statements in order-index order.
 
-    The whole program is built first and then written there in one batch, so
-    a render that fails leaves no graph. Returns that program, not read back
-    from the graph; decoded through the field tables above, the graph gives
-    an equal program. Each callee is the function the abstract program
-    carries for its call, the one the resolver chose; the KB is not asked
-    for it again. A language family without statement forms in the KB is
-    unsupported.
+    The whole program is built first, then its triples, each term through
+    its checking constructor, and then they are written there in one batch,
+    so a render that fails leaves no graph. Returns that program, not read
+    back from the graph; decoded through the PLR field tables in
+    `tests/oracles.py`, the graph gives an equal program. Each callee is
+    the function the abstract program carries for its call, the one the
+    resolver chose; the KB is not asked for it again. A language family
+    without statement forms in the KB is unsupported.
     """
     renderer = _Renderer(views.kb(store), language, pla)
     graph_iri = vocab.program_graph_iri(pla.basename, "plr")
@@ -187,22 +168,40 @@ def render(pla: PlaProgram, language: LanguageInfo, store: QuadStore) -> PlrProg
             statements.append(PlacedConcrete(variation, section.name, placed.order_index, elements))
         sections.append((section.name, tuple(statements)))
     plr = PlrProgram(graph_iri, f"{graph_iri}#program", pla.basename, language.iri, tuple(sections))
-    write(store, graph_iri, _plr_nodes(plr))
+    store._add_all(graph_iri, _plr_triples(plr))
     return plr
 
 
-def _plr_nodes(plr: PlrProgram):
-    """The program's graph as `views.write` takes it, one (fields, node, values) per node."""
+def _plr_triples(plr: PlrProgram) -> list[tuple[Iri, Iri, Term]]:
+    """The program's graph as (subject, predicate, object) triples, each term built by its checking constructor.
+
+    The statements are numbered across the sections in emission order. A
+    record value of the wrong type, such as a non-str element, raises here,
+    before the store is touched.
+    """
+    triples = []
     statements = []
-    for statement_index, placed in enumerate(plr.all_statements()):
-        node = Iri(f"{plr.graph_iri}#stmt-{statement_index}")
-        elements = [Iri(f"{node.value}-e{index}") for index in range(len(placed.elements))]
-        for index, (element, text) in enumerate(zip(elements, placed.elements)):
-            yield _ELEMENT, element, {"index": index, "text": text}
-        yield _STATEMENT, node, dict(placed._asdict(), type=PLR_STATEMENT, statement_index=statement_index,
-                                     elements=elements)
-        statements.append(node)
-    yield _PROGRAM, Iri(plr.program_iri), dict(plr._asdict(), type=PLR_PROGRAM, statements=statements)
+    for _, placed_statements in plr.sections:
+        for placed in placed_statements:
+            node = Iri(f"{plr.graph_iri}#stmt-{len(statements)}")
+            elements = [Iri(f"{node.value}-e{index}") for index in range(len(placed.elements))]
+            triples += [
+                (node, _RDF_TYPE, PLR_STATEMENT),
+                (node, PLR_HAS_VARIATION, Literal(placed.variation)),
+                (node, PLR_IN_SECTION, Literal(placed.section)),
+                (node, PLR_HAS_SECTION_INDEX, integer_literal(placed.section_index)),
+                (node, PLR_HAS_STATEMENT_INDEX, integer_literal(len(statements))),
+            ]
+            triples += [(node, PLR_HAS_ELEMENT_SLOT, element) for element in elements]
+            for index, (element, text) in enumerate(zip(elements, placed.elements)):
+                triples += [(element, PLR_HAS_ELEMENT_INDEX, integer_literal(index)),
+                            (element, PLR_HAS_ELEMENT_TEXT, Literal(text))]
+            statements.append(node)
+    node = Iri(plr.program_iri)
+    triples += [(node, _RDF_TYPE, PLR_PROGRAM), (node, PLR_HAS_BASENAME, Literal(plr.basename)),
+                (node, PLR_HAS_LANGUAGE, Iri(plr.language_iri))]
+    triples += [(node, PLR_HAS_STATEMENT, statement) for statement in statements]
+    return triples
 
 
 def emit(plr: PlrProgram, blank_lines_between_sections: bool = False) -> str:

@@ -13,7 +13,8 @@ and serialization deterministic, so a term is its own sort key.
 The constructors check their fields in `__new__`, and copy and pickle
 rebuild a term through them. A bare tuple is no term, yet it equals the
 term with the same items, so whatever takes terms from a caller (`Quad`,
-`Pattern`, `views.write`) checks their classes.
+`Pattern`) checks their classes, and the program-graph writers build every
+term through its constructor.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ XSD_INTEGER = XSD + "integer"
 XSD_DECIMAL = XSD + "decimal"
 XSD_BOOLEAN = XSD + "boolean"
 
-_WHITESPACE = re.compile(r"\s")
 # A simple label: no whitespace, no leading or trailing '.'. It is a blank
 # node's id, serialized as _:id, and the non-empty local part of a prefixed
 # name; the Turtle lexer reads both with this pattern.
@@ -56,7 +56,7 @@ class Iri(tuple):
             raise MalformedTermError(f"IRI must be a string, got {value!r}")
         if not value:
             raise MalformedTermError("IRI must be non-empty")
-        if _WHITESPACE.search(value):
+        if value.split() != [value]:  # str.split breaks at exactly the characters the regex \s matches
             raise MalformedTermError(f"IRI contains whitespace: {value!r}")
         return _tuple(cls, (0, value))
 

@@ -1,4 +1,4 @@
-"""The compiled knowledge base, and the field-table codec.
+"""The compiled knowledge base, and the field-table reader.
 
 `SHAPES` declares once, in the manner of SHACL Core, the shape of every
 entity class the pipeline reads: per property its field, predicate, kind
@@ -11,9 +11,11 @@ value reads as None (or an empty tuple). The store keeps the snapshot at
 the graph's generation, and `kb` compiles a new one once the graph has
 changed, so no stage reads a stale KB. The stages read the `Kb` fields
 directly; every mapping in it is read-only and every sequence a tuple, so
-no caller can change the kept snapshot. The program graphs declare their
-nodes in field tables of the same form, written by `write`; no stage
-reads them back. Nothing here changes the store's KB quads.
+no caller can change the kept snapshot. The composer and the renderer
+write their program graphs straight from their records, and no stage
+reads them back; the tests declare those graphs' nodes in field tables of
+the same form and read them through `read`. Nothing here changes the
+store's KB quads.
 """
 
 from __future__ import annotations
@@ -21,12 +23,12 @@ from __future__ import annotations
 import re
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from graphsynth import vocab
-from graphsynth.errors import KbValidationError, MalformedQuadError
+from graphsynth.errors import KbValidationError
 from graphsynth.quadstore import QuadStore
-from graphsynth.terms import RDF_TYPE, XSD_BOOLEAN, XSD_INTEGER, XSD_STRING, Blank, Iri, Literal, Term, integer_literal
+from graphsynth.terms import RDF_TYPE, XSD_BOOLEAN, XSD_INTEGER, XSD_STRING, Blank, Iri, Literal, Term
 from graphsynth.turtle import _format_term
 
 
@@ -229,19 +231,15 @@ SHAPES: dict[str, tuple[Field, ...]] = {
 }
 
 _RDF_TYPE = Iri(RDF_TYPE)
-# The rdf:type of a typed program-graph node, written and read as the class term.
-TYPE: Field = ("type", _RDF_TYPE, NODE, 1, 1)
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 _QUOTE = re.compile(r"[^\w\s\\]")  # a string quote: no word character, whitespace or backslash
 _WORD = re.compile(r"\w")
-# The Python value a term of each kind reads as, and the term a value of each
-# kind is written as (no program graph holds a boolean); a link kind, in
-# neither table, reads and writes the term itself.
+# The Python value a term of each kind reads as; a link kind, not in the
+# table, reads as the term itself.
 _VALUE = {
     STR: attrgetter("lexical"), NAME: attrgetter("lexical"), INT: lambda t: int(t.lexical),
     BOOL: lambda t: t.lexical == "true", IRI: attrgetter("value"),
 }
-_TERM = {STR: Literal, NAME: Literal, INT: integer_literal, IRI: Iri}
 _EXPECTED_COUNT = {(1, 1): "exactly 1 value", (0, 1): "at most 1 value", (1, MANY): "at least 1 value"}
 _EXPECTED_KIND = {
     STR: "a string literal", NAME: "a dotted identifier", INT: "an integer literal", BOOL: "a boolean literal",
@@ -297,39 +295,6 @@ def _decode(terms: list[Term], kind: str, high: int | None):
     value = _VALUE.get(kind)
     values = [value(term) for term in terms] if value else terms
     return tuple(values) if high is MANY else values[0] if values else None
-
-
-def write(store: QuadStore, graph: str, nodes: Iterable[tuple[tuple[Field, ...], Iri, Mapping]]):
-    """Insert every node of `graph`, each (fields, node, values): one quad per value of each field on the node.
-
-    Each quad is the term `read` reads back: the kind decides it, a literal,
-    an IRI built from its string, or the link term given. A single-valued
-    field takes a value or None (no quad), a many-valued one an iterable;
-    values no field names are ignored. The quads go in as one batch through
-    the store's unchecked `_add_all`, so the checks are made here, once per
-    node or field: each node and predicate must be an IRI and a link an IRI
-    or blank node; the term constructors check the other kinds, and the store
-    the graph name. Every value of every node is checked before the first
-    quad goes in, so a malformed one leaves the store as it was.
-    """
-    quads = []
-    for fields, node, values in nodes:
-        if not isinstance(node, Iri):
-            raise MalformedQuadError(f"a program-graph node must be an IRI: {node!r}")
-        for name, predicate, kind, _, high in fields:
-            value = values[name]
-            if value is None:
-                continue
-            if not isinstance(predicate, Iri):
-                raise MalformedQuadError(f"field {name!r} has a predicate that is no IRI: {predicate!r}")
-            term = _TERM.get(kind)
-            for item in value if high is MANY else (value,):
-                if term is not None:
-                    item = term(item)
-                elif not isinstance(item, (Iri, Blank)):
-                    raise MalformedQuadError(f"field {name!r} takes an IRI or blank node, got {item!r}")
-                quads.append((node, predicate, item))
-    store._add_all(graph, quads)
 
 
 # --- the snapshot ---------------------------------------------------------

@@ -29,7 +29,7 @@ from graphsynth.terms import Iri
 from graphsynth.turtle import parse_document, serialize
 from graphsynth.views import LibraryInfo
 
-from oracles import canonical, expected_order, load_pla, nested_loop_join, tractable_case
+from oracles import canonical, expected_order, load_pla, nested_loop_join, pla_statements, tractable_case
 from test_turtle import fuzz_once
 
 STMT = str(example_statement_path())
@@ -164,7 +164,7 @@ def test_c6_ordering_properties(kb_store, statement_text):
         assert emission == list(vocab.EMISSION_ORDER)
         assert composition == list(vocab.COMPOSITION_ORDER)
         statement_sections = [
-            placed.section for placed in walked.all_statements()
+            placed.section for placed in pla_statements(walked)
         ]  # composition-index order
         boundaries = [statement_sections.index(name) for name in composition if name in statement_sections]
         assert boundaries == sorted(boundaries)

@@ -578,11 +578,30 @@ def test_dump_graph_unknown_graph_is_header_only(capsys):
     assert all(line.startswith("@prefix") or not line for line in out.splitlines())
 
 
-@pytest.mark.parametrize("graph, reason", [("a b", "IRI contains whitespace: 'a b'"), ("", "IRI must be non-empty")])
+@pytest.mark.parametrize("graph, reason", [
+    ("a b", "IRI contains whitespace: 'a b'"), ("", "IRI must be non-empty"), ("<>", "IRI must be non-empty"),
+    ("<a b>", "IRI contains whitespace: 'a b'"),
+    # A well-known prefix is expanded before the IRI is checked.
+    ("kb:a b", "IRI contains whitespace: 'http://graphsynth.dev/kb/a b'"),
+])
 def test_dump_graph_of_no_iri_maps_to_exit_2_at_config(capsys, graph, reason):
     code, out, err = run(capsys, "dump-graph", graph)
     assert code == 2 and out == ""
     assert err == f"graphsynth: error at stage config: graph must be an IRI, got {graph!r}: {reason}\n"
+
+
+def test_dump_graph_reads_an_iri_in_angle_brackets_as_query_does(capsys):
+    code, out, _ = run(capsys, "dump-graph", f"<{vocab.CORE_GRAPH}>")
+    assert code == 0
+    assert out == run(capsys, "dump-graph", vocab.CORE_GRAPH)[1]
+    assert len(out.splitlines()) > 400
+
+
+@pytest.mark.parametrize("graph", ["<http://graphsynth.dev/graph/unknown>", "kb:unknown"])
+def test_dump_graph_of_a_well_formed_unknown_graph_term_is_header_only(capsys, graph):
+    code, out, _ = run(capsys, "dump-graph", graph)
+    assert code == 0
+    assert all(line.startswith("@prefix") or not line for line in out.splitlines())
 
 
 def test_dump_graph_after_synthesis_round_trips(capsys):

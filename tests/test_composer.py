@@ -6,7 +6,7 @@ import pytest
 from conftest import (
     NUMPY_LIBRARY, NUMPY_LOADTXT, NUMPY_MEAN, NUMPY_STD, STATEMENT_VARIANTS, SYS_LIBRARY, variant_plan,
 )
-from oracles import load_pla
+from oracles import load_pla, pla_section, pla_statements
 from graphsynth import vocab
 from graphsynth.composer import (
     PLA_HAS_VARIABLE_REF,
@@ -45,28 +45,28 @@ def section_counts(pla):
 
 def test_exemplar_sections_and_statement_counts(pla):
     assert section_counts(pla) == {"Preamble": 2, "Input": 2, "Calculate": 2, "Output": 2, "CleanUp": 1}
-    assert len(pla.all_statements()) == 9
+    assert len(pla_statements(pla)) == 9
 
 
 def test_exemplar_statement_shapes(pla, plan):
-    input_statements = [p.statement for p in pla.section("Input").statements]
+    input_statements = [p.statement for p in pla_section(pla, "Input").statements]
     assert input_statements[0] == AssignLiteral("input_data_filename", "my_input.txt", vocab.ROLE_DATASOURCE_FILENAME)
     assert isinstance(input_statements[1], AssignCall)
     assert input_statements[1].target == "input_data"
     assert input_statements[1].function == NUMPY_LOADTXT
     assert input_statements[1].args == ("input_data_filename",)
 
-    calculate = [p.statement for p in pla.section("Calculate").statements]
+    calculate = [p.statement for p in pla_section(pla, "Calculate").statements]
     assert [s.target for s in calculate] == ["mean", "std"]
     assert [s.function for s in calculate] == [NUMPY_MEAN, NUMPY_STD]
     assert all(s.args == ("input_data",) for s in calculate)
 
-    output = [p.statement for p in pla.section("Output").statements]
+    output = [p.statement for p in pla_section(pla, "Output").statements]
     assert output == [ReportValue("mean", "mean"), ReportValue("std", "std")]
 
-    assert [p.statement for p in pla.section("CleanUp").statements] == [ProgramExit(0, plan.exit_function.iri)]
+    assert [p.statement for p in pla_section(pla, "CleanUp").statements] == [ProgramExit(0, plan.exit_function.iri)]
 
-    preamble = [p.statement for p in pla.section("Preamble").statements]
+    preamble = [p.statement for p in pla_section(pla, "Preamble").statements]
     assert preamble == [ImportDirective(NUMPY_LIBRARY), ImportDirective(SYS_LIBRARY)]
 
 
@@ -88,7 +88,7 @@ def test_emission_indices_follow_the_fixed_order(pla):
 
 def test_every_argument_is_defined_earlier_in_composition_order(pla):
     defined: dict[str, int] = {}
-    for placed in pla.all_statements():
+    for placed in pla_statements(pla):
         statement = placed.statement
         if isinstance(statement, AssignCall):
             for arg in statement.args:
@@ -101,12 +101,12 @@ def test_every_argument_is_defined_earlier_in_composition_order(pla):
 
 def test_import_set_is_exactly_the_referenced_libraries(kb_store, pla):
     expected = set()
-    for placed in pla.all_statements():
+    for placed in pla_statements(pla):
         statement = placed.statement
         if isinstance(statement, AssignCall):
             expected.add(kb(kb_store).functions[statement.function].library.iri)
     expected.add(SYS_LIBRARY)  # bound by the planned exit action
-    imported = {p.statement.library for p in pla.section("Preamble").statements}
+    imported = {p.statement.library for p in pla_section(pla, "Preamble").statements}
     assert imported == expected == {lib.iri for lib in pla.referenced_libraries}
 
 
@@ -245,9 +245,9 @@ def test_collisions_during_composition_are_deterministic(kb_store, plan):
     # Two calculations resolving to the same callable name must not collide.
     doubled = plan._replace(calculations=(plan.calculations[0], plan.calculations[0]))
     pla = compose(doubled, kb_store)
-    targets = [p.statement.target for p in pla.section("Calculate").statements]
+    targets = [p.statement.target for p in pla_section(pla, "Calculate").statements]
     assert targets == ["mean", "mean_2"]
-    labels = [p.statement.label for p in pla.section("Output").statements]
+    labels = [p.statement.label for p in pla_section(pla, "Output").statements]
     assert labels == ["mean", "mean_2"]
 
 

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import itertools
+import shutil
 
 import pytest
 
+from graphsynth import vocab
 from graphsynth.errors import CatalogError, ImportResolutionError
 from graphsynth.loader import ImportCatalog, load_with_imports
 from graphsynth.quadstore import QuadStore
@@ -113,3 +115,15 @@ def test_loading_twice_into_one_store_adds_nothing():
     assert second.files == 20
     assert second.quads == 0
     assert len(store) == first.quads
+
+
+def test_a_kb_reached_through_a_symlinked_directory_loads_each_file_once(tmp_path, seed_kb):
+    real, link = tmp_path / "real", tmp_path / "link"
+    shutil.copytree(kb_dir(), real)
+    link.symlink_to(real, target_is_directory=True)
+    shipped, _ = seed_kb
+    # The entry and the catalog reached by either path, in each mix, name the same 20 files.
+    for directory, catalog in ((link, None), (link, real / "catalog.tsv"), (real, link / "catalog.tsv")):
+        store, report = load_kb(directory, catalog, validate=False)
+        assert report.files == 20
+        assert store.graph_quads(vocab.CORE_GRAPH) == shipped.graph_quads(vocab.CORE_GRAPH)

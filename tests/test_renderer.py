@@ -9,13 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import NUMPY_MEAN, STATEMENT_VARIANTS, insert_turtle, variant_plan
-from oracles import load_pla, load_plr
+from oracles import encode, load_pla, load_plr, pla_nodes, plr_nodes
 from graphsynth import renderer, views, vocab
 from graphsynth.composer import compose, import_order
 from graphsynth.errors import (
     ComposeError,
     KbValidationError,
-    MalformedQuadError,
+    MalformedTermError,
     RenderError,
     UnmappableStatementError,
     UnsupportedLanguageError,
@@ -32,7 +32,7 @@ from graphsynth.renderer import (
 from graphsynth.resolver import resolve
 from graphsynth.quadstore import Pattern, Quad, QuadStore, Var
 from graphsynth.terms import RDF_TYPE, Blank, Iri, Literal
-from graphsynth.views import LibraryInfo, write
+from graphsynth.views import LibraryInfo
 
 
 @pytest.fixture()
@@ -173,36 +173,72 @@ def test_each_callee_is_the_function_the_program_carries(kb_store, statement_tex
     assert "mean = np.mean(input_data)" not in lines
 
 
+def _state(store):
+    """Each graph of the store with its quads and generation."""
+    return {graph: (store.graph_quads(graph), store.generation(graph)) for graph in store.graph_names()}
+
+
+def _statement_target(pla, target):
+    """`pla` with the target of its first Input statement replaced by `target`."""
+    def changed(section):
+        if section.name != vocab.SECTION_INPUT:
+            return section
+        first, *rest = section.statements
+        return section._replace(statements=(first._replace(statement=first.statement._replace(target=target)), *rest))
+    return pla._replace(sections=tuple(map(changed, pla.sections)))
+
+
+def _exit_function(plan, **change):
+    return plan._replace(exit_function=plan.exit_function._replace(**change))
+
+
+# (stage, change): a compose case changes the plan, a render case the
+# abstract program or the language. Each puts a value of the wrong type, or
+# an IRI with whitespace, where the program graph needs a term.
+_MALFORMED_RECORDS = {
+    # An int where the literal's value, a string, belongs.
+    "compose-int-literal-value": ("compose", lambda plan, pla: (plan._replace(
+        data_source=plan.data_source._replace(name=5)), None)),
+    "compose-int-function-iri": ("compose", lambda plan, pla: (_exit_function(plan, iri=5), None)),
+    "compose-whitespace-function-iri": ("compose", lambda plan, pla: (
+        _exit_function(plan, iri="http://t.example/an exit"), None)),
+    "compose-int-library-iri": ("compose", lambda plan, pla: (_exit_function(
+        plan, library=plan.exit_function.library._replace(iri=5)), None)),
+    # The program node's structure, the last triple the composer builds.
+    "compose-int-structure-iri": ("compose", lambda plan, pla: (plan._replace(
+        structure=plan.structure._replace(iri=5)), None)),
+    "render-int-target": ("render", lambda plan, pla: (plan, _statement_target(pla, 5))),
+    "render-whitespace-graph": ("render", lambda plan, pla: (plan, pla._replace(basename="hello analytic"))),
+    # The program node's language, the last triple the renderer builds.
+    "render-int-language-iri": ("render", lambda plan, pla: (plan._replace(
+        language=plan.language._replace(iri=5)), pla)),
+}
+
+
+@pytest.mark.parametrize("case", _MALFORMED_RECORDS)
+def test_a_record_value_of_the_wrong_type_raises_and_writes_no_program_graph(kb_store, statement_text, case):
+    stage, change = _MALFORMED_RECORDS[case]
+    plan = resolve(parse_problem_statement(statement_text), kb_store)
+    pla = compose(plan, kb_store) if stage == "render" else None
+    plan, pla = change(plan, pla)
+    graph = (vocab.program_graph_iri(plan.program_basename, "pla") if stage == "compose"
+             else vocab.program_graph_iri(pla.basename, "plr"))
+    before, generation = _state(kb_store), kb_store.generation(graph)
+    with pytest.raises(MalformedTermError):
+        compose(plan, kb_store) if stage == "compose" else render(pla, plan.language, kb_store)
+    # Every term is built before the store is touched: no graph gained or lost a quad.
+    assert _state(kb_store) == before and graph not in kb_store.graph_names()
+    assert kb_store.generation(graph) == generation
+
+
 _NODE = Iri("http://t.example/node")
 _LINK = ("link", Iri("http://t.example/link"), views.NODE, 1, 1)
 
 
-@pytest.mark.parametrize(
-    "graph, fields, node, values",
-    [
-        pytest.param("http://t.example/g", (_LINK,), Blank("n"), {"link": _NODE}, id="blank-node"),
-        pytest.param("http://t.example/g", (_LINK,), Literal("n"), {"link": _NODE}, id="literal-node"),
-        pytest.param("http://t.example/g", (_LINK,), "http://t.example/n", {"link": _NODE}, id="string-node"),
-        pytest.param("http://t.example/g", (_LINK,), _NODE, {"link": Literal("x")}, id="literal-link"),
-        pytest.param("http://t.example/g", (_LINK,), _NODE, {"link": "http://t.example/x"}, id="string-link"),
-        pytest.param("http://t.example/g", (views.TYPE,), _NODE, {"type": True}, id="boolean-link"),
-        pytest.param("http://t.example/g", (("text", "http://t.example/p", views.STR, 1, 1),), _NODE, {"text": "x"},
-                     id="string-predicate"),
-        pytest.param("http://t.example/a graph", (_LINK,), _NODE, {"link": _NODE}, id="whitespace-graph"),
-        pytest.param("", (_LINK,), _NODE, {"link": _NODE}, id="empty-graph"),
-    ],
-)
-def test_write_rejects_a_malformed_quad_and_stores_nothing(graph, fields, node, values):
-    store = QuadStore()
-    with pytest.raises(MalformedQuadError):
-        write(store, graph, [(fields, node, values)])
-    assert len(store) == 0 and store.graph_names() == []
-
-
 @pytest.mark.parametrize("link", [_NODE, Blank("b")], ids=["iri", "blank-node"])
-def test_a_link_reads_back_as_the_term_written(link):
+def test_a_link_reads_back_as_the_term_stored(link):
     store, graph = QuadStore(), "http://t.example/g"
-    write(store, graph, [((_LINK,), _NODE, {"link": link})])
+    store.insert(Quad(_NODE, _LINK[1], link, graph))
     problems = []
     assert views.read(store, graph, (_LINK,), _NODE, problems, {}) == {"link": link}
     assert problems == []
@@ -213,7 +249,8 @@ def test_read_returns_the_well_formed_fields_and_appends_one_problem_per_fault()
     name = ("name", Iri("http://t.example/name"), views.STR, 1, 1)
     count = ("count", Iri("http://t.example/count"), views.INT, 1, 1)
     tags = ("tags", Iri("http://t.example/tag"), views.STR, 1, views.MANY)
-    write(store, graph, [((name, _LINK), _NODE, {"name": "n", "link": _NODE})])
+    store.insert(Quad(_NODE, name[1], Literal("n"), graph))
+    store.insert(Quad(_NODE, _LINK[1], _NODE, graph))
     store.insert(Quad(_NODE, count[1], Literal("x"), graph))
     problems = ["an earlier problem"]
     assert views.read(store, graph, (name, count, tags, _LINK), _NODE, problems, {}) == {"name": "n", "link": _NODE}
@@ -224,27 +261,22 @@ def test_read_returns_the_well_formed_fields_and_appends_one_problem_per_fault()
     ]
 
 
-@pytest.mark.parametrize("existing", [0, 1], ids=["new-graph", "graph-with-a-quad"])
-def test_a_malformed_value_late_in_a_node_leaves_the_graph_as_it_was(existing):
-    store, graph = QuadStore(), "http://t.example/g"
-    if existing:
-        store.insert(Quad(Iri("http://t.example/other"), _LINK[1], _NODE, graph))
-    quads, generation = store.graph_quads(graph), store.generation(graph)
-    fields = (("name", Iri("http://t.example/name"), views.STR, 1, 1), _LINK, ("second", _LINK[1], views.NODE, 1, 1))
-    for nodes in (
-        # A valid name and a valid first link come before the malformed second link.
-        [(fields, _NODE, {"name": "n", "link": _NODE, "second": Literal("x")})],
-        # A whole valid node comes before the node that holds the malformed value.
-        [((_LINK,), Iri("http://t.example/first"), {"link": _NODE}), ((_LINK,), _NODE, {"link": Literal("x")})],
-    ):
-        with pytest.raises(MalformedQuadError):
-            write(store, graph, nodes)
-        assert store.graph_quads(graph) == quads and store.graph_size(graph) == existing
-        assert store.generation(graph) == generation
+@pytest.mark.parametrize("variant", ["example", *STATEMENT_VARIANTS])
+def test_compose_and_render_write_the_quads_the_field_table_encoder_makes(kb_store, statement_text, variant):
+    plan = (resolve(parse_problem_statement(statement_text), kb_store) if variant == "example"
+            else variant_plan(kb_store, variant))
+    pla = compose(plan, kb_store)
+    plr = render(pla, plan.language, kb_store)
+    reference = QuadStore()
+    encode(reference, pla.graph_iri, pla_nodes(pla))
+    encode(reference, plr.graph_iri, plr_nodes(plr))
+    for graph in (pla.graph_iri, plr.graph_iri):
+        assert kb_store.graph_quads(graph) == reference.graph_quads(graph)
+        assert kb_store.graph_size(graph) == reference.graph_size(graph) > 0
 
 
 @pytest.mark.parametrize("variant", ["example", *STATEMENT_VARIANTS])
-def test_codec_writes_the_same_graphs_and_tables_as_validated_inserts(kb_store, statement_text, variant):
+def test_writers_store_the_same_graphs_and_tables_as_validated_inserts(kb_store, statement_text, variant):
     plan = (resolve(parse_problem_statement(statement_text), kb_store) if variant == "example"
             else variant_plan(kb_store, variant))
     pla = compose(plan, kb_store)

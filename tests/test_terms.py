@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import copy
 import pickle
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from graphsynth import views
+from conftest import variant_plan
+from graphsynth import vocab
+from graphsynth.composer import compose
 from graphsynth.errors import MalformedQuadError, MalformedTermError
 from graphsynth.quadstore import Pattern, Quad, QuadStore, Var
+from graphsynth.renderer import render
 from graphsynth.terms import RDF_LANG_STRING, XSD_INTEGER, XSD_STRING, Blank, Iri, Literal, integer_literal
 
 from oracles import term_key
@@ -150,6 +154,42 @@ def test_malformed_terms_raise(build, message):
         build()
 
 
+# Whitespace beyond ASCII: no-break space, line separator, ideographic space.
+_UNICODE_SPACES = ["\u00a0", "\u2028", "\u3000"]
+_PLACES = {"start": "{}http://x/a", "middle": "http://x/{}a", "end": "http://x/a{}"}
+
+
+@pytest.mark.parametrize("space", _UNICODE_SPACES, ids=["u00a0", "u2028", "u3000"])
+@pytest.mark.parametrize("place", _PLACES)
+def test_an_iri_or_graph_name_with_unicode_whitespace_anywhere_is_refused(space, place):
+    value = _PLACES[place].format(space)
+    with pytest.raises(MalformedTermError, match=re.escape(f"IRI contains whitespace: {value!r}")):
+        Iri(value)
+    with pytest.raises(MalformedQuadError, match="quad graph must be a non-empty IRI string"):
+        Quad(S, P, O, value)
+    assert Iri(value.replace(space, "_")).value == value.replace(space, "_")
+
+
+# A bare tuple equal to a term, where a program record holds an IRI string.
+_BARE = {"iri": (0, "http://x/a"), "blank": (1, "b"), "literal": (2, "x", XSD_STRING, "")}
+
+
+@pytest.mark.parametrize("bare", _BARE.values(), ids=list(_BARE))
+@pytest.mark.parametrize("stage", ["compose", "render"])
+def test_a_program_record_holding_a_bare_tuple_writes_no_graph(kb_store, stage, bare):
+    plan = variant_plan(kb_store, "one")
+    pla = compose(plan, kb_store) if stage == "render" else None
+    graph = vocab.program_graph_iri(plan.program_basename, "pla" if stage == "compose" else "plr")
+    size, generation = len(kb_store), kb_store.generation(graph)
+    with pytest.raises(MalformedTermError, match="IRI must be a string"):
+        if stage == "compose":
+            compose(plan._replace(exit_function=plan.exit_function._replace(iri=bare)), kb_store)
+        else:
+            render(pla, plan.language._replace(iri=bare), kb_store)
+    assert len(kb_store) == size and graph not in kb_store.graph_names()
+    assert kb_store.generation(graph) == generation
+
+
 def test_integer_literals_of_0_to_255_are_shared_and_all_equal_a_built_literal():
     for value in (*range(-3, 260), 10**20, -(10**20)):
         literal = integer_literal(value)
@@ -246,15 +286,6 @@ def test_a_bare_tuple_is_no_term(term):
         with pytest.raises(MalformedQuadError):
             build()
     store = QuadStore()
-    link = (("link", p, views.NODE, 1, 1),)
-    for build in (
-        lambda: views.write(store, g, [((), bare, {})]),
-        lambda: views.write(store, g, [((("link", bare, views.NODE, 1, 1),), s, {"link": s})]),
-        lambda: views.write(store, g, [(link, s, {"link": bare})]),
-    ):
-        with pytest.raises(MalformedQuadError):
-            build()
-    assert len(store) == 0
     # The store takes and drops only a Quad, never the bare tuple equal to one.
     quad = Quad(s, p, term, g)
     store.insert(quad)
