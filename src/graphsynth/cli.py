@@ -2,10 +2,10 @@
 
 Each pipeline stage maps to a distinct exit code so failures are
 scriptable: 0 ok, 2 config, 3 KB load, 4 statement parse, 5 resolve,
-6 compose, 7 render, 8 write, and 1 an exec-check failure or an error of
-no stage. Each stage raises its own error family; `main` alone turns an
-error into its stage and exit code, by the first row of `STAGES` whose
-family matches.
+6 compose, 7 render, 8 write, and 1 an exec-check failure, an error of no
+stage or output to a closed pipe. Each stage raises its own error family;
+`main` alone turns an error into its stage and exit code, by the first row
+of `STAGES` whose family matches.
 """
 
 from __future__ import annotations
@@ -292,6 +292,18 @@ def _make_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _make_parser()
     args = parser.parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()  # output to a closed pipe fails here, not at exit
+    except BrokenPipeError:
+        # The reader has gone: print nothing more, and let the flush at exit write to os.devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_ERROR
+    return code
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Run the chosen command; a pipeline error prints its stage and returns its exit code."""
     try:
         return args.func(args)
     except GraphSynthError as exc:

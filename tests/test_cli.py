@@ -747,3 +747,19 @@ def test_exec_check_of_a_one_calculation_program_expects_one_report_line(tmp_pat
     assert "mean = " in (tmp_path / "hello_analytic.py").read_text()
     [line] = [l for l in out.splitlines() if l.startswith("exec-check:")]
     assert line == "exec-check: mean=3.5"
+
+
+@pytest.mark.parametrize("argv", [["query", "?s ?p ?o ?g"], ["dump-graph", vocab.CORE_GRAPH], ["kb-stats"]])
+def test_output_to_a_closed_pipe_exits_1_and_prints_nothing(argv):
+    import graphsynth
+
+    env = {**os.environ, "PYTHONPATH": str(Path(graphsynth.__file__).parents[1])}
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the command writes
+    try:
+        proc = subprocess.run([sys.executable, "-m", "graphsynth.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
