@@ -3,7 +3,8 @@
 Each pipeline stage maps to a distinct exit code so failures are
 scriptable: 0 ok, 2 config, 3 KB load, 4 statement parse, 5 resolve,
 6 compose, 7 render, 8 write, and 1 an exec-check failure, an error of no
-stage or output to a closed pipe. Each stage raises its own error family;
+stage or output lost to a closed pipe. A closed stdout or stderr never
+hides the code of a failed stage. Each stage raises its own error family;
 `main` alone turns an error into its stage and exit code, by the first row
 of `STAGES` whose family matches.
 """
@@ -292,13 +293,14 @@ def _make_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _make_parser()
     args = parser.parse_args(argv)
+    code = EXIT_ERROR
     try:
         code = _run(args)
         sys.stdout.flush()  # output to a closed pipe fails here, not at exit
     except BrokenPipeError:
-        # The reader has gone: print nothing more, and let the flush at exit write to os.devnull.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_ERROR
+        # The reader has gone: print nothing more. A failed stage keeps its code; lost output is an error.
+        _to_devnull(sys.stdout)
+        return code or EXIT_ERROR
     return code
 
 
@@ -309,10 +311,23 @@ def _run(args: argparse.Namespace) -> int:
     except GraphSynthError as exc:
         for families, stage, code in STAGES:
             if isinstance(exc, families):
-                print(f"graphsynth: error at stage {stage}: {exc}", file=sys.stderr)
+                _print_error(f"graphsynth: error at stage {stage}: {exc}")
                 return code
-        print(f"graphsynth: error: {exc}", file=sys.stderr)
+        _print_error(f"graphsynth: error: {exc}")
         return EXIT_ERROR
+
+
+def _print_error(message: str) -> None:
+    """Print a diagnostic on stderr; if stderr is a closed pipe, the exit code alone tells the stage."""
+    try:
+        print(message, file=sys.stderr)
+    except BrokenPipeError:
+        _to_devnull(sys.stderr)
+
+
+def _to_devnull(stream) -> None:
+    """Point a closed stream's file at os.devnull, so that the flush at exit writes nowhere and cannot fail."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
 if __name__ == "__main__":

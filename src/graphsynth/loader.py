@@ -4,19 +4,11 @@ Each document is loaded exactly once (visited sets keyed on ontology IRI
 and on the file's device and inode), so import cycles are harmless, and a
 file reached by two paths, say through a symlinked directory, is one file.
 Blank node labels are file scoped: on load they are renamed to
-dataset-unique ids derived from the document key, the file's catalog IRI
-or else its path, which keeps the final quad set independent of load order.
+dataset-unique ids derived from the document key, which keeps the final
+quad set independent of load order.
 A file that cannot be read, or is no UTF-8 text or no valid Turtle, raises
-KbFileError, whose message starts with the file's path.
-
-Every document is read and decoded on every load, but its parse is reused:
-what the loader derives from a document (its triples with blank nodes
-renamed, its sorted imports, the ontology IRIs it declares) is a function
-of the document key and the text alone, so it is kept under (key, text),
-and a later load that reads the same text under the same key takes the
-kept triples without parsing. Only the documents of the last load that
-completed are kept, one KB's worth; a load that raises keeps the previous
-set, and a parse error is never kept.
+KbFileError, whose message starts with the file's path. Every load reads
+and parses every file it reaches; nothing is kept from one load to the next.
 """
 
 from __future__ import annotations
@@ -29,7 +21,9 @@ from typing import NamedTuple
 from graphsynth.errors import CatalogError, ImportResolutionError, KbFileError, TurtleParseError
 from graphsynth.quadstore import QuadStore
 from graphsynth.terms import OWL_IMPORTS, OWL_ONTOLOGY, RDF_TYPE, Blank, Iri, Term
-from graphsynth.turtle import parse_document
+from graphsynth.turtle import OntologyDocument, parse_document
+
+_IMPORTS, _TYPE, _ONTOLOGY = Iri(OWL_IMPORTS), Iri(RDF_TYPE), Iri(OWL_ONTOLOGY)
 
 
 class LoadReport(NamedTuple):
@@ -113,48 +107,22 @@ def _keyed(path: Path) -> tuple[Path, FileKey]:
     return path, (status.st_dev, status.st_ino)
 
 
-def _read_text(path: Path) -> str:
-    """One KB file's text; a file that cannot be read, or is no UTF-8, names itself."""
+def _read_document(path: Path) -> OntologyDocument:
+    """Parse one KB file; a file that cannot be read, or is no UTF-8 or no valid Turtle, names itself."""
     try:
-        return path.read_text(encoding="utf-8")
+        # One unbuffered binary read: a buffer and a text layer add set-up per file and nothing to a whole-file read.
+        with open(path, "rb", buffering=0) as file:
+            text = file.readall().decode("utf-8")
     except OSError as exc:
         raise KbFileError(f"{path}: cannot read: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise KbFileError(f"{path}: not UTF-8 text: {exc}") from exc
-
-
-class _Derived(NamedTuple):
-    """What a load takes from one document: its triples, blank nodes renamed; its imports; its ontologies."""
-
-    triples: tuple[tuple[Term, Iri, Term], ...]
-    imports: tuple[str, ...]  # sorted
-    ontologies: tuple[str, ...]
-
-
-def _derive(path: Path, doc_key: str, text: str) -> _Derived:
-    """Parse one document's text; invalid Turtle names the file."""
+    if "\r" in text:  # the line ends a text-mode read gives, so that lines and columns are counted alike
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
-        doc = parse_document(text)
+        return parse_document(text)
     except TurtleParseError as exc:
         raise KbFileError(f"{path}: {exc}") from exc
-    imports: list[str] = []
-    ontologies: list[str] = []
-    triples = []
-    for statement in doc.statements:
-        subject, predicate, obj = statement
-        if isinstance(obj, Iri):
-            if predicate.value == OWL_IMPORTS:
-                imports.append(obj.value)
-            elif predicate.value == RDF_TYPE and obj.value == OWL_ONTOLOGY and isinstance(subject, Iri):
-                ontologies.append(subject.value)
-        if isinstance(subject, Blank) or isinstance(obj, Blank):
-            statement = _renamed(doc_key, subject), predicate, _renamed(doc_key, obj)
-        triples.append(statement)
-    return _Derived(tuple(triples), tuple(sorted(imports)), tuple(ontologies))
-
-
-# (document key, text) -> what the last completed load derived from it.
-_kept: dict[tuple[str, str], _Derived] = {}
 
 
 def load_with_imports(
@@ -164,12 +132,10 @@ def load_with_imports(
     graph: str,
 ) -> LoadReport:
     """Load the entry files and, transitively, everything they owl:import."""
-    global _kept
     visited_iris: set[str] = set()
     visited_files: set[FileKey] = set()
     # Each entry is resolved once; each import comes with its path and key from the catalog.
     pending: list[tuple[Path, FileKey]] = [_keyed(Path(p).resolve()) for p in entry]
-    seen: dict[tuple[str, str], _Derived] = {}
     files = 0
     inserted = 0
 
@@ -184,16 +150,27 @@ def load_with_imports(
         if known_iri is not None:
             visited_iris.add(known_iri)
 
+        doc = _read_document(path)
         doc_key = known_iri or path.as_posix()
-        text = _read_text(path)
-        derived = _kept.get((doc_key, text)) or _derive(path, doc_key, text)
-        seen[doc_key, text] = derived
         files += 1
-        visited_iris.update(derived.ontologies)
-        # The parser's grammar admits only triples a Quad accepts, so they need no check.
-        inserted += store._add_all(graph, derived.triples)
 
-        for target in derived.imports:
+        triples = doc.statements
+        imports: list[str] = []
+        has_blank = False
+        for subject, predicate, obj in triples:
+            if predicate == _IMPORTS:
+                if isinstance(obj, Iri):
+                    imports.append(obj.value)
+            elif obj == _ONTOLOGY and predicate == _TYPE and isinstance(subject, Iri):
+                visited_iris.add(subject.value)
+            if isinstance(subject, Blank) or isinstance(obj, Blank):
+                has_blank = True
+        if has_blank:
+            triples = [(_renamed(doc_key, s), p, _renamed(doc_key, o)) for s, p, o in triples]
+        # The parser's grammar admits only triples a Quad accepts, so they need no check.
+        inserted += store._add_all(graph, triples)
+
+        for target in sorted(imports):
             if target in visited_iris:
                 continue
             mapped = catalog.lookup(target)
@@ -201,5 +178,4 @@ def load_with_imports(
                 raise ImportResolutionError(f"{path}: imported ontology not in catalog: <{target}>")
             pending.append(mapped)
 
-    _kept = seen
     return LoadReport(files=files, quads=inserted)

@@ -16,8 +16,7 @@ no `Quad` and checks only the name of a graph it creates, so its callers
 validate the terms: `insert(quad)`, the public entry, by the `Quad`
 constructor; the loader by the Turtle grammar, which builds every term
 through its constructor and admits only an IRI or blank subject and an IRI
-predicate, one document per call, whether just parsed or the triples it
-kept from the last load of the same text; and the program-graph writers of
+predicate, one document per call; and the program-graph writers of
 `composer` and `renderer`, one graph per call, which build every term
 through its checking constructor.
 `_add_all` and `remove` keep both tables up to date and never leave an

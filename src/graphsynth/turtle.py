@@ -182,11 +182,14 @@ class _Parser:
         tokens, iris = self.tokens, self.iris
         statements = self.doc.statements
         i = 0
-        while tokens[i]:
-            if self._is_directive(i):
+        while True:
+            tok = tokens[i]
+            if not tok:
+                return self.doc
+            if (tok == "@prefix" or tok == "@base") and self._is_directive(i):
                 i = self._parse_directive(i)
                 continue
-            subject = iris.get(tokens[i]) or self._term(i, "subject")
+            subject = iris.get(tok) or self._term(i, "subject")
             i += 1
             while True:
                 tok = tokens[i]
@@ -208,8 +211,9 @@ class _Parser:
                 # A dangling ';' before '.' is tolerated, as in full Turtle.
                 if tokens[i] == ".":
                     break
-            i = self._expect(i, ".")
-        return self.doc
+            if tokens[i] != ".":
+                raise self._unexpected(i, "'.'")
+            i += 1
 
     def _is_directive(self, i: int) -> bool:
         """Whether token i is the `@prefix` or `@base` keyword.
@@ -221,7 +225,10 @@ class _Parser:
         tok = self.tokens[i]
         if tok != "@prefix" and tok != "@base":
             return False
-        return not (_TAG_GLUE.match(self.tokens[i + 1]) and self._offset(i + 1) == self._offset(i) + len(tok))
+        glued = self.tokens[i + 1]
+        if glued[:1] in _PNAME_START:  # the common case, and one _TAG_GLUE never matches
+            return True
+        return not (_TAG_GLUE.match(glued) and self._offset(i + 1) == self._offset(i) + len(tok))
 
     def _parse_directive(self, i: int) -> int:
         tokens = self.tokens
@@ -259,18 +266,18 @@ class _Parser:
         """The IRI or blank node at token i, which `iris` does not hold."""
         tok = self.tokens[i]
         first = tok[:1]
-        if first == "_" and len(tok) > 1:
-            if position == "predicate":
-                raise self._error(i, "blank node not allowed as predicate")
-            return Blank(tok[2:])
-        if _is_iriref(tok):
-            value = self._resolve_iriref(i)
-        elif first in _PNAME_START and ":" in tok:
+        if first in _PNAME_START and ":" in tok:
             prefix, _, local = tok.partition(":")
             namespace = self.doc.prefixes.get(prefix)
             if namespace is None:
                 raise self._error(i, f"undeclared prefix '{prefix}:'")
             value = namespace + local
+        elif _is_iriref(tok):
+            value = self._resolve_iriref(i)
+        elif first == "_" and len(tok) > 1:
+            if position == "predicate":
+                raise self._error(i, "blank node not allowed as predicate")
+            return Blank(tok[2:])
         elif self._split(i):
             # The run's first name is the token now; as a verb it may be `a`.
             return _A if position == "predicate" and self.tokens[i] == "a" else self._term(i, position)

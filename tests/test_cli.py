@@ -11,7 +11,7 @@ import pytest
 from conftest import GOLDEN_DIR, NUMPY_MEAN
 from test_seedkb import ZFORM, ZFORM_PROBLEM
 from graphsynth import vocab
-from graphsynth.cli import main
+from graphsynth.cli import EXIT_KB_LOAD, main
 from graphsynth.errors import (
     CatalogError,
     ComposeError,
@@ -549,15 +549,16 @@ def test_each_error_family_exits_with_its_stage_code_wherever_it_is_raised(capsy
 def test_a_kb_file_that_cannot_be_read_maps_to_load_exit_code_and_is_named(capsys, monkeypatch):
     from graphsynth.seed import kb_dir
 
+    from graphsynth import loader
+
     unreadable = (kb_dir() / "units.ttl").resolve()
-    read_text = Path.read_text
 
-    def refuse(self, *args, **kwargs):
-        if self == unreadable:
-            raise PermissionError(13, "Permission denied", str(self))
-        return read_text(self, *args, **kwargs)
+    def refuse(file, *args, **kwargs):
+        if Path(file) == unreadable:
+            raise PermissionError(13, "Permission denied", str(file))
+        return open(file, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "read_text", refuse)
+    monkeypatch.setattr(loader, "open", refuse, raising=False)  # the loader's one way to open a KB file
     code, out, err = run(capsys, "kb-stats")
     assert code == 3 and out == ""
     assert err.startswith(f"graphsynth: error at stage kb-load: {unreadable}: cannot read: ")
@@ -749,17 +750,33 @@ def test_exec_check_of_a_one_calculation_program_expects_one_report_line(tmp_pat
     assert line == "exec-check: mean=3.5"
 
 
-@pytest.mark.parametrize("argv", [["query", "?s ?p ?o ?g"], ["dump-graph", vocab.CORE_GRAPH], ["kb-stats"]])
-def test_output_to_a_closed_pipe_exits_1_and_prints_nothing(argv):
+def _run_with_closed_pipe(argv: list[str], streams: tuple[str, ...]) -> subprocess.CompletedProcess:
+    """Run the CLI with each named stream ("stdout", "stderr") on a pipe whose reader is already gone."""
     import graphsynth
 
     env = {**os.environ, "PYTHONPATH": str(Path(graphsynth.__file__).parents[1])}
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader is gone before the command writes
+    pipes = {name: write_end for name in streams}
     try:
-        proc = subprocess.run([sys.executable, "-m", "graphsynth.cli", *argv], stdout=write_end,
-                              stderr=subprocess.PIPE, env=env, timeout=60)
+        return subprocess.run([sys.executable, "-m", "graphsynth.cli", *argv], env=env, timeout=60,
+                              stdout=pipes.get("stdout", subprocess.PIPE), stderr=pipes.get("stderr", subprocess.PIPE))
     finally:
         os.close(write_end)
+
+
+@pytest.mark.parametrize("argv", [["query", "?s ?p ?o ?g"], ["dump-graph", vocab.CORE_GRAPH], ["kb-stats"]])
+def test_output_to_a_closed_pipe_exits_1_and_prints_nothing(argv):
+    proc = _run_with_closed_pipe(argv, ("stdout",))
     assert proc.returncode == 1
     assert proc.stderr == b""
+
+
+@pytest.mark.parametrize("streams", [("stderr",), ("stdout", "stderr")])
+def test_a_closed_pipe_keeps_the_code_of_a_failed_stage(tmp_path, streams):
+    # As `graphsynth ... 2>&1 | head -0`: the diagnostic cannot be written, and the exit code still names the stage.
+    kb = _doctored_kb(tmp_path, "units.ttl", "no Turtle")
+    proc = _run_with_closed_pipe(["kb-stats", "--kb", str(kb)], streams)
+    assert proc.returncode == EXIT_KB_LOAD
+    if "stdout" not in streams:
+        assert proc.stdout == b""

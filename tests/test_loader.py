@@ -1,17 +1,17 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import shutil
 
 import pytest
 
-from graphsynth import loader, vocab
+from graphsynth import vocab
 from graphsynth.errors import CatalogError, ImportResolutionError, KbFileError
 from graphsynth.loader import ImportCatalog, load_with_imports
 from graphsynth.quadstore import QuadStore
 from graphsynth.seed import catalog_path, kb_dir, load_kb
-from graphsynth.terms import Blank, Literal
-from graphsynth.views import check_kb
+from graphsynth.terms import Blank
 
 G = "http://t.example/kb"
 
@@ -131,96 +131,43 @@ def test_a_kb_reached_through_a_symlinked_directory_loads_each_file_once(tmp_pat
         assert store.graph_quads(vocab.CORE_GRAPH) == shipped.graph_quads(vocab.CORE_GRAPH)
 
 
-def count_parses(monkeypatch) -> list[str]:
-    """The texts the loader parses from now on, one per parse, in order."""
-    parsed: list[str] = []
-    parse = loader.parse_document
-    monkeypatch.setattr(loader, "parse_document", lambda text: parsed.append(text) or parse(text))
-    return parsed
-
-
-def test_reloading_an_unchanged_kb_parses_no_document(monkeypatch):
-    first, first_report = load_kb()
-    parsed = count_parses(monkeypatch)
-    second, second_report = load_kb()
-    assert parsed == []
-    assert second_report == first_report
-    assert second.graph_quads(vocab.CORE_GRAPH) == first.graph_quads(vocab.CORE_GRAPH)
-    assert check_kb(second) == check_kb(first) == []
-
-
-def test_an_edited_file_is_parsed_again_and_only_it(tmp_path, monkeypatch):
-    shutil.copytree(kb_dir(), tmp_path / "kb")
-    edited = tmp_path / "kb" / "algorithm.ttl"
-    old_comment = "Plain description of the output, matchable against requested calculations."
-    load_kb(tmp_path / "kb")
-    text = edited.read_text(encoding="utf-8").replace(old_comment, "The output, described in words.")
-    edited.write_text(text, encoding="utf-8")  # the same path and ontology IRI
-    parsed = count_parses(monkeypatch)
-    store, report = load_kb(tmp_path / "kb")
-    assert parsed == [text]
-    assert report.files == 20
-    objects = {quad.object for quad in store.quads(vocab.CORE_GRAPH)}
-    assert Literal("The output, described in words.") in objects
-    assert Literal(old_comment) not in objects
-
-
-def test_an_invalid_file_raises_on_every_load_and_the_kept_documents_survive(tmp_path, monkeypatch):
-    shutil.copytree(kb_dir(), tmp_path / "kb")
-    broken = tmp_path / "kb" / "algorithm.ttl"
-    good = broken.read_text(encoding="utf-8")
-    load_kb(tmp_path / "kb")
-    bad = good.replace("gs:Algorithm a owl:Class .", "gs:Algorithm a owl:Class ;;", 1)
-    broken.write_text(bad, encoding="utf-8")
-    parsed = count_parses(monkeypatch)
-    messages = []
-    for _ in range(3):
-        with pytest.raises(KbFileError) as exc:
-            load_kb(tmp_path / "kb")
-        messages.append(str(exc.value))
-    assert parsed == [bad] * 3  # a parse error is never kept
-    assert messages == [messages[0]] * 3
-    line = bad[: bad.index(";;")].count("\n") + 1
-    assert messages[0].startswith(f"{broken.resolve()}: {line}:")
-    broken.write_text(good, encoding="utf-8")
-    parsed.clear()
-    _, report = load_kb(tmp_path / "kb")
-    assert parsed == []  # the failed loads left the last completed load's documents in place
-    assert report.files == 20
-
-
-def test_blank_nodes_are_renamed_alike_whether_parsed_or_reused(tmp_path, monkeypatch):
-    (tmp_path / "a.ttl").write_text(HEADER + "<http://t.example/A> a owl:Ontology .\nx:s x:p _:n1 .\n_:n1 x:q _:n2 .\n")
+@pytest.mark.parametrize("line_end", ["\r\n", "\r"])
+def test_a_document_with_other_line_ends_loads_and_fails_as_with_newlines(tmp_path, line_end):
+    body = HEADER + "<http://t.example/A> a owl:Ontology .\nx:s x:p \"v\" ;\n    x:q x:o .\n"
+    (tmp_path / "a.ttl").write_text(body)
     catalog = ImportCatalog.load(write_catalog(tmp_path, [("http://t.example/A", "a.ttl")]))
-
-    def load():
+    stores = []
+    for end in ("\n", line_end):
+        (tmp_path / "a.ttl").write_bytes(body.replace("\n", end).encode("utf-8"))
         store = QuadStore()
         load_with_imports([tmp_path / "a.ttl"], catalog, store, G)
-        return store.graph_quads(G)
-
-    parsed_first = load()
-    parsed = count_parses(monkeypatch)
-    reused = load()
-    assert parsed == []
-    monkeypatch.setattr(loader, "_kept", {})
-    parsed_again = load()
-    assert len(parsed) == 1
-    assert reused == parsed_first == parsed_again
-    blanks = {term.id for quad in reused for term in (quad.subject, quad.object) if isinstance(term, Blank)}
-    assert len(blanks) == 2 and "n1" not in blanks
+        stores.append(store.graph_quads(G))
+    assert stores[0] == stores[1] and len(stores[0]) == 3
+    messages = []
+    for end in ("\n", line_end):
+        (tmp_path / "a.ttl").write_bytes((body + "x:s x:p %oops .\n").replace("\n", end).encode("utf-8"))
+        with pytest.raises(KbFileError) as exc:
+            load_with_imports([tmp_path / "a.ttl"], catalog, QuadStore(), G)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith(f"{(tmp_path / 'a.ttl').resolve()}: 6:9: ")
 
 
-def test_a_kb_copied_to_another_directory_reuses_its_documents(tmp_path, monkeypatch, seed_kb):
-    shutil.copytree(kb_dir(), tmp_path / "first")
-    shutil.copytree(kb_dir(), tmp_path / "second")
-    (tmp_path / "second" / "units.ttl").write_text(
-        (tmp_path / "second" / "units.ttl").read_text(encoding="utf-8") + "\n# edited\n", encoding="utf-8"
+def test_blank_nodes_get_ids_from_the_document_key_alone(tmp_path):
+    # The ids hash the catalog IRI and the label, so they are the same on every load and under every hash seed.
+    (tmp_path / "a.ttl").write_text(HEADER + "<http://t.example/A> a owl:Ontology .\nx:s x:p _:n1 .\n_:n1 x:q _:n2 .\n")
+    catalog = ImportCatalog.load(write_catalog(tmp_path, [("http://t.example/A", "a.ttl")]))
+    store = QuadStore()
+    load_with_imports([tmp_path / "a.ttl"], catalog, store, G)
+    expected = {Blank("b" + hashlib.sha1(f"http://t.example/A|{label}".encode()).hexdigest()[:16]) for label in ("n1", "n2")}
+    found = {term for quad in store.quads(G) for term in (quad.subject, quad.object) if isinstance(term, Blank)}
+    assert found == expected
+
+
+def test_an_import_of_no_iri_is_not_followed(tmp_path):
+    (tmp_path / "a.ttl").write_text(
+        HEADER + "<http://t.example/A> a owl:Ontology ; owl:imports \"http://t.example/B\" , _:b .\n"
     )
-    load_kb(tmp_path / "first")
-    parsed = count_parses(monkeypatch)
-    store, report = load_kb(tmp_path / "second")
-    # Documents are kept by catalog IRI and text, not by path: only the edited one is parsed.
-    assert parsed == [(tmp_path / "second" / "units.ttl").read_text(encoding="utf-8")]
-    assert report.files == 20
-    shipped, _ = seed_kb
-    assert store.graph_quads(vocab.CORE_GRAPH) == shipped.graph_quads(vocab.CORE_GRAPH)
+    (tmp_path / "b.ttl").write_text(HEADER + "<http://t.example/B> a owl:Ontology .\n")
+    catalog = ImportCatalog.load(write_catalog(tmp_path, [("http://t.example/A", "a.ttl"), ("http://t.example/B", "b.ttl")]))
+    assert load_with_imports([tmp_path / "a.ttl"], catalog, QuadStore(), G).files == 1
