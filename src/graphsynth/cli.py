@@ -54,6 +54,7 @@ EXIT_RENDER = 7
 EXIT_WRITE = 8
 
 KB_DIR_ENV = "GRAPHSYNTH_KB"
+EXEC_CHECK_TIMEOUT_S = 60  # how long `--exec-check` lets the emitted program run
 
 # (error families, stage, exit code); the first row whose families include an error's class decides.
 STAGES = (
@@ -96,6 +97,12 @@ def _run_pipeline(statement_path: Path, store: QuadStore):
 
 
 def _exec_check(kb_dir: Path, plan, path: Path) -> str:
+    """Run the written program beside its fixture and check its report lines.
+
+    Every way the check can fail, a fixture that cannot be copied, a program
+    that cannot be started or runs past its time limit included, is an
+    ExecCheckError.
+    """
     # Imported here: it is the only user, and the import costs every cold run.
     import subprocess
 
@@ -104,14 +111,22 @@ def _exec_check(kb_dir: Path, plan, path: Path) -> str:
     if not target.exists():
         if not fixture.is_file():
             raise ExecCheckError(f"fixture data file not found: {fixture}")
-        shutil.copyfile(fixture, target)
-    proc = subprocess.run(
-        [sys.executable, path.name],
-        cwd=path.parent,
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+        try:
+            shutil.copyfile(fixture, target)
+        except OSError as exc:
+            raise ExecCheckError(f"cannot copy fixture data file {fixture} to {target}: {exc}") from exc
+    try:
+        proc = subprocess.run(
+            [sys.executable, path.name],
+            cwd=path.parent,
+            capture_output=True,
+            text=True,
+            timeout=EXEC_CHECK_TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired as exc:
+        raise ExecCheckError(f"emitted program ran past the {EXEC_CHECK_TIMEOUT_S} s time limit") from exc
+    except OSError as exc:
+        raise ExecCheckError(f"cannot run the emitted program: {exc}") from exc
     if proc.returncode != 0:
         raise ExecCheckError(f"emitted program exited {proc.returncode}: {proc.stderr.strip()}")
     reported = {}

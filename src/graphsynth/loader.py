@@ -9,6 +9,8 @@ quad set independent of load order.
 A file that cannot be read, or is no UTF-8 text or no valid Turtle, raises
 KbFileError, whose message starts with the file's path. Every load reads
 and parses every file it reaches; nothing is kept from one load to the next.
+Within one load the parser shares one table of IRI terms across documents,
+so each distinct IRI is built and checked once per load.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ FileKey = tuple[int, int]  # (st_dev, st_ino): one file, whatever path reaches i
 class ImportCatalog:
     """Maps ontology IRIs to local files; the resolution table for owl:imports."""
 
-    def __init__(self, mapping: dict[str, tuple[Path, FileKey]]):
-        # Each file is keyed by its device and inode, so the loader can compare files by key.
+    def __init__(self, mapping: dict[str, tuple[str, FileKey]]):
+        # IRI -> (the file's path, as pathlib names it, and its key), so the loader can compare files by key.
         self._mapping = dict(mapping)
         self._by_key = {key: iri for iri, (_, key) in self._mapping.items()}
 
@@ -47,26 +49,27 @@ class ImportCatalog:
         """Read `<ontology-iri> <tab> relative/path.ttl` lines, one mapping per line.
 
         The catalog's directory is resolved once; each file is named under
-        it and keyed by the one `os.stat` that checks it exists.
+        it, as a `str`, and keyed by the one `os.stat` that checks it exists.
         """
-        mapping: dict[str, tuple[Path, FileKey]] = {}
+        mapping: dict[str, tuple[str, FileKey]] = {}
         try:
             text = catalog_path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise CatalogError(f"cannot read catalog {catalog_path}: {exc}") from exc
-        root = catalog_path.parent.resolve()
+        root = str(catalog_path.parent.resolve())
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             iri_part, _, path_part = line.partition("\t")
             path_part = path_part.strip()
-            if not (iri_part.startswith("<") and iri_part.endswith(">")) or not path_part:
+            # No path holds a NUL byte; os.stat would raise ValueError at one.
+            if not (iri_part.startswith("<") and iri_part.endswith(">")) or not path_part or "\0" in path_part:
                 raise CatalogError(f"{catalog_path}:{lineno}: expected '<iri><TAB>path', got {raw!r}")
             iri = iri_part[1:-1]
             if iri in mapping:
                 raise CatalogError(f"{catalog_path}:{lineno}: ontology <{iri}> already mapped")
-            path = root / path_part
+            path = _joined(root, path_part)
             try:
                 status = os.stat(path)
             except OSError:
@@ -78,7 +81,10 @@ class ImportCatalog:
 
     def lookup(self, iri: str) -> tuple[Path, FileKey] | None:
         """The path of the file mapped to `iri`, and its key."""
-        return self._mapping.get(iri)
+        entry = self._mapping.get(iri)
+        if entry is None:
+            return None
+        return Path(entry[0]), entry[1]
 
     def iri_for_key(self, key: FileKey) -> str | None:
         """The ontology IRI mapped to the file with this key."""
@@ -86,6 +92,19 @@ class ImportCatalog:
 
     def __len__(self) -> int:
         return len(self._mapping)
+
+
+def _joined(root: str, part: str) -> str:
+    """The path `Path(root, part)` names, as a `str`, built without pathlib for a plain relative POSIX path.
+
+    pathlib drops empty and '.' names (so a trailing '/' too) and keeps
+    '..'; a path holding such a name, an absolute one, or any path off
+    POSIX is joined by pathlib itself.
+    """
+    names = part.split("/")
+    if "" in names or "." in names or root == "/" or os.sep != "/":
+        return str(Path(root, part))
+    return f"{root}/{part}"
 
 
 def _renamed(doc_key: str, term: Term) -> Term:
@@ -98,7 +117,7 @@ def _renamed(doc_key: str, term: Term) -> Term:
     return Blank(f"b{digest}")
 
 
-def _keyed(path: Path) -> tuple[Path, FileKey]:
+def _keyed(path: str) -> tuple[str, FileKey]:
     """The path with its file's key; a file that cannot be found names itself, as one that cannot be read."""
     try:
         status = os.stat(path)
@@ -107,8 +126,11 @@ def _keyed(path: Path) -> tuple[Path, FileKey]:
     return path, (status.st_dev, status.st_ino)
 
 
-def _read_document(path: Path) -> OntologyDocument:
-    """Parse one KB file; a file that cannot be read, or is no UTF-8 or no valid Turtle, names itself."""
+def _read_document(path: str, terms: dict[str, Iri]) -> OntologyDocument:
+    """Parse one KB file, each IRI through the load's `terms`.
+
+    A file that cannot be read, or is no UTF-8 or no valid Turtle, names itself.
+    """
     try:
         # One unbuffered binary read: a buffer and a text layer add set-up per file and nothing to a whole-file read.
         with open(path, "rb", buffering=0) as file:
@@ -120,7 +142,7 @@ def _read_document(path: Path) -> OntologyDocument:
     if "\r" in text:  # the line ends a text-mode read gives, so that lines and columns are counted alike
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
-        return parse_document(text)
+        return parse_document(text, terms)
     except TurtleParseError as exc:
         raise KbFileError(f"{path}: {exc}") from exc
 
@@ -131,11 +153,15 @@ def load_with_imports(
     store: QuadStore,
     graph: str,
 ) -> LoadReport:
-    """Load the entry files and, transitively, everything they owl:import."""
+    """Load the entry files and, transitively, everything they owl:import.
+
+    The documents share one table of IRI terms, local to this call.
+    """
     visited_iris: set[str] = set()
     visited_files: set[FileKey] = set()
     # Each entry is resolved once; each import comes with its path and key from the catalog.
-    pending: list[tuple[Path, FileKey]] = [_keyed(Path(p).resolve()) for p in entry]
+    pending: list[tuple[str, FileKey]] = [_keyed(str(Path(p).resolve())) for p in entry]
+    terms: dict[str, Iri] = {}  # IRI -> its one Iri in this load
     files = 0
     inserted = 0
 
@@ -150,8 +176,8 @@ def load_with_imports(
         if known_iri is not None:
             visited_iris.add(known_iri)
 
-        doc = _read_document(path)
-        doc_key = known_iri or path.as_posix()
+        doc = _read_document(path, terms)
+        doc_key = known_iri or Path(path).as_posix()
         files += 1
 
         triples = doc.statements
@@ -173,7 +199,7 @@ def load_with_imports(
         for target in sorted(imports):
             if target in visited_iris:
                 continue
-            mapped = catalog.lookup(target)
+            mapped = catalog._mapping.get(target)  # its path as a str: the load builds no Path per import
             if mapped is None:
                 raise ImportResolutionError(f"{path}: imported ontology not in catalog: <{target}>")
             pending.append(mapped)

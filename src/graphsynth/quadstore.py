@@ -4,10 +4,10 @@ The store keeps set semantics (inserting a quad twice is a no-op) and holds
 terms, not `Quad` objects: each named graph has two nested permutation
 tables, subject -> predicate -> {object} and predicate -> object ->
 {subject}, plus its quad count, the graph-prefixed GSPO/GPOS layout of
-Hexastore. `objects(s, p, g)`, the read behind every property lookup of one
-entity, is three probes into the graph's subject table; `subjects(p, o, g)`,
-the read behind every listing of a class's instances, three into its
-predicate table.
+Hexastore. `row(s, g)`, the read behind every field of one entity, is two
+probes into the graph's subject table and hands back a copy of the
+subject's row; `subjects(p, o, g)`, the read behind every listing of a
+class's instances, is three probes into its predicate table.
 
 There is one write path, `_add_all(graph, triples)`, which adds a batch
 of (subject, predicate, object) triples to one graph, fetching the graph's
@@ -69,6 +69,7 @@ from graphsynth.errors import MalformedQuadError
 from graphsynth.terms import _tuple, Blank, Iri, Literal, Term
 
 _VAR_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_NO_ROWS: dict = {}  # the table of a graph or subject the store does not hold; never written
 
 
 class _QuadFields(tuple):
@@ -312,13 +313,16 @@ class QuadStore:
         other._snapshots = dict(self._snapshots)
         return other
 
-    def objects(self, subject: Term, predicate: Term, graph: str) -> list[Term]:
-        """Objects of the quads (subject, predicate, ?, graph), in term order.
+    def row(self, subject: Term, graph: str) -> dict[Term, tuple[Term, ...]]:
+        """Each predicate of the quads (subject, ?, ?, graph), with the tuple of its objects in term order.
 
-        The same terms, in the same order, as `match_pattern` binds to ?o for
-        the pattern (subject, predicate, ?o, graph).
+        A predicate's objects are the terms `match_pattern` binds to ?o for
+        the pattern (subject, predicate, ?o, graph), in the same order; a
+        subject the graph does not hold has an empty row. The dict and its
+        tuples are new, so no caller can change the store through them.
         """
-        return sorted(self._spo.get(graph, {}).get(subject, {}).get(predicate, ()))
+        by_predicate = self._spo.get(graph, _NO_ROWS).get(subject, _NO_ROWS)
+        return {p: (*objects,) if len(objects) == 1 else tuple(sorted(objects)) for p, objects in by_predicate.items()}
 
     def subjects(self, predicate: Term, object: Term, graph: str) -> list[Term]:
         """Subjects of the quads (?, predicate, object, graph), in term order, from one probe of the POS table.

@@ -16,8 +16,9 @@ is located after the fact: the pattern is matched again up to the failing
 token, and the line and column are counted from its offset. At that token
 the error is what a lexer reading one token ahead would have raised first:
 a stray character, a quote that opens no string, or a string with a bad
-escape. The IRI of an IRIREF or prefixed-name token is built once per text
-while the same directives are in scope.
+escape. The IRI of an IRIREF or prefixed-name token is resolved once per
+text while the same directives are in scope, and each distinct IRI is built
+once per term table: a loader passes one table to every document of a load.
 
 A run of names, dots and numbers with no ':' after it that holds a second
 name is lexed as one token, so that lexing stays linear in the run's
@@ -106,7 +107,6 @@ _SIGN_OR_DOT = frozenset("+-.")  # starts a number when more follows
 _TAG_GLUE = re.compile(r"[^\WA-Za-z]")
 # The run of a string body up to its closing quote, an escape or a newline.
 _STRING_RUN = {'"': re.compile(r'[^"\\\n]*'), "'": re.compile(r"[^'\\\n]*")}
-_A = Iri(RDF_TYPE)
 
 
 class OntologyDocument:
@@ -169,17 +169,20 @@ class _Parser:
     read more than one token also returns the index after what it read.
     """
 
-    __slots__ = ("source", "tokens", "doc", "iris")
+    __slots__ = ("source", "tokens", "doc", "iris", "terms", "a")
 
-    def __init__(self, source: str):
+    def __init__(self, source: str, terms: dict[str, Iri]):
         self.source = source
         self.tokens = _TOKEN.findall(source)
         self.doc = OntologyDocument()
         # IRIREF or prefixed-name text -> its Iri, under the directives so far.
         self.iris: dict[str, Iri] = {}
+        # IRI -> its Iri, for every document that shares the table.
+        self.terms = terms
+        self.a = terms.get(RDF_TYPE) or terms.setdefault(RDF_TYPE, Iri(RDF_TYPE))  # the `a` keyword's IRI
 
     def parse(self) -> OntologyDocument:
-        tokens, iris = self.tokens, self.iris
+        tokens, iris, a = self.tokens, self.iris, self.a
         statements = self.doc.statements
         i = 0
         while True:
@@ -193,7 +196,7 @@ class _Parser:
             i += 1
             while True:
                 tok = tokens[i]
-                verb = _A if tok == "a" else iris.get(tok) or self._term(i, "predicate")
+                verb = a if tok == "a" else iris.get(tok) or self._term(i, "predicate")
                 i += 1
                 while True:
                     obj = iris.get(tokens[i])
@@ -280,13 +283,16 @@ class _Parser:
             return Blank(tok[2:])
         elif self._split(i):
             # The run's first name is the token now; as a verb it may be `a`.
-            return _A if position == "predicate" and self.tokens[i] == "a" else self._term(i, position)
+            return self.a if position == "predicate" and self.tokens[i] == "a" else self._term(i, position)
         else:
             raise self._unexpected(i, f"{position} term")
-        try:
-            self.iris[tok] = iri = Iri(value)
-        except MalformedTermError as exc:
-            raise self._error(i, str(exc)) from exc
+        iri = self.terms.get(value)
+        if iri is None:
+            try:
+                iri = self.terms[value] = Iri(value)
+            except MalformedTermError as exc:
+                raise self._error(i, str(exc)) from exc
+        self.iris[tok] = iri
         return iri
 
     def _object(self, i: int) -> tuple[Term, int]:
@@ -379,17 +385,19 @@ def _is_iriref(tok: str) -> bool:
     return tok[:1] == "<" and len(tok) > 1
 
 
-def parse_document(text: str) -> OntologyDocument:
+def parse_document(text: str, terms: dict[str, Iri] | None = None) -> OntologyDocument:
     """Parse subset-Turtle text into (subject, predicate, object) triples.
 
     The grammar admits only an IRI or blank subject and an IRI predicate,
     and builds each term through its constructor, so every triple is one a
     `Quad` accepts. Duplicate triples are preserved here; the store
-    deduplicates on insert.
+    deduplicates on insert. Each IRI is taken from `terms`, which maps an
+    IRI to its `Iri`, and added to it when it is new; with no table given,
+    the document gets a fresh one of its own.
     """
     if not isinstance(text, str):
         raise TurtleParseError("input must be text", 1, 1)
-    return _Parser(text).parse()
+    return _Parser(text, {} if terms is None else terms).parse()
 
 
 # Prefixes the serializer will try to compact against, in emission order.

@@ -271,11 +271,34 @@ def read(store: QuadStore, graph: str, fields: tuple[Field, ...], node: Term, pr
     with a value of the wrong kind, is left out, and each fault is one
     problem that names the node and the predicate, and the count or kind
     expected and what was found. `members` maps each class kind to the set
-    of its instances.
+    of its instances. The node's row is fetched from the store once.
     """
+    row = store.row(node, graph)
     values = {}
     for name, predicate, kind, low, high in fields:
-        terms = store.objects(node, predicate, graph)
+        terms = row.get(predicate, ())
+        if high == 1 and len(terms) == 1:
+            # The common case, one value of a single-valued field, is decoded
+            # here by the tests `_has_kind` makes; any other goes through it.
+            term = terms[0]
+            if isinstance(term, Literal):
+                lexical, datatype = term[1], term[2]
+                if kind == STR and datatype == XSD_STRING:
+                    values[name] = lexical
+                    continue
+                if kind == INT and datatype == XSD_INTEGER and _INTEGER.fullmatch(lexical):
+                    values[name] = int(lexical)
+                    continue
+                if kind == BOOL and datatype == XSD_BOOLEAN and (lexical == "true" or lexical == "false"):
+                    values[name] = lexical == "true"
+                    continue
+            elif isinstance(term, Iri):
+                if kind == IRI:
+                    values[name] = term[1]
+                    continue
+                if kind in members and term in members[kind]:
+                    values[name] = term
+                    continue
         bad_count = len(terms) < low or (high is not MANY and len(terms) > high)
         bad_values = [term for term in terms if not _has_kind(term, kind, members)]
         if not bad_count and not bad_values:
@@ -290,7 +313,7 @@ def read(store: QuadStore, graph: str, fields: tuple[Field, ...], node: Term, pr
     return values
 
 
-def _decode(terms: list[Term], kind: str, high: int | None):
+def _decode(terms: tuple[Term, ...], kind: str, high: int | None):
     """A field's value from its terms: the one value or None if single-valued, else a tuple."""
     value = _VALUE.get(kind)
     values = [value(term) for term in terms] if value else terms

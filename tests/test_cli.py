@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 from conftest import GOLDEN_DIR, NUMPY_MEAN
 from test_seedkb import ZFORM, ZFORM_PROBLEM
-from graphsynth import vocab
+from graphsynth import seed, vocab
 from graphsynth.cli import EXIT_KB_LOAD, main
 from graphsynth.errors import (
     CatalogError,
@@ -105,7 +106,6 @@ def test_existing_output_requires_force(tmp_path, capsys):
 
 def _doctored_kb(tmp_path, filename: str, replacement: str):
     from graphsynth.seed import kb_dir
-    import shutil
 
     kb = tmp_path / "kb"
     shutil.copytree(kb_dir(), kb)
@@ -571,6 +571,37 @@ def test_exec_check_without_its_fixture_maps_to_exit_1_at_exec_check(tmp_path, c
     code, _, err = run(capsys, "synthesize", STMT, "--kb", str(kb), "--out", str(out), "--exec-check")
     assert code == 1
     assert err == f"graphsynth: error at stage exec-check: fixture data file not found: {kb / 'my_input.txt'}\n"
+
+
+def test_exec_check_past_its_time_limit_maps_to_exit_1_at_exec_check(tmp_path, capsys, monkeypatch):
+    def overrun(argv, **kwargs):
+        raise subprocess.TimeoutExpired(argv, kwargs["timeout"])
+
+    monkeypatch.setattr(subprocess, "run", overrun)
+    code, out, err = run(capsys, "synthesize", STMT, "--out", str(tmp_path), "--exec-check")
+    assert code == 1
+    assert err == "graphsynth: error at stage exec-check: emitted program ran past the 60 s time limit\n"
+    assert "exec-check:" not in out
+
+
+@pytest.mark.parametrize("where", ["copy", "start"])
+def test_exec_check_that_cannot_copy_its_fixture_or_start_maps_to_exit_1(tmp_path, capsys, monkeypatch, where):
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    if where == "copy":
+        monkeypatch.setattr(shutil, "copyfile", refuse)
+    else:
+        monkeypatch.setattr(subprocess, "run", refuse)
+    code, out, err = run(capsys, "synthesize", STMT, "--out", str(tmp_path), "--exec-check")
+    assert code == 1
+    expected = {
+        "copy": f"cannot copy fixture data file {seed.fixture_path()} to {tmp_path / 'my_input.txt'}: "
+                "[Errno 13] Permission denied",
+        "start": "cannot run the emitted program: [Errno 13] Permission denied",
+    }[where]
+    assert err == f"graphsynth: error at stage exec-check: {expected}\n"
+    assert "exec-check:" not in out
 
 
 def test_dump_graph_unknown_graph_is_header_only(capsys):

@@ -11,7 +11,7 @@ from graphsynth.errors import CatalogError, ImportResolutionError, KbFileError
 from graphsynth.loader import ImportCatalog, load_with_imports
 from graphsynth.quadstore import QuadStore
 from graphsynth.seed import catalog_path, kb_dir, load_kb
-from graphsynth.terms import Blank
+from graphsynth.terms import Blank, Iri
 
 G = "http://t.example/kb"
 
@@ -87,23 +87,26 @@ def test_blank_labels_from_different_files_stay_distinct(tmp_path):
 def test_catalog_rejects_duplicate_iri(tmp_path):
     (tmp_path / "a.ttl").write_text(HEADER)
     path = tmp_path / "catalog.tsv"
-    path.write_text("<http://t.example/A>\ta.ttl\n<http://t.example/A>\ta.ttl\n")
-    with pytest.raises(CatalogError):
+    path.write_text("<http://t.example/A>\ta.ttl\n<http://t.example/A>\t./a.ttl\n")
+    with pytest.raises(CatalogError) as exc:
         ImportCatalog.load(path)
+    assert str(exc.value) == f"{path}:2: ontology <http://t.example/A> already mapped"
 
 
 def test_catalog_rejects_missing_file(tmp_path):
     path = tmp_path / "catalog.tsv"
     path.write_text("<http://t.example/A>\tmissing.ttl\n")
-    with pytest.raises(CatalogError):
+    with pytest.raises(CatalogError) as exc:
         ImportCatalog.load(path)
+    assert str(exc.value) == f"{path}:1: file not found: {tmp_path.resolve() / 'missing.ttl'}"
 
 
 def test_catalog_rejects_malformed_line(tmp_path):
     path = tmp_path / "catalog.tsv"
     path.write_text("not a mapping\n")
-    with pytest.raises(CatalogError):
+    with pytest.raises(CatalogError) as exc:
         ImportCatalog.load(path)
+    assert str(exc.value) == f"{path}:1: expected '<iri><TAB>path', got 'not a mapping'"
 
 
 def test_shipped_catalog_covers_every_ttl_file():
@@ -171,3 +174,121 @@ def test_an_import_of_no_iri_is_not_followed(tmp_path):
     (tmp_path / "b.ttl").write_text(HEADER + "<http://t.example/B> a owl:Ontology .\n")
     catalog = ImportCatalog.load(write_catalog(tmp_path, [("http://t.example/A", "a.ttl"), ("http://t.example/B", "b.ttl")]))
     assert load_with_imports([tmp_path / "a.ttl"], catalog, QuadStore(), G).files == 1
+
+
+@pytest.mark.parametrize(
+    "line_path, expected",
+    [
+        ("./a.ttl", "a.ttl"),
+        ("sub//a.ttl", "sub/a.ttl"),
+        ("sub/../a.ttl", "sub/../a.ttl"),  # '..' is kept: the file system, not the text, decides where it leads
+        ("a.ttl   ", "a.ttl"),
+        ("a.ttl \t ", "a.ttl"),
+        ("a.ttl/", "a.ttl"),
+        ("./sub/./a.ttl", "sub/a.ttl"),
+    ],
+)
+def test_a_catalog_line_maps_its_iri_to_the_path_pathlib_would_name(tmp_path, line_path, expected):
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "a.ttl").write_text(HEADER)
+    (tmp_path / "sub" / "a.ttl").write_text(HEADER)
+    path = tmp_path / "catalog.tsv"
+    path.write_text(f"# a comment\n\n<http://t.example/A>\t{line_path}\n")
+    catalog = ImportCatalog.load(path)
+    status = (tmp_path.resolve() / expected).stat()
+    assert catalog.lookup("http://t.example/A") == (tmp_path.resolve() / expected, (status.st_dev, status.st_ino))
+    assert catalog.iri_for_key((status.st_dev, status.st_ino)) == "http://t.example/A"
+    assert catalog.lookup("http://t.example/B") is None
+
+
+@pytest.mark.parametrize(
+    "line, shown",
+    [
+        ("<http://t.example/A>\t./missing.ttl", "file not found: {root}/missing.ttl"),
+        ("<http://t.example/A>\tsub//missing.ttl", "file not found: {root}/sub/missing.ttl"),
+        ("<http://t.example/A>\tsub/../missing.ttl", "file not found: {root}/sub/../missing.ttl"),
+        ("<http://t.example/A>\tmissing.ttl  ", "file not found: {root}/missing.ttl"),
+        ("<http://t.example/A>\tsub", "file not found: {root}/sub"),  # a directory is no file
+        ("<http://t.example/A>\t./", "file not found: {root}"),
+        ("<http://t.example/A>\t//absent/x.ttl", "file not found: //absent/x.ttl"),
+        ("<http://t.example/A>\t///absent//x.ttl/", "file not found: /absent/x.ttl"),
+        ("<http://t.example/A>\t  ", "expected '<iri><TAB>path', got '<http://t.example/A>\\t  '"),
+    ],
+)
+def test_a_bad_catalog_line_is_named_with_its_path_as_pathlib_would_show_it(tmp_path, line, shown):
+    (tmp_path / "sub").mkdir()
+    path = tmp_path / "catalog.tsv"
+    path.write_text(f"# a comment\n{line}\n")
+    with pytest.raises(CatalogError) as exc:
+        ImportCatalog.load(path)
+    assert str(exc.value) == f"{path}:2: " + shown.format(root=tmp_path.resolve())
+
+
+def test_a_catalog_path_holding_a_nul_byte_is_a_malformed_line(tmp_path):
+    path = tmp_path / "catalog.tsv"
+    path.write_text("<http://t.example/A>\ta\0b.ttl\n")
+    with pytest.raises(CatalogError) as exc:
+        ImportCatalog.load(path)
+    assert str(exc.value) == f"{path}:1: expected '<iri><TAB>path', got '<http://t.example/A>\\ta\\x00b.ttl'"
+
+
+def _iris_in(store: QuadStore, graph: str) -> list:
+    """Every IRI object the graph's tables hold, keys and set members alike, once per place it is held."""
+    found = []
+    for table in (store._spo[graph], store._pos[graph]):
+        for first, inner in table.items():
+            found.append(first)
+            for second, leaves in inner.items():
+                found += [second, *leaves]
+    return [term for term in found if isinstance(term, Iri)]
+
+
+def _two_documents_with_one_namespace(tmp_path):
+    # The same IRIs through the prefixes x:, y: and the empty one, and written out in full.
+    (tmp_path / "a.ttl").write_text(
+        HEADER + "<http://t.example/A> a owl:Ontology .\nx:s x:p x:o ; a x:C .\nx:o x:p x:s .\n"
+    )
+    (tmp_path / "b.ttl").write_text(
+        "@prefix y: <http://t.example/> .\n@prefix : <http://t.example/> .\n"
+        "@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .\n"
+        "y:t y:p :o ; rdf:type <http://t.example/C> .\n:o <http://t.example/q> y:s .\n"
+    )
+    return write_catalog(tmp_path, [("http://t.example/A", "a.ttl"), ("http://t.example/B", "b.ttl")])
+
+
+def test_one_load_builds_one_iri_term_per_distinct_iri_across_its_documents(tmp_path):
+    catalog = ImportCatalog.load(_two_documents_with_one_namespace(tmp_path))
+    store = QuadStore()
+    load_with_imports([tmp_path / "a.ttl", tmp_path / "b.ttl"], catalog, store, G)
+    by_value: dict[str, set[int]] = {}
+    for term in _iris_in(store, G):
+        by_value.setdefault(term.value, set()).add(id(term))
+    assert len(by_value) == 9  # s, p, o, C, A, t, q, rdf:type and owl:Ontology
+    assert all(len(ids) == 1 for ids in by_value.values())
+    # The same quads as each document loaded on its own.
+    alone = set()
+    for name in ("a.ttl", "b.ttl"):
+        single = QuadStore()
+        load_with_imports([tmp_path / name], catalog, single, G)
+        alone |= single.graph_quads(G)
+    assert store.graph_quads(G) == alone
+
+
+def test_a_malformed_iri_in_a_later_document_is_placed_in_that_document(tmp_path):
+    catalog = ImportCatalog.load(_two_documents_with_one_namespace(tmp_path))
+    # U+00A0 passes the IRIREF pattern, but it is whitespace, which no IRI holds.
+    (tmp_path / "b.ttl").write_text(
+        "@prefix y: <http://t.example/> .\ny:t y:p y:o .\n\n  y:t y:p <http://t.example/x\u00a0y> .\n", encoding="utf-8"
+    )
+    with pytest.raises(KbFileError) as exc:
+        load_with_imports([tmp_path / "a.ttl", tmp_path / "b.ttl"], catalog, QuadStore(), G)
+    assert str(exc.value) == (f"{(tmp_path / 'b.ttl').resolve()}: 4:11: "
+                              "IRI contains whitespace: 'http://t.example/x\\xa0y'")
+
+
+def test_each_load_builds_its_own_iri_terms(seed_kb):
+    first, _ = load_kb()
+    second, _ = load_kb()
+    assert first.graph_quads(vocab.CORE_GRAPH) == second.graph_quads(vocab.CORE_GRAPH)
+    first_ids = {id(term) for term in _iris_in(first, vocab.CORE_GRAPH)}
+    assert first_ids and not first_ids & {id(term) for term in _iris_in(second, vocab.CORE_GRAPH)}

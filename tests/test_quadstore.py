@@ -91,20 +91,29 @@ def test_empty_language_tag_rejected():
     assert Literal("x", RDF_LANG_STRING) < Literal("x", RDF_LANG_STRING, "en")
 
 
-def test_objects_reads_one_subject_predicate_and_graph():
+def test_row_reads_one_subject_and_graph():
     store = QuadStore()
     for quad in (Quad(A, P, Literal("2"), G), Quad(A, P, B, G), Quad(A, P, Literal("1"), G),
                  Quad(A, P, Literal("3"), H), Quad(A, Q, Literal("4"), G), Quad(B, P, Literal("5"), G)):
         store.insert(quad)
-    assert store.objects(A, P, G) == [B, Literal("1"), Literal("2")]
-    assert store.objects(A, P, G) == [row["o"] for row in store.match_pattern(Pattern(A, P, Var("o"), G))]
-    assert store.objects(A, P, H) == [Literal("3")]
-    assert store.objects(B, Q, G) == []
-    assert store.objects(Iri("http://t.example/absent"), P, G) == []
-    # Graph isolation: a (subject, predicate) with values in one graph has none in another.
-    assert store.objects(A, Q, H) == []
-    assert store.objects(B, P, H) == []
-    assert store.objects(A, P, "http://t.example/g3") == []
+    assert store.row(A, G) == {P: (B, Literal("1"), Literal("2")), Q: (Literal("4"),)}
+    assert list(store.row(A, G)[P]) == [row["o"] for row in store.match_pattern(Pattern(A, P, Var("o"), G))]
+    assert store.row(A, H) == {P: (Literal("3"),)}
+    assert store.row(B, G) == {P: (Literal("5"),)}
+    assert store.row(Iri("http://t.example/absent"), G) == {}
+    # Graph isolation: a subject with values in one graph has none in another.
+    assert store.row(B, H) == {}
+    assert store.row(A, "http://t.example/g3") == {}
+
+
+def test_a_row_is_a_copy_that_changes_nothing_in_the_store():
+    store = QuadStore()
+    store.insert(Quad(A, P, B, G))
+    row = store.row(A, G)
+    row[P] += (Literal("x"),)
+    row[Q] = (B,)
+    assert store.row(A, G) == {P: (B,)}
+    assert len(store) == 1 and store.match_pattern(Pattern(A, Var("p"), Var("o"), G)) == [{"p": P, "o": B}]
 
 
 def test_subjects_reads_one_predicate_object_and_graph():
@@ -307,7 +316,7 @@ def _bounded_bgp(rng: random.Random, quads: list[Quad], budget: int = 50_000) ->
 
 
 def _check_tables(store: QuadStore, model: set[Quad], seen: list[Quad]):
-    """`objects` agrees with brute force; SPO and POS exist for every graph, hold the same triples, and no empty level.
+    """`row` agrees with brute force; SPO and POS exist for every graph, hold the same triples, and no empty level.
 
     The predicate map names, for each predicate, exactly the graphs whose POS table holds it.
     """
@@ -330,7 +339,7 @@ def _check_tables(store: QuadStore, model: set[Quad], seen: list[Quad]):
     assert store._graphs_of == graphs_of
     quads = list(model)
     for subject, predicate, graph in {(q.subject, q.predicate, q.graph) for q in seen}:
-        assert store.objects(subject, predicate, graph) == objects_oracle(quads, subject, predicate, graph)
+        assert list(store.row(subject, graph).get(predicate, ())) == objects_oracle(quads, subject, predicate, graph)
 
 
 _store_ops = st.lists(

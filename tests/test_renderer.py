@@ -127,7 +127,7 @@ def test_load_plr_round_trips_and_emits_identically_for_every_statement_variant(
 
 # The graphs each QuadStore read names, from its arguments.
 _READ_GRAPHS = {
-    "objects": lambda subject, predicate, graph: [graph],
+    "row": lambda subject, graph: [graph],
     "subjects": lambda predicate, object, graph: [graph],
     "match_pattern": lambda pattern: [pattern.graph],
     "query_bgp": lambda patterns: [pattern.graph for pattern in patterns],
@@ -290,7 +290,7 @@ def test_writers_store_the_same_graphs_and_tables_as_validated_inserts(kb_store,
         assert replay.graph_size(graph) == kb_store.graph_size(graph) > 0
         assert replay._spo[graph] == kb_store._spo[graph] and replay._pos[graph] == kb_store._pos[graph]
         program = Iri(pla.program_iri if graph == pla.graph_iri else plr.program_iri)
-        program_class = kb_store.objects(program, Iri(RDF_TYPE), graph)
+        program_class = kb_store.row(program, graph)[Iri(RDF_TYPE)]
         pattern = Pattern(Var("s"), Var("p"), program_class[0], graph)
         assert replay.match_pattern(pattern) == kb_store.match_pattern(pattern) == [{"s": program, "p": Iri(RDF_TYPE)}]
 
@@ -437,7 +437,7 @@ def test_missing_statement_form_is_unmappable(kb_store, statement_text):
     pla = compose(plan, kb_store)
     # Strip the aliased-import form and its slots from the KB so numpy cannot be rendered.
     form = Iri(vocab.kb("py_import_aliased"))
-    stripped = {form, *kb_store.objects(form, Iri(vocab.HAS_TEMPLATE_SLOT), vocab.CORE_GRAPH)}
+    stripped = {form, *kb_store.row(form, vocab.CORE_GRAPH)[Iri(vocab.HAS_TEMPLATE_SLOT)]}
     for quad in list(kb_store.quads(vocab.CORE_GRAPH)):
         if quad.subject in stripped:
             kb_store.remove(quad)

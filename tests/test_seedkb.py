@@ -4,10 +4,12 @@ import pytest
 
 from graphsynth import vocab, views
 from graphsynth.errors import KbValidationError
-from graphsynth.quadstore import Quad
+from graphsynth.quadstore import Quad, QuadStore
 from graphsynth.resolver import _functions
 from graphsynth.seed import fixture_path, load_kb
-from graphsynth.terms import XSD_DECIMAL, Iri, Literal, integer_literal
+from graphsynth.terms import (
+    RDF_LANG_STRING, XSD_BOOLEAN, XSD_DECIMAL, XSD_INTEGER, Blank, Iri, Literal, integer_literal,
+)
 from graphsynth.views import check_kb
 
 from conftest import (
@@ -379,3 +381,29 @@ def test_location_is_a_pointer_to_the_shipped_fixture(seed_kb):
     store, _ = seed_kb
     [ds] = views.kb(store).data_sources["my_input.txt"]
     assert (fixture_path().parent / ds.location).read_text().splitlines()[0] == "1.0"
+
+
+_NODE, _P, _G = Iri("http://t.example/node"), Iri("http://t.example/p"), "http://t.example/g"
+_MEMBER, _CLASS = Iri("http://t.example/member"), "http://t.example/Class"
+_VALUES = (
+    Literal("x"), Literal("a.b"), Literal("a.1b"), Literal("1"), Literal("x", RDF_LANG_STRING, "en"),
+    Literal("7", XSD_INTEGER), Literal("-07", XSD_INTEGER), Literal("7.0", XSD_INTEGER), Literal("7", XSD_DECIMAL),
+    Literal("true", XSD_BOOLEAN), Literal("false", XSD_BOOLEAN), Literal("1", XSD_BOOLEAN), Literal("true"),
+    _MEMBER, Iri("http://t.example/stranger"), Blank("b1"),
+)
+
+
+@pytest.mark.parametrize("kind", [views.STR, views.NAME, views.INT, views.BOOL, views.IRI, views.NODE, _CLASS])
+@pytest.mark.parametrize("low", [0, 1])
+def test_one_value_of_a_single_valued_field_reads_as_in_a_many_valued_one(kind, low):
+    # `read` decodes the one value of a single-valued field in line; the many-valued path checks each value by kind.
+    members = {_CLASS: {_MEMBER}}
+    for value in _VALUES:
+        store = QuadStore()
+        store.insert(Quad(_NODE, _P, value, _G))
+        single_problems, many_problems = [], []
+        single = views.read(store, _G, (("f", _P, kind, low, 1),), _NODE, single_problems, members)
+        many = views.read(store, _G, (("f", _P, kind, low, views.MANY),), _NODE, many_problems, members)
+        assert single_problems == many_problems, value
+        assert single == {name: values[0] for name, values in many.items()}, value
+        assert bool(single) != bool(single_problems), value
