@@ -258,6 +258,8 @@ def _parse_query_pattern(text: str) -> Pattern:
 def cmd_query(args: argparse.Namespace) -> int:
     store, _ = seed.load_kb(*_kb_paths(args))
     patterns = [_parse_query_pattern(text) for text in args.patterns]
+    if args.statement:
+        _run_pipeline(Path(args.statement), store)
     rows = store.query_bgp(patterns)
     variables = sorted(set().union(*(p.variables() for p in patterns)))
     if not variables:
@@ -301,6 +303,7 @@ def _make_parser() -> argparse.ArgumentParser:
         help="pattern of 3 or 4 terms: ?var, <iri>, prefix:local, a, \"literal\", integer, true/false, _:id; "
         "graph defaults to the core graph",
     )
+    p_query.add_argument("--statement", help="synthesize this statement first so program graphs exist")
     p_query.set_defaults(func=cmd_query)
     return parser
 

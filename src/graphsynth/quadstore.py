@@ -2,9 +2,15 @@
 
 The store keeps set semantics (inserting a quad twice is a no-op) and holds
 terms, not `Quad` objects: each named graph has two nested permutation
-tables, subject -> predicate -> {object} and predicate -> object ->
-{subject}, plus its quad count, the graph-prefixed GSPO/GPOS layout of
-Hexastore. `row(s, g)`, the read behind every field of one entity, is two
+tables, subject -> predicate -> objects and predicate -> object ->
+subjects, plus its quad count, the graph-prefixed GSPO/GPOS layout of
+Hexastore. A leaf of a table that holds one term is the bare term, and only
+a leaf of two or more terms is a `set`; `type(leaf) is set` tells them
+apart, since a term is a tuple. The form is canonical: a second term turns
+a bare leaf into a set, and `remove` turns a set left with one term back
+into the term, so two stores holding the same quads have equal tables,
+whatever their history. Most leaves hold one term, and a bare term costs no
+set. `row(s, g)`, the read behind every field of one entity, is two
 probes into the graph's subject table and hands back a copy of the
 subject's row; `subjects(p, o, g)`, the read behind every listing of a
 class's instances, is three probes into its predicate table.
@@ -162,9 +168,9 @@ class QuadStore:
     """Mutable quad dataset. Single-writer during mutation; reads are pure."""
 
     def __init__(self):
-        # Graph name -> its permutation table: s -> p -> {o}, p -> o -> {s}.
-        self._spo: dict[str, dict[Term, dict[Term, set[Term]]]] = {}
-        self._pos: dict[str, dict[Term, dict[Term, set[Term]]]] = {}
+        # Graph name -> its permutation table: s -> p -> objects, p -> o -> subjects; a one-term leaf is the bare term.
+        self._spo: dict[str, dict[Term, dict[Term, Term | set[Term]]]] = {}
+        self._pos: dict[str, dict[Term, dict[Term, Term | set[Term]]]] = {}
         self._sizes: dict[str, int] = {}
         # Predicate -> the names of the graphs whose POS table holds it; never an empty set.
         self._graphs_of: dict[Iri, set[str]] = {}
@@ -208,21 +214,27 @@ class QuadStore:
                     row = spo[s] = {}
             objects = row.get(p)
             if objects is None:
-                row[p] = {o}
-            elif o in objects:
+                row[p] = o
+            elif type(objects) is set:
+                if o in objects:
+                    continue
+                objects.add(o)
+            elif objects == o:
                 continue
             else:
-                objects.add(o)
+                row[p] = {objects, o}
             by_object = pos.get(p)
             if by_object is None:
-                pos[p] = {o: {s}}
+                pos[p] = {o: s}
                 self._graphs_of.setdefault(p, set()).add(graph)
             else:
                 subjects = by_object.get(o)
                 if subjects is None:
-                    by_object[o] = {s}
-                else:
+                    by_object[o] = s
+                elif type(subjects) is set:
                     subjects.add(s)
+                else:
+                    by_object[o] = {subjects, s}
             added += 1
         if added:
             self._sizes[graph] += added
@@ -283,7 +295,8 @@ class QuadStore:
 
     def __contains__(self, quad: Quad) -> bool:
         s, p, o, graph = quad
-        return o in self._spo.get(graph, {}).get(s, {}).get(p, ())
+        objects = self._spo.get(graph, _NO_ROWS).get(s, _NO_ROWS).get(p)
+        return o in objects if type(objects) is set else objects == o
 
     def graph_size(self, graph: str) -> int:
         return self._sizes.get(graph, 0)
@@ -297,8 +310,11 @@ class QuadStore:
         for name in names:
             for s, by_predicate in self._spo[name].items():
                 for p, objects in by_predicate.items():
-                    for o in objects:
-                        yield _tuple(Quad, (s, p, o, name))
+                    if type(objects) is set:
+                        for o in objects:
+                            yield _tuple(Quad, (s, p, o, name))
+                    else:
+                        yield _tuple(Quad, (s, p, objects, name))
 
     def graph_quads(self, graph: str) -> frozenset[Quad]:
         return frozenset(self.quads(graph))
@@ -318,19 +334,24 @@ class QuadStore:
 
         A predicate's objects are the terms `match_pattern` binds to ?o for
         the pattern (subject, predicate, ?o, graph), in the same order; a
-        subject the graph does not hold has an empty row. The dict and its
-        tuples are new, so no caller can change the store through them.
+        subject the graph does not hold has an empty row. A leaf of one
+        bare term becomes a 1-tuple, a set of terms a sorted tuple. The dict
+        and its tuples are new, so no caller can change the store through them.
         """
         by_predicate = self._spo.get(graph, _NO_ROWS).get(subject, _NO_ROWS)
-        return {p: (*objects,) if len(objects) == 1 else tuple(sorted(objects)) for p, objects in by_predicate.items()}
+        return {p: tuple(sorted(objects)) if type(objects) is set else (objects,) for p, objects in by_predicate.items()}
 
     def subjects(self, predicate: Term, object: Term, graph: str) -> list[Term]:
         """Subjects of the quads (?, predicate, object, graph), in term order, from one probe of the POS table.
 
         The same terms, in the same order, as `match_pattern` binds to ?s for
-        the pattern (?s, predicate, object, graph).
+        the pattern (?s, predicate, object, graph). The leaf probed is one
+        bare subject, a set of two or more, or absent; the list is new.
         """
-        return sorted(self._pos.get(graph, {}).get(predicate, {}).get(object, ()))
+        subjects = self._pos.get(graph, _NO_ROWS).get(predicate, _NO_ROWS).get(object)
+        if type(subjects) is set:
+            return sorted(subjects)
+        return [] if subjects is None else [subjects]
 
     def match_pattern(self, pattern: Pattern) -> list[BindingSet]:
         """All bindings under which the pattern matches some quad, in deterministic order."""
@@ -373,7 +394,8 @@ class QuadStore:
         through the permutation whose key order begins with the bound
         positions: POS for a predicate bound without a subject, SPO
         otherwise. An object bound with no predicate bound has no table of
-        its own: the walk over SPO keeps the rows that hold it.
+        its own: the walk over SPO keeps the rows that hold it. Each leaf is
+        read as its set or as its one bare term, tested in the loop itself.
         """
         key = [*pattern]
         for i, name in variables:
@@ -390,28 +412,43 @@ class QuadStore:
         for name in names:
             g = self._graph_terms[name]
             if p is not None and s is None:
-                by_object = self._pos[name].get(p, {})
+                by_object = self._pos[name].get(p, _NO_ROWS)
                 if o is None:
-                    rows += [(s_, p, o_, g) for o_, subjects in by_object.items() for s_ in subjects]
+                    for o_, subjects in by_object.items():
+                        if type(subjects) is set:
+                            rows += [(s_, p, o_, g) for s_ in subjects]
+                        else:
+                            rows.append((subjects, p, o_, g))
                 else:
-                    rows += [(s_, p, o, g) for s_ in by_object.get(o, ())]
+                    subjects = by_object.get(o)
+                    if type(subjects) is set:
+                        rows += [(s_, p, o, g) for s_ in subjects]
+                    elif subjects is not None:
+                        rows.append((subjects, p, o, g))
             elif s is None:
-                rows += [
-                    (s_, p_, o_, g)
-                    for s_, by_predicate in self._spo[name].items()
-                    for p_, objects in by_predicate.items()
-                    for o_ in objects
-                    if o is None or o_ == o
-                ]
+                for s_, by_predicate in self._spo[name].items():
+                    for p_, objects in by_predicate.items():
+                        if type(objects) is set:
+                            rows += [(s_, p_, o_, g) for o_ in objects if o is None or o_ == o]
+                        elif o is None or objects == o:
+                            rows.append((s_, p_, objects, g))
             else:
-                by_predicate = self._spo[name].get(s, {})
+                by_predicate = self._spo[name].get(s, _NO_ROWS)
                 if p is None:
-                    rows += [(s, p_, o_, g) for p_, objects in by_predicate.items() for o_ in objects
-                             if o is None or o_ == o]
-                elif o is None:
-                    rows += [(s, p, o_, g) for o_ in by_predicate.get(p, ())]
-                elif o in by_predicate.get(p, ()):
-                    rows.append((s, p, o, g))
+                    for p_, objects in by_predicate.items():
+                        if type(objects) is set:
+                            rows += [(s, p_, o_, g) for o_ in objects if o is None or o_ == o]
+                        elif o is None or objects == o:
+                            rows.append((s, p_, objects, g))
+                else:
+                    objects = by_predicate.get(p)
+                    if type(objects) is set:
+                        if o is None:
+                            rows += [(s, p, o_, g) for o_ in objects]
+                        elif o in objects:
+                            rows.append((s, p, o, g))
+                    elif objects is not None and (o is None or objects == o):
+                        rows.append((s, p, objects, g))
         return rows
 
 
@@ -421,19 +458,25 @@ def _check_graph(graph: str):
 
 
 def _discard(table: dict, a: Term, b: Term, c: Term):
-    """Remove the path a -> b -> c from a permutation table, pruning levels left empty."""
+    """Remove the path a -> b -> c, which the table holds, keeping each leaf canonical and pruning empty levels."""
     inner = table[a]
     leaves = inner[b]
-    leaves.discard(c)
-    if not leaves:
-        del inner[b]
-        if not inner:
-            del table[a]
+    if type(leaves) is set:
+        leaves.discard(c)
+        if len(leaves) == 1:
+            inner[b] = leaves.pop()
+        return
+    del inner[b]
+    if not inner:
+        del table[a]
 
 
 def _copy_tables(tables: dict[str, dict]) -> dict[str, dict]:
     return {
-        graph: {a: {b: set(leaves) for b, leaves in inner.items()} for a, inner in table.items()}
+        graph: {
+            a: {b: leaves.copy() if type(leaves) is set else leaves for b, leaves in inner.items()}
+            for a, inner in table.items()
+        }
         for graph, table in tables.items()
     }
 

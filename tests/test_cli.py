@@ -727,6 +727,36 @@ def test_query_graph_term_that_is_no_iri_or_variable_is_config(capsys, graph):
     assert out == "" and "Traceback" not in err
 
 
+def test_query_after_synthesis_reads_the_example_program_graph(capsys):
+    graph = vocab.program_graph_iri("hello_analytic", "plr")
+    pattern = f"?program plr:hasStatement ?statement <{graph}>"
+    code, out, err = run(capsys, "query", pattern, "--statement", STMT)
+    assert code == 0, err
+    golden = parse_document((GOLDEN_DIR / "hello_analytic-plr.ttl").read_text(encoding="utf-8"))
+    statements = sorted(o for _, p, o in golden.statements if p.value == vocab.PLR + "hasStatement")
+    assert len(statements) == 9
+    program = f"<{graph}#program>"
+    assert out.splitlines() == ["?program\t?statement", *(f"{program}\t<{o.value}>" for o in statements)]
+    # Without the statement no program graph exists in the process that queries.
+    assert run(capsys, "query", pattern)[1] == "?program\t?statement\n"
+
+
+def test_query_with_a_missing_statement_file_is_config(tmp_path, capsys):
+    code, out, err = run(capsys, "query", "?s ?p ?o", "--statement", str(tmp_path / "absent.aida"))
+    assert code == 2
+    assert f"stage config: problem statement file not found: {tmp_path / 'absent.aida'}" in err
+    assert out == "" and "Traceback" not in err
+
+
+def test_query_parses_its_patterns_before_it_synthesizes(tmp_path, capsys):
+    bad = tmp_path / "bad.aida"
+    bad.write_text("program_basename = [broken\n")
+    assert run(capsys, "query", "?s ?p ?o", "--statement", str(bad))[0] == 4
+    code, out, err = run(capsys, "query", "?x only-two", "--statement", str(bad))
+    assert code == 2
+    assert "stage config: pattern needs 3 or 4 terms" in err and out == ""
+
+
 @pytest.fixture(scope="module")
 def modules_after_importing_the_cli() -> set[str]:
     import graphsynth

@@ -233,13 +233,20 @@ def test_a_catalog_path_holding_a_nul_byte_is_a_malformed_line(tmp_path):
 
 
 def _iris_in(store: QuadStore, graph: str) -> list:
-    """Every IRI object the graph's tables hold, keys and set members alike, once per place it is held."""
+    """Every IRI object the graph's tables hold, keys and leaves alike, once per place it is held.
+
+    A leaf is a bare term or a set of two or more; a bare term is itself a tuple, so it is taken whole, not unpacked.
+    """
     found = []
     for table in (store._spo[graph], store._pos[graph]):
+        leaves = 0
         for first, inner in table.items():
             found.append(first)
-            for second, leaves in inner.items():
-                found += [second, *leaves]
+            for second, leaf in inner.items():
+                terms = [*leaf] if type(leaf) is set else [leaf]
+                found += [second, *terms]
+                leaves += len(terms)
+        assert leaves == store.graph_size(graph)  # each quad is one leaf term of each table: none skipped or unpacked
     return [term for term in found if isinstance(term, Iri)]
 
 

@@ -159,6 +159,31 @@ def test_an_object_bound_pattern_follows_every_later_write(graph):
     assert store.match_pattern(by_object) == [{"s": A, "p": P, **in_g}, *in_h]
 
 
+def test_a_leaf_is_a_bare_term_until_a_second_term_joins_it():
+    store = QuadStore()
+    store.insert(Quad(A, P, B, G))
+    assert type(store._spo[G][A][P]) is Iri and store._spo[G][A][P] == B
+    assert type(store._pos[G][P][B]) is Iri and store._pos[G][P][B] == A
+    store.insert(Quad(A, P, A, G))
+    store.insert(Quad(B, P, B, G))
+    assert store._spo[G][A][P] == {A, B} and store._pos[G][P][B] == {A, B}
+    copy = store.clone()
+    # Down to one term, a leaf is bare again: the tables equal those of a store that only ever held that quad.
+    store.remove(Quad(A, P, A, G))
+    store.remove(Quad(B, P, B, G))
+    fresh = QuadStore()
+    fresh.insert(Quad(A, P, B, G))
+    assert store._spo == fresh._spo and store._pos == fresh._pos
+    assert type(store._spo[G][A][P]) is Iri and type(store._pos[G][P][B]) is Iri
+    # The copy's sets are its own, and every read sees both shapes.
+    assert copy._spo[G][A][P] == {A, B} and copy._pos[G][P][B] == {A, B}
+    assert copy.row(A, G) == {P: (A, B)} and store.row(A, G) == {P: (B,)}
+    assert copy.subjects(P, B, G) == [A, B] and store.subjects(P, B, G) == [A]
+    assert Quad(A, P, A, G) in copy and Quad(A, P, A, G) not in store and Quad(A, P, B, G) in store
+    assert sorted(copy.quads()) == [Quad(A, P, A, G), Quad(A, P, B, G), Quad(B, P, B, G)]
+    assert list(store.quads()) == [Quad(A, P, B, G)]
+
+
 def test_match_pattern_binds_variables():
     store = QuadStore()
     store.insert(Quad(A, P, B, G))
@@ -315,9 +340,15 @@ def _bounded_bgp(rng: random.Random, quads: list[Quad], budget: int = 50_000) ->
     return patterns[:1]
 
 
+def _leaf_terms(leaf) -> list:
+    """The terms one table leaf holds: a set holds its members, a bare term itself."""
+    return list(leaf) if type(leaf) is set else [leaf]
+
+
 def _check_tables(store: QuadStore, model: set[Quad], seen: list[Quad]):
     """`row` agrees with brute force; SPO and POS exist for every graph, hold the same triples, and no empty level.
 
+    Every leaf is canonical: a bare term exactly when it holds one term, otherwise a set of two or more.
     The predicate map names, for each predicate, exactly the graphs whose POS table holds it.
     """
     names = store.graph_names()
@@ -327,11 +358,17 @@ def _check_tables(store: QuadStore, model: set[Quad], seen: list[Quad]):
         for by_first in table.values():
             assert by_first
             for by_second in by_first.values():
-                assert by_second and all(by_second.values())
+                assert by_second
+                for leaf in by_second.values():
+                    if type(leaf) is set:
+                        assert len(leaf) >= 2 and all(isinstance(term, (Iri, Blank, Literal)) for term in leaf)
+                    else:
+                        assert isinstance(leaf, (Iri, Blank, Literal))
     for name in names:
-        spo = {(s, p, o) for s, row in store._spo[name].items() for p, objects in row.items() for o in objects}
-        pos = {(s, p, o) for p, row in store._pos[name].items() for o, subjects in row.items() for s in subjects}
-        assert spo == pos and len(spo) == store.graph_size(name)
+        spo = [(s, p, o) for s, row in store._spo[name].items() for p, leaf in row.items() for o in _leaf_terms(leaf)]
+        pos = [(s, p, o) for p, row in store._pos[name].items() for o, leaf in row.items() for s in _leaf_terms(leaf)]
+        assert len(set(spo)) == len(spo) == len(pos) == store.graph_size(name)
+        assert set(spo) == set(pos) == {quad[:3] for quad in model if quad.graph == name}
     graphs_of: dict[Iri, set[str]] = {}
     for name, by_predicate in store._pos.items():
         for predicate in by_predicate:
@@ -340,6 +377,28 @@ def _check_tables(store: QuadStore, model: set[Quad], seen: list[Quad]):
     quads = list(model)
     for subject, predicate, graph in {(q.subject, q.predicate, q.graph) for q in seen}:
         assert list(store.row(subject, graph).get(predicate, ())) == objects_oracle(quads, subject, predicate, graph)
+
+
+def _check_reads(store: QuadStore, model: set[Quad], inserted: list[Quad], value: int):
+    """The tables are those of a store built afresh from the same quads; reads of both leaf shapes match brute force.
+
+    `in` is asked of a quad seen before and of a random one; `subjects` of the seen quad's predicate,
+    object and graph; `query_bgp` of one random pattern.
+    """
+    rebuilt = QuadStore()
+    for quad in store.quads():
+        rebuilt.insert(quad)
+    assert rebuilt._spo == store._spo and rebuilt._pos == store._pos
+    rng = random.Random(value)
+    seen = inserted[value % len(inserted)] if inserted else random_quad(rng)
+    for quad in (seen, random_quad(rng)):
+        assert (quad in store) is (quad in model)
+    quads = list(model)
+    pattern = Pattern(Var("s"), seen.predicate, seen.object, seen.graph)
+    expected = expected_order([pattern], nested_loop_join(quads, [pattern]))
+    assert store.subjects(seen.predicate, seen.object, seen.graph) == [row["s"] for row in expected]
+    patterns = random_bgp(rng)[:1]
+    assert store.query_bgp(patterns) == expected_order(patterns, nested_loop_join(quads, patterns))
 
 
 _store_ops = st.lists(
@@ -424,6 +483,7 @@ def test_indexes_stay_consistent_under_insert_remove_clone(ops, seed):
             assert len(original) == 0 and original.graph_names() == []
             assert original._spo == original._pos == original._graph_terms == original._graphs_of == {}
         _check_tables(store, model, inserted)
+        _check_reads(store, model, inserted, value)
         for graph in {quad.graph for quad in inserted}:
             content = store.graph_quads(graph)
             assert contents.setdefault((graph, store.generation(graph)), content) == content
