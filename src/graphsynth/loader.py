@@ -79,12 +79,9 @@ class ImportCatalog:
             mapping[iri] = path, (status.st_dev, status.st_ino)
         return cls(mapping)
 
-    def lookup(self, iri: str) -> tuple[Path, FileKey] | None:
-        """The path of the file mapped to `iri`, and its key."""
-        entry = self._mapping.get(iri)
-        if entry is None:
-            return None
-        return Path(entry[0]), entry[1]
+    def lookup(self, iri: str) -> tuple[str, FileKey] | None:
+        """The path of the file mapped to `iri`, as a `str`, and its key."""
+        return self._mapping.get(iri)
 
     def iri_for_key(self, key: FileKey) -> str | None:
         """The ontology IRI mapped to the file with this key."""
@@ -199,7 +196,7 @@ def load_with_imports(
         for target in sorted(imports):
             if target in visited_iris:
                 continue
-            mapped = catalog._mapping.get(target)  # its path as a str: the load builds no Path per import
+            mapped = catalog.lookup(target)  # its path as a str: the load builds no Path per import
             if mapped is None:
                 raise ImportResolutionError(f"{path}: imported ontology not in catalog: <{target}>")
             pending.append(mapped)

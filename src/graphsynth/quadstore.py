@@ -7,13 +7,13 @@ subjects, plus its quad count, the graph-prefixed GSPO/GPOS layout of
 Hexastore. A leaf of a table that holds one term is the bare term, and only
 a leaf of two or more terms is a `set`; `type(leaf) is set` tells them
 apart, since a term is a tuple. The form is canonical: a second term turns
-a bare leaf into a set, and `remove` turns a set left with one term back
-into the term, so two stores holding the same quads have equal tables,
-whatever their history. Most leaves hold one term, and a bare term costs no
-set. `row(s, g)`, the read behind every field of one entity, is two
-probes into the graph's subject table and hands back a copy of the
-subject's row; `subjects(p, o, g)`, the read behind every listing of a
-class's instances, is three probes into its predicate table.
+a bare leaf into a set, and no term ever leaves a leaf, so two stores
+holding the same quads have equal tables, whatever order the quads came
+in. Most leaves hold one term, and a bare term costs no set. `row(s, g)`,
+the read behind every field of one entity, is two probes into the graph's
+subject table and hands back a copy of the subject's row;
+`subjects(p, o, g)`, the read behind every listing of a class's
+instances, is three probes into its predicate table.
 
 There is one write path, `_add_all(graph, triples)`, which adds a batch
 of (subject, predicate, object) triples to one graph, fetching the graph's
@@ -25,23 +25,19 @@ through its constructor and admits only an IRI or blank subject and an IRI
 predicate, one document per call; and the program-graph writers of
 `composer` and `renderer`, one graph per call, which build every term
 through its checking constructor.
-`_add_all` and `remove` keep both tables up to date and never leave an
-empty inner level. Beside the tables the store keeps one map from each
-predicate to the names of the graphs whose POS table holds it, with no
-empty entry: `_add_all` adds a graph only where a predicate first enters
-its POS table, `remove` takes it out where the predicate's last quad
-leaves, and `drop_graph`, which pops the graph's entry from each table,
-takes it out for each of the graph's predicates, so it does no work per
-quad.
+`_add_all` keeps both tables up to date. Beside the tables the store keeps
+one map from each predicate to the names of the graphs whose POS table
+holds it: `_add_all` adds a graph where a predicate first enters its POS
+table.
 
-Each graph also has a generation: a count that every batch written or
-`remove` that changes the graph, and every `drop_graph`, bumps, and that
-is never reset. A value compiled from a graph, such as the knowledge-base
-snapshot of `views`, is kept with `keep_snapshot` beside the generation it
-was built at, and `snapshot` returns it only while the graph is still at
-that generation, so a kept value is never stale. `clone` copies both maps and
-shares the kept values, which must be immutable; it copies the predicate
-map too.
+The store is append-only: nothing takes a quad out, so a graph's quad
+count rises with every batch that changes the graph and never returns to
+an earlier value. The count is thus the graph's generation. A value
+compiled from a graph, such as the knowledge-base snapshot of `views`, is
+kept with `keep_snapshot` beside the count it was built at, and `snapshot`
+returns it only while the graph still holds that many quads, so a kept
+value is never stale. `clone` copies the tables and the predicate map and
+shares the kept values, which must be immutable.
 
 A basic graph pattern is answered by an index nested-loop join, planned
 once per query: each pattern's variables are listed once, as (position,
@@ -165,7 +161,7 @@ BindingSet = dict[str, Term]
 
 
 class QuadStore:
-    """Mutable quad dataset. Single-writer during mutation; reads are pure."""
+    """Append-only quad dataset. Single writer while adding; reads are pure."""
 
     def __init__(self):
         # Graph name -> its permutation table: s -> p -> objects, p -> o -> subjects; a one-term leaf is the bare term.
@@ -176,8 +172,7 @@ class QuadStore:
         self._graphs_of: dict[Iri, set[str]] = {}
         # Graph name -> its Iri term, built (and validated) once per graph.
         self._graph_terms: dict[str, Iri] = {}
-        # Graph name -> its generation, and -> (generation, value compiled from it).
-        self._generations: dict[str, int] = {}
+        # Graph name -> (its quad count, value compiled from it at that count).
         self._snapshots: dict[str, tuple[int, object]] = {}
 
     def insert(self, quad: Quad) -> bool:
@@ -191,8 +186,7 @@ class QuadStore:
 
         The terms are not checked, only the name of a graph this creates:
         the caller has validated them. The graph's tables are fetched once,
-        and a subject's row once per run of triples with that subject; the
-        generation is bumped once if anything was new.
+        and a subject's row once per run of triples with that subject.
         """
         if not triples:
             return 0
@@ -202,7 +196,6 @@ class QuadStore:
             spo = self._spo[graph] = {}
             self._pos[graph], self._sizes[graph] = {}, 0
             self._graph_terms[graph] = Iri(graph)
-            self._generations.setdefault(graph, 0)
         pos = self._pos[graph]
         added = 0
         subject = row = None
@@ -236,59 +229,19 @@ class QuadStore:
                 else:
                     by_object[o] = {subjects, s}
             added += 1
-        if added:
-            self._sizes[graph] += added
-            self._generations[graph] += 1
+        self._sizes[graph] += added
         return added
 
-    def remove(self, quad: Quad) -> bool:
-        """Drop a quad; returns True iff it was present."""
-        if not isinstance(quad, Quad):
-            raise MalformedQuadError(f"expected a Quad, got {type(quad).__name__}")
-        if quad not in self:
-            return False
-        s, p, o, graph = quad
-        _discard(self._spo[graph], s, p, o)
-        pos = self._pos[graph]
-        _discard(pos, p, o, s)
-        if p not in pos:
-            self._forget(p, graph)
-        self._sizes[graph] -= 1
-        self._generations[graph] += 1
-        if not self._sizes[graph]:
-            self.drop_graph(graph)
-        return True
-
-    def drop_graph(self, graph: str) -> int:
-        """Remove every quad of one graph; returns how many there were."""
-        for p in self._pos.pop(graph, ()):
-            self._forget(p, graph)
-        self._spo.pop(graph, None)
-        self._graph_terms.pop(graph, None)
-        self._generations[graph] = self.generation(graph) + 1
-        return self._sizes.pop(graph, 0)
-
-    def _forget(self, predicate: Iri, graph: str):
-        """Drop the graph from the predicate's graphs, once its POS table no longer holds it."""
-        graphs = self._graphs_of[predicate]
-        graphs.discard(graph)
-        if not graphs:
-            del self._graphs_of[predicate]
-
-    def generation(self, graph: str) -> int:
-        """A count of the graph's changes, never reset: while it stays the same, so do the graph's quads."""
-        return self._generations.get(graph, 0)
-
     def snapshot(self, graph: str):
-        """The value last kept for the graph, if the graph has not changed since; else None."""
+        """The value last kept for the graph, if the graph has gained no quad since; else None."""
         entry = self._snapshots.get(graph)
-        if entry is not None and entry[0] == self._generations.get(graph, 0):
+        if entry is not None and entry[0] == self._sizes.get(graph, 0):
             return entry[1]
         return None
 
     def keep_snapshot(self, graph: str, value):
-        """Keep an immutable value compiled from the graph as it is now, until the graph changes."""
-        self._snapshots[graph] = (self.generation(graph), value)
+        """Keep an immutable value compiled from the graph as it is now, until the graph gains a quad."""
+        self._snapshots[graph] = (self._sizes.get(graph, 0), value)
 
     def __len__(self) -> int:
         return sum(self._sizes.values())
@@ -316,16 +269,12 @@ class QuadStore:
                     else:
                         yield _tuple(Quad, (s, p, objects, name))
 
-    def graph_quads(self, graph: str) -> frozenset[Quad]:
-        return frozenset(self.quads(graph))
-
     def clone(self) -> QuadStore:
         other = QuadStore()
         other._spo, other._pos = _copy_tables(self._spo), _copy_tables(self._pos)
         other._sizes = dict(self._sizes)
         other._graphs_of = {p: set(graphs) for p, graphs in self._graphs_of.items()}
         other._graph_terms = dict(self._graph_terms)
-        other._generations = dict(self._generations)
         other._snapshots = dict(self._snapshots)
         return other
 
@@ -455,20 +404,6 @@ class QuadStore:
 def _check_graph(graph: str):
     if not isinstance(graph, str) or graph.split() != [graph]:  # empty, or holding whitespace
         raise MalformedQuadError("quad graph must be a non-empty IRI string")
-
-
-def _discard(table: dict, a: Term, b: Term, c: Term):
-    """Remove the path a -> b -> c, which the table holds, keeping each leaf canonical and pruning empty levels."""
-    inner = table[a]
-    leaves = inner[b]
-    if type(leaves) is set:
-        leaves.discard(c)
-        if len(leaves) == 1:
-            inner[b] = leaves.pop()
-        return
-    del inner[b]
-    if not inner:
-        del table[a]
 
 
 def _copy_tables(tables: dict[str, dict]) -> dict[str, dict]:

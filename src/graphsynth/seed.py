@@ -35,10 +35,9 @@ def example_statement_path() -> Path:
 def load_kb(
     kb_directory: Path | None = None,
     catalog_file: Path | None = None,
-    store: QuadStore | None = None,
     validate: bool = True,
 ) -> tuple[QuadStore, LoadReport]:
-    """Load a knowledge base directory (default: the shipped one) into a store's KB graph, `vocab.CORE_GRAPH`.
+    """Load a knowledge base directory (default: the shipped one) into a new store's KB graph, `vocab.CORE_GRAPH`.
 
     The entry file is `core.ttl` inside the directory; everything else is
     reached through imports. With `validate`, structural completeness
@@ -46,10 +45,10 @@ def load_kb(
     """
     directory = kb_directory or kb_dir()
     catalog = ImportCatalog.load(catalog_file or directory / CATALOG_FILE)
-    target = store or QuadStore()
-    report = load_with_imports([directory / ENTRY_FILE], catalog, target, vocab.CORE_GRAPH)
+    store = QuadStore()
+    report = load_with_imports([directory / ENTRY_FILE], catalog, store, vocab.CORE_GRAPH)
     if validate:
-        problems = check_kb(target)
+        problems = check_kb(store)
         if problems:
             raise KbValidationError(problems)
-    return target, report
+    return store, report

@@ -7,9 +7,10 @@ the store's predicate table and reads the fields of each once through
 `read`, the one reader of a field table, which checks each field's count
 and kind and reports what breaks them. From the same values it compiles a `Kb` snapshot of
 `NamedTuple` records and indexes, with no defaults: an absent optional
-value reads as None (or an empty tuple). The store keeps the snapshot at
-the graph's generation, and `kb` compiles a new one once the graph has
-changed, so no stage reads a stale KB. The stages read the `Kb` fields
+value reads as None (or an empty tuple). The store keeps the snapshot
+beside the graph's quad count, and `kb` compiles a new one once the graph
+has gained a quad, so no stage reads a stale KB: the store is append-only,
+so every change raises the count. The stages read the `Kb` fields
 directly; every mapping in it is read-only and every sequence a tuple, so
 no caller can change the kept snapshot. The composer and the renderer
 write their program graphs straight from their records, and no stage
@@ -324,7 +325,7 @@ def _decode(terms: tuple[Term, ...], kind: str, high: int | None):
 
 
 class Kb(NamedTuple):
-    """One KB graph at one generation: its records, in IRI order, and the read-only indexes over them."""
+    """One KB graph at one quad count: its records, in IRI order, and the read-only indexes over them."""
 
     data_sources: Mapping[str, tuple[DataSourceInfo, ...]]  # by name
     algorithms: tuple[AlgorithmInfo, ...]
@@ -340,7 +341,7 @@ class Kb(NamedTuple):
 
 
 def kb(store: QuadStore) -> Kb:
-    """The snapshot of the KB graph, `vocab.CORE_GRAPH`, at its generation, compiled first if the store keeps none.
+    """The snapshot of the KB graph, `vocab.CORE_GRAPH`, at its quad count, compiled first if the store keeps none.
 
     A KB for which `check_kb` finds any problem has no snapshot: this raises
     KbValidationError with those problems, kept, like a snapshot, until the
@@ -377,7 +378,7 @@ def check_kb(store: QuadStore, graph: str = vocab.CORE_GRAPH) -> list[str]:
 
 
 def _compile(store: QuadStore, graph: str) -> tuple[list[str], Kb | tuple[str, ...]]:
-    """The problems of the KB in `graph`, and the verdict the store keeps for it at the graph's generation.
+    """The problems of the KB in `graph`, and the verdict the store keeps for it at the graph's quad count.
 
     The verdict is the snapshot of a clean KB, or the tuple of the problems
     of any other: a KB that breaks its shapes, which has no snapshot, or one

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Iterable
 
 import pytest
 
@@ -88,6 +89,21 @@ def statement_text() -> str:
 @pytest.fixture(scope="session")
 def golden_source() -> str:
     return (GOLDEN_DIR / "hello_analytic.golden").read_text(encoding="utf-8")
+
+
+def edited(store: QuadStore, drop: Iterable[Quad] = (), add: Iterable[Quad] = ()) -> QuadStore:
+    """A new store holding the quads of `store` less those in `drop`, plus those in `add`, each put in by `insert`.
+
+    The store is append-only, so a test that takes quads out of a KB builds the edited KB afresh.
+    """
+    drop = set(drop)
+    out = QuadStore()
+    for quad in store.quads():
+        if quad not in drop:
+            out.insert(quad)
+    for quad in add:
+        out.insert(quad)
+    return out
 
 
 def insert_turtle(store: QuadStore, text: str, graph: str = vocab.CORE_GRAPH) -> int:

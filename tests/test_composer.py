@@ -4,7 +4,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import (
-    NUMPY_LIBRARY, NUMPY_LOADTXT, NUMPY_MEAN, NUMPY_STD, STATEMENT_VARIANTS, SYS_LIBRARY, variant_plan,
+    NUMPY_LIBRARY, NUMPY_LOADTXT, NUMPY_MEAN, NUMPY_STD, STATEMENT_VARIANTS, SYS_LIBRARY, edited, variant_plan,
 )
 from oracles import load_pla, pla_section, pla_statements
 from graphsynth import vocab
@@ -125,7 +125,7 @@ def test_compose_twice_yields_identical_quad_sets(kb_store, plan):
     other = kb_store.clone()
     first = compose(plan, kb_store)
     second = compose(plan, other)
-    assert kb_store.graph_quads(first.graph_iri) == other.graph_quads(second.graph_iri)
+    assert set(kb_store.quads(first.graph_iri)) == set(other.quads(second.graph_iri))
 
 
 def test_compose_refuses_a_non_empty_graph(kb_store, plan):
@@ -155,7 +155,7 @@ def test_called_functions_are_the_plans_once_each_in_first_call_order(kb_store, 
 def test_argument_slot_without_a_variable_does_not_load(kb_store, pla):
     slot = Iri(f"{pla.graph_iri}#stmt-1-arg0")  # the reader call's one argument
     [quad] = [q for q in kb_store.quads(pla.graph_iri) if q.subject == slot and q.predicate == PLA_HAS_VARIABLE_REF]
-    kb_store.remove(quad)
+    kb_store = edited(kb_store, drop=[quad])
     with pytest.raises(ComposeError) as raised:
         load_pla(kb_store, pla.graph_iri)
     assert str(raised.value) == f"<{slot.value}> pla:hasVariableRef: expected exactly 1 value, found 0"
@@ -257,7 +257,7 @@ def test_statement_order_index_that_is_not_one_value_does_not_load(kb_store, pla
     predicate = Iri(vocab.pla("hasOrderIndex"))
     [quad] = [q for q in kb_store.quads(pla.graph_iri) if q.subject == node and q.predicate == predicate]
     if change == "drop":
-        kb_store.remove(quad)
+        kb_store = edited(kb_store, drop=[quad])
     else:
         kb_store.insert(Quad(node, predicate, integer_literal(7), pla.graph_iri))
     with pytest.raises(ComposeError) as raised:

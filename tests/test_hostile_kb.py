@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import edited
 from graphsynth import vocab
 from graphsynth.cli import EXIT_COMPOSE, EXIT_KB_LOAD, EXIT_OK, EXIT_RENDER, EXIT_RESOLVE, main
 from graphsynth.composer import compose
@@ -116,8 +117,7 @@ def test_deleting_any_kb_quad_fails_a_stage_that_leaves_no_graph_or_emits_the_go
     unaliased = golden_source.replace("import numpy as np", "import numpy").replace("np.", "numpy.")
     emitted = {}
     for quad in sorted(store.quads(vocab.CORE_GRAPH)):
-        kb = store.clone()
-        kb.remove(quad)
+        kb = edited(store, drop=[quad])
         if check_kb(kb):
             continue
         graphs = set(kb.graph_names())  # the graphs of the stages that succeeded

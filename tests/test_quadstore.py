@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import itertools
 import random
 
@@ -40,18 +41,6 @@ def test_insert_returns_true_then_false():
     assert len(store) == 1
     assert store.insert(quad) is False
     assert len(store) == 1
-
-
-def test_remove_returns_true_then_false():
-    store = QuadStore()
-    quad = Quad(A, P, B, G)
-    store.insert(quad)
-    store.insert(Quad(A, Q, B, H))
-    assert store.remove(quad) is True
-    assert store.remove(quad) is False
-    assert quad not in store
-    assert store.graph_names() == [H]
-    assert store.match_pattern(Pattern(A, Var("p"), B, Var("g"))) == [{"p": Q, "g": Iri(H)}]
 
 
 def test_graph_is_part_of_identity():
@@ -138,25 +127,22 @@ def test_subjects_reads_one_predicate_object_and_graph():
 def test_an_object_bound_pattern_follows_every_later_write(graph):
     store = QuadStore()
     store.insert(Quad(A, P, B, G))
-    store.insert(Quad(B, Q, B, G))
+    store.insert(Quad(B, Q, A, G))
     store.insert(Quad(A, Q, A, G))
     # The object bound and no predicate: no table leads with the object, so each answer comes from a scan.
     by_object = Pattern(Var("s"), Var("p"), B, graph)
     in_g = {"g": Iri(G)} if isinstance(graph, Var) else {}
-    assert store.match_pattern(by_object) == [{"s": A, "p": P, **in_g}, {"s": B, "p": Q, **in_g}]
+    assert store.match_pattern(by_object) == [{"s": A, "p": P, **in_g}]
     store.insert(Quad(A, Q, B, G))
-    store.remove(Quad(B, Q, B, G))
     assert store.match_pattern(by_object) == [{"s": A, "p": P, **in_g}, {"s": A, "p": Q, **in_g}]
-    copy = store.clone()
-    copy.remove(Quad(A, P, B, G))
-    assert copy.match_pattern(by_object) == [{"s": A, "p": Q, **in_g}]
+    clone = store.clone()
+    clone.insert(Quad(B, Q, B, G))
+    assert clone.match_pattern(by_object) == [
+        {"s": A, "p": P, **in_g}, {"s": A, "p": Q, **in_g}, {"s": B, "p": Q, **in_g}]
     assert store.match_pattern(by_object) == [{"s": A, "p": P, **in_g}, {"s": A, "p": Q, **in_g}]
-    store.drop_graph(G)
-    assert store.match_pattern(by_object) == []
-    store.insert(Quad(A, P, B, G))
     store.insert(Quad(A, P, B, H))
     in_h = [{"s": A, "p": P, "g": Iri(H)}] if isinstance(graph, Var) else []
-    assert store.match_pattern(by_object) == [{"s": A, "p": P, **in_g}, *in_h]
+    assert store.match_pattern(by_object) == [{"s": A, "p": P, **in_g}, {"s": A, "p": Q, **in_g}, *in_h]
 
 
 def test_a_leaf_is_a_bare_term_until_a_second_term_joins_it():
@@ -164,24 +150,29 @@ def test_a_leaf_is_a_bare_term_until_a_second_term_joins_it():
     store.insert(Quad(A, P, B, G))
     assert type(store._spo[G][A][P]) is Iri and store._spo[G][A][P] == B
     assert type(store._pos[G][P][B]) is Iri and store._pos[G][P][B] == A
+    clone = store.clone()
     store.insert(Quad(A, P, A, G))
     store.insert(Quad(B, P, B, G))
     assert store._spo[G][A][P] == {A, B} and store._pos[G][P][B] == {A, B}
-    copy = store.clone()
-    # Down to one term, a leaf is bare again: the tables equal those of a store that only ever held that quad.
-    store.remove(Quad(A, P, A, G))
-    store.remove(Quad(B, P, B, G))
+    # The clone's leaves stay bare: its tables equal those of a store that only ever held its one quad.
     fresh = QuadStore()
     fresh.insert(Quad(A, P, B, G))
-    assert store._spo == fresh._spo and store._pos == fresh._pos
-    assert type(store._spo[G][A][P]) is Iri and type(store._pos[G][P][B]) is Iri
-    # The copy's sets are its own, and every read sees both shapes.
-    assert copy._spo[G][A][P] == {A, B} and copy._pos[G][P][B] == {A, B}
-    assert copy.row(A, G) == {P: (A, B)} and store.row(A, G) == {P: (B,)}
-    assert copy.subjects(P, B, G) == [A, B] and store.subjects(P, B, G) == [A]
-    assert Quad(A, P, A, G) in copy and Quad(A, P, A, G) not in store and Quad(A, P, B, G) in store
-    assert sorted(copy.quads()) == [Quad(A, P, A, G), Quad(A, P, B, G), Quad(B, P, B, G)]
-    assert list(store.quads()) == [Quad(A, P, B, G)]
+    assert clone._spo == fresh._spo and clone._pos == fresh._pos
+    assert type(clone._spo[G][A][P]) is Iri and type(clone._pos[G][P][B]) is Iri
+    # A clone taken once the leaves are sets has sets of its own: a term joining the original's sets joins none of them.
+    second = store.clone()
+    C = Iri("http://t.example/c")
+    store.insert(Quad(A, P, C, G))
+    store.insert(Quad(C, P, B, G))
+    assert store._spo[G][A][P] == {A, B, C} and store._pos[G][P][B] == {A, B, C}
+    assert second._spo[G][A][P] == {A, B} and second._pos[G][P][B] == {A, B}
+    # Every read sees both shapes.
+    assert second.row(A, G) == {P: (A, B)} and clone.row(A, G) == {P: (B,)}
+    assert second.subjects(P, B, G) == [A, B] and clone.subjects(P, B, G) == [A]
+    assert Quad(A, P, A, G) in second and Quad(A, P, A, G) not in clone and Quad(A, P, B, G) in clone
+    assert Quad(A, P, C, G) in store and Quad(A, P, C, G) not in second
+    assert sorted(second.quads()) == [Quad(A, P, A, G), Quad(A, P, B, G), Quad(B, P, B, G)]
+    assert list(clone.quads()) == [Quad(A, P, B, G)]
 
 
 def test_match_pattern_binds_variables():
@@ -245,17 +236,17 @@ def test_query_bgp_over_seed_kb_matches_oracle(seed_kb):
     assert labels == {"average value", "average value variation"}
 
 
-def test_add_all_counts_the_new_triples_of_a_batch_and_bumps_the_generation_once():
+def test_add_all_counts_the_new_triples_of_a_batch():
     store = QuadStore()
     assert store._add_all(G, []) == 0
-    assert store.graph_names() == [] and store.generation(G) == 0  # an empty batch makes no graph
+    assert store.graph_names() == [] and store.graph_size(G) == 0  # an empty batch makes no graph
     batch = [(A, P, B), (A, P, B), (A, Q, B), (B, P, Literal("1")), (A, P, B)]
     assert store._add_all(G, batch) == 3
-    assert store.generation(G) == 1 and store.graph_size(G) == 3
-    assert store._add_all(G, batch[:2]) == 0  # nothing new: no change, so the same generation
-    assert store.generation(G) == 1
+    assert store.graph_size(G) == 3
+    assert store._add_all(G, batch[:2]) == 0  # nothing new: no change, so the same count
+    assert store.graph_size(G) == 3
     assert store._add_all(G, [(A, P, A), (A, P, B), (B, Q, A), (A, P, A)]) == 2
-    assert store.generation(G) == 2 and store.graph_size(G) == 5
+    assert store.graph_size(G) == 5
     assert set(store.quads(G)) == {Quad(s, p, o, G) for s, p, o in [*batch, (A, P, A), (B, Q, A)]}
     with pytest.raises(MalformedQuadError):
         store._add_all("a graph", [(A, P, B)])  # a new graph's name is checked
@@ -404,7 +395,7 @@ def _check_reads(store: QuadStore, model: set[Quad], inserted: list[Quad], value
 _store_ops = st.lists(
     st.tuples(
         st.sampled_from(
-            ["insert", "insert", "insert", "add_all", "remove", "clone", "drop_graph", "osp", "osp", "by_predicate"]
+            ["insert", "insert", "insert", "add_all", "grow", "grow", "clone", "osp", "osp", "by_predicate"]
         ),
         st.integers(0, 2**32 - 1),
     ),
@@ -414,18 +405,18 @@ _store_ops = st.lists(
 
 @given(_store_ops, st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=80, deadline=None)
-def test_indexes_stay_consistent_under_insert_remove_clone(ops, seed):
+def test_indexes_stay_consistent_under_insert_grow_clone(ops, seed):
     store = QuadStore()
     model: set[Quad] = set()
     inserted: list[Quad] = []
-    # (graph, generation) -> the graph's quads at that generation: one generation, one content.
+    # (graph, quad count) -> the graph's quads at that count: one count, one content, as kept snapshots need.
     contents: dict[tuple[str, int], frozenset[Quad]] = {}
     for op, value in ops:
         if op == "insert":
             quad = random_quad(random.Random(value))
-            before = store.generation(quad.graph)
+            before = store.graph_size(quad.graph)
             assert store.insert(quad) is (quad not in model)
-            assert (store.generation(quad.graph) > before) is (quad not in model)
+            assert (store.graph_size(quad.graph) > before) is (quad not in model)
             model.add(quad)
             inserted.append(quad)
         elif op == "add_all":
@@ -438,25 +429,22 @@ def test_indexes_stay_consistent_under_insert_remove_clone(ops, seed):
             if rng.random() < 0.5:
                 batch.sort(key=lambda q: q.subject)
             new = set(batch) - model
-            before = store.generation(graph)
+            before = store.graph_size(graph)
             assert store._add_all(graph, [(q.subject, q.predicate, q.object) for q in batch]) == len(new)
-            assert store.generation(graph) == before + bool(new)
+            assert store.graph_size(graph) == before + len(new)
             model |= new
             inserted += batch
-        elif op == "remove":
-            quad = inserted[value % len(inserted)] if inserted else random_quad(random.Random(value))
-            before = store.generation(quad.graph)
-            assert store.remove(quad) is (quad in model)
-            assert (store.generation(quad.graph) > before) is (quad in model)
-            model.discard(quad)
-        elif op == "drop_graph":
-            graph = inserted[value % len(inserted)].graph if inserted else random_quad(random.Random(value)).graph
-            dropped = {quad for quad in model if quad.graph == graph}
-            before = store.generation(graph)
-            assert store.drop_graph(graph) == len(dropped)
-            assert store.generation(graph) > before
-            model -= dropped
-            assert graph not in store.graph_names()
+        elif op == "grow":
+            # A new object for a stored (subject, predicate) and a new subject for a stored (predicate, object),
+            # so that leaves of two or more terms are common.
+            rng = random.Random(value)
+            quad = inserted[value % len(inserted)] if inserted else random_quad(rng)
+            other = random_quad(rng)
+            for grown in (quad, Quad(quad.subject, quad.predicate, other.object, quad.graph),
+                          Quad(other.subject, quad.predicate, quad.object, quad.graph)):
+                assert store.insert(grown) is (grown not in model)
+                model.add(grown)
+                inserted.append(grown)
         elif op == "osp":
             # The object bound and the predicate a variable, in the named graph or in every graph:
             # no table leads with the object, so the subject table is scanned for it.
@@ -476,17 +464,20 @@ def test_indexes_stay_consistent_under_insert_remove_clone(ops, seed):
         else:
             original, store = store, store.clone()
             _check_tables(original, model, inserted)
-            assert all(store.generation(quad.graph) == original.generation(quad.graph) for quad in inserted)
-            # Emptying the original must leave the copy's indexes whole.
-            for quad in list(original.quads()):
-                original.remove(quad)
-            assert len(original) == 0 and original.graph_names() == []
-            assert original._spo == original._pos == original._graph_terms == original._graphs_of == {}
+            assert all(store.graph_size(quad.graph) == original.graph_size(quad.graph) for quad in inserted)
+            spo, pos, quads = copy.deepcopy(store._spo), copy.deepcopy(store._pos), sorted(store.quads())
+            # Growing every leaf of the original, bare or a set, must leave the copy's tables as they were.
+            grown = Iri("http://t.example/grown")
+            for graph, table in original._spo.items():
+                original._add_all(graph, [(s, p, grown) for s, row in table.items() for p in row])
+            for graph, table in original._pos.items():
+                original._add_all(graph, [(grown, p, o) for p, row in table.items() for o in row])
+            assert store._spo == spo and store._pos == pos and sorted(store.quads()) == quads
         _check_tables(store, model, inserted)
         _check_reads(store, model, inserted, value)
         for graph in {quad.graph for quad in inserted}:
-            content = store.graph_quads(graph)
-            assert contents.setdefault((graph, store.generation(graph)), content) == content
+            content = frozenset(store.quads(graph))
+            assert contents.setdefault((graph, store.graph_size(graph)), content) == content
     assert set(store.quads()) == model and len(store) == len(model)
     quads = list(store.quads())
     # Each index on its own: one bound position per pattern, for every term seen.
@@ -495,7 +486,7 @@ def test_indexes_stay_consistent_under_insert_remove_clone(ops, seed):
     single_bound |= {Pattern(s, p, q.object, g) for q in inserted} | {Pattern(s, p, o, q.graph) for q in inserted}
     for pattern in single_bound:
         assert store.match_pattern(pattern) == expected_order([pattern], nested_loop_join(quads, [pattern]))
-    # `subjects` for every (predicate, object, graph) seen, removed ones included, against the same brute force.
+    # `subjects` for every (predicate, object, graph) seen, against the same brute force.
     for pattern in {Pattern(s, q.predicate, q.object, q.graph) for q in inserted}:
         expected = expected_order([pattern], nested_loop_join(quads, [pattern]))
         assert store.subjects(pattern.predicate, pattern.object, pattern.graph) == [row["s"] for row in expected]
@@ -602,38 +593,43 @@ def test_a_graph_variable_visits_only_the_graphs_holding_the_predicate():
     assert reads == set()
     assert len(store.match_pattern(Pattern(s, P, o, g))) == 50 * 20
     assert reads == set(graphs)
-    store.remove(Quad(A, Q, B, holder))
-    reads.clear()
-    assert store.match_pattern(Pattern(s, Q, o, g)) == []
-    assert reads == set()
 
 
-def test_drop_graph_leaves_every_other_graph_unchanged():
+def test_adding_to_one_graph_leaves_every_other_graph_unchanged():
     rng = random.Random(5)
     graphs = [G, H, "http://t.example/g3"]
     store = QuadStore()
     for quad in random_dataset(rng, max_quads=300):
-        store.insert(Quad(quad.subject, quad.predicate, quad.object, rng.choice(graphs)))
-    in_g = store.graph_quads(G)
+        store.insert(Quad(quad.subject, quad.predicate, quad.object, rng.choice(graphs[1:])))
+    added = [Quad(quad.subject, quad.predicate, quad.object, G) for quad in random_dataset(rng, max_quads=300)]
     s, p, o, g = Var("s"), Var("p"), Var("o"), Var("g")
     patterns = {Pattern(s, p, o, name) for name in [*graphs, g]}
-    for quad in store.quads():
+    for quad in [*store.quads(), *added]:
         for name in [*graphs, g]:
             patterns |= {Pattern(quad.subject, p, o, name), Pattern(s, quad.predicate, o, name)}
             patterns.add(Pattern(s, p, quad.object, name))
     before = {pattern: store.match_pattern(pattern) for pattern in patterns}
-    assert store.drop_graph(G) == len(in_g) > 0
-    assert store.graph_names() == sorted(graphs[1:]) and store.graph_size(G) == 0
+    assert store.graph_names() == sorted(graphs[1:])
+    for quad in added:
+        store.insert(quad)
+    assert store.graph_names() == sorted(graphs) and store.graph_size(G) == len(set(added)) > 0
+    quads = list(store.quads())
     for pattern, rows in before.items():
+        now = store.match_pattern(pattern)
         if pattern.graph == G:
-            rows = []
+            assert rows == []
         elif isinstance(pattern.graph, Var):
-            rows = [row for row in rows if row["g"] != Iri(G)]
-        assert store.match_pattern(pattern) == rows
+            assert [row for row in now if row["g"] != Iri(G)] == rows
+        else:
+            assert now == rows
+        assert now == expected_order([pattern], nested_loop_join(quads, [pattern]))
 
 
-def test_a_kept_snapshot_lasts_until_its_graph_changes_and_a_clone_shares_it():
+def test_a_kept_snapshot_lasts_until_its_graph_gains_a_quad_and_a_clone_shares_it():
     store = QuadStore()
+    assert store.snapshot(G) is None
+    store.keep_snapshot(G, "compiled from an empty graph")
+    assert store.snapshot(G) == "compiled from an empty graph"
     store.insert(Quad(A, P, B, G))
     store.insert(Quad(A, P, B, H))
     assert store.snapshot(G) is None
@@ -642,13 +638,10 @@ def test_a_kept_snapshot_lasts_until_its_graph_changes_and_a_clone_shares_it():
     assert store.snapshot(G) is kept
     store.insert(Quad(A, P, B, G))  # already present: no change
     store.insert(Quad(A, Q, B, H))  # another graph
-    store.remove(Quad(B, P, A, G))  # absent: no change
     assert store.snapshot(G) is kept
     clone = store.clone()
-    assert clone.snapshot(G) is kept and clone.generation(G) == store.generation(G)
+    assert clone.snapshot(G) is kept and clone.graph_size(G) == store.graph_size(G)
     clone.insert(Quad(B, P, A, G))
     assert clone.snapshot(G) is None and store.snapshot(G) is kept
-    generation = store.generation(G)
-    store.drop_graph(G)
-    store.insert(Quad(A, P, B, G))  # the same quads again, at a later generation
-    assert store.generation(G) > generation and store.snapshot(G) is None
+    store.insert(Quad(B, P, A, G))  # the quad the clone gained: both hold the same quads again
+    assert store.snapshot(G) is None and set(store.quads(G)) == set(clone.quads(G))

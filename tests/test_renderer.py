@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import NUMPY_MEAN, STATEMENT_VARIANTS, insert_turtle, variant_plan
+from conftest import NUMPY_MEAN, STATEMENT_VARIANTS, edited, insert_turtle, variant_plan
 from oracles import encode, load_pla, load_plr, pla_nodes, plr_nodes
 from graphsynth import renderer, views, vocab
 from graphsynth.composer import compose, import_order
@@ -94,9 +94,9 @@ def test_concrete_statements_carry_variation_elements_and_order(pipeline):
 def test_render_does_not_mutate_the_abstract_graph(kb_store, statement_text):
     plan = resolve(parse_problem_statement(statement_text), kb_store)
     pla = compose(plan, kb_store)
-    before = kb_store.graph_quads(pla.graph_iri)
+    before = set(kb_store.quads(pla.graph_iri))
     render(pla, plan.language, kb_store)
-    assert kb_store.graph_quads(pla.graph_iri) == before
+    assert set(kb_store.quads(pla.graph_iri)) == before
 
 
 def test_render_is_deterministic(kb_store, statement_text):
@@ -104,7 +104,7 @@ def test_render_is_deterministic(kb_store, statement_text):
     other = kb_store.clone()
     plr_a = render(compose(plan, kb_store), plan.language, kb_store)
     plr_b = render(compose(plan, other), plan.language, other)
-    assert kb_store.graph_quads(plr_a.graph_iri) == other.graph_quads(plr_b.graph_iri)
+    assert set(kb_store.quads(plr_a.graph_iri)) == set(other.quads(plr_b.graph_iri))
     assert emit(plr_a) == emit(plr_b)
 
 
@@ -174,8 +174,8 @@ def test_each_callee_is_the_function_the_program_carries(kb_store, statement_tex
 
 
 def _state(store):
-    """Each graph of the store with its quads and generation."""
-    return {graph: (store.graph_quads(graph), store.generation(graph)) for graph in store.graph_names()}
+    """Each graph of the store with its quads."""
+    return {graph: set(store.quads(graph)) for graph in store.graph_names()}
 
 
 def _statement_target(pla, target):
@@ -223,12 +223,11 @@ def test_a_record_value_of_the_wrong_type_raises_and_writes_no_program_graph(kb_
     plan, pla = change(plan, pla)
     graph = (vocab.program_graph_iri(plan.program_basename, "pla") if stage == "compose"
              else vocab.program_graph_iri(pla.basename, "plr"))
-    before, generation = _state(kb_store), kb_store.generation(graph)
+    before = _state(kb_store)
     with pytest.raises(MalformedTermError):
         compose(plan, kb_store) if stage == "compose" else render(pla, plan.language, kb_store)
-    # Every term is built before the store is touched: no graph gained or lost a quad.
+    # Every term is built before the store is touched: no graph gained a quad.
     assert _state(kb_store) == before and graph not in kb_store.graph_names()
-    assert kb_store.generation(graph) == generation
 
 
 _NODE = Iri("http://t.example/node")
@@ -271,7 +270,7 @@ def test_compose_and_render_write_the_quads_the_field_table_encoder_makes(kb_sto
     encode(reference, pla.graph_iri, pla_nodes(pla))
     encode(reference, plr.graph_iri, plr_nodes(plr))
     for graph in (pla.graph_iri, plr.graph_iri):
-        assert kb_store.graph_quads(graph) == reference.graph_quads(graph)
+        assert set(kb_store.quads(graph)) == set(reference.quads(graph))
         assert kb_store.graph_size(graph) == reference.graph_size(graph) > 0
 
 
@@ -286,7 +285,7 @@ def test_writers_store_the_same_graphs_and_tables_as_validated_inserts(kb_store,
         # `quads` rebuilds each stored quad through the validating `Quad` constructor.
         for quad in kb_store.quads(graph):
             assert replay.insert(quad)
-        assert replay.graph_quads(graph) == kb_store.graph_quads(graph)
+        assert set(replay.quads(graph)) == set(kb_store.quads(graph))
         assert replay.graph_size(graph) == kb_store.graph_size(graph) > 0
         assert replay._spo[graph] == kb_store._spo[graph] and replay._pos[graph] == kb_store._pos[graph]
         program = Iri(pla.program_iri if graph == pla.graph_iri else plr.program_iri)
@@ -356,10 +355,10 @@ def test_a_form_that_does_not_fill_exactly_its_variations_fields_is_a_kb_problem
     kb_store, slot, predicate, old, new, problems
 ):
     node = Iri(vocab.kb(slot))
-    if old is not None:
-        assert kb_store.remove(Quad(node, predicate, Literal(old), vocab.CORE_GRAPH))
-    if new is not None:
-        kb_store.insert(Quad(node, predicate, Literal(new), vocab.CORE_GRAPH))
+    drop = [] if old is None else [Quad(node, predicate, Literal(old), vocab.CORE_GRAPH)]
+    assert all(quad in kb_store for quad in drop)
+    add = [] if new is None else [Quad(node, predicate, Literal(new), vocab.CORE_GRAPH)]
+    kb_store = edited(kb_store, drop, add)
     assert views.check_kb(kb_store) == problems
     with pytest.raises(KbValidationError) as raised:
         views.kb(kb_store)
@@ -389,8 +388,9 @@ _TOKEN = "kb:py_import_aliased gs:hasTemplateSlot: field"
 )
 def test_a_form_whose_field_fill_would_not_stand_as_a_token_is_a_kb_problem(kb_store, slot, old, new, problems):
     node = Iri(vocab.kb(slot))
-    assert kb_store.remove(Quad(node, _SLOT_TEXT, Literal(old), vocab.CORE_GRAPH))
-    kb_store.insert(Quad(node, _SLOT_TEXT, Literal(new), vocab.CORE_GRAPH))
+    dropped = Quad(node, _SLOT_TEXT, Literal(old), vocab.CORE_GRAPH)
+    assert dropped in kb_store
+    kb_store = edited(kb_store, [dropped], [Quad(node, _SLOT_TEXT, Literal(new), vocab.CORE_GRAPH)])
     assert views.check_kb(kb_store) == problems
     with pytest.raises(KbValidationError) as raised:
         views.kb(kb_store)
@@ -409,23 +409,22 @@ def test_a_form_of_a_variation_the_renderer_never_fills_is_not_checked_against_t
     assert views.check_kb(kb_store) == []
 
 
-def test_dropping_both_program_graphs_leaves_the_kb_and_allows_the_same_synthesis(pipeline, seed_kb):
+def test_a_synthesis_adds_only_its_two_program_graphs_and_the_kb_alone_allows_the_same_synthesis(pipeline, seed_kb):
     store, plan, pla, plr = pipeline
-    pla_quads, plr_quads = store.graph_quads(pla.graph_iri), store.graph_quads(plr.graph_iri)
-    assert store.drop_graph(pla.graph_iri) == len(pla_quads) > 0
-    assert store.drop_graph(plr.graph_iri) == len(plr_quads) > 0
+    pla_quads, plr_quads = set(store.quads(pla.graph_iri)), set(store.quads(plr.graph_iri))
+    assert len(pla_quads) > 0 and len(plr_quads) > 0
+    store = edited(store, drop=pla_quads | plr_quads)
     kb, _ = seed_kb
     assert set(store.quads()) == set(kb.quads()) and store.graph_names() == kb.graph_names()
     again = render(compose(plan, store), plan.language, store)
-    assert (again.graph_iri, store.graph_quads(again.graph_iri)) == (plr.graph_iri, plr_quads)
-    assert store.graph_quads(pla.graph_iri) == pla_quads
+    assert (again.graph_iri, set(store.quads(again.graph_iri))) == (plr.graph_iri, plr_quads)
+    assert set(store.quads(pla.graph_iri)) == pla_quads
     assert emit(again) == emit(plr)
 
 
 def test_unsupported_language_family(pipeline):
     store, plan, pla, plr = pipeline
-    clone = store.clone()
-    clone.drop_graph(plr.graph_iri)  # so that only the language stands in the way
+    clone = edited(store, drop=store.quads(plr.graph_iri))  # so that only the language stands in the way
     alien = plan.language._replace(family="Fortran")
     with pytest.raises(UnsupportedLanguageError):
         render(pla, alien, clone)
@@ -438,9 +437,7 @@ def test_missing_statement_form_is_unmappable(kb_store, statement_text):
     # Strip the aliased-import form and its slots from the KB so numpy cannot be rendered.
     form = Iri(vocab.kb("py_import_aliased"))
     stripped = {form, *kb_store.row(form, vocab.CORE_GRAPH)[Iri(vocab.HAS_TEMPLATE_SLOT)]}
-    for quad in list(kb_store.quads(vocab.CORE_GRAPH)):
-        if quad.subject in stripped:
-            kb_store.remove(quad)
+    kb_store = edited(kb_store, drop=[quad for quad in kb_store.quads(vocab.CORE_GRAPH) if quad.subject in stripped])
     assert views.check_kb(kb_store) == []
     with pytest.raises(UnmappableStatementError):
         render(pla, plan.language, kb_store)
@@ -525,7 +522,7 @@ def test_element_text_that_is_not_one_value_does_not_load(pipeline, change):
     node = Iri(f"{plr.graph_iri}#stmt-0-e0")
     [quad] = [q for q in store.quads(plr.graph_iri) if q.subject == node and q.predicate == renderer.PLR_HAS_ELEMENT_TEXT]
     if change == "drop":
-        store.remove(quad)
+        store = edited(store, drop=[quad])
     else:
         store.insert(Quad(node, renderer.PLR_HAS_ELEMENT_TEXT, Literal("extra"), plr.graph_iri))
     with pytest.raises(RenderError) as raised:
@@ -549,8 +546,7 @@ def test_a_value_of_the_wrong_kind_does_not_load_and_names_its_node_and_predicat
     graph_iri, load = (pla.graph_iri, load_pla) if graph == "pla" else (plr.graph_iri, load_plr)
     node = Iri(f"{graph_iri}#{node}")
     [quad] = [q for q in store.quads(graph_iri) if q.subject == node and q.predicate == predicate]
-    store.remove(quad)
-    store.insert(Quad(node, predicate, Literal("x"), graph_iri))
+    store = edited(store, drop=[quad], add=[Quad(node, predicate, Literal("x"), graph_iri)])
     with pytest.raises(error) as raised:
         load(store, graph_iri)
     assert str(raised.value) == f'<{node.value}> {expected}, found "x"'

@@ -15,7 +15,7 @@ from graphsynth.views import check_kb
 from conftest import (
     ARITHMETIC_MEAN, ASCII_ENCODING, CSV_FORMAT, DIMENSIONLESS_SAMPLE, FILE_CONTAINER, FLOATING_POINT_DATATYPE,
     LIBRARY_KIND_EXTERNAL, LIBRARY_KIND_STDLIB, MYINPUT, NUMPY_LIBRARY, READ_CSV_FLOAT_FILE, STANDARD_DEVIATION,
-    SYS_LIBRARY, insert_turtle,
+    SYS_LIBRARY, edited, insert_turtle,
 )
 
 TEST_HEADER = """\
@@ -263,10 +263,8 @@ def _adjacent(form: str, before: str, after: str) -> str:
     ids=["import-aliased-s2", "import-plain-s0", "call-stmt-s0", "call-stmt-s2", "argument-index-1"],
 )
 def test_check_kb_flags_slot_indexes_that_do_not_run_from_0_to_n_minus_1(kb_store, removed, added, problems):
-    for quad in removed:
-        assert kb_store.remove(quad)
-    for quad in added:
-        assert kb_store.insert(quad)
+    assert all(quad in kb_store for quad in removed) and not any(quad in kb_store for quad in added)
+    kb_store = edited(kb_store, removed, added)
     assert check_kb(kb_store) == problems
     with pytest.raises(KbValidationError) as raised:
         views.kb(kb_store)
@@ -325,9 +323,10 @@ def test_check_kb_flags_two_statement_forms_of_one_variation_and_family(kb_store
 @pytest.mark.parametrize("quote, shown", [("' ", '"\' "'), ("''", '"\'\'"'), ("x", '"x"'), ("\\", '"\\\\"'), ('"', None)],
                          ids=["quote-space", "two-quotes", "word", "backslash", "double-quote"])
 def test_check_kb_takes_only_one_safe_character_as_the_string_quote(kb_store, quote, shown):
-    language = Iri(vocab.kb("python_3_8"))
-    assert kb_store.remove(Quad(language, Iri(vocab.HAS_STRING_LITERAL_QUOTE), Literal("'"), vocab.CORE_GRAPH))
-    assert kb_store.insert(Quad(language, Iri(vocab.HAS_STRING_LITERAL_QUOTE), Literal(quote), vocab.CORE_GRAPH))
+    language, predicate = Iri(vocab.kb("python_3_8")), Iri(vocab.HAS_STRING_LITERAL_QUOTE)
+    dropped = Quad(language, predicate, Literal("'"), vocab.CORE_GRAPH)
+    assert dropped in kb_store
+    kb_store = edited(kb_store, [dropped], [Quad(language, predicate, Literal(quote), vocab.CORE_GRAPH)])
     if shown is None:
         assert check_kb(kb_store) == []
         return

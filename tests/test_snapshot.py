@@ -1,10 +1,11 @@
-"""The KB snapshot: compiled by `check_kb`, kept per graph generation, never read stale.
+"""The KB snapshot: compiled by `check_kb`, kept per graph quad count, never read stale.
 
 Every stage reads the KB through `views.kb`, the snapshot the store keeps
-beside the core graph's generation. These tests edit the KB between
+beside the core graph's quad count. These tests add to the KB between
 syntheses, clone stores, try to change a snapshot and break entities, and
 check that `kb` answers as it does over a freshly loaded store holding the
-same quads.
+same quads. The store is append-only, so a KB that loses quads is built
+afresh by `edited`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import insert_turtle
+from conftest import edited, insert_turtle
 from graphsynth import views, vocab
 from graphsynth.composer import compose
 from graphsynth.errors import KbValidationError
@@ -66,18 +67,25 @@ def test_an_edit_between_two_syntheses_gives_what_a_fresh_store_of_the_edited_kb
     quads = sorted(store.quads(CORE), key=_quad_key)
     predicates = sorted({quad.predicate for quad in quads})
     objects = sorted({quad.object for quad in quads})
+    drop, add = [], []
     for _ in range(data.draw(st.integers(1, 3), label="edits")):
         kind = data.draw(st.sampled_from(["remove", "replace object", "add"]), label="kind")
         quad = data.draw(st.sampled_from(quads), label="quad")
         if kind == "remove":
-            store.remove(quad)
+            drop.append(quad)
         elif kind == "replace object":
             same_predicate = sorted({q.object for q in quads if q.predicate == quad.predicate})
-            store.remove(quad)
-            store.insert(Quad(quad.subject, quad.predicate, data.draw(st.sampled_from(same_predicate)), CORE))
+            drop.append(quad)
+            add.append(Quad(quad.subject, quad.predicate, data.draw(st.sampled_from(same_predicate)), CORE))
         else:
             predicate = data.draw(st.sampled_from(predicates), label="predicate")
-            store.insert(Quad(quad.subject, predicate, data.draw(st.sampled_from(objects), label="object"), CORE))
+            add.append(Quad(quad.subject, predicate, data.draw(st.sampled_from(objects), label="object"), CORE))
+    if drop:
+        # The KB without the dropped quads, and a snapshot, or a verdict, kept for it before anything is added.
+        store = edited(store, drop=drop)
+        _synthesize(store, "dropped")
+    for quad in add:
+        store.insert(quad)
     fresh = QuadStore()
     for quad in store.quads(CORE):
         fresh.insert(quad)
@@ -85,12 +93,12 @@ def test_an_edit_between_two_syntheses_gives_what_a_fresh_store_of_the_edited_kb
     assert views.check_kb(store) == views.check_kb(fresh)
 
 
-def test_a_clone_and_its_original_edited_to_the_same_generation_each_see_their_own_kb(kb_store):
+def test_a_clone_and_its_original_edited_to_the_same_quad_count_each_see_their_own_kb(kb_store):
     clone = kb_store.clone()
     assert clone.snapshot(CORE) is kb_store.snapshot(CORE) is not None  # shared, as it cannot change
     insert_turtle(kb_store, _source("mine.txt"))
     insert_turtle(clone, _source("theirs.txt"))
-    assert kb_store.generation(CORE) == clone.generation(CORE)
+    assert kb_store.graph_size(CORE) == clone.graph_size(CORE)
     for store, own, other in ((kb_store, "mine.txt", "theirs.txt"), (clone, "theirs.txt", "mine.txt")):
         kb = views.kb(store)
         assert [source.name for source in kb.data_sources[own]] == [own]
@@ -141,6 +149,12 @@ def test_every_part_of_a_kb_field_is_immutable(seed_kb, field):
 
 
 HALF = HEADER + 'x:half a gs:DataSource ; gs:hasName "half.txt" ; gs:hasContainer kb:file_container .'
+# The fields HALF lacks, which make it a well-shaped data source.
+MENDED = HEADER + """\
+x:half gs:hasDataRowCount 6 ; gs:hasValuesPerRow 1 ; gs:hasFormat kb:csv_format ; gs:hasEncoding kb:ascii_encoding ;
+    gs:hasValueDatatype kb:floating_point_datatype ; gs:hasHeaderRowCount 0 ;
+    gs:hasQuantityKind kb:dimensionless_sample ; gs:hasLocation "half.txt" .
+"""
 MISSING_FORMAT = "<http://t.example/half> gs:hasFormat: expected exactly 1 value, found 0"
 
 
@@ -161,9 +175,8 @@ def test_a_snapshot_built_lazily_over_a_broken_entity_raises_in_every_view_until
         raised.append(error.value)
     assert len(compiled) == 1
     assert raised[0] is not raised[1]  # a fresh error each time, so no traceback grows
-    for quad in [quad for quad in store.quads(CORE) if quad.subject.value == "http://t.example/half"]:
-        store.remove(quad)
-    assert "half.txt" not in views.kb(store).data_sources
+    insert_turtle(store, MENDED)
+    assert [source.iri for source in views.kb(store).data_sources["half.txt"]] == ["http://t.example/half"]
     assert isinstance(store.snapshot(CORE), views.Kb)
     assert len(compiled) == 2
 
