@@ -645,3 +645,24 @@ def test_a_kept_snapshot_lasts_until_its_graph_gains_a_quad_and_a_clone_shares_i
     assert clone.snapshot(G) is None and store.snapshot(G) is kept
     store.insert(Quad(B, P, A, G))  # the quad the clone gained: both hold the same quads again
     assert store.snapshot(G) is None and set(store.quads(G)) == set(clone.quads(G))
+
+
+def test_a_graph_quad_count_only_rises_so_it_can_key_a_snapshot():
+    assert not any(hasattr(QuadStore, name) for name in ["remove", "drop_graph", "clear"])
+    rng = random.Random(11)
+    graphs = [G, H]
+    store = QuadStore()
+    seen: dict[str, set[Quad]] = {name: set() for name in graphs}
+    dataset = random_dataset(rng, max_quads=200)
+    for triple in [*dataset, *rng.sample(dataset, len(dataset) // 2)]:
+        quad = Quad(triple.subject, triple.predicate, triple.object, rng.choice(graphs))
+        before = {name: store.graph_size(name) for name in graphs}
+        assert store.insert(quad) is (quad not in seen[quad.graph])
+        seen[quad.graph].add(quad)
+        for name in graphs:
+            assert store.graph_size(name) == len(seen[name]) >= before[name]
+    clone = store.clone()
+    for name in graphs:
+        clone.insert(Quad(A, P, Literal(f"only in the clone: {name}"), name))
+        assert clone.graph_size(name) == store.graph_size(name) + 1
+        assert set(store.quads(name)) == seen[name]
