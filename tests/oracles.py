@@ -1,6 +1,8 @@
 """Reference implementations the tests check the engine against.
 
-The query oracle is written from scratch against the documented contracts,
+The reference lexer `reference_tokenize` reads a problem statement one token
+at a time, each rule a separate step; the package's one-pass lexer is checked
+against it. The query oracle is written from scratch against the documented contracts,
 not by calling into the package's own query machinery. The PLA and PLR
 field tables below declare the program graphs' nodes once, in the form of
 `views.SHAPES`: the decoders `load_pla` and `load_plr`, which no command
@@ -12,6 +14,7 @@ renderer's own writers to be checked against.
 from __future__ import annotations
 
 import random
+import re
 from operator import itemgetter
 
 from graphsynth import views, vocab
@@ -24,7 +27,7 @@ from graphsynth.composer import (
     PLA_REFERS_TO_LIBRARY, PLA_REPORT_VALUE, PLA_SECTION, PLA_SECTION_ENTITY, PLA_USES_STRUCTURE,
     AssignCall, AssignLiteral, ImportDirective, PlacedStatement, PlaProgram, PlaSection, ProgramExit, ReportValue,
 )
-from graphsynth.errors import ComposeError, MalformedQuadError, RenderError
+from graphsynth.errors import ComposeError, MalformedQuadError, ProblemStatementError, RenderError, position
 from graphsynth.quadstore import Pattern, Quad, QuadStore, Var
 from graphsynth.renderer import (
     PLR_HAS_BASENAME, PLR_HAS_ELEMENT_INDEX, PLR_HAS_ELEMENT_SLOT, PLR_HAS_ELEMENT_TEXT, PLR_HAS_LANGUAGE,
@@ -34,6 +37,51 @@ from graphsynth.renderer import (
 from graphsynth.terms import RDF_TYPE, Blank, Iri, Literal, integer_literal
 from graphsynth.turtle import _format_term
 from graphsynth.views import INT, IRI, MANY, NODE, STR
+
+
+# --- the reference problem-statement lexer --------------------------------
+
+# Whitespace, and a backslash directly before a line break (a line continuation).
+_TRIVIA = re.compile(r"[ \t\r\n]*(?:\\\r?\n[ \t\r\n]*)*")
+# A string's body up to its closing quote: no newline, and only \' and \\ as escapes.
+_STRING_BODY = re.compile(r"[^'\\\n]*(?:\\['\\][^'\\\n]*)*")
+_ESCAPE = re.compile(r"\\(['\\])")
+_WORD = re.compile(r"\w+")
+
+
+def _lex_error(text: str, pos: int, message: str) -> ProblemStatementError:
+    return ProblemStatementError(message, *position(text, pos))
+
+
+def reference_tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The (kind, text, offset) tokens of a problem statement, read one token at a time."""
+    tokens = []
+    pos = _TRIVIA.match(text).end()
+    while pos < len(text):
+        ch = text[pos]
+        if ch == "'":
+            end = _STRING_BODY.match(text, pos + 1).end()
+            if end == len(text):
+                raise _lex_error(text, pos, "unterminated string")
+            if text[end] == "\n":
+                raise _lex_error(text, end, "newline inside string")
+            if text[end] == "\\":
+                raise _lex_error(text, end, "unknown escape in string")
+            tokens.append(("STRING", _ESCAPE.sub(r"\1", text[pos + 1 : end]), pos))
+            end += 1
+        elif ch in "=[],":
+            tokens.append(("PUNCT", ch, pos))
+            end = pos + 1
+        elif ch.isalpha() or ch == "_":
+            end = _WORD.match(text, pos).end()
+            tokens.append(("IDENT", text[pos:end], pos))
+        elif ch == "\\":
+            raise _lex_error(text, pos, "stray backslash")
+        else:
+            raise _lex_error(text, pos, f"unexpected character {ch!r}")
+        pos = _TRIVIA.match(text, end).end()
+    tokens.append(("EOF", "", len(text)))
+    return tokens
 
 
 def term_key(term):

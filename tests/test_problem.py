@@ -14,7 +14,8 @@ from graphsynth.errors import (
     TypeMismatchError,
     UnknownKeyError,
 )
-from graphsynth.problem import ProblemStatement, parse_problem_statement
+from graphsynth.problem import ProblemStatement, _tokenize, parse_problem_statement
+from oracles import reference_tokenize
 
 # The exemplar statement, with line continuations and multi-line lists.
 EXEMPLAR = """\
@@ -154,6 +155,59 @@ def test_unterminated_string_is_positioned():
     assert exc.value.line == 1
 
 
+# Each lexer error: the text, then its exact message, line and column.
+_LEXER_ERRORS = [
+    ("program_basename = 'open", "unterminated string", 1, 20),
+    ("'", "unterminated string", 1, 1),
+    ("x = 'it\\'", "unterminated string", 1, 5),
+    ("a = 'x\ny'", "newline inside string", 1, 7),
+    ("a = \\\r\n  'x\r\ny'", "newline inside string", 2, 6),
+    ("a = 'x\\q'", "unknown escape in string", 1, 7),
+    ("a = 'x\\", "unknown escape in string", 1, 7),
+    ("a = \\ 'x'", "stray backslash", 1, 5),
+    ("\\", "stray backslash", 1, 1),
+    ("a\\\r\n= 'x' \\", "stray backslash", 2, 7),
+    ("a = 'x'\r\n\\\rb", "stray backslash", 2, 1),
+    ("a = \\\r\n\\\r\n  \\;", "stray backslash", 3, 3),
+    ("  \\\n  ;", "unexpected character ';'", 2, 3),
+    ("\u00b2 = 'x'", "unexpected character '\u00b2'", 1, 1),
+    ("a = \u0661", "unexpected character '\u0661'", 1, 5),
+    ("a = ['x', \u0661\u0662]", "unexpected character '\u0661'", 1, 11),
+    ("1x", "unexpected character '1'", 1, 1),
+    ("a = 'x' 1x", "unexpected character '1'", 1, 9),
+    ("a = 'x'\r\n\\\r\n#", "unexpected character '#'", 3, 1),
+    ("a = 'x' \u00e9 \u00b2", "unexpected character '\u00b2'", 1, 11),
+]
+
+
+@pytest.mark.parametrize(("text", "message", "line", "column"), _LEXER_ERRORS)
+def test_each_lexer_error_keeps_its_message_line_and_column(text, message, line, column):
+    with pytest.raises(ProblemStatementError) as exc:
+        _tokenize(text)
+    assert type(exc.value) is ProblemStatementError
+    assert (str(exc.value), exc.value.line, exc.value.column) == (f"{line}:{column}: {message}", line, column)
+    with pytest.raises(ProblemStatementError) as exc:
+        parse_problem_statement(text)
+    assert (str(exc.value), exc.value.line, exc.value.column) == (f"{line}:{column}: {message}", line, column)
+
+
+def test_words_strings_and_continuations_lex_to_their_text_and_offsets():
+    text = "\u00e9 = \\\r\n ['it\\'s', 'a\\\\b', ''] _x1\\\n"
+    assert [tuple(token) for token in _tokenize(text)] == [
+        ("IDENT", "\u00e9", 0),
+        ("PUNCT", "=", 2),
+        ("PUNCT", "[", 8),
+        ("STRING", "it's", 9),
+        ("PUNCT", ",", 16),
+        ("STRING", "a\\b", 18),
+        ("PUNCT", ",", 24),
+        ("STRING", "", 26),
+        ("PUNCT", "]", 28),
+        ("IDENT", "_x1", 30),
+        ("EOF", "", len(text)),
+    ]
+
+
 def test_library_preferences_key_is_optional_and_parsed():
     ps = parse_problem_statement(EXEMPLAR + "library_preferences = ['numpy']\n")
     assert ps.library_preferences == ("numpy",)
@@ -224,3 +278,38 @@ def test_parser_total_on_fuzzed_inputs():
             parse_problem_statement(text)
         except ProblemStatementError:
             pass
+
+
+_LEXER_ALPHABET = _FUZZ_ALPHABET + "\u00b2\u0661\r"
+# Pieces that each lex to one token, one piece of trivia or one error, for texts many tokens long.
+_LEXER_PIECES = [
+    "key", "_k1", "\u00e9t\u00e9", "\u00b2", "\u0661", "1x", "'v'", "''", "'it\\'s'", "'a\\\\b'", "'x\\q'", "'open",
+    "'a\nb'", "=", "[", "]", ",", " ", "\t", "\n", "\r\n", "\\\n", "\\\r\n", "\\\r", "\\", "#",
+]
+
+
+def _lex_outcome(tokenize, text):
+    try:
+        return [tuple(token) for token in tokenize(text)]
+    except ProblemStatementError as exc:
+        return type(exc), str(exc), exc.line, exc.column
+
+
+def test_the_one_pass_lexer_gives_the_reference_lexers_tokens_or_error():
+    rng = random.Random(30)
+    texts = ["".join(rng.choices(_LEXER_ALPHABET, k=rng.randint(0, 40))) for _ in range(20_000)]
+    texts += ["".join(rng.choices(_LEXER_PIECES, k=rng.randint(1, 20))) for _ in range(5_000)]
+    for _ in range(5_000):
+        chars = list(EXEMPLAR)
+        for _ in range(rng.randint(1, 4)):
+            index = rng.randrange(len(chars))
+            roll = rng.random()
+            if roll < 0.4:
+                chars[index] = rng.choice(_LEXER_ALPHABET)
+            elif roll < 0.7:
+                del chars[index]
+            else:
+                chars.insert(index, rng.choice(_LEXER_ALPHABET))
+        texts.append("".join(chars))
+    for text in texts:
+        assert _lex_outcome(_tokenize, text) == _lex_outcome(reference_tokenize, text), text
