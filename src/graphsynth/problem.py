@@ -44,18 +44,20 @@ class ProblemStatement(NamedTuple):
     library_preferences: tuple[str, ...] = ()
 
 
-class _Token(NamedTuple):
-    kind: str  # IDENT | STRING | PUNCT | EOF
-    text: str  # a string's value, else the source text
-    pos: int  # offset of the token's first character
-
-
-# Whitespace, and a backslash directly before a line break (a line continuation).
-_TRIVIA = re.compile(r"[ \t\r\n]*(?:\\\r?\n[ \t\r\n]*)*")
-# A string's body up to its closing quote: no newline, and only \' and \\ as escapes.
+# One token: trivia (whitespace, and a backslash directly before a line break,
+# a line continuation), then a whole string, a punctuation mark or a word. A
+# string's body holds no newline and only \' and \\ as escapes. A word starts
+# with a letter or underscore; `[^\W\d]` also lets in the few word characters
+# that are neither, such as '\u00b2', which the lexer diagnoses. The last,
+# empty alternative matches where no token starts: the end of the text or a
+# lexer error.
+_TOKEN = re.compile(
+    r"[ \t\r\n]*(?:\\\r?\n[ \t\r\n]*)*"
+    r"(?:'([^'\\\n]*(?:\\['\\][^'\\\n]*)*)'|([=\[\],])|([^\W\d]\w*)|)"
+)
 _STRING_BODY = re.compile(r"[^'\\\n]*(?:\\['\\][^'\\\n]*)*")
 _ESCAPE = re.compile(r"\\(['\\])")
-_WORD = re.compile(r"\w+")
+_KEYS = LIST_KEYS | SCALAR_KEYS
 # What a basename may not hold: a path separator or dot (it names a file), and
 # whitespace, a control character or a character IRIREF excludes (it is part
 # of the program graphs' IRIs).
@@ -66,99 +68,100 @@ def _error(text: str, pos: int, message: str) -> ProblemStatementError:
     return ProblemStatementError(message, *position(text, pos))
 
 
-def _tokenize(text: str) -> list[_Token]:
-    """The tokens of `text`, each with only its offset."""
-    tokens: list[_Token] = []
-    pos = _TRIVIA.match(text).end()
-    while pos < len(text):
-        ch = text[pos]
-        if ch == "'":
-            end = _STRING_BODY.match(text, pos + 1).end()
-            if end == len(text):
-                raise _error(text, pos, "unterminated string")
-            if text[end] == "\n":
-                raise _error(text, end, "newline inside string")
-            if text[end] == "\\":
-                raise _error(text, end, "unknown escape in string")
-            tokens.append(_Token("STRING", _ESCAPE.sub(r"\1", text[pos + 1 : end]), pos))
-            end += 1
-        elif ch in "=[],":
-            tokens.append(_Token("PUNCT", ch, pos))
-            end = pos + 1
-        elif ch.isalpha() or ch == "_":
-            end = _WORD.match(text, pos).end()
-            tokens.append(_Token("IDENT", text[pos:end], pos))
-        elif ch == "\\":
-            raise _error(text, pos, "stray backslash")
+def _lex_error(text: str, pos: int) -> ProblemStatementError:
+    """The error for the text at `pos`, past any trivia, where no token can start."""
+    ch = text[pos]
+    if ch == "'":
+        end = _STRING_BODY.match(text, pos + 1).end()
+        if end == len(text):
+            return _error(text, pos, "unterminated string")
+        if text[end] == "\n":
+            return _error(text, end, "newline inside string")
+        return _error(text, end, "unknown escape in string")
+    if ch == "\\":
+        return _error(text, pos, "stray backslash")
+    return _error(text, pos, f"unexpected character {ch!r}")
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The (kind, text, offset) tokens of `text`, read in one pass; kind is IDENT,
+    STRING, PUNCT or EOF, and a string's text is its unescaped value."""
+    tokens = []
+    append = tokens.append
+    for match in _TOKEN.finditer(text):
+        group = match.lastindex
+        if group == 1:
+            value = match[1]
+            if "\\" in value:
+                value = _ESCAPE.sub(r"\1", value)
+            append(("STRING", value, match.start(1) - 1))
+        elif group == 2:
+            append(("PUNCT", match[2], match.start(2)))
+        elif group == 3:
+            word = match[3]
+            start = match.start(3)
+            if not (word[0].isalpha() or word[0] == "_"):
+                raise _lex_error(text, start)
+            append(("IDENT", word, start))
         else:
-            raise _error(text, pos, f"unexpected character {ch!r}")
-        pos = _TRIVIA.match(text, end).end()
-    tokens.append(_Token("EOF", "", len(text)))
+            break
+    end = match.end()  # the last match holds no token: it ends at the end of the text or at an error
+    if end < len(text):
+        raise _lex_error(text, end)
+    append(("EOF", "", end))
     return tokens
 
 
 def parse_problem_statement(text: str) -> ProblemStatement:
     """Parse statement text; raises a positioned ProblemStatementError subclass on any flaw."""
     tokens = _tokenize(text)
-    index = 0
 
-    def at(token: _Token) -> tuple[int, int]:
-        return position(text, token.pos)
-
-    def peek() -> _Token:
-        return tokens[index]
-
-    def take() -> _Token:
-        nonlocal index
-        token = tokens[index]
-        index += 1
-        return token
+    def at(offset: int) -> tuple[int, int]:
+        return position(text, offset)
 
     values: dict[str, str | list[str]] = {}
-    keys: dict[str, _Token] = {}
-    while peek().kind != "EOF":
-        key_token = take()
-        if key_token.kind != "IDENT":
-            raise ProblemStatementError(f"expected a key, got {key_token.text!r}", *at(key_token))
-        raw_key = key_token.text
+    key_offsets: dict[str, int] = {}
+    index = 0
+    while tokens[index][0] != "EOF":
+        kind, raw_key, offset = tokens[index]
+        if kind != "IDENT":
+            raise ProblemStatementError(f"expected a key, got {raw_key!r}", *at(offset))
         key = _ALIASES.get(raw_key, raw_key)
-        if key not in LIST_KEYS | SCALAR_KEYS:
-            raise UnknownKeyError(raw_key, *at(key_token))
+        if key not in _KEYS:
+            raise UnknownKeyError(raw_key, *at(offset))
         if key in values:
-            raise DuplicateKeyError(raw_key, *at(key_token))
-        keys[key] = key_token
+            raise DuplicateKeyError(raw_key, *at(offset))
+        key_offsets[key] = offset
 
-        eq = take()
-        if eq.kind != "PUNCT" or eq.text != "=":
-            raise ProblemStatementError(f"expected '=' after '{raw_key}'", *at(eq))
+        kind, value, offset = tokens[index + 1]
+        if kind != "PUNCT" or value != "=":
+            raise ProblemStatementError(f"expected '=' after '{raw_key}'", *at(offset))
 
-        value_token = peek()
-        if value_token.kind == "STRING":
-            take()
+        kind, value, offset = tokens[index + 2]
+        index += 3
+        if kind == "STRING":
             if key in LIST_KEYS:
-                raise TypeMismatchError(raw_key, "list", "string", *at(value_token))
-            values[key] = value_token.text
-        elif value_token.kind == "PUNCT" and value_token.text == "[":
-            take()
+                raise TypeMismatchError(raw_key, "list", "string", *at(offset))
+            values[key] = value
+        elif kind == "PUNCT" and value == "[":
             if key in SCALAR_KEYS:
-                raise TypeMismatchError(raw_key, "string", "list", *at(value_token))
+                raise TypeMismatchError(raw_key, "string", "list", *at(offset))
             items: list[str] = []
             while True:
-                item = take()
-                if item.kind != "STRING":
-                    raise ProblemStatementError(f"expected a string in list, got {item.text!r}", *at(item))
-                items.append(item.text)
-                sep = take()
-                if sep.kind == "PUNCT" and sep.text == ",":
+                kind, value, offset = tokens[index]
+                if kind != "STRING":
+                    raise ProblemStatementError(f"expected a string in list, got {value!r}", *at(offset))
+                items.append(value)
+                kind, value, offset = tokens[index + 1]
+                index += 2
+                if kind == "PUNCT" and value == ",":
                     continue
-                if sep.kind == "PUNCT" and sep.text == "]":
+                if kind == "PUNCT" and value == "]":
                     break
-                raise ProblemStatementError(f"expected ',' or ']' in list, got {sep.text!r}", *at(sep))
+                raise ProblemStatementError(f"expected ',' or ']' in list, got {value!r}", *at(offset))
             values[key] = items
         else:
-            raise ProblemStatementError(
-                f"expected a string or list after '{raw_key} ='", *at(value_token)
-            )
+            raise ProblemStatementError(f"expected a string or list after '{raw_key} ='", *at(offset))
 
     for key in ("data_source_names", "requested_calculations", "program_requirements",
                 "programming_language", "program_basename"):
@@ -167,17 +170,17 @@ def parse_problem_statement(text: str) -> ProblemStatement:
 
     for key in ("data_source_names", "requested_calculations", "program_requirements"):
         if not values[key]:
-            raise ProblemStatementError(f"key '{key}' must list at least one entry", *at(keys[key]))
+            raise ProblemStatementError(f"key '{key}' must list at least one entry", *at(key_offsets[key]))
 
     basename = values["program_basename"]
     if not basename or _BASENAME_EXCLUDED.search(basename):
         raise ProblemStatementError(
             "program_basename must be non-empty and contain no path separator, dot, whitespace, "
             'control character or any of <>"{}|^`',
-            *at(keys["program_basename"]),
+            *at(key_offsets["program_basename"]),
         )
     if not values["programming_language"]:
-        raise ProblemStatementError("programming_language must be non-empty", *at(keys["programming_language"]))
+        raise ProblemStatementError("programming_language must be non-empty", *at(key_offsets["programming_language"]))
 
     return ProblemStatement(
         data_source_names=tuple(values["data_source_names"]),

@@ -224,7 +224,10 @@ def emit(plr: PlrProgram, blank_lines_between_sections: bool = False) -> str:
     try:
         compile(text, "<emitted>", "exec", dont_inherit=True)
     except SyntaxError as exc:
-        raise RenderError(f"emitted source does not parse: line {exc.lineno}: {exc.msg}") from exc
+        where = "" if exc.lineno is None else f"line {exc.lineno}: "
+        raise RenderError(f"emitted source does not parse: {where}{exc.msg}") from exc
+    except ValueError as exc:  # how Python 3.10 rejects a NUL byte
+        raise RenderError(f"emitted source does not parse: {exc}") from exc
     return text
 
 
@@ -240,33 +243,57 @@ def write_source(
     Without `force` the file is created exclusively, so an existing file is
     never touched. With `force` the text goes to a temporary file in the same
     directory that is then renamed over the target, so the target always
-    holds either its old or its new content.
+    holds either its old or its new content. Either way the file is made by
+    one exclusive create, and `out_dir` is made only when that create finds
+    it missing.
     """
-    out_dir = Path(out_dir)
-    path = out_dir / f"{basename}{language.source_file_extension}"
+    path = os.path.join(out_dir, f"{basename}{language.source_file_extension}")
     data = text.encode("utf-8")
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
         if force:
-            _replace(path, data)
+            _replace(path, out_dir, data)
         else:
             try:
-                handle = open(path, "xb")
-            except FileExistsError:
-                raise WriteError(f"refusing to overwrite existing file: {path} (use force)") from None
-            with handle:
-                handle.write(data)
+                _create(path, out_dir, data)
+            except FileExistsError as exc:
+                if exc.filename != path:  # not the target but a part of `out_dir`
+                    raise
+                raise WriteError(f"refusing to overwrite existing file: {Path(path)} (use force)") from None
     except OSError as exc:
-        raise WriteError(f"cannot write {path}: {exc}") from exc
-    return path
+        raise WriteError(f"cannot write {Path(path)}: {exc}") from exc
+    return Path(path)
 
 
-def _replace(path: Path, data: bytes):
-    """Write `data` to a fresh file beside `path` and rename it over `path`."""
-    temp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+# Create a file that must not exist yet; O_BINARY, where there is one, keeps LF line ends as they are.
+_CREATE = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+
+
+def _create(path: str, out_dir, data: bytes):
+    """Create `path`, which must not exist, holding `data`, making `out_dir`
+    only when the create finds it missing; a failed write removes the file."""
     try:
-        with open(temp, "xb") as handle:
-            handle.write(data)
+        fd = os.open(path, _CREATE, 0o666)
+    except FileNotFoundError:
+        os.makedirs(out_dir, exist_ok=True)
+        fd = os.open(path, _CREATE, 0o666)
+    try:
+        view = memoryview(data)
+        while view:  # os.write may write only part of what it is given
+            view = view[os.write(fd, view):]
+    except BaseException:
+        os.close(fd)
+        os.unlink(path)
+        raise
+    os.close(fd)
+
+
+def _replace(path: str, out_dir, data: bytes):
+    """Write `data` to a fresh file beside `path` and rename it over `path`."""
+    head, name = os.path.split(path)
+    temp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
+    _create(temp, out_dir, data)
+    try:
         os.replace(temp, path)
-    finally:
-        temp.unlink(missing_ok=True)
+    except BaseException:
+        os.unlink(temp)
+        raise

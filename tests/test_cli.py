@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import errno
 import os
 import shutil
 import subprocess
@@ -94,6 +95,17 @@ def test_unwritable_output_maps_to_write_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "synthesize", STMT, "--out", str(blocker))
     assert code == 8
     assert "stage write" in err
+
+
+def test_an_out_that_names_a_file_exits_at_stage_write_and_creates_nothing(tmp_path, capsys):
+    blocker = tmp_path / "not_a_dir"
+    blocker.write_text("file, not directory")
+    for force in ([], ["--force"]):
+        code, _, err = run(capsys, "synthesize", STMT, "--out", str(blocker), *force)
+        assert code == 8
+        assert f"error at stage write: cannot write {blocker / 'hello_analytic.py'}: [Errno {errno.ENOTDIR}]" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["not_a_dir"]
+        assert blocker.read_text() == "file, not directory"
 
 
 def test_existing_output_requires_force(tmp_path, capsys):

@@ -103,6 +103,19 @@ def test_hostile_kb_text_exits_with_a_stage_code_or_writes_source_that_compiles(
             assert written == []
 
 
+def test_a_nul_byte_in_a_slot_text_exits_at_stage_render_and_writes_nothing(tmp_path):
+    kb, out = tmp_path / "kb", tmp_path / "out"
+    shutil.copytree(kb_dir(), kb)
+    _doctor(kb, {FIELDS.index(("statements.ttl", "gs:hasSlotText", " = ")): " =\x00 "})
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(["synthesize", str(example_statement_path()), "--kb", str(kb), "--out", str(out)])
+    assert code == EXIT_RENDER, stderr.getvalue()
+    assert "error at stage render: emitted source does not parse: " in stderr.getvalue()
+    assert "line None" not in stderr.getvalue()
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 # Stage -> the error it fails with.
 STAGE_ERRORS = {"resolve": ResolveError, "compose": ComposeError, "render": RenderError, "emit": RenderError}
 

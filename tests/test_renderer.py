@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import ast
+import errno
+import os
 import random
+import re
+import stat
 import string
 
 import pytest
@@ -473,6 +477,15 @@ def test_import_statements_sorted_for_random_library_sets():
         assert ordered == sorted(ordered, key=lambda n: n.encode("utf-8"))
 
 
+def test_source_compile_rejects_with_a_value_error_is_a_render_error(pipeline, monkeypatch):
+    def reject(*args, **kwargs):
+        raise ValueError("source code string cannot contain null bytes")
+
+    monkeypatch.setattr(renderer, "compile", reject, raising=False)  # as Python 3.10 rejects a NUL byte
+    with pytest.raises(RenderError, match=r"^emitted source does not parse: source code string cannot contain"):
+        emit(pipeline[3])
+
+
 def test_write_source_appends_language_extension(pipeline, tmp_path):
     _, plan, _, plr = pipeline
     path = write_source(emit(plr), plan.program_basename, plan.language, tmp_path)
@@ -495,6 +508,66 @@ def test_write_source_force_replaces_content_and_leaves_no_temp_file(pipeline, t
     path = write_source(emit(plr), plan.program_basename, plan.language, tmp_path, force=True)
     assert path.read_text() == emit(plr)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["hello_analytic.py"]
+
+
+def test_write_source_makes_a_missing_nested_out_dir(pipeline, tmp_path):
+    _, plan, _, plr = pipeline
+    out_dir = tmp_path / "a" / "b" / "c"
+    path = write_source(emit(plr), plan.program_basename, plan.language, out_dir)
+    assert path == out_dir / "hello_analytic.py"
+    assert path.read_bytes() == emit(plr).encode("utf-8")
+
+
+def test_a_refused_overwrite_keeps_the_files_bytes(pipeline, tmp_path):
+    _, plan, _, plr = pipeline
+    path = tmp_path / "hello_analytic.py"
+    path.write_bytes(b"kept \x00 bytes\r\n")
+    with pytest.raises(WriteError, match=f"^refusing to overwrite existing file: {re.escape(str(path))} \\(use force\\)$"):
+        write_source(emit(plr), plan.program_basename, plan.language, tmp_path)
+    assert path.read_bytes() == b"kept \x00 bytes\r\n"
+
+
+@pytest.mark.parametrize("force", [False, True])
+def test_short_writes_still_write_the_whole_text(pipeline, tmp_path, monkeypatch, force):
+    _, plan, _, plr = pipeline
+    real_write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, bytes(data[:7])))
+    path = write_source(emit(plr), plan.program_basename, plan.language, tmp_path, force=force)
+    assert path.read_bytes() == emit(plr).encode("utf-8")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["hello_analytic.py"]
+
+
+@pytest.mark.parametrize("force", [False, True])
+def test_the_file_mode_is_0o666_less_the_umask(pipeline, tmp_path, force):
+    _, plan, _, plr = pipeline
+    previous = os.umask(0o027)
+    try:
+        path = write_source(emit(plr), plan.program_basename, plan.language, tmp_path, force=force)
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+
+@pytest.mark.parametrize("force", [False, True])
+def test_a_failed_write_leaves_no_file(pipeline, tmp_path, monkeypatch, force):
+    _, plan, _, plr = pipeline
+
+    def full(fd, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "write", full)
+    with pytest.raises(WriteError, match="^cannot write .*No space left on device"):
+        write_source(emit(plr), plan.program_basename, plan.language, tmp_path, force=force)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_out_dir_that_is_a_dangling_link_cannot_be_written_and_is_not_an_existing_file(pipeline, tmp_path):
+    _, plan, _, plr = pipeline
+    out_dir = tmp_path / "link"
+    out_dir.symlink_to(tmp_path / "absent")
+    with pytest.raises(WriteError, match=f"^cannot write {re.escape(str(out_dir / 'hello_analytic.py'))}: "):
+        write_source(emit(plr), plan.program_basename, plan.language, out_dir)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link"]
 
 
 def test_concrete_graph_holds_only_variation_section_order_and_elements(pipeline):
