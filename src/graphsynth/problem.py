@@ -4,9 +4,10 @@ The surface syntax is a flat sequence of `key = value` entries where a
 value is either a single-quoted string or a bracketed list of them.
 Whitespace and blank lines between tokens carry no meaning, and a trailing
 backslash joins physical lines. Parsing is strict: unknown keys, duplicate
-keys, and list/scalar mismatches are errors with positions. Tokens keep
-only their offsets; the line and column of an error are counted from its
-offset when it is raised.
+keys, and list/scalar mismatches are errors with positions. The lexer reads
+the text in one pass of one pattern into `(kind, text, offset)` tuples and
+diagnoses the one offset where the pattern stops short of the end; the line
+and column of an error are counted from its offset when it is raised.
 """
 
 from __future__ import annotations
@@ -51,11 +52,9 @@ class ProblemStatement(NamedTuple):
 # that are neither, such as '\u00b2', which the lexer diagnoses. The last,
 # empty alternative matches where no token starts: the end of the text or a
 # lexer error.
-_TOKEN = re.compile(
-    r"[ \t\r\n]*(?:\\\r?\n[ \t\r\n]*)*"
-    r"(?:'([^'\\\n]*(?:\\['\\][^'\\\n]*)*)'|([=\[\],])|([^\W\d]\w*)|)"
-)
-_STRING_BODY = re.compile(r"[^'\\\n]*(?:\\['\\][^'\\\n]*)*")
+_BODY = r"[^'\\\n]*(?:\\['\\][^'\\\n]*)*"
+_TOKEN = re.compile(rf"[ \t\r\n]*(?:\\\r?\n[ \t\r\n]*)*(?:'({_BODY})'|([=\[\],])|([^\W\d]\w*)|)")
+_STRING_BODY = re.compile(_BODY)
 _ESCAPE = re.compile(r"\\(['\\])")
 _KEYS = LIST_KEYS | SCALAR_KEYS
 # What a basename may not hold: a path separator or dot (it names a file), and

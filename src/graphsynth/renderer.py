@@ -9,7 +9,9 @@ and checks no form, as `views.check_kb` has checked each against that table.
 The concrete program's graph is written straight from its records: one
 node for the program, each statement and each of its elements.
 Emission walks the concrete program section by section in the fixed source
-order and concatenates each statement's elements.
+order and concatenates each statement's elements. Writing creates the file
+with one exclusive `os.open` and makes the output directory only when that
+open finds it missing.
 """
 
 from __future__ import annotations
@@ -264,11 +266,10 @@ def write_source(
     return Path(path)
 
 
-# Create a file that must not exist yet; O_BINARY, where there is one, keeps LF line ends as they are.
-_CREATE = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+_CREATE = os.O_WRONLY | os.O_CREAT | os.O_EXCL
 
 
-def _create(path: str, out_dir, data: bytes):
+def _create(path: str, out_dir: Path, data: bytes):
     """Create `path`, which must not exist, holding `data`, making `out_dir`
     only when the create finds it missing; a failed write removes the file."""
     try:
@@ -287,7 +288,7 @@ def _create(path: str, out_dir, data: bytes):
     os.close(fd)
 
 
-def _replace(path: str, out_dir, data: bytes):
+def _replace(path: str, out_dir: Path, data: bytes):
     """Write `data` to a fresh file beside `path` and rename it over `path`."""
     head, name = os.path.split(path)
     temp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
