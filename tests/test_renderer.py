@@ -477,7 +477,7 @@ def test_import_statements_sorted_for_random_library_sets():
         assert ordered == sorted(ordered, key=lambda n: n.encode("utf-8"))
 
 
-def test_source_compile_rejects_with_a_value_error_is_a_render_error(pipeline, monkeypatch):
+def test_a_value_error_from_compile_is_a_render_error(pipeline, monkeypatch):
     def reject(*args, **kwargs):
         raise ValueError("source code string cannot contain null bytes")
 
