@@ -753,6 +753,18 @@ def test_query_after_synthesis_reads_the_example_program_graph(capsys):
     assert run(capsys, "query", pattern)[1] == "?program\t?statement\n"
 
 
+@pytest.mark.parametrize("golden, argv", [
+    ("query-core-functions.tsv", ["?fn gs:hasPurpose ?alg", "?fn gs:hasCallableName ?name"]),
+    ("query-program-statements.tsv",
+     ['?p plr:hasBasename "hello_analytic" ?g', "?p plr:hasStatement ?s ?g", "--statement", STMT]),
+])
+def test_query_joins_print_their_golden_rows(capsys, golden, argv):
+    # The same runs the CI console-script step compares byte for byte.
+    code, out, err = run(capsys, "query", *argv)
+    assert code == 0, err
+    assert out == (GOLDEN_DIR / golden).read_text(encoding="utf-8")
+
+
 def test_query_with_a_missing_statement_file_is_config(tmp_path, capsys):
     code, out, err = run(capsys, "query", "?s ?p ?o", "--statement", str(tmp_path / "absent.aida"))
     assert code == 2

@@ -514,6 +514,81 @@ def test_join_order_does_not_change_the_result():
             assert store.query_bgp(list(permutation)) == reference
 
 
+C = Iri("http://t.example/c")
+R = Iri("http://t.example/r")
+NOWHERE = Iri("http://t.example/nowhere")
+META = "http://t.example/meta"
+
+
+def _probe_store() -> QuadStore:
+    """A store whose (A, P) leaf is bare in G and a set in H, with bindings for a graph variable in META."""
+    store = QuadStore()
+    store._add_all(G, [(A, P, B), (A, Q, B), (B, P, A), (B, P, B)])
+    store._add_all(H, [(A, P, A), (A, P, B), (A, P, Literal("x")), (C, P, C)])
+    store._add_all(META, [(A, R, Iri(G)), (B, R, Iri(H)), (C, R, NOWHERE), (C, R, Blank("b")), (C, R, Literal(G))])
+    return store
+
+
+def _oracle_checked(store: QuadStore, patterns: list[Pattern]) -> list[dict]:
+    got = store.query_bgp(patterns)
+    assert got == expected_order(patterns, nested_loop_join(list(store.quads()), patterns))
+    return got
+
+
+@pytest.mark.parametrize("graph, objects", [(G, [B]), (H, [A, B, Literal("x")])])
+def test_a_probe_reads_a_bare_leaf_and_a_set_leaf(graph, objects):
+    store = _probe_store()
+    o = Var("o")
+    assert _oracle_checked(store, [Pattern(A, P, o, graph)]) == [{"o": term} for term in objects]
+    joined = _oracle_checked(store, [Pattern(Var("s"), Q, B, G), Pattern(Var("s"), P, o, graph)])
+    assert joined == [{"s": A, "o": term} for term in objects]
+
+
+def test_a_probe_of_an_absent_subject_predicate_or_graph_is_empty():
+    store = _probe_store()
+    s, o = Var("s"), Var("o")
+    for patterns in (
+        [Pattern(NOWHERE, P, o, G)],
+        [Pattern(A, NOWHERE, o, G)],
+        [Pattern(A, P, o, "http://t.example/no-graph")],
+        [Pattern(C, R, s, META), Pattern(s, P, o, H)],  # s bound to an IRI no row holds, a blank and a literal
+        [Pattern(A, Q, s, G), Pattern(s, Q, o, G)],  # B's row in G holds no Q
+    ):
+        assert _oracle_checked(store, patterns) == []
+
+
+def test_a_probe_reads_only_the_named_graph():
+    store = _probe_store()
+    s, o = Var("s"), Var("o")
+    assert _oracle_checked(store, [Pattern(s, Q, B, G), Pattern(s, P, o, H)]) == [
+        {"s": A, "o": A}, {"s": A, "o": B}, {"s": A, "o": Literal("x")}]
+    assert _oracle_checked(store, [Pattern(C, P, s, H), Pattern(s, P, o, G)]) == []
+
+
+@pytest.mark.parametrize("subject, graph, objects", [
+    (A, Iri(G), [B]),  # bound to G's IRI
+    (B, Iri(H), [A, B, Literal("x")]),  # bound to H's IRI
+    (C, None, []),  # bound to an IRI that names no graph, a blank node and a literal whose text is G
+])
+def test_a_probe_reads_the_graph_an_earlier_pattern_bound(subject, graph, objects):
+    store = _probe_store()
+    g, o = Var("g"), Var("o")
+    got = _oracle_checked(store, [Pattern(subject, R, g, META), Pattern(A, P, o, g)])
+    assert got == [{"g": graph, "o": term} for term in objects]
+    joined = _oracle_checked(store, [Pattern(Var("s"), R, g, META), Pattern(A, P, o, g)])
+    assert [(row["s"], row["g"]) for row in joined] == [(A, Iri(G)), *[(B, Iri(H))] * 3]
+
+
+def test_an_object_variable_that_repeats_the_subject_is_checked_not_probed():
+    store = _probe_store()
+    x, g = Var("x"), Var("g")
+    assert _oracle_checked(store, [Pattern(x, P, x, G)]) == [{"x": B}]
+    assert _oracle_checked(store, [Pattern(x, P, x, H)]) == [{"x": A}, {"x": C}]
+    assert _oracle_checked(store, [Pattern(x, R, g, META), Pattern(x, P, x, H)]) == [
+        {"x": A, "g": Iri(G)}, {"x": C, "g": NOWHERE}, {"x": C, "g": Blank("b")}, {"x": C, "g": Literal(G)}]
+    assert _oracle_checked(store, [Pattern(x, Q, B, G), Pattern(x, P, x, G)]) == []
+
+
 def test_lookup_work_does_not_grow_with_the_graph(monkeypatch):
     store = QuadStore()
     own = [Quad(A, P, Literal(str(i)), G) for i in range(3)] + [Quad(A, Q, B, G)]
