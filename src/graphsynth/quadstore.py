@@ -40,18 +40,20 @@ value is never stale. `clone` copies the tables and the predicate map and
 shares the kept values, which must be immutable.
 
 A basic graph pattern is answered by an index nested-loop join, planned
-once per query: each pattern's variables are listed once, as (position,
-name) pairs, and a greedy planner orders the patterns, taking next the one
-with the fewest free positions, those holding a variable no earlier pattern
-binds. The join reuses those lists for every binding. For each partial
-binding, `_candidates` puts the bound values into the variable positions
-only and walks the permutation whose key order starts with the bound
-positions; an object bound with no predicate has no such table, and is
-matched by a scan of the subject table that keeps the rows holding it.
-Every row it returns matches the bound positions. A graph name, or a graph
-variable already bound, visits one graph; a free graph variable visits the
-graphs the predicate map names for a bound predicate, and every graph only
-when the predicate is free too.
+once per query: a greedy planner takes next the pattern with the fewest
+free positions, those holding a variable no earlier pattern binds, and
+fixes each pattern's variable roles, so the join decides nothing per
+binding. A probe step, whose subject and predicate are bound (by a constant
+or an earlier variable), whose graph is named or bound, and whose one new
+variable is its object, reads one leaf of the graph's SPO table per
+binding. Any other step has `_candidates` walk the permutation whose key
+order starts with the bound positions (an object bound with no predicate
+is found by a scan of the subject table), drops a row whose repeated
+variable holds two values, and binds the first occurrence of each new
+variable. A graph name, or a graph variable already bound to an IRI,
+visits one graph, and one bound to a blank node or a literal none; a free
+graph variable visits the graphs the predicate map names for a bound
+predicate, and every graph only when the predicate is free too.
 
 The join order decides only how much work is done, never what comes out:
 every result binds all variables of the query, so two distinct results
@@ -315,14 +317,35 @@ class QuadStore:
 
     def _join(self, patterns: list[Pattern]) -> list[BindingSet]:
         """Index nested-loop join in planned order, sorted on all variables."""
+        for pattern in patterns:
+            if not isinstance(pattern, Pattern):
+                raise MalformedQuadError(f"expected a Pattern, got {type(pattern).__name__}")
         partial: list[BindingSet] = [{}]
         plan, names = _plan(patterns)
-        for pattern, variables in plan:
+        for template, bound, firsts, repeats, probe in plan:
             extended: list[BindingSet] = []
             for binding in partial:
-                for row in self._candidates(pattern, variables, binding):
-                    merged = _unify(variables, row, binding)
-                    if merged is not None:
+                key = template.copy()
+                for i, name in bound:
+                    key[i] = binding[name]
+                if probe is not None:  # one read of the (s, p) leaf in SPO; its objects are the new values
+                    s, p, _, graph = key
+                    if not isinstance(graph, str):  # a bound graph variable: an Iri names its graph, a blank or literal none
+                        graph = graph.value if isinstance(graph, Iri) else None
+                    objects = self._spo.get(graph, _NO_ROWS).get(s, _NO_ROWS).get(p)
+                    if type(objects) is set:
+                        extended += [{**binding, probe: o} for o in objects]
+                    elif objects is not None:
+                        extended.append({**binding, probe: objects})
+                    continue
+                for row in self._candidates(key):
+                    for i, j in repeats:
+                        if row[i] != row[j]:
+                            break
+                    else:
+                        merged = binding.copy()
+                        for i, name in firsts:
+                            merged[name] = row[i]
                         extended.append(merged)
             partial = extended
             if not partial:
@@ -331,24 +354,19 @@ class QuadStore:
             partial.sort(key=itemgetter(*names))  # a term is its own sort key
         return partial
 
-    def _candidates(
-        self, pattern: Pattern, variables: list[tuple[int, str]], binding: BindingSet
-    ) -> list[tuple[Term, Term, Term, Iri]]:
-        """(s, p, o, graph term) of every quad matching the pattern's bound positions.
+    def _candidates(self, key: list) -> list[tuple[Term, Term, Term, Iri]]:
+        """(s, p, o, graph term) of every quad matching the bound positions of key, [s, p, o, graph].
 
-        `variables` holds the pattern's (position, name) variables; only
-        those positions take their value, or None, from the binding. A free
-        graph variable visits the graphs that hold the predicate, or every
-        graph when the predicate is free too. Each graph visited is read
-        through the permutation whose key order begins with the bound
-        positions: POS for a predicate bound without a subject, SPO
-        otherwise. An object bound with no predicate bound has no table of
-        its own: the walk over SPO keeps the rows that hold it. Each leaf is
-        read as its set or as its one bare term, tested in the loop itself.
+        A free position holds None. A free graph visits the graphs that hold
+        the predicate, or every graph when the predicate is free too; a
+        graph name, or a bound graph variable's term, visits that one graph.
+        Each graph visited is read through the permutation whose key order
+        begins with the bound positions: POS for a predicate bound without a
+        subject, SPO otherwise. An object bound with no predicate bound has
+        no table of its own: the walk over SPO keeps the rows that hold it.
+        Each leaf is read as its set or as its one bare term, tested in the
+        loop itself.
         """
-        key = [*pattern]
-        for i, name in variables:
-            key[i] = binding.get(name)
         s, p, o, graph = key
         if graph is None:
             names = self._spo if p is None else self._graphs_of.get(p, ())
@@ -416,49 +434,45 @@ def _copy_tables(tables: dict[str, dict]) -> dict[str, dict]:
     }
 
 
-def _plan(patterns: list[Pattern]) -> tuple[list[tuple[Pattern, list[tuple[int, str]]]], list[str]]:
-    """Greedy join order, each pattern with its (position, name) variables, found once per query.
+def _plan(patterns: list[Pattern]) -> tuple[list[tuple[list, list, list, list, str | None]], list[str]]:
+    """Greedy join order, each pattern's variable roles fixed once per query; and all variable names, sorted.
 
-    Next comes the pattern with the fewest free positions, those holding a
-    variable no earlier pattern binds; ties go in the given order. Also
-    returns the names of all the variables, sorted.
+    Next comes the pattern with the fewest free positions; ties go in the
+    given order. A step is (template, bound, firsts, repeats, probe): the
+    pattern with None at each variable; the (position, name) variables an
+    earlier step binds; the first (position, name) of each new variable;
+    the (position, first position) of each repeat of one; and the object's
+    name if it is the one new variable (a probe step), else None.
     """
-    remaining = [(pattern, [(i, pos.name) for i, pos in enumerate(pattern) if isinstance(pos, Var)])
-                 for pattern in patterns]
-    bound: set[str] = set()
-    ordered = []
-    while len(remaining) > 1:
-        best, fewest = 0, 5
-        for k, (_, variables) in enumerate(remaining):
-            free = 0
-            for _, name in variables:
-                if name not in bound:
-                    free += 1
-            if free < fewest:
-                best, fewest = k, free
-        entry = remaining.pop(best)
-        ordered.append(entry)
-        bound.update([name for _, name in entry[1]])
-    ordered += remaining  # the last pattern needs no pick
-    bound.update([name for _, name in remaining[0][1]])
-    return ordered, sorted(bound)
-
-
-def _unify(
-    variables: list[tuple[int, str]], row: tuple[Term, Term, Term, Iri], binding: BindingSet
-) -> BindingSet | None:
-    """Extend `binding` with the row's value at each (position, name) of a pattern's variables, or None on a clash.
-
-    Concrete positions need no check: `_candidates` returns only rows that match them.
-    """
-    out = binding
-    for i, name in variables:
-        value = row[i]
-        bound = out.get(name)
-        if bound is None:
-            if out is binding:
-                out = dict(binding)
-            out[name] = value
-        elif bound != value:
-            return None
-    return dict(out) if out is binding else out
+    remaining = [*patterns]
+    # Variable name -> its first position in the pattern being planned, or None once an earlier step binds it.
+    known: dict[str, int | None] = {}
+    steps = []
+    while remaining:
+        best = 0
+        if len(remaining) > 1:
+            fewest = 5
+            for k, pattern in enumerate(remaining):
+                free = 0
+                for pos in pattern:
+                    if isinstance(pos, Var) and pos[1] not in known:
+                        free += 1
+                if free < fewest:
+                    best, fewest = k, free
+        pattern = remaining.pop(best)
+        template, bound, firsts, repeats = [*pattern], [], [], []
+        for i, pos in enumerate(pattern):
+            if isinstance(pos, Var):
+                template[i], name = None, pos[1]
+                if name not in known:
+                    known[name] = i
+                    firsts.append((i, name))
+                elif known[name] is None:
+                    bound.append((i, name))
+                else:
+                    repeats.append((i, known[name]))
+        for _, name in firsts:
+            known[name] = None
+        probe = firsts[0][1] if len(firsts) == 1 and firsts[0][0] == 2 and not repeats else None
+        steps.append((template, bound, firsts, repeats, probe))
+    return steps, sorted(known)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphsynth import quadstore, vocab
+from graphsynth import vocab
 from graphsynth.errors import MalformedQuadError, MalformedTermError
 from graphsynth.quadstore import Pattern, Quad, QuadStore, Var
 from graphsynth.terms import RDF_LANG_STRING, Blank, Iri, Literal
@@ -207,6 +207,19 @@ def test_match_pattern_graph_variable():
 def test_query_bgp_requires_a_pattern():
     with pytest.raises(ValueError):
         QuadStore().query_bgp([])
+
+
+@pytest.mark.parametrize("bad", [(A, P, Var("o"), G), Quad(A, P, B, G), (A, P, Var("o"), 5)],
+                         ids=["bare-tuple", "quad", "graph-5"])
+def test_query_entry_points_take_only_patterns(bad):
+    # Each equals a pattern's tuple, but skipped the Pattern constructor's checks.
+    store = QuadStore()
+    store.insert(Quad(A, P, B, G))
+    with pytest.raises(MalformedQuadError, match="expected a Pattern"):
+        store.match_pattern(bad)
+    for patterns in ([bad], [Pattern(Var("s"), P, Var("o"), G), bad]):
+        with pytest.raises(MalformedQuadError, match="expected a Pattern"):
+            store.query_bgp(patterns)
 
 
 def test_query_bgp_single_pattern_equals_match_pattern():
@@ -587,6 +600,30 @@ def test_an_object_variable_that_repeats_the_subject_is_checked_not_probed():
     assert _oracle_checked(store, [Pattern(x, R, g, META), Pattern(x, P, x, H)]) == [
         {"x": A, "g": Iri(G)}, {"x": C, "g": NOWHERE}, {"x": C, "g": Blank("b")}, {"x": C, "g": Literal(G)}]
     assert _oracle_checked(store, [Pattern(x, Q, B, G), Pattern(x, P, x, G)]) == []
+    # The object's one new variable repeats in the graph position: a walk that checks the repeat, not a probe.
+    store._add_all(META, [(C, P, Iri(META))])
+    assert _oracle_checked(store, [Pattern(C, P, x, x)]) == [{"x": Iri(META)}]
+
+
+class _RowLog(dict):
+    """A graph's SPO table that logs each subject row read from it: one per probe, one per row a scan visits."""
+
+    def __init__(self, table: dict, reads: list):
+        super().__init__(table)
+        self.reads = reads
+
+    def __getitem__(self, key):
+        self.reads.append(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads.append(key)
+        return super().get(key, default)
+
+    def items(self):
+        for item in super().items():
+            self.reads.append(item[0])
+            yield item
 
 
 def test_lookup_work_does_not_grow_with_the_graph(monkeypatch):
@@ -600,31 +637,48 @@ def test_lookup_work_does_not_grow_with_the_graph(monkeypatch):
     for i in range(5000):
         other = Iri(f"http://t.example/other{i}")
         store.insert(Quad(other, Q, Literal(str(i)), H) if i % 2 else Quad(other, P, B, H))
-    unified = 0
-    original = quadstore._unify
+    # A subject added last, so a probe that scanned for its row would read every row before it.
+    late = Iri("http://t.example/late")
+    store._add_all(G, [(late, Q, A), (late, P, Literal("late"))])
+    # The join's work: the rows each walk step extends bindings from, and the subject rows read from SPO.
+    walked, reads = 0, []
+    candidates = store._candidates
 
-    def counting(*args):
-        nonlocal unified
-        unified += 1
-        return original(*args)
+    def counting(key):
+        nonlocal walked
+        rows = candidates(key)
+        walked += len(rows)
+        return rows
 
-    monkeypatch.setattr(quadstore, "_unify", counting)
-    rows = store.match_pattern(Pattern(A, P, Var("o"), G))
+    monkeypatch.setattr(store, "_candidates", counting)
+    for name in (G, H):
+        store._spo[name] = _RowLog(store._spo[name], reads)
+
+    def work() -> tuple[int, int]:
+        nonlocal walked
+        done = walked, len(reads)
+        walked = 0
+        reads.clear()
+        return done
+
+    rows = store.match_pattern(Pattern(A, P, Var("o"), G))  # a probe step: one read of A's row
     assert rows == [{"o": Literal(str(i))} for i in range(3)]
-    assert unified <= len(own)
-    unified = 0
+    assert max(work()) <= len(own)
     assert len(store.match_pattern(Pattern(A, Var("p"), Var("o"), G))) == len(own)
-    assert unified <= len(own)
-    unified = 0
+    assert max(work()) <= len(own)
     assert len(store.query_bgp([Pattern(Var("s"), P, Var("o"), G), Pattern(Var("s"), Q, B, G)])) == 3
-    assert unified <= 2 * len(own)
-    unified = 0
-    # No table leads with the object: the scan visits every quad of the graph but unifies only the matches.
+    assert max(work()) <= 2 * len(own)
+    # A probe step whose subject and graph an earlier pattern binds.
+    s, g = Var("s"), Var("g")
+    assert store.query_bgp([Pattern(s, Q, A, g), Pattern(s, P, Var("o"), g)]) == [
+        {"s": late, "g": Iri(G), "o": Literal("late")}]
+    assert max(work()) <= 2 * len(own)
+    # No table leads with the object: the scan reads every subject row of the graph but extends only the matches.
     assert store.match_pattern(Pattern(Var("s"), Var("p"), B, G)) == [{"s": A, "p": Q}]
-    assert unified <= len(own)
-    unified = 0
+    walked_rows, read_rows = work()
+    assert walked_rows <= len(own) and read_rows == 5002
     assert store.match_pattern(Pattern(Var("s"), Q, B, Var("g"))) == [{"s": A, "g": Iri(G)}]
-    assert unified <= len(own)
+    assert max(work()) <= len(own)
 
 
 class _ReadLog(dict):
