@@ -757,6 +757,8 @@ def test_query_after_synthesis_reads_the_example_program_graph(capsys):
     ("query-core-functions.tsv", ["?fn gs:hasPurpose ?alg", "?fn gs:hasCallableName ?name"]),
     ("query-program-statements.tsv",
      ['?p plr:hasBasename "hello_analytic" ?g', "?p plr:hasStatement ?s ?g", "--statement", STMT]),
+    ("query-subject-row.tsv", ["kb:numpy_mean ?p ?o"]),  # one subject's row, every predicate of it
+    ("query-object-scan.tsv", ["?s ?p kb:numpy"]),  # an object bound with no predicate: a scan of every row
 ])
 def test_query_joins_print_their_golden_rows(capsys, golden, argv):
     # The same runs the CI console-script step compares byte for byte.

@@ -605,6 +605,61 @@ def test_an_object_variable_that_repeats_the_subject_is_checked_not_probed():
     assert _oracle_checked(store, [Pattern(C, P, x, x)]) == [{"x": Iri(META)}]
 
 
+M = Iri("http://t.example/m")
+
+
+def _walk_store() -> QuadStore:
+    """A store whose (A, P) leaf is bare in G and a set in H, and (A, Q) a set in G; M names graphs in META."""
+    store = QuadStore()
+    store._add_all(G, [(A, P, B), (A, Q, B), (A, Q, C), (A, Q, Literal("x")), (B, P, A), (C, R, B)])
+    store._add_all(H, [(A, P, B), (A, P, C), (A, Q, B), (B, Q, B)])
+    store._add_all(META, [(M, R, Iri(G)), (M, R, Iri(H)), (M, R, NOWHERE), (M, R, Blank("b")), (M, R, Literal(G))])
+    return store
+
+
+_s, _p, _o = Var("s"), Var("p"), Var("o")
+# (subject, predicate, object) for each bound/free combination, and how many quads of G match it.
+_WALKS = [
+    ("free-free-free", _s, _p, _o, 6),
+    ("subject", A, _p, _o, 4),
+    ("absent-subject", NOWHERE, _p, _o, 0),
+    ("predicate", _s, Q, _o, 3),
+    ("absent-predicate", _s, NOWHERE, _o, 0),
+    ("object", _s, _p, B, 3),
+    ("absent-object", _s, _p, NOWHERE, 0),
+    ("subject-predicate-bare", A, P, _o, 1),
+    ("subject-predicate-set", A, Q, _o, 3),
+    ("subject-absent-predicate", A, R, _o, 0),
+    ("absent-subject-predicate", NOWHERE, P, _o, 0),
+    ("subject-object-bare-and-set", A, _p, B, 2),
+    ("subject-object-set", A, _p, Literal("x"), 1),
+    ("subject-object-none", A, _p, A, 0),
+    ("absent-subject-object", NOWHERE, _p, B, 0),
+    ("predicate-object", _s, Q, B, 1),
+    ("predicate-absent-object", _s, P, NOWHERE, 0),
+    ("all-bare-holding", A, P, B, 1),
+    ("all-bare-not-holding", A, P, C, 0),
+    ("all-set-holding", A, Q, C, 1),
+    ("all-set-not-holding", A, Q, A, 0),
+    ("all-absent-subject", NOWHERE, P, B, 0),
+    ("all-absent-predicate", A, R, B, 0),
+]
+
+
+@pytest.mark.parametrize("s, p, o, in_g", [case[1:] for case in _WALKS], ids=[case[0] for case in _WALKS])
+def test_every_bound_free_combination_reads_what_the_oracle_finds(s, p, o, in_g):
+    store = _walk_store()
+    g = Var("g")
+    assert len(_oracle_checked(store, [Pattern(s, p, o, G)])) == in_g
+    _oracle_checked(store, [Pattern(s, p, o, H)])
+    _oracle_checked(store, [Pattern(s, p, o, "http://t.example/no-graph")])
+    free = _oracle_checked(store, [Pattern(s, p, o, g)])  # every graph, or those holding the predicate
+    assert sum(row["g"] == Iri(G) for row in free) == in_g
+    # The graph variable is bound first, by M's one free position: to G, H, an IRI naming no graph, a blank, a literal.
+    bound = _oracle_checked(store, [Pattern(M, R, g, META), Pattern(s, p, o, g)])
+    assert sum(row["g"] == Iri(G) for row in bound) == in_g
+
+
 class _RowLog(dict):
     """A graph's SPO table that logs each subject row read from it: one per probe, one per row a scan visits."""
 
@@ -666,6 +721,13 @@ def test_lookup_work_does_not_grow_with_the_graph(monkeypatch):
     assert max(work()) <= len(own)
     assert len(store.match_pattern(Pattern(A, Var("p"), Var("o"), G))) == len(own)
     assert work() == (len(own), 1)  # both counters count: a walk of A's row, read once
+    # A check of one quad, and a subject with its object bound: each reads the subject's row once, not the table.
+    assert store.match_pattern(Pattern(A, P, Literal("1"), G)) == [{}]
+    assert work() == (1, 1)
+    assert store.match_pattern(Pattern(A, Var("p"), B, G)) == [{"p": Q}]
+    assert work() == (1, 1)
+    assert store.match_pattern(Pattern(late, Var("p"), A, G)) == [{"p": Q}]
+    assert work() == (1, 1)
     assert len(store.query_bgp([Pattern(Var("s"), P, Var("o"), G), Pattern(Var("s"), Q, B, G)])) == 3
     assert max(work()) <= 2 * len(own)
     # A probe step whose subject and graph an earlier pattern binds.

@@ -406,3 +406,41 @@ def test_one_value_of_a_single_valued_field_reads_as_in_a_many_valued_one(kind, 
         assert single_problems == many_problems, value
         assert single == {name: values[0] for name, values in many.items()}, value
         assert bool(single) != bool(single_problems), value
+
+
+_STRANGER = Iri("http://t.example/stranger")
+# Kind, a term of it, two terms not of it (in term order), what a kind problem expects, and how each bad term prints.
+_KIND_CASES = [
+    (views.STR, Literal("x"), (Literal("7", XSD_INTEGER), Literal("x", RDF_LANG_STRING, "en")),
+     "a string literal", ("7", '"x"@en')),
+    (views.NAME, Literal("a.b"), (Blank("b1"), Literal("a.1b")), "a dotted identifier", ("_:b1", '"a.1b"')),
+    (views.INT, Literal("7", XSD_INTEGER), (Literal("7", XSD_DECIMAL), Literal("7.0", XSD_INTEGER)),
+     "an integer literal", ('"7"^^xsd:decimal', '"7.0"^^xsd:integer')),
+    (views.BOOL, Literal("true", XSD_BOOLEAN), (Literal("1", XSD_BOOLEAN), Literal("true")),
+     "a boolean literal", ('"1"^^xsd:boolean', '"true"')),
+    (views.IRI, _STRANGER, (Blank("b1"), Literal("x")), "an IRI", ("_:b1", '"x"')),
+    (views.NODE, Blank("b1"), (Literal("7", XSD_INTEGER), Literal("x")), "an IRI or blank node", ("7", '"x"')),
+    (_CLASS, _MEMBER, (_STRANGER, Blank("b1")), "an instance of <http://t.example/Class>",
+     ("<http://t.example/stranger>", "_:b1")),
+]
+
+
+@pytest.mark.parametrize("kind, good, bad, expected, found", _KIND_CASES,
+                         ids=["STR", "NAME", "INT", "BOOL", "IRI", "NODE", "class"])
+def test_read_lists_a_count_problem_then_one_kind_problem_per_bad_term_in_term_order(kind, good, bad, expected, found):
+    where = "<http://t.example/node> <http://t.example/p>"
+    kind_problems = [f"{where}: expected {expected}, found {text}" for text in found]
+
+    def problems_of(terms, high):
+        store = QuadStore()
+        store._add_all(_G, [(_NODE, _P, term) for term in reversed(terms)])  # the row, not the writes, gives the order
+        problems = []
+        assert views.read(store, _G, (("f", _P, kind, 1, high),), _NODE, problems, {_CLASS: {_MEMBER}}) == {}
+        return problems
+
+    assert problems_of([bad[0]], 1) == kind_problems[:1]
+    assert problems_of([good, bad[0]], 1) == [f"{where}: expected exactly 1 value, found 2", kind_problems[0]]
+    assert problems_of([good, bad[0]], views.MANY) == kind_problems[:1]
+    assert problems_of([good, *bad], 1) == [f"{where}: expected exactly 1 value, found 3", *kind_problems]
+    assert problems_of([*bad, good], views.MANY) == kind_problems
+    assert problems_of([*bad], views.MANY) == kind_problems
