@@ -46,11 +46,14 @@ fixes each pattern's variable roles, so the join decides nothing per
 binding. A probe step, whose subject and predicate are bound (by a constant
 or an earlier variable), whose graph is named or bound, and whose one new
 variable is its object, reads one leaf of the graph's SPO table per
-binding. Any other step has `_candidates` walk the permutation whose key
-order starts with the bound positions (an object bound with no predicate
-is found by a scan of the subject table), drops a row whose repeated
+binding. Any other step has `_candidates` read the permutation whose key
+order starts with the bound positions, drops a row whose repeated
 variable holds two values, and binds the first occurrence of each new
-variable. A graph name, or a graph variable already bound to an IRI,
+variable. A predicate bound without a subject is read from POS; every
+other step takes one SPO walk, over every subject row or the bound
+subject's, then over every leaf of the row or the bound predicate's,
+keeping the objects equal to a bound one (so an object bound with no
+predicate is found by a scan of the subject table). A graph name, or a graph variable already bound to an IRI,
 visits one graph, and one bound to a blank node or a literal none; a free
 graph variable visits the graphs the predicate map names for a bound
 predicate, and every graph only when the predicate is free too.
@@ -362,10 +365,11 @@ class QuadStore:
         graph name, or a bound graph variable's term, visits that one graph.
         Each graph visited is read through the permutation whose key order
         begins with the bound positions: POS for a predicate bound without a
-        subject, SPO otherwise. An object bound with no predicate bound has
-        no table of its own: the walk over SPO keeps the rows that hold it.
-        Each leaf is read as its set or as its one bare term, tested in the
-        loop itself.
+        subject, SPO otherwise. SPO is read by one walk: every subject row,
+        or the bound subject's; in it every leaf, or the bound predicate's.
+        A set leaf is filtered by a bound object and a bare leaf compared
+        with it, so an object bound with no predicate, which has no table of
+        its own, is found by the walk over every row.
         """
         s, p, o, graph = key
         if graph is None:
@@ -392,30 +396,17 @@ class QuadStore:
                         rows += [(s_, p, o, g) for s_ in subjects]
                     elif subjects is not None:
                         rows.append((subjects, p, o, g))
-            elif s is None:
-                for s_, by_predicate in self._spo[name].items():
-                    for p_, objects in by_predicate.items():
+            else:  # every row, or the bound subject's; then every leaf of the row, or the bound predicate's
+                spo = self._spo[name]
+                for s_, by_predicate in spo.items() if s is None else ((s, spo.get(s, _NO_ROWS)),):
+                    for p_, objects in by_predicate.items() if p is None else ((p, by_predicate.get(p)),):
                         if type(objects) is set:
-                            rows += [(s_, p_, o_, g) for o_ in objects if o is None or o_ == o]
-                        elif o is None or objects == o:
+                            if o is None:
+                                rows += [(s_, p_, o_, g) for o_ in objects]
+                            elif o in objects:
+                                rows.append((s_, p_, o, g))
+                        elif objects is not None and (o is None or objects == o):
                             rows.append((s_, p_, objects, g))
-            else:
-                by_predicate = self._spo[name].get(s, _NO_ROWS)
-                if p is None:
-                    for p_, objects in by_predicate.items():
-                        if type(objects) is set:
-                            rows += [(s, p_, o_, g) for o_ in objects if o is None or o_ == o]
-                        elif o is None or objects == o:
-                            rows.append((s, p_, objects, g))
-                else:
-                    objects = by_predicate.get(p)
-                    if type(objects) is set:
-                        if o is None:
-                            rows += [(s, p, o_, g) for o_ in objects]
-                        elif o in objects:
-                            rows.append((s, p, o, g))
-                    elif objects is not None and (o is None or objects == o):
-                        rows.append((s, p, objects, g))
         return rows
 
 
