@@ -46,14 +46,12 @@ fixes each pattern's variable roles, so the join decides nothing per
 binding. A probe step, whose subject and predicate are bound (by a constant
 or an earlier variable), whose graph is named or bound, and whose one new
 variable is its object, reads one leaf of the graph's SPO table per
-binding. Any other step has `_candidates` read the permutation whose key
-order starts with the bound positions, drops a row whose repeated
+binding. Any other step has `_candidates` read POS for a predicate bound
+with no subject, and otherwise take one SPO walk (every subject row or
+the bound subject's, then every leaf or the bound predicate's, so an
+object bound alone is found by a scan), drops a row whose repeated
 variable holds two values, and binds the first occurrence of each new
-variable. A predicate bound without a subject is read from POS; every
-other step takes one SPO walk, over every subject row or the bound
-subject's, then over every leaf of the row or the bound predicate's,
-keeping the objects equal to a bound one (so an object bound with no
-predicate is found by a scan of the subject table). A graph name, or a graph variable already bound to an IRI,
+variable. A graph name, or a graph variable already bound to an IRI,
 visits one graph, and one bound to a blank node or a literal none; a free
 graph variable visits the graphs the predicate map names for a bound
 predicate, and every graph only when the predicate is free too.

@@ -5,9 +5,10 @@ entity class the pipeline reads: per property its field, predicate, kind
 and cardinality. `check_kb` lists each class's instances with one probe of
 the store's predicate table and reads the fields of each once through
 `read`, the one reader of a field table, which checks each field's count
-and kind and reports what breaks them. From the same values it compiles a `Kb` snapshot of
-`NamedTuple` records and indexes, with no defaults: an absent optional
-value reads as None (or an empty tuple). The store keeps the snapshot
+and kind, decoding each term by `_value`, the one copy of the kind rules,
+and reports what breaks them. From the same values it compiles a `Kb`
+snapshot of `NamedTuple` records and indexes, with no defaults: an absent
+optional value reads as None (or an empty tuple). The store keeps the snapshot
 beside the graph's quad count, and `kb` compiles a new one once the graph
 has gained a quad, so no stage reads a stale KB: the store is append-only,
 so every change raises the count. The stages read the `Kb` fields
@@ -29,7 +30,7 @@ from typing import Mapping, NamedTuple
 from graphsynth import vocab
 from graphsynth.errors import KbValidationError
 from graphsynth.quadstore import QuadStore
-from graphsynth.terms import RDF_TYPE, XSD_BOOLEAN, XSD_INTEGER, XSD_STRING, Blank, Iri, Literal, Term
+from graphsynth.terms import RDF_TYPE, XSD_BOOLEAN, XSD_INTEGER, XSD_STRING, Iri, Literal, Term
 from graphsynth.turtle import _format_term
 
 
@@ -235,90 +236,67 @@ _RDF_TYPE = Iri(RDF_TYPE)
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 _QUOTE = re.compile(r"[^\w\s\\]")  # a string quote: no word character, whitespace or backslash
 _WORD = re.compile(r"\w")
-# The Python value a term of each kind reads as; a link kind, not in the
-# table, reads as the term itself.
-_VALUE = {
-    STR: attrgetter("lexical"), NAME: attrgetter("lexical"), INT: lambda t: int(t.lexical),
-    BOOL: lambda t: t.lexical == "true", IRI: attrgetter("value"),
-}
 _EXPECTED_COUNT = {(1, 1): "exactly 1 value", (0, 1): "at most 1 value", (1, MANY): "at least 1 value"}
 _EXPECTED_KIND = {
     STR: "a string literal", NAME: "a dotted identifier", INT: "an integer literal", BOOL: "a boolean literal",
     IRI: "an IRI", NODE: "an IRI or blank node",
 }
+_BAD = object()  # what `_value` returns for a term not of its field's kind
 
 
-def _has_kind(term: Term, kind: str, members: Mapping[str, set]) -> bool:
-    if kind == STR:
-        return isinstance(term, Literal) and term.datatype == XSD_STRING
-    if kind == NAME:
-        return _has_kind(term, STR, members) and all(part.isidentifier() for part in term.lexical.split("."))
-    if kind == INT:
-        return isinstance(term, Literal) and term.datatype == XSD_INTEGER and bool(_INTEGER.fullmatch(term.lexical))
-    if kind == BOOL:
-        return isinstance(term, Literal) and term.datatype == XSD_BOOLEAN and term.lexical in ("true", "false")
-    if kind == NODE:
-        return isinstance(term, (Iri, Blank))
-    return isinstance(term, Iri) and (kind == IRI or term in members[kind])
+def _value(term: Term, kind: str, members: Mapping[str, set]):
+    """What `term` reads as in a field of `kind`: a literal's value, an IRI's string, a link's term; else `_BAD`."""
+    if isinstance(term, Literal):
+        lexical, datatype = term[1], term[2]
+        if datatype == XSD_STRING:
+            if kind == STR or (kind == NAME and all(part.isidentifier() for part in lexical.split("."))):
+                return lexical
+        elif datatype == XSD_INTEGER:
+            if kind == INT and _INTEGER.fullmatch(lexical):
+                return int(lexical)
+        elif datatype == XSD_BOOLEAN and kind == BOOL and (lexical == "true" or lexical == "false"):
+            return lexical == "true"
+        return _BAD
+    if kind == IRI:
+        return term[1] if isinstance(term, Iri) else _BAD
+    if kind == NODE or (kind not in _EXPECTED_KIND and isinstance(term, Iri) and term in members[kind]):  # a class kind
+        return term
+    return _BAD
 
 
 def read(store: QuadStore, graph: str, fields: tuple[Field, ...], node: Term, problems: list[str],
          members: Mapping[str, set]) -> dict:
     """The well-formed fields of `fields` on `node`, by name; each problem of the others is appended to `problems`.
 
-    A field reads as a literal kind's Python value, an IRI as its string, a
-    link as the term; a single-valued field as its value or None, a
-    many-valued one as a tuple. A field with too few or too many values, or
-    with a value of the wrong kind, is left out, and each fault is one
-    problem that names the node and the predicate, and the count or kind
-    expected and what was found. `members` maps each class kind to the set
-    of its instances. The node's row is fetched from the store once.
+    A single-valued field reads as its term's `_value` or None, a
+    many-valued one as a tuple. A field of the wrong count, or with a term
+    of the wrong kind, is left out, with a count problem first and then one
+    kind problem per bad term, in term order, each naming the node, the
+    predicate, what was expected and what was found. `members` maps each
+    class kind to the set of its instances. The node's row is read once.
     """
     row = store.row(node, graph)
     values = {}
     for name, predicate, kind, low, high in fields:
         terms = row.get(predicate, ())
-        if high == 1 and len(terms) == 1:
-            # The common case, one value of a single-valued field, is decoded
-            # here by the tests `_has_kind` makes; any other goes through it.
-            term = terms[0]
-            if isinstance(term, Literal):
-                lexical, datatype = term[1], term[2]
-                if kind == STR and datatype == XSD_STRING:
-                    values[name] = lexical
-                    continue
-                if kind == INT and datatype == XSD_INTEGER and _INTEGER.fullmatch(lexical):
-                    values[name] = int(lexical)
-                    continue
-                if kind == BOOL and datatype == XSD_BOOLEAN and (lexical == "true" or lexical == "false"):
-                    values[name] = lexical == "true"
-                    continue
-            elif isinstance(term, Iri):
-                if kind == IRI:
-                    values[name] = term[1]
-                    continue
-                if kind in members and term in members[kind]:
-                    values[name] = term
-                    continue
+        if high == 1 and len(terms) == 1:  # the common case: one value of a single-valued field
+            value = _value(terms[0], kind, members)
+            if value is not _BAD:
+                values[name] = value
+                continue
+        decoded = [_value(term, kind, members) for term in terms]
         bad_count = len(terms) < low or (high is not MANY and len(terms) > high)
-        bad_values = [term for term in terms if not _has_kind(term, kind, members)]
-        if not bad_count and not bad_values:
-            values[name] = _decode(terms, kind, high)
+        if not bad_count and _BAD not in decoded:
+            values[name] = tuple(decoded) if high is MANY else decoded[0] if decoded else None
             continue
         where = f"{_format_term(node)} {_format_term(predicate)}"
         if bad_count:
             problems.append(f"{where}: expected {_EXPECTED_COUNT[low, high]}, found {len(terms)}")
-        for value in bad_values:
-            expected = _EXPECTED_KIND.get(kind) or f"an instance of {_format_term(Iri(kind))}"
-            problems.append(f"{where}: expected {expected}, found {_format_term(value)}")
+        for term, value in zip(terms, decoded):
+            if value is _BAD:
+                expected = _EXPECTED_KIND.get(kind) or f"an instance of {_format_term(Iri(kind))}"
+                problems.append(f"{where}: expected {expected}, found {_format_term(term)}")
     return values
-
-
-def _decode(terms: tuple[Term, ...], kind: str, high: int | None):
-    """A field's value from its terms: the one value or None if single-valued, else a tuple."""
-    value = _VALUE.get(kind)
-    values = [value(term) for term in terms] if value else terms
-    return tuple(values) if high is MANY else values[0] if values else None
 
 
 # --- the snapshot ---------------------------------------------------------

@@ -395,7 +395,7 @@ _VALUES = (
 @pytest.mark.parametrize("kind", [views.STR, views.NAME, views.INT, views.BOOL, views.IRI, views.NODE, _CLASS])
 @pytest.mark.parametrize("low", [0, 1])
 def test_one_value_of_a_single_valued_field_reads_as_in_a_many_valued_one(kind, low):
-    # `read` decodes the one value of a single-valued field in line; the many-valued path checks each value by kind.
+    # `read` takes a shortcut for the one value of a single-valued field: it must read and report as the general path.
     members = {_CLASS: {_MEMBER}}
     for value in _VALUES:
         store = QuadStore()
