@@ -14,6 +14,7 @@ node per program, section, library reference, statement and call argument.
 from __future__ import annotations
 
 import keyword
+import sys
 from typing import Collection, Iterable, Mapping, NamedTuple
 
 from graphsynth import vocab, views
@@ -221,9 +222,12 @@ def compose(plan: BuildPlan, store: QuadStore) -> PlaProgram:
         raise ComposeError(f"target graph is not empty: {graph_iri}")
     functions = _called_functions(plan)
     libraries = tuple(dict.fromkeys(function.library for function in functions))
-    # A program file named after a top-level module it imports would import itself instead.
+    # A program file named after a top-level module it imports would import itself instead, and one named
+    # after a standard-library module would be imported in its place by every library that needs it.
     if plan.program_basename in {lib.official_name.partition(".")[0] for lib in libraries}:
         raise ComposeError(f"program basename {plan.program_basename!r} names an imported library")
+    if plan.program_basename in sys.stdlib_module_names:
+        raise ComposeError(f"program basename {plan.program_basename!r} names a standard-library module")
 
     patterns, reserved, names = views.kb(store).naming_patterns, library_names(plan), NameAllocator()
 

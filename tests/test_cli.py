@@ -529,6 +529,18 @@ def test_a_basename_that_names_an_imported_library_maps_to_compose_exit_code(tmp
             assert [path.name for path in out.iterdir()] == [f"{basename}.py"]
 
 
+@pytest.mark.parametrize("basename", ["pickle", "inspect", "textwrap"])
+def test_a_basename_that_names_a_standard_library_module_maps_to_compose_exit_code(tmp_path, capsys, basename):
+    # Run from its own directory, `pickle.py` would be imported by numpy in place of the standard module.
+    statement = tmp_path / f"{basename}.aida"
+    statement.write_text(Path(STMT).read_text(encoding="utf-8").replace("'hello_analytic'", f"'{basename}'"))
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "synthesize", str(statement), "--out", str(out))
+    assert code == 6, err
+    assert f"stage compose: program basename '{basename}' names a standard-library module" in err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "error, stage, code",
     [
