@@ -251,9 +251,8 @@ def _value(term: Term, kind: str, members: Mapping[str, set]):
         if datatype == XSD_STRING:
             if kind == STR or (kind == NAME and all(part.isidentifier() for part in lexical.split("."))):
                 return lexical
-        elif datatype == XSD_INTEGER:
-            if kind == INT and _INTEGER.fullmatch(lexical):
-                return int(lexical)
+        elif datatype == XSD_INTEGER and kind == INT and _INTEGER.fullmatch(lexical):
+            return int(lexical)
         elif datatype == XSD_BOOLEAN and kind == BOOL and (lexical == "true" or lexical == "false"):
             return lexical == "true"
         return _BAD
@@ -292,10 +291,9 @@ def read(store: QuadStore, graph: str, fields: tuple[Field, ...], node: Term, pr
         where = f"{_format_term(node)} {_format_term(predicate)}"
         if bad_count:
             problems.append(f"{where}: expected {_EXPECTED_COUNT[low, high]}, found {len(terms)}")
-        for term, value in zip(terms, decoded):
-            if value is _BAD:
-                expected = _EXPECTED_KIND.get(kind) or f"an instance of {_format_term(Iri(kind))}"
-                problems.append(f"{where}: expected {expected}, found {_format_term(term)}")
+        expected = _EXPECTED_KIND.get(kind) or f"an instance of {_format_term(Iri(kind))}"
+        problems += [f"{where}: expected {expected}, found {_format_term(term)}"
+                     for term, value in zip(terms, decoded) if value is _BAD]
     return values
 
 
