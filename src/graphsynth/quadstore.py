@@ -394,7 +394,7 @@ class QuadStore:
                         rows += [(s_, p, o, g) for s_ in subjects]
                     elif subjects is not None:
                         rows.append((subjects, p, o, g))
-            else:  # every row, or the bound subject's; then every leaf of the row, or the bound predicate's
+            else:
                 spo = self._spo[name]
                 for s_, by_predicate in spo.items() if s is None else ((s, spo.get(s, _NO_ROWS)),):
                     for p_, objects in by_predicate.items() if p is None else ((p, by_predicate.get(p)),):
