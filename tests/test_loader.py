@@ -301,3 +301,74 @@ def test_each_load_builds_its_own_iri_terms(seed_kb):
     assert set(first.quads(vocab.CORE_GRAPH)) == set(second.quads(vocab.CORE_GRAPH))
     first_ids = {id(term) for term in _iris_in(first, vocab.CORE_GRAPH)}
     assert first_ids and not first_ids & {id(term) for term in _iris_in(second, vocab.CORE_GRAPH)}
+
+
+# One load of several documents that share directives, each document loaded as an entry, in order.
+ONE, TWO = "http://t.example/one/", "http://t.example/two/"
+
+
+def _load_documents(tmp_path, texts: list[str]) -> QuadStore:
+    names = [f"d{k}.ttl" for k in range(len(texts))]
+    for name, text in zip(names, texts):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    catalog = ImportCatalog.load(write_catalog(tmp_path, [(f"http://t.example/{name}", name) for name in names]))
+    store = QuadStore()
+    load_with_imports([tmp_path / name for name in names], catalog, store, G)
+    return store
+
+
+def _triples(store: QuadStore) -> set[tuple[str, str, str]]:
+    return {(quad.subject.value, quad.predicate.value, quad.object.value) for quad in store.quads(G)}
+
+
+def _spo(namespace: str, p: str = "p") -> tuple[str, str, str]:
+    return namespace + "s", namespace + p, namespace + "o"
+
+
+def test_one_prefix_bound_to_two_namespaces_in_two_documents_names_two_iris(tmp_path):
+    store = _load_documents(tmp_path, [
+        f"@prefix x: <{ONE}> .\nx:s x:p x:o .\n",
+        f"@prefix x: <{TWO}> .\nx:s x:p x:o .\n",
+        f"@prefix x: <{ONE}> .\nx:s x:q x:o .\n",
+    ])
+    assert _triples(store) == {_spo(ONE), _spo(TWO), _spo(ONE, "q")}
+
+
+def test_a_prefix_only_an_earlier_document_declared_is_undeclared_in_its_own_place(tmp_path):
+    # The later document's header is the first directive of the earlier one's.
+    first = f"@prefix x: <{ONE}> .\n@prefix y: <{TWO}> .\nx:s y:t x:o .\n"
+    later = f"@prefix x: <{ONE}> .\nx:s x:p x:o .\n\n  x:s y:t x:o .\n"
+    with pytest.raises(KbFileError) as exc:
+        _load_documents(tmp_path, [first, later])
+    assert str(exc.value) == f"{(tmp_path / 'd1.ttl').resolve()}: 4:7: undeclared prefix 'y:'"
+
+
+def test_a_prefix_rebound_inside_a_document_names_its_new_namespace_from_there_on(tmp_path):
+    store = _load_documents(tmp_path, [
+        f"@prefix x: <{ONE}> .\nx:s x:p x:o .\n@prefix x: <{TWO}> .\nx:s x:p x:o .\n",
+        f"@prefix x: <{ONE}> .\nx:s x:q x:o .\n",
+        f"@prefix x: <{TWO}> .\nx:s x:q x:o .\n",
+        f"@prefix x: <{ONE}> .\n@prefix x: <{TWO}> .\n@prefix x: <{ONE}> .\nx:s x:r x:o .\n",
+    ])
+    assert _triples(store) == {_spo(ONE), _spo(TWO), _spo(ONE, "q"), _spo(TWO, "q"), _spo(ONE, "r")}
+
+
+def test_documents_with_one_header_and_their_own_base_resolve_relative_iris_against_it(tmp_path):
+    header = f"@prefix x: <{ONE}> .\n"
+    store = _load_documents(tmp_path, [
+        header + f"@base <{ONE}> .\n<s> x:p <o> .\n",
+        header + f"@base <{TWO}> .\n<s> x:p <o> .\n",
+        header + f"@base <{TWO}> .\n@base <{ONE}> .\n<s> x:q <o> .\n",
+    ])
+    assert _triples(store) == {_spo(ONE), (TWO + "s", ONE + "p", TWO + "o"), _spo(ONE, "q")}
+
+
+@pytest.mark.parametrize("place", ["subject", "object"])
+def test_a_blank_node_in_one_place_only_is_renamed_per_document(tmp_path, place):
+    triple = "_:n x:p x:o .\n" if place == "subject" else "x:s x:p _:n .\n"
+    store = _load_documents(tmp_path, [HEADER + triple, HEADER + "x:s x:q x:o .\n", HEADER + triple])
+    found = {term for quad in store.quads(G) for term in (quad.subject, quad.object) if isinstance(term, Blank)}
+    expected = {Blank("b" + hashlib.sha1(f"http://t.example/{name}|n".encode()).hexdigest()[:16])
+                for name in ("d0.ttl", "d2.ttl")}
+    assert found == expected
+    assert store.graph_size(G) == 3

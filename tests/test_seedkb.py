@@ -10,12 +10,13 @@ from graphsynth.seed import fixture_path, load_kb
 from graphsynth.terms import (
     RDF_LANG_STRING, XSD_BOOLEAN, XSD_DECIMAL, XSD_INTEGER, Blank, Iri, Literal, integer_literal,
 )
+from graphsynth.turtle import serialize
 from graphsynth.views import check_kb
 
 from conftest import (
     ARITHMETIC_MEAN, ASCII_ENCODING, CSV_FORMAT, DIMENSIONLESS_SAMPLE, FILE_CONTAINER, FLOATING_POINT_DATATYPE,
-    LIBRARY_KIND_EXTERNAL, LIBRARY_KIND_STDLIB, MYINPUT, NUMPY_LIBRARY, READ_CSV_FLOAT_FILE, STANDARD_DEVIATION,
-    SYS_LIBRARY, edited, insert_turtle,
+    GOLDEN_DIR, LIBRARY_KIND_EXTERNAL, LIBRARY_KIND_STDLIB, MYINPUT, NUMPY_LIBRARY, READ_CSV_FLOAT_FILE,
+    STANDARD_DEVIATION, SYS_LIBRARY, edited, insert_turtle,
 )
 
 TEST_HEADER = """\
@@ -38,6 +39,11 @@ x:zform_s2 a gs:TemplateSlot ; gs:hasSlotIndex 2 ; gs:hasSlotField "expression" 
 """
 ZFORM_PROBLEM = ("statement forms of assign-expr for Python: expected exactly 1, found 2: "
                  "kb:py_assign_expr, <http://t.example/zform>")
+
+
+def test_a_fresh_load_of_the_shipped_kb_serializes_to_the_core_golden():
+    store, _ = load_kb()
+    assert serialize(store, vocab.CORE_GRAPH) == (GOLDEN_DIR / "core.ttl").read_text(encoding="utf-8")
 
 
 def test_myinput_metadata_matches_shipped_shape(seed_kb):
