@@ -9,8 +9,14 @@ quad set independent of load order.
 A file that cannot be read, or is no UTF-8 text or no valid Turtle, raises
 KbFileError, whose message starts with the file's path. Every load reads
 and parses every file it reaches; nothing is kept from one load to the next.
-Within one load the parser shares one table of IRI terms across documents,
-so each distinct IRI is built and checked once per load.
+Within one load the documents share one parse state (`turtle.LoadState`):
+each distinct IRI is built and checked once per load, and each directive
+header is parsed, and each name under it resolved, once per load however
+many documents open with it.
+The loader runs no loop of its own over a document's triples: the parser
+flags a document that holds a blank node, and two filters pick out its
+`owl:imports` objects and the subjects it types `owl:Ontology` by the
+identity of the load's one Iri for each of those IRIs.
 """
 
 from __future__ import annotations
@@ -23,9 +29,7 @@ from typing import NamedTuple
 from graphsynth.errors import CatalogError, ImportResolutionError, KbFileError, TurtleParseError
 from graphsynth.quadstore import QuadStore
 from graphsynth.terms import OWL_IMPORTS, OWL_ONTOLOGY, RDF_TYPE, Blank, Iri, Term
-from graphsynth.turtle import OntologyDocument, parse_document
-
-_IMPORTS, _TYPE, _ONTOLOGY = Iri(OWL_IMPORTS), Iri(RDF_TYPE), Iri(OWL_ONTOLOGY)
+from graphsynth.turtle import LoadState, OntologyDocument, parse_document
 
 
 class LoadReport(NamedTuple):
@@ -123,8 +127,8 @@ def _keyed(path: str) -> tuple[str, FileKey]:
     return path, (status.st_dev, status.st_ino)
 
 
-def _read_document(path: str, terms: dict[str, Iri]) -> OntologyDocument:
-    """Parse one KB file, each IRI through the load's `terms`.
+def _read_document(path: str, load: LoadState) -> OntologyDocument:
+    """Parse one KB file in the state its load shares.
 
     A file that cannot be read, or is no UTF-8 or no valid Turtle, names itself.
     """
@@ -139,7 +143,7 @@ def _read_document(path: str, terms: dict[str, Iri]) -> OntologyDocument:
     if "\r" in text:  # the line ends a text-mode read gives, so that lines and columns are counted alike
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
-        return parse_document(text, terms)
+        return parse_document(text, load)
     except TurtleParseError as exc:
         raise KbFileError(f"{path}: {exc}") from exc
 
@@ -152,13 +156,17 @@ def load_with_imports(
 ) -> LoadReport:
     """Load the entry files and, transitively, everything they owl:import.
 
-    The documents share one table of IRI terms, local to this call.
+    The documents share one parse state, local to this call: one Iri per
+    IRI and the prefix environments their directives build.
     """
     visited_iris: set[str] = set()
     visited_files: set[FileKey] = set()
     # Each entry is resolved once; each import comes with its path and key from the catalog.
     pending: list[tuple[str, FileKey]] = [_keyed(str(Path(p).resolve())) for p in entry]
-    terms: dict[str, Iri] = {}  # IRI -> its one Iri in this load
+    # Every IRI of the load is its one Iri in `terms`, so these three are found by identity.
+    terms = {iri: Iri(iri) for iri in (OWL_IMPORTS, RDF_TYPE, OWL_ONTOLOGY)}
+    imports_p, type_p, ontology = terms[OWL_IMPORTS], terms[RDF_TYPE], terms[OWL_ONTOLOGY]
+    load = LoadState(terms)
     files = 0
     inserted = 0
 
@@ -173,22 +181,14 @@ def load_with_imports(
         if known_iri is not None:
             visited_iris.add(known_iri)
 
-        doc = _read_document(path, terms)
-        doc_key = known_iri or Path(path).as_posix()
+        doc = _read_document(path, load)
         files += 1
 
         triples = doc.statements
-        imports: list[str] = []
-        has_blank = False
-        for subject, predicate, obj in triples:
-            if predicate == _IMPORTS:
-                if isinstance(obj, Iri):
-                    imports.append(obj.value)
-            elif obj == _ONTOLOGY and predicate == _TYPE and isinstance(subject, Iri):
-                visited_iris.add(subject.value)
-            if isinstance(subject, Blank) or isinstance(obj, Blank):
-                has_blank = True
-        if has_blank:
+        imports = [o.value for _, p, o in triples if p is imports_p and isinstance(o, Iri)]
+        visited_iris.update(s.value for s, p, o in triples if o is ontology and p is type_p and isinstance(s, Iri))
+        if doc.has_blank:
+            doc_key = known_iri or Path(path).as_posix()
             triples = [(_renamed(doc_key, s), p, _renamed(doc_key, o)) for s, p, o in triples]
         # The parser's grammar admits only triples a Quad accepts, so they need no check.
         inserted += store._add_all(graph, triples)

@@ -16,9 +16,17 @@ is located after the fact: the pattern is matched again up to the failing
 token, and the line and column are counted from its offset. At that token
 the error is what a lexer reading one token ahead would have raised first:
 a stray character, a quote that opens no string, or a string with a bad
-escape. The IRI of an IRIREF or prefixed-name token is resolved once per
-text while the same directives are in scope, and each distinct IRI is built
-once per term table: a loader passes one table to every document of a load.
+escape.
+
+A prefix is scoped to its own document, so what is shared between the
+documents of one load is keyed by the directives that bind it. A
+`LoadState` holds one Iri per IRI and a tree of environments: each is the
+base and prefix map a run of directives builds, reached from the one
+before it by that directive's tokens, with its own table of the IRIREF and
+prefixed-name tokens resolved under it. A document whose directives repeat
+an earlier one's walks into the environments that one built, parsing no
+directive and resolving no token again; only a directive that parses is
+kept, so every error is raised as when the document is parsed alone.
 
 A run of names, dots and numbers with no ':' after it that holds a second
 name is lexed as one token, so that lexing stays linear in the run's
@@ -110,14 +118,55 @@ _STRING_RUN = {'"': re.compile(r'[^"\\\n]*'), "'": re.compile(r"[^'\\\n]*")}
 
 
 class OntologyDocument:
-    """One parsed ontology file: directives plus its (subject, predicate, object) statements in document order."""
+    """One parsed ontology file: directives plus its (subject, predicate, object) statements in document order.
 
-    __slots__ = ("base", "prefixes", "statements")
+    `base` and `prefixes` are those in scope at its end; `has_blank` tells
+    whether any statement holds a blank node.
+    """
+
+    __slots__ = ("base", "prefixes", "statements", "has_blank")
 
     def __init__(self):
         self.base: str | None = None
         self.prefixes: dict[str, str] = {}
         self.statements: list[tuple[Iri | Blank, Iri, Term]] = []
+        self.has_blank = False
+
+
+class _Environment:
+    """The base and prefix map a run of directives builds, and what has been resolved under them.
+
+    `iris` maps each IRIREF or prefixed-name token resolved here to its
+    Iri. `after` maps the tokens of a directive parsed here to the
+    environment it builds; an environment is never changed once built.
+    """
+
+    __slots__ = ("base", "prefixes", "iris", "after")
+
+    def __init__(self, base: str | None, prefixes: dict[str, str]):
+        self.base = base
+        self.prefixes = prefixes
+        self.iris: dict[str, Iri] = {}
+        self.after: dict[tuple[str, ...], _Environment] = {}
+
+
+class LoadState:
+    """What the documents of one load share: one Iri per IRI, and the environments their directives build.
+
+    Every document starts in the empty environment `root`. A document whose
+    directives repeat another's walks into the environments those built,
+    parsing no directive and resolving no token again; an environment is
+    reached only through the same directives in the same order, so a
+    prefix stays scoped to the documents that declare it. `terms` maps an
+    IRI to its Iri; a caller may seed it with the terms it compares against.
+    """
+
+    __slots__ = ("terms", "root", "a")
+
+    def __init__(self, terms: dict[str, Iri] | None = None):
+        self.terms = {} if terms is None else terms
+        self.root = _Environment(None, {})
+        self.a = self.terms.get(RDF_TYPE) or self.terms.setdefault(RDF_TYPE, Iri(RDF_TYPE))  # the `a` keyword's IRI
 
 
 def _error_at(text: str, pos: int, message: str) -> TurtleParseError:
@@ -169,28 +218,32 @@ class _Parser:
     read more than one token also returns the index after what it read.
     """
 
-    __slots__ = ("source", "tokens", "doc", "iris", "terms", "a")
+    __slots__ = ("source", "tokens", "doc", "env", "iris", "terms", "a")
 
-    def __init__(self, source: str, terms: dict[str, Iri]):
+    def __init__(self, source: str, load: LoadState):
         self.source = source
         self.tokens = _TOKEN.findall(source)
         self.doc = OntologyDocument()
-        # IRIREF or prefixed-name text -> its Iri, under the directives so far.
-        self.iris: dict[str, Iri] = {}
-        # IRI -> its Iri, for every document that shares the table.
-        self.terms = terms
-        self.a = terms.get(RDF_TYPE) or terms.setdefault(RDF_TYPE, Iri(RDF_TYPE))  # the `a` keyword's IRI
+        # The environment of the directives so far, and its IRIREF or prefixed-name text -> Iri table.
+        self.env = load.root
+        self.iris = self.env.iris
+        # IRI -> its Iri, for every document of the load.
+        self.terms = load.terms
+        self.a = load.a
 
     def parse(self) -> OntologyDocument:
         tokens, iris, a = self.tokens, self.iris, self.a
-        statements = self.doc.statements
+        doc = self.doc
+        statements = doc.statements
         i = 0
         while True:
             tok = tokens[i]
             if not tok:
-                return self.doc
+                doc.base, doc.prefixes = self.env.base, self.env.prefixes
+                return doc
             if (tok == "@prefix" or tok == "@base") and self._is_directive(i):
-                i = self._parse_directive(i)
+                i = self._enter(i)
+                iris = self.iris
                 continue
             subject = iris.get(tok) or self._term(i, "subject")
             i += 1
@@ -233,9 +286,22 @@ class _Parser:
             return True
         return not (_TAG_GLUE.match(glued) and self._offset(i + 1) == self._offset(i) + len(tok))
 
-    def _parse_directive(self, i: int) -> int:
+    def _enter(self, i: int) -> int:
+        """Enter the environment the directive at token i builds, parsing it only where no document has yet."""
         tokens = self.tokens
-        self.iris.clear()
+        end = i + 4 if tokens[i] == "@prefix" else i + 3
+        key = tuple(tokens[i:end])
+        env = self.env.after.get(key)
+        if env is None:
+            # A directive that fails to parse raises here and is never kept.
+            env = self.env.after[key] = self._parse_directive(i)
+        self.env, self.iris = env, env.iris
+        return end
+
+    def _parse_directive(self, i: int) -> _Environment:
+        """The environment the directive at token i builds on the current one."""
+        tokens = self.tokens
+        base, prefixes = self.env.base, self.env.prefixes
         if tokens[i] == "@prefix":
             name = tokens[i + 1]
             # Only a prefixed name can end in its one ':'.
@@ -244,13 +310,14 @@ class _Parser:
             i += 2
             if not _is_iriref(tokens[i]):
                 raise self._error(i, "expected <iri> in @prefix directive")
-            self.doc.prefixes[name[:-1]] = self._resolve_iriref(i)
+            prefixes = {**prefixes, name[:-1]: self._resolve_iriref(i)}
         else:
             i += 1
             if not _is_iriref(tokens[i]):
                 raise self._error(i, "expected <iri> in @base directive")
-            self.doc.base = self._resolve_iriref(i)
-        return self._expect(i + 1, ".")
+            base = self._resolve_iriref(i)
+        self._expect(i + 1, ".")
+        return _Environment(base, prefixes)
 
     def _expect(self, i: int, text: str) -> int:
         if self.tokens[i] != text:
@@ -261,9 +328,10 @@ class _Parser:
         value = self.tokens[i][1:-1]
         if _SCHEME.match(value):
             return value
-        if self.doc.base is None:
+        base = self.env.base
+        if base is None:
             raise self._error(i, f"relative IRI <{value}> with no @base in scope")
-        return self.doc.base + value
+        return base + value
 
     def _term(self, i: int, position: str) -> Iri | Blank:
         """The IRI or blank node at token i, which `iris` does not hold."""
@@ -271,7 +339,7 @@ class _Parser:
         first = tok[:1]
         if first in _PNAME_START and ":" in tok:
             prefix, _, local = tok.partition(":")
-            namespace = self.doc.prefixes.get(prefix)
+            namespace = self.env.prefixes.get(prefix)
             if namespace is None:
                 raise self._error(i, f"undeclared prefix '{prefix}:'")
             value = namespace + local
@@ -280,6 +348,7 @@ class _Parser:
         elif first == "_" and len(tok) > 1:
             if position == "predicate":
                 raise self._error(i, "blank node not allowed as predicate")
+            self.doc.has_blank = True
             return Blank(tok[2:])
         elif self._split(i):
             # The run's first name is the token now; as a verb it may be `a`.
@@ -385,19 +454,19 @@ def _is_iriref(tok: str) -> bool:
     return tok[:1] == "<" and len(tok) > 1
 
 
-def parse_document(text: str, terms: dict[str, Iri] | None = None) -> OntologyDocument:
+def parse_document(text: str, load: LoadState | None = None) -> OntologyDocument:
     """Parse subset-Turtle text into (subject, predicate, object) triples.
 
     The grammar admits only an IRI or blank subject and an IRI predicate,
     and builds each term through its constructor, so every triple is one a
     `Quad` accepts. Duplicate triples are preserved here; the store
-    deduplicates on insert. Each IRI is taken from `terms`, which maps an
-    IRI to its `Iri`, and added to it when it is new; with no table given,
-    the document gets a fresh one of its own.
+    deduplicates on insert. Each IRI is taken from `load`, the state the
+    documents of one load share, and added to it when it is new; with no
+    state given, the document gets a fresh one of its own.
     """
     if not isinstance(text, str):
         raise TurtleParseError("input must be text", 1, 1)
-    return _Parser(text, {} if terms is None else terms).parse()
+    return _Parser(text, LoadState() if load is None else load).parse()
 
 
 # Prefixes the serializer will try to compact against, in emission order.

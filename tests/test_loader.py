@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import shutil
+from collections import Counter
 
 import pytest
 
@@ -12,6 +13,7 @@ from graphsynth.loader import ImportCatalog, load_with_imports
 from graphsynth.quadstore import QuadStore
 from graphsynth.seed import ENTRY_FILE, catalog_path, kb_dir, load_kb
 from graphsynth.terms import Blank, Iri
+from graphsynth.turtle import _Parser
 
 G = "http://t.example/kb"
 
@@ -372,3 +374,32 @@ def test_a_blank_node_in_one_place_only_is_renamed_per_document(tmp_path, place)
                 for name in ("d0.ttl", "d2.ttl")}
     assert found == expected
     assert store.graph_size(G) == 3
+
+
+def _header(text: str) -> tuple[str, ...]:
+    """The directive lines of a shipped KB file: one directive a line, all before its first triple."""
+    return tuple(line for line in text.splitlines() if line.startswith("@"))
+
+
+def test_one_load_parses_each_directive_header_once_and_resolves_each_name_once_per_header(monkeypatch):
+    parses, resolved = 0, Counter()
+    parse_directive, term = _Parser._parse_directive, _Parser._term
+
+    def counting_directive(self, i):
+        nonlocal parses
+        parses += 1
+        return parse_directive(self, i)
+
+    def counting_term(self, i, position):
+        resolved[_header(self.source), self.tokens[i]] += 1
+        return term(self, i, position)
+
+    monkeypatch.setattr(_Parser, "_parse_directive", counting_directive)
+    monkeypatch.setattr(_Parser, "_term", counting_term)
+    load_kb(validate=False)
+    headers = [_header(path.read_text(encoding="utf-8")) for path in kb_dir().glob("*.ttl")]
+    assert len(headers) == 20 and sum(map(len, headers)) == 92 and len(set(headers)) == 3
+    # A header's directives are parsed once, however many documents open with them; so is a run they begin.
+    assert parses == len({header[:k] for header in headers for k in range(1, len(header) + 1)})
+    # The shipped KB holds no blank node, so every term resolved is an IRIREF or a prefixed name.
+    assert resolved and max(resolved.values()) == 1
