@@ -133,14 +133,15 @@ def derive_variable_name(
 ) -> str:
     """Apply the naming pattern matching `context`; no rule, or no usable identifier, is an error.
 
-    `reserved` holds the names the program's imports bind; deriving one of
-    them would shadow a library.
+    `reserved` holds the names the program's imports bind and the report
+    callee; deriving one of them would shadow a library or the report call.
     """
     name = _apply_naming_pattern(patterns, context)
     if not name.isidentifier() or keyword.iskeyword(name):
         raise UnnamedVariableError(f"pattern '{context.pattern_id}' derives {name!r}, which is not a variable name")
     if name in reserved:
-        raise UnnamedVariableError(f"pattern '{context.pattern_id}' derives {name!r}, which names an imported library")
+        what = "the report callee" if name == vocab.REPORT_CALLEE else "an imported library"
+        raise UnnamedVariableError(f"pattern '{context.pattern_id}' derives {name!r}, which names {what}")
     return name
 
 
@@ -229,7 +230,8 @@ def compose(plan: BuildPlan, store: QuadStore) -> PlaProgram:
     if plan.program_basename in sys.stdlib_module_names:
         raise ComposeError(f"program basename {plan.program_basename!r} names a standard-library module")
 
-    patterns, reserved, names = views.kb(store).naming_patterns, library_names(plan), NameAllocator()
+    patterns, names = views.kb(store).naming_patterns, NameAllocator()
+    reserved = library_names(plan) | {vocab.REPORT_CALLEE}
 
     def variable(context: NamingContext) -> str:
         return names.allocate(derive_variable_name(patterns, context, reserved))

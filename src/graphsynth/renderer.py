@@ -133,7 +133,7 @@ class _Renderer:
         if isinstance(statement, ReportValue):
             # The report form is print('<label> = ',<value>): a space inside
             # the label before '=', none after the comma.
-            return _statement(vocab.VARIATION_CALL_STMT, "print",
+            return _statement(vocab.VARIATION_CALL_STMT, vocab.REPORT_CALLEE,
                               f"{self.quote(statement.label + ' = ')},{statement.source}")
         if isinstance(statement, ProgramExit):
             return _statement(vocab.VARIATION_CALL_STMT, self.callee_ref(statement.function), str(statement.status))

@@ -146,6 +146,8 @@ VARIATION_FIELDS = {
     VARIATION_ASSIGN_EXPR: ("target", "expression"),
     VARIATION_CALL_STMT: ("callee", "arguments"),  # the argument texts, comma-joined
 }
+# The callee of every report statement; no program variable may take its name.
+REPORT_CALLEE = "print"
 
 # Section names, in the fixed source-file emission order.
 SECTION_PREAMBLE = "Preamble"

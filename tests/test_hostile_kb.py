@@ -116,6 +116,19 @@ def test_a_nul_byte_in_a_slot_text_exits_at_stage_render_and_writes_nothing(tmp_
     assert not out.exists() or list(out.iterdir()) == []
 
 
+def test_a_callable_named_as_the_report_callee_exits_at_stage_compose_and_writes_nothing(tmp_path):
+    # `print = np.print(input_data)` would shadow the call that reports the result.
+    kb, out = tmp_path / "kb", tmp_path / "out"
+    shutil.copytree(kb_dir(), kb)
+    _doctor(kb, {FIELDS.index(("code_function.ttl", "gs:hasCallableName", "mean")): vocab.REPORT_CALLEE})
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(["synthesize", str(example_statement_path()), "--kb", str(kb), "--out", str(out)])
+    assert code == EXIT_COMPOSE, stderr.getvalue()
+    assert "derives 'print', which names the report callee" in stderr.getvalue()
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 # Stage -> the error it fails with.
 STAGE_ERRORS = {"resolve": ResolveError, "compose": ComposeError, "render": RenderError, "emit": RenderError}
 
