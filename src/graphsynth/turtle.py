@@ -218,21 +218,20 @@ class _Parser:
     read more than one token also returns the index after what it read.
     """
 
-    __slots__ = ("source", "tokens", "doc", "env", "iris", "terms", "a")
+    __slots__ = ("source", "tokens", "doc", "env", "terms", "a")
 
     def __init__(self, source: str, load: LoadState):
         self.source = source
         self.tokens = _TOKEN.findall(source)
         self.doc = OntologyDocument()
-        # The environment of the directives so far, and its IRIREF or prefixed-name text -> Iri table.
+        # The environment of the directives so far.
         self.env = load.root
-        self.iris = self.env.iris
         # IRI -> its Iri, for every document of the load.
         self.terms = load.terms
         self.a = load.a
 
     def parse(self) -> OntologyDocument:
-        tokens, iris, a = self.tokens, self.iris, self.a
+        tokens, iris, a = self.tokens, self.env.iris, self.a
         doc = self.doc
         statements = doc.statements
         i = 0
@@ -243,7 +242,7 @@ class _Parser:
                 return doc
             if (tok == "@prefix" or tok == "@base") and self._is_directive(i):
                 i = self._enter(i)
-                iris = self.iris
+                iris = self.env.iris
                 continue
             subject = iris.get(tok) or self._term(i, "subject")
             i += 1
@@ -295,7 +294,7 @@ class _Parser:
         if env is None:
             # A directive that fails to parse raises here and is never kept.
             env = self.env.after[key] = self._parse_directive(i)
-        self.env, self.iris = env, env.iris
+        self.env = env
         return end
 
     def _parse_directive(self, i: int) -> _Environment:
@@ -334,7 +333,7 @@ class _Parser:
         return base + value
 
     def _term(self, i: int, position: str) -> Iri | Blank:
-        """The IRI or blank node at token i, which `iris` does not hold."""
+        """The IRI or blank node at token i, which the environment's `iris` does not hold."""
         tok = self.tokens[i]
         first = tok[:1]
         if first in _PNAME_START and ":" in tok:
@@ -361,11 +360,11 @@ class _Parser:
                 iri = self.terms[value] = Iri(value)
             except MalformedTermError as exc:
                 raise self._error(i, str(exc)) from exc
-        self.iris[tok] = iri
+        self.env.iris[tok] = iri
         return iri
 
     def _object(self, i: int) -> tuple[Term, int]:
-        """The object term at token i, which `iris` does not hold."""
+        """The object term at token i, which the environment's `iris` does not hold."""
         tok = self.tokens[i]
         first = tok[:1]
         if first in _QUOTES and len(tok) > 1:
@@ -386,7 +385,7 @@ class _Parser:
             return Literal(lexical, RDF_LANG_STRING, tok[1:]), i + 2
         if tok != "^^":
             return Literal(lexical, XSD_STRING), i + 1
-        datatype = self.iris.get(self.tokens[i + 2]) or self._term(i + 2, "datatype")
+        datatype = self.env.iris.get(self.tokens[i + 2]) or self._term(i + 2, "datatype")
         if not isinstance(datatype, Iri):
             raise self._error(i + 2, "datatype must be an IRI")
         return Literal(lexical, datatype.value), i + 3
