@@ -1,5 +1,13 @@
 """Command-line driver: synthesize programs and inspect the knowledge graphs.
 
+A command runs only the modules it needs. The four pipeline modules,
+`problem`, `resolver`, `composer` and `renderer`, are registered here as
+lazy modules and run at the first read of one of their attributes: by
+`synthesize`, or by `query` and `dump-graph` with `--statement`. `query`,
+`kb-stats` and `dump-graph` alone load the KB and never run them. The CLI
+reads each pipeline function from its module at call time, so a wrapper set
+on the module, by a test or a tracer, is what it calls.
+
 Each pipeline stage maps to a distinct exit code so failures are
 scriptable: 0 ok, 2 config, 3 KB load, 4 statement parse, 5 resolve,
 6 compose, 7 render, 8 write, and 1 an exec-check failure, an error of no
@@ -12,14 +20,15 @@ of `STAGES` whose family matches.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import os
 import shutil
 import sys
 import time
 from pathlib import Path
 
+import graphsynth
 from graphsynth import seed, vocab
-from graphsynth.composer import compose
 from graphsynth.errors import (
     CatalogError,
     ComposeError,
@@ -36,12 +45,37 @@ from graphsynth.errors import (
     ResolveError,
     WriteError,
 )
-from graphsynth.problem import parse_problem_statement
 from graphsynth.quadstore import Pattern, QuadStore, Var
-from graphsynth.renderer import emit, render, write_source
-from graphsynth.resolver import resolve
 from graphsynth.terms import Blank, Iri, Literal, RDF_TYPE, XSD_BOOLEAN, XSD_INTEGER
 from graphsynth.turtle import WELL_KNOWN_PREFIXES, _format_term, serialize
+
+
+def _lazy_module(name: str):
+    """The submodule `graphsynth.<name>`, registered without running it if no one has imported it yet.
+
+    Its code runs at the first read of one of its attributes. The module is
+    in `sys.modules` and bound on the package, as an import leaves it, so
+    `import graphsynth.<name>` and `from graphsynth import <name>` return it.
+    """
+    fullname = f"graphsynth.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(graphsynth, name, module)
+    return module
+
+
+# Registered, not imported inside the commands: code that wraps the pipeline
+# functions, such as perfbench's tracer, finds these modules in `sys.modules`
+# once the CLI is imported, and the wrapper it sets on a module is what runs.
+problem = _lazy_module("problem")
+resolver = _lazy_module("resolver")
+composer = _lazy_module("composer")
+renderer = _lazy_module("renderer")
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -84,16 +118,16 @@ def _parse_statement(path: Path):
     if not path.is_file():
         raise ConfigError(f"problem statement file not found: {path}")
     try:
-        return parse_problem_statement(path.read_text(encoding="utf-8"))
+        return problem.parse_problem_statement(path.read_text(encoding="utf-8"))
     except (UnicodeDecodeError, ProblemStatementError) as exc:
         reason = f"not UTF-8 text: {exc}" if isinstance(exc, UnicodeDecodeError) else exc
         raise ProblemStatementError(f"{path}: {reason}") from exc
 
 
 def _run_pipeline(statement_path: Path, store: QuadStore):
-    plan = resolve(_parse_statement(statement_path), store)
-    pla = compose(plan, store)
-    return plan, pla, render(pla, plan.language, store)
+    plan = resolver.resolve(_parse_statement(statement_path), store)
+    pla = composer.compose(plan, store)
+    return plan, pla, renderer.render(pla, plan.language, store)
 
 
 def _exec_check(kb_dir: Path, plan, path: Path) -> str:
@@ -150,9 +184,9 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     store, _ = seed.load_kb(kb_dir, catalog)
     plan, pla, plr = _run_pipeline(Path(args.statement), store)
     # The text is checked to parse before anything is written.
-    text = emit(plr, blank_lines_between_sections=args.style == "blank-lines")
+    text = renderer.emit(plr, blank_lines_between_sections=args.style == "blank-lines")
     out_dir = Path(args.out) if args.out else Path.cwd()
-    path = write_source(text, plan.program_basename, plan.language, out_dir, force=args.force)
+    path = renderer.write_source(text, plan.program_basename, plan.language, out_dir, force=args.force)
 
     print(f"data source: {plan.data_source.name} <{plan.data_source.iri}>")
     for calc in plan.calculations:

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import keyword
 import sys
-from typing import Collection, Iterable, Mapping, NamedTuple
+from collections import namedtuple
+from typing import Collection, Iterable, Mapping
 
 from graphsynth import vocab, views
 from graphsynth.errors import ComposeError, UnnamedVariableError
@@ -59,30 +60,35 @@ PLA_REFERS_TO_LIBRARY = Iri(vocab.pla("refersToLibrary"))
 _RDF_TYPE = Iri(RDF_TYPE)
 
 
-class AssignLiteral(NamedTuple):
-    target: str
-    value: str
-    role: str
+AssignLiteral = namedtuple("AssignLiteral", (
+    "target",  # str
+    "value",  # str
+    "role",  # str
+))
 
 
-class AssignCall(NamedTuple):
-    target: str
-    function: str
-    args: tuple[str, ...]  # the variables passed, each composed earlier
+AssignCall = namedtuple("AssignCall", (
+    "target",  # str
+    "function",  # str
+    "args",  # tuple[str, ...]: the variables passed, each composed earlier
+))
 
 
-class ReportValue(NamedTuple):
-    label: str
-    source: str
+ReportValue = namedtuple("ReportValue", (
+    "label",  # str
+    "source",  # str
+))
 
 
-class ProgramExit(NamedTuple):
-    status: int
-    function: str
+ProgramExit = namedtuple("ProgramExit", (
+    "status",  # int
+    "function",  # str
+))
 
 
-class ImportDirective(NamedTuple):
-    library: str
+ImportDirective = namedtuple("ImportDirective", (
+    "library",  # str
+))
 
 
 AbstractStatement = AssignLiteral | AssignCall | ReportValue | ProgramExit | ImportDirective
@@ -91,41 +97,48 @@ _KINDS = {AssignLiteral: PLA_ASSIGN_LITERAL, AssignCall: PLA_ASSIGN_CALL, Report
           ProgramExit: PLA_PROGRAM_EXIT, ImportDirective: PLA_IMPORT_DIRECTIVE}
 
 
-class PlacedStatement(NamedTuple):
-    statement: AbstractStatement
-    section: str
-    order_index: int
-    composition_index: int
+PlacedStatement = namedtuple("PlacedStatement", (
+    "statement",  # AbstractStatement
+    "section",  # str
+    "order_index",  # int
+    "composition_index",  # int
+))
 
 
-class PlaSection(NamedTuple):
+class PlaSection(namedtuple("PlaSection", (
+    "name",  # str
+    "entity_iri",  # str
+    "emission_index",  # int
+    "composition_index",  # int
+    "statements",  # tuple[PlacedStatement, ...]
+))):
     """One section of the structure, its statements in order-index order."""
 
-    name: str
-    entity_iri: str
-    emission_index: int
-    composition_index: int
-    statements: tuple[PlacedStatement, ...]
+    __slots__ = ()
 
 
-class PlaProgram(NamedTuple):
+class PlaProgram(namedtuple("PlaProgram", (
+    "graph_iri",  # str
+    "program_iri",  # str
+    "basename",  # str
+    "structure_iri",  # str
+    "sections",  # tuple[PlaSection, ...]
+    "referenced_libraries",  # tuple[LibraryInfo, ...]: the called functions' libraries, in first-call order
+    "called_functions",  # tuple[CodeFunctionInfo, ...], in first-call order
+))):
     """An abstract program: its sections in emission order, each holding its statements in order-index order."""
 
-    graph_iri: str
-    program_iri: str
-    basename: str
-    structure_iri: str
-    sections: tuple[PlaSection, ...]
-    referenced_libraries: tuple[LibraryInfo, ...]  # the called functions' libraries, in first-call order
-    called_functions: tuple[CodeFunctionInfo, ...]  # in first-call order
+    __slots__ = ()
 
 
-class NamingContext(NamedTuple):
+class NamingContext(namedtuple("NamingContext", (
+    "pattern_id",  # str
+    "content_label",  # str | None
+    "function",  # CodeFunctionInfo | None
+), defaults=(None, None))):
     """The situation a variable is being named in; payload depends on the pattern."""
 
-    pattern_id: str
-    content_label: str | None = None
-    function: CodeFunctionInfo | None = None
+    __slots__ = ()
 
 
 def derive_variable_name(

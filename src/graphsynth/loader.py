@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import os
 import stat
+from collections import namedtuple
 from pathlib import Path
-from typing import NamedTuple
 
 from graphsynth.errors import CatalogError, ImportResolutionError, KbFileError, TurtleParseError
 from graphsynth.quadstore import QuadStore
@@ -32,9 +32,10 @@ from graphsynth.terms import OWL_IMPORTS, OWL_ONTOLOGY, RDF_TYPE, Blank, Iri, Te
 from graphsynth.turtle import LoadState, OntologyDocument, parse_document
 
 
-class LoadReport(NamedTuple):
-    files: int
-    quads: int
+LoadReport = namedtuple("LoadReport", (
+    "files",  # int
+    "quads",  # int
+))
 
 
 FileKey = tuple[int, int]  # (st_dev, st_ino): one file, whatever path reaches it

@@ -13,7 +13,7 @@ and column of an error are counted from its offset when it is raised.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from collections import namedtuple
 
 from graphsynth.errors import (
     DuplicateKeyError,
@@ -36,13 +36,14 @@ SCALAR_KEYS = {"programming_language", "program_basename"}
 # both are accepted and normalized to data_source_names.
 _ALIASES = {"data_sources_names": "data_source_names"}
 
-class ProblemStatement(NamedTuple):
-    data_source_names: tuple[str, ...]
-    requested_calculations: tuple[str, ...]
-    program_requirements: tuple[str, ...]
-    programming_language: str
-    program_basename: str
-    library_preferences: tuple[str, ...] = ()
+ProblemStatement = namedtuple("ProblemStatement", (
+    "data_source_names",  # tuple[str, ...]
+    "requested_calculations",  # tuple[str, ...]
+    "program_requirements",  # tuple[str, ...]
+    "programming_language",  # str
+    "program_basename",  # str
+    "library_preferences",  # tuple[str, ...]
+), defaults=((),))
 
 
 # One token: trivia (whitespace, and a backslash directly before a line break,

@@ -17,8 +17,8 @@ open finds it missing.
 from __future__ import annotations
 
 import os
+from collections import namedtuple
 from pathlib import Path
-from typing import NamedTuple
 
 from graphsynth import vocab, views
 from graphsynth.composer import AssignCall, AssignLiteral, ImportDirective, PlaProgram, ProgramExit, ReportValue
@@ -45,22 +45,25 @@ PLR_HAS_ELEMENT_TEXT = Iri(vocab.plr("hasElementText"))
 _RDF_TYPE = Iri(RDF_TYPE)
 
 
-class PlacedConcrete(NamedTuple):
-    variation: str
-    section: str
-    section_index: int
-    elements: tuple[str, ...]
+class PlacedConcrete(namedtuple("PlacedConcrete", (
+    "variation",  # str
+    "section",  # str
+    "section_index",  # int
+    "elements",  # tuple[str, ...]
+))):
+    __slots__ = ()
 
     def text(self) -> str:
         return "".join(self.elements)
 
 
-class PlrProgram(NamedTuple):
-    graph_iri: str
-    program_iri: str
-    basename: str
-    language_iri: str
-    sections: tuple[tuple[str, tuple[PlacedConcrete, ...]], ...]  # (name, statements) in emission order
+PlrProgram = namedtuple("PlrProgram", (
+    "graph_iri",  # str
+    "program_iri",  # str
+    "basename",  # str
+    "language_iri",  # str
+    "sections",  # tuple[tuple[str, tuple[PlacedConcrete, ...]], ...]: (name, statements) in emission order
+))
 
 
 # Escapes for the body of a string literal: the backslash, line breaks and

@@ -8,7 +8,8 @@ an error, never a silent guess.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
+from collections import namedtuple
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from graphsynth import vocab, views
 from graphsynth.errors import (
@@ -33,20 +34,22 @@ from graphsynth.views import (
 )
 
 
-class PlannedCalculation(NamedTuple):
-    label: str
-    algorithm: AlgorithmInfo
-    function: CodeFunctionInfo
+PlannedCalculation = namedtuple("PlannedCalculation", (
+    "label",  # str
+    "algorithm",  # AlgorithmInfo
+    "function",  # CodeFunctionInfo
+))
 
 
-class BuildPlan(NamedTuple):
-    data_source: DataSourceInfo
-    calculations: tuple[PlannedCalculation, ...]
-    reader_function: CodeFunctionInfo
-    exit_function: CodeFunctionInfo
-    structure: ProgramStructureInfo
-    language: LanguageInfo
-    program_basename: str
+BuildPlan = namedtuple("BuildPlan", (
+    "data_source",  # DataSourceInfo
+    "calculations",  # tuple[PlannedCalculation, ...]
+    "reader_function",  # CodeFunctionInfo
+    "exit_function",  # CodeFunctionInfo
+    "structure",  # ProgramStructureInfo
+    "language",  # LanguageInfo
+    "program_basename",  # str
+))
 
 
 # Lower rank is better; unlisted complexity classes rank worst.

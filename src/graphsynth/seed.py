@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from importlib import resources
 from pathlib import Path
 
 from graphsynth import vocab
@@ -17,7 +16,7 @@ FIXTURE_FILE = "my_input.txt"
 
 
 def kb_dir() -> Path:
-    return Path(resources.files("graphsynth") / "kb")
+    return Path(__file__).resolve().parent / "kb"
 
 
 def catalog_path() -> Path:
@@ -29,7 +28,7 @@ def fixture_path() -> Path:
 
 
 def example_statement_path() -> Path:
-    return Path(resources.files("graphsynth") / "statements" / "hello_analytic.aida")
+    return Path(__file__).resolve().parent / "statements" / "hello_analytic.aida"
 
 
 def load_kb(

@@ -7,8 +7,11 @@ the store's predicate table and reads the fields of each once through
 `read`, the one reader of a field table, which checks each field's count
 and kind, decoding each term by `_value`, the one copy of the kind rules,
 and reports what breaks them. From the same values it compiles a `Kb`
-snapshot of `NamedTuple` records and indexes, with no defaults: an absent
-optional value reads as None (or an empty tuple). The store keeps the snapshot
+snapshot of records and indexes. The records are plain
+`collections.namedtuple`s, each field's type in a comment beside it, with
+no defaults: an absent optional value reads as None (or an empty tuple).
+`typing.NamedTuple` would build the same classes at a higher import cost,
+paid by every cold command. The store keeps the snapshot
 beside the graph's quad count, and `kb` compiles a new one once the graph
 has gained a quad, so no stage reads a stale KB: the store is append-only,
 so every change raises the count. The stages read the `Kb` fields
@@ -23,9 +26,10 @@ store's KB quads.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from graphsynth import vocab
 from graphsynth.errors import KbValidationError
@@ -34,72 +38,81 @@ from graphsynth.terms import RDF_TYPE, XSD_BOOLEAN, XSD_INTEGER, XSD_STRING, Iri
 from graphsynth.turtle import _format_term
 
 
-class DataSourceInfo(NamedTuple):
-    iri: str
-    name: str
-    container: str
-    format: str
-    encoding: str
-    value_datatype: str
-    value_datatype_numeric: bool
-    header_rows: int
-    data_rows: int
-    values_per_row: int
-    quantity_types: tuple[str, ...]
-    location: str
-    content_type_label: str | None
+class DataSourceInfo(namedtuple("DataSourceInfo", (
+    "iri",  # str
+    "name",  # str
+    "container",  # str
+    "format",  # str
+    "encoding",  # str
+    "value_datatype",  # str
+    "value_datatype_numeric",  # bool
+    "header_rows",  # int
+    "data_rows",  # int
+    "values_per_row",  # int
+    "quantity_types",  # tuple[str, ...]
+    "location",  # str
+    "content_type_label",  # str | None
+))):
+    __slots__ = ()
 
     @property
     def quantity_type(self) -> str | None:
         return self.quantity_types[0] if len(self.quantity_types) == 1 else None
 
 
-class AlgorithmInfo(NamedTuple):
-    iri: str
-    name: str
-    output_description_labels: frozenset[str]
-    min_input_count: int
-    input_numeric: bool
-    inputs_same_quantity: bool
-    output_arity: int
-    output_quantity: str
-    time_complexity: str
+AlgorithmInfo = namedtuple("AlgorithmInfo", (
+    "iri",  # str
+    "name",  # str
+    "output_description_labels",  # frozenset[str]
+    "min_input_count",  # int
+    "input_numeric",  # bool
+    "inputs_same_quantity",  # bool
+    "output_arity",  # int
+    "output_quantity",  # str
+    "time_complexity",  # str
+))
 
 
-class LibraryInfo(NamedTuple):
-    iri: str
-    official_name: str
-    alias: str | None
-    kind: str
+LibraryInfo = namedtuple("LibraryInfo", (
+    "iri",  # str
+    "official_name",  # str
+    "alias",  # str | None
+    "kind",  # str
+))
 
 
-class CodeFunctionInfo(NamedTuple):
-    iri: str
-    callable_name: str
-    library: LibraryInfo
-    language: str
-    language_family: str
-    purpose: str
-    arg_spec: tuple[str, ...]
-    return_role: str | None
+class CodeFunctionInfo(namedtuple("CodeFunctionInfo", (
+    "iri",  # str
+    "callable_name",  # str
+    "library",  # LibraryInfo
+    "language",  # str
+    "language_family",  # str
+    "purpose",  # str
+    "arg_spec",  # tuple[str, ...]
+    "return_role",  # str | None
+))):
+    __slots__ = ()
 
     @property
     def qualified_name(self) -> str:
         return f"{self.library.official_name}.{self.callable_name}"
 
 
-class SectionSlotInfo(NamedTuple):
-    section_iri: str
-    name: str
-    emission_index: int
-    composition_index: int
+SectionSlotInfo = namedtuple("SectionSlotInfo", (
+    "section_iri",  # str
+    "name",  # str
+    "emission_index",  # int
+    "composition_index",  # int
+))
 
 
-class ProgramStructureInfo(NamedTuple):
-    iri: str
-    name: str
-    slots: tuple[SectionSlotInfo, ...]  # in emission order
-    satisfied_requirements: frozenset[str]
+class ProgramStructureInfo(namedtuple("ProgramStructureInfo", (
+    "iri",  # str
+    "name",  # str
+    "slots",  # tuple[SectionSlotInfo, ...], in emission order
+    "satisfied_requirements",  # frozenset[str]
+))):
+    __slots__ = ()
 
     def emission_order(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.slots)
@@ -108,40 +121,45 @@ class ProgramStructureInfo(NamedTuple):
         return tuple(s.name for s in sorted(self.slots, key=lambda s: s.composition_index))
 
 
-class LanguageInfo(NamedTuple):
-    iri: str
-    tag: str
-    family: str
-    source_file_extension: str
-    paradigm: str
-    string_quote: str
+LanguageInfo = namedtuple("LanguageInfo", (
+    "iri",  # str
+    "tag",  # str
+    "family",  # str
+    "source_file_extension",  # str
+    "paradigm",  # str
+    "string_quote",  # str
+))
 
 
-class NamingPatternInfo(NamedTuple):
-    iri: str
-    pattern_id: str
-    separator: str | None
-    suffix_label: str | None
+NamingPatternInfo = namedtuple("NamingPatternInfo", (
+    "iri",  # str
+    "pattern_id",  # str
+    "separator",  # str | None
+    "suffix_label",  # str | None
+))
 
 
-class TemplateSlotInfo(NamedTuple):
-    index: int
-    text: str | None
-    field: str | None
+TemplateSlotInfo = namedtuple("TemplateSlotInfo", (
+    "index",  # int
+    "text",  # str | None
+    "field",  # str | None
+))
 
 
-class StatementFormInfo(NamedTuple):
-    iri: str
-    variation_id: str
-    family: str
-    slots: tuple[TemplateSlotInfo, ...]
+StatementFormInfo = namedtuple("StatementFormInfo", (
+    "iri",  # str
+    "variation_id",  # str
+    "family",  # str
+    "slots",  # tuple[TemplateSlotInfo, ...]
+))
 
 
-class ReadCapabilityInfo(NamedTuple):
-    iri: str
-    format: str
-    value_datatype: str
-    container: str
+ReadCapabilityInfo = namedtuple("ReadCapabilityInfo", (
+    "iri",  # str
+    "format",  # str
+    "value_datatype",  # str
+    "container",  # str
+))
 
 
 # --- the shape table -----------------------------------------------------
@@ -300,20 +318,22 @@ def read(store: QuadStore, graph: str, fields: tuple[Field, ...], node: Term, pr
 # --- the snapshot ---------------------------------------------------------
 
 
-class Kb(NamedTuple):
+class Kb(namedtuple("Kb", (
+    "data_sources",  # Mapping[str, tuple[DataSourceInfo, ...]], by name
+    "algorithms",  # tuple[AlgorithmInfo, ...]
+    "algorithms_by_label",  # Mapping[str, tuple[AlgorithmInfo, ...]]
+    "libraries",  # Mapping[str, LibraryInfo], by IRI, as are the functions
+    "functions",  # Mapping[str, CodeFunctionInfo]
+    "functions_by_purpose",  # Mapping[tuple[str, str], tuple[CodeFunctionInfo, ...]], by (purpose, language family)
+    "statement_forms",  # Mapping[str, Mapping[str, StatementFormInfo]], by language family, then variation id
+    "naming_patterns",  # Mapping[str, NamingPatternInfo], by pattern id
+    "languages",  # tuple[LanguageInfo, ...]
+    "structures",  # tuple[ProgramStructureInfo, ...]
+    "read_capabilities",  # tuple[ReadCapabilityInfo, ...]
+))):
     """One KB graph at one quad count: its records, in IRI order, and the read-only indexes over them."""
 
-    data_sources: Mapping[str, tuple[DataSourceInfo, ...]]  # by name
-    algorithms: tuple[AlgorithmInfo, ...]
-    algorithms_by_label: Mapping[str, tuple[AlgorithmInfo, ...]]
-    libraries: Mapping[str, LibraryInfo]  # by IRI, as are the functions
-    functions: Mapping[str, CodeFunctionInfo]
-    functions_by_purpose: Mapping[tuple[str, str], tuple[CodeFunctionInfo, ...]]  # by (purpose, language family)
-    statement_forms: Mapping[str, Mapping[str, StatementFormInfo]]  # by language family, then variation id
-    naming_patterns: Mapping[str, NamingPatternInfo]  # by pattern id
-    languages: tuple[LanguageInfo, ...]
-    structures: tuple[ProgramStructureInfo, ...]
-    read_capabilities: tuple[ReadCapabilityInfo, ...]
+    __slots__ = ()
 
 
 def kb(store: QuadStore) -> Kb:

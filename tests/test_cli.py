@@ -263,14 +263,16 @@ def test_a_blank_node_typed_with_a_shaped_class_maps_to_load_exit_code(tmp_path,
 
 
 def test_a_call_to_a_function_the_program_does_not_carry_maps_to_render_exit_code(tmp_path, capsys, monkeypatch):
-    from graphsynth import cli, composer
+    from graphsynth import composer
+
+    compose = composer.compose
 
     def compose_without_mean(plan, store):
-        pla = composer.compose(plan, store)
+        pla = compose(plan, store)
         functions = tuple(function for function in pla.called_functions if function.iri != NUMPY_MEAN)
         return pla._replace(called_functions=functions)
 
-    monkeypatch.setattr(cli, "compose", compose_without_mean)
+    monkeypatch.setattr(composer, "compose", compose_without_mean)
     out = tmp_path / "out"
     code, _, err = run(capsys, "synthesize", STMT, "--out", str(out))
     assert code == 7
@@ -560,12 +562,12 @@ def test_a_basename_that_names_a_standard_library_module_maps_to_compose_exit_co
     ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None,
 )
 def test_each_error_family_exits_with_its_stage_code_wherever_it_is_raised(capsys, monkeypatch, error, stage, code):
-    from graphsynth import cli
+    from graphsynth import resolver
 
     def fail(*args):
         raise error
 
-    monkeypatch.setattr(cli, "resolve", fail)
+    monkeypatch.setattr(resolver, "resolve", fail)
     where = f" at stage {stage}" if stage else ""
     assert run(capsys, "synthesize", STMT) == (code, "", f"graphsynth: error{where}: {error}\n")
 
@@ -795,20 +797,24 @@ def test_query_parses_its_patterns_before_it_synthesizes(tmp_path, capsys):
     assert "stage config: pattern needs 3 or 4 terms" in err and out == ""
 
 
-@pytest.fixture(scope="module")
-def modules_after_importing_the_cli() -> set[str]:
+def _cli_env() -> dict[str, str]:
     import graphsynth
 
+    return {**os.environ, "PYTHONPATH": str(Path(graphsynth.__file__).parents[1])}
+
+
+@pytest.fixture(scope="module")
+def modules_after_importing_the_cli() -> set[str]:
     # -S keeps site-installed .pth files out, so only graphsynth's own imports count.
-    env = {**os.environ, "PYTHONPATH": str(Path(graphsynth.__file__).parents[1])}
     probe = "import sys, graphsynth.cli; print(' '.join(sys.modules))"
-    proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], env=_cli_env(), capture_output=True, text=True,
+                          timeout=60)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.split())
 
 
 @pytest.mark.parametrize(
-    "module, loaded",
+    "module, registered",
     [
         # Machinery no command needs: subprocess is for --exec-check only,
         # hashlib for blank-node renaming only; dataclasses brings inspect and ast.
@@ -818,7 +824,7 @@ def modules_after_importing_the_cli() -> set[str]:
         ("ast", False),
         ("hashlib", False),
         # The pipeline modules, which a tracer wrapping their functions
-        # expects to find loaded after `import graphsynth.cli`.
+        # expects to find registered after `import graphsynth.cli`.
         ("graphsynth.resolver", True),
         ("graphsynth.composer", True),
         ("graphsynth.renderer", True),
@@ -826,8 +832,45 @@ def modules_after_importing_the_cli() -> set[str]:
         ("graphsynth.views", True),
     ],
 )
-def test_importing_the_cli_loads_the_pipeline_and_no_unneeded_module(modules_after_importing_the_cli, module, loaded):
-    assert (module in modules_after_importing_the_cli) == loaded
+def test_importing_the_cli_loads_the_pipeline_and_no_unneeded_module(modules_after_importing_the_cli, module,
+                                                                      registered):
+    assert (module in modules_after_importing_the_cli) == registered
+
+
+PIPELINE_MODULES = ("graphsynth.problem", "graphsynth.resolver", "graphsynth.composer", "graphsynth.renderer")
+# Runs the CLI on its arguments, if it has any, then prints on stderr its exit
+# code, whether `graphsynth.composer` is bound on the package, and the pipeline
+# modules whose code has run: a registered module that has not run is still lazy.
+PIPELINE_PROBE = f"""
+import sys, types, graphsynth, graphsynth.cli
+code = graphsynth.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+bound = getattr(graphsynth, "composer", None) is sys.modules["graphsynth.composer"]
+print(code, bound, *(name for name in {PIPELINE_MODULES!r} if type(sys.modules[name]) is types.ModuleType),
+      file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv, golden, runs_pipeline", [
+    ([], None, False),
+    (["kb-stats"], None, False),
+    (["query", "?fn gs:hasPurpose ?alg", "?fn gs:hasCallableName ?name"], "query-core-functions.tsv", False),
+    (["dump-graph", vocab.CORE_GRAPH], "core.ttl", False),
+    (["synthesize", STMT, "--out", "."], "hello_analytic.golden", True),
+    (["query", '?p plr:hasBasename "hello_analytic" ?g', "?p plr:hasStatement ?s ?g", "--statement", STMT],
+     "query-program-statements.tsv", True),
+], ids=["import", "kb-stats", "query", "dump-graph", "synthesize", "query-statement"])
+def test_a_command_runs_the_pipeline_modules_only_when_it_synthesizes(tmp_path, argv, golden, runs_pipeline):
+    proc = subprocess.run([sys.executable, "-S", "-c", PIPELINE_PROBE, *argv], cwd=tmp_path, env=_cli_env(),
+                          capture_output=True, text=True, timeout=60)
+    code, bound, *ran = proc.stderr.splitlines()[-1].split()
+    assert (code, bound) == ("0", "True"), proc.stderr
+    assert tuple(ran) == (PIPELINE_MODULES if runs_pipeline else ())
+    if argv[:1] == ["synthesize"]:
+        assert (tmp_path / "hello_analytic.py").read_bytes() == (GOLDEN_DIR / golden).read_bytes()
+    elif golden:
+        assert proc.stdout == (GOLDEN_DIR / golden).read_text(encoding="utf-8")
+    elif argv:
+        assert "files loaded: 20" in proc.stdout
 
 
 def test_exec_check_reports_values(tmp_path, capsys):

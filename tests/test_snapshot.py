@@ -135,7 +135,7 @@ def _mutable_parts(value, path: str) -> list[str]:
             bad for key, item in value.items()
             for bad in _mutable_parts(key, path) + _mutable_parts(item, f"{path}[{key!r}]")
         ]
-    if isinstance(value, (tuple, frozenset)):  # records are NamedTuples
+    if isinstance(value, (tuple, frozenset)):  # records are namedtuples
         return [bad for index, item in enumerate(value) for bad in _mutable_parts(item, f"{path}[{index}]")]
     return [f"{path}: {type(value).__name__}"]
 
