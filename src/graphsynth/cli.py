@@ -151,7 +151,7 @@ def _exec_check(kb_dir: Path, plan, path: Path) -> str:
             raise ExecCheckError(f"cannot copy fixture data file {fixture} to {target}: {exc}") from exc
     try:
         proc = subprocess.run(
-            [sys.executable, path.name],
+            [sys.executable, os.path.join(os.curdir, path.name)],  # `./-x.py`: a path, never an interpreter option
             cwd=path.parent,
             capture_output=True,
             text=True,

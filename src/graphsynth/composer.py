@@ -4,11 +4,12 @@ Sections are composed in one pass in dependency order (Input, Calculate,
 Output, CleanUp, Preamble), the composition order `views.check_kb` fixes for
 every structure, so that variables defined in one section flow into the
 next, and the libraries of the called functions become import directives
-when everything else is done. The abstract graph is
-paradigm-bound but language-agnostic: no concrete syntax, no quoting, no
-keywords; functions appear only as knowledge-base entity IRIs.
-The graph's triples are written straight from the composed records, one
-node per program, section, library reference, statement and call argument.
+when everything else is done. Each call and import statement holds the KB
+record it names. The abstract graph is paradigm-bound but language-agnostic:
+no concrete syntax, no quoting, no keywords; functions and libraries appear
+only as knowledge-base entity IRIs, each record written as its `.iri`. The
+graph's triples are written straight from the composed records, one node per
+program, section, library reference, statement and call argument.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ AssignLiteral = namedtuple("AssignLiteral", (
 
 AssignCall = namedtuple("AssignCall", (
     "target",  # str
-    "function",  # str
+    "function",  # CodeFunctionInfo
     "args",  # tuple[str, ...]: the variables passed, each composed earlier
 ))
 
@@ -82,12 +83,12 @@ ReportValue = namedtuple("ReportValue", (
 
 ProgramExit = namedtuple("ProgramExit", (
     "status",  # int
-    "function",  # str
+    "function",  # CodeFunctionInfo
 ))
 
 
 ImportDirective = namedtuple("ImportDirective", (
-    "library",  # str
+    "library",  # LibraryInfo
 ))
 
 
@@ -124,9 +125,9 @@ class PlaProgram(namedtuple("PlaProgram", (
     "structure_iri",  # str
     "sections",  # tuple[PlaSection, ...]
     "referenced_libraries",  # tuple[LibraryInfo, ...]: the called functions' libraries, in first-call order
-    "called_functions",  # tuple[CodeFunctionInfo, ...], in first-call order
 ))):
-    """An abstract program: its sections in emission order, each holding its statements in order-index order."""
+    """An abstract program: its sections in emission order, each holding its statements in order-index order;
+    each call and import statement holds the knowledge-base record it names."""
 
     __slots__ = ()
 
@@ -159,9 +160,8 @@ def derive_variable_name(
 
 
 def _called_functions(plan: BuildPlan) -> tuple[CodeFunctionInfo, ...]:
-    """The functions the planned program calls, each once, in first-call order."""
-    return tuple(dict.fromkeys((plan.reader_function, *(calc.function for calc in plan.calculations),
-                                plan.exit_function)))
+    """The functions the planned program calls, in call order."""
+    return (plan.reader_function, *(calc.function for calc in plan.calculations), plan.exit_function)
 
 
 def library_names(plan: BuildPlan) -> frozenset[str]:
@@ -214,7 +214,7 @@ def _call(target: str, function: CodeFunctionInfo, role_vars: dict[str, str]) ->
         args.append(variable)
     if function.return_role:
         role_vars[function.return_role] = target
-    return AssignCall(target, function.iri, tuple(args))
+    return AssignCall(target, function, tuple(args))
 
 
 def import_order(libraries: Iterable[LibraryInfo]) -> list[LibraryInfo]:
@@ -234,8 +234,7 @@ def compose(plan: BuildPlan, store: QuadStore) -> PlaProgram:
     graph_iri = vocab.program_graph_iri(plan.program_basename, "pla")
     if store.graph_size(graph_iri) != 0:
         raise ComposeError(f"target graph is not empty: {graph_iri}")
-    functions = _called_functions(plan)
-    libraries = tuple(dict.fromkeys(function.library for function in functions))
+    libraries = tuple(dict.fromkeys(function.library for function in _called_functions(plan)))
     # A program file named after a top-level module it imports would import itself instead, and one named
     # after a standard-library module would be imported in its place by every library that needs it.
     if plan.program_basename in {lib.official_name.partition(".")[0] for lib in libraries}:
@@ -243,8 +242,11 @@ def compose(plan: BuildPlan, store: QuadStore) -> PlaProgram:
     if plan.program_basename in sys.stdlib_module_names:
         raise ComposeError(f"program basename {plan.program_basename!r} names a standard-library module")
 
+    bound = library_names(plan)
+    if vocab.REPORT_CALLEE in bound:  # an import of that name would shadow the call that reports each result
+        raise ComposeError(f"an imported library is named {vocab.REPORT_CALLEE!r}, the report callee")
     patterns, names = views.kb(store).naming_patterns, NameAllocator()
-    reserved = library_names(plan) | {vocab.REPORT_CALLEE}
+    reserved = bound | {vocab.REPORT_CALLEE}
 
     def variable(context: NamingContext) -> str:
         return names.allocate(derive_variable_name(patterns, context, reserved))
@@ -268,8 +270,8 @@ def compose(plan: BuildPlan, store: QuadStore) -> PlaProgram:
     ]
     composed += [(vocab.SECTION_CALCULATE, call) for call in calls]
     composed += [(vocab.SECTION_OUTPUT, ReportValue(label=call.target, source=call.target)) for call in calls]
-    composed.append((vocab.SECTION_CLEANUP, ProgramExit(status=0, function=plan.exit_function.iri)))
-    composed += [(vocab.SECTION_PREAMBLE, ImportDirective(library.iri)) for library in import_order(libraries)]
+    composed.append((vocab.SECTION_CLEANUP, ProgramExit(status=0, function=plan.exit_function)))
+    composed += [(vocab.SECTION_PREAMBLE, ImportDirective(library)) for library in import_order(libraries)]
 
     placed: dict[str, list[PlacedStatement]] = {}
     for counter, (section, statement) in enumerate(composed):
@@ -286,7 +288,6 @@ def compose(plan: BuildPlan, store: QuadStore) -> PlaProgram:
             for slot in plan.structure.slots
         ),
         referenced_libraries=libraries,
-        called_functions=functions,
     )
     store._add_all(graph_iri, _pla_triples(program))
     return program
@@ -325,7 +326,7 @@ def _pla_triples(program: PlaProgram) -> list[tuple[Iri, Iri, Term]]:
                 # A call's arguments are child nodes of its statement node, one per slot.
                 slots = [Iri(f"{node.value}-arg{index}") for index in range(len(statement.args))]
                 triples += [(node, PLA_HAS_TARGET_VARIABLE, Literal(statement.target)),
-                            (node, PLA_CALLS_FUNCTION, Iri(statement.function))]
+                            (node, PLA_CALLS_FUNCTION, Iri(statement.function.iri))]
                 triples += [(node, PLA_HAS_ARGUMENT_SLOT, slot) for slot in slots]
                 for index, (slot, arg) in enumerate(zip(slots, statement.args)):
                     triples += [(slot, PLA_HAS_SLOT_INDEX, integer_literal(index)),
@@ -335,9 +336,9 @@ def _pla_triples(program: PlaProgram) -> list[tuple[Iri, Iri, Term]]:
                             (node, PLA_HAS_SOURCE_VARIABLE, Literal(statement.source))]
             elif kind is ProgramExit:
                 triples += [(node, PLA_HAS_EXIT_STATUS, integer_literal(statement.status)),
-                            (node, PLA_CALLS_FUNCTION, Iri(statement.function))]
+                            (node, PLA_CALLS_FUNCTION, Iri(statement.function.iri))]
             else:
-                triples.append((node, PLA_IMPORTS_LIBRARY, Iri(statement.library)))
+                triples.append((node, PLA_IMPORTS_LIBRARY, Iri(statement.library.iri)))
             statements.append(node)
         node = Iri(f"{graph}#section-{section.name.lower()}")
         triples += [

@@ -3,9 +3,10 @@ emits source text.
 
 Every concrete statement records three things: which statement variation it
 is, what its elements are, and the order of those elements. The element
-templates come from the knowledge base's statement forms; rendering fills
-each form's field slots with its variation's fields (`vocab.VARIATION_FIELDS`),
-and checks no form, as `views.check_kb` has checked each against that table.
+templates come from the knowledge base's statement forms, each callee and
+import from the KB record its abstract statement holds. Rendering fills each
+form's field slots with its variation's fields (`vocab.VARIATION_FIELDS`), and
+checks no form, as `views.check_kb` has checked each against that table.
 The concrete program's graph is written straight from its records: one
 node for the program, each statement and each of its elements.
 Emission walks the concrete program section by section in the fixed source
@@ -25,7 +26,7 @@ from graphsynth.composer import AssignCall, AssignLiteral, ImportDirective, PlaP
 from graphsynth.errors import RenderError, UnmappableStatementError, UnsupportedLanguageError, WriteError
 from graphsynth.quadstore import QuadStore
 from graphsynth.terms import RDF_TYPE, Iri, Literal, Term, integer_literal
-from graphsynth.views import Kb, LanguageInfo, LibraryInfo, StatementFormInfo
+from graphsynth.views import CodeFunctionInfo, LanguageInfo, LibraryInfo
 
 # Concrete-program vocabulary (disjoint from the abstract one by design), each
 # term built once here so that no write or read-back validates it again.
@@ -94,53 +95,29 @@ def import_statement(library: LibraryInfo) -> tuple[str, dict[str, str]]:
     return _statement(vocab.VARIATION_IMPORT_PLAIN, library.official_name)
 
 
-class _Renderer:
-    def __init__(self, kb: Kb, language: LanguageInfo, pla: PlaProgram):
-        self.language = language
-        self.libraries = {library.iri: library for library in pla.referenced_libraries}
-        self.functions = {function.iri: function for function in pla.called_functions}
-        self.forms = kb.statement_forms.get(language.family, {})
-        if not self.forms:
-            raise UnsupportedLanguageError(language.family)
+def _callee(function: CodeFunctionInfo) -> str:
+    """How the program calls `function`: through its library's alias, else its official name."""
+    library = function.library
+    return f"{library.alias or library.official_name}.{function.callable_name}"
 
-    def form(self, variation: str) -> StatementFormInfo:
-        form = self.forms.get(variation)
-        if form is None:
-            raise UnmappableStatementError(variation)
-        return form
 
-    def quote(self, value: str) -> str:
-        return quote(value, self.language.string_quote)
-
-    def callee_ref(self, function_iri: str) -> str:
-        function = self.functions.get(function_iri)
-        if function is None:
-            raise RenderError(f"function {function_iri} is not among the program's called functions")
-        library = function.library
-        prefix = library.alias or library.official_name
-        return f"{prefix}.{function.callable_name}"
-
-    def render_statement(self, statement) -> tuple[str, dict[str, str]]:
-        """The statement's variation and the fields its form is filled with."""
-        if isinstance(statement, ImportDirective):
-            library = self.libraries.get(statement.library)
-            if library is None:
-                raise RenderError(f"library {statement.library} is not among the program's referenced libraries")
-            return import_statement(library)
-        if isinstance(statement, AssignLiteral):
-            return _statement(vocab.VARIATION_ASSIGN_EXPR, statement.target, self.quote(statement.value))
-        if isinstance(statement, AssignCall):
-            args = ",".join(statement.args)
-            return _statement(vocab.VARIATION_ASSIGN_EXPR, statement.target,
-                              f"{self.callee_ref(statement.function)}({args})")
-        if isinstance(statement, ReportValue):
-            # The report form is print('<label> = ',<value>): a space inside
-            # the label before '=', none after the comma.
-            return _statement(vocab.VARIATION_CALL_STMT, vocab.REPORT_CALLEE,
-                              f"{self.quote(statement.label + ' = ')},{statement.source}")
-        if isinstance(statement, ProgramExit):
-            return _statement(vocab.VARIATION_CALL_STMT, self.callee_ref(statement.function), str(statement.status))
-        raise UnmappableStatementError(type(statement).__name__)
+def _fill(statement, quote_char: str) -> tuple[str, dict[str, str]]:
+    """The statement's variation and the fields its form is filled with."""
+    if isinstance(statement, ImportDirective):
+        return import_statement(statement.library)
+    if isinstance(statement, AssignLiteral):
+        return _statement(vocab.VARIATION_ASSIGN_EXPR, statement.target, quote(statement.value, quote_char))
+    if isinstance(statement, AssignCall):
+        args = ",".join(statement.args)
+        return _statement(vocab.VARIATION_ASSIGN_EXPR, statement.target, f"{_callee(statement.function)}({args})")
+    if isinstance(statement, ReportValue):
+        # The report form is print('<label> = ',<value>): a space inside
+        # the label before '=', none after the comma.
+        return _statement(vocab.VARIATION_CALL_STMT, vocab.REPORT_CALLEE,
+                          f"{quote(statement.label + ' = ', quote_char)},{statement.source}")
+    if isinstance(statement, ProgramExit):
+        return _statement(vocab.VARIATION_CALL_STMT, _callee(statement.function), str(statement.status))
+    raise UnmappableStatementError(type(statement).__name__)
 
 
 def render(pla: PlaProgram, language: LanguageInfo, store: QuadStore) -> PlrProgram:
@@ -153,12 +130,14 @@ def render(pla: PlaProgram, language: LanguageInfo, store: QuadStore) -> PlrProg
     its checking constructor, and then they are written there in one batch,
     so a render that fails leaves no graph. Returns that program, not read
     back from the graph; decoded through the PLR field tables in
-    `tests/oracles.py`, the graph gives an equal program. Each callee is
-    the function the abstract program carries for its call, the one the
-    resolver chose; the KB is not asked for it again. A language family
+    `tests/oracles.py`, the graph gives an equal program. Each callee and
+    each import is the KB record its statement holds, the one the resolver
+    chose; the KB is asked only for the statement forms. A language family
     without statement forms in the KB is unsupported.
     """
-    renderer = _Renderer(views.kb(store), language, pla)
+    forms = views.kb(store).statement_forms.get(language.family)
+    if not forms:
+        raise UnsupportedLanguageError(language.family)
     graph_iri = vocab.program_graph_iri(pla.basename, "plr")
     if store.graph_size(graph_iri) != 0:
         raise RenderError(f"target graph is not empty: {graph_iri}")
@@ -167,9 +146,11 @@ def render(pla: PlaProgram, language: LanguageInfo, store: QuadStore) -> PlrProg
     for section in pla.sections:
         statements = []
         for placed in section.statements:
-            variation, fields = renderer.render_statement(placed.statement)
-            elements = tuple(slot.text if slot.field is None else fields[slot.field]
-                             for slot in renderer.form(variation).slots)
+            variation, fields = _fill(placed.statement, language.string_quote)
+            form = forms.get(variation)
+            if form is None:
+                raise UnmappableStatementError(variation)
+            elements = tuple(slot.text if slot.field is None else fields[slot.field] for slot in form.slots)
             statements.append(PlacedConcrete(variation, section.name, placed.order_index, elements))
         sections.append((section.name, tuple(statements)))
     plr = PlrProgram(graph_iri, f"{graph_iri}#program", pla.basename, language.iri, tuple(sections))

@@ -203,6 +203,8 @@ def resolve(ps: ProblemStatement, store: QuadStore) -> BuildPlan:
     """Match every part of the statement against the store's KB, `views.kb(store)`, and assemble the plan."""
     if len(ps.data_source_names) != 1:
         raise ResolveError("exactly one data source is supported per program")
+    if len(ps.library_preferences) > 1:
+        raise ResolveError("at most one library preference is supported per program")
     library_pref = ps.library_preferences[0] if ps.library_preferences else None
     kb = views.kb(store)
 

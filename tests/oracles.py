@@ -264,6 +264,8 @@ PLA_STATEMENTS = {
     ProgramExit: (PLA_PROGRAM_EXIT, (("status", PLA_HAS_EXIT_STATUS, INT, 1, 1), _FUNCTION)),
     ImportDirective: (PLA_IMPORT_DIRECTIVE, (("library", PLA_IMPORTS_LIBRARY, IRI, 1, 1),)),
 }
+# A statement field that holds a KB record, written as its IRI -> the `views.Kb` field that holds that kind.
+_RECORD_FIELDS = {"function": "functions", "library": "libraries"}
 
 # One field table per PLR node.
 PLR_PROGRAM_FIELDS = (
@@ -353,6 +355,8 @@ def pla_nodes(program: PlaProgram):
             node = Iri(f"{graph}#stmt-{placed.composition_index}")
             kind, fields = PLA_STATEMENTS[type(placed.statement)]
             values = dict(placed._asdict(), **placed.statement._asdict(), type=kind)
+            for name in _RECORD_FIELDS.keys() & values.keys():
+                values[name] = values[name].iri
             # A call's arguments are child nodes of its statement node, one per slot.
             args = values.get("args", ())
             values["args"] = slots = [Iri(f"{node.value}-arg{index}") for index in range(len(args))]
@@ -403,25 +407,21 @@ def _typed_node(store: QuadStore, graph: str, cls: Iri, error: type):
 
 
 def load_pla(store: QuadStore, graph_iri: str) -> PlaProgram:
-    """The abstract program its graph holds; its libraries and functions are the KB's."""
+    """The abstract program its graph holds; the functions and libraries it names are the KB's records."""
+    kb = views.kb(store)
     program = _typed_node(store, graph_iri, PLA_PROGRAM, ComposeError)
     fields = _read(store, graph_iri, PLA_PROGRAM_FIELDS, program, ComposeError)
-    sections = [_read_section(store, graph_iri, node) for node in fields["sections"]]
+    sections = [_read_section(store, graph_iri, node, kb) for node in fields["sections"]]
     refs = sorted((_read(store, graph_iri, PLA_LIBRARY_REFERENCE_FIELDS, ref, ComposeError)
                    for ref in fields["library_references"]), key=itemgetter("index"))
-    kb = views.kb(store)
-    pla = PlaProgram(
+    return PlaProgram(
         graph_iri=graph_iri,
         program_iri=program.value,
         basename=fields["basename"],
         structure_iri=fields["structure_iri"],
         sections=tuple(sorted(sections, key=lambda s: s.emission_index)),
         referenced_libraries=tuple(_in_kb(kb.libraries, ref["library"]) for ref in refs),
-        called_functions=(),
     )
-    # The functions the calls name, each once, in the order the calls were composed.
-    calls = [p.statement.function for p in pla_statements(pla) if isinstance(p.statement, (AssignCall, ProgramExit))]
-    return pla._replace(called_functions=tuple(_in_kb(kb.functions, iri) for iri in dict.fromkeys(calls)))
 
 
 def _in_kb(records: dict, iri: str):
@@ -434,14 +434,14 @@ def _in_kb(records: dict, iri: str):
 _RECORDS = {kind: (record, fields) for record, (kind, fields) in PLA_STATEMENTS.items()}
 
 
-def _read_section(store: QuadStore, graph: str, node: Iri) -> PlaSection:
+def _read_section(store: QuadStore, graph: str, node: Iri, kb: views.Kb) -> PlaSection:
     section = _read(store, graph, PLA_SECTION_FIELDS, node, ComposeError)
     del section["type"]
-    placed = [_read_statement(store, graph, statement, section["name"]) for statement in section.pop("statements")]
+    placed = [_read_statement(store, graph, statement, section["name"], kb) for statement in section.pop("statements")]
     return PlaSection(**section, statements=tuple(sorted(placed, key=lambda p: p.order_index)))
 
 
-def _read_statement(store: QuadStore, graph: str, node: Iri, section: str) -> PlacedStatement:
+def _read_statement(store: QuadStore, graph: str, node: Iri, section: str, kb: views.Kb) -> PlacedStatement:
     placement = _read(store, graph, PLA_PLACEMENT_FIELDS, node, ComposeError)
     if placement["type"] not in _RECORDS:
         raise ComposeError(f"statement node {node.value} has no recognized kind")
@@ -451,6 +451,8 @@ def _read_statement(store: QuadStore, graph: str, node: Iri, section: str) -> Pl
         slots = sorted((_read(store, graph, PLA_ARGUMENT_SLOT_FIELDS, slot, ComposeError) for slot in values["args"]),
                        key=itemgetter("index"))
         values["args"] = tuple(slot["variable"] for slot in slots)
+    for name in _RECORD_FIELDS.keys() & values.keys():
+        values[name] = _in_kb(getattr(kb, _RECORD_FIELDS[name]), values[name])
     return PlacedStatement(record(**values), section, placement["order_index"], placement["composition_index"])
 
 

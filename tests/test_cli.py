@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import GOLDEN_DIR, NUMPY_MEAN
+from conftest import GOLDEN_DIR
 from test_seedkb import ZFORM, ZFORM_PROBLEM
 from graphsynth import seed, vocab
 from graphsynth.cli import EXIT_KB_LOAD, main
@@ -262,22 +262,15 @@ def test_a_blank_node_typed_with_a_shaped_class_maps_to_load_exit_code(tmp_path,
     assert not out.exists() or list(out.iterdir()) == []
 
 
-def test_a_call_to_a_function_the_program_does_not_carry_maps_to_render_exit_code(tmp_path, capsys, monkeypatch):
-    from graphsynth import composer
-
-    compose = composer.compose
-
-    def compose_without_mean(plan, store):
-        pla = compose(plan, store)
-        functions = tuple(function for function in pla.called_functions if function.iri != NUMPY_MEAN)
-        return pla._replace(called_functions=functions)
-
-    monkeypatch.setattr(composer, "compose", compose_without_mean)
+@pytest.mark.parametrize("preferences", [["numpy", "scipy"], ["scipy", "numpy"]], ids=["numpy-first", "scipy-first"])
+def test_more_than_one_library_preference_exits_at_stage_resolve(tmp_path, capsys, preferences):
+    statement = tmp_path / "preferences.aida"
+    statement.write_text(example_statement_path().read_text() + f"library_preferences = {preferences!r}\n")
     out = tmp_path / "out"
-    code, _, err = run(capsys, "synthesize", STMT, "--out", str(out))
-    assert code == 7
-    assert f"stage render: function {NUMPY_MEAN} is not among the program's called functions" in err
-    assert not (out / "hello_analytic.py").exists()
+    code, _, err = run(capsys, "synthesize", str(statement), "--out", str(out))
+    assert code == 5
+    assert err == "graphsynth: error at stage resolve: at most one library preference is supported per program\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -890,6 +883,18 @@ def test_exec_check_of_a_one_calculation_program_expects_one_report_line(tmp_pat
     assert "mean = " in (tmp_path / "hello_analytic.py").read_text()
     [line] = [l for l in out.splitlines() if l.startswith("exec-check:")]
     assert line == "exec-check: mean=3.5"
+
+
+def test_exec_check_runs_a_program_whose_basename_starts_with_a_dash(tmp_path, capsys):
+    pytest.importorskip("numpy")
+    # Run as `python -x.py`, the program's name would be read as the interpreter's `-x` option.
+    statement = tmp_path / "dash.aida"
+    statement.write_text(example_statement_path().read_text().replace("'hello_analytic'", "'-x'"))
+    code, out, err = run(capsys, "synthesize", str(statement), "--out", str(tmp_path), "--exec-check")
+    assert code == 0, err
+    assert (tmp_path / "-x.py").read_text() == (GOLDEN_DIR / "hello_analytic.golden").read_text()
+    [line] = [l for l in out.splitlines() if l.startswith("exec-check:")]
+    assert line == "exec-check: mean=3.5 std=1.707825127659933"
 
 
 def _run_with_closed_pipe(argv: list[str], streams: tuple[str, ...]) -> subprocess.CompletedProcess:

@@ -48,26 +48,25 @@ def test_exemplar_sections_and_statement_counts(pla):
     assert len(pla_statements(pla)) == 9
 
 
-def test_exemplar_statement_shapes(pla, plan):
+def test_exemplar_statement_shapes(kb_store, pla, plan):
+    functions, libraries = kb(kb_store).functions, kb(kb_store).libraries
     input_statements = [p.statement for p in pla_section(pla, "Input").statements]
-    assert input_statements[0] == AssignLiteral("input_data_filename", "my_input.txt", vocab.ROLE_DATASOURCE_FILENAME)
-    assert isinstance(input_statements[1], AssignCall)
-    assert input_statements[1].target == "input_data"
-    assert input_statements[1].function == NUMPY_LOADTXT
-    assert input_statements[1].args == ("input_data_filename",)
+    assert input_statements == [
+        AssignLiteral("input_data_filename", "my_input.txt", vocab.ROLE_DATASOURCE_FILENAME),
+        AssignCall("input_data", functions[NUMPY_LOADTXT], ("input_data_filename",)),
+    ]
 
     calculate = [p.statement for p in pla_section(pla, "Calculate").statements]
-    assert [s.target for s in calculate] == ["mean", "std"]
-    assert [s.function for s in calculate] == [NUMPY_MEAN, NUMPY_STD]
-    assert all(s.args == ("input_data",) for s in calculate)
+    assert calculate == [AssignCall("mean", functions[NUMPY_MEAN], ("input_data",)),
+                         AssignCall("std", functions[NUMPY_STD], ("input_data",))]
 
     output = [p.statement for p in pla_section(pla, "Output").statements]
     assert output == [ReportValue("mean", "mean"), ReportValue("std", "std")]
 
-    assert [p.statement for p in pla_section(pla, "CleanUp").statements] == [ProgramExit(0, plan.exit_function.iri)]
+    assert [p.statement for p in pla_section(pla, "CleanUp").statements] == [ProgramExit(0, plan.exit_function)]
 
     preamble = [p.statement for p in pla_section(pla, "Preamble").statements]
-    assert preamble == [ImportDirective(NUMPY_LIBRARY), ImportDirective(SYS_LIBRARY)]
+    assert preamble == [ImportDirective(libraries[NUMPY_LIBRARY]), ImportDirective(libraries[SYS_LIBRARY])]
 
 
 def test_composition_indices_order_sections_input_first_preamble_last(pla):
@@ -104,10 +103,10 @@ def test_import_set_is_exactly_the_referenced_libraries(kb_store, pla):
     for placed in pla_statements(pla):
         statement = placed.statement
         if isinstance(statement, AssignCall):
-            expected.add(kb(kb_store).functions[statement.function].library.iri)
-    expected.add(SYS_LIBRARY)  # bound by the planned exit action
+            expected.add(kb(kb_store).functions[statement.function.iri].library)
+    expected.add(kb(kb_store).libraries[SYS_LIBRARY])  # bound by the planned exit action
     imported = {p.statement.library for p in pla_section(pla, "Preamble").statements}
-    assert imported == expected == {lib.iri for lib in pla.referenced_libraries}
+    assert imported == expected == set(pla.referenced_libraries)
 
 
 def test_referenced_libraries_in_first_reference_order(pla):
@@ -143,13 +142,6 @@ def test_load_pla_round_trips_the_composed_object(kb_store, plan):
 def test_load_pla_round_trips_the_composed_object_of_every_statement_variant(kb_store, variant):
     pla = compose(variant_plan(kb_store, variant), kb_store)
     assert load_pla(kb_store, pla.graph_iri) == pla
-
-
-def test_called_functions_are_the_plans_once_each_in_first_call_order(kb_store, plan):
-    functions = (plan.reader_function, *(calc.function for calc in plan.calculations), plan.exit_function)
-    assert compose(plan, kb_store).called_functions == functions
-    doubled = plan._replace(calculations=plan.calculations * 2, program_basename="doubled")
-    assert compose(doubled, kb_store).called_functions == functions
 
 
 def test_argument_slot_without_a_variable_does_not_load(kb_store, pla):

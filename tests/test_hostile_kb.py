@@ -129,6 +129,21 @@ def test_a_callable_named_as_the_report_callee_exits_at_stage_compose_and_writes
     assert not out.exists() or list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("field", [("library.ttl", "gs:hasAlias", "np"), ("library.ttl", "gs:hasOfficialName", "numpy")],
+                         ids=["alias", "official-name"])
+def test_a_library_named_as_the_report_callee_exits_at_stage_compose_and_writes_nothing(tmp_path, field):
+    # A library named or aliased `print` is refused: `import numpy as print` binds the report callee to a module.
+    kb, out = tmp_path / "kb", tmp_path / "out"
+    shutil.copytree(kb_dir(), kb)
+    _doctor(kb, {FIELDS.index(field): vocab.REPORT_CALLEE})
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(["synthesize", str(example_statement_path()), "--kb", str(kb), "--out", str(out)])
+    assert code == EXIT_COMPOSE, stderr.getvalue()
+    assert "an imported library is named 'print', the report callee" in stderr.getvalue()
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 # Stage -> the error it fails with.
 STAGE_ERRORS = {"resolve": ResolveError, "compose": ComposeError, "render": RenderError, "emit": RenderError}
 

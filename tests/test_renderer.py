@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import NUMPY_MEAN, STATEMENT_VARIANTS, edited, insert_turtle, variant_plan
 from oracles import encode, load_pla, load_plr, pla_nodes, plr_nodes
 from graphsynth import renderer, views, vocab
-from graphsynth.composer import compose, import_order
+from graphsynth.composer import AssignCall, compose, import_order
 from graphsynth.errors import (
     ComposeError,
     KbValidationError,
@@ -169,10 +169,15 @@ def test_compose_and_render_read_nothing_back_and_look_up_no_function(kb_store, 
 def test_each_callee_is_the_function_the_program_carries(kb_store, statement_text):
     plan = resolve(parse_problem_statement(statement_text), kb_store)
     pla = compose(plan, kb_store)
-    # A callee the KB does not hold under that name: only the program's own record can supply it.
-    carried = tuple(function._replace(callable_name="average") if function.iri == NUMPY_MEAN else function
-                    for function in pla.called_functions)
-    lines = emit(render(pla._replace(called_functions=carried), plan.language, kb_store)).splitlines()
+    # A callee the KB does not hold under that name: only the statement's own record can supply it.
+    def carried(placed):
+        statement = placed.statement
+        if not isinstance(statement, AssignCall) or statement.function.iri != NUMPY_MEAN:
+            return placed
+        return placed._replace(statement=statement._replace(function=statement.function._replace(
+            callable_name="average")))
+    sections = tuple(section._replace(statements=tuple(map(carried, section.statements))) for section in pla.sections)
+    lines = emit(render(pla._replace(sections=sections), plan.language, kb_store)).splitlines()
     assert "mean = np.average(input_data)" in lines
     assert "mean = np.mean(input_data)" not in lines
 
@@ -296,18 +301,6 @@ def test_writers_store_the_same_graphs_and_tables_as_validated_inserts(kb_store,
         program_class = kb_store.row(program, graph)[Iri(RDF_TYPE)]
         pattern = Pattern(Var("s"), Var("p"), program_class[0], graph)
         assert replay.match_pattern(pattern) == kb_store.match_pattern(pattern) == [{"s": program, "p": Iri(RDF_TYPE)}]
-
-
-def test_a_call_to_a_function_the_program_does_not_carry_is_a_render_error(kb_store, statement_text, golden_source):
-    plan = resolve(parse_problem_statement(statement_text), kb_store)
-    pla = compose(plan, kb_store)
-    without_mean = tuple(function for function in pla.called_functions if function.iri != NUMPY_MEAN)
-    with pytest.raises(RenderError, match=f"function {NUMPY_MEAN} is not among the program's called functions"):
-        render(pla._replace(called_functions=without_mean), plan.language, kb_store)
-    # The failed render wrote no part of its graph, so the intact program renders into the same store.
-    graph = vocab.program_graph_iri(pla.basename, "plr")
-    assert kb_store.graph_size(graph) == 0 and graph not in kb_store.graph_names()
-    assert emit(render(pla, plan.language, kb_store)) == golden_source
 
 
 @pytest.mark.parametrize("variant", ["example", *STATEMENT_VARIANTS])
@@ -435,17 +428,24 @@ def test_unsupported_language_family(pipeline):
     assert clone.graph_size(plr.graph_iri) == 0
 
 
-def test_missing_statement_form_is_unmappable(kb_store, statement_text):
+def test_missing_statement_form_is_unmappable(kb_store, statement_text, golden_source):
     plan = resolve(parse_problem_statement(statement_text), kb_store)
     pla = compose(plan, kb_store)
     # Strip the aliased-import form and its slots from the KB so numpy cannot be rendered.
     form = Iri(vocab.kb("py_import_aliased"))
     stripped = {form, *kb_store.row(form, vocab.CORE_GRAPH)[Iri(vocab.HAS_TEMPLATE_SLOT)]}
-    kb_store = edited(kb_store, drop=[quad for quad in kb_store.quads(vocab.CORE_GRAPH) if quad.subject in stripped])
+    dropped = [quad for quad in kb_store.quads(vocab.CORE_GRAPH) if quad.subject in stripped]
+    kb_store = edited(kb_store, drop=dropped)
     assert views.check_kb(kb_store) == []
     with pytest.raises(UnmappableStatementError):
         render(pla, plan.language, kb_store)
-    assert kb_store.graph_size(vocab.program_graph_iri(pla.basename, "plr")) == 0
+    # The failed render wrote no part of its graph, so once the form is back the intact program renders into
+    # the same store.
+    graph = vocab.program_graph_iri(pla.basename, "plr")
+    assert kb_store.graph_size(graph) == 0 and graph not in kb_store.graph_names()
+    for quad in dropped:
+        kb_store.insert(quad)
+    assert emit(render(pla, plan.language, kb_store)) == golden_source
 
 
 def test_import_statements_for_exemplar_library_set():
