@@ -5,11 +5,16 @@ Output, CleanUp, Preamble), the composition order `views.check_kb` fixes for
 every structure, so that variables defined in one section flow into the
 next, and the libraries of the called functions become import directives
 when everything else is done. Each call and import statement holds the KB
-record it names. The abstract graph is paradigm-bound but language-agnostic:
-no concrete syntax, no quoting, no keywords; functions and libraries appear
-only as knowledge-base entity IRIs, each record written as its `.iri`. The
-graph's triples are written straight from the composed records, one node per
-program, section, library reference, statement and call argument.
+record it names. `compose` names the variables by the KB's three naming
+patterns: the data source's content label joined to the filename suffix, the
+content label alone for the data read, and the callable name for each
+calculation. A repeated name takes its first free `_2`, `_3`, ... form, and
+no variable takes a name an import binds or the report callee. The abstract
+graph is paradigm-bound but language-agnostic: no concrete syntax, no
+quoting, no keywords; functions and libraries appear only as knowledge-base
+entity IRIs, each record written as its `.iri`. The graph's triples are
+written straight from the composed records, one node per program, section,
+library reference, statement and call argument.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 import keyword
 import sys
 from collections import namedtuple
-from typing import Collection, Iterable, Mapping
+from typing import Iterable
 
 from graphsynth import vocab, views
 from graphsynth.errors import ComposeError, UnnamedVariableError
@@ -132,75 +137,6 @@ class PlaProgram(namedtuple("PlaProgram", (
     __slots__ = ()
 
 
-class NamingContext(namedtuple("NamingContext", (
-    "pattern_id",  # str
-    "content_label",  # str | None
-    "function",  # CodeFunctionInfo | None
-), defaults=(None, None))):
-    """The situation a variable is being named in; payload depends on the pattern."""
-
-    __slots__ = ()
-
-
-def derive_variable_name(
-    patterns: Mapping[str, NamingPatternInfo], context: NamingContext, reserved: Collection[str] = ()
-) -> str:
-    """Apply the naming pattern matching `context`; no rule, or no usable identifier, is an error.
-
-    `reserved` holds the names the program's imports bind and the report
-    callee; deriving one of them would shadow a library or the report call.
-    """
-    name = _apply_naming_pattern(patterns, context)
-    if not name.isidentifier() or keyword.iskeyword(name):
-        raise UnnamedVariableError(f"pattern '{context.pattern_id}' derives {name!r}, which is not a variable name")
-    if name in reserved:
-        what = "the report callee" if name == vocab.REPORT_CALLEE else "an imported library"
-        raise UnnamedVariableError(f"pattern '{context.pattern_id}' derives {name!r}, which names {what}")
-    return name
-
-
-def _called_functions(plan: BuildPlan) -> tuple[CodeFunctionInfo, ...]:
-    """The functions the planned program calls, in call order."""
-    return (plan.reader_function, *(calc.function for calc in plan.calculations), plan.exit_function)
-
-
-def library_names(plan: BuildPlan) -> frozenset[str]:
-    """Official names and aliases of every library the planned program references."""
-    return frozenset(name for function in _called_functions(plan)
-                     for name in (function.library.official_name, function.library.alias) if name)
-
-
-def _apply_naming_pattern(patterns: Mapping[str, NamingPatternInfo], context: NamingContext) -> str:
-    pattern = patterns.get(context.pattern_id)
-    if pattern is None:
-        raise UnnamedVariableError(f"pattern '{context.pattern_id}' is not in the knowledge base")
-    if context.pattern_id == vocab.PATTERN_LITERAL_IS_DATASOURCE_FILENAME:
-        if context.content_label is None or pattern.suffix_label is None:
-            raise UnnamedVariableError("filename pattern needs a content type label and a suffix label")
-        return context.content_label + (pattern.separator or "_") + pattern.suffix_label
-    if context.pattern_id == vocab.PATTERN_FILENAME_ARG_TO_READER:
-        if context.content_label is None:
-            raise UnnamedVariableError("reader-result pattern needs a content type label")
-        return context.content_label
-    if context.pattern_id == vocab.PATTERN_ASSIGN_FUNCTION_RETURN:
-        if context.function is None or not context.function.callable_name:
-            raise UnnamedVariableError("function-return pattern needs the called function")
-        return context.function.callable_name
-    raise UnnamedVariableError(f"pattern '{context.pattern_id}' has no naming rule")
-
-
-class NameAllocator:
-    """Deterministic collision policy: repeated derivations get _2, _3, ... suffixes."""
-
-    def __init__(self):
-        self._seen: dict[str, int] = {}
-
-    def allocate(self, name: str) -> str:
-        count = self._seen.get(name, 0) + 1
-        self._seen[name] = count
-        return name if count == 1 else f"{name}_{count}"
-
-
 def _call(target: str, function: CodeFunctionInfo, role_vars: dict[str, str]) -> AssignCall:
     """`target` assigned the call of `function` on the variable of each of its argument roles.
 
@@ -234,7 +170,8 @@ def compose(plan: BuildPlan, store: QuadStore) -> PlaProgram:
     graph_iri = vocab.program_graph_iri(plan.program_basename, "pla")
     if store.graph_size(graph_iri) != 0:
         raise ComposeError(f"target graph is not empty: {graph_iri}")
-    libraries = tuple(dict.fromkeys(function.library for function in _called_functions(plan)))
+    functions = (plan.reader_function, *(calc.function for calc in plan.calculations), plan.exit_function)
+    libraries = tuple(dict.fromkeys(function.library for function in functions))
     # A program file named after a top-level module it imports would import itself instead, and one named
     # after a standard-library module would be imported in its place by every library that needs it.
     if plan.program_basename in {lib.official_name.partition(".")[0] for lib in libraries}:
@@ -242,30 +179,53 @@ def compose(plan: BuildPlan, store: QuadStore) -> PlaProgram:
     if plan.program_basename in sys.stdlib_module_names:
         raise ComposeError(f"program basename {plan.program_basename!r} names a standard-library module")
 
-    bound = library_names(plan)
+    bound = {name for lib in libraries for name in (lib.official_name, lib.alias) if name}
     if vocab.REPORT_CALLEE in bound:  # an import of that name would shadow the call that reports each result
         raise ComposeError(f"an imported library is named {vocab.REPORT_CALLEE!r}, the report callee")
-    patterns, names = views.kb(store).naming_patterns, NameAllocator()
-    reserved = bound | {vocab.REPORT_CALLEE}
+    patterns, reserved, taken = views.kb(store).naming_patterns, bound | {vocab.REPORT_CALLEE}, set()
 
-    def variable(context: NamingContext) -> str:
-        return names.allocate(derive_variable_name(patterns, context, reserved))
+    def pattern(pattern_id: str) -> NamingPatternInfo:
+        found = patterns.get(pattern_id)
+        if found is None:
+            raise UnnamedVariableError(f"pattern '{pattern_id}' is not in the knowledge base")
+        return found
+
+    def variable(pattern_id: str, name: str) -> str:
+        """`name`, derived by the KB pattern `pattern_id`, or its first `_2`, `_3`, ... form no variable has taken.
+
+        A name that is no identifier, or that an import binds or the report call uses, is an error.
+        """
+        pattern(pattern_id)
+        if not name.isidentifier() or keyword.iskeyword(name):
+            raise UnnamedVariableError(f"pattern '{pattern_id}' derives {name!r}, which is not a variable name")
+        if name in reserved:
+            what = "the report callee" if name == vocab.REPORT_CALLEE else "an imported library"
+            raise UnnamedVariableError(f"pattern '{pattern_id}' derives {name!r}, which names {what}")
+        free, count = name, 1
+        while free in taken or free in reserved:
+            count += 1
+            free = f"{name}_{count}"
+        taken.add(free)
+        return free
 
     # `views.check_kb` fixes the composition order of every structure that
     # loads to `vocab.COMPOSITION_ORDER`: Input, Calculate, Output, CleanUp,
     # Preamble. Each section's values are composed before the next uses them.
     source = plan.data_source
-    filename = variable(NamingContext(vocab.PATTERN_LITERAL_IS_DATASOURCE_FILENAME,
-                                      content_label=source.content_type_label))
+    label = source.content_type_label
+    naming = pattern(vocab.PATTERN_LITERAL_IS_DATASOURCE_FILENAME)
+    if label is None or naming.suffix_label is None:
+        raise UnnamedVariableError("filename pattern needs a content type label and a suffix label")
+    filename = variable(vocab.PATTERN_LITERAL_IS_DATASOURCE_FILENAME,
+                        label + (naming.separator or "_") + naming.suffix_label)
     role_vars = {vocab.ROLE_DATASOURCE_FILENAME: filename}
-    data = variable(NamingContext(vocab.PATTERN_FILENAME_ARG_TO_READER, content_label=source.content_type_label))
+    data = variable(vocab.PATTERN_FILENAME_ARG_TO_READER, label)
     composed = [
         (vocab.SECTION_INPUT, AssignLiteral(filename, source.name, vocab.ROLE_DATASOURCE_FILENAME)),
         (vocab.SECTION_INPUT, _call(data, plan.reader_function, role_vars)),
     ]
     calls = [
-        _call(variable(NamingContext(vocab.PATTERN_ASSIGN_FUNCTION_RETURN, function=calc.function)),
-              calc.function, role_vars)
+        _call(variable(vocab.PATTERN_ASSIGN_FUNCTION_RETURN, calc.function.callable_name), calc.function, role_vars)
         for calc in plan.calculations
     ]
     composed += [(vocab.SECTION_CALCULATE, call) for call in calls]

@@ -134,6 +134,18 @@ def _functions(kb: Kb, purpose: str, language_family: str, library_pref: str | N
     return [fn for fn in functions if library_pref in (None, fn.library.official_name)]
 
 
+def _no_function(
+    kb: Kb, what: str, purposes: Iterable[str], language_family: str, library_pref: str | None
+) -> NoFunctionError:
+    """The error for no function of `purposes`; where the library preference ruled them all out, it says so."""
+    others = sorted({fn.library.official_name for purpose in purposes
+                     for fn in _functions(kb, purpose, language_family, None)})
+    if not others:
+        return NoFunctionError(what)
+    return NoFunctionError(f"{what} in the preferred library '{library_pref}'; "
+                           f"libraries that implement it: {', '.join(others)}")
+
+
 def _resolve_data_source(kb: Kb, name: str) -> DataSourceInfo:
     sources = kb.data_sources.get(name, ())
     if not sources:
@@ -170,7 +182,8 @@ def _resolve_calculation(
     )
     functions = _functions(kb, algorithm.iri, language.family, library_pref)
     if not functions:
-        raise NoFunctionError(f"implementation of {algorithm.name or algorithm.iri}")
+        raise _no_function(kb, f"implementation of {algorithm.name or algorithm.iri}", [algorithm.iri],
+                           language.family, library_pref)
     function = select_candidate(
         f"code function for {algorithm.name}", functions, describe=lambda f: f.qualified_name
     )
@@ -187,7 +200,8 @@ def _resolve_reader(kb: Kb, ds: DataSourceInfo, language: LanguageInfo, library_
     for cap in capabilities:
         functions.extend(_functions(kb, cap.iri, language.family, library_pref))
     if not functions:
-        raise NoFunctionError(f"reader for data source {ds.name}")
+        raise _no_function(kb, f"reader for data source {ds.name}", [cap.iri for cap in capabilities],
+                           language.family, library_pref)
     return select_candidate("reader function", functions, describe=lambda f: f.qualified_name)
 
 

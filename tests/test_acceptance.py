@@ -15,10 +15,9 @@ from importlib.util import find_spec
 
 import pytest
 
-from conftest import NUMPY_MEAN, NUMPY_STD
 from graphsynth import vocab, views
 from graphsynth.cli import main
-from graphsynth.composer import compose, derive_variable_name, import_order, NameAllocator, NamingContext
+from graphsynth.composer import compose, import_order
 from graphsynth.errors import ProblemStatementError, TurtleParseError
 from graphsynth.problem import parse_problem_statement
 from graphsynth.quadstore import Quad, QuadStore
@@ -172,24 +171,17 @@ def test_c6_ordering_properties(kb_store, statement_text):
     report(6, "import lines sorted on 500 random sets; emission and composition section orders hold")
 
 
-def test_c7_naming_rules(kb_store):
-    kb = views.kb(kb_store)
-    patterns = kb.naming_patterns
-    mean_fn = kb.functions[NUMPY_MEAN]
-    std_fn = kb.functions[NUMPY_STD]
-    derived = [
-        derive_variable_name(
-            patterns, NamingContext(vocab.PATTERN_LITERAL_IS_DATASOURCE_FILENAME, content_label="input_data")
-        ),
-        derive_variable_name(patterns, NamingContext(vocab.PATTERN_FILENAME_ARG_TO_READER, content_label="input_data")),
-        derive_variable_name(patterns, NamingContext(vocab.PATTERN_ASSIGN_FUNCTION_RETURN, function=mean_fn)),
-        derive_variable_name(patterns, NamingContext(vocab.PATTERN_ASSIGN_FUNCTION_RETURN, function=std_fn)),
-    ]
-    assert derived == ["input_data_filename", "input_data", "mean", "std"]
-    allocator = NameAllocator()
-    assert [allocator.allocate("mean") for _ in range(3)] == ["mean", "mean_2", "mean_3"]
-    again = NameAllocator()
-    assert [again.allocate("mean") for _ in range(3)] == ["mean", "mean_2", "mean_3"]
+def test_c7_naming_rules(kb_store, statement_text):
+    plan = resolve(parse_problem_statement(statement_text), kb_store)
+
+    def targets(plan, sections):
+        pla = compose(plan, kb_store.clone())
+        return [p.statement.target for p in pla_statements(pla) if p.section in sections]
+
+    assert targets(plan, ("Input", "Calculate")) == ["input_data_filename", "input_data", "mean", "std"]
+    tripled = plan._replace(calculations=(plan.calculations[0],) * 3)
+    for _ in range(2):  # each composition names its variables afresh
+        assert targets(tripled, ("Calculate",)) == ["mean", "mean_2", "mean_3"]
     report(7, "the three naming patterns and the collision policy produce the expected names")
 
 

@@ -273,6 +273,33 @@ def test_more_than_one_library_preference_exits_at_stage_resolve(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("preference, old, new, message", [
+    # Only numpy implements the arithmetic mean.
+    ("scipy", None, None,
+     "implementation of arithmetic_mean in the preferred library 'scipy'; libraries that implement it: numpy"),
+    # The calculations resolve to numpy's functions, but the one reader is sys's.
+    ("numpy", 'gs:hasCallableName "loadtxt" ;\n    gs:providedBy kb:numpy', 'gs:hasCallableName "loadtxt" ;\n'
+     '    gs:providedBy kb:sys', "reader for data source my_input.txt in the preferred library 'numpy'; "
+     "libraries that implement it: sys"),
+    # The exit function is chosen whatever the preference; none is left for the exit action.
+    ("numpy", "gs:hasPurpose kb:action_program_exit", "gs:hasPurpose kb:read_csv_float_file", "program-exit action"),
+], ids=["calculation", "reader", "exit"])
+def test_no_code_function_exits_at_stage_resolve_and_names_what_is_missing(tmp_path, capsys, preference, old, new,
+                                                                           message):
+    kb = seed.kb_dir()
+    if old is not None:
+        text = (kb / "code_function.ttl").read_text(encoding="utf-8")
+        assert old in text
+        kb = _doctored_kb(tmp_path, "code_function.ttl", text.replace(old, new))
+    statement = tmp_path / "preference.aida"
+    statement.write_text(example_statement_path().read_text() + f"library_preferences = [{preference!r}]\n")
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "synthesize", str(statement), "--kb", str(kb), "--out", str(out))
+    assert code == 5
+    assert err == f"graphsynth: error at stage resolve: no code function found for purpose {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "filename, old, new, entity, problem",
     [

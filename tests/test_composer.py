@@ -13,19 +13,15 @@ from graphsynth.composer import (
     AssignCall,
     AssignLiteral,
     ImportDirective,
-    NameAllocator,
-    NamingContext,
     ProgramExit,
     ReportValue,
     compose,
-    derive_variable_name,
-    library_names,
 )
 from graphsynth.errors import ComposeError, UnnamedVariableError
 from graphsynth.problem import parse_problem_statement
 from graphsynth.resolver import resolve
 from graphsynth.quadstore import Quad
-from graphsynth.terms import Iri, integer_literal
+from graphsynth.terms import Iri, Literal, integer_literal
 from graphsynth.views import kb
 
 
@@ -175,72 +171,105 @@ def test_graph_iri_derived_from_basename(pla, plan):
 # --- naming patterns ------------------------------------------------------
 
 
-def test_pattern_one_joins_content_and_filename_labels(kb_store):
-    patterns = kb(kb_store).naming_patterns
-    name = derive_variable_name(
-        patterns, NamingContext(vocab.PATTERN_LITERAL_IS_DATASOURCE_FILENAME, content_label="input_data")
-    )
-    assert name == "input_data_filename"
+def targets(pla, section):
+    return [p.statement.target for p in pla_section(pla, section).statements]
 
 
-def test_pattern_two_uses_content_label_alone(kb_store):
-    patterns = kb(kb_store).naming_patterns
-    name = derive_variable_name(
-        patterns, NamingContext(vocab.PATTERN_FILENAME_ARG_TO_READER, content_label="input_data")
-    )
-    assert name == "input_data"
+def with_callable_names(plan, *names):
+    """The plan with its calculations' functions called `names`, in order."""
+    return plan._replace(calculations=tuple(
+        calc._replace(function=calc.function._replace(callable_name=name))
+        for calc, name in zip(plan.calculations, names)
+    ))
+
+
+def pattern_quad(store, pattern_id, predicate):
+    """The one quad of the KB naming pattern `pattern_id` with `predicate`."""
+    [node] = [q.subject for q in store.quads(vocab.CORE_GRAPH)
+              if q.predicate == Iri(vocab.HAS_PATTERN_ID) and q.object == Literal(pattern_id)]
+    [quad] = [q for q in store.quads(vocab.CORE_GRAPH) if q.subject == node and q.predicate == Iri(predicate)]
+    return quad
+
+
+def relabelled(quad, text):
+    return Quad(quad.subject, quad.predicate, Literal(text), quad.graph)
+
+
+def test_pattern_one_joins_content_and_filename_labels(pla):
+    assert targets(pla, "Input")[0] == "input_data_filename"
+
+
+def test_pattern_one_reads_its_separator_and_suffix_from_the_kb(kb_store, plan):
+    separator = pattern_quad(kb_store, vocab.PATTERN_LITERAL_IS_DATASOURCE_FILENAME, vocab.HAS_LABEL_SEPARATOR)
+    suffix = pattern_quad(kb_store, vocab.PATTERN_LITERAL_IS_DATASOURCE_FILENAME, vocab.HAS_SUFFIX_LABEL)
+    renamed = edited(kb_store, drop=[suffix], add=[relabelled(suffix, "path")])
+    assert targets(compose(plan, renamed), "Input")[0] == "input_data_path"
+    # Without a separator the label and the suffix are joined by "_".
+    assert targets(compose(plan, edited(kb_store, drop=[separator])), "Input")[0] == "input_data_filename"
+
+
+def test_pattern_two_uses_content_label_alone(pla):
+    assert targets(pla, "Input")[1] == "input_data"
 
 
 @pytest.mark.parametrize("function_iri, expected", [(NUMPY_MEAN, "mean"), (NUMPY_STD, "std")])
-def test_pattern_three_uses_the_function_name(kb_store, function_iri, expected):
-    patterns = kb(kb_store).naming_patterns
-    function = kb(kb_store).functions[function_iri]
-    name = derive_variable_name(patterns, NamingContext(vocab.PATTERN_ASSIGN_FUNCTION_RETURN, function=function))
-    assert name == expected
+def test_pattern_three_uses_the_function_name(pla, function_iri, expected):
+    [target] = [p.statement.target for p in pla_section(pla, "Calculate").statements
+                if p.statement.function.iri == function_iri]
+    assert target == expected
 
 
-def test_unknown_pattern_raises_unnamed_variable(kb_store):
-    patterns = kb(kb_store).naming_patterns
-    with pytest.raises(UnnamedVariableError):
-        derive_variable_name(patterns, NamingContext("no-such-pattern"))
+@pytest.mark.parametrize("pattern_id", [vocab.PATTERN_LITERAL_IS_DATASOURCE_FILENAME,
+                                        vocab.PATTERN_FILENAME_ARG_TO_READER,
+                                        vocab.PATTERN_ASSIGN_FUNCTION_RETURN])
+def test_a_pattern_missing_from_the_kb_raises_unnamed_variable(kb_store, plan, pattern_id):
+    quad = pattern_quad(kb_store, pattern_id, vocab.HAS_PATTERN_ID)
+    renamed = edited(kb_store, drop=[quad], add=[relabelled(quad, "no-such-pattern")])
+    with pytest.raises(UnnamedVariableError, match=f"pattern '{pattern_id}' is not in the knowledge base"):
+        compose(plan, renamed)
 
 
-def test_missing_payload_raises_unnamed_variable(kb_store):
-    patterns = kb(kb_store).naming_patterns
-    with pytest.raises(UnnamedVariableError):
-        derive_variable_name(patterns, NamingContext(vocab.PATTERN_FILENAME_ARG_TO_READER, content_label=None))
+def test_a_data_source_without_a_content_label_raises_unnamed_variable(kb_store, plan):
+    unlabelled = plan._replace(data_source=plan.data_source._replace(content_type_label=None))
+    with pytest.raises(UnnamedVariableError, match="filename pattern needs a content type label and a suffix label"):
+        compose(unlabelled, kb_store)
 
 
 @pytest.mark.parametrize("callable_name", ["class", "None", "my mean", "2nd"])
-def test_derived_name_that_is_no_identifier_raises_unnamed_variable(kb_store, callable_name):
-    patterns = kb(kb_store).naming_patterns
-    function = kb(kb_store).functions[NUMPY_MEAN]._replace(callable_name=callable_name)
-    with pytest.raises(UnnamedVariableError):
-        derive_variable_name(patterns, NamingContext(vocab.PATTERN_ASSIGN_FUNCTION_RETURN, function=function))
+def test_derived_name_that_is_no_identifier_raises_unnamed_variable(kb_store, plan, callable_name):
+    with pytest.raises(UnnamedVariableError, match=f"derives {callable_name!r}, which is not a variable name"):
+        compose(with_callable_names(plan, callable_name, "std"), kb_store)
 
 
-def test_derived_name_that_shadows_an_import_raises_unnamed_variable(kb_store, plan):
-    assert library_names(plan) == {"numpy", "np", "sys"}
-    calc = plan.calculations[0]
-    shadowing = calc._replace(function=calc.function._replace(callable_name="np"))
-    with pytest.raises(UnnamedVariableError, match="imported library"):
-        compose(plan._replace(calculations=(shadowing, *plan.calculations[1:])), kb_store)
+@pytest.mark.parametrize("callable_name", ["np", "numpy", "sys"])
+def test_derived_name_that_shadows_an_import_raises_unnamed_variable(kb_store, plan, callable_name):
+    # numpy's official name and alias, and sys, the exit function's library, are bound by the imports.
+    with pytest.raises(UnnamedVariableError, match=f"derives {callable_name!r}, which names an imported library"):
+        compose(with_callable_names(plan, "mean", callable_name), kb_store)
 
 
-def test_collision_policy_appends_numeric_suffixes():
-    names = NameAllocator()
-    assert [names.allocate("mean") for _ in range(3)] == ["mean", "mean_2", "mean_3"]
-    assert names.allocate("std") == "std"
-
-
-def test_collisions_during_composition_are_deterministic(kb_store, plan):
-    # Two calculations resolving to the same callable name must not collide.
-    doubled = plan._replace(calculations=(plan.calculations[0], plan.calculations[0]))
-    pla = compose(doubled, kb_store)
-    targets = [p.statement.target for p in pla_section(pla, "Calculate").statements]
-    assert targets == ["mean", "mean_2"]
+def test_collision_policy_appends_numeric_suffixes(kb_store, plan):
+    # Calculations resolving to the same callable name must not collide.
+    tripled = plan._replace(calculations=(*[plan.calculations[0]] * 3, plan.calculations[1]))
+    pla = compose(tripled, kb_store)
+    assert targets(pla, "Calculate") == ["mean", "mean_2", "mean_3", "std"]
     labels = [p.statement.label for p in pla_section(pla, "Output").statements]
-    assert labels == ["mean", "mean_2"]
+    assert labels == ["mean", "mean_2", "mean_3", "std"]
+
+
+def test_a_suffixed_name_skips_a_name_another_variable_derived(kb_store, plan):
+    # The third derives "mean_2", which the second took as the first free form of "mean".
+    three = with_callable_names(plan._replace(calculations=(plan.calculations[0], *plan.calculations)),
+                                "mean", "mean", "mean_2")
+    pla = compose(three, kb_store)
+    assert targets(pla, "Calculate") == ["mean", "mean_2", "mean_2_2"]
+    assert [p.statement.source for p in pla_section(pla, "Output").statements] == ["mean", "mean_2", "mean_2_2"]
+
+
+def test_a_suffixed_name_skips_a_name_an_import_binds(kb_store, plan):
+    exit_function = plan.exit_function._replace(library=plan.exit_function.library._replace(official_name="mean_2"))
+    tripled = plan._replace(calculations=(plan.calculations[0],) * 3, exit_function=exit_function)
+    assert targets(compose(tripled, kb_store), "Calculate") == ["mean", "mean_3", "mean_4"]
 
 
 @pytest.mark.parametrize("change", ["drop", "second-value"])

@@ -112,6 +112,15 @@ def test_render_is_deterministic(kb_store, statement_text):
     assert emit(plr_a) == emit(plr_b)
 
 
+def test_rendering_into_a_non_empty_graph_is_refused_and_writes_nothing(pipeline):
+    store, plan, pla, plr = pipeline
+    quads = store.graph_size(plr.graph_iri)
+    with pytest.raises(RenderError, match=f"^target graph is not empty: {re.escape(plr.graph_iri)}$"):
+        render(pla, plan.language, store)
+    assert store.graph_size(plr.graph_iri) == quads
+    assert load_plr(store, plr.graph_iri) == plr
+
+
 def test_load_plr_round_trips_and_emits_identically(pipeline):
     store, _, _, plr = pipeline
     walked = load_plr(store, plr.graph_iri)
@@ -507,6 +516,21 @@ def test_write_source_force_replaces_content_and_leaves_no_temp_file(pipeline, t
     write_source("old\n", plan.program_basename, plan.language, tmp_path)
     path = write_source(emit(plr), plan.program_basename, plan.language, tmp_path, force=True)
     assert path.read_text() == emit(plr)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["hello_analytic.py"]
+
+
+def test_a_failed_rename_keeps_the_targets_bytes_and_leaves_no_temp_file(pipeline, tmp_path, monkeypatch):
+    _, plan, _, plr = pipeline
+    path = tmp_path / "hello_analytic.py"
+    path.write_bytes(b"old \x00 bytes\r\n")
+
+    def refuse(source, target):
+        raise OSError(errno.EACCES, "Permission denied")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(WriteError, match=f"^cannot write {re.escape(str(path))}: .*Permission denied"):
+        write_source(emit(plr), plan.program_basename, plan.language, tmp_path, force=True)
+    assert path.read_bytes() == b"old \x00 bytes\r\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["hello_analytic.py"]
 
 

@@ -179,6 +179,17 @@ def test_compatibility_min_input_count_violation(seed_kb):
     assert check_compatibility(alg, small) == ["min_input_count"]
 
 
+def test_compatibility_min_input_count_boundary(seed_kb):
+    store, _ = seed_kb
+    [ds] = views.kb(store).data_sources["my_input.txt"]
+    [alg] = views.kb(store).algorithms_by_label["average value"]
+    # The count is rows times values per row: exactly the minimum is enough, one value fewer is not.
+    exact = ds._replace(data_rows=1, values_per_row=alg.min_input_count)
+    assert check_compatibility(alg, exact) == []
+    short = ds._replace(data_rows=1, values_per_row=alg.min_input_count - 1)
+    assert check_compatibility(alg, short) == ["min_input_count"]
+
+
 def test_compatibility_numeric_violation(seed_kb):
     store, _ = seed_kb
     [ds] = views.kb(store).data_sources["my_input.txt"]
